@@ -20,6 +20,7 @@ hand-written test fixtures) keep deserializing unchanged.
 from __future__ import annotations
 
 import base64
+import copy
 from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional, Union
 
@@ -112,6 +113,9 @@ def decode_list(data: Any) -> List[float]:
     return [float(v) for v in data]
 
 
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
 def payload_nbytes(data: Any) -> int:
     """Deterministic JSON-size estimate of a payload, in bytes.
 
@@ -120,7 +124,34 @@ def payload_nbytes(data: Any) -> int:
     per element) — close to ``len(json.dumps(...))`` without building the
     actual string in one piece on the hot path.  Non-JSON objects count a
     flat 64 bytes so service-level accounting never raises.
+
+    Called once per published snapshot, so the exact types a ``to_dict()``
+    payload is made of are answered first; subclasses and everything else
+    take the ``isinstance`` chain below and get the same integer.
     """
+    kind = type(data)
+    if kind is str:
+        return len(data) + 2
+    if kind is float or kind is int:
+        return len(repr(data))
+    if kind is dict:
+        # Most of a payload is string keys over strings and numbers:
+        # sized here, without a call each.
+        total = 2 * len(data)
+        for key, value in data.items():
+            total += len(key) + 2 if type(key) is str else payload_nbytes(key)
+            kind = type(value)
+            if kind is str:
+                total += len(value) + 2
+            elif kind is float or kind is int:
+                total += len(repr(value))
+            else:
+                total += payload_nbytes(value)
+        return total
+    if kind is list:
+        if set(map(type, data)) <= _PLAIN_NUMBERS:
+            return sum(map(len, map(repr, data))) + 2 * len(data)
+        return sum(payload_nbytes(v) + 2 for v in data)
     if data is None or isinstance(data, bool):
         return 4
     if isinstance(data, (int, float)):
@@ -138,3 +169,25 @@ def payload_nbytes(data: Any) -> int:
     if isinstance(data, (list, tuple, set, frozenset)):
         return sum(payload_nbytes(v) + 2 for v in data)
     return 64
+
+
+_SHARED_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def copy_payload(data: Any) -> Any:
+    """Independent copy of a JSON-shaped payload.
+
+    ``dict`` and ``list`` are rebuilt, immutable scalars are shared, and
+    anything else (a tuple, an ndarray, a subclass) goes to
+    :func:`copy.deepcopy` — the isolation ``deepcopy`` gives for payloads
+    that hold each container once (``to_dict()`` output does), without
+    its memo bookkeeping.
+    """
+    kind = type(data)
+    if kind in _SHARED_TYPES:
+        return data
+    if kind is dict:
+        return {key: copy_payload(value) for key, value in data.items()}
+    if kind is list:
+        return [copy_payload(value) for value in data]
+    return copy.deepcopy(data)

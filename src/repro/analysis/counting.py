@@ -62,14 +62,7 @@ class EventCounterAnalysis(Analysis):
         tree.get("/counts/process").fill_array(batch.process.astype(float))
         counts = np.diff(batch.offsets).astype(float)
         tree.get("/counts/multiplicity").fill_array(counts)
-        leading = np.array(
-            [
-                batch.e[batch.offsets[i]:batch.offsets[i + 1]].max()
-                if counts[i] > 0
-                else 0.0
-                for i in range(len(batch))
-            ]
-        )
+        leading = batch.per_event_max(batch.e)
         tree.get("/counts/leading_energy").fill_array(leading)
         tree.get("/counts/mult_vs_energy").fill_array(leading, counts)
 

@@ -9,8 +9,10 @@ Outputs (under ``/higgs``): the candidate mass spectrum (the headline
 histogram of Fig. 4), the Z-candidate mass, jet multiplicity, total visible
 energy, and a 2-D Z-vs-H mass correlation.
 
-Fully vectorized: four-jet events of a chunk are processed as (n, 4)
-arrays; no per-event Python loop.
+Fully vectorized, the class and its staged ``SOURCE`` twin alike: visible
+energy comes from :meth:`EventBatch.per_event_sum` (exact, so both fill
+bit-identical histograms) and the four-jet events of a chunk are
+processed as (n, 4) arrays; no per-event Python loop.
 """
 
 from __future__ import annotations
@@ -118,18 +120,7 @@ class HiggsSearchAnalysis(Analysis):
         counts = np.diff(batch.offsets)
         tree.get("/higgs/n_jets").fill_array(counts.astype(float))
 
-        # Visible energy per event: sum particle energies within offsets.
-        visible = np.add.reduceat(
-            batch.e, batch.offsets[:-1].astype(int)
-        ) if batch.n_particles else np.zeros(len(batch))
-        # reduceat misbehaves for zero-particle events; recompute safely.
-        if np.any(counts == 0):
-            visible = np.array(
-                [
-                    batch.e[batch.offsets[i]:batch.offsets[i + 1]].sum()
-                    for i in range(len(batch))
-                ]
-            )
+        visible = batch.per_event_sum(batch.e)
         tree.get("/higgs/visible_energy").fill_array(visible)
 
         selected = (counts == 4) & (visible >= self.min_visible_energy)
@@ -174,7 +165,9 @@ class HiggsSearchAnalysis(Analysis):
 
 
 #: Source form of this analysis, stageable through the code loader exactly
-#: like user-written code (uses only the sandbox-provided names).
+#: like user-written code (uses only the sandbox-provided names).  Its byte
+#: length is what ``CodeBundle.size_kb`` charges the stage-code transfer, so
+#: an edit that changes the length moves every session's simulated time.
 SOURCE = '''
 class StagedHiggsSearch(Analysis):
     """Dijet Higgs search (staged-source edition)."""
@@ -203,10 +196,9 @@ class StagedHiggsSearch(Analysis):
         if len(batch) == 0:
             return
         counts = np.diff(batch.offsets)
-        visible = np.array([
-            batch.e[batch.offsets[i]:batch.offsets[i + 1]].sum()
-            for i in range(len(batch))
-        ])
+        # Exact: bit for bit the sum of each event's slice,
+        # so staged == native trees.
+        visible = batch.per_event_sum(batch.e)
         tree.get("/higgs/visible_energy").fill_array(visible)
         selected = (counts == 4) & (visible >= self.min_visible_energy)
         if not np.any(selected):

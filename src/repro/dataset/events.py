@@ -24,6 +24,11 @@ PROCESS_CODES: Dict[str, int] = {
 #: Inverse mapping of :data:`PROCESS_CODES`.
 PROCESS_NAMES: Dict[int, str] = {v: k for k, v in PROCESS_CODES.items()}
 
+#: Slice length from which numpy's ``add.reduce`` stops adding left to right
+#: and switches to unrolled pairwise summation (``PW_BLOCKSIZE`` logic in
+#: numpy's ``pairwise_sum``).
+_PAIRWISE_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class Event:
@@ -175,6 +180,48 @@ class EventBatch:
             self.py[p_lo:p_hi],
             self.pz[p_lo:p_hi],
         )
+
+    # -- segmented reductions -----------------------------------------------
+    def per_event_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-event sum of a per-particle array (``0.0`` for empty events).
+
+        Bit-for-bit equal to ``values[offsets[i]:offsets[i + 1]].sum()``
+        for every event, so a tree filled from it does not depend on
+        whether the analysis looped or called the kernel.  That rules out
+        ``np.add.reduceat``, which adds ``v[0] + (v[1] + v[2] + ...)`` and
+        differs in the last bit on about a quarter of four-jet events.
+        """
+        return self._per_event_reduce(values, np.add)
+
+    def per_event_max(self, values: np.ndarray) -> np.ndarray:
+        """Per-event maximum of a per-particle array (``0.0`` for empty events)."""
+        return self._per_event_reduce(values, np.maximum)
+
+    def _per_event_reduce(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+        """Reduce *values* within each event, one vector pass per slot.
+
+        Events are grouped by particle count ``k``; a group's ``k`` columns
+        are combined left to right, which is the order ``ufunc.reduce``
+        uses on a slice shorter than :data:`_PAIRWISE_BLOCK`.  Longer
+        slices are summed pairwise by numpy, so those (rare) events are
+        reduced one slice at a time to stay exact.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != self.n_particles:
+            raise ValueError("values must hold one entry per particle")
+        counts = np.diff(self.offsets)
+        out = np.zeros(len(self))
+        for k in np.unique(counts[counts > 0]):
+            where = np.flatnonzero(counts == k)
+            first = self.offsets[where]
+            if k < _PAIRWISE_BLOCK:
+                acc = values[first]
+                for slot in range(1, k):
+                    acc = ufunc(acc, values[first + slot])
+                out[where] = acc
+            else:
+                out[where] = [ufunc.reduce(values[lo:lo + k]) for lo in first]
+        return out
 
     # -- combination ----------------------------------------------------------
     @staticmethod

@@ -232,13 +232,10 @@ def _permute_batch(batch: EventBatch, perm: np.ndarray) -> EventBatch:
     new_counts = counts[perm]
     new_offsets = np.concatenate([[0], np.cumsum(new_counts)])
     n_particles = int(batch.offsets[-1])
-    # Build the particle gather index.
-    gather = np.empty(n_particles, dtype=np.int64)
-    position = 0
-    for src in perm:
-        lo, hi = int(batch.offsets[src]), int(batch.offsets[src + 1])
-        gather[position:position + (hi - lo)] = np.arange(lo, hi)
-        position += hi - lo
+    # Particle gather index: slot j of the output belongs to the event whose
+    # particles moved by (old start - new start), so add that shift to j.
+    shift = batch.offsets[:-1][perm] - new_offsets[:-1]
+    gather = np.arange(n_particles) + np.repeat(shift, new_counts)
     return EventBatch(
         batch.event_ids[perm],
         batch.process[perm],

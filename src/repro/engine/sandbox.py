@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import builtins
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Optional, Type
 
 import numpy as np
@@ -67,6 +68,17 @@ def _build_namespace() -> Dict[str, Any]:
     }
 
 
+@lru_cache(maxsize=64)
+def _compile(source: str):
+    """Code object of *source*; every engine of a session loads one text.
+
+    Only the immutable code object is shared: each load still ``exec``s it
+    into its own namespace, and a source that fails to compile raises on
+    every call (``lru_cache`` does not keep exceptions).
+    """
+    return compile(source, "<analysis>", "exec")
+
+
 def load_analysis(
     source: str,
     class_name: Optional[str] = None,
@@ -93,7 +105,7 @@ def load_analysis(
     """
     namespace = _build_namespace()
     try:
-        exec(compile(source, "<analysis>", "exec"), namespace)
+        exec(_compile(source), namespace)
     except SandboxError:
         raise
     except SyntaxError as exc:

@@ -41,11 +41,11 @@ Correctness rules:
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.aida.codec import copy_payload
 from repro.aida.serial import from_dict as object_from_dict
 from repro.aida.tree import ObjectTree
 from repro.engine.engine import Snapshot
@@ -305,7 +305,7 @@ class AIDAManagerService:
         # Freeze the payload: the submitter keeps a live reference to the
         # tree dict, and a later in-place mutation must not be able to
         # reach into stored snapshots (or the merged result).
-        snapshot = replace(snapshot, tree=copy.deepcopy(snapshot.tree))
+        snapshot = replace(snapshot, tree=copy_payload(snapshot.tree))
         status = self._ingest_tree(session_id, snapshot)
         if status != "accepted":
             self._dropped_metric.inc(reason="gap")

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.aida.axis import Axis
-from repro.aida.cloud import Cloud1D
+from repro.aida.cloud import Cloud1D, Cloud2D
 from repro.aida.codec import (
     MIN_CODEC_SIZE,
     codec_disabled,
     codec_enabled,
+    copy_payload,
     decode_array,
     decode_list,
     encode_array,
@@ -23,6 +24,7 @@ from repro.aida.hist2d import Histogram2D
 from repro.aida.ntuple import NTuple
 from repro.aida.profile import Profile1D
 from repro.aida.serial import from_dict, to_dict
+from repro.aida.tree import ObjectTree
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,102 @@ def test_payload_nbytes_encoded_smaller_than_lists():
     assert encoded < 0.6 * plain
 
 
+def reference_payload_nbytes(data):
+    """The size model as first written: one ``isinstance`` chain."""
+    if data is None or isinstance(data, bool):
+        return 4
+    if isinstance(data, (int, float)):
+        return len(repr(data))
+    if isinstance(data, str):
+        return len(data) + 2
+    if isinstance(data, (bytes, bytearray)):
+        return len(data)
+    if isinstance(data, np.ndarray):
+        return int(data.nbytes)
+    if isinstance(data, dict):
+        return sum(
+            reference_payload_nbytes(k) + reference_payload_nbytes(v) + 2
+            for k, v in data.items()
+        )
+    if isinstance(data, (list, tuple, set, frozenset)):
+        return sum(reference_payload_nbytes(v) + 2 for v in data)
+    return 64
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: _filled_hist1d(),
+    lambda: Histogram1D("small", bins=10, lower=0, upper=1),
+    lambda: _fill_hist2d(),
+    lambda: _fill_profile(),
+    lambda: _fill_cloud(),
+    lambda: _fill_cloud2d(),
+    lambda: _fill_ntuple(),
+    lambda: _fill_tree(),
+])
+def test_payload_nbytes_unchanged_on_every_object_kind(factory):
+    obj = factory()
+    with codec_disabled():
+        plain_lists = obj.to_dict()
+    for data in (obj.to_dict(), plain_lists):
+        assert payload_nbytes(data) == reference_payload_nbytes(data)
+
+
+class _Text(str):
+    pass
+
+
+class _Table(dict):
+    pass
+
+
+@pytest.mark.parametrize("data", [
+    None, True, False, 0, -17, 2.5, float("inf"), "", "text", b"raw",
+    bytearray(b"raw"), np.arange(6.0), np.float64(1.25), np.int64(7),
+    (1, 2.0, "x"), {1, 2}, frozenset({"a"}), object(), _Text("sub"),
+    _Table(a=[1.0, 2.0]), [], [1.0, 2, 3.5], [1.0, True, None], [[1.0], [2]],
+    {"k": [False, 1.5, "s", None, (1, 2)], 3: {"n": np.zeros(2)}},
+])
+def test_payload_nbytes_unchanged_on_odd_values(data):
+    assert payload_nbytes(data) == reference_payload_nbytes(data)
+
+
+# ---------------------------------------------------------------------------
+# structural copy of a payload
+# ---------------------------------------------------------------------------
+
+def test_copy_payload_rebuilds_every_container():
+    with codec_disabled():
+        data = _fill_tree().to_dict()
+    clone = copy_payload(data)
+    assert clone == data
+
+    def containers(value):
+        if isinstance(value, dict):
+            yield value
+            for item in value.values():
+                yield from containers(item)
+        elif isinstance(value, list):
+            yield value
+            for item in value:
+                yield from containers(item)
+
+    originals = {id(c) for c in containers(data)}
+    assert originals and not originals & {id(c) for c in containers(clone)}
+
+
+def test_copy_payload_deep_copies_what_is_not_json():
+    array = np.arange(4.0)
+    data = {"rows": ([1.0], [2.0]), "array": array, "table": _Table(a=[1])}
+    clone = copy_payload(data)
+    assert type(clone["rows"]) is tuple and type(clone["table"]) is _Table
+    data["rows"][0][0] = 999.0
+    array[:] = -1.0
+    data["table"]["a"][0] = 999
+    assert clone["rows"] == ([1.0], [2.0])
+    assert clone["array"].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert clone["table"] == {"a": [1]}
+
+
 # ---------------------------------------------------------------------------
 # adoption by the object classes
 # ---------------------------------------------------------------------------
@@ -179,6 +277,23 @@ def _fill_cloud():
     for x, w in zip(rng.random(200), rng.random(200)):
         cloud.fill(float(x), float(w))
     return cloud
+
+
+def _fill_cloud2d():
+    cloud = Cloud2D("c2", max_points=10_000)
+    rng = np.random.default_rng(7)
+    for x, y in zip(rng.random(50), rng.random(50)):
+        cloud.fill(float(x), float(y))
+    return cloud
+
+
+def _fill_tree():
+    tree = ObjectTree()
+    tree.put("/a/h1", _filled_hist1d())
+    tree.put("/a/h2", _fill_hist2d())
+    tree.put("/b/profile", _fill_profile())
+    tree.put("/b/ntuple", _fill_ntuple())
+    return tree
 
 
 def _fill_ntuple():

@@ -231,6 +231,43 @@ class Never(Analysis):
         load_analysis(source)
 
 
+# -- compile-once cache: only the code object is shared between loads -------
+
+def test_loading_one_source_twice_gives_distinct_classes_and_namespaces():
+    first = load_analysis(GOOD_SOURCE)
+    second = load_analysis(GOOD_SOURCE)
+    assert type(first) is not type(second)
+    type(first).marker = "only on the first load"
+    assert not hasattr(type(second), "marker")
+    first_globals = type(first).start.__globals__
+    second_globals = type(second).start.__globals__
+    assert first_globals is not second_globals
+    assert first_globals["__builtins__"] is not second_globals["__builtins__"]
+    first_globals["leak"] = 1
+    assert "leak" not in second_globals
+
+
+def test_syntax_error_raised_on_every_load():
+    for _ in range(3):
+        with pytest.raises(SandboxError, match="syntax"):
+            load_analysis("class Broken(Analysis:\n    pass")
+
+
+def test_forbidden_import_raised_on_every_load_of_cached_code():
+    at_import = "import os\n\nclass Sneaky(Analysis):\n    pass\n"
+    for _ in range(2):
+        with pytest.raises(SandboxError, match="not allowed"):
+            load_analysis(at_import)
+    at_run = '''
+class Lazy(Analysis):
+    def process_batch(self, batch, tree):
+        import os
+'''
+    for _ in range(2):
+        with pytest.raises(SandboxError, match="not allowed"):
+            load_analysis(at_run).process_batch(None, None)
+
+
 # ---------------------------------------------------------------------------
 # CodeBundle
 # ---------------------------------------------------------------------------
@@ -256,6 +293,14 @@ def test_bundle_updated_bumps_version():
     replaced = updated.updated(source="class X(Analysis):\n    pass")
     assert replaced.version == 3
     assert "class X" in replaced.source
+
+
+def test_bundle_updated_source_compiles_the_new_text():
+    bundle = CodeBundle(GOOD_SOURCE)
+    assert bundle.instantiate().name == "mine"  # warms the compile cache
+    edited = bundle.updated(source=GOOD_SOURCE.replace('"mine"', '"edited"'))
+    assert edited.instantiate().name == "edited"
+    assert bundle.instantiate().name == "mine"
 
 
 def test_base_analysis_process_event_required():

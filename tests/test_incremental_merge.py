@@ -1,9 +1,13 @@
 """Tests for the incremental merge pipeline: delta snapshots, per-engine
 caching in the AIDA manager, and the resync protocol between them."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.aida.hist1d import Histogram1D
+from repro.aida.hist2d import Histogram2D
 from repro.aida.tree import ObjectTree
 from repro.engine.engine import AnalysisEngine, Snapshot
 from repro.obs import Observability
@@ -241,6 +245,50 @@ def test_mutating_submitted_tree_cannot_corrupt_merge():
         obj_data["swx"] = -1.0
     snapshot.tree["objects"]["/evil"] = {"kind": "bogus"}
     assert merged_entries(env, manager) == before == 10
+
+
+@pytest.mark.parametrize("incremental", [True, False])
+def test_mutating_nested_lists_of_submitted_tree_cannot_corrupt_merge(incremental):
+    """Histogram2D in list form: lists of lists must be frozen at depth."""
+    env = Environment()
+    manager = AIDAManagerService(
+        env, merge_cost_per_tree=0.0, incremental=incremental
+    )
+    tree = ObjectTree()
+    hist = Histogram2D(
+        "h2", x_bins=2, x_lower=0, x_upper=2, y_bins=2, y_lower=0, y_upper=2
+    )
+    hist.fill_array(np.array([0.5, 1.5, 1.5]), np.array([0.5, 1.5, 0.5]))
+    tree.put("/h2", hist)
+    snapshot = replace(make_snapshot("e0", 3), tree=tree.to_dict())
+    rows = snapshot.tree["objects"]["/h2"]["counts"]
+    assert isinstance(rows[0], list)
+    manager.submit_snapshot("s1", snapshot)
+    before, _ = env.run(until=manager.merged("s1"))
+    for row in rows:
+        row[:] = [999] * len(row)
+    after, _ = env.run(until=manager.merged("s1"))
+    assert after == before
+    assert after["objects"]["/h2"] == hist.to_dict()
+
+
+@pytest.mark.parametrize("incremental", [True, False])
+def test_submitted_tree_holding_tuple_and_ndarray_is_frozen_too(incremental):
+    """Anything that is not plain JSON takes the deepcopy fallback."""
+    env = Environment()
+    manager = AIDAManagerService(
+        env, merge_cost_per_tree=0.0, incremental=incremental
+    )
+    snapshot = make_snapshot("e0", 10)
+    obj_data = snapshot.tree["objects"]["/h"]
+    obj_data["counts"] = np.array(obj_data["counts"])
+    obj_data["sumw"] = tuple(obj_data["sumw"])
+    manager.submit_snapshot("s1", snapshot)
+    before, _ = env.run(until=manager.merged("s1"))
+    obj_data["counts"][:] = 999
+    after, _ = env.run(until=manager.merged("s1"))
+    assert after == before
+    assert ObjectTree.from_dict(after).get("/h").entries == 10
 
 
 @pytest.mark.parametrize("incremental", [True, False])

@@ -1,16 +1,18 @@
 """Incremental merge pipeline — poll latency and payload vs the old path.
 
 The old result path re-deserialized and re-merged every engine's full
-snapshot on every poll, and shipped every array as a JSON list.  The
-incremental pipeline keeps deserialized per-engine trees at the manager,
-accepts delta snapshots (changed objects only, full keyframes every N),
-re-folds only dirty paths per poll, and encodes arrays with the compact
-base64 codec.
+snapshot on every poll, and shipped every array as a JSON list; that
+from-scratch fold survives only as the tests' reference oracle
+(``tests/merge_oracle.py``), which is what the "old" column times.  The
+manager keeps deserialized per-engine trees in its merge tree, accepts
+delta snapshots (changed objects only, full keyframes every N), re-folds
+only dirty paths per poll, and encodes arrays with the compact base64
+codec.
 
 This benchmark measures, at 4/16/64/256 engines, the steady-state case the
 paper's interactive loop lives in: one engine publishes an update between
 polls while the rest are idle.  It reports wall-clock poll latency and
-per-update payload bytes for both paths, writes
+per-update payload bytes for both, writes
 ``benchmarks/out/BENCH_merge.json``, and asserts the headline numbers
 (>= 5x faster and >= 3x smaller at 64 engines) — this is the CI gate for
 the incremental path.
@@ -28,6 +30,7 @@ from repro.bench.tables import ComparisonTable
 from repro.engine.engine import AnalysisEngine
 from repro.services.aida_manager import AIDAManagerService
 from repro.sim import Environment
+from tests.merge_oracle import reference_merge
 
 ENGINE_COUNTS = (4, 16, 64, 256)
 HISTS_PER_TREE = 16
@@ -51,45 +54,65 @@ def build_engines(n_engines, delta, seed=12):
     return engines
 
 
-def measure(n_engines, incremental):
-    """One configuration: returns (best poll seconds, payload bytes/update)."""
-    env = Environment()
-    manager = AIDAManagerService(
-        env, merge_cost_per_tree=0.0, incremental=incremental
-    )
-    engines = build_engines(n_engines, delta=incremental)
+def steady_state(engines, submit, poll):
+    """Drive one result path: returns (best poll seconds, payload
+    bytes/update) with one engine updating one histogram between polls."""
     rng = np.random.default_rng(34)
 
     def publish(engine):
         snapshot = engine.take_snapshot()
-        manager.submit_snapshot("s1", snapshot)
+        submit(snapshot)
         return payload_nbytes(snapshot.tree)
 
     # Warm-up: every engine reports once (full snapshots), one poll to
-    # build the caches on the incremental path.
+    # build the manager's partial merges.
     for engine in engines:
         publish(engine)
-    env.run(until=manager.merged("s1"))
+    poll()
 
-    # Steady state: one engine updates one histogram between polls.
     latencies, payloads = [], []
     for round_no in range(ROUNDS):
-        engine = engines[round_no % n_engines]
+        engine = engines[round_no % len(engines)]
         engine.tree.get("/bench/h0").fill_array(rng.random(50), rng.random(50))
         payloads.append(publish(engine))
         started = time.perf_counter()
-        tree_dict, _ = env.run(until=manager.merged("s1"))
+        tree_dict = poll()
         latencies.append(time.perf_counter() - started)
     assert len(tree_dict["objects"]) == HISTS_PER_TREE
     return min(latencies), sum(payloads) / len(payloads)
+
+
+def measure_reference(n_engines):
+    """The old path: full snapshots, from-scratch oracle fold per poll."""
+    latest = {}
+
+    def submit(snapshot):
+        latest[snapshot.engine_id] = snapshot.tree
+
+    return steady_state(
+        build_engines(n_engines, delta=False),
+        submit,
+        lambda: reference_merge(latest),
+    )
+
+
+def measure_manager(n_engines):
+    """The manager: delta snapshots into the merge tree, dirty re-fold."""
+    env = Environment()
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.0)
+    return steady_state(
+        build_engines(n_engines, delta=True),
+        lambda snapshot: manager.submit_snapshot("s1", snapshot),
+        lambda: env.run(until=manager.merged("s1"))[0],
+    )
 
 
 def run_matrix():
     results = {}
     for n_engines in ENGINE_COUNTS:
         with codec_disabled():
-            old_s, old_bytes = measure(n_engines, incremental=False)
-        new_s, new_bytes = measure(n_engines, incremental=True)
+            old_s, old_bytes = measure_reference(n_engines)
+        new_s, new_bytes = measure_manager(n_engines)
         results[n_engines] = {
             "old": {"poll_seconds": old_s, "payload_bytes": old_bytes},
             "new": {"poll_seconds": new_s, "payload_bytes": new_bytes},

@@ -1,18 +1,20 @@
-"""§2.5 — the real hierarchical merge tier vs the flat incremental fold.
+"""§2.5 — the merge tree with a fan-in vs the same tree as a single leaf.
 
 "The component that performs the merging and displaying of analysis
 results will become a bottleneck if there are a large number of users.
 The system should be adaptable in such situations by being able to
 accommodate a sub-level of components that performs the merging" (§2.5).
 
-Earlier revisions only modelled this with a closed-form latency formula.
-The manager now *runs* the sub-merger tree: engines publish to per-group
+The manager *runs* the sub-merger tree: engines publish to per-group
 combiners holding incremental partials, combiners republish upward, and a
 poll re-folds only dirty subtrees while the combiner levels charge their
-latency concurrently on the simulated clock.
+latency concurrently on the simulated clock.  Without a fan-in the same
+``MergeTree`` is one leaf that owns every engine (depth 1) — the paper's
+single merging component.
 
-This benchmark feeds two managers — flat incremental and tiered (fan-in
-8) — byte-identical delta/keyframe snapshot streams at 4..1024 engines.
+This benchmark feeds two managers — flat (``fan_in=None``, depth 1) and
+tiered (fan-in 8) — byte-identical delta/keyframe snapshot streams at
+4..1024 engines.
 Every poll is taken in the worst case for the tier ablation, all engines
 dirty, where flat charges O(n) tree merges and the tier charges
 O(f·log_f n).  After every polled generation the two served trees must be
@@ -91,12 +93,11 @@ def measure(n_engines, fan_in):
 
     for _ in range(1 + ROUNDS):  # first round doubles as the warm-up
         all_dirty_poll()
-    depth = manager.tier("s1").depth if manager.tier("s1") else 1
     return {
         "trees": trees,
         "sim_latencies": sim_latencies,
         "wall_times": wall_times,
-        "depth": depth,
+        "depth": manager.tier("s1").depth,
     }
 
 
@@ -104,6 +105,7 @@ def run_matrix():
     results = {}
     for n_engines in ENGINE_COUNTS:
         flat = measure(n_engines, fan_in=None)
+        assert flat["depth"] == 1
         tiered = measure(n_engines, fan_in=FAN_IN)
         # Correctness first: the tier must serve the exact flat tree at
         # every polled generation (fold association changes nothing).

@@ -7,11 +7,15 @@ capture.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
 OUT_DIR = Path(__file__).parent / "out"
+
+# The merge benches time the tests' reference fold (tests/merge_oracle.py).
+sys.path.insert(0, str(Path(__file__).parent.parent))
 
 
 @pytest.fixture

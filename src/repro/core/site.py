@@ -74,18 +74,11 @@ class SiteConfig:
     max_engines_per_session:
         VO policy ceiling (defaults to ``n_workers``).
     merge_fan_in:
-        AIDA manager combiner fan-in (``None`` = flat merge).  With a
-        fan-in, each session gets a real tiered merge: engines publish
-        to leaf combiners which fold incrementally and push combined
-        deltas up to the root (see :mod:`repro.services.combiner`).
-    merge_grouping:
-        How engines map onto leaf combiners: ``"chunk"`` (contiguous
-        runs of the sorted engine ids, preserving the flat fold order
-        exactly) or ``"worker"`` (group engines sharing a worker node).
-    incremental_merge:
-        AIDA manager keeps per-engine tree caches and re-merges only
-        dirty paths per poll (False = from-scratch merge on every poll,
-        the §2.5 bottleneck behaviour).
+        Degree of each session's merge tree (``None`` = one leaf owns
+        every engine, the single merging component of §3.7).  With a
+        fan-in, engines publish to leaf combiners which fold
+        incrementally and push combined deltas up to the root (see
+        :mod:`repro.services.combiner`).
     session_lifetime:
         WSRF lifetime of session resources in seconds (``None`` =
         immortal).
@@ -166,8 +159,6 @@ class SiteConfig:
     n_workers: int = 16
     max_engines_per_session: Optional[int] = None
     merge_fan_in: Optional[int] = None
-    merge_grouping: str = "chunk"
-    incremental_merge: bool = True
     session_lifetime: Optional[float] = None
     enable_recovery: bool = True
     heartbeat_interval: float = 5.0
@@ -202,10 +193,6 @@ class SiteConfig:
             and self.max_concurrent_engines < 1
         ):
             raise ValueError("max_concurrent_engines must be >= 1")
-        if self.merge_grouping not in ("chunk", "worker"):
-            raise ValueError(
-                f"unknown merge_grouping {self.merge_grouping!r}"
-            )
 
 
 class GridSite:
@@ -432,10 +419,8 @@ class GridSite:
             merge_cost_per_tree=cal.merge_cost_per_tree_s,
             fan_in=config.merge_fan_in,
             obs=self.obs,
-            incremental=config.incremental_merge,
             coalesce=config.poll_coalescing,
             coalesce_window_s=config.poll_coalesce_window_s,
-            grouping=config.merge_grouping,
         )
         self.content_store = ContentStore()
         # Replica catalog + per-worker caches (warm re-staging, §4's
@@ -522,13 +507,7 @@ class GridSite:
                 queue_depth=config.service_queue_depth,
                 dispatch_overhead_s=config.service_dispatch_overhead_s,
             )
-            services = ["control", "session", "aida"]
-            if config.merge_fan_in is not None:
-                # The combiner tier is a distinct request class: give it
-                # its own dispatch slots so engine->combiner publishes
-                # cannot head-of-line-block root polls.
-                services.append("combiner")
-            for service in services:
+            for service in ("control", "session", "aida"):
                 self.container.configure_service(service, profile)
         # Deterministic fault injection for chaos tests and benchmarks.
         self.injector = FailureInjector(

@@ -1,46 +1,52 @@
-"""Tiered sub-merger combiners: the real §2.5 merge tree.
+"""The merge tree: every session's results fold through combiners (§2.5).
 
-The paper warns that the single merging component "will become a
-bottleneck if there are a large number of users" and prescribes "a
-sub-level of components that performs the merging" (§2.5).  This module
-is that sub-level: a :class:`MergeTree` of :class:`CombinerNode`\\ s of
-degree ``fan_in``.  Engines are routed to *leaf* combiners (grouped by
-contiguous chunks of the sorted engine ids, or by worker locality);
-each combiner keeps an **incremental partial tree** — the same
-delta-snapshot / keyframe / dirty-path machinery the flat manager uses
-— and republishes its *combined* dirty paths upward, so a poll at the
-root re-folds only the dirty combiner subtrees.
+The paper merges engine results at one component (§3.7), warns that it
+"will become a bottleneck if there are a large number of users" and
+prescribes "a sub-level of components that performs the merging"
+(§2.5).  A :class:`MergeTree` is both: *leaf* :class:`CombinerNode`\\ s
+own contiguous runs of the sorted engine ids, internal combiners of
+degree ``fan_in`` fold their children, and the root's partial is the
+tree the manager serves.  ``fan_in=None`` is the paper's single merging
+component — one leaf that owns every engine, a tree of depth 1.
+
+Each leaf keeps, per engine, the latest accepted snapshot and its
+cumulative deserialized tree: a keyframe replaces the cached tree, a
+delta patches it, and a delta whose base does not match the cached
+sequence is answered ``"resync"``.  Every combiner keeps an
+**incremental partial**: only the object paths dirtied since the last
+poll are re-folded, and each combiner republishes its *combined* dirty
+paths upward, so a poll re-folds only the dirty subtrees.
 
 Cost model: the combiners of one level run concurrently on the
-simulated clock, so a poll charges ``cost x max(dirty children)`` per
-level and sums over the levels — ``O(f * log_f n)`` when everything is
-dirty instead of the flat ``O(n)``, and ``O(depth)`` when a single
-engine advanced.
+simulated clock and the levels run in sequence, so a poll charges
+``cost x max(dirty children)`` per level — ``cost x dirty engines`` at
+depth 1, ``O(f * log_f n)`` with a fan-in when everything is dirty, and
+``O(depth)`` when a single engine advanced.  Re-folding a leaf *without*
+a discarded engine is a fold like any other and is charged as one.
 
-Correctness: leaf groups are *contiguous* ranges of the
-lexicographically sorted engine ids and every fold (leaf over its
-engines, combiner over its children) is the same left fold the flat
-manager uses, so the hierarchical fold visits contributions in the
-exact global sorted-engine order.  Histogram addition is
+Correctness: every fold (leaf over its engines, combiner over its
+children) is a left fold in sorted order over contiguous ranges, so the
+tree visits contributions in the exact global sorted-engine order of a
+from-scratch ``ObjectTree.merge_from`` fold.  Histogram addition is
 order-insensitive up to float association; ntuple/cloud merges are
-concatenations, for which the order-preserving grouping makes the
-tiered result *exactly* equal to the flat one (property-tested with
-exactly-representable fills).
+concatenations, for which the order-preserving grouping makes any
+depth *exactly* equal to the from-scratch fold (property-tested with
+exactly-representable fills; depth 1 is bit-equal for arbitrary ones).
 
-Crash semantics: a leaf combiner crash loses its volatile engine
-caches and partial tree — the affected paths are re-folded without the
-lost contributions and the engines' next deltas are answered with
-``"resync"`` (the injector additionally directs them to republish, so
-finished engines heal too).  An *internal* combiner crash only loses
-its partial; it rebuilds from its children's intact partials on the
-next poll.  A retired leaf re-parents its engines onto the adjacent
-leaf, preserving the global fold order.
+Crash semantics: a leaf combiner crash loses its engine entries and
+partial tree — the affected paths re-fold without the lost
+contributions, merge progress stops counting those engines, and their
+next deltas are answered with ``"resync"`` (the injector additionally
+directs them to republish, so finished engines heal too).  An
+*internal* combiner crash only loses its partial; it rebuilds from its
+children's intact partials on the next poll.  A retired leaf re-parents
+its engines onto the adjacent leaf, preserving the global fold order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.aida.serial import from_dict as object_from_dict
 from repro.aida.tree import ObjectTree
@@ -51,35 +57,33 @@ class CombinerError(Exception):
     """Raised on invalid combiner-tier operations."""
 
 
-def plan_groups(
-    engine_ids: Sequence[str],
-    fan_in: int,
-    grouping: str = "chunk",
-    workers: Optional[Dict[str, str]] = None,
-) -> List[List[str]]:
-    """Partition *engine_ids* into leaf-combiner groups of ``<= fan_in``.
+class EngineEntry(NamedTuple):
+    """What a leaf holds per engine: the latest accepted snapshot (the
+    record merge progress is derived from) and its cumulative tree."""
 
-    ``"chunk"`` (default) cuts the lexicographically sorted ids into
-    contiguous runs — the grouping that keeps the hierarchical fold in
-    the flat manager's exact association order.  ``"worker"`` clusters
-    engines sharing a worker (rack locality) first, then chunks; it
-    trades exact fold order for placement locality, which is fine for
-    order-insensitive aggregates.
+    snapshot: Snapshot
+    tree: ObjectTree
+
+
+def plan_groups(
+    engine_ids: Sequence[str], fan_in: Optional[int]
+) -> List[List[str]]:
+    """Cut the sorted *engine_ids* into contiguous leaf groups of
+    ``<= fan_in`` — the grouping that keeps the hierarchical fold in the
+    from-scratch fold's exact association order.  ``fan_in=None`` is one
+    group: a single leaf owns every engine.
     """
-    if fan_in < 2:
+    if fan_in is not None and fan_in < 2:
         raise CombinerError("fan_in must be >= 2")
-    if grouping not in ("chunk", "worker"):
-        raise CombinerError(f"unknown grouping policy {grouping!r}")
     ordered = sorted(set(engine_ids))
-    if grouping == "worker" and workers:
-        ordered.sort(key=lambda e: (workers.get(e, ""), e))
-    return [ordered[i : i + fan_in] for i in range(0, len(ordered), fan_in)]
+    width = fan_in or max(1, len(ordered))
+    return [ordered[i : i + width] for i in range(0, len(ordered), width)]
 
 
 class CombinerNode:
     """One sub-merger: a partial merged tree plus dirty bookkeeping.
 
-    Leaves (``level == 1``) hold per-engine ``(sequence, tree)`` caches;
+    Leaves (``level == 1``) hold one :class:`EngineEntry` per engine;
     internal nodes hold child combiners.  ``dirty_paths`` are the object
     paths whose partial value is stale; ``dirty_children`` names the
     children (engines or combiners) that made them stale — its size is
@@ -104,7 +108,7 @@ class CombinerNode:
         self.level = level
         self.parent: Optional["CombinerNode"] = None
         self.children: List["CombinerNode"] = []
-        self.engines: Dict[str, Tuple[int, ObjectTree]] = {}
+        self.engines: Dict[str, EngineEntry] = {}
         self.partial = ObjectTree()
         self.dirty_paths: Set[str] = set()
         self.dirty_children: Set[str] = set()
@@ -124,7 +128,7 @@ class CombinerNode:
     def contributions_in_order(self) -> List[ObjectTree]:
         """Child trees in fold order (sorted engines, or child order)."""
         if self.is_leaf:
-            return [self.engines[e][1] for e in sorted(self.engines)]
+            return [self.engines[e].tree for e in sorted(self.engines)]
         return [child.partial for child in self.children]
 
     def refold(self) -> Tuple[Set[str], int]:
@@ -164,21 +168,22 @@ class CombinerNode:
 
 
 class MergeTree:
-    """The session's combiner tier: leaves over engines, root at the top.
+    """A session's merge state: leaves over engines, root at the top.
 
-    Built once from the planned leaf *groups*; late engines (spares)
-    are routed to the leaf whose ``low`` key precedes their id, so the
-    global sorted order stays contiguous.
+    Built from the planned leaf *groups* (none = one empty leaf); late
+    engines (spares) are routed to the leaf whose ``low`` key precedes
+    their id, so the global sorted order stays contiguous.
     """
 
     def __init__(
-        self, session_id: str, fan_in: int, groups: Sequence[Sequence[str]]
+        self,
+        session_id: str,
+        fan_in: Optional[int],
+        groups: Sequence[Sequence[str]] = (),
     ) -> None:
-        if fan_in < 2:
+        if fan_in is not None and fan_in < 2:
             raise CombinerError("fan_in must be >= 2")
-        groups = [list(g) for g in groups if g]
-        if not groups:
-            raise CombinerError("merge tree needs at least one engine group")
+        groups = [list(g) for g in groups if g] or [[]]
         self.session_id = session_id
         self.fan_in = fan_in
         #: Engines whose contribution advanced since the last poll.
@@ -188,7 +193,7 @@ class MergeTree:
         leaves: List[CombinerNode] = []
         for index, group in enumerate(groups):
             leaf = CombinerNode(
-                f"{session_id}/combiner-1.{index}", 1, low=min(group)
+                f"{session_id}/combiner-1.{index}", 1, low=min(group, default="")
             )
             leaves.append(leaf)
             self._by_id[leaf.combiner_id] = leaf
@@ -199,11 +204,12 @@ class MergeTree:
         level = 1
         while len(nodes) > 1:
             level += 1
+            width = fan_in or len(nodes)
             parents: List[CombinerNode] = []
-            for index in range(0, len(nodes), fan_in):
-                chunk = nodes[index : index + fan_in]
+            for index in range(0, len(nodes), width):
+                chunk = nodes[index : index + width]
                 parent = CombinerNode(
-                    f"{session_id}/combiner-{level}.{index // fan_in}",
+                    f"{session_id}/combiner-{level}.{index // width}",
                     level,
                     low=chunk[0].low,
                 )
@@ -226,6 +232,11 @@ class MergeTree:
     @property
     def n_combiners(self) -> int:
         return sum(len(level) for level in self.levels)
+
+    @property
+    def n_engines(self) -> int:
+        """Engines with an entry in the tree."""
+        return sum(len(leaf.engines) for leaf in self.levels[0])
 
     @property
     def root_tree(self) -> ObjectTree:
@@ -267,55 +278,65 @@ class MergeTree:
 
     # -- ingestion ----------------------------------------------------------
     def ingest(self, snapshot: Snapshot) -> str:
-        """Fold a validated snapshot into its leaf combiner's cache.
+        """Fold a validated snapshot into its leaf combiner's entry.
 
-        Mirrors the flat manager's keyframe/delta semantics: a keyframe
-        replaces the cached tree and dirties old + new paths; a delta
-        whose base does not match the cached sequence returns
+        A full keyframe replaces the cached tree outright: everything
+        it previously contributed and everything it now contributes is
+        re-folded.  A delta patches the cached tree; one whose base does
+        not match the cached sequence (a snapshot was lost, or no
+        keyframe was ever seen) cannot be applied and returns
         ``"resync"``.
         """
-        leaf = self.leaf_for(snapshot.engine_id)
-        cached = leaf.engines.get(snapshot.engine_id)
+        engine_id = snapshot.engine_id
+        leaf = self.leaf_for(engine_id)
+        cached = leaf.engines.get(engine_id)
         if snapshot.base_sequence == 0:
             new_tree = ObjectTree.from_dict(snapshot.tree)
             if cached is not None:
-                leaf.dirty_paths.update(cached[1].paths())
-            leaf.dirty_paths.update(new_tree.paths())
-            leaf.engines[snapshot.engine_id] = (snapshot.sequence, new_tree)
-            leaf.dirty_children.add(snapshot.engine_id)
-            self.dirty_engines.add(snapshot.engine_id)
+                leaf.dirty_paths.update(cached.tree.paths())
+            leaf.engines[engine_id] = EngineEntry(snapshot, new_tree)
+            self._mark_dirty(leaf, engine_id, new_tree.paths())
             return "accepted"
-        if cached is None or cached[0] != snapshot.base_sequence:
+        if cached is None or cached.snapshot.sequence != snapshot.base_sequence:
             return "resync"
-        tree = cached[1]
+        tree = cached.tree
         changed = snapshot.tree.get("objects", {})
         for path, obj_data in changed.items():
             if tree.exists(path):
                 tree.remove(path)
             tree.put(path, object_from_dict(obj_data))
-            leaf.dirty_paths.add(path)
-        leaf.engines[snapshot.engine_id] = (snapshot.sequence, tree)
+        leaf.engines[engine_id] = EngineEntry(snapshot, tree)
         if changed:
-            leaf.dirty_children.add(snapshot.engine_id)
-            self.dirty_engines.add(snapshot.engine_id)
+            self._mark_dirty(leaf, engine_id, changed)
         return "accepted"
 
-    def engine_entry(self, engine_id: str) -> Optional[Tuple[int, ObjectTree]]:
-        """The cached ``(sequence, tree)`` for *engine_id*, if any."""
+    def _mark_dirty(self, leaf: CombinerNode, engine_id: str, paths) -> None:
+        """*engine_id*'s contribution to *paths* changed under *leaf*."""
+        leaf.dirty_paths.update(paths)
+        leaf.dirty_children.add(engine_id)
+        self.dirty_engines.add(engine_id)
+
+    def engine_entry(self, engine_id: str) -> Optional[EngineEntry]:
+        """The cached entry for *engine_id*, if any."""
         leaf = self._assignment.get(engine_id)
         if leaf is None:
             return None
         return leaf.engines.get(engine_id)
 
-    def restore_engine(
-        self, engine_id: str, sequence: int, tree: ObjectTree
-    ) -> None:
-        """Seed an engine cache (checkpoint restore); starts dirty."""
+    def entries(self) -> Dict[str, EngineEntry]:
+        """Every engine entry the tree folds, leaf by leaf."""
+        return {
+            engine_id: entry
+            for leaf in self.levels[0]
+            for engine_id, entry in leaf.engines.items()
+        }
+
+    def restore_engine(self, entry: EngineEntry) -> None:
+        """Seed an engine entry (checkpoint restore, re-plan); starts dirty."""
+        engine_id = entry.snapshot.engine_id
         leaf = self.leaf_for(engine_id)
-        leaf.engines[engine_id] = (sequence, tree)
-        leaf.dirty_paths.update(tree.paths())
-        leaf.dirty_children.add(engine_id)
-        self.dirty_engines.add(engine_id)
+        leaf.engines[engine_id] = entry
+        self._mark_dirty(leaf, engine_id, entry.tree.paths())
 
     def discard_engine(self, engine_id: str) -> None:
         """Drop an engine's cache; its paths re-fold without it."""
@@ -323,11 +344,8 @@ class MergeTree:
         if leaf is None:
             return
         entry = leaf.engines.pop(engine_id, None)
-        if entry is None:
-            return
-        leaf.dirty_paths.update(entry[1].paths())
-        leaf.dirty_children.add(engine_id)
-        self.dirty_engines.add(engine_id)
+        if entry is not None:
+            self._mark_dirty(leaf, engine_id, entry.tree.paths())
 
     # -- polling ------------------------------------------------------------
     def _dirty_plan(self) -> List[List[Tuple[CombinerNode, int]]]:
@@ -370,7 +388,8 @@ class MergeTree:
     def refold(self) -> List[int]:
         """Re-fold every dirty combiner bottom-up; propagate combined
         deltas upward.  Returns the max fold count per level (the
-        concurrent cost profile the latency model charges).
+        concurrent cost profile the latency model charges) and leaves
+        nothing dirty.
         """
         per_level: List[int] = []
         for level in self.levels:
@@ -384,13 +403,14 @@ class MergeTree:
                     node.parent.dirty_paths.update(changed)
                     node.parent.dirty_children.add(node.combiner_id)
             per_level.append(level_max)
+        self.dirty_engines.clear()
         return per_level
 
     # -- failures -----------------------------------------------------------
     def crash_combiner(self, combiner_id: str) -> List[str]:
         """A combiner process dies; its volatile state is lost.
 
-        Leaf: the per-engine caches and partial vanish — affected paths
+        Leaf: the engine entries and partial vanish — affected paths
         re-fold without the lost contributions and the engines' next
         deltas get ``"resync"``.  Returns the affected engine ids so the
         caller can direct them to republish keyframes.  Internal: only
@@ -405,8 +425,8 @@ class MergeTree:
         node.version += 1
         if node.is_leaf:
             affected = sorted(node.engines)
-            for _, tree in node.engines.values():
-                stale.update(tree.paths())
+            for entry in node.engines.values():
+                stale.update(entry.tree.paths())
             node.engines.clear()
             node.dirty_paths.update(stale)
             node.dirty_children.update(affected)
@@ -439,9 +459,7 @@ class MergeTree:
         target = leaves[index - 1] if index > 0 else leaves[index + 1]
         for engine_id, entry in node.engines.items():
             target.engines[engine_id] = entry
-            target.dirty_paths.update(entry[1].paths())
-            target.dirty_children.add(engine_id)
-            self.dirty_engines.add(engine_id)
+            self._mark_dirty(target, engine_id, entry.tree.paths())
         node.engines = {}
         for engine_id, leaf in list(self._assignment.items()):
             if leaf is node:

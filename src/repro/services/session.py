@@ -349,12 +349,11 @@ class EngineHost:
     def _publish(self, env: Environment, snapshot: Snapshot):
         """Submit a snapshot; answer a ``"resync"`` with a full keyframe.
 
-        With a tiered merge the snapshot is stamped with the leaf
-        combiner it routes through (the engine itself stays
-        topology-blind).  The manager asks for a resync when it cannot
-        apply a delta (its per-engine cache was invalidated, or a
-        snapshot was lost), so the engine follows up with a full
-        snapshot after another RMI hop.
+        The snapshot is stamped with the leaf combiner it routes through
+        (the engine itself stays topology-blind).  The manager asks for
+        a resync when it cannot apply a delta (the engine's entry was
+        invalidated, or a snapshot was lost), so the engine follows up
+        with a full snapshot after another RMI hop.
         """
         combiner = self.aida.combiner_of(self.session_id, self.engine_id)
         if combiner is not None:
@@ -774,15 +773,9 @@ class SessionService:
         }
         self._sessions[session_id] = session
         self.aida.set_expected_engines(session_id, count)
-        # Wire the hierarchical merge tier now that engine placement is
-        # known (no-op when the manager has no fan-in configured).
+        # Plan the session's merge tree now that its engines are known.
         self.aida.configure_tier(
-            session_id,
-            [reference.engine_id for reference in references],
-            workers={
-                reference.engine_id: reference.worker
-                for reference in references
-            },
+            session_id, [reference.engine_id for reference in references]
         )
         self._log(
             session_id,
@@ -2177,15 +2170,10 @@ class SessionService:
         if session["orphaned"] or session["pending_acks"]:
             self.aida.set_recovering(session_id, True)
 
-        # Make sure the merge tier exists even when no checkpoint carried
-        # its topology (restore_state rebuilds it otherwise); idempotent.
+        # Make sure the merge tree is planned even when no checkpoint
+        # carried its topology (restore_state rebuilds it otherwise).
         self.aida.configure_tier(
-            session_id,
-            [reference.engine_id for reference in references],
-            workers={
-                reference.engine_id: reference.worker
-                for reference in references
-            },
+            session_id, [reference.engine_id for reference in references]
         )
 
         # Ask every live engine for a full keyframe: covers everything the

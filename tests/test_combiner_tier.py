@@ -1,9 +1,9 @@
-"""Unit + integration tests for the hierarchical merge tier.
+"""Unit + integration tests for the merge tree.
 
-Covers topology planning and routing, the tiered poll latency model,
-combiner crash/resync and leaf retirement, checkpoint/restore of the
-tier, session-state hygiene, and an end-to-end site run with
-``merge_fan_in`` set against the flat reference.
+Covers topology planning and routing, the poll latency model, combiner
+crash/resync and leaf retirement, checkpoint/restore of the tree,
+session-state hygiene, and an end-to-end site run with ``merge_fan_in``
+set against the single-leaf (``merge_fan_in=None``) run.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.services.combiner import (
     plan_groups,
 )
 from repro.sim import Environment
+from tests.merge_oracle import reference_merge
 
 COST = 0.01
 
@@ -52,14 +53,13 @@ def dyadic_tree(values):
     return tree.to_dict()
 
 
-def build_pair(n_engines, fan_in, grouping="chunk"):
-    """A flat and a tiered manager fed from the same environment."""
+def build_pair(n_engines, fan_in):
+    """A single-leaf (``flat``) and a tiered manager in one environment."""
     env = Environment()
     flat = AIDAManagerService(env, merge_cost_per_tree=COST)
-    tiered = AIDAManagerService(
-        env, merge_cost_per_tree=COST, fan_in=fan_in, grouping=grouping
-    )
+    tiered = AIDAManagerService(env, merge_cost_per_tree=COST, fan_in=fan_in)
     ids = [f"engine-{i:04d}" for i in range(n_engines)]
+    flat.configure_tier("s1", ids)
     tiered.configure_tier("s1", ids)
     return env, flat, tiered, ids
 
@@ -71,17 +71,11 @@ def test_plan_groups_chunks_sorted_ids_contiguously():
     assert groups == [["e0", "e1"], ["e2", "e3"], ["e4"]]
 
 
-def test_plan_groups_worker_policy_clusters_by_worker():
-    workers = {"e0": "w1", "e1": "w0", "e2": "w1", "e3": "w0"}
-    groups = plan_groups(["e0", "e1", "e2", "e3"], 2, "worker", workers)
-    assert groups == [["e1", "e3"], ["e0", "e2"]]
-
-
 def test_plan_groups_rejects_bad_inputs():
     with pytest.raises(CombinerError):
         plan_groups(["e0"], 1)
     with pytest.raises(CombinerError):
-        plan_groups(["e0"], 2, "rack")
+        MergeTree("s1", 1, [["e0"]])
 
 
 def test_tree_topology_shape():
@@ -96,6 +90,17 @@ def test_single_group_tree_has_depth_one():
     tier = MergeTree("s1", 8, [["e0", "e1"]])
     assert tier.depth == 1
     assert tier.root is tier.levels[0][0]
+    # No fan-in: one leaf owns every engine, however many there are.
+    ids = [f"e{i:03d}" for i in range(100)]
+    assert plan_groups(ids, None) == [ids]
+    lone = MergeTree("s1", None, plan_groups(ids, None))
+    assert lone.depth == 1 and lone.n_combiners == 1
+    assert {lone.combiner_of(e) for e in ids + ["late"]} == {"s1/combiner-1.0"}
+    # No engines yet: still one (empty) leaf, serving an empty tree.
+    empty = MergeTree("s1", None)
+    assert empty.depth == 1 and empty.n_engines == 0
+    assert empty.poll_latency(COST) == 0.0
+    assert empty.root_tree.to_dict() == ObjectTree().to_dict()
 
 
 def test_late_engine_routes_to_contiguous_leaf():
@@ -108,16 +113,27 @@ def test_late_engine_routes_to_contiguous_leaf():
     assert tier.combiner_of("a0") == tier.combiner_of("e0")
 
 
-def test_configure_tier_noop_without_fan_in_or_when_flat():
+def test_configure_tier_without_fan_in_plans_one_leaf():
     env = Environment()
     flat = AIDAManagerService(env, merge_cost_per_tree=COST)
-    assert flat.configure_tier("s1", ["e0", "e1"]) is None
     assert flat.tier("s1") is None
-    assert flat.combiner_of("s1", "e0") is None
-    non_inc = AIDAManagerService(
-        env, merge_cost_per_tree=COST, fan_in=2, incremental=False
-    )
-    assert non_inc.configure_tier("s1", ["e0", "e1"]) is None
+    assert flat.combiner_of("s1", "e0") is None  # no tree yet
+    tier = flat.configure_tier("s1", ["e0", "e1", "e2"])
+    assert tier is flat.tier("s1")
+    assert tier.depth == 1
+    assert flat.combiner_of("s1", "e0") == flat.combiner_of("s1", "e2")
+    # Idempotent, and a tree grown from early snapshots is already that
+    # one leaf: planning afterwards keeps it (and what it folded).
+    assert flat.configure_tier("s1", ["e0", "e1", "e2", "e3"]) is tier
+    early = AIDAManagerService(env, merge_cost_per_tree=COST)
+    early.submit_snapshot("s1", snap("e1", 1, dyadic_tree([1])))
+    env.run(until=early.merged("s1"))
+    grown = early.tier("s1")
+    assert early.configure_tier("s1", ["e0", "e1", "e2"]) is grown
+    assert not grown.dirty_engines
+    # A closed session is never re-planned.
+    flat.drop_session("s1")
+    assert flat.configure_tier("s1", ["e0"]) is None
 
 
 def test_configure_tier_is_idempotent_and_migrates_flat_state():
@@ -127,11 +143,11 @@ def test_configure_tier_is_idempotent_and_migrates_flat_state():
     manager.submit_snapshot("s1", snap("e0", 1, dyadic_tree([1, 2])))
     tier = manager.configure_tier("s1", ["e0", "e1", "e2"])
     assert tier is manager.configure_tier("s1", ["e0", "e1", "e2"])
-    assert tier.engine_entry("e0") is not None
-    tree_dict, _ = env.run(until=manager.merged("s1"))
-    reference = ObjectTree()
-    reference.merge_from(ObjectTree.from_dict(dyadic_tree([1, 2])))
-    assert tree_dict == reference.to_dict()
+    assert tier.depth == 2
+    assert tier.engine_entry("e0").snapshot.sequence == 1
+    tree_dict, progress = env.run(until=manager.merged("s1"))
+    assert tree_dict == reference_merge({"e0": dyadic_tree([1, 2])})
+    assert progress.engines_reporting == 1
 
 
 # -- latency model ----------------------------------------------------------
@@ -146,7 +162,7 @@ def test_all_dirty_poll_costs_f_log_f_not_n():
     # Levels hold 16/4/1 combiners folding at most 4 inputs each: the
     # all-dirty poll charges 4+4+4 = 12 tree-merges, not 64.
     assert tier.poll_latency(COST) == pytest.approx(12 * COST)
-    assert flat.merge_latency_incremental(64, 64) == pytest.approx(64 * COST)
+    assert flat.tier("s1").poll_latency(COST) == pytest.approx(64 * COST)
 
 
 def test_single_dirty_engine_costs_one_fold_per_level():
@@ -162,17 +178,29 @@ def test_single_dirty_engine_costs_one_fold_per_level():
 
 
 def test_merge_latency_incremental_accounts_for_fan_in():
+    """64 engines at fan-in 4 are 3 levels; each charges its busiest
+    combiner's dirty children, and levels run in sequence."""
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
-    # 64 total / fan-in 4 -> 3 levels, each folding min(n_dirty, 4).
-    assert manager.merge_latency_incremental(1, 64) == pytest.approx(0.3)
-    assert manager.merge_latency_incremental(2, 64) == pytest.approx(0.6)
-    # Capped at the from-scratch tree merge (cost * f * levels).
-    assert manager.merge_latency_incremental(64, 64) == pytest.approx(
-        manager.merge_latency(64)
-    )
-    flat = AIDAManagerService(env, merge_cost_per_tree=0.1)
-    assert flat.merge_latency_incremental(2, 64) == pytest.approx(0.2)
+    ids = [f"e{i:02d}" for i in range(64)]
+    tier = manager.configure_tier("s1", ids)
+    for engine_id in ids:
+        manager.submit_snapshot("s1", snap(engine_id, 1, dyadic_tree([1])))
+    assert tier.poll_latency(0.1) == pytest.approx(0.1 * 4 * 3)  # all dirty
+    env.run(until=manager.merged("s1"))
+    delta = {"objects": dyadic_tree([2])["objects"]}
+    manager.submit_snapshot("s1", snap(ids[0], 2, dict(delta), base=1))
+    assert tier.poll_latency(0.1) == pytest.approx(0.3)  # one fold per level
+    # A second dirty engine under the same leaf: that leaf folds two.
+    manager.submit_snapshot("s1", snap(ids[1], 2, dict(delta), base=1))
+    assert tier.poll_latency(0.1) == pytest.approx(0.4)
+    # One under another leaf of the same parent: the leaves fold
+    # concurrently (max 2), their parent folds two children.
+    manager.submit_snapshot("s1", snap(ids[4], 2, dict(delta), base=1))
+    assert tier.poll_latency(0.1) == pytest.approx(0.2 + 0.2 + 0.1)
+    started = env.now
+    env.run(until=manager.merged("s1"))
+    assert env.now - started == pytest.approx(0.5)
 
 
 # -- correctness: tiered == flat -------------------------------------------
@@ -275,6 +303,47 @@ def test_leaf_combiner_crash_forces_resync_and_heals():
     assert healed_tree == flat_tree
 
 
+def test_leaf_combiner_crash_is_not_reported_complete():
+    """Progress counts exactly the engines the tree folds: after a leaf
+    loses two of four *final* engines, a poll taken before the republished
+    keyframes land must not present half a histogram as the final result."""
+    env = Environment()
+    manager = AIDAManagerService(env, merge_cost_per_tree=COST, fan_in=2)
+    ids = ["e0", "e1", "e2", "e3"]
+    manager.configure_tier("s1", ids)
+    manager.set_expected_engines("s1", 4)
+    for i, engine_id in enumerate(ids):
+        manager.submit_snapshot(
+            "s1", snap(engine_id, 1, dyadic_tree([i]), final=True)
+        )
+    whole, progress = env.run(until=manager.merged("s1"))
+    assert progress.complete and progress.final_engines == 4
+    lost = manager.crash_combiner("s1", manager.combiner_of("s1", "e0"))
+    assert lost == ["e0", "e1"]
+    assert manager.snapshot_count("s1") == 2
+    half, progress = env.run(until=manager.merged("s1"))
+    assert half == reference_merge(
+        {e: dyadic_tree([i]) for i, e in enumerate(ids) if e not in lost}
+    )
+    assert progress.engines_reporting == 2
+    assert progress.final_engines == 2
+    assert progress.events_processed == 20
+    assert not progress.complete
+    # The resync handshake is unchanged: deltas on the lost entries are
+    # refused, the republished keyframes heal tree and progress together.
+    delta = {"objects": dyadic_tree([0])["objects"]}
+    assert manager.submit_snapshot(
+        "s1", snap("e0", 2, delta, base=1, final=True)
+    ) == "resync"
+    for i, engine_id in enumerate(lost):
+        assert manager.submit_snapshot(
+            "s1", snap(engine_id, 3, dyadic_tree([i]), final=True)
+        ) == "accepted"
+    healed, progress = env.run(until=manager.merged("s1"))
+    assert healed == whole
+    assert progress.complete and progress.engines_reporting == 4
+
+
 def test_internal_combiner_crash_rebuilds_without_engine_resync():
     env, flat, tiered, ids = build_pair(16, 2)
     for i, engine_id in enumerate(ids):
@@ -294,9 +363,9 @@ def test_crash_unknown_combiner_raises():
     env, _, tiered, _ = build_pair(4, 2)
     with pytest.raises(CombinerError):
         tiered.crash_combiner("s1", "s1/combiner-9.9")
-    flat = AIDAManagerService(env, merge_cost_per_tree=COST)
+    untouched = AIDAManagerService(env, merge_cost_per_tree=COST)
     with pytest.raises(MergeError):
-        flat.crash_combiner("s1", "anything")
+        untouched.crash_combiner("s1", "anything")
 
 
 def test_retire_leaf_reparents_engines_and_preserves_tree():
@@ -348,6 +417,31 @@ def test_checkpoint_restore_rebuilds_tier_bit_identically():
     assert after == before
 
 
+@pytest.mark.parametrize("fan_in", [None, 2])
+def test_drop_session_leaves_no_state_at_any_depth(fan_in):
+    env = Environment()
+    manager = AIDAManagerService(env, merge_cost_per_tree=COST, fan_in=fan_in)
+    ids = ["e0", "e1", "e2", "e3"]
+    # Closed before the first snapshot: only the planned tree to release.
+    manager.configure_tier("early", ids)
+    manager.set_expected_engines("early", 4)
+    assert manager.session_cache_keys("early") == ["expected", "tiers"]
+    manager.drop_session("early")
+    assert manager.session_cache_keys("early") == []
+    # Closed mid-run, with a poll in flight and an engine quarantined.
+    manager.configure_tier("s1", ids)
+    for engine_id in ids:
+        manager.submit_snapshot("s1", snap(engine_id, 1, dyadic_tree([1])))
+    manager.discard_engine("s1", "e3")
+    manager.begin_run("s1", 1)
+    poll = manager.merged("s1", client_id="c1")
+    manager.drop_session("s1")
+    tree_dict, progress = env.run(until=poll)
+    assert tree_dict == ObjectTree().to_dict()
+    assert progress.engines_reporting == 0
+    assert manager.session_cache_keys("s1") == []
+
+
 def test_drop_session_releases_tier_state():
     env, _, tiered, ids = build_pair(4, 2)
     tiered.submit_snapshot("s1", snap(ids[0], 1, dyadic_tree([1])))
@@ -394,12 +488,9 @@ def run_scenario(site, client):
     return results
 
 
-@pytest.mark.parametrize("grouping", ["chunk", "worker"])
-def test_site_run_with_merge_tier_matches_flat(grouping):
+def test_site_run_with_merge_tier_matches_flat():
     flat_results = run_scenario(*build_site())
-    tiered_results = run_scenario(
-        *build_site(merge_fan_in=2, merge_grouping=grouping)
-    )
+    tiered_results = run_scenario(*build_site(merge_fan_in=2))
     assert tiered_results["progress"].complete
     flat_mass = flat_results["tree"].get("/higgs/dijet_mass")
     tiered_mass = tiered_results["tree"].get("/higgs/dijet_mass")
@@ -429,10 +520,10 @@ def test_site_tier_is_wired_and_snapshots_are_stamped():
         tier = site.aida.tier(info.session_id)
         assert tier is not None
         assert tier.depth >= 2
-        snapshots = site.aida._snapshots[info.session_id]
-        assert snapshots, "engines reported"
-        for engine_id, snapshot in snapshots.items():
-            assert snapshot.combiner == tier.combiner_of(engine_id)
+        entries = tier.entries()
+        assert entries, "engines reported"
+        for engine_id, entry in entries.items():
+            assert entry.snapshot.combiner == tier.combiner_of(engine_id)
         yield from client.close()
 
     site.env.run(until=site.env.process(scenario()))

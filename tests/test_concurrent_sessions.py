@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.aida.hist1d import Histogram1D
-from repro.aida.tree import ObjectTree
 from repro.analysis import counting
 from repro.client.client import IPAClient
 from repro.client.plugins import RemoteDataPlugin
@@ -23,6 +22,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.envelope import RetryAfter
 from repro.sim import Environment
+from tests.merge_oracle import reference_merge
 
 
 def build_site(**kwargs):
@@ -221,13 +221,6 @@ def test_drop_session_clears_coalescing_state():
 
 
 # -- property: coalesced replies equal the reference flat merge ---------
-
-
-def reference_merge(latest):
-    merged = ObjectTree()
-    for engine_id in sorted(latest):
-        merged.merge_from(latest[engine_id])
-    return merged.to_dict()
 
 
 @pytest.mark.parametrize("seed", range(4))

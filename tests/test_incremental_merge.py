@@ -1,5 +1,6 @@
 """Tests for the incremental merge pipeline: delta snapshots, per-engine
-caching in the AIDA manager, and the resync protocol between them."""
+entries in the AIDA manager's merge tree, and the resync protocol between
+them."""
 
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from repro.engine.engine import AnalysisEngine, Snapshot
 from repro.obs import Observability
 from repro.services.aida_manager import AIDAManagerService
 from repro.sim import Environment
+from tests.merge_oracle import reference_merge
 
 
 def make_snapshot(
@@ -175,15 +177,6 @@ def test_sequence_gap_requests_resync():
     assert merged_entries(env, manager) == 10  # cache untouched
 
 
-def test_non_incremental_manager_refuses_deltas():
-    env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.0, incremental=False)
-    delta = make_snapshot("e0", 10, sequence=2, base_sequence=1)
-    assert manager.submit_snapshot("s1", delta) == "resync"
-    assert manager.submit_snapshot("s1", make_snapshot("e0", 10)) == "accepted"
-    assert merged_entries(env, manager) == 10
-
-
 def test_engine_manager_resync_roundtrip():
     # A lost snapshot self-heals: the manager reports the gap, the engine
     # republishes a full keyframe, and the merged state is exact.
@@ -247,13 +240,21 @@ def test_mutating_submitted_tree_cannot_corrupt_merge():
     assert merged_entries(env, manager) == before == 10
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_mutating_nested_lists_of_submitted_tree_cannot_corrupt_merge(incremental):
+def manager_at_depth(env, tiered):
+    """A manager whose ``s1`` tree is one leaf, or (tiered) two levels."""
+    manager = AIDAManagerService(
+        env, merge_cost_per_tree=0.0, fan_in=2 if tiered else None
+    )
+    tier = manager.configure_tier("s1", ["e0", "e1", "e2"])
+    assert tier.depth == (2 if tiered else 1)
+    return manager
+
+
+@pytest.mark.parametrize("tiered", [True, False])
+def test_mutating_nested_lists_of_submitted_tree_cannot_corrupt_merge(tiered):
     """Histogram2D in list form: lists of lists must be frozen at depth."""
     env = Environment()
-    manager = AIDAManagerService(
-        env, merge_cost_per_tree=0.0, incremental=incremental
-    )
+    manager = manager_at_depth(env, tiered)
     tree = ObjectTree()
     hist = Histogram2D(
         "h2", x_bins=2, x_lower=0, x_upper=2, y_bins=2, y_lower=0, y_upper=2
@@ -272,13 +273,11 @@ def test_mutating_nested_lists_of_submitted_tree_cannot_corrupt_merge(incrementa
     assert after["objects"]["/h2"] == hist.to_dict()
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_submitted_tree_holding_tuple_and_ndarray_is_frozen_too(incremental):
+@pytest.mark.parametrize("tiered", [True, False])
+def test_submitted_tree_holding_tuple_and_ndarray_is_frozen_too(tiered):
     """Anything that is not plain JSON takes the deepcopy fallback."""
     env = Environment()
-    manager = AIDAManagerService(
-        env, merge_cost_per_tree=0.0, incremental=incremental
-    )
+    manager = manager_at_depth(env, tiered)
     snapshot = make_snapshot("e0", 10)
     obj_data = snapshot.tree["objects"]["/h"]
     obj_data["counts"] = np.array(obj_data["counts"])
@@ -291,12 +290,10 @@ def test_submitted_tree_holding_tuple_and_ndarray_is_frozen_too(incremental):
     assert ObjectTree.from_dict(after).get("/h").entries == 10
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_served_tree_is_not_aliased_to_cache(incremental):
+@pytest.mark.parametrize("tiered", [True, False])
+def test_served_tree_is_not_aliased_to_cache(tiered):
     env = Environment()
-    manager = AIDAManagerService(
-        env, merge_cost_per_tree=0.0, incremental=incremental
-    )
+    manager = manager_at_depth(env, tiered)
     manager.submit_snapshot("s1", make_snapshot("e0", 10))
     tree_dict, _ = env.run(until=manager.merged("s1"))
     counts = tree_dict["objects"]["/h"]["counts"]
@@ -311,19 +308,43 @@ def test_served_tree_is_not_aliased_to_cache(incremental):
 # ---------------------------------------------------------------------------
 
 def test_merge_latency_incremental_charges_per_dirty_engine():
+    """One leaf folds its dirty engines in sequence: ``cost x dirty``."""
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=0.1)
-    assert manager.merge_latency_incremental(1, 64) == pytest.approx(0.1)
-    assert manager.merge_latency_incremental(5, 64) == pytest.approx(0.5)
-    assert manager.merge_latency_incremental(0, 64) == 0.0
-    assert manager.merge_latency_incremental(1, 0) == 0.0
-    # Capped at the from-scratch cost.
-    assert manager.merge_latency_incremental(64, 64) == pytest.approx(
-        manager.merge_latency(64)
-    )
-    assert manager.merge_latency_incremental(100, 64) == pytest.approx(
-        manager.merge_latency(64)
-    )
+    ids = [f"e{i:02d}" for i in range(64)]
+    tier = manager.configure_tier("s1", ids)
+    for engine_id in ids:
+        manager.submit_snapshot("s1", make_snapshot(engine_id, 10))
+    # Everything dirty is the from-scratch cost.
+    assert tier.poll_latency(0.1) == pytest.approx(6.4)
+    env.run(until=manager.merged("s1"))
+    assert tier.poll_latency(0.1) == 0.0
+    for n_dirty, engine_id in enumerate(ids[:5], start=1):
+        delta = make_snapshot(engine_id, 20, sequence=2, base_sequence=1)
+        manager.submit_snapshot("s1", delta)
+        assert tier.poll_latency(0.1) == pytest.approx(0.1 * n_dirty)
+    # A session nobody reported to costs nothing.
+    started = env.now
+    env.run(until=manager.merged("nobody"))
+    assert env.now == started
+
+
+def test_refolding_without_a_discarded_engine_is_charged_as_a_fold():
+    """Four engines all dirty, one then discarded: the leaf re-folds four
+    dirty children (three contributions and one removal) — 0.20 s, not the
+    0.15 s a from-scratch fold of the three survivors would cost."""
+    env = Environment()
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.05)
+    for i in range(4):
+        manager.submit_snapshot("s1", make_snapshot(f"e{i}", 10))
+    manager.discard_engine("s1", "e3")
+    assert merged_entries(env, manager) == 30
+    assert env.now == pytest.approx(0.20)
+    assert manager.merge_log == [("s1", 3, pytest.approx(0.20))]
+    # Discarding from a clean tree costs the one re-fold.
+    manager.discard_engine("s1", "e2")
+    assert merged_entries(env, manager) == 20
+    assert env.now == pytest.approx(0.25)
 
 
 def test_poll_charges_only_dirty_engines():
@@ -416,12 +437,11 @@ def test_drop_session_clears_caches():
 
 def test_incremental_matches_from_scratch_merge():
     env = Environment()
-    incremental = AIDAManagerService(env, merge_cost_per_tree=0.0)
-    scratch = AIDAManagerService(env, merge_cost_per_tree=0.0, incremental=False)
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.0)
+    latest = {}
     for i in range(5):
         snap = make_snapshot(f"e{i}", 10 * (i + 1))
-        incremental.submit_snapshot("s1", snap)
-        scratch.submit_snapshot("s1", snap)
-    left, _ = env.run(until=incremental.merged("s1"))
-    right, _ = env.run(until=scratch.merged("s1"))
-    assert left == right
+        manager.submit_snapshot("s1", snap)
+        latest[snap.engine_id] = snap.tree
+    served, _ = env.run(until=manager.merged("s1"))
+    assert served == reference_merge(latest)

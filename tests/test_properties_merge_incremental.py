@@ -1,125 +1,16 @@
 """Property test: the incremental merge is bit-identical to a from-scratch
-flat merge under random interleavings of submissions, discards, rewinds,
-and polls.
-
-The reference model tracks, per engine, a deep copy of the engine tree at
-the moment of each *accepted* snapshot (snapshots are cumulative, so the
-latest accepted one is the engine's whole contribution).  After every poll
-the manager's served tree must equal — by exact serialized-dict equality,
-so float bits included — a flat ``merge_from`` fold of the surviving
-reference trees in sorted engine order.
+fold under random interleavings of submissions, discards, rewinds, leaf
+crashes and polls — the single-leaf tree on arbitrary float fills, six
+seeds at four engines.  The body is ``tests/merge_oracle.py``'s one
+interleaving property; ``test_properties_merge_tree.py`` runs it at the
+other depths.
 """
-
-import random
 
 import pytest
 
-from repro.aida.hist1d import Histogram1D
-from repro.aida.profile import Profile1D
-from repro.aida.tree import ObjectTree
-from repro.engine.engine import AnalysisEngine
-from repro.services.aida_manager import AIDAManagerService
-from repro.sim import Environment
-
-N_ENGINES = 4
-N_OPS = 80
-
-
-def populate(engine):
-    # What an analysis' ``start`` would do; 30 bins so the array codec's
-    # compact form is exercised end to end.
-    engine.tree.put("/h/a", Histogram1D("a", bins=30, lower=0.0, upper=1.0))
-    engine.tree.put("/h/b", Histogram1D("b", bins=30, lower=0.0, upper=1.0))
-    engine.tree.put("/p", Profile1D("p", bins=30, lower=0.0, upper=1.0))
-
-
-def fresh_engine(engine_id):
-    engine = AnalysisEngine(engine_id, keyframe_every=3)
-    populate(engine)
-    return engine
-
-
-def fill_random(engine, rng):
-    engine.tree.get("/h/a").fill(rng.random(), weight=rng.random())
-    if rng.random() < 0.6:
-        engine.tree.get("/h/b").fill(rng.random())
-    if rng.random() < 0.4:
-        engine.tree.get("/p").fill(rng.random(), rng.random())
-
-
-def reference_merge(latest):
-    merged = ObjectTree()
-    for engine_id in sorted(latest):
-        merged.merge_from(latest[engine_id])
-    return merged.to_dict()
-
-
-def check(env, manager, latest):
-    tree_dict, _ = env.run(until=manager.merged("s1"))
-    assert tree_dict == reference_merge(latest)
+from tests.merge_oracle import check_interleaving
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_incremental_merge_matches_flat_merge(seed):
-    rng = random.Random(seed)
-    env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.0)
-    engines = {f"e{i}": fresh_engine(f"e{i}") for i in range(N_ENGINES)}
-    banned = set()
-    #: engine -> deep copy of its tree at the latest *accepted* snapshot.
-    latest = {}
-    #: (snapshot, tree copy) pairs taken but not yet submitted.
-    held = []
-
-    def submit(engine_id, snapshot, state):
-        status = manager.submit_snapshot("s1", snapshot)
-        if status == "resync":
-            engine = engines[engine_id]
-            full = engine.take_snapshot(full=True)
-            status = manager.submit_snapshot("s1", full)
-            state = engine.tree.copy()
-        if status == "accepted":
-            assert engine_id not in banned
-            latest[engine_id] = state
-        else:
-            assert status in ("dropped", "resync")
-
-    for _ in range(N_OPS):
-        op = rng.random()
-        engine_id = rng.choice(sorted(engines))
-        engine = engines[engine_id]
-        if op < 0.40:
-            fill_random(engine, rng)
-        elif op < 0.70:
-            submit(engine_id, engine.take_snapshot(), engine.tree.copy())
-        elif op < 0.78:
-            # Take now, deliver later (possibly out of order).
-            held.append((engine_id, engine.take_snapshot(), engine.tree.copy()))
-        elif op < 0.84 and held:
-            submit(*held.pop(rng.randrange(len(held))))
-        elif op < 0.90:
-            check(env, manager, latest)
-        elif op < 0.95 and len(latest) > 1:
-            manager.discard_engine("s1", engine_id)
-            banned.add(engine_id)
-            latest.pop(engine_id, None)
-            held = [entry for entry in held if entry[0] != engine_id]
-        else:
-            # Rewind: every engine starts a new run; old snapshots go stale.
-            run_id = max(e.run_id for e in engines.values()) + 1
-            manager.begin_run("s1", run_id)
-            for other in engines.values():
-                while other.run_id < run_id:
-                    other.rewind()
-                populate(other)
-            latest.clear()
-            held.clear()
-
-    # Drain anything still held, then a final full comparison.
-    for entry in held:
-        submit(*entry)
-    for engine_id, engine in sorted(engines.items()):
-        if engine_id not in banned:
-            fill_random(engine, rng)
-            submit(engine_id, engine.take_snapshot(), engine.tree.copy())
-    check(env, manager, latest)
+    check_interleaving(seed, fan_in=None, n_engines=4)

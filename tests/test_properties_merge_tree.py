@@ -1,178 +1,45 @@
-"""Property test: the tiered (hierarchical) merge serves trees that are
-bit-identical to a from-scratch flat merge under random interleavings of
-submissions, held/out-of-order deliveries, combiner crashes, combiner
-retirements, discards, rewinds, and polls.
+"""Property test: at every tree depth the served merge is bit-identical to
+the from-scratch oracle fold under random interleavings of submissions,
+held/out-of-order deliveries, combiner crashes, combiner retirements,
+discards, rewinds, and polls (``tests/merge_oracle.py`` holds the one
+body; this file picks the depths).
 
-Fills use exact dyadic rationals (k/32 values, k/16 weights) so that every
-fold association — flat left fold or hierarchical combiner fold — produces
-the same float bits; the equality check is exact serialized-dict equality,
-no tolerances.
-
-After a *leaf* combiner crash its engines' cached contributions are gone;
-the model immediately republishes full keyframes for the affected engines
-(what ``SessionService.resync_engines`` does in the live system) so the
-served tree heals before the next poll.  Internal-combiner crashes rebuild
-from their children and need no engine traffic.
+After a *leaf* combiner crash its engines' entries are gone; the model
+immediately republishes full keyframes for the affected engines (what
+``SessionService.resync_engines`` does in the live system) so the served
+tree heals before the next poll.  Internal-combiner crashes rebuild from
+their children and need no engine traffic.
 """
 
 import random
 
 import pytest
 
-from repro.aida.hist1d import Histogram1D
-from repro.aida.profile import Profile1D
-from repro.aida.tree import ObjectTree
-from repro.engine.engine import AnalysisEngine
 from repro.services.aida_manager import AIDAManagerService
 from repro.sim import Environment
+from tests.merge_oracle import check_interleaving, check_poll, fresh_engine
 
 N_ENGINES = 9
-N_OPS = 80
 
 
-def populate(engine):
-    engine.tree.put("/h/a", Histogram1D("a", bins=30, lower=0.0, upper=1.5))
-    engine.tree.put("/h/b", Histogram1D("b", bins=30, lower=0.0, upper=1.5))
-    engine.tree.put("/p", Profile1D("p", bins=30, lower=0.0, upper=1.5))
-
-
-def fresh_engine(engine_id):
-    engine = AnalysisEngine(engine_id, keyframe_every=3)
-    populate(engine)
-    return engine
-
-
-def dyadic(rng):
-    # Exactly representable: any association of sums is bit-identical.
-    return rng.randrange(33) / 32.0
-
-
-def fill_random(engine, rng):
-    weight = rng.randrange(1, 17) / 16.0
-    engine.tree.get("/h/a").fill(dyadic(rng), weight=weight)
-    if rng.random() < 0.6:
-        engine.tree.get("/h/b").fill(dyadic(rng))
-    if rng.random() < 0.4:
-        engine.tree.get("/p").fill(dyadic(rng), dyadic(rng))
-
-
-def reference_merge(latest):
-    merged = ObjectTree()
-    for engine_id in sorted(latest):
-        merged.merge_from(latest[engine_id])
-    return merged.to_dict()
-
-
-def check(env, manager, latest):
-    tree_dict, _ = env.run(until=manager.merged("s1"))
-    assert tree_dict == reference_merge(latest)
-
-
-@pytest.mark.parametrize("fan_in", [2, 3])
+@pytest.mark.parametrize("fan_in", [None, 2, 3, 8])
 @pytest.mark.parametrize("seed", range(4))
 def test_tiered_merge_matches_flat_merge(seed, fan_in):
-    rng = random.Random(seed)
-    env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.0, fan_in=fan_in)
-    engines = {f"e{i}": fresh_engine(f"e{i}") for i in range(N_ENGINES)}
-    manager.configure_tier("s1", sorted(engines))
-    assert manager.tier("s1") is not None
-    banned = set()
-    #: engine -> deep copy of its tree at the latest *accepted* snapshot.
-    latest = {}
-    #: (engine_id, snapshot, tree copy) taken but not yet submitted.
-    held = []
-
-    def submit(engine_id, snapshot, state):
-        status = manager.submit_snapshot("s1", snapshot)
-        if status == "resync":
-            engine = engines[engine_id]
-            full = engine.take_snapshot(full=True)
-            status = manager.submit_snapshot("s1", full)
-            state = engine.tree.copy()
-        if status == "accepted":
-            assert engine_id not in banned
-            latest[engine_id] = state
-        else:
-            assert status in ("dropped", "resync")
-
-    def heal(affected):
-        # The live system's resync path: every engine whose leaf lost its
-        # cache republishes a full keyframe.
-        for engine_id in affected:
-            assert engine_id in latest
-            engine = engines[engine_id]
-            full = engine.take_snapshot(full=True)
-            assert manager.submit_snapshot("s1", full) == "accepted"
-            latest[engine_id] = engine.tree.copy()
-
-    for _ in range(N_OPS):
-        op = rng.random()
-        engine_id = rng.choice(sorted(engines))
-        engine = engines[engine_id]
-        tier = manager.tier("s1")
-        if op < 0.35:
-            fill_random(engine, rng)
-        elif op < 0.60:
-            submit(engine_id, engine.take_snapshot(), engine.tree.copy())
-        elif op < 0.68:
-            # Take now, deliver later (possibly out of order).
-            held.append((engine_id, engine.take_snapshot(), engine.tree.copy()))
-        elif op < 0.74 and held:
-            submit(*held.pop(rng.randrange(len(held))))
-        elif op < 0.80:
-            check(env, manager, latest)
-        elif op < 0.85:
-            # Leaf combiner crash: its partial and engine caches are lost.
-            leaf = rng.choice(tier.levels[0])
-            heal(manager.crash_combiner("s1", leaf.combiner_id))
-        elif op < 0.88 and tier.depth > 1:
-            # Internal combiner crash: rebuilt from surviving children.
-            internal = rng.choice(
-                [node for level in tier.levels[1:] for node in level]
-            )
-            assert manager.crash_combiner("s1", internal.combiner_id) == []
-        elif op < 0.91 and len(tier.levels[0]) > 1:
-            victim = rng.choice(tier.levels[0])
-            manager.retire_combiner("s1", victim.combiner_id)
-        elif op < 0.95 and len(latest) > 1:
-            manager.discard_engine("s1", engine_id)
-            banned.add(engine_id)
-            latest.pop(engine_id, None)
-            held = [entry for entry in held if entry[0] != engine_id]
-        else:
-            # Rewind: new run; the tier keeps its topology but resets state.
-            run_id = max(e.run_id for e in engines.values()) + 1
-            manager.begin_run("s1", run_id)
-            for other in engines.values():
-                while other.run_id < run_id:
-                    other.rewind()
-                populate(other)
-            latest.clear()
-            held.clear()
-
-    for entry in held:
-        submit(*entry)
-    for engine_id, engine in sorted(engines.items()):
-        if engine_id not in banned:
-            fill_random(engine, rng)
-            submit(engine_id, engine.take_snapshot(), engine.tree.copy())
-    check(env, manager, latest)
+    """Depth 1 (``None``: one leaf), 4 (fan-in 2), 2 (3 and 8)."""
+    check_interleaving(seed, fan_in, N_ENGINES)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_fan_in_none_keeps_flat_path_bit_identical(seed):
-    """With ``fan_in=None`` the tier machinery must stay entirely out of
-    the way: ``configure_tier`` is a no-op and the served tree matches the
-    flat reference fold even with non-dyadic (arbitrary float) fills."""
+    """With ``fan_in=None`` the tree is a single leaf from the first
+    snapshot on — planned or not — and the served tree matches the oracle
+    fold exactly even with non-dyadic (arbitrary float) fills."""
     rng = random.Random(seed)
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=0.0)
     engines = {f"e{i}": fresh_engine(f"e{i}") for i in range(4)}
-    assert manager.configure_tier("s1", sorted(engines)) is None
-    assert manager.tier("s1") is None
     latest = {}
-    for _ in range(40):
+    for step in range(40):
         engine_id = rng.choice(sorted(engines))
         engine = engines[engine_id]
         engine.tree.get("/h/a").fill(rng.random(), weight=rng.random())
@@ -181,7 +48,11 @@ def test_fan_in_none_keeps_flat_path_bit_identical(seed):
             status = manager.submit_snapshot("s1", engine.take_snapshot())
             assert status == "accepted"
             latest[engine_id] = engine.tree.copy()
+        if step == 20:
+            # Planning mid-stream keeps the leaf and everything it holds.
+            grown = manager.tier("s1")
+            assert manager.configure_tier("s1", sorted(engines)) is grown
         if rng.random() < 0.3:
-            check(env, manager, latest)
-    assert manager.tier("s1") is None
-    check(env, manager, latest)
+            check_poll(env, manager, latest)
+    assert manager.tier("s1").depth == 1
+    check_poll(env, manager, latest)

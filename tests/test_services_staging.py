@@ -400,13 +400,29 @@ def test_manager_complete_flag():
 
 
 def test_manager_merge_latency_flat_vs_tree():
+    # 64 engines, all dirty: one leaf folds all 64 in sequence; at fan-in
+    # 4 the three levels each fold 4 inputs concurrently (log4(64) = 3).
     env = Environment()
     flat = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=None)
     tree = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
-    assert flat.merge_latency(64) == pytest.approx(6.4)
-    assert tree.merge_latency(64) == pytest.approx(0.1 * 4 * 3)  # log4(64)=3
-    assert tree.merge_latency(1) == pytest.approx(0.1)
-    assert flat.merge_latency(0) == 0.0
+    ids = [f"e{i:02d}" for i in range(64)]
+    for manager in (flat, tree):
+        manager.configure_tier("s1", ids)
+        assert manager.tier("s1").poll_latency(0.1) == 0.0  # nothing dirty
+        for engine_id in ids:
+            manager.submit_snapshot("s1", make_snapshot(engine_id, 1))
+    assert flat.tier("s1").depth == 1
+    assert flat.tier("s1").poll_latency(0.1) == pytest.approx(6.4)
+    assert tree.tier("s1").depth == 3
+    assert tree.tier("s1").poll_latency(0.1) == pytest.approx(0.1 * 4 * 3)
+    # The poll is charged exactly that.
+    env.run(until=tree.merged("s1"))
+    assert env.now == pytest.approx(0.1 * 4 * 3)
+    assert tree.merge_log == [("s1", 64, pytest.approx(1.2))]
+    # A single engine costs one fold.
+    lone = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
+    lone.submit_snapshot("s1", make_snapshot("e0", 1))
+    assert lone.tier("s1").poll_latency(0.1) == pytest.approx(0.1)
 
 
 def test_manager_merge_charges_time():

@@ -1,6 +1,6 @@
 """Concurrent-session serving: poll p99 must survive 1k+ sessions.
 
-The async service container turns envelope dispatch into a bounded
+A service profile turns the container's envelope dispatch into a
 request loop (finite dispatch slots, cooperative handlers), and the AIDA
 manager coalesces concurrent polls of one session into a single
 incremental merge.  This benchmark drives the serving plane at three
@@ -29,7 +29,7 @@ from repro.aida.hist1d import Histogram1D
 from repro.bench.tables import ComparisonTable
 from repro.engine.engine import AnalysisEngine
 from repro.services.aida_manager import AIDAManagerService
-from repro.services.container import AsyncServiceContainer, ServiceProfile
+from repro.services.envelope import ServiceContainer, ServiceProfile
 from repro.sim import Environment
 
 OUT_JSON = Path(__file__).parent / "out" / "BENCH_concurrency.json"
@@ -73,7 +73,7 @@ def _build_plane(n_sessions):
     """A serving plane with *n_sessions* one-engine sessions preloaded."""
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=MERGE_COST_S)
-    container = AsyncServiceContainer(env, soap_latency=0.25, rmi_latency=0.05)
+    container = ServiceContainer(env, soap_latency=0.25, rmi_latency=0.05)
     container.register(
         "aida",
         {

@@ -19,7 +19,6 @@ from typing import Optional
 from repro.aida.tree import ObjectTree
 from repro.client.client import IPAClient
 from repro.core.site import GridSite
-from repro.engine.sandbox import CodeBundle
 
 
 @dataclass

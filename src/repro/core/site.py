@@ -18,7 +18,7 @@ Builds, on a fresh simulation environment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import DEFAULT_CALIBRATION, Calibration
@@ -41,7 +41,7 @@ from repro.grid.security import (
     VirtualOrganization,
 )
 from repro.grid.transfer import GridFTPService
-from repro.obs import Observability
+from repro.obs import Observability, SLOPolicy
 from repro.replica import ReplicaManager
 from repro.resilience import (
     DurabilityConfig,
@@ -53,9 +53,9 @@ from repro.resilience import (
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.catalog import DatasetCatalogService, DatasetEntry
 from repro.services.codeloader import ManagingClassLoaderService
-from repro.services.container import AsyncServiceContainer, ServiceProfile
 from repro.services.content import ContentStore
 from repro.services.control import ControlService
+from repro.services.envelope import ServiceContainer, ServiceProfile
 from repro.services.locator import DatasetLocation, LocatorService
 from repro.services.registry import WorkerRegistryService
 from repro.services.session import SessionService
@@ -89,9 +89,6 @@ class SiteConfig:
     heartbeat_interval / heartbeat_timeout:
         Engine liveness cadence and the silence after which an engine is
         declared dead.
-    retry_jitter / retry_seed:
-        Deterministic jitter applied to the site's GridFTP retry backoff
-        (de-synchronizes concurrent retries without losing repeatability).
     enable_observability:
         Record spans and metrics across every tier (see :mod:`repro.obs`).
         Off by default: instrumentation then routes through shared null
@@ -104,40 +101,20 @@ class SiteConfig:
         identically either way.
     worker_cache_mb:
         Per-worker cache capacity in MB (``None`` = unbounded).
-    replica_ttl_s:
-        Optional staleness TTL for unpinned cached parts.
-    enable_durability:
-        Run the durable session layer (write-ahead journal + periodic
-        checkpoints on a crash-surviving store), enabling cold-start
-        recovery after a ``service-crash`` fault.  Durable writes charge
-        zero simulated time, so enabling it never perturbs calibration.
     checkpoint_every_s:
         Period of the per-session checkpoint loop in simulated seconds.
-    journal_fsync:
-        Sync every journal record as written (off = records are only
-        guaranteed durable at the next checkpoint's sync, so a crash can
-        lose a journal tail).
-    checkpoint_keyframe_every:
-        Every Nth checkpoint is a full keyframe; the rest are deltas
-        against the previous one.
-    slo_poll_p99_s / slo_window_s:
-        Default interactivity SLO installed when observability is on:
-        p99 of merged-result poll latency must stay under
-        ``slo_poll_p99_s`` over a sliding ``slo_window_s`` window.
+        The durable session layer always runs (its writes charge zero
+        simulated time); journal sync and keyframe cadence are
+        :class:`~repro.resilience.checkpoint.DurabilityConfig` defaults.
     service_concurrency:
-        Dispatch slots per container service (``None`` = unbounded
-        direct dispatch, the pre-request-loop behaviour).  When set,
-        every registered service gets a bounded request queue drained
-        by this many cooperative loops.
-    service_queue_depth:
-        Bound on each service's request queue (``None`` = unbounded).
-        A full queue refuses new requests with ``RetryAfter``.
+        Dispatch slots per container service (``None`` = direct
+        dispatch, no request queue).  When set, the control, session and
+        aida services each get a request queue (unbounded — see
+        :class:`~repro.services.envelope.ServiceProfile`) drained by
+        this many cooperative loops.
     service_dispatch_overhead_s:
         Fixed per-request cost charged by a dispatch slot before the
         handler runs (connection demultiplexing, envelope parsing).
-    poll_coalescing:
-        Merge concurrent ``merged`` polls of one session into a single
-        incremental merge (replies are bit-identical either way).
     poll_coalesce_window_s:
         Minimum time a coalescing leader holds the merge open so that
         near-simultaneous pollers can join it (0 = only exactly
@@ -163,22 +140,12 @@ class SiteConfig:
     enable_recovery: bool = True
     heartbeat_interval: float = 5.0
     heartbeat_timeout: float = 20.0
-    retry_jitter: float = 0.25
-    retry_seed: int = 0
     enable_observability: bool = False
     enable_replica_cache: bool = True
     worker_cache_mb: Optional[float] = None
-    replica_ttl_s: Optional[float] = None
-    enable_durability: bool = True
     checkpoint_every_s: float = 30.0
-    journal_fsync: bool = True
-    checkpoint_keyframe_every: int = 4
-    slo_poll_p99_s: float = 0.25
-    slo_window_s: float = 60.0
     service_concurrency: Optional[int] = None
-    service_queue_depth: Optional[int] = None
     service_dispatch_overhead_s: float = 0.0
-    poll_coalescing: bool = True
     poll_coalesce_window_s: float = 0.0
     max_concurrent_engines: Optional[int] = None
     vo_shares: Optional[Dict[str, float]] = None
@@ -382,15 +349,14 @@ class GridSite:
                 base_delay=1.0,
                 multiplier=2.0,
                 max_delay=30.0,
-                jitter=config.retry_jitter,
-                seed=config.retry_seed,
+                # Deterministic jitter: de-synchronizes concurrent
+                # retries without losing repeatability.
+                jitter=0.25,
+                seed=0,
             ),
             obs=self.obs,
         )
-        # Async container: profiled services get a bounded request queue
-        # drained by cooperative dispatch loops; unprofiled services keep
-        # the original direct-dispatch timing bit for bit.
-        self.container = AsyncServiceContainer(
+        self.container = ServiceContainer(
             env,
             soap_latency=cal.soap_latency_s,
             rmi_latency=cal.rmi_latency_s,
@@ -419,7 +385,6 @@ class GridSite:
             merge_cost_per_tree=cal.merge_cost_per_tree_s,
             fan_in=config.merge_fan_in,
             obs=self.obs,
-            coalesce=config.poll_coalescing,
             coalesce_window_s=config.poll_coalesce_window_s,
         )
         self.content_store = ContentStore()
@@ -432,7 +397,6 @@ class GridSite:
                 self.storage,
                 self.workers,
                 capacity_mb=config.worker_cache_mb,
-                ttl_s=config.replica_ttl_s,
                 se_disk_mbps=cal.se_disk_mbps,
                 obs=self.obs,
             )
@@ -445,9 +409,7 @@ class GridSite:
             self.locator.add_update_hook(self.replicas.dataset_updated)
         # Durable manager-node disk for the session journal + checkpoints;
         # survives service crashes (minus any unsynced tail).
-        self.durable_store = (
-            DurableStore() if config.enable_durability else None
-        )
+        self.durable_store = DurableStore()
         # Per-VO fair-share admission: caps engines running site-wide and
         # queues (or refuses) session admits weighted by VO share.
         self.admission = (
@@ -486,25 +448,18 @@ class GridSite:
             ),
             obs=self.obs,
             replicas=self.replicas,
-            durability=(
-                DurabilityConfig(
-                    store=self.durable_store,
-                    checkpoint_every_s=config.checkpoint_every_s,
-                    journal_fsync=config.journal_fsync,
-                    checkpoint_keyframe_every=config.checkpoint_keyframe_every,
-                )
-                if config.enable_durability
-                else None
+            durability=DurabilityConfig(
+                store=self.durable_store,
+                checkpoint_every_s=config.checkpoint_every_s,
             ),
             container=self.container,
             admission=self.admission,
         )
-        # Bounded per-service request loops (opt-in: the default site has
-        # unbounded direct dispatch, matching the seed's calibration).
+        # Per-service request loops (opt-in: the default site dispatches
+        # directly, matching the seed's calibration).
         if config.service_concurrency is not None:
             profile = ServiceProfile(
                 concurrency=config.service_concurrency,
-                queue_depth=config.service_queue_depth,
                 dispatch_overhead_s=config.service_dispatch_overhead_s,
             )
             for service in ("control", "session", "aida"):
@@ -522,8 +477,6 @@ class GridSite:
         # merged-result polls must stay sub-interactive.  Signals are fed
         # by the service envelope as "<service>.<operation>".
         if self.obs.enabled:
-            from repro.obs import SLOPolicy
-
             # Federated sites share one Observability; only the first
             # site to assemble installs the policy.
             if not any(
@@ -533,9 +486,9 @@ class GridSite:
                     SLOPolicy(
                         name="poll-latency",
                         signal="aida.merged",
-                        objective=config.slo_poll_p99_s,
+                        objective=0.25,
                         quantile=0.99,
-                        window_s=config.slo_window_s,
+                        window_s=60.0,
                     )
                 )
         self.control = ControlService(

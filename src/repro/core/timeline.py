@@ -7,8 +7,8 @@ scatter, code, analysis) that makes overlap (or its absence) visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.sim import Environment
 

@@ -38,6 +38,7 @@ EVENT_KINDS = (
     "fault_detected",
     "engine_quarantined",
     "engine_redispatched",
+    "spare_start_failed",
     "replica_evicted",
     "replica_invalidated",
     "transfer_failed",

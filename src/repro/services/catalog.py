@@ -11,7 +11,7 @@ says it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.services.query import QueryError, parse_query
 

@@ -1,203 +1,7 @@
-"""Async service container: a request loop on the simulated clock.
+"""Compatibility alias: the request loop lives in :mod:`repro.services.envelope`."""
 
-The base :class:`~repro.services.envelope.ServiceContainer` dispatches
-every envelope immediately — an infinitely wide server.  Real GT4
-containers are not: each hosted service has a bounded request queue and a
-finite dispatch pool, and under thousands of concurrent sessions the
-dispatch cost (not the handler work) is what serializes.
+from repro.services.envelope import ServiceContainer
 
-:class:`AsyncServiceContainer` models exactly that, per service:
-
-* a **bounded FIFO request queue** — arrivals beyond ``queue_depth`` are
-  refused with :class:`~repro.services.envelope.RetryAfter` carrying a
-  drain-time hint (HTTP 503 semantics);
-* ``concurrency`` **dispatch slots** — each queued request waits for a
-  slot, which charges only ``dispatch_overhead_s`` (un-marshalling, the
-  serialized CPU slice) and then releases; the handler itself runs
-  cooperatively in the caller's process, so a slow operation (session
-  creation, a large merge) never head-of-line blocks the queue behind it;
-* queue-depth gauges, queue-wait histograms, and rejection counters on
-  the observability plane.
-
-Services without a configured :class:`ServiceProfile` fall through to the
-base container's direct dispatch, bit-identical in timing and ordering —
-existing single-client scenarios are unaffected until a profile opts a
-service in.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
-
-from repro.obs import Observability
-from repro.services.envelope import (
-    Envelope,
-    RetryAfter,
-    ServiceContainer,
-    ServiceError,
-)
-from repro.sim import Environment, Store
-
-
-@dataclass(frozen=True)
-class ServiceProfile:
-    """Request-loop shape of one hosted service.
-
-    Parameters
-    ----------
-    concurrency:
-        Dispatch slots: how many requests the service can be
-        un-marshalling at once (a GT4 thread pool, not the handler
-        parallelism — handlers always run cooperatively).
-    queue_depth:
-        Bound on requests waiting for a slot; ``None`` = unbounded.
-        Arrivals beyond the bound are refused with ``RetryAfter``.
-    dispatch_overhead_s:
-        Serialized per-request cost charged while a slot is held
-        (parsing, routing, marshalling).  The knob that makes thousands
-        of concurrent polls queue instead of dispatching for free.
-    """
-
-    concurrency: int = 4
-    queue_depth: Optional[int] = None
-    dispatch_overhead_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if self.queue_depth is not None and self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1 (or None)")
-        if self.dispatch_overhead_s < 0:
-            raise ValueError("dispatch_overhead_s must be >= 0")
-
-
-class _ServiceState:
-    """Mutable queue state of one profiled service."""
-
-    __slots__ = ("queue", "backlog", "served", "rejected")
-
-    def __init__(self, env: Environment) -> None:
-        self.queue = Store(env)
-        #: Requests admitted to the queue and not yet dispatched.
-        self.backlog = 0
-        self.served = 0
-        self.rejected = 0
-
-
-class AsyncServiceContainer(ServiceContainer):
-    """A :class:`ServiceContainer` with per-service request loops."""
-
-    def __init__(
-        self,
-        env: Environment,
-        soap_latency: float = 0.25,
-        rmi_latency: float = 0.05,
-        obs: Optional[Observability] = None,
-    ) -> None:
-        super().__init__(env, soap_latency, rmi_latency, obs=obs)
-        self._profiles: Dict[str, ServiceProfile] = {}
-        self._states: Dict[str, _ServiceState] = {}
-        self._depth_gauge = self.obs.metrics.gauge(
-            "container_queue_depth",
-            "Requests waiting for a dispatch slot, per service",
-        )
-        self._wait_metric = self.obs.metrics.histogram(
-            "container_queue_wait_seconds",
-            "Request wait from arrival to dispatch slot (simulated seconds)",
-        )
-        self._reject_metric = self.obs.metrics.counter(
-            "container_rejections_total",
-            "Requests refused because a service queue was full",
-        )
-
-    # -- configuration --------------------------------------------------
-    def configure_service(self, service: str, profile: ServiceProfile) -> None:
-        """Attach a request loop to *service*; starts its dispatch slots.
-
-        May be called before or after the service registers its
-        operations (routing errors still resolve before queueing, so an
-        unknown operation never occupies queue space).
-        """
-        if service in self._profiles:
-            raise ServiceError(f"service {service!r} already has a profile")
-        self._profiles[service] = profile
-        state = _ServiceState(self.env)
-        self._states[service] = state
-        for _ in range(profile.concurrency):
-            self.env.process(self._request_loop(profile, state))
-
-    def profile(self, service: str) -> Optional[ServiceProfile]:
-        """The service's profile, or ``None`` (direct dispatch)."""
-        return self._profiles.get(service)
-
-    def queue_backlog(self, service: str) -> int:
-        """Requests currently waiting for a dispatch slot."""
-        state = self._states.get(service)
-        return state.backlog if state is not None else 0
-
-    def stats(self) -> Dict[str, dict]:
-        """Per-profiled-service queue counters (diagnostics)."""
-        return {
-            service: {
-                "backlog": state.backlog,
-                "served": state.served,
-                "rejected": state.rejected,
-            }
-            for service, state in sorted(self._states.items())
-        }
-
-    # -- request loop ---------------------------------------------------
-    def _admit(self, envelope: Envelope, span) -> Optional[Any]:
-        profile = self._profiles.get(envelope.service)
-        if profile is None:
-            return super()._admit(envelope, span)
-        return self._enqueue(envelope, span, profile)
-
-    def _enqueue(self, envelope: Envelope, span, profile: ServiceProfile):
-        state = self._states[envelope.service]
-        if (
-            profile.queue_depth is not None
-            and state.backlog >= profile.queue_depth
-        ):
-            state.rejected += 1
-            self._reject_metric.inc(service=envelope.service)
-            raise RetryAfter(
-                f"service {envelope.service!r} request queue is full "
-                f"({state.backlog} waiting)",
-                retry_after=self._drain_hint(profile, state),
-            )
-        state.backlog += 1
-        self._depth_gauge.set(state.backlog, service=envelope.service)
-        arrival = self.env.now
-        ticket = self.env.event()
-        yield state.queue.put(ticket)
-        yield ticket
-        state.backlog -= 1
-        state.served += 1
-        self._depth_gauge.set(state.backlog, service=envelope.service)
-        wait = self.env.now - arrival
-        self._wait_metric.observe(wait, service=envelope.service)
-        span.set(queue_wait_s=wait)
-
-    def _request_loop(self, profile: ServiceProfile, state: _ServiceState):
-        """One dispatch slot: drain tickets, charging the dispatch cost."""
-        while True:
-            ticket = yield state.queue.get()
-            if profile.dispatch_overhead_s:
-                yield self.env.timeout(profile.dispatch_overhead_s)
-            if not ticket.triggered:
-                ticket.succeed()
-
-    def _drain_hint(
-        self, profile: ServiceProfile, state: _ServiceState
-    ) -> float:
-        """Deterministic ``retry_after`` estimate: time to drain the queue."""
-        if profile.dispatch_overhead_s:
-            return max(
-                profile.dispatch_overhead_s,
-                profile.dispatch_overhead_s
-                * (state.backlog + 1)
-                / profile.concurrency,
-            )
-        return 1.0
+# benchmarks/e2e/tracing.py patches ``AsyncServiceContainer._admit`` by this
+# name; the alias goes when that tracer is retired (ROADMAP item 5).
+AsyncServiceContainer = ServiceContainer

@@ -15,7 +15,7 @@ over arbitrarily large virtual datasets stays O(range), not O(dataset).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from repro.dataset.events import EventBatch
 from repro.dataset.generator import GeneratorConfig, ILCEventGenerator

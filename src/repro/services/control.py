@@ -112,10 +112,7 @@ class ControlService:
         runs admission control) how the engine slots are spread across
         VOs.
         """
-        out: dict = {"services": {}, "admission": None}
-        stats = getattr(self.container, "stats", None)
-        if stats is not None:
-            out["services"] = stats()
+        out: dict = {"services": self.container.stats(), "admission": None}
         admission = self.session_service.admission
         if admission is not None:
             out["admission"] = admission.stats()

@@ -16,18 +16,35 @@ container and talks SOAP; the result-polling path uses insecure Java RMI
 * faults raised by operations travel back as :class:`Fault` and re-raise
   at the caller, and per-operation fault injection supports failure
   testing.
+
+Request loop
+------------
+A service is dispatched immediately — an infinitely wide server — until
+:meth:`ServiceContainer.configure_service` attaches a
+:class:`ServiceProfile`.  Real GT4 containers are not that wide: under
+thousands of concurrent sessions the dispatch cost (not the handler work)
+is what serializes.  A profiled service therefore queues each request
+(FIFO; a full bounded queue refuses with :class:`RetryAfter` and a
+drain-time hint, HTTP 503 semantics) for one of its dispatch slots.  The
+slot charges only the dispatch overhead and releases; the handler runs
+cooperatively in the caller's process, so a slow operation (session
+creation, a large merge) never head-of-line blocks the queue behind it.
+Queue depth, queue wait and rejections are metrics on the observability
+plane.  Whether a request queues is a lookup in the container's profile
+table, not a choice of container class: unprofiled services keep the
+direct-dispatch timing and ordering bit for bit.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.aida.codec import payload_nbytes
 from repro.obs import NULL_OBS, Observability
 from repro.resilience.retry import RetryPolicy
-from repro.sim import Environment, Process
+from repro.sim import Environment, Process, Store
 
 
 class ServiceError(Exception):
@@ -41,8 +58,8 @@ class Fault(Exception):
 class RetryAfter(Fault):
     """Backpressure fault: the request was refused, retry later.
 
-    Raised by the async container when a service's bounded request queue
-    is full, and by the admission controller when a VO is over quota with
+    Raised by the container when a service's bounded request queue is
+    full, and by the admission controller when a VO is over quota with
     no queue room left.  ``retry_after`` is the server's hint (simulated
     seconds) for when a retry is likely to be accepted — the moral
     equivalent of an HTTP 503 ``Retry-After`` header.
@@ -75,6 +92,52 @@ class ChannelSpec:
     request_latency: float = 0.05
     response_latency: float = 0.05
     requires_token: bool = False
+
+
+@dataclass(frozen=True)
+class ServiceProfile:
+    """Request-loop shape of one hosted service.
+
+    Parameters
+    ----------
+    concurrency:
+        Dispatch slots: how many requests the service can be
+        un-marshalling at once (a GT4 thread pool, not the handler
+        parallelism — handlers always run cooperatively).
+    queue_depth:
+        Bound on requests waiting for a slot; ``None`` = unbounded.
+        Arrivals beyond the bound are refused with ``RetryAfter``.
+    dispatch_overhead_s:
+        Serialized per-request cost charged while a slot is held
+        (parsing, routing, marshalling).  The knob that makes thousands
+        of concurrent polls queue instead of dispatching for free.
+    """
+
+    concurrency: int = 4
+    queue_depth: Optional[int] = None
+    dispatch_overhead_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+        if self.queue_depth is not None and self.queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1 (or None)")
+        if self.dispatch_overhead_s < 0:
+            raise ValueError("dispatch_overhead_s must be >= 0")
+
+
+class _ServiceState:
+    """Profile and mutable queue state of one profiled service."""
+
+    __slots__ = ("profile", "queue", "backlog", "served", "rejected")
+
+    def __init__(self, env: Environment, profile: ServiceProfile) -> None:
+        self.profile = profile
+        self.queue = Store(env)
+        #: Requests admitted to the queue and not yet dispatched.
+        self.backlog = 0
+        self.served = 0
+        self.rejected = 0
 
 
 class ServiceContainer:
@@ -112,6 +175,20 @@ class ServiceContainer:
         self._injected_faults: Dict[str, list] = {}
         #: Completed calls, for diagnostics: (service, operation, channel).
         self.call_log: list = []
+        #: Request-loop profile + queue state, per profiled service.
+        self._states: Dict[str, _ServiceState] = {}
+        self._depth_gauge = self.obs.metrics.gauge(
+            "container_queue_depth",
+            "Requests waiting for a dispatch slot, per service",
+        )
+        self._wait_metric = self.obs.metrics.histogram(
+            "container_queue_wait_seconds",
+            "Request wait from arrival to dispatch slot (simulated seconds)",
+        )
+        self._reject_metric = self.obs.metrics.counter(
+            "container_rejections_total",
+            "Requests refused because a service queue was full",
+        )
 
     # -- registration -------------------------------------------------------
     def register(self, service_name: str, operations: Dict[str, Callable]) -> None:
@@ -140,6 +217,41 @@ class ServiceContainer:
         if operations is None:
             raise ServiceError(f"unknown service {service_name!r}")
         return sorted(operations)
+
+    # -- request loops -----------------------------------------------------
+    def configure_service(self, service: str, profile: ServiceProfile) -> None:
+        """Attach a request loop to *service*; starts its dispatch slots.
+
+        May be called before or after the service registers its
+        operations (routing errors still resolve before queueing, so an
+        unknown operation never occupies queue space).
+        """
+        if service in self._states:
+            raise ServiceError(f"service {service!r} already has a profile")
+        state = self._states[service] = _ServiceState(self.env, profile)
+        for _ in range(profile.concurrency):
+            self.env.process(self._request_loop(state))
+
+    def profile(self, service: str) -> Optional[ServiceProfile]:
+        """The service's profile, or ``None`` (direct dispatch)."""
+        state = self._states.get(service)
+        return state.profile if state is not None else None
+
+    def queue_backlog(self, service: str) -> int:
+        """Requests currently waiting for a dispatch slot."""
+        state = self._states.get(service)
+        return state.backlog if state is not None else 0
+
+    def stats(self) -> Dict[str, dict]:
+        """Per-profiled-service queue counters (diagnostics)."""
+        return {
+            service: {
+                "backlog": state.backlog,
+                "served": state.served,
+                "rejected": state.rejected,
+            }
+            for service, state in sorted(self._states.items())
+        }
 
     # -- tokens ------------------------------------------------------------
     def issue_token(self, token: str) -> None:
@@ -221,15 +333,63 @@ class ServiceContainer:
         raise last_fault
 
     def _admit(self, envelope: Envelope, span) -> Optional[Any]:
-        """Admission hook run after routing, before the handler.
+        """Admission after routing, before the handler.
 
-        The base container admits every request immediately (returns
-        ``None``).  :class:`~repro.services.container.AsyncServiceContainer`
-        returns a generator here that queues the request behind the
+        ``None`` admits the request immediately (the service has no
+        profile); otherwise the returned generator queues it behind the
         service's dispatch slots — or raises :class:`RetryAfter` when the
         bounded queue is full.
         """
-        return None
+        state = self._states.get(envelope.service)
+        if state is None:
+            return None
+        return self._enqueue(envelope, span, state)
+
+    def _enqueue(self, envelope: Envelope, span, state: _ServiceState):
+        depth = state.profile.queue_depth
+        if depth is not None and state.backlog >= depth:
+            state.rejected += 1
+            self._reject_metric.inc(service=envelope.service)
+            raise RetryAfter(
+                f"service {envelope.service!r} request queue is full "
+                f"({state.backlog} waiting)",
+                retry_after=self._drain_hint(state),
+            )
+        state.backlog += 1
+        self._depth_gauge.set(state.backlog, service=envelope.service)
+        arrival = self.env.now
+        ticket = self.env.event()
+        yield state.queue.put(ticket)
+        yield ticket
+        state.backlog -= 1
+        state.served += 1
+        self._depth_gauge.set(state.backlog, service=envelope.service)
+        wait = self.env.now - arrival
+        self._wait_metric.observe(wait, service=envelope.service)
+        span.set(queue_wait_s=wait)
+
+    def _request_loop(self, state: _ServiceState):
+        """One dispatch slot: drain tickets, charging the dispatch cost."""
+        overhead = state.profile.dispatch_overhead_s
+        while True:
+            ticket = yield state.queue.get()
+            if overhead:
+                yield self.env.timeout(overhead)
+            if not ticket.triggered:
+                ticket.succeed()
+
+    @staticmethod
+    def _drain_hint(state: _ServiceState) -> float:
+        """Deterministic ``retry_after`` estimate: time to drain the queue."""
+        profile = state.profile
+        if profile.dispatch_overhead_s:
+            return max(
+                profile.dispatch_overhead_s,
+                profile.dispatch_overhead_s
+                * (state.backlog + 1)
+                / profile.concurrency,
+            )
+        return 1.0
 
     def _dispatch(self, envelope: Envelope):
         tracer = self.obs.tracer
@@ -272,8 +432,8 @@ class ServiceContainer:
                 raise error
             gate = self._admit(envelope, span)
             if gate is not None:
-                # Subclass hook (the async container): wait for a dispatch
-                # slot, or refuse with RetryAfter under backpressure.
+                # Profiled service: wait for a dispatch slot, or refuse
+                # with RetryAfter under backpressure.
                 yield from gate
 
             # The span is current while the handler runs synchronously (so

@@ -9,7 +9,7 @@ service returns the location of the splitter service" (§3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 

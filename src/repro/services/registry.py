@@ -8,7 +8,7 @@ references for data/code staging and control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.obs import NULL_OBS, Observability

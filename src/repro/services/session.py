@@ -36,8 +36,7 @@ equal to a failure-free run.
 
 Service faults
 --------------
-With a :class:`~repro.resilience.checkpoint.DurabilityConfig` attached the
-service also survives *its own* crash: every state transition is
+The service also survives *its own* crash: every state transition is
 journalled write-ahead and the merge state checkpointed periodically to
 the manager node's durable store.  ``crash()`` models the service process
 dying (volatile state lost, tokens revoked, endpoints raising
@@ -52,8 +51,8 @@ merged trees are bit-identical to an uninterrupted run.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -66,10 +65,10 @@ from repro.engine.controls import Command
 from repro.engine.engine import AnalysisEngine, Snapshot
 from repro.engine.sandbox import CodeBundle
 from repro.grid.admission import AdmissionController
-from repro.grid.gram import GramGatekeeper, GramSubmission, JobDescription
+from repro.grid.gram import GramError, GramGatekeeper, JobDescription
 from repro.grid.nodes import StorageElement, WorkerNode
 from repro.grid.scheduler import JobState
-from repro.grid.security import Certificate, SecurityContext
+from repro.grid.security import Certificate, SecurityContext, SecurityError
 from repro.grid.transfer import GridFTPService, TransferError
 from repro.obs import NULL_OBS, Observability
 from repro.resilience.checkpoint import CheckpointStore, DurabilityConfig
@@ -78,8 +77,9 @@ from repro.resilience.heartbeat import HeartbeatMonitor, RecoveryConfig
 from repro.resilience.journal import JournalModel, SessionJournal, replay_journal
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.catalog import DatasetCatalogService
-from repro.services.codeloader import ManagingClassLoaderService
+from repro.services.codeloader import CodeLoaderError, ManagingClassLoaderService
 from repro.services.content import ContentStore
+from repro.services.envelope import ServiceContainer
 from repro.services.locator import DatasetLocation, LocatorService
 from repro.services.registry import EngineReference, WorkerRegistryService
 from repro.services.splitter import PartDescriptor, SplitterService, StageReport
@@ -488,12 +488,12 @@ class SessionService:
         storage: StorageElement,
         content_store: ContentStore,
         calibration: "Calibration",
+        durability: DurabilityConfig,
+        container: ServiceContainer,
         session_lifetime: Optional[float] = None,
         recovery: Optional[RecoveryConfig] = None,
         obs: Optional[Observability] = None,
         replicas: Optional["ReplicaManager"] = None,
-        durability: Optional[DurabilityConfig] = None,
-        container=None,
         admission: Optional[AdmissionController] = None,
     ) -> None:
         self.env = env
@@ -513,11 +513,10 @@ class SessionService:
         self.content_store = content_store
         self.calibration = calibration
         self.recovery = recovery
-        #: Durable journal/checkpoint wiring; ``None`` = the original
-        #: all-volatile service (a crash loses every session).
+        #: Durable journal/checkpoint wiring.
         self.durability = durability
-        #: Service container for token revocation on crash / reissue on
-        #: recovery (``None`` in bare-service unit tests).
+        #: Service container, for token revocation on crash / reissue on
+        #: recovery.
         self.container = container
         #: Per-VO fair-share admission control over engine slots
         #: (``None`` = admit everything, the original behaviour).
@@ -541,9 +540,7 @@ class SessionService:
         )
 
     # -- durability helpers -------------------------------------------------
-    def _journal(self, session_id: str) -> Optional[SessionJournal]:
-        if self.durability is None:
-            return None
+    def _journal(self, session_id: str) -> SessionJournal:
         journal = self._journals.get(session_id)
         if journal is None:
             journal = SessionJournal(
@@ -556,13 +553,9 @@ class SessionService:
 
     def _log(self, session_id: str, record_type: str, /, **data) -> None:
         """Append one write-ahead journal record (no simulated time)."""
-        journal = self._journal(session_id)
-        if journal is not None:
-            journal.append(record_type, **data)
+        self._journal(session_id).append(record_type, **data)
 
-    def _checkpoint_store(self, session_id: str) -> Optional[CheckpointStore]:
-        if self.durability is None:
-            return None
+    def _checkpoint_store(self, session_id: str) -> CheckpointStore:
         store = self._checkpoints.get(session_id)
         if store is None:
             store = CheckpointStore(
@@ -575,10 +568,8 @@ class SessionService:
 
     def _closed_in_journal(self, session_id: str) -> bool:
         """Whether the durable journal tombstones this session as closed."""
-        journal = self._journal(session_id)
-        if journal is None:
-            return False
-        return any(r.get("type") == "closed" for r in journal.records())
+        records = self._journal(session_id).records()
+        return any(r.get("type") == "closed" for r in records)
 
     def closed_before_crash(self, session_id: str) -> bool:
         """Whether this session's close completed before a service crash.
@@ -596,8 +587,6 @@ class SessionService:
         keys: Optional[List[str]] = None,
     ) -> None:
         """Journal a completed dataset stage (plan + dispatch map + pins)."""
-        if self.durability is None:
-            return
         session = self._sessions[session_id]
         self._log(
             session_id,
@@ -701,21 +690,9 @@ class SessionService:
         )
         session_id = ref.resource_id
         hosts: Dict[str, EngineHost] = {}
-        heartbeat_interval = (
-            self.recovery.heartbeat_interval if self.recovery else None
-        )
 
         def body_factory(index: int):
-            host = EngineHost(
-                engine_id=f"{session_id}-engine-{index}",
-                session_id=session_id,
-                registry=self.registry,
-                aida=self.aida,
-                content_store=self.content_store,
-                calibration=self.calibration,
-                heartbeat_interval=heartbeat_interval,
-                obs=self.obs,
-            )
+            host = self._engine_host(session_id, index)
             hosts[host.engine_id] = host
             return host.body
 
@@ -732,45 +709,25 @@ class SessionService:
         # "Ready Signal with Reference").
         references = yield self.registry.wait_for(session_id, count)
         token = secrets.token_hex(16)
-        session = {
-            "ref": ref,
-            "context": context,
-            "chain": list(credential_chain),
-            "submission": submission,
-            "spare_submissions": [],
-            "hosts": hosts,
-            "dead_hosts": {},
-            "references": list(references),
-            "engine_jobs": {
+        session = self._session_record(
+            ref=ref,
+            context=context,
+            chain=list(credential_chain),
+            submission=submission,
+            hosts=hosts,
+            references=list(references),
+            engine_jobs={
                 f"{session_id}-engine-{index}": job
                 for index, job in enumerate(submission.jobs)
             },
-            "assignments": {},
-            "orphaned": [],
-            "pending_acks": [],
-            "recoveries": [],
-            "redispatches": [],
-            "token": token,
-            #: (vo, slots) held at the admission controller, if any.
-            "admission": admitted,
-            "dataset": None,
-            "running": False,
-            "closing": False,
-            "closed": False,
-            "unrecoverable": False,
-            "rewinds": 0,
-            "next_engine_index": count,
-            "monitor": None,
-            "monitor_proc": None,
-            "checkpoint_proc": None,
-            "redispatch_proc": None,
-            #: engine_id -> worker currently demoted on straggler hints
-            #: (diffed against the anomaly monitor's flags each sweep).
-            "straggler_hints": {},
+            token=token,
+            # (vo, slots) held at the admission controller, if any.
+            admission=admitted,
+            next_engine_index=count,
             # Trace context of the creating call: recovery work started by
             # the background monitor parents here instead of floating free.
-            "trace_parent": self.obs.tracer.current_id,
-        }
+            trace_parent=self.obs.tracer.current_id,
+        )
         self._sessions[session_id] = session
         self.aida.set_expected_engines(session_id, count)
         # Plan the session's merge tree now that its engines are known.
@@ -786,20 +743,7 @@ class SessionService:
             n_engines=count,
             engines={ref_.engine_id: ref_.worker for ref_ in references},
         )
-        if self.recovery is not None:
-            monitor = HeartbeatMonitor(
-                self.env, self.registry, session_id, self.recovery
-            )
-            for reference in references:
-                monitor.watch(reference.engine_id)
-            session["monitor"] = monitor
-            session["monitor_proc"] = self.env.process(
-                self._monitor_loop(session_id)
-            )
-        if self.durability is not None:
-            session["checkpoint_proc"] = self.env.process(
-                self._checkpoint_loop(session_id)
-            )
+        self._arm_background_loops(session_id)
         self.resources.set_property(ref, "state", "ready")
         self.obs.events.emit(
             "session_created",
@@ -814,6 +758,73 @@ class SessionService:
             token=token,
             n_engines=count,
             engine_ids=sorted(hosts),
+        )
+
+    def _engine_host(self, session_id: str, index: int) -> EngineHost:
+        """The job body GRAM lands on a worker for engine *index*."""
+        return EngineHost(
+            engine_id=f"{session_id}-engine-{index}",
+            session_id=session_id,
+            registry=self.registry,
+            aida=self.aida,
+            content_store=self.content_store,
+            calibration=self.calibration,
+            heartbeat_interval=(
+                self.recovery.heartbeat_interval if self.recovery else None
+            ),
+            obs=self.obs,
+        )
+
+    @staticmethod
+    def _session_record(**fields) -> dict:
+        """The volatile record of one session: fresh-session defaults
+        overridden by *fields*.  Both builders (start and recovery) must
+        supply ``ref, context, chain, submission, hosts, references,
+        engine_jobs, token, admission, next_engine_index, trace_parent``;
+        recovery adds what it replayed from the journal.
+        """
+        session = {
+            "spare_submissions": [],
+            "dead_hosts": {},
+            "assignments": {},
+            "orphaned": [],
+            "pending_acks": [],
+            "recoveries": [],
+            "redispatches": [],
+            "dataset": None,
+            "running": False,
+            "closing": False,
+            "closed": False,
+            "unrecoverable": False,
+            "rewinds": 0,
+            "monitor": None,
+            "monitor_proc": None,
+            "checkpoint_proc": None,
+            "redispatch_proc": None,
+            #: engine_id -> worker currently demoted on straggler hints
+            #: (diffed against the anomaly monitor's flags each sweep).
+            "straggler_hints": {},
+        }
+        session.update(fields)
+        return session
+
+    def _arm_background_loops(self, session_id: str) -> None:
+        """Start the session's heartbeat monitor and checkpoint loop."""
+        session = self._sessions[session_id]
+        if self.recovery is not None:
+            monitor = HeartbeatMonitor(
+                self.env, self.registry, session_id, self.recovery
+            )
+            for reference in session["references"]:
+                # watch() seeds a fresh beat: after a restart nobody gets
+                # quarantined because their last beat predates the downtime.
+                monitor.watch(reference.engine_id)
+            session["monitor"] = monitor
+            session["monitor_proc"] = self.env.process(
+                self._monitor_loop(session_id)
+            )
+        session["checkpoint_proc"] = self.env.process(
+            self._checkpoint_loop(session_id)
         )
 
     def _session(self, session_id: str) -> dict:
@@ -1657,24 +1668,18 @@ class SessionService:
         config = self.recovery
         index = session["next_engine_index"]
         session["next_engine_index"] = index + 1
-        engine_id = f"{session_id}-engine-{index}"
-        host = EngineHost(
-            engine_id=engine_id,
-            session_id=session_id,
-            registry=self.registry,
-            aida=self.aida,
-            content_store=self.content_store,
-            calibration=self.calibration,
-            heartbeat_interval=config.heartbeat_interval,
-            obs=self.obs,
-        )
+        host = self._engine_host(session_id, index)
+        engine_id = host.engine_id
         try:
             submission = self.gram.submit(
                 JobDescription("ipa-analysis-engine", count=1),
                 session["chain"],
                 lambda _index: host.body,
             )
-        except Exception:
+        except (GramError, SecurityError) as exc:
+            # Gatekeeper outage/refusal, or a recovered session whose
+            # credential chain has not been refreshed by reconnect() yet.
+            self._spare_start_failed(session_id, engine_id, exc)
             return None
         session["spare_submissions"].append(submission)
         session["engine_jobs"][engine_id] = submission.jobs[0]
@@ -1708,13 +1713,28 @@ class SessionService:
         # Ship the session's current analysis code to the newcomer.
         try:
             bundle = self.codeloader.current(session_id)
-        except Exception:
+        except CodeLoaderError as exc:
+            # Nothing staged (yet): the spare joins bare and gets the code
+            # with everyone else on the next stage_code.
+            self._spare_start_failed(session_id, engine_id, exc)
             bundle = None
         if bundle is not None:
             worker = self.gram.scheduler.element.worker(reference.worker)
             yield self.codeloader.stage(session_id, bundle, [worker])
             yield reference.mailbox.put(("load_code", bundle))
         return reference
+
+    def _spare_start_failed(
+        self, session_id: str, engine_id: str, exc: Exception
+    ) -> None:
+        self.obs.events.emit(
+            "spare_start_failed",
+            message=f"{engine_id}: {exc}",
+            severity="warning",
+            session=session_id,
+            engine=engine_id,
+            error=repr(exc),
+        )
 
     # -- shutdown ------------------------------------------------------------
     def close(self, session_id: str):
@@ -1794,10 +1814,8 @@ class SessionService:
         # Tombstone first (write-ahead), then drop the checkpoint file —
         # after a crash the journal alone must prove the close happened.
         self._log(session_id, "closed")
-        checkpoints = self._checkpoint_store(session_id)
-        if checkpoints is not None:
-            checkpoints.delete()
-            self._checkpoints.pop(session_id, None)
+        self._checkpoint_store(session_id).delete()
+        self._checkpoints.pop(session_id, None)
         return True
 
     # -- durable checkpoints & service crash/recovery -----------------------
@@ -1826,13 +1844,11 @@ class SessionService:
         never describe state the journal cannot explain.  ``torn`` models
         a crash mid-flush (only half the record reaches the disk).
         """
-        store = self._checkpoint_store(session_id)
         session = self._sessions.get(session_id)
-        if store is None or session is None:
+        if session is None:
             return None
-        journal = self._journal(session_id)
-        if journal is not None:
-            journal.sync()
+        store = self._checkpoint_store(session_id)
+        self._journal(session_id).sync()
         span = self.obs.tracer.start(
             "checkpoint.write",
             parent_id=session.get("trace_parent"),
@@ -1902,7 +1918,7 @@ class SessionService:
                 if proc is not None and proc.is_alive:
                     proc.interrupt("service-crash")
                 session[key] = None
-            if self.container is not None and not session["closed"]:
+            if not session["closed"]:
                 self.container.revoke_token(session["token"])
         self._sessions = {}
         self._journals = {}
@@ -1911,8 +1927,7 @@ class SessionService:
             self.env, "session", self._session_lifetime
         )
         self._down = True
-        if self.durability is not None:
-            self.durability.store.crash()
+        self.durability.store.crash()
         self.aida.crash()
         self.obs.metrics.counter(
             "service_crashes_total",
@@ -1942,24 +1957,21 @@ class SessionService:
         self._down = False
         restored_sessions = 0
         reconciled_engines = 0
-        if self.durability is not None:
-            store = self.durability.store
-            for session_id in SessionJournal.session_ids(store):
-                journal = self._journal(session_id)
-                model = replay_journal(journal.records())
-                if model is None:
-                    continue
-                if model.closed:
-                    # Finished before the crash: only the tombstone
-                    # matters (keeps close() idempotent and zombie
-                    # submissions dropped).
-                    self._tombstones.add(session_id)
-                    self.aida.mark_dropped(session_id)
-                    continue
-                reconciled_engines += yield from self._recover_session(
-                    session_id, model
-                )
-                restored_sessions += 1
+        for session_id in SessionJournal.session_ids(self.durability.store):
+            model = replay_journal(self._journal(session_id).records())
+            if model is None:
+                continue
+            if model.closed:
+                # Finished before the crash: only the tombstone matters
+                # (keeps close() idempotent and zombie submissions
+                # dropped).
+                self._tombstones.add(session_id)
+                self.aida.mark_dropped(session_id)
+                continue
+            reconciled_engines += yield from self._recover_session(
+                session_id, model
+            )
+            restored_sessions += 1
         yield self.env.timeout(
             self.calibration.soap_latency_s
             + self.aida.merge_cost_per_tree * reconciled_engines
@@ -2008,8 +2020,7 @@ class SessionService:
             },
             resource_id=session_id,
         )
-        if self.container is not None:
-            self.container.issue_token(model.token)
+        self.container.issue_token(model.token)
 
         # Re-bind engines that are still alive: the registry (and the
         # EngineHost processes out on the workers) survived the crash.
@@ -2072,32 +2083,25 @@ class SessionService:
             if idx in parts_by_index
         ]
 
-        session = {
-            "ref": ref,
-            "context": _RecoveredContext(model.owner),
+        session = self._session_record(
+            ref=ref,
+            context=_RecoveredContext(model.owner),
             # The client's credential chain is security material, never
             # journalled: reconnect() refreshes it.  Until then
             # spare-engine GRAM submits fail closed and re-dispatch falls
             # back to surviving engines.
-            "chain": [],
-            "submission": _RecoveredSubmission(
+            chain=[],
+            submission=_RecoveredSubmission(
                 self.env, list(engine_jobs.values())
             ),
-            "spare_submissions": [],
-            "hosts": hosts,
-            "dead_hosts": {},
-            "references": references,
-            "engine_jobs": engine_jobs,
-            "assignments": assignments,
-            "orphaned": orphaned,
-            "pending_acks": [],
-            "recoveries": [],
-            "redispatches": [],
-            "token": model.token,
+            hosts=hosts,
+            references=references,
+            engine_jobs=engine_jobs,
+            token=model.token,
             # The crashed service never released the VO's engine slots, so
             # a recovered session still holds them: record the grant (do
             # NOT re-acquire) so close() returns the slots.
-            "admission": (
+            admission=(
                 (
                     self.gram.authz.vo_of(model.owner) or model.owner,
                     model.n_engines,
@@ -2105,20 +2109,15 @@ class SessionService:
                 if self.admission is not None
                 else None
             ),
-            "dataset": dataset,
-            "running": model.running,
-            "closing": model.closing,
-            "closed": False,
-            "unrecoverable": False,
-            "rewinds": model.rewinds,
-            "next_engine_index": next_index,
-            "monitor": None,
-            "monitor_proc": None,
-            "checkpoint_proc": None,
-            "redispatch_proc": None,
-            "straggler_hints": {},
-            "trace_parent": span.span_id,
-        }
+            next_engine_index=next_index,
+            trace_parent=span.span_id,
+            assignments=assignments,
+            orphaned=orphaned,
+            dataset=dataset,
+            running=model.running,
+            closing=model.closing,
+            rewinds=model.rewinds,
+        )
         self._sessions[session_id] = session
         self.aida.set_expected_engines(session_id, len(model.engines))
         if model.rewinds:
@@ -2144,22 +2143,7 @@ class SessionService:
                     if key in cache:
                         cache.pin(key, session_id)
 
-        if self.recovery is not None:
-            monitor = HeartbeatMonitor(
-                self.env, self.registry, session_id, self.recovery
-            )
-            for reference in references:
-                # watch() seeds a fresh beat: nobody gets quarantined just
-                # because their last beat predates the downtime.
-                monitor.watch(reference.engine_id)
-            session["monitor"] = monitor
-            session["monitor_proc"] = self.env.process(
-                self._monitor_loop(session_id)
-            )
-        if self.durability is not None:
-            session["checkpoint_proc"] = self.env.process(
-                self._checkpoint_loop(session_id)
-            )
+        self._arm_background_loops(session_id)
 
         # Engines the journal believed alive but that deregistered (died)
         # during the downtime: quarantine now; the monitor's sweeps

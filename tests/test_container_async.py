@@ -1,12 +1,13 @@
-"""Async service container: request queues, dispatch slots, backpressure."""
+"""Service container request loops: queues, dispatch slots, backpressure."""
 
 import pytest
 
-from repro.services.container import AsyncServiceContainer, ServiceProfile
+from repro.obs import Observability
 from repro.services.envelope import (
     RetryAfter,
     ServiceContainer,
     ServiceError,
+    ServiceProfile,
 )
 from repro.sim import Environment
 
@@ -17,7 +18,7 @@ def env():
 
 
 def make_container(env, **kwargs):
-    container = AsyncServiceContainer(
+    container = ServiceContainer(
         env, soap_latency=0.0, rmi_latency=0.0, **kwargs
     )
 
@@ -49,21 +50,28 @@ def test_configure_service_rejects_duplicate_profile(env):
 
 
 def test_unprofiled_service_matches_direct_dispatch_timing(env):
-    # Without a profile the async container must be bit-identical to the
-    # base container: same result, same completion time.
-    base_env = Environment()
-    base = ServiceContainer(base_env, soap_latency=0.25, rmi_latency=0.05)
-    asyn = AsyncServiceContainer(env, soap_latency=0.25, rmi_latency=0.05)
-    for target, target_env in ((base, base_env), (asyn, env)):
-        def slow(duration, _env=target_env):
-            yield _env.timeout(duration)
-            return "done"
+    # Without a profile a request never touches the queue machinery: the
+    # call costs soap 0.25 + handler 3.0 + soap 0.25 and nothing else.
+    obs = Observability(env, enabled=True)
+    container = ServiceContainer(
+        env, soap_latency=0.25, rmi_latency=0.05, obs=obs
+    )
 
-        target.register("svc", {"slow": slow})
-    r1 = base_env.run(until=base.call("svc", "slow", {"duration": 3.0}))
-    r2 = env.run(until=asyn.call("svc", "slow", {"duration": 3.0}))
-    assert r1 == r2 == "done"
-    assert env.now == pytest.approx(base_env.now)
+    def slow(duration):
+        yield env.timeout(duration)
+        return "done"
+
+    container.register("svc", {"slow": slow})
+    result = env.run(until=container.call("svc", "slow", {"duration": 3.0}))
+    assert result == "done"
+    assert env.now == 3.5
+    assert container.stats() == {}
+    for name in (
+        "container_queue_wait_seconds",
+        "container_queue_depth",
+        "container_rejections_total",
+    ):
+        assert obs.metrics.get(name).series() == {}
 
 
 def test_dispatch_overhead_serializes_across_slots(env):

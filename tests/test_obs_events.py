@@ -153,6 +153,7 @@ def test_event_vocabulary_is_pinned():
         "fault_detected",
         "engine_quarantined",
         "engine_redispatched",
+    "spare_start_failed",
         "replica_evicted",
         "replica_invalidated",
         "transfer_failed",

@@ -396,6 +396,69 @@ class TestRecovery:
         assert merged.entries == local.entries
         assert np.array_equal(merged.heights(), local.heights())
 
+    def test_spare_refused_by_gram_falls_back_to_a_survivor(self):
+        site, client = build(n_workers=4, enable_observability=True)
+        results = {}
+
+        def scenario():
+            info = yield from client.obtain_proxy_and_connect(n_engines=3)
+            yield from client.select_dataset("ds-small")
+            yield from client.upload_code(higgs.SOURCE)
+            yield from client.run()
+            yield site.env.timeout(10.0)
+            victim = site.registry.engines(info.session_id)[0]
+            site.injector.crash_worker(victim.worker)
+            # The gatekeeper is out exactly when the spare is submitted.
+            site.gram.inject_failures(1)
+            final = yield from client.wait_for_completion(
+                poll_interval=2.0, timeout=4000.0
+            )
+            results["progress"] = final.progress
+            results["tree"] = final.tree
+            results["status"] = yield from client.status()
+            results["session_id"] = info.session_id
+            results["survivors"] = {
+                ref.engine_id
+                for ref in site.registry.engines(info.session_id)
+            }
+            yield from client.close()
+
+        drive(site, scenario())
+        status = results["status"]
+        (redispatch,) = status["redispatches"]
+        assert redispatch["to"] in results["survivors"]
+        assert status["n_engines"] == 2
+        assert results["progress"].complete
+        local = local_reference_tree().get("/higgs/dijet_mass")
+        merged = results["tree"].get("/higgs/dijet_mass")
+        assert np.array_equal(merged.heights(), local.heights())
+        (event,) = site.obs.events.events(kind="spare_start_failed")
+        assert event.severity == "warning"
+        assert event.attrs["session"] == results["session_id"]
+        assert event.attrs["engine"] == f"{results['session_id']}-engine-3"
+        assert "GramUnavailable" in event.attrs["error"]
+
+    def test_spare_start_does_not_swallow_unexpected_errors(self, monkeypatch):
+        site, client = build(n_workers=4)
+        real_submit = site.gram.submit
+
+        def scenario():
+            info = yield from client.obtain_proxy_and_connect(n_engines=3)
+            yield from client.select_dataset("ds-small")
+
+            def submit(description, chain, body_factory, preferred=None):
+                def broken_factory(index):
+                    raise RuntimeError("engine host could not be built")
+
+                return real_submit(description, chain, broken_factory, preferred)
+
+            monkeypatch.setattr(site.gram, "submit", submit)
+            with pytest.raises(RuntimeError, match="could not be built"):
+                yield from site.session_service._start_spare(info.session_id)
+            yield from client.close()
+
+        drive(site, scenario())
+
     def test_total_loss_is_unrecoverable(self):
         site, client = build(n_workers=3)
 

@@ -317,6 +317,26 @@ def test_worker_death_during_downtime_is_recovered():
     assert status["orphaned_parts"] == 0
 
 
+def test_recovered_session_record_has_the_keys_of_a_fresh_one():
+    site, client = _build()
+    keys = {}
+
+    def scenario():
+        info = yield from client.obtain_proxy_and_connect(n_engines=N_WORKERS)
+        yield from client.select_dataset("ds")
+        keys["fresh"] = set(site.session_service._sessions[info.session_id])
+        site.injector.crash_services()
+        yield site.injector.restart_services()
+        keys["recovered"] = set(
+            site.session_service._sessions[info.session_id]
+        )
+        yield from client.reconnect()
+        yield from client.close()
+
+    site.env.run(until=site.env.process(scenario()))
+    assert keys["recovered"] == keys["fresh"]
+
+
 def test_reconnect_identity_and_lifecycle_errors():
     site, client = _build()
     intruder = IPAClient(site, site.enroll_user("/CN=mallory"))

@@ -66,7 +66,15 @@ class DatasetCatalogPlugin:
 
 
 class RemoteDataPlugin:
-    """Polls the AIDA manager over the cheap RMI channel (Fig. 2 step 7)."""
+    """Polls the AIDA manager over the cheap RMI channel (Fig. 2 step 7).
+
+    Polls are conditional: the plug-in keeps the last tree it decoded and
+    sends its validator (``progress.merge_generation``) along; while the
+    manager's merged tree has not changed the reply is "not modified" and
+    :meth:`poll` returns the tree it already holds.  That tree is
+    therefore **shared between every poll of one generation — treat it
+    as read-only** (``tree.copy()`` first to edit it).
+    """
 
     def __init__(
         self, container: ServiceContainer, client_id: Optional[str] = None
@@ -77,11 +85,20 @@ class RemoteDataPlugin:
         self.client_id = client_id
         self.token: Optional[str] = None
         self.session_id: Optional[str] = None
+        #: The last tree decoded and the validator it was served under.
+        self._tree: Optional[ObjectTree] = None
+        self._have: Optional[int] = None
 
     def bind(self, session_id: str, token: str) -> None:
-        """Attach to a session (the token gates the RMI channel)."""
+        """Attach to a session (the token gates the RMI channel).
+
+        Drops the held tree: a validator only means something to the
+        manager that issued it, and a re-bind may be a failover.
+        """
         self.session_id = session_id
         self.token = token
+        self._tree = None
+        self._have = None
 
     def poll(self):
         """Generator op: fetch the merged tree + progress once."""
@@ -90,6 +107,8 @@ class RemoteDataPlugin:
         args = {"session_id": self.session_id}
         if self.client_id is not None:
             args["client_id"] = self.client_id
+        if self._have is not None:
+            args["have"] = self._have
         tree_dict, progress = yield self.container.call(
             "aida",
             "merged",
@@ -97,4 +116,7 @@ class RemoteDataPlugin:
             channel="rmi",
             token=self.token,
         )
-        return ObjectTree.from_dict(tree_dict), progress
+        if tree_dict is not None:
+            self._tree = ObjectTree.from_dict(tree_dict)
+            self._have = progress.merge_generation
+        return self._tree, progress

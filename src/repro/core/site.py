@@ -526,8 +526,8 @@ class GridSite:
         self.container.register(
             "aida",
             {
-                "merged": lambda session_id, client_id=None: self.aida.merged(
-                    session_id, client_id=client_id
+                "merged": lambda session_id, client_id=None, have=None: (
+                    self.aida.merged(session_id, client_id=client_id, have=have)
                 ),
                 "snapshot_count": self.aida.snapshot_count,
             },

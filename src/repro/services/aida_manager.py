@@ -38,6 +38,15 @@ Correctness rules:
   single-engine run over the concatenated data;
 * progress is derived from the engine entries the tree folds, so a
   result is never reported complete over contributions the tree lost.
+
+The poll contract (:meth:`AIDAManagerService.merged`): every reply
+carries ``progress.merge_generation``, a validator of the served root
+that moves whenever the root may have changed and is never reused; a
+poll that sends the validator it holds (``have=``) and is about to be
+served the same one gets ``(None, progress)`` — "not modified" — at the
+same simulated cost.  Concurrent polls of one session share one merge:
+the first is the leader and the only process; the rest wait on an event
+the leader triggers, and it is the leader that advances their cursors.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from repro.engine.engine import Snapshot
 from repro.obs import NULL_OBS, Observability
 from repro.resilience.faults import ServiceUnavailable
 from repro.services.combiner import EngineEntry, MergeTree, plan_groups
-from repro.sim import Environment, Process
+from repro.sim import Environment, Event
 
 
 class MergeError(Exception):
@@ -77,10 +86,12 @@ class MergeProgress:
     #: True while a failure recovery is re-dispatching orphaned partitions
     #: — results must not be treated as complete during that window.
     recovering: bool = False
-    #: Monotonic merge generation: bumps whenever a merge folded dirty
-    #: data.  Clients compare it against their per-client cursor to tell
-    #: a fresh tree from a redundant re-poll (coalescing keeps replies
-    #: bit-identical; the generation is how cursors stay aligned).
+    #: Validator of the served tree: bumps whenever the root may have
+    #: changed (a merge folded dirty data, a rewind or a re-plan replaced
+    #: it) and is never reused within a session, manager restarts
+    #: included.  Clients send the one they hold back as ``have=`` to be
+    #: told "not modified"; the per-client cursors compare it to tell a
+    #: fresh tree from a redundant re-poll.
     merge_generation: int = 0
 
     @property
@@ -103,6 +114,38 @@ class MergeProgress:
         ):
             return False
         return self.final_engines == self.engines_reporting
+
+
+#: Generations of one manager incarnation live in their own 2**32 block:
+#: whatever a checkpoint remembered, numbers served after a restart are
+#: greater than every number served before it.
+_GENERATIONS_PER_BOOT = 1 << 32
+
+
+class _InflightMerge:
+    """A merge in flight and the polls that joined it.
+
+    Consecutive joiners holding the same validator share one event (a
+    *wave*): replies still go out in arrival order, and a wave's reply —
+    the tree or "not modified" — is decided once, when the merge is done.
+    """
+
+    __slots__ = ("waves", "n_joiners", "full")
+
+    def __init__(self) -> None:
+        #: ``(have, event, [(client_id, join span), ...])``, oldest first.
+        self.waves: List[tuple] = []
+        self.n_joiners = 0
+        #: The leader's ``(tree_dict, progress)``, set when it completes.
+        self.full: Optional[tuple] = None
+
+    def join(self, env: Environment, client_id, have, span) -> Event:
+        if not self.waves or self.waves[-1][0] != have:
+            self.waves.append((have, Event(env), []))
+        _have, event, joiners = self.waves[-1]
+        joiners.append((client_id, span))
+        self.n_joiners += 1
+        return event
 
 
 class AIDAManagerService:
@@ -224,11 +267,14 @@ class AIDAManagerService:
         #: (session_id, n_trees, latency) per merge, for the benchmarks.
         self.merge_log: List[tuple] = []
         # -- poll coalescing --
-        #: In-flight merge per session: joiners wait on ``event`` and are
-        #: served the leader's ``(tree_dict, progress)`` result.
-        self._inflight: Dict[str, dict] = {}
-        #: Monotonic merge generation per session (bumps on dirty folds).
+        #: In-flight merge per session, with the polls that joined it.
+        self._inflight: Dict[str, _InflightMerge] = {}
+        #: Merge generation per session: the validator of its served root.
         self._generations: Dict[str, int] = {}
+        #: Times this manager came back from a crash.  Not session state:
+        #: the one word a restarting service reads from disk and rewrites
+        #: (an NFS server's boot verifier), so it survives ``crash()``.
+        self._boots = 0
         #: Per session: client_id -> last merge generation served to it.
         self._cursors: Dict[str, Dict[str, int]] = {}
         #: Every per-session map, by audit name: close, crash and the
@@ -331,6 +377,8 @@ class AIDAManagerService:
         if grown is not None:
             for entry in grown.entries().values():
                 tier.restore_engine(entry)
+            # A new root: whatever the grown one served is not vouched for.
+            self._bump_generation(session_id)
         self._tiers[session_id] = tier
         self._tier_depth_metric.set(tier.depth, session=session_id)
         n_engines = sum(len(group) for group in groups)
@@ -407,6 +455,9 @@ class AIDAManagerService:
             self._run_ids[session_id] = run_id
             tier = self._tiers.get(session_id)
             if tier is not None:
+                # The served root changes (to empty) and nothing is left
+                # dirty to announce it at the next poll.
+                self._bump_generation(session_id)
                 tier.reset()
 
     # -- failure recovery ---------------------------------------------------
@@ -479,6 +530,7 @@ class AIDAManagerService:
     def restart(self) -> None:
         """Bring the endpoints back up (state restored separately)."""
         self._down = False
+        self._boots += 1
 
     def checkpoint_state(self, session_id: str) -> dict:
         """Serialize the session's merge state for a durable checkpoint.
@@ -503,6 +555,7 @@ class AIDAManagerService:
             "run_id": self._run_ids.get(session_id, 0),
             "expected": self._expected.get(session_id),
             "banned": sorted(self._banned.get(session_id, ())),
+            "generation": self.merge_generation(session_id),
             "engines": engines,
             "tier_groups": tier.leaf_groups(),
         }
@@ -512,9 +565,16 @@ class AIDAManagerService:
 
         Every restored engine starts dirty, so the first poll re-folds
         the merged tree from the restored engine trees — the same
-        association order as a clean run, hence bit-identical.
+        association order as a clean run, hence bit-identical.  The
+        merge generation resumes from the checkpointed one, or from this
+        incarnation's floor when that is higher: polls served between the
+        checkpoint and the crash saw generations the checkpoint never
+        recorded, and none of those may name a different tree now.
         """
         self._run_ids[session_id] = state.get("run_id", 0)
+        self._generations[session_id] = max(
+            state.get("generation", 0), self.merge_generation(session_id)
+        )
         if state.get("expected") is not None:
             self._expected[session_id] = state["expected"]
         if state.get("banned"):
@@ -548,32 +608,61 @@ class AIDAManagerService:
         reported, or closed) an empty one that is not kept."""
         return self._tiers.get(session_id) or MergeTree(session_id, self.fan_in)
 
-    def merged(self, session_id: str, client_id: Optional[str] = None) -> Process:
+    def merged(
+        self,
+        session_id: str,
+        client_id: Optional[str] = None,
+        have: Optional[int] = None,
+    ) -> Event:
         """Merge the latest snapshots; value is ``(tree_dict, progress)``.
 
         Charges what the tree is about to fold on the simulated clock,
         then re-folds its dirty paths and serves the root.
 
-        With coalescing on, a poll arriving while another poll's merge is
-        in flight *joins* it instead of merging again: it waits for the
-        leader's completion and is served the same ``(tree_dict,
-        progress)`` — bit-identical to what its own merge would have
-        produced, because the leader folds the freshest dirty state in
-        the fixed sorted-engine order.  *client_id* (optional) keys the
-        per-client sequence cursor, so redundant re-polls are observable
-        via :meth:`poll_cursor` and the ``aida_polls_redundant_total``
-        counter.
+        **Validator.**  ``progress.merge_generation`` names the served
+        root: it moves whenever the root's content may have (a dirty
+        fold, a rewind, a re-plan of the tree) and a value is never
+        reused for the session — not across a rewind, an engine discard,
+        a combiner crash, nor a manager crash and recovery (see
+        :meth:`restore_state`).  It is only comparable between replies
+        of one manager: a client that re-binds (failover to another
+        site) starts without one.
+
+        **Not modified.**  *have* is the validator of the tree the
+        caller still holds.  When it equals the validator about to be
+        served the value is ``(None, progress)``: progress is always
+        fresh, the tree is the one the caller has.  The poll is charged
+        the same merge latency (and the same RMI round trip) either way;
+        what it saves is the reply payload and the client's decode.
+        ``have=None`` always gets the tree.
+
+        **Coalescing.**  A poll arriving while another poll's merge is
+        in flight *joins* it instead of merging again: it is handed an
+        event the leader triggers when its merge completes, carrying the
+        same ``(tree_dict, progress)`` — bit-identical to what the
+        joiner's own merge would have produced, because the leader folds
+        the freshest dirty state in the fixed sorted-engine order — or
+        the not-modified form of it, per joiner's *have*.  The leader is
+        the only process: it advances every joiner's cursor, counts the
+        coalesced polls and closes their ``aida.merge.join`` spans when
+        it completes.  *client_id* (optional) keys the per-client
+        sequence cursor, so redundant re-polls are observable via
+        :meth:`poll_cursor` and ``aida_polls_redundant_total``.
         """
         if self._down:
             raise ServiceUnavailable("AIDA manager is down")
         self._poll_metric.inc()
-        entry = self._inflight.get(session_id) if self.coalesce else None
-        if entry is not None:
-            return self._join_merge(session_id, client_id, entry)
+        inflight = self._inflight.get(session_id) if self.coalesce else None
+        if inflight is not None:
+            return inflight.join(
+                self.env,
+                client_id,
+                have,
+                self.obs.tracer.child("aida.merge.join", session=session_id),
+            )
         span = self.obs.tracer.child("aida.merge", session=session_id)
         if self.coalesce:
-            entry = {"event": self.env.event(), "waiters": 0}
-            self._inflight[session_id] = entry
+            inflight = self._inflight[session_id] = _InflightMerge()
 
         def run():
             try:
@@ -582,7 +671,7 @@ class AIDAManagerService:
                 span.set(
                     n_trees=tier.n_engines, n_dirty=len(tier.dirty_engines)
                 )
-                if entry is not None:
+                if inflight is not None:
                     # Keep the merge joinable for at least the coalesce
                     # window, even when nothing is dirty yet.
                     latency = max(latency, self.coalesce_window_s)
@@ -601,14 +690,9 @@ class AIDAManagerService:
                 self._dirty_engines_metric.observe(n_dirty)
                 for level_folds in tier.refold():
                     self._combiner_folds_metric.observe(level_folds)
-                merged_tree = tier.root_tree
-                generation = self._generations.get(session_id, 0)
                 if n_dirty:
-                    generation += 1
-                    if session_id not in self._dropped:
-                        # A zombie merge finishing after close must not
-                        # resurrect the maps drop_session released.
-                        self._generations[session_id] = generation
+                    self._bump_generation(session_id)
+                generation = self.merge_generation(session_id)
                 progress = MergeProgress(
                     session_id=session_id,
                     engines_reporting=len(session),
@@ -625,39 +709,53 @@ class AIDAManagerService:
                     merge_generation=generation,
                 )
                 self.merge_log.append((session_id, len(session), latency))
-                result = (merged_tree.to_dict(), progress)
-            except BaseException as exc:
-                if entry is not None:
-                    if self._inflight.get(session_id) is entry:
-                        del self._inflight[session_id]
-                    if entry["waiters"] and not entry["event"].triggered:
-                        entry["event"].fail(exc)
-                raise
-            self._note_served(session_id, client_id, generation)
-            if entry is not None:
-                if self._inflight.get(session_id) is entry:
+                full = (tier.root_tree.to_dict(), progress)
+                if inflight is not None:
+                    inflight.full = full
+            finally:
+                if (
+                    inflight is not None
+                    and self._inflight.get(session_id) is inflight
+                ):
                     del self._inflight[session_id]
-                if entry["waiters"] and not entry["event"].triggered:
-                    entry["event"].succeed((result, generation))
-                span.set(coalesced_waiters=entry["waiters"])
-            return result
-
-        return self.env.process(self.obs.tracer.wrap(span, run()))
-
-    def _join_merge(
-        self, session_id: str, client_id: Optional[str], entry: dict
-    ) -> Process:
-        """Serve a poll from another poll's in-flight merge."""
-        entry["waiters"] += 1
-        self._coalesced_metric.inc()
-        span = self.obs.tracer.child("aida.merge.join", session=session_id)
-
-        def join():
-            result, generation = yield entry["event"]
             self._note_served(session_id, client_id, generation)
-            return result
+            if inflight is not None:
+                span.set(coalesced_waiters=inflight.n_joiners)
+            return (None, progress) if have == generation else full
 
-        return self.env.process(self.obs.tracer.wrap(span, join()))
+        leader = self.env.process(self.obs.tracer.wrap(span, run()))
+        if inflight is not None:
+            # Joiners are released from the leader's own completion, as
+            # the first of its callbacks: the leader's reply is then
+            # scheduled ahead of theirs, in arrival order.
+            leader.callbacks.append(
+                lambda event: self._release_joiners(
+                    session_id, inflight, event
+                )
+            )
+        return leader
+
+    def _release_joiners(
+        self, session_id: str, inflight: "_InflightMerge", leader: Event
+    ) -> None:
+        """The leader's merge completed: serve (or fail) every joiner."""
+        if not inflight.n_joiners:
+            return
+        self._coalesced_metric.inc(inflight.n_joiners)
+        if not leader.ok:
+            for _have, event, joiners in inflight.waves:
+                for _client_id, span in joiners:
+                    span.finish(error=repr(leader.value))
+                event.fail(leader.value)
+            return
+        full = inflight.full
+        progress = full[1]
+        generation = progress.merge_generation
+        for have, event, joiners in inflight.waves:
+            for client_id, span in joiners:
+                self._note_served(session_id, client_id, generation)
+                span.finish()
+            event.succeed((None, progress) if have == generation else full)
 
     def _note_served(
         self, session_id: str, client_id: Optional[str], generation: int
@@ -677,8 +775,14 @@ class AIDAManagerService:
         return self._cursors.get(session_id, {}).get(client_id)
 
     def merge_generation(self, session_id: str) -> int:
-        """Current merge generation of the session (0 = nothing folded)."""
-        return self._generations.get(session_id, 0)
+        """Current merge generation of the session: the validator of its
+        served root (0 = nothing folded yet, on a manager never restarted)."""
+        return self._generations.get(
+            session_id, self._boots * _GENERATIONS_PER_BOOT
+        )
+
+    def _bump_generation(self, session_id: str) -> None:
+        self._generations[session_id] = self.merge_generation(session_id) + 1
 
     def snapshot_count(self, session_id: str) -> int:
         """Engines with a snapshot in the session's merge tree."""

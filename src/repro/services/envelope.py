@@ -23,12 +23,20 @@ A service is dispatched immediately — an infinitely wide server — until
 :meth:`ServiceContainer.configure_service` attaches a
 :class:`ServiceProfile`.  Real GT4 containers are not that wide: under
 thousands of concurrent sessions the dispatch cost (not the handler work)
-is what serializes.  A profiled service therefore queues each request
-(FIFO; a full bounded queue refuses with :class:`RetryAfter` and a
-drain-time hint, HTTP 503 semantics) for one of its dispatch slots.  The
-slot charges only the dispatch overhead and releases; the handler runs
-cooperatively in the caller's process, so a slow operation (session
-creation, a large merge) never head-of-line blocks the queue behind it.
+is what serializes.  A profiled service therefore makes each request take
+one of its dispatch slots first.  The slots are a *counter*, not
+processes: a request that finds one free takes it and sleeps the dispatch
+overhead in its own process (one kernel event); one that finds none parks
+a ticket in the service's FIFO (a full bounded queue refuses with
+:class:`RetryAfter` and a drain-time hint, HTTP 503 semantics) and is
+handed the slot, still in FIFO order, by the request that releases it
+(two events).  The slot is held only for the dispatch overhead; the
+handler runs cooperatively in the caller's process, so a slow operation
+(session creation, a large merge) never head-of-line blocks the queue
+behind it.  A handler may return a plain value, a generator, or any
+kernel :class:`~repro.sim.Event` (a process it started, or an event
+somebody else will trigger — how a coalesced poll waits on its leader's
+merge); the latter two are awaited before the reply travels back.
 Queue depth, queue wait and rejections are metrics on the observability
 plane.  Whether a request queues is a lookup in the container's profile
 table, not a choice of container class: unprofiled services keep the
@@ -38,13 +46,14 @@ direct-dispatch timing and ordering bit for bit.
 from __future__ import annotations
 
 import inspect
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.aida.codec import payload_nbytes
 from repro.obs import NULL_OBS, Observability
 from repro.resilience.retry import RetryPolicy
-from repro.sim import Environment, Process, Store
+from repro.sim import Environment, Event, Process, Timeout
 
 
 class ServiceError(Exception):
@@ -129,11 +138,14 @@ class ServiceProfile:
 class _ServiceState:
     """Profile and mutable queue state of one profiled service."""
 
-    __slots__ = ("profile", "queue", "backlog", "served", "rejected")
+    __slots__ = ("profile", "free", "waiting", "backlog", "served", "rejected")
 
-    def __init__(self, env: Environment, profile: ServiceProfile) -> None:
+    def __init__(self, profile: ServiceProfile) -> None:
         self.profile = profile
-        self.queue = Store(env)
+        #: Dispatch slots nobody holds.
+        self.free = profile.concurrency
+        #: Tickets of the requests waiting for a slot, oldest first.
+        self.waiting: Deque[Event] = deque()
         #: Requests admitted to the queue and not yet dispatched.
         self.backlog = 0
         self.served = 0
@@ -173,8 +185,9 @@ class ServiceContainer:
         self._valid_tokens: set = set()
         #: operation key -> [exception, remaining count or None].
         self._injected_faults: Dict[str, list] = {}
-        #: Completed calls, for diagnostics: (service, operation, channel).
-        self.call_log: list = []
+        #: The most recent completed calls, for diagnostics:
+        #: (service, operation, channel).
+        self.call_log: Deque[tuple] = deque(maxlen=1024)
         #: Request-loop profile + queue state, per profiled service.
         self._states: Dict[str, _ServiceState] = {}
         self._depth_gauge = self.obs.metrics.gauge(
@@ -188,6 +201,16 @@ class ServiceContainer:
         self._reject_metric = self.obs.metrics.counter(
             "container_rejections_total",
             "Requests refused because a service queue was full",
+        )
+        self._errors_metric = self.obs.metrics.counter(
+            "service_errors_total", "Failed service-operation calls"
+        )
+        self._calls_metric = self.obs.metrics.counter(
+            "service_calls_total", "Completed service-operation calls"
+        )
+        self._latency_metric = self.obs.metrics.histogram(
+            "service_call_seconds",
+            "Service call latency (request to response, simulated seconds)",
         )
 
     # -- registration -------------------------------------------------------
@@ -220,7 +243,7 @@ class ServiceContainer:
 
     # -- request loops -----------------------------------------------------
     def configure_service(self, service: str, profile: ServiceProfile) -> None:
-        """Attach a request loop to *service*; starts its dispatch slots.
+        """Attach a request loop to *service*: its dispatch slots and queue.
 
         May be called before or after the service registers its
         operations (routing errors still resolve before queueing, so an
@@ -228,9 +251,7 @@ class ServiceContainer:
         """
         if service in self._states:
             raise ServiceError(f"service {service!r} already has a profile")
-        state = self._states[service] = _ServiceState(self.env, profile)
-        for _ in range(profile.concurrency):
-            self.env.process(self._request_loop(state))
+        self._states[service] = _ServiceState(profile)
 
     def profile(self, service: str) -> Optional[ServiceProfile]:
         """The service's profile, or ``None`` (direct dispatch)."""
@@ -346,7 +367,9 @@ class ServiceContainer:
         return self._enqueue(envelope, span, state)
 
     def _enqueue(self, envelope: Envelope, span, state: _ServiceState):
-        depth = state.profile.queue_depth
+        """Take a dispatch slot (FIFO), hold it for the dispatch overhead."""
+        profile = state.profile
+        depth = profile.queue_depth
         if depth is not None and state.backlog >= depth:
             state.rejected += 1
             self._reject_metric.inc(service=envelope.service)
@@ -355,28 +378,35 @@ class ServiceContainer:
                 f"({state.backlog} waiting)",
                 retry_after=self._drain_hint(state),
             )
+        env = self.env
         state.backlog += 1
         self._depth_gauge.set(state.backlog, service=envelope.service)
-        arrival = self.env.now
-        ticket = self.env.event()
-        yield state.queue.put(ticket)
-        yield ticket
-        state.backlog -= 1
+        arrival = env.now
+        ticket = None
+        try:
+            if state.free:
+                state.free -= 1
+            else:
+                ticket = Event(env)
+                state.waiting.append(ticket)
+                yield ticket
+            if profile.dispatch_overhead_s:
+                yield Timeout(env, profile.dispatch_overhead_s)
+        finally:
+            state.backlog -= 1
+            if ticket is not None and not ticket.triggered:
+                # Interrupted while still queued: it never held a slot.
+                state.waiting.remove(ticket)
+            elif state.waiting:
+                # Hand the slot straight to the oldest waiter.
+                state.waiting.popleft().succeed()
+            else:
+                state.free += 1
         state.served += 1
         self._depth_gauge.set(state.backlog, service=envelope.service)
-        wait = self.env.now - arrival
+        wait = env.now - arrival
         self._wait_metric.observe(wait, service=envelope.service)
         span.set(queue_wait_s=wait)
-
-    def _request_loop(self, state: _ServiceState):
-        """One dispatch slot: drain tickets, charging the dispatch cost."""
-        overhead = state.profile.dispatch_overhead_s
-        while True:
-            ticket = yield state.queue.get()
-            if overhead:
-                yield self.env.timeout(overhead)
-            if not ticket.triggered:
-                ticket.succeed()
 
     @staticmethod
     def _drain_hint(state: _ServiceState) -> float:
@@ -393,20 +423,20 @@ class ServiceContainer:
 
     def _dispatch(self, envelope: Envelope):
         tracer = self.obs.tracer
-        metrics = self.obs.metrics
+        env = self.env
+        key = f"{envelope.service}.{envelope.operation}"
         span = tracer.start(
-            f"call:{envelope.service}.{envelope.operation}",
+            "call:" + key,
             parent_id=envelope.trace_parent,
             channel=envelope.channel,
         )
-        started = self.env.now
-        key = f"{envelope.service}.{envelope.operation}"
+        started = env.now
         try:
             spec = self._channels.get(envelope.channel)
             if spec is None:
                 raise ServiceError(f"unknown channel {envelope.channel!r}")
             if spec.request_latency:
-                yield self.env.timeout(spec.request_latency)
+                yield Timeout(env, spec.request_latency)
             if spec.requires_token and envelope.token not in self._valid_tokens:
                 raise Fault(
                     f"channel {envelope.channel!r} requires a valid session "
@@ -442,39 +472,34 @@ class ServiceContainer:
             # resumed later.
             with tracer.activate(span):
                 result = handler(**envelope.args)
-            if inspect.isgenerator(result):
+            if isinstance(result, Event):
+                # The operation started a simulation process, or handed
+                # back an event somebody else triggers: wait for it.
+                result = yield result
+            elif inspect.isgenerator(result):
                 # The operation advances simulated time itself.
-                result = yield self.env.process(
+                result = yield env.process(
                     tracer.wrap(span, result, finish=False)
                 )
-            elif isinstance(result, Process):
-                # The operation already started a simulation process.
-                result = yield result
             if spec.response_latency:
-                yield self.env.timeout(spec.response_latency)
+                yield Timeout(env, spec.response_latency)
         except BaseException as exc:
             span.finish(error=repr(exc))
-            metrics.counter(
-                "service_errors_total", "Failed service-operation calls"
-            ).inc(operation=key, channel=envelope.channel)
+            self._errors_metric.inc(operation=key, channel=envelope.channel)
             raise
         span.finish()
-        metrics.counter(
-            "service_calls_total", "Completed service-operation calls"
-        ).inc(operation=key, channel=envelope.channel)
-        metrics.histogram(
-            "service_call_seconds",
-            "Service call latency (request to response, simulated seconds)",
-        ).observe(self.env.now - started, channel=envelope.channel)
+        elapsed = env.now - started
+        self._calls_metric.inc(operation=key, channel=envelope.channel)
+        self._latency_metric.observe(elapsed, channel=envelope.channel)
         # Every completed call is an SLO signal named service.operation —
         # policies like "aida.merged p99 < 250 ms over 60 s" attach here.
-        self.obs.slo.record(key, self.env.now - started)
-        if metrics.enabled:
+        self.obs.slo.record(key, elapsed)
+        if self.obs.metrics.enabled:
             # Response payload accounting: how many bytes each operation
-            # ships back (merged trees dominate; the codec + delta work
-            # shows up here).  Estimated, so the hot path never pays for a
-            # real serialization.
-            metrics.counter(
+            # ships back (merged trees dominate; a "not modified" poll
+            # reply ships none, so it is charged none).  Estimated, so the
+            # hot path never pays for a real serialization.
+            self.obs.metrics.counter(
                 "service_response_bytes_total",
                 "Estimated serialized response bytes per operation",
             ).inc(payload_nbytes(result), operation=key)

@@ -18,11 +18,17 @@ Concepts
 *Environment*
     Owns the clock and the event heap, and drives everything through
     :meth:`Environment.step` / :meth:`Environment.run`.
+
+The classes on every hop of a service call — :class:`Event`,
+:class:`Timeout`, :class:`Initialize`, :class:`Process` — are slotted and
+push themselves onto the heap directly (same ``(time, priority, seq)``
+key :meth:`Environment.schedule` builds); everything rarer goes through
+``schedule``.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -47,7 +53,14 @@ class Event:
     3. *processed* — popped from the heap; callbacks have run.
 
     Processes wait on events by ``yield``-ing them.
+
+    The kernel's own event classes are slotted: a poll costs several of
+    them, and a fixed layout is cheaper to allocate than a ``__dict__``.
+    Subclasses that declare no ``__slots__`` (resources, conditions)
+    keep a ``__dict__``, so ad-hoc attributes still work there.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -99,11 +112,12 @@ class Event:
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with *value* and schedule it."""
-        if self.triggered:
+        if self._value is not _UNSET:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        env = self.env
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -131,14 +145,18 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed *delay* of simulated time."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
 
     def __repr__(self) -> str:
         return f"<Timeout({self.delay}) at {id(self):#x}>"
@@ -147,12 +165,15 @@ class Timeout(Event):
 class Initialize(Event):
     """Internal event that starts a newly created :class:`Process`."""
 
+    __slots__ = ()
+
     def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self._ok = True
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
-        self.callbacks.append(process._resume)
-        env.schedule(self, priority=URGENT)
+        self._ok = True
+        self._defused = False
+        heappush(env._queue, (env._now, URGENT, next(env._eid), self))
 
 
 class Interruption(Event):
@@ -193,6 +214,8 @@ class Process(Event):
     its exception is thrown into the generator (and thereby *defused*).
     """
 
+    __slots__ = ("_generator", "_target")
+
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
@@ -223,9 +246,16 @@ class Process(Event):
                     exc = event._value
                     target = self._generator.throw(exc)
             except StopIteration as stop:
+                # The generator returned: ``self.succeed(stop.value)``
+                # with the heap push inlined.
                 self._target = None
-                self.env._active_proc = None
-                self.succeed(stop.value)
+                env = self.env
+                env._active_proc = None
+                if self._value is not _UNSET:
+                    raise RuntimeError(f"{self!r} has already been triggered")
+                self._ok = True
+                self._value = stop.value
+                heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
                 return
             except BaseException as exc:  # generator crashed
                 self._target = None
@@ -396,7 +426,7 @@ class Environment:
         self, event: Event, priority: int = NORMAL, delay: float = 0.0
     ) -> None:
         """Place a triggered *event* on the heap ``delay`` seconds from now."""
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
 
@@ -408,7 +438,7 @@ class Environment:
         """Process the next event; raises :class:`EmptySchedule` when done."""
         if not self._queue:
             raise EmptySchedule()
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self._now, _, _, event = heappop(self._queue)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)

@@ -5,7 +5,8 @@
 here.  ``reference_merge`` is that fold — ``ObjectTree.merge_from`` over
 the latest accepted tree per engine, in sorted engine order — and
 ``check_interleaving`` is the property that holds a manager of any tree
-depth to it.
+depth to it — and holds a client that only ever polls conditionally (it
+sends the validator of the tree it holds) to the same tree.
 """
 
 import random
@@ -40,6 +41,11 @@ def reference_merge(latest):
 # interleaving of fills, submissions, held/out-of-order deliveries, polls,
 # combiner crashes and retirements, discards and rewinds, and every poll
 # must serve exactly ``reference_merge`` of the latest accepted trees.
+# A ``ConditionalViewer`` rides along: whatever "not modified" replies it
+# collects, the tree it holds must equal the unconditional poll's.  On
+# even seeds it is checked after every single step (each operation alone
+# must move the validator if it moved the tree), on odd seeds only at the
+# schedule's own polls (so operations pile up dirty state between polls).
 
 N_OPS = 80
 
@@ -66,10 +72,29 @@ def fill_random(engine, draw):
         engine.tree.get("/p").fill(draw(), draw())
 
 
-def check_poll(env, manager, latest):
+class ConditionalViewer:
+    """A poller that always sends the validator of the tree it holds."""
+
+    def __init__(self):
+        self.tree_dict = None
+        self.have = None
+
+    def poll(self, env, manager):
+        tree_dict, progress = env.run(
+            until=manager.merged("s1", client_id="viewer", have=self.have)
+        )
+        if tree_dict is not None:
+            self.tree_dict = tree_dict
+            self.have = progress.merge_generation
+        return self.tree_dict
+
+
+def check_poll(env, manager, latest, viewer=None):
     tree_dict, progress = env.run(until=manager.merged("s1"))
     assert tree_dict == reference_merge(latest)
     assert progress.engines_reporting == len(latest)
+    if viewer is not None:
+        assert viewer.poll(env, manager) == tree_dict
 
 
 def check_interleaving(seed, fan_in, n_engines):
@@ -92,6 +117,7 @@ def check_interleaving(seed, fan_in, n_engines):
     tier = manager.configure_tier("s1", sorted(engines))
     assert (tier.depth == 1) == (fan_in is None or n_engines <= fan_in)
     banned = set()
+    viewer = ConditionalViewer()
     #: engine -> deep copy of its tree at the latest *accepted* snapshot.
     latest = {}
     #: (engine_id, snapshot, tree copy) taken but not yet submitted.
@@ -134,7 +160,7 @@ def check_interleaving(seed, fan_in, n_engines):
         elif op < 0.74 and held:
             submit(*held.pop(rng.randrange(len(held))))
         elif op < 0.80:
-            check_poll(env, manager, latest)
+            check_poll(env, manager, latest, viewer)
         elif op < 0.85:
             # Leaf combiner crash: its partial and engine entries are lost.
             leaf = rng.choice(tier.levels[0])
@@ -164,6 +190,8 @@ def check_interleaving(seed, fan_in, n_engines):
                 populate(other)
             latest.clear()
             held.clear()
+        if seed % 2 == 0:
+            check_poll(env, manager, latest, viewer)
 
     # Drain anything still held, then a final full comparison.
     for entry in held:
@@ -172,5 +200,5 @@ def check_interleaving(seed, fan_in, n_engines):
         if engine_id not in banned:
             fill_random(engine, draw)
             submit(engine_id, engine.take_snapshot(), engine.tree.copy())
-    check_poll(env, manager, latest)
+    check_poll(env, manager, latest, viewer)
     assert manager.tier("s1") is tier

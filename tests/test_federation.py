@@ -388,6 +388,52 @@ def test_partition_mid_run_fails_over_with_identical_tree():
     )
 
 
+def test_failover_first_poll_at_the_new_site_decodes_a_full_tree():
+    # Generations are per manager: the new site's numbers may well
+    # collide with the ones the client held at the old site, so the
+    # re-bind must drop the held tree and the first poll must not send
+    # (nor be answered by) a validator.
+    fed = build_federation()
+    client = FederatedClient(fed, fed.enroll_user("/O=ILC/CN=f"))
+    ds = DATASET["dataset_id"]
+    sent = []
+    out = {}
+
+    def scenario():
+        yield from fed.policy.ensure_pinned(ds, 2)
+        yield from client.connect(dataset_hint=ds)
+        out["first"] = client.site_name
+        yield from client.select_dataset(ds)
+        yield from client.upload_code(higgs.SOURCE)
+        yield from client.run()
+        yield from client.poll()
+        held = yield from client.poll()
+        for site in fed.sites.values():
+            real = site.aida.merged
+
+            def spy(session_id, client_id=None, have=None, _real=real,
+                    _name=site.name):
+                sent.append((_name, have))
+                return _real(session_id, client_id=client_id, have=have)
+
+            site.aida.merged = spy
+        fed.partition_site(out["first"])
+        moved = yield from client.poll()
+        out["second"] = client.site_name
+        out["fresh_tree"] = moved.tree is not held.tree
+        final = yield from client.wait_for_completion(poll_interval=5.0)
+        out["tree"] = final.tree.to_dict()
+        yield from client.close()
+
+    fed.run(until=fed.env.process(scenario()))
+    assert out["second"] != out["first"]
+    at_new_site = [have for name, have in sent if name == out["second"]]
+    assert at_new_site[0] is None and out["fresh_tree"]
+    # ...and from then on the polls at the new site are conditional.
+    assert any(have is not None for have in at_new_site[1:])
+    assert out["tree"] == single_site_reference()
+
+
 def test_scheduled_site_fault_plan_partitions_boundary():
     fed = build_federation()
     plan = FaultPlan().add_site(SiteFault(site="site1", at=5.0))

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis import higgs
 from repro.client.client import IPAClient
+from repro.client.plugins import RemoteDataPlugin
 from repro.core.site import GridSite, SiteConfig
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import ServiceUnavailable
@@ -315,6 +316,50 @@ def test_worker_death_during_downtime_is_recovered():
     ]
     assert len(status["redispatches"]) >= 1
     assert status["orphaned_parts"] == 0
+
+
+def test_polls_across_a_service_recovery_never_reuse_a_generation():
+    # A viewer that keeps its plug-in bound through the outage (recovery
+    # re-issues the session's token) holds a tree and its validator from
+    # before the crash.  Whatever the checkpoint remembered, the first
+    # poll after recover() must decode a full tree under a generation
+    # greater than any served before -- never "not modified".
+    site, client = _build()
+    viewer = RemoteDataPlugin(site.container, client_id="viewer")
+    out = {"before": []}
+
+    def scenario():
+        info = yield from client.obtain_proxy_and_connect(n_engines=N_WORKERS)
+        yield from client.select_dataset("ds")
+        yield from client.upload_code(higgs.SOURCE)
+        yield from client.run()
+        viewer.bind(info.session_id, info.token)
+        while site.aida.snapshot_count(info.session_id) < N_WORKERS:
+            yield site.env.timeout(1.0)
+        # Poll past the first periodic checkpoint (10 s), so generations
+        # are served that no checkpoint recorded.
+        for _ in range(8):
+            held, progress = yield from viewer.poll()
+            out["before"].append(progress.merge_generation)
+            yield site.env.timeout(2.0)
+        site.injector.crash_services()
+        yield site.env.timeout(5.0)
+        yield site.injector.restart_services()
+        tree, progress = yield from viewer.poll()
+        out["after"] = progress.merge_generation
+        out["decoded_again"] = tree is not held
+        unconditional, _ = yield site.aida.merged(info.session_id)
+        out["equal"] = tree.to_dict() == unconditional
+        yield from client.reconnect()
+        yield from client.wait_for_completion(
+            poll_interval=2.0, timeout=20_000.0, reconnect=True
+        )
+        yield from client.close()
+
+    site.env.run(until=site.env.process(scenario()))
+    assert len(set(out["before"])) > 1
+    assert out["after"] > max(out["before"])
+    assert out["decoded_again"] and out["equal"]
 
 
 def test_recovered_session_record_has_the_keys_of_a_fresh_one():

@@ -149,7 +149,7 @@ def test_fault_injection(env, container):
 
 def test_call_log_records_success(env, container):
     env.run(until=container.call("math", "add", {"a": 1, "b": 1}))
-    assert container.call_log == [("math", "add", "soap")]
+    assert list(container.call_log) == [("math", "add", "soap")]
 
 
 # ---------------------------------------------------------------------------

@@ -530,3 +530,38 @@ def test_trigger_copies_failure_state():
     env.run()
     assert dst.ok is False
     assert str(dst.exception) == "original"
+
+
+def test_hot_event_classes_are_slotted():
+    # A poll allocates several of each; a fixed layout is what keeps that
+    # cheap.  A stray attribute (or a subclass edit that drops __slots__)
+    # brings the per-instance dict back.
+    from repro.sim.kernel import Initialize
+
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1)
+
+    process = env.process(proc())
+    for instance in (
+        env.event(), env.timeout(1), process, process._target,
+    ):
+        assert not hasattr(instance, "__dict__"), type(instance).__name__
+    assert isinstance(process._target, Initialize)
+    with pytest.raises(AttributeError):
+        process.label = "nope"
+
+
+def test_process_completion_keeps_the_already_triggered_check():
+    # The inlined heap push at the end of a process must still refuse a
+    # process somebody triggered by hand.
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1)
+
+    process = env.process(proc())
+    process.succeed("forced")
+    with pytest.raises(RuntimeError, match="already been triggered"):
+        env.run()

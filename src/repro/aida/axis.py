@@ -177,9 +177,10 @@ class Axis:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Axis):
             return NotImplemented
-        return (
+        # Exact equality.  Copies of a histogram share its axis object.
+        return self is other or (
             self.bins == other.bins
-            and np.allclose(self._edges, other._edges, rtol=0, atol=0)
+            and np.array_equal(self._edges, other._edges)
         )
 
     def __hash__(self) -> int:  # pragma: no cover - not used as dict key

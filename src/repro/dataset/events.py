@@ -68,11 +68,19 @@ class Event:
         return float(self.e.sum())
 
 
+#: The nine arrays of an :class:`EventBatch`, in constructor order.
+_ARRAYS = ("event_ids", "process", "weights", "offsets", "pdg", "e", "px", "py", "pz")
+
+
 class EventBatch:
     """A contiguous block of events stored as flat arrays.
 
     Layout: ``offsets`` has length ``n_events + 1``; particles of event *i*
     occupy slots ``offsets[i]:offsets[i+1]`` of the flat particle arrays.
+
+    A batch may be a read-only *view* of another one (:meth:`slice` shares
+    the parent's memory and inherits its writability; :meth:`freeze` makes
+    a batch read-only): copy an array before modifying it.
     """
 
     def __init__(
@@ -127,20 +135,13 @@ class EventBatch:
     @property
     def nbytes(self) -> int:
         """In-memory footprint of the payload arrays."""
-        return sum(
-            getattr(self, name).nbytes
-            for name in (
-                "event_ids",
-                "process",
-                "weights",
-                "offsets",
-                "pdg",
-                "e",
-                "px",
-                "py",
-                "pz",
-            )
-        )
+        return sum(getattr(self, name).nbytes for name in _ARRAYS)
+
+    def freeze(self) -> "EventBatch":
+        """Make every array read-only (and so every later slice); returns self."""
+        for name in _ARRAYS:
+            getattr(self, name).flags.writeable = False
+        return self
 
     # -- access ------------------------------------------------------------
     def event(self, index: int) -> Event:
@@ -164,22 +165,33 @@ class EventBatch:
             yield self.event(index)
 
     def slice(self, start: int, stop: int) -> "EventBatch":
-        """Sub-batch of events [start, stop) with re-based offsets."""
+        """Sub-batch of events [start, stop) with re-based offsets.
+
+        The result is a *view*: apart from ``offsets`` (re-based to 0, so
+        a fresh array unless the slice starts at particle 0) its arrays
+        share this batch's memory, and all nine are read-only when this
+        batch is.  A slice of a valid batch is valid, so nothing is
+        re-checked.
+        """
         if not 0 <= start <= stop <= len(self):
             raise IndexError(f"bad slice [{start}, {stop}) of {len(self)}")
         p_lo = int(self.offsets[start])
         p_hi = int(self.offsets[stop])
-        return EventBatch(
-            self.event_ids[start:stop],
-            self.process[start:stop],
-            self.weights[start:stop],
-            self.offsets[start:stop + 1] - p_lo,
-            self.pdg[p_lo:p_hi],
-            self.e[p_lo:p_hi],
-            self.px[p_lo:p_hi],
-            self.py[p_lo:p_hi],
-            self.pz[p_lo:p_hi],
-        )
+        offsets = self.offsets[start:stop + 1]
+        if p_lo:
+            offsets = offsets - p_lo
+            offsets.flags.writeable = self.offsets.flags.writeable
+        view = EventBatch.__new__(EventBatch)
+        view.event_ids = self.event_ids[start:stop]
+        view.process = self.process[start:stop]
+        view.weights = self.weights[start:stop]
+        view.offsets = offsets
+        view.pdg = self.pdg[p_lo:p_hi]
+        view.e = self.e[p_lo:p_hi]
+        view.px = self.px[p_lo:p_hi]
+        view.py = self.py[p_lo:p_hi]
+        view.pz = self.pz[p_lo:p_hi]
+        return view
 
     # -- segmented reductions -----------------------------------------------
     def per_event_sum(self, values: np.ndarray) -> np.ndarray:

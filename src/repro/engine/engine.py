@@ -167,6 +167,20 @@ class AnalysisEngine:
         self._cursor = 0
         self._ended = False
 
+    def release_data(self) -> None:
+        """Drop the staged part: the engine's job is over.
+
+        The part's counts are folded into the base offsets first, so
+        :attr:`cursor` and :attr:`total_events` keep answering with the
+        values they had; only the event bytes go.
+        """
+        if self._data is None:
+            return
+        self._events_base += self._cursor
+        self._total_base += len(self._data)
+        self._data = None
+        self._cursor = 0
+
     def load_analysis(self, analysis: Analysis) -> None:
         """(Re)load analysis code.
 

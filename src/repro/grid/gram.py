@@ -15,6 +15,7 @@ engines" on the job scheduler (§3.2).  This module models that gatekeeper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Generator, List, Optional, Sequence
 
 from repro.grid.scheduler import BatchScheduler, Job, JobState
@@ -247,26 +248,32 @@ class GramGatekeeper:
     def _with_auth_overhead(
         self, body: Callable[[Environment, WorkerNode], Generator]
     ) -> Callable[[Environment, WorkerNode], Generator]:
-        overhead = self.auth_overhead
+        # A partial, not a closure: a failed job keeps its traceback, a
+        # traceback keeps each frame's function, and a function that closed
+        # over *body* would keep the engine behind it alive with the job.
+        return partial(self._authenticated, body)
 
-        def wrapped(env: Environment, worker: WorkerNode):
-            if overhead:
-                yield env.timeout(overhead)
-            inner = env.process(body(env, worker))
+    def _authenticated(
+        self,
+        body: Callable[[Environment, WorkerNode], Generator],
+        env: Environment,
+        worker: WorkerNode,
+    ):
+        if self.auth_overhead:
+            yield env.timeout(self.auth_overhead)
+        inner = env.process(body(env, worker))
+        try:
+            result = yield inner
+        except Interrupt as intr:
+            # Forward the cancellation to the engine body, then report
+            # its outcome (a graceful body may still return a value).
+            if inner.is_alive:
+                inner.interrupt(intr.cause)
             try:
-                result = yield inner
-            except Interrupt as intr:
-                # Forward the cancellation to the engine body, then report
-                # its outcome (a graceful body may still return a value).
-                if inner.is_alive:
-                    inner.interrupt(intr.cause)
-                try:
-                    return (yield inner)
-                except BaseException:
-                    raise intr from None
-            return result
-
-        return wrapped
+                return (yield inner)
+            except BaseException:
+                raise intr from None
+        return result
 
     def cancel(self, submission: GramSubmission, reason: object = "session-end") -> None:
         """Cancel every non-terminal job of a submission (§2.3 shutdown)."""

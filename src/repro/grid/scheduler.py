@@ -19,6 +19,7 @@ This scheduler models a simplified LSF/PBS:
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Dict, Generator, List, Optional
@@ -80,7 +81,9 @@ class Job:
     The *body* is a callable ``body(env, worker) -> generator`` executed as a
     simulation process once the job is dispatched.  :attr:`done` is an event
     that fires (successfully) when the job reaches a terminal state; its
-    value is the job itself.
+    value is the job itself.  A terminal job keeps its id, state, times and
+    ``result``/``error`` but no longer its body or process, so a job handle
+    does not keep alive whatever the body closed over.
     """
 
     def __init__(
@@ -96,7 +99,7 @@ class Job:
         self.id = job_id
         self.name = name
         self.queue = queue
-        self.body = body
+        self.body: Optional[Callable[[Environment, WorkerNode], Generator]] = body
         #: Worker names to try first (data affinity), best first.
         self.preferred = list(preferred or [])
         #: Virtual Organization the submitter belongs to (``None`` =
@@ -139,6 +142,8 @@ class BatchScheduler:
         self._pending: List[Job] = []
         self._job_seq = count(1)
         self._jobs: Dict[int, Job] = {}
+        #: Worker name -> the job running on it.
+        self._running: Dict[str, Job] = {}
         self._wakeup: Event = env.event()
         self._idle: List[WorkerNode] = list(element.workers)
         #: Workers the anomaly monitor flagged as stragglers: still
@@ -239,9 +244,7 @@ class BatchScheduler:
     @property
     def running_count(self) -> int:
         """Jobs currently executing."""
-        return sum(
-            1 for j in self._jobs.values() if j.state == JobState.RUNNING
-        )
+        return len(self._running)
 
     @property
     def idle_worker_count(self) -> int:
@@ -255,14 +258,7 @@ class BatchScheduler:
 
     def running_job_on(self, worker_name: str) -> Optional[Job]:
         """The job currently running on *worker_name*, if any."""
-        for job in self._jobs.values():
-            if (
-                job.state == JobState.RUNNING
-                and job.worker is not None
-                and job.worker.name == worker_name
-            ):
-                return job
-        return None
+        return self._running.get(worker_name)
 
     def restore_worker(self, name: str) -> None:
         """Mark a failed worker healthy again and make it dispatchable."""
@@ -360,6 +356,7 @@ class BatchScheduler:
         job.state = JobState.RUNNING
         job.start_time = self.env.now
         job.worker = worker
+        self._running[worker.name] = job
         worker.engine_id = f"job-{job.id}"
         self.obs.metrics.histogram(
             "scheduler_queue_wait_seconds",
@@ -419,6 +416,18 @@ class BatchScheduler:
     def _finish(self, job: Job, state: str) -> None:
         job.state = state
         job.end_time = self.env.now
+        job.body = None
+        job._process = None
+        # The kept error would otherwise keep, through its traceback, the
+        # locals of every frame of the body it crossed (engine, event
+        # data); the line numbers stay.
+        error, seen = job.error, set()
+        while error is not None and id(error) not in seen:
+            seen.add(id(error))
+            traceback.clear_frames(error.__traceback__)
+            error = error.__cause__ or error.__context__
+        if job.worker is not None:
+            del self._running[job.worker.name]
         self.obs.metrics.counter(
             "scheduler_jobs_finished_total", "Jobs reaching a terminal state"
         ).inc(queue=job.queue, state=state)

@@ -11,10 +11,15 @@ Block-deterministic scheme: events are produced in fixed-size blocks; block
 ``k`` of dataset seed ``s`` is generated with seed ``f(s, k)``, so
 ``events_for(range)`` touches only the overlapping blocks — random access
 over arbitrarily large virtual datasets stays O(range), not O(dataset).
+
+The store owns the event bytes: generated blocks sit in a small LRU cache,
+frozen read-only, and ``events_for`` hands out *views* of them — a range
+inside one block costs no copy, however many engines and sessions read it.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List
 
 from repro.dataset.events import EventBatch
@@ -45,8 +50,8 @@ class ContentStore:
     """
 
     def __init__(self) -> None:
-        self._generator_cache: Dict[tuple, EventBatch] = {}
-        self._cache_order: List[tuple] = []
+        #: (recipe, block) -> frozen block, least recently used first.
+        self._generator_cache: "OrderedDict[tuple, EventBatch]" = OrderedDict()
         self._max_cached_blocks = 8
         # kind -> factory(content, block_seed, n_events) -> EventBatch
         self._readers: Dict[str, object] = {
@@ -79,33 +84,40 @@ class ContentStore:
 
         ``content`` must carry ``kind`` (a registered reader) and ``seed``;
         ``ilc`` additionally honours ``signal_fraction``.
+
+        The batch is read-only.  A range inside one generation block is a
+        view of the cached block; a range spanning blocks is concatenated
+        once into arrays of its own.
         """
         if start < 0 or stop < start:
             raise ContentError(f"bad event range [{start}, {stop})")
         if start == stop:
-            return EventBatch.empty()
+            return EventBatch.empty().freeze()
         kind = content.get("kind")
         if kind not in self._readers:
             raise ContentError(f"unknown content kind {kind!r}")
         seed = int(content.get("seed", 0))
+        recipe = (kind, seed, tuple(sorted(content.items())))
 
         pieces: List[EventBatch] = []
         first_block = start // BLOCK_EVENTS
         last_block = (stop - 1) // BLOCK_EVENTS
         for block in range(first_block, last_block + 1):
             block_start = block * BLOCK_EVENTS
-            batch = self._block(kind, content, seed, block)
+            batch = self._block(recipe, content, block)
             lo = max(start, block_start) - block_start
             hi = min(stop, block_start + BLOCK_EVENTS) - block_start
-            hi = min(hi, len(batch))
-            if lo < hi:
-                pieces.append(batch.slice(lo, hi))
-        return EventBatch.concatenate(pieces)
+            pieces.append(batch.slice(lo, hi))
+        if len(pieces) == 1:
+            return pieces[0]
+        return EventBatch.concatenate(pieces).freeze()
 
-    def _block(self, kind: str, content: dict, seed: int, block: int) -> EventBatch:
-        key = (kind, seed, block, tuple(sorted(content.items())))
+    def _block(self, recipe: tuple, content: dict, block: int) -> EventBatch:
+        kind, seed, _ = recipe
+        key = (recipe, block)
         cached = self._generator_cache.get(key)
         if cached is not None:
+            self._generator_cache.move_to_end(key)
             return cached
         block_seed = _block_seed(seed, block)
         batch = self._readers[kind](content, block_seed, BLOCK_EVENTS)
@@ -115,11 +127,9 @@ class ContentStore:
                 f"expected {BLOCK_EVENTS}"
             )
         batch.event_ids[:] = batch.event_ids + block * BLOCK_EVENTS
-        self._generator_cache[key] = batch
-        self._cache_order.append(key)
-        if len(self._cache_order) > self._max_cached_blocks:
-            evicted = self._cache_order.pop(0)
-            self._generator_cache.pop(evicted, None)
+        self._generator_cache[key] = batch.freeze()
+        if len(self._generator_cache) > self._max_cached_blocks:
+            self._generator_cache.popitem(last=False)
         return batch
 
 

@@ -152,6 +152,11 @@ class EngineHost:
     ``yield from``), so a single kernel interrupt — a crash or hang
     injected by the failure injector — takes the entire engine down
     without leaving orphaned sub-processes behind.
+
+    The host holds *views* of the content store's cached blocks, and only
+    while its job lives: when the body ends, by whatever route, it drops
+    its parts and the engine's staged data (the engine keeps answering
+    ``cursor`` / ``total_events``).
     """
 
     def __init__(
@@ -252,6 +257,11 @@ class EngineHost:
         finally:
             self._stop_heartbeat()
             self.registry.deregister(self.session_id, self.engine_id)
+            # However the job ends (shutdown, crash, cancel, wall-time), the
+            # parts staged to it go with it; the engine keeps its counts.
+            self._owned = []
+            self._pending = []
+            self.engine.release_data()
         return self.engine.cursor
 
     def _heartbeat(self, env: Environment, worker: WorkerNode):
@@ -785,7 +795,6 @@ class SessionService:
         """
         session = {
             "spare_submissions": [],
-            "dead_hosts": {},
             "assignments": {},
             "orphaned": [],
             "pending_acks": [],
@@ -1474,9 +1483,7 @@ class SessionService:
             ref for ref in session["references"] if ref.engine_id != engine_id
         ]
         self.aida.set_expected_engines(session_id, len(session["references"]))
-        host = session["hosts"].pop(engine_id, None)
-        if host is not None:
-            session["dead_hosts"][engine_id] = host
+        session["hosts"].pop(engine_id, None)
         orphaned = session["assignments"].pop(engine_id, [])
         session["orphaned"].extend(orphaned)
         record = {
@@ -1640,7 +1647,7 @@ class SessionService:
         re-staged partition is still unaccounted for.
         """
         session = self._sessions.get(session_id)
-        if session is None:
+        if session is None or session["closed"]:
             return
         session["pending_acks"] = [
             ack for ack in session["pending_acks"] if not ack.triggered
@@ -1794,7 +1801,12 @@ class SessionService:
             self.replicas.unpin_session(session_id)
         self.resources.set_property(session["ref"], "state", "closed")
         self.resources.destroy(session["ref"])
+        # A closed session holds nothing: the record (hosts, jobs,
+        # references, submissions, credential chain) shrinks to the flag a
+        # repeated close() or a late status() reads.  Background loops
+        # still asleep hold the old record and exit on its flag.
         session["closed"] = True
+        self._sessions[session_id] = {"closed": True}
         if self.admission is not None and session.get("admission"):
             # Return the VO's engine slots; queued admissions are served
             # weighted-fair off this release.
@@ -1845,7 +1857,7 @@ class SessionService:
         a crash mid-flush (only half the record reaches the disk).
         """
         session = self._sessions.get(session_id)
-        if session is None:
+        if session is None or session["closed"]:
             return None
         store = self._checkpoint_store(session_id)
         self._journal(session_id).sync()
@@ -1885,7 +1897,7 @@ class SessionService:
         Returns the number of directives sent.
         """
         session = self._sessions.get(session_id)
-        if session is None:
+        if session is None or session["closed"]:
             return 0
         wanted = set(engine_ids)
         sent = 0

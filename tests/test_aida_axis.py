@@ -111,6 +111,19 @@ def test_equality():
     assert a != "not an axis"
 
 
+def test_equality_is_exact_on_finite_and_infinite_edges():
+    a = Axis(bins=10, lower=0, upper=1)
+    assert a == a
+    nudged = np.linspace(0, 1, 11)
+    nudged[3] = np.nextafter(nudged[3], 1.0)  # one ulp is not "close enough"
+    assert a != Axis(edges=nudged)
+    assert a != Axis(bins=11, lower=0, upper=1)
+    open_ended = Axis(edges=[-np.inf, 0.0, 1.0, np.inf])
+    assert open_ended == Axis(edges=[-np.inf, 0.0, 1.0, np.inf])
+    assert open_ended != Axis(edges=[-np.inf, 0.0, 2.0, np.inf])
+    assert open_ended != Axis(edges=[-1e308, 0.0, 1.0, np.inf])
+
+
 def test_serialization_roundtrip_fixed():
     axis = Axis(bins=7, lower=-1.5, upper=2.5)
     assert Axis.from_dict(axis.to_dict()) == axis

@@ -34,9 +34,11 @@ def session_ready_time(queue_name: str) -> float:
     def batch_body(env, worker):
         yield env.timeout(BATCH_JOB_SECONDS)
 
-    # Saturate the site: N running batch jobs + a deep pending backlog.
+    # Saturate the site: N running batch jobs + a deep pending backlog,
+    # from the user's own VO (dispatch within a queue tier is weighted-fair
+    # between VOs, so another VO's backlog would not be ahead of them).
     for index in range(N_WORKERS + BACKLOG_JOBS):
-        site.scheduler.submit(f"production-{index}", "batch", batch_body)
+        site.scheduler.submit(f"production-{index}", "batch", batch_body, vo="ilc")
 
     client = IPAClient(site, site.enroll_user("/CN=user"))
     outcome = {}

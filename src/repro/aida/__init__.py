@@ -16,13 +16,13 @@ constraints:
   (mean/rms) like their AIDA counterparts.
 
 Public types: :class:`Axis`, :class:`Histogram1D`, :class:`Histogram2D`,
-:class:`Profile1D`, :class:`Cloud1D`, :class:`Cloud2D`, :class:`NTuple`,
-:class:`ObjectTree`, plus fitting (:mod:`repro.aida.fit`) and ASCII
-rendering (:mod:`repro.aida.render`).
+:class:`Profile1D` and :class:`ObjectTree`, plus fitting
+(:mod:`repro.aida.fit`) and ASCII rendering (:mod:`repro.aida.render`).
+Only binned types: a fixed-shape array merges by addition, whatever the
+order the engines report in.
 """
 
 from repro.aida.axis import Axis
-from repro.aida.cloud import Cloud1D, Cloud2D
 from repro.aida.codec import (
     codec_disabled,
     codec_enabled,
@@ -33,39 +33,24 @@ from repro.aida.codec import (
 )
 from repro.aida.hist1d import Histogram1D
 from repro.aida.hist2d import Histogram2D
-from repro.aida.ntuple import NTuple
 from repro.aida.profile import Profile1D
-from repro.aida.ops import divide, efficiency, normalize, rebin, subtract
-from repro.aida.ops2d import divide2d, efficiency2d, normalize2d, subtract2d
 from repro.aida.serial import from_dict, merge, to_dict
 from repro.aida.tree import ObjectTree, TreeError
 
 __all__ = [
     "Axis",
-    "Cloud1D",
-    "Cloud2D",
     "Histogram1D",
     "Histogram2D",
-    "NTuple",
     "ObjectTree",
     "Profile1D",
     "TreeError",
     "codec_disabled",
     "codec_enabled",
     "decode_array",
-    "divide",
-    "divide2d",
-    "efficiency",
-    "efficiency2d",
     "encode_array",
     "from_dict",
     "merge",
-    "normalize",
-    "normalize2d",
     "payload_nbytes",
-    "rebin",
     "set_codec_enabled",
-    "subtract",
-    "subtract2d",
     "to_dict",
 ]

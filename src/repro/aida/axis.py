@@ -15,7 +15,7 @@ dedicated accessors on the histogram types.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 

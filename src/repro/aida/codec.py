@@ -22,7 +22,7 @@ from __future__ import annotations
 import base64
 import copy
 from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 import numpy as np
 
@@ -100,17 +100,6 @@ def decode_array(data: Any, dtype: Optional[Any] = None) -> np.ndarray:
             array = array.astype(dtype)
         return array
     return np.array(data, dtype=dtype)
-
-
-def decode_list(data: Any) -> List[float]:
-    """Decode either wire form into a plain list of floats.
-
-    For containers whose in-memory representation is a growable list
-    (clouds, ntuple columns) rather than an ndarray.
-    """
-    if is_encoded(data):
-        return decode_array(data).tolist()
-    return [float(v) for v in data]
 
 
 _PLAIN_NUMBERS = frozenset((float, int))

@@ -7,7 +7,7 @@ charts for 1-D histograms/profiles and a density grid for 2-D histograms.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -126,7 +126,4 @@ def render_object(obj: object, **kwargs) -> str:
         return render_hist2d(obj, **kwargs)
     if isinstance(obj, Profile1D):
         return render_profile(obj, **kwargs)
-    converter = getattr(obj, "histogram", None)
-    if callable(converter):
-        return render_object(converter(), **kwargs)
     return repr(obj)

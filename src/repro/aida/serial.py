@@ -9,19 +9,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Type
 
-from repro.aida.cloud import Cloud1D, Cloud2D
 from repro.aida.hist1d import Histogram1D
 from repro.aida.hist2d import Histogram2D
-from repro.aida.ntuple import NTuple
 from repro.aida.profile import Profile1D
 
 _REGISTRY: Dict[str, Type] = {
     "Histogram1D": Histogram1D,
     "Histogram2D": Histogram2D,
     "Profile1D": Profile1D,
-    "Cloud1D": Cloud1D,
-    "Cloud2D": Cloud2D,
-    "NTuple": NTuple,
 }
 
 

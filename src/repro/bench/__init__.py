@@ -16,14 +16,12 @@ from repro.bench.model import (
     grid_time,
     local_time,
 )
-from repro.bench.profiling import ProfileReport, profile_analysis
 from repro.bench.surface import SurfaceResult, compute_surfaces
 from repro.bench.tables import ComparisonTable, format_seconds
 
 __all__ = [
     "ComparisonTable",
     "PaperModel",
-    "ProfileReport",
     "SurfaceResult",
     "compute_surfaces",
     "fit_grid_model",
@@ -31,5 +29,4 @@ __all__ = [
     "format_seconds",
     "grid_time",
     "local_time",
-    "profile_analysis",
 ]

@@ -21,10 +21,9 @@ Conclusions the paper draws — reproduced in ``bench_equations.py`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 
 @dataclass(frozen=True)

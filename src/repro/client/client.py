@@ -17,7 +17,7 @@ driven inside the simulation::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.aida.tree import ObjectTree
 from repro.client.plugins import (

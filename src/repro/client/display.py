@@ -8,7 +8,7 @@ gauges, stragglers, recent events — see :mod:`repro.obs.dashboard`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.aida.render import render_object
 from repro.aida.tree import ObjectTree

@@ -10,7 +10,6 @@ from typing import List, Optional
 
 from repro.aida.tree import ObjectTree
 from repro.grid.security import Certificate, Credential, build_chain
-from repro.services.aida_manager import MergeProgress
 from repro.services.envelope import ServiceContainer
 from repro.sim import Environment
 

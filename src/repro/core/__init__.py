@@ -9,7 +9,6 @@
   used by the benchmarks and examples.
 """
 
-from repro.core.batch import BatchResult, run_batch
 from repro.core.config import Calibration, DEFAULT_CALIBRATION
 from repro.core.experiment import (
     GridBreakdown,
@@ -20,14 +19,12 @@ from repro.core.experiment import (
 from repro.core.site import GridSite, SiteConfig
 
 __all__ = [
-    "BatchResult",
     "Calibration",
     "DEFAULT_CALIBRATION",
     "GridBreakdown",
     "GridSite",
     "LocalBreakdown",
     "SiteConfig",
-    "run_batch",
     "run_grid_experiment",
     "run_local_experiment",
 ]

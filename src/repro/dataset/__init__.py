@@ -1,4 +1,4 @@
-"""Dataset substrate: event model, synthetic generator, binary format, splitting.
+"""Dataset substrate: event model and synthetic generator.
 
 The paper analyzed 471 MB of simulated International-Linear-Collider events
 (record-based: one independent physics event per record).  We cannot ship
@@ -11,29 +11,20 @@ synthetic equivalent (DESIGN.md §2):
 * a seeded generator (:mod:`repro.dataset.generator`) producing
   e+e- → ZH signal (m_H = 120 GeV, H → bb) over WW / ZZ / qq backgrounds
   with Gaussian detector smearing — the dijet invariant-mass spectrum shows
-  a Higgs peak exactly like the paper's sample analysis;
-* a seekable binary record format (:mod:`repro.dataset.format`) whose
-  per-batch index makes splitting by event range cheap;
-* split strategies (:mod:`repro.dataset.split`) used by the Splitter
-  service (§3.4).
+  a Higgs peak exactly like the paper's sample analysis.
+
+A dataset lives in the site's content store as seeded blocks of events;
+:mod:`repro.services.splitter` cuts it into per-engine parts (§3.4).
 """
 
 from repro.dataset.events import Event, EventBatch, PROCESS_CODES, PROCESS_NAMES
-from repro.dataset.format import DatasetReader, DatasetWriter, FormatError
 from repro.dataset.generator import GeneratorConfig, ILCEventGenerator
-from repro.dataset.split import SplitPart, SplitPlan, plan_split
 
 __all__ = [
-    "DatasetReader",
-    "DatasetWriter",
     "Event",
     "EventBatch",
-    "FormatError",
     "GeneratorConfig",
     "ILCEventGenerator",
     "PROCESS_CODES",
     "PROCESS_NAMES",
-    "SplitPart",
-    "SplitPlan",
-    "plan_split",
 ]

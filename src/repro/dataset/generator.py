@@ -20,8 +20,8 @@ reproducibility, and generation is fully vectorized over events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Tuple
 
 import numpy as np
 

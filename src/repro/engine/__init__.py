@@ -13,8 +13,8 @@ This package provides:
   step-N, §3.6) in :mod:`repro.engine.controls`;
 * the :class:`~repro.engine.engine.AnalysisEngine` itself, which processes
   events in chunks and emits mergeable snapshots;
-* real-CPU execution backends (:mod:`repro.engine.runner`) used by the
-  real-parallelism benchmark.
+* :func:`~repro.engine.runner.run_local`, one engine over a whole batch
+  in-process: the reference a session's merged tree is compared with.
 """
 
 from repro.engine.base import Analysis, AnalysisError

@@ -10,8 +10,6 @@ framework merges across engines.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.aida.tree import ObjectTree
 from repro.dataset.events import Event, EventBatch
 

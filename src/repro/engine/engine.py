@@ -11,8 +11,8 @@ of less than a minute" (§1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.aida.tree import ObjectTree
 from repro.dataset.events import EventBatch

@@ -1,20 +1,14 @@
-"""Real-CPU execution backends.
+"""In-process execution: one engine over one batch, no grid.
 
-The discrete-event simulation measures *modelled* time; this module runs
-analyses for real, both serially and with ``multiprocessing``, so the
-``bench_real_parallel`` benchmark can verify that the 1/N analysis-scaling
-claim holds on actual hardware, not just in the cost model.
+The reference the distributed result is compared with (the merged tree of
+a session must equal what one engine computes over the whole dataset) and
+the compute half of the local-workflow baseline of Table 1.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-from typing import List, Optional, Sequence, Tuple
-
 from repro.aida.tree import ObjectTree
 from repro.dataset.events import EventBatch
-from repro.dataset.format import DatasetReader
-from repro.dataset.split import plan_split
 from repro.engine.engine import AnalysisEngine
 from repro.engine.sandbox import CodeBundle
 
@@ -30,58 +24,3 @@ def run_local(
     engine.load_analysis(bundle.instantiate())
     engine.run_to_completion()
     return engine.tree
-
-
-def _worker_task(args: Tuple[dict, str, int, int, int]) -> dict:
-    """Subprocess entry: read an event range, run the bundle, return a tree.
-
-    Arguments travel as picklable primitives (bundle fields + path + range).
-    """
-    bundle_state, path, start, stop, chunk_events = args
-    bundle = CodeBundle(**bundle_state)
-    with DatasetReader(path) as reader:
-        batch = reader.read_range(start, stop)
-    engine = AnalysisEngine(f"worker-{start}", chunk_events=chunk_events)
-    engine.load_data(batch)
-    engine.load_analysis(bundle.instantiate())
-    engine.run_to_completion()
-    return engine.tree.to_dict()
-
-
-def run_parallel(
-    bundle: CodeBundle,
-    dataset_path: str,
-    n_workers: int,
-    chunk_events: int = 2000,
-) -> ObjectTree:
-    """Run an analysis over a dataset file with *n_workers* processes.
-
-    The dataset is split by events, each worker analyzes its part in a
-    separate process, and the partial trees are merged — the real-CPU
-    equivalent of the full grid pipeline.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    with DatasetReader(dataset_path) as reader:
-        plan = plan_split(reader, n_workers, "by-events")
-    bundle_state = {
-        "source": bundle.source,
-        "class_name": bundle.class_name,
-        "parameters": bundle.parameters,
-        "version": bundle.version,
-    }
-    tasks = [
-        (bundle_state, str(dataset_path), part.start_event, part.stop_event, chunk_events)
-        for part in plan.parts
-    ]
-    if n_workers == 1:
-        results = [_worker_task(tasks[0])]
-    else:
-        # 'fork' keeps startup cheap; the workload is read-only.
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=n_workers) as pool:
-            results = pool.map(_worker_task, tasks)
-    merged = ObjectTree()
-    for tree_dict in results:
-        merged.merge_from(ObjectTree.from_dict(tree_dict))
-    return merged

@@ -22,10 +22,8 @@ from typing import Any, Dict, Optional, Type
 
 import numpy as np
 
-from repro.aida.cloud import Cloud1D, Cloud2D
 from repro.aida.hist1d import Histogram1D
 from repro.aida.hist2d import Histogram2D
-from repro.aida.ntuple import NTuple
 from repro.aida.profile import Profile1D
 from repro.dataset import physics
 from repro.engine.base import Analysis
@@ -61,9 +59,6 @@ def _build_namespace() -> Dict[str, Any]:
         "Histogram1D": Histogram1D,
         "Histogram2D": Histogram2D,
         "Profile1D": Profile1D,
-        "Cloud1D": Cloud1D,
-        "Cloud2D": Cloud2D,
-        "NTuple": NTuple,
         "physics": physics,
     }
 

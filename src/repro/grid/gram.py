@@ -14,7 +14,7 @@ engines" on the job scheduler (§3.2).  This module models that gatekeeper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Generator, List, Optional, Sequence
 
@@ -24,7 +24,6 @@ from repro.grid.security import (
     AuthorizationService,
     Certificate,
     CertificateAuthority,
-    SecurityError,
 )
 from repro.resilience.retry import RetryPolicy
 from repro.sim import Environment, Event, Interrupt

@@ -22,7 +22,7 @@ link bandwidths; see :mod:`repro.core.config` for calibrated values.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sim import Environment, Interrupt, LinkDown, Process
@@ -426,13 +426,6 @@ class Network:
         names = [link.name for link in self.links_of(host)]
         for link_name in names:
             self.fail_link(link_name)
-        return names
-
-    def restore_links_of(self, host: str) -> List[str]:
-        """Restore every link attached to *host*; returns their names."""
-        names = [link.name for link in self.links_of(host)]
-        for link_name in names:
-            self.restore_link(link_name)
         return names
 
     # -- flow dynamics ----------------------------------------------------

@@ -14,7 +14,7 @@ with a finite read/write rate, and a host name on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim import Environment, Process, Resource

@@ -20,7 +20,7 @@ This scheduler models a simplified LSF/PBS:
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Dict, Generator, List, Optional
 

@@ -22,7 +22,7 @@ import hashlib
 import hmac
 import json
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 

@@ -33,8 +33,6 @@ instrumentation is free when disabled (asserted by
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.anomaly import (
     NULL_ANOMALY_MONITOR,
     AnomalyMonitor,
@@ -128,11 +126,6 @@ class Observability:
 NULL_OBS = Observability(enabled=False)
 
 
-def ensure_obs(obs: Optional[Observability]) -> Observability:
-    """``obs`` itself, or :data:`NULL_OBS` when ``None``."""
-    return obs if obs is not None else NULL_OBS
-
-
 __all__ = [
     "AnomalyMonitor",
     "Counter",
@@ -167,7 +160,6 @@ __all__ = [
     "TraceError",
     "Tracer",
     "WindowedHistogram",
-    "ensure_obs",
     "events_from_jsonl",
     "exponential_buckets",
     "quantile_from_cumulative",

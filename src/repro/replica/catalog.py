@@ -20,8 +20,8 @@ replica that is not in the catalog is never served.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 
 class ReplicaError(Exception):

@@ -410,9 +410,6 @@ class ReplicaManager:
             cache.clear(reason=reason)
         return count
 
-    def invalidate_dataset(self, dataset_id: str, reason: str = "invalidated") -> int:
-        return self.catalog.invalidate_dataset(dataset_id, reason=reason)
-
     def dataset_updated(
         self, dataset_id: str, site_id: Optional[str] = None
     ) -> int:

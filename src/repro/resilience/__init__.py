@@ -8,8 +8,8 @@ blocks the grid and session layers share:
 
 ``RetryPolicy`` (:mod:`repro.resilience.retry`)
     Exponential backoff with deterministic jitter, a deadline, and a
-    max-attempt budget — used by GridFTP transfers, GRAM submission,
-    service-envelope dispatch and recovery re-staging.
+    max-attempt budget — used by GridFTP transfers, GRAM submission and
+    session admission.
 ``FaultPlan`` / ``FailureInjector`` (:mod:`repro.resilience.faults`)
     Declarative, seeded fault schedules (crash / hang / slow node /
     link-down) applied to workers via kernel interrupts.
@@ -43,7 +43,7 @@ from repro.resilience.journal import (
     SessionJournal,
     replay_journal,
 )
-from repro.resilience.retry import RetryPolicy, retrying
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "FAULT_KINDS",
@@ -64,5 +64,4 @@ __all__ = [
     "SiteFault",
     "WorkerFault",
     "replay_journal",
-    "retrying",
 ]

@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.grid.network import Network
 from repro.grid.scheduler import BatchScheduler
-from repro.sim import Environment, LinkDown, NodeCrash, NodeHang
+from repro.sim import Environment, NodeCrash, NodeHang
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.replica.manager import ReplicaManager
@@ -304,7 +304,7 @@ class FailureInjector:
 
         The engine keeps computing but cannot heartbeat or receive
         directives, so the session monitor eventually declares it dead.
-        Returns the failed link names (for :meth:`restore_links`).
+        Returns the failed link names.
         """
         if self.network is None:
             raise ValueError("injector built without a network")
@@ -318,16 +318,6 @@ class FailureInjector:
             self.replicas.invalidate_host(name)
         self._record("link-down", name)
         return failed
-
-    def restore_links(self, name: str) -> None:
-        """Bring a worker's links back up and mark the node healthy."""
-        if self.network is None:
-            raise ValueError("injector built without a network")
-        worker = self.scheduler.element.worker(name)
-        worker.link_down = False
-        self.network.restore_links_of(name)
-        self.scheduler.restore_worker(name)
-        self.log.append((self.env.now, "link-up", name))
 
     def restore_worker(self, name: str) -> None:
         """Return a crashed/hung/slow worker to the schedulable pool."""

@@ -110,10 +110,6 @@ class DurableStore:
         self._files.pop(name, None)
         self._synced.pop(name, None)
 
-    def size_bytes(self, name: str) -> int:
-        """Total bytes currently held for *name*."""
-        return sum(len(line) for line in self._files.get(name, ()))
-
     def tear(self, name: str) -> None:
         """Truncate the last line mid-way (a torn write caught by a crash)."""
         lines = self._files.get(name)

@@ -1,11 +1,11 @@
 """Reusable retry policy with exponential backoff and deterministic jitter.
 
-Every layer that retries — GridFTP transfers, GRAM submissions, service
-envelope dispatch, recovery re-staging — shares this one policy object
-instead of hard-coding its own fixed delay.  Jitter is derived from a
-seeded RNG keyed on ``(seed, salt, attempt)`` so simulation runs remain
-bit-for-bit reproducible: the same policy applied to the same operation
-sequence always produces the same delays.
+Every layer that retries — GridFTP transfers, GRAM submissions, session
+admission — shares this one policy object instead of hard-coding its own
+fixed delay.  Jitter is derived from a seeded RNG keyed on
+``(seed, salt, attempt)`` so simulation runs remain bit-for-bit
+reproducible: the same policy applied to the same operation sequence
+always produces the same delays.
 """
 
 from __future__ import annotations
@@ -112,30 +112,3 @@ class RetryPolicy:
         from dataclasses import replace
 
         return replace(self, max_attempts=max_attempts)
-
-
-def retrying(env, make_attempt, policy: RetryPolicy, retry_on, salt: object = None):
-    """Generator helper: run ``make_attempt()`` under *policy*.
-
-    ``make_attempt`` must return a fresh generator per call; exceptions of
-    type(s) *retry_on* trigger a backoff-and-retry, anything else
-    propagates.  Yields from inside a simulation process::
-
-        result = yield from retrying(env, attempt, policy, TransferError)
-
-    Returns the successful attempt's value, or raises the last error once
-    the policy is exhausted.
-    """
-    start = env.now
-    last_error: Optional[BaseException] = None
-    for attempt in range(policy.max_attempts):
-        try:
-            result = yield from make_attempt()
-            return result
-        except retry_on as exc:
-            last_error = exc
-            if not policy.should_retry(attempt, env.now - start):
-                break
-            yield env.timeout(policy.delay(attempt, salt))
-    assert last_error is not None
-    raise last_error

@@ -479,10 +479,6 @@ class AIDAManagerService:
             # Every path it contributed is re-folded without it.
             tier.discard_engine(engine_id)
 
-    def banned_engines(self, session_id: str) -> set:
-        """Engines whose contributions are discarded for this session."""
-        return set(self._banned.get(session_id, ()))
-
     def set_expected_engines(self, session_id: str, count: int) -> None:
         """Declare how many engines the session expects results from."""
         if count < 0:

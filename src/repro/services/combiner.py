@@ -28,10 +28,9 @@ Correctness: every fold (leaf over its engines, combiner over its
 children) is a left fold in sorted order over contiguous ranges, so the
 tree visits contributions in the exact global sorted-engine order of a
 from-scratch ``ObjectTree.merge_from`` fold.  Histogram addition is
-order-insensitive up to float association; ntuple/cloud merges are
-concatenations, for which the order-preserving grouping makes any
-depth *exactly* equal to the from-scratch fold (property-tested with
-exactly-representable fills; depth 1 is bit-equal for arbitrary ones).
+order-insensitive up to float association, so any depth equals the
+from-scratch fold exactly for exactly-representable fills
+(property-tested) and depth 1 is bit-equal for arbitrary ones.
 
 Crash semantics: a leaf combiner crash loses its engine entries and
 partial tree — the affected paths re-fold without the lost
@@ -242,10 +241,6 @@ class MergeTree:
     def root_tree(self) -> ObjectTree:
         """The served merged tree (the root combiner's partial)."""
         return self.root.partial
-
-    def combiner_ids(self) -> List[str]:
-        """All combiner ids, bottom level first."""
-        return [n.combiner_id for level in self.levels for n in level]
 
     def _rebuild_routing(self) -> None:
         routes = sorted(

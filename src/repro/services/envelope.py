@@ -52,7 +52,6 @@ from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.aida.codec import payload_nbytes
 from repro.obs import NULL_OBS, Observability
-from repro.resilience.retry import RetryPolicy
 from repro.sim import Environment, Event, Process, Timeout
 
 
@@ -313,15 +312,11 @@ class ServiceContainer:
         args: Optional[dict] = None,
         channel: str = "soap",
         token: Optional[str] = None,
-        retry: Optional["RetryPolicy"] = None,
     ) -> Process:
         """Invoke an operation; returns a waitable simulation process.
 
         The process value is the operation's return value.  Transport and
         application errors fail the process (raise at the ``yield`` site).
-        With a *retry* policy, :class:`Fault` responses are retried under
-        its backoff schedule (the whole request is re-sent); transport
-        errors (:class:`ServiceError`) are never retried.
         """
         envelope = Envelope(
             service,
@@ -331,27 +326,7 @@ class ServiceContainer:
             token,
             trace_parent=self.obs.tracer.current_id,
         )
-        if retry is None:
-            return self.env.process(self._dispatch(envelope))
-        return self.env.process(self._dispatch_with_retry(envelope, retry))
-
-    def _dispatch_with_retry(self, envelope: Envelope, retry: "RetryPolicy"):
-        start = self.env.now
-        last_fault: Optional[Fault] = None
-        for attempt in range(retry.max_attempts):
-            try:
-                result = yield self.env.process(self._dispatch(envelope))
-                return result
-            except Fault as fault:
-                last_fault = fault
-                if not retry.should_retry(attempt, self.env.now - start):
-                    break
-                yield self.env.timeout(
-                    retry.delay(
-                        attempt, salt=(envelope.service, envelope.operation)
-                    )
-                )
-        raise last_fault
+        return self.env.process(self._dispatch(envelope))
 
     def _admit(self, envelope: Envelope, span) -> Optional[Any]:
         """Admission after routing, before the handler.

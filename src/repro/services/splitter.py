@@ -55,11 +55,6 @@ class StageReport:
     move_parts_seconds: float
     parts: List[PartDescriptor]
 
-    @property
-    def total_seconds(self) -> float:
-        """Split + move-parts wall clock."""
-        return self.split_seconds + self.move_parts_seconds
-
 
 class SplitterService:
     """Splits a dataset on its storage element and scatters the parts.

@@ -17,7 +17,7 @@ Public API
     The event loop and virtual clock.
 ``Process``, ``Timeout``, ``Event``, ``AnyOf``, ``AllOf``
     Event primitives.
-``Resource``, ``PriorityResource``, ``Store``, ``Container``
+``Resource``, ``Store``
     Shared-resource primitives with queueing.
 ``Interrupt``
     Exception raised inside a process that another process interrupted.
@@ -43,12 +43,11 @@ from repro.sim.kernel import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
@@ -56,7 +55,6 @@ __all__ = [
     "NodeCrash",
     "NodeFailure",
     "NodeHang",
-    "PriorityResource",
     "Process",
     "Resource",
     "SimulationError",

@@ -3,20 +3,12 @@
 ``Resource``
     A counted resource (e.g. CPU slots on a worker, scheduler slots).
     Processes *request* a unit, possibly queueing, and *release* it.
-``PriorityResource``
-    Like ``Resource`` but the wait queue is ordered by a numeric priority
-    (lower value = served first).  Used for the dedicated "interactive"
-    scheduler queue the paper calls for.
 ``Store``
     A FIFO buffer of Python objects with blocking ``put``/``get``.
-``Container``
-    A continuous quantity (e.g. bytes of disk) with blocking ``put``/``get``.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from itertools import count
 from typing import Any, List, Optional
 
 from repro.sim.kernel import Environment, Event
@@ -46,14 +38,6 @@ class Request(Event):
     def cancel(self) -> None:
         """Withdraw a queued request (no-op if already granted)."""
         self.resource._cancel(self)
-
-
-class PriorityRequest(Request):
-    """Request with a priority; lower values are granted first."""
-
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        self.priority = priority
-        super().__init__(resource)
 
 
 class Resource:
@@ -98,43 +82,10 @@ class Resource:
 
     def _trigger(self) -> None:
         while self.queue and len(self.users) < self._capacity:
-            req = self._pop_next()
+            req = self.queue.pop(0)
             req.usage_since = self.env.now
             self.users.append(req)
             req.succeed()
-
-    def _pop_next(self) -> Request:
-        return self.queue.pop(0)
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is served in ``(priority, fifo)`` order."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: List[tuple] = []
-        self._seq = count()
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        """Request one unit with *priority* (lower = more urgent)."""
-        req = PriorityRequest(self, priority)
-        heappush(self._heap, (priority, next(self._seq), req))
-        self.queue.append(req)
-        self._trigger()
-        return req
-
-    def _cancel(self, request: Request) -> None:
-        super()._cancel(request)
-        # Lazy deletion from the heap: entries for cancelled requests are
-        # skipped in _pop_next.
-
-    def _pop_next(self) -> Request:
-        while self._heap:
-            _, _, req = heappop(self._heap)
-            if req in self.queue:
-                self.queue.remove(req)
-                return req
-        raise RuntimeError("priority heap out of sync with queue")
 
 
 class StorePut(Event):
@@ -194,80 +145,3 @@ class Store:
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-class ContainerPut(Event):
-    """Event for :meth:`Container.put`."""
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container.env)
-        self.amount = amount
-
-
-class ContainerGet(Event):
-    """Event for :meth:`Container.get`."""
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container.env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity between 0 and ``capacity``."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: List[ContainerPut] = []
-        self._getters: List[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add *amount*; blocks while it would exceed capacity."""
-        event = ContainerPut(self, amount)
-        self._putters.append(event)
-        self._dispatch()
-        return event
-
-    def get(self, amount: float) -> ContainerGet:
-        """Take *amount*; blocks while the level is insufficient."""
-        event = ContainerGet(self, amount)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if (
-                self._putters
-                and self._level + self._putters[0].amount <= self.capacity
-            ):
-                put = self._putters.pop(0)
-                self._level += put.amount
-                put.succeed()
-                progressed = True
-            if self._getters and self._getters[0].amount <= self._level:
-                get = self._getters.pop(0)
-                self._level -= get.amount
-                get.succeed(get.amount)
-                progressed = True

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from repro.aida.axis import Axis
-from repro.aida.cloud import Cloud1D, Cloud2D
 from repro.aida.codec import (
     MIN_CODEC_SIZE,
     codec_disabled,
     codec_enabled,
     copy_payload,
     decode_array,
-    decode_list,
     encode_array,
     is_encoded,
     payload_nbytes,
@@ -21,7 +19,6 @@ from repro.aida.codec import (
 )
 from repro.aida.hist1d import Histogram1D
 from repro.aida.hist2d import Histogram2D
-from repro.aida.ntuple import NTuple
 from repro.aida.profile import Profile1D
 from repro.aida.serial import from_dict, to_dict
 from repro.aida.tree import ObjectTree
@@ -86,12 +83,6 @@ def test_decode_casts_to_requested_dtype():
     arr = np.arange(32, dtype=np.float64)
     out = decode_array(encode_array(arr), dtype=np.int64)
     assert out.dtype == np.int64
-
-
-def test_decode_list_both_forms():
-    values = [float(v) for v in range(40)]
-    assert decode_list(values) == values
-    assert decode_list(encode_array(np.asarray(values))) == values
 
 
 def test_codec_disable_toggle():
@@ -161,9 +152,6 @@ def reference_payload_nbytes(data):
     lambda: Histogram1D("small", bins=10, lower=0, upper=1),
     lambda: _fill_hist2d(),
     lambda: _fill_profile(),
-    lambda: _fill_cloud(),
-    lambda: _fill_cloud2d(),
-    lambda: _fill_ntuple(),
     lambda: _fill_tree(),
 ])
 def test_payload_nbytes_unchanged_on_every_object_kind(factory):
@@ -245,8 +233,6 @@ def _filled_hist1d(bins=200, n=1000):
     lambda: _filled_hist1d(),
     lambda: _fill_hist2d(),
     lambda: _fill_profile(),
-    lambda: _fill_cloud(),
-    lambda: _fill_ntuple(),
 ])
 def test_objects_roundtrip_bit_exact_through_codec(factory):
     obj = factory()
@@ -271,37 +257,12 @@ def _fill_profile():
     return prof
 
 
-def _fill_cloud():
-    cloud = Cloud1D("c", max_points=10_000)
-    rng = np.random.default_rng(6)
-    for x, w in zip(rng.random(200), rng.random(200)):
-        cloud.fill(float(x), float(w))
-    return cloud
-
-
-def _fill_cloud2d():
-    cloud = Cloud2D("c2", max_points=10_000)
-    rng = np.random.default_rng(7)
-    for x, y in zip(rng.random(50), rng.random(50)):
-        cloud.fill(float(x), float(y))
-    return cloud
-
-
 def _fill_tree():
     tree = ObjectTree()
     tree.put("/a/h1", _filled_hist1d())
     tree.put("/a/h2", _fill_hist2d())
     tree.put("/b/profile", _fill_profile())
-    tree.put("/b/ntuple", _fill_ntuple())
     return tree
-
-
-def _fill_ntuple():
-    nt = NTuple("n", columns=("x", "y"))
-    rng = np.random.default_rng(8)
-    for x, y in zip(rng.random(60), rng.random(60)):
-        nt.fill(x=float(x), y=float(y))
-    return nt
 
 
 def test_hist1d_wire_form_uses_codec_when_large():

@@ -180,11 +180,6 @@ def test_render_object_dispatch():
     assert render_object(hist).startswith(hist.title)
     prof = Profile1D("p", bins=5, lower=0, upper=1)
     assert "p" in render_object(prof)
-    from repro.aida.cloud import Cloud1D
-
-    cloud = Cloud1D("c")
-    cloud.fill(0.5)
-    assert "c" in render_object(cloud)
     plain = object()
     assert render_object(plain) == repr(plain)  # fallback path
 
@@ -214,7 +209,5 @@ def test_serial_merge_dispatch():
 
 
 def test_serial_merge_kind_mismatch():
-    from repro.aida.ntuple import NTuple
-
     with pytest.raises(TypeError):
-        merge(gaussian_hist(n=1), NTuple("n", ["a"]))
+        merge(gaussian_hist(n=1), Profile1D("p", bins=5, lower=0, upper=1))

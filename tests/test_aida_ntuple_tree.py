@@ -1,116 +1,10 @@
-"""Unit tests for NTuple and ObjectTree."""
+"""Unit tests for ObjectTree."""
 
-import numpy as np
 import pytest
 
 from repro.aida.hist1d import Histogram1D
-from repro.aida.ntuple import NTuple
+from repro.aida.profile import Profile1D
 from repro.aida.tree import ObjectTree, TreeError, join_path, split_path
-
-
-# ---------------------------------------------------------------------------
-# NTuple
-# ---------------------------------------------------------------------------
-
-def make_ntuple():
-    return NTuple("events", ["mass", "energy", "njets"])
-
-
-def test_ntuple_validation():
-    with pytest.raises(ValueError):
-        NTuple("", ["a"])
-    with pytest.raises(ValueError):
-        NTuple("n", [])
-    with pytest.raises(ValueError):
-        NTuple("n", ["a", "a"])
-
-
-def test_ntuple_fill_kwargs():
-    nt = make_ntuple()
-    nt.fill(mass=125.0, energy=500.0, njets=4)
-    assert nt.rows == 1
-    assert nt.column("mass")[0] == 125.0
-
-
-def test_ntuple_fill_missing_column_rejected():
-    nt = make_ntuple()
-    with pytest.raises(ValueError, match="missing"):
-        nt.fill(mass=125.0)
-    with pytest.raises(ValueError, match="extra"):
-        nt.fill(mass=1.0, energy=2.0, njets=3, bogus=4.0)
-
-
-def test_ntuple_fill_row_positional():
-    nt = make_ntuple()
-    nt.fill_row([100.0, 200.0, 2.0])
-    assert nt.column("energy")[0] == 200.0
-    with pytest.raises(ValueError):
-        nt.fill_row([1.0, 2.0])
-
-
-def test_ntuple_unknown_column():
-    nt = make_ntuple()
-    with pytest.raises(KeyError):
-        nt.column("nope")
-
-
-def test_ntuple_project1d():
-    nt = make_ntuple()
-    for mass in [100.0, 120.0, 121.0, 200.0]:
-        nt.fill(mass=mass, energy=0.0, njets=2)
-    hist = nt.project1d("mass", bins=10, lower=100, upper=200)
-    assert isinstance(hist, Histogram1D)
-    assert hist.all_entries == 4
-
-
-def test_ntuple_project1d_with_cut():
-    nt = make_ntuple()
-    nt.fill(mass=120.0, energy=0.0, njets=2)
-    nt.fill(mass=121.0, energy=0.0, njets=1)
-    hist = nt.project1d(
-        "mass", bins=10, lower=100, upper=200, cut=lambda c: c["njets"] >= 2
-    )
-    assert hist.all_entries == 1
-
-
-def test_ntuple_project2d():
-    nt = make_ntuple()
-    nt.fill(mass=120.0, energy=450.0, njets=2)
-    hist = nt.project2d(
-        "mass", "energy", 10, 100, 200, 10, 400, 500
-    )
-    assert hist.all_entries == 1
-
-
-def test_ntuple_merge():
-    a = make_ntuple()
-    b = make_ntuple()
-    a.fill(mass=1.0, energy=2.0, njets=3)
-    b.fill(mass=4.0, energy=5.0, njets=6)
-    merged = a + b
-    assert merged.rows == 2
-    assert a.rows == 1
-
-
-def test_ntuple_merge_column_mismatch():
-    a = make_ntuple()
-    b = NTuple("events", ["mass"])
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(TypeError):
-        a += 3
-
-
-def test_ntuple_reset_copy_serialization():
-    nt = make_ntuple()
-    nt.fill(mass=1.0, energy=2.0, njets=3)
-    clone = nt.copy()
-    restored = NTuple.from_dict(nt.to_dict())
-    nt.reset()
-    assert nt.rows == 0
-    assert clone.rows == 1
-    assert restored.rows == 1
-    assert restored.columns == ("mass", "energy", "njets")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +141,7 @@ def test_tree_merge_incompatible_raises():
     a = ObjectTree()
     b = ObjectTree()
     a.put("/h", hist("h"))
-    b.put("/h", NTuple("n", ["c"]))
+    b.put("/h", Profile1D("p", bins=4, lower=0.0, upper=1.0))
     with pytest.raises(TreeError):
         a.merge_from(b)
 
@@ -270,10 +164,10 @@ def test_tree_reset_all():
 def test_tree_serialization_roundtrip():
     tree = ObjectTree()
     tree.put("/higgs/mass", hist("mass", entries=4))
-    nt = NTuple("nt", ["a"])
-    nt.fill(a=1.0)
-    tree.put("/nt", nt)
+    prof = Profile1D("p", bins=4, lower=0.0, upper=1.0)
+    prof.fill(0.5, 2.0)
+    tree.put("/p", prof)
     restored = ObjectTree.from_dict(tree.to_dict())
     assert restored.paths() == tree.paths()
     assert restored.get("/higgs/mass").entries == 4
-    assert restored.get("/nt").rows == 1
+    assert restored.get("/p").entries == 1

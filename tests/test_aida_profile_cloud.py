@@ -1,9 +1,8 @@
-"""Unit tests for Profile1D and Cloud1D/Cloud2D."""
+"""Unit tests for Profile1D."""
 
 import numpy as np
 import pytest
 
-from repro.aida.cloud import Cloud1D, Cloud2D
 from repro.aida.profile import Profile1D
 
 
@@ -108,195 +107,3 @@ def test_profile_reset_copy_serialization():
     assert prof.entries == 0
     assert clone.bin_height(3) == pytest.approx(7.0)
     assert restored.bin_height(3) == pytest.approx(7.0)
-
-
-# ---------------------------------------------------------------------------
-# Cloud1D
-# ---------------------------------------------------------------------------
-
-def test_cloud_validation():
-    with pytest.raises(ValueError):
-        Cloud1D("", max_points=10)
-    with pytest.raises(ValueError):
-        Cloud1D("c", max_points=0)
-
-
-def test_cloud_stores_points():
-    cloud = Cloud1D("c")
-    cloud.fill(1.0)
-    cloud.fill(2.0, weight=2.0)
-    assert not cloud.converted
-    assert cloud.entries == 2
-    assert np.allclose(cloud.values(), [1.0, 2.0])
-    assert np.allclose(cloud.weights(), [1.0, 2.0])
-
-
-def test_cloud_mean_rms_unbinned():
-    cloud = Cloud1D("c")
-    for v in [1.0, 2.0, 3.0]:
-        cloud.fill(v)
-    assert cloud.mean == pytest.approx(2.0)
-    assert cloud.rms == pytest.approx(np.std([1, 2, 3]))
-
-
-def test_cloud_empty_stats_nan():
-    cloud = Cloud1D("c")
-    assert np.isnan(cloud.mean)
-    assert np.isnan(cloud.rms)
-
-
-def test_cloud_auto_converts_at_limit():
-    cloud = Cloud1D("c", max_points=10)
-    for i in range(11):
-        cloud.fill(float(i))
-    assert cloud.converted
-    assert cloud.entries == 11
-    with pytest.raises(RuntimeError):
-        cloud.values()
-
-
-def test_cloud_conversion_preserves_moments():
-    rng = np.random.default_rng(17)
-    data = rng.normal(50, 10, 1000)
-    cloud = Cloud1D("c")
-    for v in data:
-        cloud.fill(v)
-    mean_before, rms_before = cloud.mean, cloud.rms
-    cloud.convert(bins=200)
-    # Binned moments agree closely with unbinned for fine binning.
-    assert cloud.mean == pytest.approx(mean_before, rel=1e-3)
-    assert cloud.rms == pytest.approx(rms_before, rel=1e-2)
-    assert cloud.histogram().entries == 1000  # max included via padding
-
-
-def test_cloud_convert_idempotent():
-    cloud = Cloud1D("c")
-    cloud.fill(1.0)
-    h1 = cloud.convert()
-    h2 = cloud.convert()
-    assert h1 is h2
-
-
-def test_cloud_merge_unconverted():
-    a = Cloud1D("a")
-    b = Cloud1D("b")
-    a.fill(1.0)
-    b.fill(2.0)
-    merged = a + b
-    assert merged.entries == 2
-    assert not merged.converted
-    assert a.entries == 1  # operands untouched
-
-
-def test_cloud_merge_converted_plus_unconverted():
-    a = Cloud1D("a", max_points=2)
-    for v in [1.0, 2.0, 3.0]:
-        a.fill(v)
-    assert a.converted
-    b = Cloud1D("b")
-    b.fill(2.5)
-    merged = a + b
-    assert merged.converted
-    assert merged.entries == 4
-
-
-def test_cloud_merge_triggers_conversion_at_limit():
-    a = Cloud1D("a", max_points=3)
-    b = Cloud1D("b")
-    for v in [1.0, 2.0]:
-        a.fill(v)
-    for v in [3.0, 4.0]:
-        b.fill(v)
-    a += b
-    assert a.converted
-    assert a.entries == 4
-
-
-def test_cloud_merge_type_error():
-    with pytest.raises(TypeError):
-        Cloud1D("a") + 5
-
-
-def test_cloud_reset():
-    cloud = Cloud1D("c", max_points=1)
-    cloud.fill(1.0)
-    cloud.fill(2.0)
-    cloud.reset()
-    assert cloud.entries == 0
-    assert not cloud.converted
-
-
-def test_cloud_serialization_roundtrip_points():
-    cloud = Cloud1D("c")
-    cloud.fill(3.0, weight=2.0)
-    restored = Cloud1D.from_dict(cloud.to_dict())
-    assert restored.entries == 1
-    assert np.allclose(restored.values(), [3.0])
-
-
-def test_cloud_serialization_roundtrip_converted():
-    cloud = Cloud1D("c", max_points=1)
-    cloud.fill(1.0)
-    cloud.fill(2.0)
-    restored = Cloud1D.from_dict(cloud.to_dict())
-    assert restored.converted
-    assert restored.entries == 2
-
-
-# ---------------------------------------------------------------------------
-# Cloud2D
-# ---------------------------------------------------------------------------
-
-def test_cloud2d_fill_and_convert():
-    cloud = Cloud2D("c2")
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        cloud.fill(rng.uniform(0, 10), rng.uniform(-1, 1))
-    assert cloud.entries == 100
-    hist = cloud.convert(bins=10)
-    assert hist.all_entries == 100
-    assert hist.entries == 100  # padding keeps maxima in range
-
-
-def test_cloud2d_auto_convert():
-    cloud = Cloud2D("c2", max_points=5)
-    for i in range(6):
-        cloud.fill(float(i), float(-i))
-    assert cloud.converted
-
-
-def test_cloud2d_merge_unconverted():
-    a = Cloud2D("a")
-    b = Cloud2D("b")
-    a.fill(1.0, 1.0)
-    b.fill(2.0, 2.0)
-    merged = a + b
-    assert merged.entries == 2
-
-
-def test_cloud2d_merge_mixed_state():
-    a = Cloud2D("a", max_points=1)
-    a.fill(1.0, 1.0)
-    a.fill(2.0, 2.0)  # converts
-    b = Cloud2D("b")
-    b.fill(1.5, 1.5)
-    merged = a + b
-    assert merged.converted
-    assert merged.entries == 3
-
-
-def test_cloud2d_serialization_roundtrip():
-    cloud = Cloud2D("c2")
-    cloud.fill(1.0, 2.0, weight=0.5)
-    restored = Cloud2D.from_dict(cloud.to_dict())
-    assert restored.entries == 1
-    assert not restored.converted
-
-
-def test_cloud2d_reset_and_copy():
-    cloud = Cloud2D("c2")
-    cloud.fill(1.0, 2.0)
-    clone = cloud.copy()
-    cloud.reset()
-    assert cloud.entries == 0
-    assert clone.entries == 1

@@ -213,26 +213,3 @@ def test_surface_to_csv():
     size, nodes, local_s, grid_s = lines[1].split(",")
     assert size == "10" and nodes == "1"
     assert float(local_s) == pytest.approx(115.0)
-
-
-# ---------------------------------------------------------------------------
-# Profiling
-# ---------------------------------------------------------------------------
-
-def test_profile_analysis_reports_hotspots():
-    from repro.analysis import higgs
-    from repro.bench.profiling import profile_analysis
-    from repro.dataset.generator import ILCEventGenerator
-    from repro.engine.sandbox import CodeBundle
-
-    batch = ILCEventGenerator(seed=1).generate(2000)
-    report = profile_analysis(CodeBundle(higgs.SOURCE), batch)
-    assert report.events == 2000
-    assert report.wall_seconds >= 0
-    assert report.events_per_second > 0
-    assert report.hotspots
-    text = report.render(top=5)
-    assert "events/s" in text
-    assert "cumtime" in text
-    # The engine's chunk loop must appear somewhere in the hot path.
-    assert any("process" in s.function for s in report.hotspots)

@@ -9,7 +9,6 @@ set against the single-leaf (``merge_fan_in=None``) run.
 import numpy as np
 import pytest
 
-from repro.aida.cloud import Cloud1D
 from repro.aida.hist1d import Histogram1D
 from repro.aida.tree import ObjectTree
 from repro.analysis import higgs
@@ -219,23 +218,6 @@ def test_tiered_merge_is_exactly_equal_to_flat_merge():
     delta = {"objects": dyadic_tree([5])["objects"]}
     flat.submit_snapshot("s1", snap(ids[5], 2, dict(delta), base=1))
     tiered.submit_snapshot("s1", snap(ids[5], 2, dict(delta), base=1))
-    flat_tree, _ = env.run(until=flat.merged("s1"))
-    tiered_tree, _ = env.run(until=tiered.merged("s1"))
-    assert tiered_tree == flat_tree
-
-
-def test_chunk_grouping_preserves_cloud_concatenation_order():
-    # Cloud merges are list concatenations: order-sensitive, so they
-    # detect any fold-order deviation exactly.
-    env, flat, tiered, ids = build_pair(10, 3)
-    for i, engine_id in enumerate(ids):
-        tree = ObjectTree()
-        cloud = Cloud1D("c", "c")
-        cloud.fill(float(i), weight=1.0)
-        cloud.fill(float(i) + 0.5, weight=2.0)
-        tree.put("/c", cloud)
-        flat.submit_snapshot("s1", snap(engine_id, 1, tree.to_dict()))
-        tiered.submit_snapshot("s1", snap(engine_id, 1, tree.to_dict()))
     flat_tree, _ = env.run(until=flat.merged("s1"))
     tiered_tree, _ = env.run(until=tiered.merged("s1"))
     assert tiered_tree == flat_tree

@@ -209,15 +209,13 @@ class UsesAida(Analysis):
         tree.put("/h2", Histogram2D("h2", x_bins=2, x_lower=0, x_upper=1,
                                     y_bins=2, y_lower=0, y_upper=1))
         tree.put("/p", Profile1D("p", bins=2, lower=0, upper=1))
-        tree.put("/c", Cloud1D("c"))
-        tree.put("/n", NTuple("n", ["a"]))
 '''
     from repro.aida.tree import ObjectTree
 
     analysis = load_analysis(source)
     tree = ObjectTree()
     analysis.start(tree)
-    assert len(tree) == 5
+    assert len(tree) == 3
 
 
 def test_sandbox_import_crash_reported():

@@ -1,18 +1,15 @@
-"""Unit tests for the AnalysisEngine and the real-CPU runners."""
+"""Unit tests for the AnalysisEngine and the in-process runner."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.counting import EventCounterAnalysis
-from repro.analysis.higgs import HiggsSearchAnalysis
-from repro.dataset.format import write_dataset
+from repro.analysis import counting
+from repro.analysis import higgs as higgs_module
 from repro.dataset.generator import ILCEventGenerator
-from repro.engine.base import AnalysisError
+from repro.engine.base import Analysis, AnalysisError
 from repro.engine.controls import ControlState
 from repro.engine.engine import AnalysisEngine
-from repro.engine.runner import run_local, run_parallel
-from repro.engine.sandbox import CodeBundle
-from repro.analysis import higgs as higgs_module
+from repro.engine.runner import run_local
+from repro.engine.sandbox import CodeBundle, load_analysis
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +22,7 @@ def make_engine(batch, chunk=300, snapshot_every=1):
         "engine-0", chunk_events=chunk, snapshot_every_chunks=snapshot_every
     )
     engine.load_data(batch)
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     return engine
 
 
@@ -159,14 +156,14 @@ def test_engine_hot_reload_keeps_cursor(batch):
     engine = make_engine(batch, chunk=500)
     engine.controller.run()
     engine.process_chunk()
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     engine.controller.run()
     engine.process_chunk()
     assert engine.cursor == 1000
 
 
 def test_engine_failing_analysis_raises(batch):
-    class Bad(EventCounterAnalysis):
+    class Bad(Analysis):
         def process_batch(self, chunk, tree):
             raise RuntimeError("kaboom")
 
@@ -183,7 +180,7 @@ def test_engine_empty_dataset_completes():
 
     engine = AnalysisEngine("e")
     engine.load_data(EventBatch.empty())
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     total = engine.run_to_completion()
     assert total == 0
     assert engine.done
@@ -197,21 +194,3 @@ def test_run_local_produces_tree(batch):
     bundle = CodeBundle(higgs_module.SOURCE)
     tree = run_local(bundle, batch)
     assert tree.get("/higgs/dijet_mass").entries > 0
-
-
-def test_run_parallel_matches_local(tmp_path, batch):
-    path = write_dataset(tmp_path / "d.ipad", [batch], meta={"name": "t"})
-    bundle = CodeBundle(higgs_module.SOURCE)
-    local_tree = run_local(bundle, batch)
-    parallel_tree = run_parallel(bundle, str(path), n_workers=4)
-    h_local = local_tree.get("/higgs/dijet_mass")
-    h_par = parallel_tree.get("/higgs/dijet_mass")
-    assert h_par.entries == h_local.entries
-    assert np.allclose(h_par.heights(), h_local.heights())
-    assert h_par.mean == pytest.approx(h_local.mean)
-
-
-def test_run_parallel_validation(tmp_path, batch):
-    path = write_dataset(tmp_path / "d.ipad", [batch])
-    with pytest.raises(ValueError):
-        run_parallel(CodeBundle(higgs_module.SOURCE), str(path), n_workers=0)

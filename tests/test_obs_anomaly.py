@@ -283,3 +283,61 @@ def test_straggler_hints_reach_scheduler_and_heartbeat_then_clear():
     # close() withdraws the hints and forgets the session's series.
     assert out["after_close"] == []
     assert site.obs.anomaly.stragglers(out["session_id"]) == []
+
+
+def test_straggler_back_within_the_cohort_mid_run_gets_its_full_timeout_back():
+    """A flagged engine that is an outlier no longer is trusted again while
+    the session is still running: priority restored, suspicion cleared."""
+    from repro.analysis import higgs
+    from repro.client.client import IPAClient
+    from repro.core.site import GridSite, SiteConfig
+
+    site = GridSite(SiteConfig(n_workers=N_NODES, enable_observability=True))
+    site.register_dataset(
+        "ds-recovers",
+        "/test/ds-recovers",
+        size_mb=3840.0,  # ~140 s of analysis per engine: outlasts the 60 s window
+        n_events=160_000,
+        metadata={"experiment": "ilc"},
+        content={"kind": "ilc", "seed": 0},
+    )
+    client = IPAClient(site, site.enroll_user("/O=ILC/CN=recovers"))
+    out = {}
+
+    def scenario():
+        info = yield from client.obtain_proxy_and_connect(n_engines=N_NODES)
+        yield from client.select_dataset("ds-recovers")
+        yield from client.upload_code(higgs.SOURCE)
+        yield from client.run()
+        while site.aida.snapshot_count(info.session_id) < N_NODES:
+            yield site.env.timeout(1.0)
+        scheduler = site.gram.scheduler
+        monitor = site.session_service._sessions[info.session_id]["monitor"]
+        engine_id = f"{info.session_id}-engine-5"
+        site.injector.slow_worker(SLOW_WORKER, 4.0)
+        deadline = site.env.now + 200.0
+        while not scheduler.deprioritized and site.env.now < deadline:
+            yield site.env.timeout(1.0)
+        out["suspected_timeout"] = monitor.timeout_for(engine_id)
+        site.injector.slow_worker(SLOW_WORKER, 1.0)
+        deadline = site.env.now + 400.0
+        while scheduler.deprioritized and site.env.now < deadline:
+            yield site.env.timeout(1.0)
+        out["still_running"] = not (yield from client.poll()).progress.complete
+        out["deprioritized"] = list(scheduler.deprioritized)
+        out["cleared_timeout"] = monitor.timeout_for(engine_id)
+        out["base_timeout"] = monitor.config.heartbeat_timeout
+        out["recovered"] = [
+            e.attrs["engine"]
+            for e in site.obs.events.events(kind="straggler_recovered")
+        ]
+        out["engine_id"] = engine_id
+        yield from client.close()
+
+    site.env.run(until=site.env.process(scenario()))
+
+    assert out["suspected_timeout"] < out["base_timeout"]
+    assert out["still_running"]
+    assert out["deprioritized"] == []
+    assert out["cleared_timeout"] == out["base_timeout"]
+    assert out["recovered"] == [out["engine_id"]]

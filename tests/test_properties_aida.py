@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aida.axis import Axis
-from repro.aida.cloud import Cloud1D
 from repro.aida.hist1d import Histogram1D
 from repro.aida.hist2d import Histogram2D
-from repro.aida.ntuple import NTuple
 from repro.aida.profile import Profile1D
 
 finite_floats = st.floats(
@@ -144,53 +142,6 @@ def test_profile_distributed_fill_equals_central(da, db):
     assert np.array_equal(merged._counts, central._counts)
     assert np.allclose(merged._sumwy, central._sumwy)
     assert np.allclose(merged._sumwy2, central._sumwy2)
-
-
-@given(points, points)
-def test_cloud_merge_entry_count(da, db):
-    def fill(data):
-        c = Cloud1D("c", max_points=1000)
-        for x, w in data:
-            c.fill(x, w)
-        return c
-
-    merged = fill(da) + fill(db)
-    assert merged.entries == len(da) + len(db)
-
-
-@given(points, points, st.integers(min_value=1, max_value=30))
-def test_cloud_merge_total_weight_conserved(da, db, max_points):
-    """Weight survives merging regardless of conversion state."""
-    def fill(data):
-        c = Cloud1D("c", max_points=max_points)
-        for x, w in data:
-            c.fill(x, w)
-        return c
-
-    merged = fill(da) + fill(db)
-    expected = sum(w for _, w in da) + sum(w for _, w in db)
-    if merged.converted:
-        total = merged.histogram().sum_all_bin_heights
-    else:
-        total = float(np.sum(merged.weights())) if merged.entries else 0.0
-    assert np.isclose(total, expected) or (expected == 0 and total == 0)
-
-
-@given(
-    st.lists(st.tuples(finite_floats, finite_floats), max_size=40),
-    st.lists(st.tuples(finite_floats, finite_floats), max_size=40),
-)
-def test_ntuple_merge_preserves_rows(ra, rb):
-    def fill(rows):
-        nt = NTuple("n", ["a", "b"])
-        for a, b in rows:
-            nt.fill(a=a, b=b)
-        return nt
-
-    merged = fill(ra) + fill(rb)
-    assert merged.rows == len(ra) + len(rb)
-    if ra:
-        assert merged.column("a")[0] == np.float64(ra[0][0])
 
 
 @given(

@@ -1,14 +1,8 @@
-"""Property-based tests: query language algebra and dataset format fidelity."""
+"""Property-based tests: query language algebra."""
 
-import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dataset.events import EventBatch
-from repro.dataset.format import DatasetReader, write_dataset
-from repro.dataset.generator import ILCEventGenerator
-from repro.dataset.split import plan_split
 from repro.services.query import evaluate_query, parse_query
 
 # ---------------------------------------------------------------------------
@@ -75,64 +69,3 @@ def test_eq_and_neq_partition(key, value, doc):
 @given(comparisons)
 def test_parse_is_deterministic(comparison):
     assert repr(parse_query(comparison)) == repr(parse_query(comparison))
-
-
-# ---------------------------------------------------------------------------
-# Dataset format fidelity
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=500),
-    st.integers(min_value=1, max_value=200),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_format_roundtrip_any_batching(n_events, batch_size, seed):
-    import tempfile
-    from pathlib import Path
-
-    generator = ILCEventGenerator(seed=seed)
-    original = generator.generate(n_events)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "d.ipad"
-        # Rebatch arbitrarily before writing.
-        pieces = [
-            original.slice(i, min(i + batch_size, n_events))
-            for i in range(0, n_events, batch_size)
-        ]
-        write_dataset(path, pieces)
-        with DatasetReader(path) as reader:
-            restored = reader.read_all()
-    assert len(restored) == n_events
-    if n_events:
-        assert np.array_equal(restored.e, original.e)
-        assert np.array_equal(restored.offsets, original.offsets)
-        assert np.array_equal(restored.process, original.process)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=300),
-    st.integers(min_value=1, max_value=12),
-    st.sampled_from(["by-events", "by-bytes"]),
-)
-def test_split_parts_partition_events(n_events, n_parts, strategy):
-    """Any split plan covers every event exactly once, in order."""
-    import tempfile
-    from pathlib import Path
-
-    generator = ILCEventGenerator(seed=7)
-    batch = generator.generate(n_events)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "d.ipad"
-        write_dataset(path, [batch])
-        with DatasetReader(path) as reader:
-            plan = plan_split(reader, n_parts, strategy)
-    assert plan.total_events == n_events
-    cursor = 0
-    for part in plan.parts:
-        assert part.start_event == cursor
-        assert part.stop_event >= part.start_event
-        cursor = part.stop_event
-    assert cursor == n_events
-    assert sum(p.est_size_mb for p in plan.parts) >= 0

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.aida.tree import ObjectTree
-from repro.analysis.counting import EventCounterAnalysis
 from repro.dataset.events import EventBatch
 from repro.engine.engine import AnalysisEngine, Snapshot
 from repro.engine.sandbox import CodeBundle

@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources: Resource, PriorityResource, Store, Container."""
+"""Unit tests for simulation resources: Resource and Store."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 # ---------------------------------------------------------------------------
@@ -111,88 +111,6 @@ def test_resource_usage_since_recorded():
 
 
 # ---------------------------------------------------------------------------
-# PriorityResource
-# ---------------------------------------------------------------------------
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(10)
-
-    def user(name, priority):
-        yield env.timeout(1)  # queue behind the holder
-        with res.request(priority=priority) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    env.process(holder())
-    env.process(user("low", 5))
-    env.process(user("high", 1))
-    env.process(user("mid", 3))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_resource_fifo_within_same_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def user(name):
-        yield env.timeout(1)
-        with res.request(priority=2) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    env.process(holder())
-    for name in "abc":
-        env.process(user(name))
-    env.run()
-    assert order == ["a", "b", "c"]
-
-
-def test_priority_resource_cancel_skips_heap_entry():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def cancelling_user():
-        yield env.timeout(1)
-        req = res.request(priority=1)
-        yield env.timeout(1)
-        req.cancel()
-
-    def user():
-        yield env.timeout(1)
-        with res.request(priority=2) as req:
-            yield req
-            order.append(env.now)
-
-    env.process(holder())
-    env.process(cancelling_user())
-    env.process(user())
-    env.run()
-    assert order == [5]
-
-
-# ---------------------------------------------------------------------------
 # Store
 # ---------------------------------------------------------------------------
 
@@ -270,77 +188,3 @@ def test_store_len():
     store.put(2)
     env.run()
     assert len(store) == 2
-
-
-# ---------------------------------------------------------------------------
-# Container
-# ---------------------------------------------------------------------------
-
-def test_container_init_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=11)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=-1)
-
-
-def test_container_put_get_levels():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-
-    def proc():
-        yield tank.get(20)
-        assert tank.level == 30
-        yield tank.put(60)
-        assert tank.level == 90
-
-    env.run(until=env.process(proc()))
-
-
-def test_container_get_blocks_until_level_sufficient():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    log = []
-
-    def consumer():
-        yield tank.get(10)
-        log.append(env.now)
-
-    def producer():
-        yield env.timeout(3)
-        yield tank.put(10)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert log == [3]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer():
-        yield tank.put(5)
-        log.append(env.now)
-
-    def consumer():
-        yield env.timeout(2)
-        yield tank.get(5)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert log == [2]
-
-
-def test_container_zero_amount_rejected():
-    env = Environment()
-    tank = Container(env, capacity=10, init=5)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)

@@ -79,11 +79,6 @@ class Calibration:
     # -- engine chunking -----------------------------------------------------
     chunk_events: int = 500
     snapshot_every_chunks: int = 1
-    #: Engines publish delta snapshots (changed objects only) between full
-    #: keyframes; the AIDA manager merges them incrementally.
-    delta_snapshots: bool = True
-    #: Full-keyframe cadence in delta mode (1 = every snapshot is full).
-    keyframe_every_snapshots: int = 8
 
     def __post_init__(self) -> None:
         for name in (
@@ -105,8 +100,6 @@ class Calibration:
                 raise ValueError(f"{name} must be >= 0")
         if self.chunk_events < 1:
             raise ValueError("chunk_events must be >= 1")
-        if self.keyframe_every_snapshots < 1:
-            raise ValueError("keyframe_every_snapshots must be >= 1")
 
 
 #: The calibration used throughout the benchmarks.

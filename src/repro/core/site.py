@@ -82,25 +82,12 @@ class SiteConfig:
     session_lifetime:
         WSRF lifetime of session resources in seconds (``None`` =
         immortal).
-    enable_recovery:
-        Run the session service's heartbeat monitor + partition
-        re-dispatch (the failure model documented in
-        :mod:`repro.services.session`).
-    heartbeat_interval / heartbeat_timeout:
-        Engine liveness cadence and the silence after which an engine is
-        declared dead.
     enable_observability:
         Record spans and metrics across every tier (see :mod:`repro.obs`).
         Off by default: instrumentation then routes through shared null
         objects and costs almost nothing.
-    enable_replica_cache:
-        Run the replica catalog + per-worker caches (see
-        :mod:`repro.replica`): repeated stages of the same dataset reuse
-        SE part files and worker-cached parts instead of re-running the
-        fetch/split/scatter pipeline.  A fully cold stage is timed
-        identically either way.
     worker_cache_mb:
-        Per-worker cache capacity in MB (``None`` = unbounded).
+        Per-worker replica cache capacity in MB (``None`` = unbounded).
     checkpoint_every_s:
         Period of the per-session checkpoint loop in simulated seconds.
         The durable session layer always runs (its writes charge zero
@@ -128,20 +115,18 @@ class SiteConfig:
     admission_queue_depth:
         Admissions each VO may queue while over quota; beyond that the
         site refuses with ``RetryAfter`` backpressure (0 = never queue).
-    admission_retry_after_s:
-        Base client back-off hint attached to admission refusals
-        (scaled by the backlog actually waiting).
+
+    Every site runs the replica plane (catalog + per-worker caches, see
+    :mod:`repro.replica`) and the recovery plane (heartbeat monitor +
+    partition re-dispatch, see :mod:`repro.services.session`); neither
+    has an off switch.
     """
 
     n_workers: int = 16
     max_engines_per_session: Optional[int] = None
     merge_fan_in: Optional[int] = None
     session_lifetime: Optional[float] = None
-    enable_recovery: bool = True
-    heartbeat_interval: float = 5.0
-    heartbeat_timeout: float = 20.0
     enable_observability: bool = False
-    enable_replica_cache: bool = True
     worker_cache_mb: Optional[float] = None
     checkpoint_every_s: float = 30.0
     service_concurrency: Optional[int] = None
@@ -150,7 +135,6 @@ class SiteConfig:
     max_concurrent_engines: Optional[int] = None
     vo_shares: Optional[Dict[str, float]] = None
     admission_queue_depth: int = 0
-    admission_retry_after_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -389,24 +373,19 @@ class GridSite:
         )
         self.content_store = ContentStore()
         # Replica catalog + per-worker caches (warm re-staging, §4's
-        # repeat-analysis scenario); None disables caching entirely.
-        self.replicas = (
-            ReplicaManager(
-                env,
-                net,
-                self.storage,
-                self.workers,
-                capacity_mb=config.worker_cache_mb,
-                se_disk_mbps=cal.se_disk_mbps,
-                obs=self.obs,
-            )
-            if config.enable_replica_cache
-            else None
+        # repeat-analysis scenario).
+        self.replicas = ReplicaManager(
+            env,
+            net,
+            self.storage,
+            self.workers,
+            capacity_mb=config.worker_cache_mb,
+            se_disk_mbps=cal.se_disk_mbps,
+            obs=self.obs,
         )
-        if self.replicas is not None:
-            # Dataset re-registration bumps the generation, invalidating
-            # every replica cut from the previous content.
-            self.locator.add_update_hook(self.replicas.dataset_updated)
+        # Dataset re-registration bumps the generation, invalidating
+        # every replica cut from the previous content.
+        self.locator.add_update_hook(self.replicas.dataset_updated)
         # Durable manager-node disk for the session journal + checkpoints;
         # survives service crashes (minus any unsynced tail).
         self.durable_store = DurableStore()
@@ -418,7 +397,6 @@ class GridSite:
                 capacity=config.max_concurrent_engines,
                 shares=config.vo_shares,
                 queue_depth=config.admission_queue_depth,
-                retry_after_s=config.admission_retry_after_s,
                 obs=self.obs,
             )
             if config.max_concurrent_engines is not None
@@ -438,14 +416,7 @@ class GridSite:
             content_store=self.content_store,
             calibration=cal,
             session_lifetime=config.session_lifetime,
-            recovery=(
-                RecoveryConfig(
-                    heartbeat_interval=config.heartbeat_interval,
-                    heartbeat_timeout=config.heartbeat_timeout,
-                )
-                if config.enable_recovery
-                else None
-            ),
+            recovery=RecoveryConfig(),
             obs=self.obs,
             replicas=self.replicas,
             durability=DurabilityConfig(
@@ -498,7 +469,6 @@ class GridSite:
             self.session_service,
             self.container,
             site_name=self.name,
-            replicas=self.replicas,
         )
 
         # Expose services through the container (what the client calls).

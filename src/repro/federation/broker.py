@@ -68,7 +68,7 @@ class SessionBroker:
         if dataset_id is not None:
             placement = fed.catalog.placement(dataset_id)
             location = site.locator.locate(dataset_id)
-            if site.replicas is not None and site.replicas.has_whole(location):
+            if site.replicas.has_whole(location):
                 resident_mb = placement.size_mb
             else:
                 wan_mb = placement.size_mb

@@ -149,8 +149,6 @@ class FederatedCatalog:
         """
         out: List[str] = []
         for name, site in self.federation.sites.items():
-            if site.replicas is None:
-                continue
             try:
                 location = site.locator.locate(dataset_id)
             except LocatorError:

@@ -118,10 +118,6 @@ class ReplicationPolicy:
         site = fed.site(target)
         if site.partitioned:
             raise FederationError(f"target site {target!r} is partitioned")
-        if site.replicas is None:
-            raise FederationError(
-                f"site {target!r} has no replica manager (enable_replica_cache)"
-            )
         location = site.locator.locate(dataset_id)
         if site.replicas.has_whole(location):
             return False

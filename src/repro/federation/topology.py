@@ -64,11 +64,6 @@ class Federation:
         if len(set(site_names)) != len(site_names):
             raise FederationError("site names must be unique")
         config = site_config or SiteConfig()
-        if not config.enable_replica_cache:
-            raise FederationError(
-                "federation requires enable_replica_cache=True "
-                "(cross-site placement tracks whole-file residency)"
-            )
         self.config = config
         self.calibration = calibration
         self.env = Environment()
@@ -315,11 +310,7 @@ class Federation:
         """Per-site panel rows plus federation-wide counters."""
         rows = []
         for name, site in self.sites.items():
-            resident = (
-                round(site.replicas.resident_mb(), 3)
-                if site.replicas is not None
-                else 0.0
-            )
+            resident = round(site.replicas.resident_mb(), 3)
             backlog = (
                 site.admission.waiting() if site.admission is not None else 0
             )

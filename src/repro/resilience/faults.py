@@ -208,22 +208,22 @@ class FailureInjector:
         The simulation environment and the batch scheduler owning the
         workers.
     network:
-        Needed only for ``link-down`` faults.
+        The site's network (``link-down`` and site faults).
     replicas:
-        Optional replica manager: worker-killing faults then invalidate
-        the victim's cached dataset parts so no stale replica is served.
+        The site's replica manager: worker-killing faults invalidate the
+        victim's cached dataset parts so no stale replica is served.
     session_service:
-        Needed only for service-level faults (crash/restart of the
-        manager-node processes).
+        The site's session service (crash/restart of the manager-node
+        processes, combiner crashes).
     """
 
     def __init__(
         self,
         env: Environment,
         scheduler: BatchScheduler,
-        network: Optional[Network] = None,
-        replicas: Optional["ReplicaManager"] = None,
-        session_service=None,
+        network: Network,
+        replicas: "ReplicaManager",
+        session_service,
         obs=None,
     ) -> None:
         from repro.obs import NULL_OBS
@@ -254,8 +254,7 @@ class FailureInjector:
         worker = self.scheduler.element.worker(name)
         worker.failed = True
         self._interrupt_job(name, NodeCrash(name, "worker crashed"))
-        if self.replicas is not None:
-            self.replicas.invalidate_host(name)
+        self.replicas.invalidate_host(name)
         self._record("crash", name)
 
     def hang_worker(self, name: str) -> None:
@@ -263,8 +262,7 @@ class FailureInjector:
         worker = self.scheduler.element.worker(name)
         worker.failed = True
         self._interrupt_job(name, NodeHang(name, "worker hung"))
-        if self.replicas is not None:
-            self.replicas.invalidate_host(name)
+        self.replicas.invalidate_host(name)
         self._record("hang", name)
 
     def slow_worker(self, name: str, factor: float = 4.0) -> None:
@@ -285,8 +283,6 @@ class FailureInjector:
         ``SessionService.resync_engines``).  Returns the affected engine
         ids.
         """
-        if self.session_service is None:
-            raise ValueError("injector built without a session_service")
         affected = self.session_service.aida.crash_combiner(
             session_id, combiner_id
         )
@@ -306,16 +302,13 @@ class FailureInjector:
         directives, so the session monitor eventually declares it dead.
         Returns the failed link names.
         """
-        if self.network is None:
-            raise ValueError("injector built without a network")
         worker = self.scheduler.element.worker(name)
         worker.failed = True
         worker.link_down = True
         failed = self.network.fail_links_of(name)
-        if self.replicas is not None:
-            # Conservative: a partitioned worker may be rebuilt before its
-            # links return, so treat its cached parts as lost.
-            self.replicas.invalidate_host(name)
+        # Conservative: a partitioned worker may be rebuilt before its
+        # links return, so treat its cached parts as lost.
+        self.replicas.invalidate_host(name)
         self._record("link-down", name)
         return failed
 
@@ -333,8 +326,6 @@ class FailureInjector:
         :class:`~repro.sim.LinkDown`.  Returns the failed link names (for
         :meth:`heal_site`).  Idempotent at the link level.
         """
-        if self.network is None:
-            raise ValueError("injector built without a network")
         names = [link.name for link in self.network.boundary_links(site)]
         for link_name in names:
             self.network.fail_link(link_name)
@@ -343,8 +334,6 @@ class FailureInjector:
 
     def heal_site(self, site: str) -> List[str]:
         """Restore every boundary link of *site*; returns their names."""
-        if self.network is None:
-            raise ValueError("injector built without a network")
         names = [link.name for link in self.network.boundary_links(site)]
         for link_name in names:
             self.network.restore_link(link_name)
@@ -369,8 +358,6 @@ class FailureInjector:
         tail).  With ``torn_checkpoint`` the crash lands mid-flush,
         leaving a half-written checkpoint record behind.
         """
-        if self.session_service is None:
-            raise ValueError("injector built without a session_service")
         self.session_service.crash(torn_checkpoint=torn_checkpoint)
         kind = "checkpoint-torn" if torn_checkpoint else "service-crash"
         self._record(kind, "manager")
@@ -381,8 +368,6 @@ class FailureInjector:
         Returns the recovery process; ``yield`` it to wait for every
         journaled session to be rebuilt.
         """
-        if self.session_service is None:
-            raise ValueError("injector built without a session_service")
         self.log.append((self.env.now, "service-restart", "manager"))
         return self.env.process(self.session_service.recover())
 

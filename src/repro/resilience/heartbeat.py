@@ -3,9 +3,10 @@
 Engines beat by calling ``WorkerRegistryService.heartbeat`` every
 ``heartbeat_interval`` simulated seconds; the session service runs one
 :class:`HeartbeatMonitor` sweep loop per session and declares an engine
-dead when its last beat is older than ``heartbeat_timeout``.  Detection
-latency is therefore bounded by ``heartbeat_timeout + check_period``
-measured from the engine's final beat.
+dead when its last beat is older than ``heartbeat_timeout``, sweeping
+every ``heartbeat_interval``.  Detection latency is therefore bounded by
+``heartbeat_timeout + heartbeat_interval`` measured from the engine's
+final beat.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.resilience.retry import RetryPolicy
 from repro.sim import Environment
 
 
@@ -27,8 +27,6 @@ class RecoveryConfig:
         Seconds between engine heartbeats.
     heartbeat_timeout:
         An engine whose last beat is older than this is declared dead.
-    check_period:
-        Monitor sweep interval; defaults to ``heartbeat_interval``.
     spare_timeout:
         How long recovery waits for a spare engine to register before
         falling back to survivor takeover.
@@ -38,32 +36,19 @@ class RecoveryConfig:
     close_grace:
         How long ``SessionService.close`` waits for engines to shut down
         gracefully before force-cancelling their jobs.
-    restage_policy:
-        Retry schedule for re-staging orphaned partitions over GridFTP.
     """
 
     heartbeat_interval: float = 5.0
     heartbeat_timeout: float = 20.0
-    check_period: Optional[float] = None
     spare_timeout: float = 60.0
     dispatch_ack_timeout: float = 120.0
     close_grace: float = 120.0
-    restage_policy: RetryPolicy = RetryPolicy(
-        max_attempts=3, base_delay=1.0, multiplier=2.0, max_delay=30.0
-    )
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be > 0")
         if self.heartbeat_timeout <= self.heartbeat_interval:
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
-        if self.check_period is not None and self.check_period <= 0:
-            raise ValueError("check_period must be > 0")
-
-    @property
-    def period(self) -> float:
-        """Effective monitor sweep interval."""
-        return self.check_period or self.heartbeat_interval
 
 
 class HeartbeatMonitor:

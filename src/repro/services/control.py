@@ -37,18 +37,15 @@ class ControlService:
         service_credential: Credential,
         session_service: SessionService,
         container: ServiceContainer,
-        site_name: Optional[str] = None,
-        replicas=None,
+        site_name: str,
     ) -> None:
         self.env = env
         self.ca = ca
         self.service_credential = service_credential
         self.session_service = session_service
         self.container = container
-        #: Site label and replica manager feeding the per-site stats panel
-        #: (both optional — bare-service unit tests skip them).
+        #: Site label of the per-site stats panel.
         self.site_name = site_name
-        self.replicas = replicas
 
     def authenticate(self, client_chain: List[Certificate]) -> SecurityContext:
         """GSI-style mutual authentication; returns the security context."""
@@ -119,10 +116,8 @@ class ControlService:
         out["site"] = {
             "name": self.site_name,
             "sessions": self.session_service.active_sessions,
-            "resident_replica_mb": (
-                round(self.replicas.resident_mb(), 3)
-                if self.replicas is not None
-                else 0.0
+            "resident_replica_mb": round(
+                self.session_service.replicas.resident_mb(), 3
             ),
             "admission_backlog": (
                 admission.waiting() if admission is not None else 0

@@ -105,8 +105,7 @@ class StagedDataset:
     move_parts_seconds: float
     #: Split strategy the parts were cut under (keys replicas by geometry).
     strategy: str = "by-events"
-    #: Replica-cache outcome of this stage (all zero on a cold stage
-    #: without a replica manager).
+    #: Replica-cache outcome of this stage.
     local_hits: int = 0
     peer_hits: int = 0
     se_hits: int = 0
@@ -145,8 +144,8 @@ class EngineHost:
       (a recovered AIDA manager reconciling its merge cache);
     * ``("shutdown",)`` — leave the loop and deregister.
 
-    With a ``heartbeat_interval`` the host also runs a liveness loop that
-    beats into the registry; the beat stops when the node hangs or its
+    The host also runs a liveness loop that beats into the registry every
+    ``heartbeat_interval``; the beat stops when the node hangs or its
     link goes down, which is what the session monitor detects.  The whole
     directive-handling chain runs inside the *one* job-body process (via
     ``yield from``), so a single kernel interrupt — a crash or hang
@@ -167,7 +166,7 @@ class EngineHost:
         aida: AIDAManagerService,
         content_store: ContentStore,
         calibration: "Calibration",
-        heartbeat_interval: Optional[float] = None,
+        heartbeat_interval: float,
         obs: Optional[Observability] = None,
     ) -> None:
         self.engine_id = engine_id
@@ -200,8 +199,6 @@ class EngineHost:
             engine_id,
             chunk_events=calibration.chunk_events,
             snapshot_every_chunks=calibration.snapshot_every_chunks,
-            delta_snapshots=getattr(calibration, "delta_snapshots", True),
-            keyframe_every=getattr(calibration, "keyframe_every_snapshots", 8),
         )
         self.mailbox: Optional[Store] = None
         self._part: Optional[PartDescriptor] = None
@@ -236,9 +233,8 @@ class EngineHost:
                 host=self,
             )
         )
-        if self.heartbeat_interval:
-            self.registry.heartbeat(self.session_id, self.engine_id)
-            self._hb = env.process(self._heartbeat(env, worker))
+        self.registry.heartbeat(self.session_id, self.engine_id)
+        self._hb = env.process(self._heartbeat(env, worker))
         try:
             while True:
                 directive = yield self.mailbox.get()
@@ -478,10 +474,9 @@ class EngineHost:
 class SessionService:
     """Server-side coordinator of interactive analysis sessions.
 
-    With a :class:`~repro.resilience.heartbeat.RecoveryConfig` the service
-    also runs a per-session monitor loop implementing the failure model
-    documented in the module docstring; without one (the default) its
-    behaviour is identical to the failure-oblivious original.
+    Every session gets a monitor loop implementing the failure model
+    documented in the module docstring (tuned by *recovery*), and every
+    stage consults the replica catalog of *replicas* first.
     """
 
     def __init__(
@@ -500,16 +495,15 @@ class SessionService:
         calibration: "Calibration",
         durability: DurabilityConfig,
         container: ServiceContainer,
+        recovery: RecoveryConfig,
+        replicas: "ReplicaManager",
         session_lifetime: Optional[float] = None,
-        recovery: Optional[RecoveryConfig] = None,
         obs: Optional[Observability] = None,
-        replicas: Optional["ReplicaManager"] = None,
         admission: Optional[AdmissionController] = None,
     ) -> None:
         self.env = env
         self.obs = obs or NULL_OBS
-        #: Replica catalog + staging caches; ``None`` reproduces the
-        #: original fetch-split-scatter-every-time behaviour exactly.
+        #: Replica catalog + staging caches.
         self.replicas = replicas
         self.gram = gram
         self.registry = registry
@@ -545,9 +539,7 @@ class SessionService:
     @property
     def active_sessions(self) -> int:
         """Open (not yet closed) sessions — the broker's queue-depth signal."""
-        return sum(
-            1 for session in self._sessions.values() if not session["closed"]
-        )
+        return len(self._sessions)
 
     # -- durability helpers -------------------------------------------------
     def _journal(self, session_id: str) -> SessionJournal:
@@ -649,9 +641,8 @@ class SessionService:
         site-policy maximum ("the number of nodes is determined by the Grid
         site policy that is pre-configured on the manager service", §3.2).
         *dataset_hint* names the dataset the session intends to analyze:
-        with a replica manager attached, engine placement then prefers
-        workers already caching parts of it (data affinity), maximizing
-        local hits when the dataset is staged.
+        engine placement then prefers workers already caching parts of it
+        (data affinity), maximizing local hits when the dataset is staged.
         """
         if self._down:
             raise ServiceUnavailable("session service is down")
@@ -707,7 +698,7 @@ class SessionService:
             return host.body
 
         preferred: Optional[List[str]] = None
-        if self.replicas is not None and dataset_hint is not None:
+        if dataset_hint is not None:
             preferred = self.replicas.preferred_workers(dataset_hint) or None
         submission = yield from self.gram.submit_with_retry(
             JobDescription("ipa-analysis-engine", count=count),
@@ -779,9 +770,7 @@ class SessionService:
             aida=self.aida,
             content_store=self.content_store,
             calibration=self.calibration,
-            heartbeat_interval=(
-                self.recovery.heartbeat_interval if self.recovery else None
-            ),
+            heartbeat_interval=self.recovery.heartbeat_interval,
             obs=self.obs,
         )
 
@@ -820,18 +809,17 @@ class SessionService:
     def _arm_background_loops(self, session_id: str) -> None:
         """Start the session's heartbeat monitor and checkpoint loop."""
         session = self._sessions[session_id]
-        if self.recovery is not None:
-            monitor = HeartbeatMonitor(
-                self.env, self.registry, session_id, self.recovery
-            )
-            for reference in session["references"]:
-                # watch() seeds a fresh beat: after a restart nobody gets
-                # quarantined because their last beat predates the downtime.
-                monitor.watch(reference.engine_id)
-            session["monitor"] = monitor
-            session["monitor_proc"] = self.env.process(
-                self._monitor_loop(session_id)
-            )
+        monitor = HeartbeatMonitor(
+            self.env, self.registry, session_id, self.recovery
+        )
+        for reference in session["references"]:
+            # watch() seeds a fresh beat: after a restart nobody gets
+            # quarantined because their last beat predates the downtime.
+            monitor.watch(reference.engine_id)
+        session["monitor"] = monitor
+        session["monitor_proc"] = self.env.process(
+            self._monitor_loop(session_id)
+        )
         session["checkpoint_proc"] = self.env.process(
             self._checkpoint_loop(session_id)
         )
@@ -840,7 +828,7 @@ class SessionService:
         if self._down:
             raise ServiceUnavailable("session service is down")
         session = self._sessions.get(session_id)
-        if session is None or session["closed"]:
+        if session is None:
             raise SessionError(f"no active session {session_id!r}")
         return session
 
@@ -858,87 +846,55 @@ class SessionService:
     ):
         """Stage a dataset onto the session's workers (generator operation).
 
-        With a replica manager attached the catalog is consulted first: a
-        warm hit skips the WAN fetch and/or the scatter entirely, a
-        partial hit moves only the missing parts (peer-to-peer from other
-        worker caches where that is cheaper than the SE spindle), and a
-        fully cold stage falls through to the original §3.4 pipeline with
-        bit-identical timings.  Returns the :class:`StagedDataset`
-        bookkeeping (with the per-phase timing breakdown the benchmarks
-        print).
+        The replica catalog is consulted first: a warm hit skips the WAN
+        fetch and/or the scatter entirely, a partial hit moves only the
+        missing parts (peer-to-peer from other worker caches where that is
+        cheaper than the SE spindle), and a fully cold stage runs the
+        §3.4 pipeline, registering the copies it produces so the next
+        stage is warm.  Returns the :class:`StagedDataset` bookkeeping
+        (with the per-phase timing breakdown the benchmarks print).
         """
         session = self._session(session_id)
         entry = self.catalog.entry(dataset_id)
         location = self.locator.locate(dataset_id)
         rm = self.replicas
 
-        plan = keys = None
-        if rm is not None:
-            if session["dataset"] is not None:
-                # Dataset switch: release the previous dataset's pins so
-                # its cached parts become evictable.
-                rm.unpin_session(session_id)
-            # Part keys depend only on the split geometry, so plan with a
-            # template worker order, then permute the references so cached
-            # parts land on the workers that hold them.
-            references = session["references"]
-            template = self.splitter.plan_parts(
-                location, [ref.worker for ref in references], strategy
+        if session["dataset"] is not None:
+            # Dataset switch: release the previous dataset's pins so its
+            # cached parts become evictable.
+            rm.unpin_session(session_id)
+        # Part keys depend only on the split geometry, so plan with a
+        # template worker order, then permute the references so cached
+        # parts land on the workers that hold them.
+        references = session["references"]
+        template = self.splitter.plan_parts(
+            location, [ref.worker for ref in references], strategy
+        )
+        keys = rm.part_keys(dataset_id, strategy, template)
+        aligned = rm.align_references(references, keys)
+        parts = self.splitter.plan_parts(
+            location, [ref.worker for ref in aligned], strategy
+        )
+        plan = rm.plan_sources(location, strategy, parts, keys)
+        fetch_skippable = (
+            location.origin_host is not None and rm.has_whole(location)
+        )
+        if not plan.fully_cold or fetch_skippable:
+            staged = yield from self._stage_from_replicas(
+                session, session_id, entry, location, strategy,
+                streams, aligned, parts, keys, plan,
             )
-            keys = rm.part_keys(dataset_id, strategy, template)
-            aligned = rm.align_references(references, keys)
-            parts = self.splitter.plan_parts(
-                location, [ref.worker for ref in aligned], strategy
-            )
-            plan = rm.plan_sources(location, strategy, parts, keys)
-            fetch_skippable = (
-                location.origin_host is not None and rm.has_whole(location)
-            )
-            if not plan.fully_cold or fetch_skippable:
-                staged = yield from self._stage_from_replicas(
-                    session, session_id, entry, location, strategy,
-                    streams, aligned, parts, keys, plan,
-                )
-                session["dataset"] = staged
-                self.resources.set_property(
-                    session["ref"], "dataset", dataset_id
-                )
-                self._log_stage(session_id, staged, keys)
-                return staged
-            # Fully cold and the fetch decision is unchanged: fall through
-            # to the original pipeline (identical timings), registering the
-            # produced copies below so the *next* stage is warm.
+            session["dataset"] = staged
+            self.resources.set_property(session["ref"], "dataset", dataset_id)
+            self._log_stage(session_id, staged, keys)
+            return staged
 
-        tracer = self.obs.tracer
+        # Fully cold: the §3.4 pipeline as-is.  No catalog consult, whose
+        # SOAP round-trip would add to Table 2's stage time.
         fetch_seconds = 0.0
         if location.origin_host is not None:
-            # "Locate and transfer large dataset file" (Fig. 1): move the
-            # whole file from its origin to the storage element.
-            started = self.env.now
-            fetch_span = tracer.child(
-                "stage.fetch",
-                phase="move_whole",
-                dataset=dataset_id,
-                mb=location.size_mb,
-            )
-            with tracer.activate(fetch_span):
-                fetch = self.ftp.transfer_file(
-                    _HostProxy(location.origin_host, self.env),
-                    self.storage,
-                    f"{dataset_id}.whole",
-                    location.size_mb,
-                    read_disk=False,
-                    write_disk=False,
-                )
-            yield fetch
-            fetch_span.finish()
-            fetch_seconds = self.env.now - started
-            if rm is not None:
-                # Record the SE copy so later sessions on this dataset do
-                # not re-download it across the WAN.
-                rm.record_whole(location)
+            fetch_seconds = yield from self._fetch_whole(location)
 
-        references = session["references"]
         workers = [
             self.gram.scheduler.element.worker(ref.worker) for ref in references
         ]
@@ -952,16 +908,15 @@ class SessionService:
             report = yield self.splitter.split_and_scatter(
                 location, workers, strategy=strategy, streams=streams
             )
-        if rm is not None:
-            # Bookkeeping only (no simulated time): record every copy the
-            # cold pipeline just produced, pinned for this session.
-            for part, key in zip(report.parts, keys):
-                if location.kind != "database":
-                    rm.record_se_part(dataset_id, key, part.size_mb)
-                rm.record_worker_part(
-                    dataset_id, key, part.worker, part.size_mb, session_id
-                )
-            rm.note_stage(plan)
+        # Bookkeeping only (no simulated time): record every copy the cold
+        # pipeline just produced, pinned for this session.
+        for part, key in zip(report.parts, keys):
+            if location.kind != "database":
+                rm.record_se_part(dataset_id, key, part.size_mb)
+            rm.record_worker_part(
+                dataset_id, key, part.worker, part.size_mb, session_id
+            )
+        rm.note_stage(plan)
         # Hand each engine its part descriptor + the content recipe, and
         # record who owns what (the recovery monitor re-dispatches these
         # assignments when an engine dies).
@@ -987,6 +942,35 @@ class SessionService:
         self.resources.set_property(session["ref"], "dataset", dataset_id)
         self._log_stage(session_id, staged, keys)
         return staged
+
+    def _fetch_whole(self, location: DatasetLocation):
+        """Move the whole file from its origin to the SE (generator).
+
+        "Locate and transfer large dataset file" (Fig. 1).  Records the SE
+        copy so later sessions on this dataset do not re-download it
+        across the WAN; returns the fetch wall-clock in seconds.
+        """
+        tracer = self.obs.tracer
+        started = self.env.now
+        fetch_span = tracer.child(
+            "stage.fetch",
+            phase="move_whole",
+            dataset=location.dataset_id,
+            mb=location.size_mb,
+        )
+        with tracer.activate(fetch_span):
+            fetch = self.ftp.transfer_file(
+                _HostProxy(location.origin_host),
+                self.storage,
+                f"{location.dataset_id}.whole",
+                location.size_mb,
+                read_disk=False,
+                write_disk=False,
+            )
+        yield fetch
+        fetch_span.finish()
+        self.replicas.record_whole(location)
+        return self.env.now - started
 
     @staticmethod
     def _part_file_name(location: DatasetLocation, part: PartDescriptor) -> str:
@@ -1038,26 +1022,7 @@ class SessionService:
             fetch_seconds = 0.0
             need_split = bool(plan.missing) and location.kind != "database"
             if need_split and not rm.has_whole(location):
-                started = self.env.now
-                fetch_span = tracer.child(
-                    "stage.fetch",
-                    phase="move_whole",
-                    dataset=dataset_id,
-                    mb=location.size_mb,
-                )
-                with tracer.activate(fetch_span):
-                    fetch = self.ftp.transfer_file(
-                        _HostProxy(location.origin_host, self.env),
-                        self.storage,
-                        f"{dataset_id}.whole",
-                        location.size_mb,
-                        read_disk=False,
-                        write_disk=False,
-                    )
-                yield fetch
-                fetch_span.finish()
-                fetch_seconds = self.env.now - started
-                rm.record_whole(location)
+                fetch_seconds = yield from self._fetch_whole(location)
             fetch_skipped = (
                 location.origin_host is not None and fetch_seconds == 0.0
             )
@@ -1319,10 +1284,10 @@ class SessionService:
     def _monitor_loop(self, session_id: str):
         """Detect dead engines by missing heartbeats and recover.
 
-        One sweep per ``RecoveryConfig.period``: first *every* stale engine
-        is quarantined (so a multi-failure never re-dispatches onto a
-        worker that is itself about to be declared dead), then orphaned
-        partitions are re-dispatched.  Runs until the session closes; while
+        One sweep per ``RecoveryConfig.heartbeat_interval``: first *every*
+        stale engine is quarantined (so a multi-failure never re-dispatches
+        onto a worker that is itself about to be declared dead), then
+        orphaned partitions are re-dispatched.  Runs until the session closes; while
         closing it keeps cancelling hung engines so ``close`` can finish,
         but stops re-dispatching work.
 
@@ -1335,13 +1300,14 @@ class SessionService:
             return
 
     def _monitor_loop_inner(self, session_id: str):
-        session = self._sessions[session_id]
-        config = self.recovery
+        session = self._sessions.get(session_id)
+        if session is None:
+            return
         monitor = session["monitor"]
         while True:
             if session["closed"]:
                 return
-            yield self.env.timeout(config.period)
+            yield self.env.timeout(self.recovery.heartbeat_interval)
             if session["closed"]:
                 return
             suspects = set(monitor.stale())
@@ -1399,7 +1365,7 @@ class SessionService:
         nothing is killed; a recovered engine gets both hints lifted.
         """
         session = self._sessions.get(session_id)
-        if session is None or session["closed"]:
+        if session is None:
             return
         monitor = session["monitor"]
         hints: Dict[str, str] = session["straggler_hints"]
@@ -1416,20 +1382,16 @@ class SessionService:
                 continue
             hints[engine_id] = worker
             scheduler.deprioritize(worker)
-            if monitor is not None:
-                monitor.suspect(engine_id)
+            monitor.suspect(engine_id)
         for engine_id in sorted(set(hints) - flagged):
             worker = hints.pop(engine_id)
             scheduler.restore_priority(worker)
-            if monitor is not None:
-                monitor.clear_suspicion(engine_id)
+            monitor.clear_suspicion(engine_id)
 
     def _quarantine(self, session_id: str, engine_id: str) -> dict:
         """Declare an engine dead: ban its results, orphan its partitions."""
         session = self._sessions[session_id]
-        monitor = session["monitor"]
-        if monitor is not None:
-            monitor.unwatch(engine_id)
+        session["monitor"].unwatch(engine_id)
         job = session["engine_jobs"].get(engine_id)
         cause = (
             job.error
@@ -1475,7 +1437,7 @@ class SessionService:
             (r for r in session["references"] if r.engine_id == engine_id),
             None,
         )
-        if self.replicas is not None and dead_ref is not None:
+        if dead_ref is not None:
             # A dead worker's cache contents are gone with it: drop its
             # replica records so no later stage plans a peer fetch from it.
             self.replicas.invalidate_host(dead_ref.worker)
@@ -1532,8 +1494,9 @@ class SessionService:
             return
 
     def _redispatch_inner(self, session_id: str):
-        session = self._sessions[session_id]
-        config = self.recovery
+        session = self._sessions.get(session_id)
+        if session is None:
+            return
         while (
             session["orphaned"]
             and not session["closing"]
@@ -1581,7 +1544,7 @@ class SessionService:
             session["assignments"].setdefault(target.engine_id, []).append(
                 (part, content)
             )
-            if self.replicas is not None and dataset is not None:
+            if dataset is not None:
                 key = self.replicas.catalog.part_key(
                     dataset.dataset_id,
                     dataset.strategy,
@@ -1630,7 +1593,7 @@ class SessionService:
             yield target.mailbox.put(
                 ("takeover", part, content, ack, session["running"])
             )
-            timeout = self.env.timeout(config.dispatch_ack_timeout)
+            timeout = self.env.timeout(self.recovery.dispatch_ack_timeout)
             yield self.env.any_of([ack, timeout])
             if not ack.triggered:
                 # Target went silent mid-takeover; the monitor's next
@@ -1647,7 +1610,7 @@ class SessionService:
         re-staged partition is still unaccounted for.
         """
         session = self._sessions.get(session_id)
-        if session is None or session["closed"]:
+        if session is None:
             return
         session["pending_acks"] = [
             ack for ack in session["pending_acks"] if not ack.triggered
@@ -1672,7 +1635,6 @@ class SessionService:
         falls back to a surviving engine).
         """
         session = self._sessions[session_id]
-        config = self.recovery
         index = session["next_engine_index"]
         session["next_engine_index"] = index + 1
         host = self._engine_host(session_id, index)
@@ -1690,7 +1652,7 @@ class SessionService:
             return None
         session["spare_submissions"].append(submission)
         session["engine_jobs"][engine_id] = submission.jobs[0]
-        deadline = self.env.now + config.spare_timeout
+        deadline = self.env.now + self.recovery.spare_timeout
         while True:
             refs = {
                 ref.engine_id: ref for ref in self.registry.engines(session_id)
@@ -1715,8 +1677,7 @@ class SessionService:
             engine_id=engine_id,
             worker=reference.worker,
         )
-        if session["monitor"] is not None:
-            session["monitor"].watch(engine_id)
+        session["monitor"].watch(engine_id)
         # Ship the session's current analysis code to the newcomer.
         try:
             bundle = self.codeloader.current(session_id)
@@ -1750,11 +1711,11 @@ class SessionService:
         are dead or hung — stragglers are force-cancelled after the
         recovery grace period instead of deadlocking the close.
 
-        Idempotency holds *across a recovery boundary* too: closing a
-        session whose close completed before a service crash finds the
+        A closed session leaves ``_sessions``; closing it again finds the
         journal tombstone and returns True without re-running the
         teardown — replicas are not double-unpinned and no ``replica_*``
-        metric is double-counted.
+        metric is double-counted.  This holds across a recovery boundary
+        too.
         """
         if self._down:
             raise ServiceUnavailable("session service is down")
@@ -1765,8 +1726,6 @@ class SessionService:
             ):
                 return True
             raise SessionError(f"no active session {session_id!r}")
-        if session["closed"]:
-            return True
         session["closing"] = True
         self._log(session_id, "closing")
         for ref in list(session["references"]):
@@ -1777,36 +1736,32 @@ class SessionService:
             spare.all_done for spare in session["spare_submissions"]
         ]
         all_done = self.env.all_of(done_events)
-        if self.recovery is None:
+        grace = self.env.timeout(self.recovery.close_grace)
+        yield self.env.any_of([all_done, grace])
+        if not all_done.triggered:
+            # A hung engine never read its shutdown directive and the
+            # monitor has not (yet) cancelled it: force the issue.
+            self.gram.cancel(session["submission"], "session-end")
+            for spare in session["spare_submissions"]:
+                self.gram.cancel(spare, "session-end")
             yield all_done
-        else:
-            grace = self.env.timeout(self.recovery.close_grace)
-            yield self.env.any_of([all_done, grace])
-            if not all_done.triggered:
-                # A hung engine never read its shutdown directive and the
-                # monitor has not (yet) cancelled it: force the issue.
-                self.gram.cancel(session["submission"], "session-end")
-                for spare in session["spare_submissions"]:
-                    self.gram.cancel(spare, "session-end")
-                yield all_done
         self.gram.cancel(session["submission"], "session-end")
         for spare in session["spare_submissions"]:
             self.gram.cancel(spare, "session-end")
         self.registry.drop_session(session_id)
         self.codeloader.drop_session(session_id)
         self.aida.drop_session(session_id)
-        if self.replicas is not None:
-            # The session's cached parts stay behind (warm for the next
-            # session) but are no longer pinned against eviction.
-            self.replicas.unpin_session(session_id)
+        # The session's cached parts stay behind (warm for the next
+        # session) but are no longer pinned against eviction.
+        self.replicas.unpin_session(session_id)
         self.resources.set_property(session["ref"], "state", "closed")
         self.resources.destroy(session["ref"])
         # A closed session holds nothing: the record (hosts, jobs,
-        # references, submissions, credential chain) shrinks to the flag a
-        # repeated close() or a late status() reads.  Background loops
-        # still asleep hold the old record and exit on its flag.
+        # references, submissions, credential chain) leaves the service.
+        # Background loops still asleep hold the old record and exit on
+        # its flag.
         session["closed"] = True
-        self._sessions[session_id] = {"closed": True}
+        self._sessions.pop(session_id, None)
         if self.admission is not None and session.get("admission"):
             # Return the VO's engine slots; queued admissions are served
             # weighted-fair off this release.
@@ -1842,8 +1797,7 @@ class SessionService:
         try:
             while True:
                 yield self.env.timeout(config.checkpoint_every_s)
-                session = self._sessions.get(session_id)
-                if session is None or session["closed"]:
+                if session_id not in self._sessions:
                     return
                 self.write_checkpoint(session_id)
         except Interrupt:
@@ -1857,7 +1811,7 @@ class SessionService:
         a crash mid-flush (only half the record reaches the disk).
         """
         session = self._sessions.get(session_id)
-        if session is None or session["closed"]:
+        if session is None:
             return None
         store = self._checkpoint_store(session_id)
         self._journal(session_id).sync()
@@ -1897,7 +1851,7 @@ class SessionService:
         Returns the number of directives sent.
         """
         session = self._sessions.get(session_id)
-        if session is None or session["closed"]:
+        if session is None:
             return 0
         wanted = set(engine_ids)
         sent = 0
@@ -1921,17 +1875,15 @@ class SessionService:
         tolerate.
         """
         if torn_checkpoint:
-            for session_id, session in list(self._sessions.items()):
-                if not session["closed"]:
-                    self.write_checkpoint(session_id, torn=True)
+            for session_id in list(self._sessions):
+                self.write_checkpoint(session_id, torn=True)
         for session in self._sessions.values():
             for key in ("monitor_proc", "checkpoint_proc", "redispatch_proc"):
-                proc = session.get(key)
+                proc = session[key]
                 if proc is not None and proc.is_alive:
                     proc.interrupt("service-crash")
                 session[key] = None
-            if not session["closed"]:
-                self.container.revoke_token(session["token"])
+            self.container.revoke_token(session["token"])
         self._sessions = {}
         self._journals = {}
         self._checkpoints = {}
@@ -2149,11 +2101,10 @@ class SessionService:
             self.aida.discard_engine(session_id, engine_id)
 
         # Re-pin this session's replica keys wherever the parts still sit.
-        if self.replicas is not None:
-            for key in model.pin_keys:
-                for cache in self.replicas.caches.values():
-                    if key in cache:
-                        cache.pin(key, session_id)
+        for key in model.pin_keys:
+            for cache in self.replicas.caches.values():
+                if key in cache:
+                    cache.pin(key, session_id)
 
         self._arm_background_loops(session_id)
 
@@ -2208,7 +2159,7 @@ class SessionService:
         if self._down:
             raise ServiceUnavailable("session service is down")
         session = self._sessions.get(session_id)
-        if session is None or session["closed"]:
+        if session is None:
             if self._closed_in_journal(session_id):
                 raise SessionError(f"session {session_id!r} is closed")
             raise SessionError(f"no active session {session_id!r}")
@@ -2254,21 +2205,9 @@ class _RecoveredSubmission:
 
 
 class _HostProxy:
-    """Minimal Node-like stand-in for a bare network host (origin archive)."""
+    """The source of a ``transfer_file(read_disk=False, write_disk=False)``
+    from a bare network host (the origin archive): only its name is read.
+    """
 
-    def __init__(self, name: str, env: Environment) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.env = env
-        self.disk_files: dict = {}
-
-    def disk_read(self, size_mb: float):  # pragma: no cover - not used
-        def io():
-            yield self.env.timeout(0.0)
-
-        return self.env.process(io())
-
-    def disk_write(self, size_mb: float):  # pragma: no cover - not used
-        return self.disk_read(size_mb)
-
-    def store_file(self, name: str, size_mb: float) -> None:
-        self.disk_files[name] = size_mb

@@ -104,7 +104,6 @@ def test_admission_rejection_then_client_retry_succeeds():
         n_workers=8,
         max_concurrent_engines=4,
         admission_queue_depth=0,
-        admission_retry_after_s=3.0,
     )
     env = site.env
     alice = IPAClient(site, site.enroll_user("/CN=alice"))
@@ -145,7 +144,7 @@ def test_admission_rejection_then_client_retry_succeeds():
     env.run(until=env.all_of([p1, p2]))
 
     assert "bob_refused" in timeline
-    assert timeline["hint"] == pytest.approx(3.0)
+    assert timeline["hint"] == pytest.approx(5.0)
     # Bob only got in after alice released her engine slots.
     assert timeline["bob_up"] >= timeline["alice_closed"]
     # The slots are back once both sessions closed.

@@ -127,14 +127,6 @@ def test_duplicate_site_names_rejected():
         Federation(site_names=["a", "a"], site_config=small_config())
 
 
-def test_federation_requires_replica_cache():
-    with pytest.raises(FederationError):
-        Federation(
-            n_sites=2,
-            site_config=small_config(enable_replica_cache=False),
-        )
-
-
 def test_enroll_user_is_valid_at_every_site():
     fed = Federation(n_sites=2, site_config=small_config())
     credential = fed.enroll_user("/O=ILC/CN=roamer")

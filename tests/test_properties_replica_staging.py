@@ -3,8 +3,10 @@
 Under random interleavings of sessions, cache evictions, node kills (with
 restore), and dataset re-registrations, every session's merged histograms
 must be exactly equal — dict equality, float bits included — to a
-reference run on a replica-free site.  The replica layer may only change
-*when* bytes move, never *which* events reach which analysis.
+reference run: the first session of a fresh site, whose fully cold stage
+runs the §3.4 fetch/split/scatter pipeline without consulting the
+catalog.  The replica layer may only change *when* bytes move, never
+*which* events reach which analysis.
 
 The counting analysis sums unit weights, so the merged heights are exact
 in floating point regardless of the engine/part permutation the replica
@@ -26,13 +28,8 @@ N_ENGINES = 3
 N_OPS = 8
 
 
-def build_site(enable_replica_cache=True):
-    site = GridSite(
-        SiteConfig(
-            n_workers=N_WORKERS,
-            enable_replica_cache=enable_replica_cache,
-        )
-    )
+def build_site():
+    site = GridSite(SiteConfig(n_workers=N_WORKERS))
     site.register_dataset(
         "ds", "/t/ds", size_mb=30.0, n_events=1500,
         content={"kind": "ilc", "seed": 7},
@@ -79,11 +76,14 @@ def reregister(site):
 def test_chaotic_replica_interleavings_preserve_results(seed):
     rng = random.Random(seed)
 
-    # Reference: the same analysis on a site with no replica layer at all.
-    ref_site = build_site(enable_replica_cache=False)
-    _, reference_tree = analyze_once(
+    # Reference: the same analysis as a fresh site's first, fully cold
+    # session — the pipeline untouched by the catalog.
+    ref_site = build_site()
+    ref_staged, reference_tree = analyze_once(
         ref_site, ref_site.enroll_user("/CN=ref")
     )
+    assert ref_staged.cold_parts == N_ENGINES
+    assert not ref_staged.fetch_skipped
 
     site = build_site()
     cred = site.enroll_user("/CN=alice")

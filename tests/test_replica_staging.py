@@ -101,29 +101,21 @@ def test_fully_warm_second_stage_is_all_local_hits():
 
 
 def test_cold_stage_timings_identical_with_and_without_cache():
-    """A fully cold stage must cost exactly what the original pipeline did."""
-    timings = {}
-    for enabled in (False, True):
-        site = build_site(enable_replica_cache=enabled)
-        cred = site.enroll_user("/CN=alice")
-        staged = run_session(site, cred)["staged"]
-        timings[enabled] = (
-            staged.fetch_seconds,
-            staged.split_seconds,
-            staged.move_parts_seconds,
-        )
-    assert timings[False] == timings[True]
+    """A fully cold stage must cost exactly what the original pipeline did.
 
-
-def test_disabled_cache_restages_every_time():
-    site = build_site(enable_replica_cache=False)
-    assert site.replicas is None
+    The literal is the (fetch, split, move parts) breakdown of the §3.4
+    pipeline for this site and dataset, measured when the replica cache
+    could still be switched off (identical with it on or off).
+    """
+    site = build_site()
     cred = site.enroll_user("/CN=alice")
-    first = run_session(site, cred)["staged"]
-    second = run_session(site, cred)["staged"]
-    assert second.fetch_seconds == pytest.approx(first.fetch_seconds)
-    assert second.stage_seconds == pytest.approx(first.stage_seconds)
-    assert not second.fetch_skipped
+    staged = run_session(site, cred)["staged"]
+    assert staged.cold_parts == 4
+    assert (
+        staged.fetch_seconds,
+        staged.split_seconds,
+        staged.move_parts_seconds,
+    ) == (5.551454788657036, 10.8, 5.448559069369487)
 
 
 # ---------------------------------------------------------------------------

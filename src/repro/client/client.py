@@ -111,7 +111,7 @@ class IPAClient:
         last_refusal: Optional[RetryAfter] = None
         for attempt in range(attempts):
             try:
-                info: SessionInfo = yield self.site.container.call(
+                info: SessionInfo = yield from self.site.container.request(
                     "control",
                     "create_session",
                     {
@@ -179,7 +179,7 @@ class IPAClient:
         last_error: Optional[BaseException] = None
         for attempt in range(policy.max_attempts):
             try:
-                info: SessionInfo = yield self.site.container.call(
+                info: SessionInfo = yield from self.site.container.request(
                     "control",
                     "reconnect_session",
                     {
@@ -218,7 +218,7 @@ class IPAClient:
     ):
         """Generator op: stage the dataset for this session (steps 4-5)."""
         info = self._require_session()
-        staged: StagedDataset = yield self.site.container.call(
+        staged: StagedDataset = yield from self.site.container.request(
             "session",
             "add_dataset",
             {
@@ -243,7 +243,7 @@ class IPAClient:
         bundle = CodeBundle(
             source=source, class_name=class_name, parameters=dict(parameters or {})
         )
-        duration = yield self.site.container.call(
+        duration = yield from self.site.container.request(
             "session",
             "stage_code",
             {"session_id": info.session_id, "bundle": bundle},
@@ -257,7 +257,7 @@ class IPAClient:
     ):
         """Generator op: dynamic reload with new source/parameters (§3.6)."""
         info = self._require_session()
-        duration = yield self.site.container.call(
+        duration = yield from self.site.container.request(
             "session",
             "reload_code",
             {
@@ -271,7 +271,7 @@ class IPAClient:
     # -- run controls ------------------------------------------------------
     def _control(self, verb: str, argument=None):
         info = self._require_session()
-        count = yield self.site.container.call(
+        count = yield from self.site.container.request(
             "session",
             "control",
             {"session_id": info.session_id, "verb": verb, "argument": argument},
@@ -366,7 +366,7 @@ class IPAClient:
     def status(self):
         """Generator op: session status summary from the session service."""
         info = self._require_session()
-        summary = yield self.site.container.call(
+        summary = yield from self.site.container.request(
             "session", "status", {"session_id": info.session_id}
         )
         return summary
@@ -375,7 +375,7 @@ class IPAClient:
     def close(self):
         """Generator op: close the session and release every engine."""
         info = self._require_session()
-        result = yield self.site.container.call(
+        result = yield from self.site.container.request(
             "control", "close_session", {"session_id": info.session_id}
         )
         self.session = None

@@ -48,20 +48,13 @@ class DatasetCatalogPlugin:
 
     def browse(self, path: str = "/"):
         """Generator op: list a catalog directory."""
-        listing = yield self.container.call("catalog", "browse", {"path": path})
+        listing = yield from self.container.request("catalog", "browse", {"path": path})
         return listing
 
     def search(self, query: str):
         """Generator op: metadata query; returns matching entries."""
-        hits = yield self.container.call("catalog", "search", {"query": query})
+        hits = yield from self.container.request("catalog", "search", {"query": query})
         return hits
-
-    def entry(self, dataset_id: str):
-        """Generator op: fetch one catalog entry by id."""
-        entry = yield self.container.call(
-            "catalog", "entry", {"dataset_id": dataset_id}
-        )
-        return entry
 
 
 class RemoteDataPlugin:
@@ -108,7 +101,7 @@ class RemoteDataPlugin:
             args["client_id"] = self.client_id
         if self._have is not None:
             args["have"] = self._have
-        tree_dict, progress = yield self.container.call(
+        tree_dict, progress = yield from self.container.request(
             "aida",
             "merged",
             args,

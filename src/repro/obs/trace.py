@@ -1,9 +1,10 @@
 """Hierarchical span tracer on the simulated clock.
 
 One session produces one **trace tree**: a root span opened by the client,
-service-call spans beneath it (propagated through the message envelope's
-``trace_parent`` field), and under those the GRAM submits, GridFTP
-transfers, splitter passes, engine lifetimes and AIDA merges.
+service-call spans beneath it (a call runs in its caller's process, so
+it opens under the caller's current span), and under those the GRAM
+submits, GridFTP transfers, splitter passes, engine lifetimes and AIDA
+merges.
 
 Because the simulation kernel interleaves many cooperative processes on
 one Python thread, a naive "current span" global would leak context
@@ -166,7 +167,7 @@ class Tracer:
 
     @property
     def current_id(self) -> Optional[str]:
-        """Span id of the current span (for envelope propagation)."""
+        """Span id of the current span (the ``trace_parent`` of a call)."""
         return self.current.span_id if self.current is not None else None
 
     # -- generator context propagation ------------------------------------

@@ -19,16 +19,10 @@ Module                 Paper counterpart
 =====================  ======================================================
 """
 
-from repro.services.envelope import (
-    Envelope,
-    Fault,
-    ServiceContainer,
-    ServiceError,
-)
+from repro.services.envelope import Fault, ServiceContainer, ServiceError
 from repro.services.wsrf import ResourceHome, ResourceRef, WsrfError
 
 __all__ = [
-    "Envelope",
     "Fault",
     "ResourceHome",
     "ResourceRef",

@@ -5,10 +5,11 @@ container and talks SOAP; the result-polling path uses insecure Java RMI
 (§3.7).  This module reproduces the *architecture* in-process:
 
 * services register named **operations** with a :class:`ServiceContainer`;
-* callers invoke them through :meth:`ServiceContainer.call`, which returns
-  a simulation process: the request pays the configured channel latency,
-  the operation runs (it may itself be a generator that advances simulated
-  time), and the response pays the return latency;
+* callers invoke them with ``yield from container.request(...)`` inside
+  their own simulation process: the request pays the configured channel
+  latency, the operation runs (it may itself be a generator that advances
+  simulated time), and the response pays the return latency;
+  :meth:`ServiceContainer.call` runs it as a process of its own instead;
 * two channels exist, matching the paper: ``soap`` (secure, higher
   overhead) and ``rmi`` (cheap polling channel); RMI operations require a
   session token minted by the secure channel — "none of the RMI objects
@@ -26,17 +27,19 @@ thousands of concurrent sessions the dispatch cost (not the handler work)
 is what serializes.  A profiled service therefore makes each request take
 one of its dispatch slots first.  The slots are a *counter*, not
 processes: a request that finds one free takes it and sleeps the dispatch
-overhead in its own process (one kernel event); one that finds none parks
-a ticket in the service's FIFO (a full bounded queue refuses with
+overhead in the caller's process (one kernel event); one that finds none
+parks a ticket in the service's FIFO (a full bounded queue refuses with
 :class:`RetryAfter` and a drain-time hint, HTTP 503 semantics) and is
 handed the slot, still in FIFO order, by the request that releases it
-(two events).  The slot is held only for the dispatch overhead; the
-handler runs cooperatively in the caller's process, so a slow operation
-(session creation, a large merge) never head-of-line blocks the queue
-behind it.  A handler may return a plain value, a generator, or any
-kernel :class:`~repro.sim.Event` (a process it started, or an event
-somebody else will trigger — how a coalesced poll waits on its leader's
-merge); the latter two are awaited before the reply travels back.
+(two events).  The slot is held only for the dispatch overhead, never
+while the handler runs, so a slow operation (session creation, a large
+merge) never head-of-line blocks the queue behind it.  A handler may
+return a plain value, a generator, or any kernel :class:`~repro.sim.Event`
+(a process it started, or an event somebody else will trigger — how a
+coalesced poll waits on its leader's merge); the latter two are awaited
+before the reply travels back.  A generator handler runs as its own
+process: a caller interrupted mid-call loses the reply, but the server's
+work is never abandoned half-done.
 Queue depth, queue wait and rejections are metrics on the observability
 plane.  Whether a request queues is a lookup in the container's profile
 table, not a choice of container class: unprofiled services keep the
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.aida.codec import payload_nbytes
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, NULL_SPAN, Observability
 from repro.sim import Environment, Event, Process, Timeout
 
 
@@ -76,20 +79,6 @@ class RetryAfter(Fault):
     def __init__(self, message: str, retry_after: float = 1.0) -> None:
         super().__init__(message)
         self.retry_after = retry_after
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """One request as it travels to a service."""
-
-    service: str
-    operation: str
-    args: dict
-    channel: str = "soap"
-    token: Optional[str] = None
-    #: Span id of the caller's active span — the trace context that rides
-    #: inside the envelope so server-side spans join the caller's tree.
-    trace_parent: Optional[str] = None
 
 
 @dataclass
@@ -174,6 +163,8 @@ class ServiceContainer:
     ) -> None:
         self.env = env
         self.obs = obs or NULL_OBS
+        #: Per-call spans, metrics and SLO samples: one branch, decided here.
+        self._observed = self.obs.enabled
         self._services: Dict[str, Dict[str, Callable]] = {}
         self._channels: Dict[str, ChannelSpec] = {
             "soap": ChannelSpec("soap", soap_latency, soap_latency),
@@ -257,11 +248,6 @@ class ServiceContainer:
         state = self._states.get(service)
         return state.profile if state is not None else None
 
-    def queue_backlog(self, service: str) -> int:
-        """Requests currently waiting for a dispatch slot."""
-        state = self._states.get(service)
-        return state.backlog if state is not None else 0
-
     def stats(self) -> Dict[str, dict]:
         """Per-profiled-service queue counters (diagnostics)."""
         return {
@@ -305,30 +291,15 @@ class ServiceContainer:
         self._injected_faults.pop(f"{service}.{operation}", None)
 
     # -- dispatch ------------------------------------------------------------
-    def call(
-        self,
-        service: str,
-        operation: str,
-        args: Optional[dict] = None,
-        channel: str = "soap",
-        token: Optional[str] = None,
-    ) -> Process:
-        """Invoke an operation; returns a waitable simulation process.
+    def call(self, service: str, operation: str, args: Optional[dict] = None,
+             channel: str = "soap", token: Optional[str] = None) -> Process:
+        """:meth:`request` as a process of its own, for callers that need a
+        waitable event.  The caller's current span is captured now."""
+        return self.env.process(self.request(
+            service, operation, args, channel, token, self.obs.tracer.current_id
+        ))
 
-        The process value is the operation's return value.  Transport and
-        application errors fail the process (raise at the ``yield`` site).
-        """
-        envelope = Envelope(
-            service,
-            operation,
-            dict(args or {}),
-            channel,
-            token,
-            trace_parent=self.obs.tracer.current_id,
-        )
-        return self.env.process(self._dispatch(envelope))
-
-    def _admit(self, envelope: Envelope, span) -> Optional[Any]:
+    def _admit(self, service: str, span) -> Optional[Any]:
         """Admission after routing, before the handler.
 
         ``None`` admits the request immediately (the service has no
@@ -336,26 +307,27 @@ class ServiceContainer:
         service's dispatch slots — or raises :class:`RetryAfter` when the
         bounded queue is full.
         """
-        state = self._states.get(envelope.service)
+        state = self._states.get(service)
         if state is None:
             return None
-        return self._enqueue(envelope, span, state)
+        return self._enqueue(service, span, state)
 
-    def _enqueue(self, envelope: Envelope, span, state: _ServiceState):
+    def _enqueue(self, service: str, span, state: _ServiceState):
         """Take a dispatch slot (FIFO), hold it for the dispatch overhead."""
         profile = state.profile
         depth = profile.queue_depth
         if depth is not None and state.backlog >= depth:
             state.rejected += 1
-            self._reject_metric.inc(service=envelope.service)
+            self._reject_metric.inc(service=service)
             raise RetryAfter(
-                f"service {envelope.service!r} request queue is full "
+                f"service {service!r} request queue is full "
                 f"({state.backlog} waiting)",
                 retry_after=self._drain_hint(state),
             )
         env = self.env
         state.backlog += 1
-        self._depth_gauge.set(state.backlog, service=envelope.service)
+        if self._observed:
+            self._depth_gauge.set(state.backlog, service=service)
         arrival = env.now
         ticket = None
         try:
@@ -378,10 +350,11 @@ class ServiceContainer:
             else:
                 state.free += 1
         state.served += 1
-        self._depth_gauge.set(state.backlog, service=envelope.service)
-        wait = env.now - arrival
-        self._wait_metric.observe(wait, service=envelope.service)
-        span.set(queue_wait_s=wait)
+        if self._observed:
+            self._depth_gauge.set(state.backlog, service=service)
+            wait = env.now - arrival
+            self._wait_metric.observe(wait, service=service)
+            span.set(queue_wait_s=wait)
 
     @staticmethod
     def _drain_hint(state: _ServiceState) -> float:
@@ -396,35 +369,48 @@ class ServiceContainer:
             )
         return 1.0
 
-    def _dispatch(self, envelope: Envelope):
-        tracer = self.obs.tracer
+    def request(
+        self,
+        service: str,
+        operation: str,
+        args: Optional[dict] = None,
+        channel: str = "soap",
+        token: Optional[str] = None,
+        trace_parent: Optional[str] = None,
+    ):
+        """Generator op: invoke an operation inside the caller's process.
+
+        ``result = yield from container.request(...)`` returns the
+        operation's value; errors raise at the ``yield from`` site.  The
+        call's span hangs under *trace_parent*, else the current span.
+        """
         env = self.env
-        key = f"{envelope.service}.{envelope.operation}"
-        span = tracer.start(
-            "call:" + key,
-            parent_id=envelope.trace_parent,
-            channel=envelope.channel,
-        )
+        tracer = self.obs.tracer
+        observed = self._observed
+        key = f"{service}.{operation}"
+        span = NULL_SPAN
+        if observed:
+            span = tracer.start(
+                "call:" + key, parent_id=trace_parent, channel=channel
+            )
         started = env.now
         try:
-            spec = self._channels.get(envelope.channel)
+            spec = self._channels.get(channel)
             if spec is None:
-                raise ServiceError(f"unknown channel {envelope.channel!r}")
+                raise ServiceError(f"unknown channel {channel!r}")
             if spec.request_latency:
                 yield Timeout(env, spec.request_latency)
-            if spec.requires_token and envelope.token not in self._valid_tokens:
+            if spec.requires_token and token not in self._valid_tokens:
                 raise Fault(
-                    f"channel {envelope.channel!r} requires a valid session "
-                    f"token"
+                    f"channel {channel!r} requires a valid session token"
                 )
-            operations = self._services.get(envelope.service)
+            operations = self._services.get(service)
             if operations is None:
-                raise ServiceError(f"unknown service {envelope.service!r}")
-            handler = operations.get(envelope.operation)
+                raise ServiceError(f"unknown service {service!r}")
+            handler = operations.get(operation)
             if handler is None:
                 raise ServiceError(
-                    f"service {envelope.service!r} has no operation "
-                    f"{envelope.operation!r}"
+                    f"service {service!r} has no operation {operation!r}"
                 )
             injected = self._injected_faults.get(key)
             if injected is not None:
@@ -435,41 +421,50 @@ class ServiceContainer:
                     else:
                         injected[1] = remaining - 1
                 raise error
-            gate = self._admit(envelope, span)
+            gate = self._admit(service, span)
             if gate is not None:
                 # Profiled service: wait for a dispatch slot, or refuse
                 # with RetryAfter under backpressure.
                 yield from gate
 
-            # The span is current while the handler runs synchronously (so
-            # Process-returning operations can pick up the trace context)
-            # and, via the wrap proxy, whenever a generator handler is
-            # resumed later.
-            with tracer.activate(span):
-                result = handler(**envelope.args)
+            if observed:
+                # The span is current while the handler runs synchronously (so
+                # Process-returning operations can pick up the trace context)
+                # and, via the wrap proxy, whenever a generator handler is
+                # resumed later.
+                with tracer.activate(span):
+                    result = handler(**(args or {}))
+            else:
+                result = handler(**(args or {}))
             if isinstance(result, Event):
                 # The operation started a simulation process, or handed
                 # back an event somebody else triggers: wait for it.
                 result = yield result
             elif inspect.isgenerator(result):
-                # The operation advances simulated time itself.
+                # The operation advances simulated time itself, in its own
+                # process, so an interrupted caller cannot abandon it.
                 result = yield env.process(
                     tracer.wrap(span, result, finish=False)
                 )
             if spec.response_latency:
                 yield Timeout(env, spec.response_latency)
-        except BaseException as exc:
-            span.finish(error=repr(exc))
-            self._errors_metric.inc(operation=key, channel=envelope.channel)
+        except GeneratorExit:
+            # The caller was closed (an abandoned client): not a failure.
+            span.finish()
             raise
-        span.finish()
-        elapsed = env.now - started
-        self._calls_metric.inc(operation=key, channel=envelope.channel)
-        self._latency_metric.observe(elapsed, channel=envelope.channel)
-        # Every completed call is an SLO signal named service.operation —
-        # policies like "aida.merged p99 < 250 ms over 60 s" attach here.
-        self.obs.slo.record(key, elapsed)
-        if self.obs.metrics.enabled:
+        except BaseException as exc:
+            if observed:
+                span.finish(error=repr(exc))
+                self._errors_metric.inc(operation=key, channel=channel)
+            raise
+        if observed:
+            span.finish()
+            elapsed = env.now - started
+            self._calls_metric.inc(operation=key, channel=channel)
+            self._latency_metric.observe(elapsed, channel=channel)
+            # Every completed call is an SLO signal named service.operation —
+            # policies like "aida.merged p99 < 250 ms over 60 s" attach here.
+            self.obs.slo.record(key, elapsed)
             # Response payload accounting: how many bytes each operation
             # ships back (merged trees dominate; a "not modified" poll
             # reply ships none, so it is charged none).  Estimated, so the
@@ -478,7 +473,5 @@ class ServiceContainer:
                 "service_response_bytes_total",
                 "Estimated serialized response bytes per operation",
             ).inc(payload_nbytes(result), operation=key)
-        self.call_log.append(
-            (envelope.service, envelope.operation, envelope.channel)
-        )
+        self.call_log.append((service, operation, channel))
         return result

@@ -172,7 +172,7 @@ def test_bounded_queue_refuses_with_retry_after(env):
     assert len(refused) == 2
     assert all(hint >= 1.0 for hint in refused.values())
     assert container.stats()["svc"]["rejected"] == 2
-    assert container.queue_backlog("svc") == 0
+    assert container.stats()["svc"]["backlog"] == 0
 
 
 def test_rejected_request_never_reaches_the_handler(env):
@@ -213,7 +213,6 @@ def test_profile_lookup_and_backlog_of_unprofiled_service(env):
     container.configure_service("svc", profile)
     assert container.profile("svc") is profile
     assert container.profile("other") is None
-    assert container.queue_backlog("other") == 0
     assert container.stats() == {
         "svc": {"backlog": 0, "served": 0, "rejected": 0}
     }
@@ -279,7 +278,6 @@ def test_refusal_hint_and_stats_match_the_pinned_run(env):
     assert container.stats()["svc"] == {
         "backlog": 3, "served": 0, "rejected": 3,
     }
-    assert container.queue_backlog("svc") == 3
     env.process(late())
     env.run()
     full = "service 'svc' request queue is full (3 waiting)"
@@ -355,6 +353,27 @@ def test_configure_service_starts_no_processes(env):
         steps += 1
     # Initialize, the dispatch-overhead timeout, the call's own completion.
     assert steps == 3
+    assert env.peek() == float("inf")
+
+
+def test_a_profiled_request_costs_its_caller_one_step(env):
+    container = make_container(env)
+    container.configure_service(
+        "svc", ServiceProfile(concurrency=8, dispatch_overhead_s=0.01)
+    )
+
+    def caller():
+        return (yield from container.request("svc", "echo", {"value": 1}))
+
+    done = env.process(caller())
+    steps = 0
+    while not done.processed:
+        env.step()
+        steps += 1
+    # The caller's own Initialize and completion, plus the one step the
+    # request costs: the dispatch-overhead timeout.
+    assert steps == 2 + 1
+    assert done.value == 1
     assert env.peek() == float("inf")
 
 

@@ -142,10 +142,10 @@ def _coalescing_case():
         replies = []
 
         def poll(client_id, _manager=manager, _replies=replies):
-            tree_dict, progress = yield _manager.merged(
+            tree, progress = yield _manager.merged(
                 "shared", client_id=client_id
             )
-            _replies.append(tree_dict)
+            _replies.append(tree.to_dict())
 
         if coalesce:
             # All clients poll concurrently each round — the leader's

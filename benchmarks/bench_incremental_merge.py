@@ -1,13 +1,12 @@
 """Incremental merge pipeline — poll latency and payload vs the old path.
 
-The old result path re-deserialized and re-merged every engine's full
-snapshot on every poll, and shipped every array as a JSON list; that
-from-scratch fold survives only as the tests' reference oracle
+The old result path re-merged every engine's full snapshot on every
+poll; that from-scratch fold survives only as the tests' reference oracle
 (``tests/merge_oracle.py``), which is what the "old" column times.  The
-manager keeps deserialized per-engine trees in its merge tree, accepts
-delta snapshots (changed objects only, full keyframes every N), re-folds
-only dirty paths per poll, and encodes arrays with the compact base64
-codec.
+manager keeps per-engine trees of the snapshots' frozen objects in its
+merge tree, accepts delta snapshots (changed objects only, full keyframes
+every N) and re-folds only dirty paths per poll.  Payload bytes are the
+snapshots' durable (``to_dict()``) size, full vs delta.
 
 This benchmark measures, at 4/16/64/256 engines, the steady-state case the
 paper's interactive loop lives in: one engine publishes an update between
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.aida.codec import codec_disabled, payload_nbytes
+from repro.aida.codec import payload_nbytes
 from repro.aida.hist1d import Histogram1D
 from repro.bench.tables import ComparisonTable
 from repro.engine.engine import AnalysisEngine
@@ -76,9 +75,11 @@ def steady_state(engines, submit, poll):
         engine.tree.get("/bench/h0").fill_array(rng.random(50), rng.random(50))
         payloads.append(publish(engine))
         started = time.perf_counter()
-        tree_dict = poll()
+        served = poll()
         latencies.append(time.perf_counter() - started)
-    assert len(tree_dict["objects"]) == HISTS_PER_TREE
+    if not isinstance(served, dict):  # the manager serves a frozen tree
+        served = served.to_dict()
+    assert len(served["objects"]) == HISTS_PER_TREE
     return min(latencies), sum(payloads) / len(payloads)
 
 
@@ -110,8 +111,7 @@ def measure_manager(n_engines):
 def run_matrix():
     results = {}
     for n_engines in ENGINE_COUNTS:
-        with codec_disabled():
-            old_s, old_bytes = measure_reference(n_engines)
+        old_s, old_bytes = measure_reference(n_engines)
         new_s, new_bytes = measure_manager(n_engines)
         results[n_engines] = {
             "old": {"poll_seconds": old_s, "payload_bytes": old_bytes},

@@ -67,8 +67,8 @@ def dyadic_fill(engine, rng):
 def measure(n_engines, fan_in):
     """Drive one manager through warm-up + all-dirty polls.
 
-    Returns per-generation served tree dicts, simulated poll latencies,
-    and wall-clock poll times.
+    Returns per-generation served trees, simulated poll latencies, and
+    wall-clock poll times.
     """
     env = Environment()
     manager = AIDAManagerService(
@@ -86,10 +86,10 @@ def measure(n_engines, fan_in):
             manager.submit_snapshot("s1", engine.take_snapshot())
         before = env.now
         started = time.perf_counter()
-        tree_dict, _ = env.run(until=manager.merged("s1"))
+        tree, _ = env.run(until=manager.merged("s1"))
         wall_times.append(time.perf_counter() - started)
         sim_latencies.append(env.now - before)
-        trees.append(tree_dict)
+        trees.append(tree)
 
     for _ in range(1 + ROUNDS):  # first round doubles as the warm-up
         all_dirty_poll()
@@ -112,7 +112,7 @@ def run_matrix():
         for generation, (flat_tree, tiered_tree) in enumerate(
             zip(flat["trees"], tiered["trees"])
         ):
-            assert tiered_tree == flat_tree, (
+            assert tiered_tree.to_dict() == flat_tree.to_dict(), (
                 f"tiered tree diverged from flat at {n_engines} engines, "
                 f"generation {generation}"
             )

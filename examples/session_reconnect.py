@@ -43,6 +43,9 @@ def main() -> None:
         # at least one partial snapshot.
         while site.aida.snapshot_count(info.session_id) < info.n_engines:
             yield site.env.timeout(1.0)
+        # One checkpoint period more: the last committed checkpoint then
+        # holds those partial results, and the restart restores them.
+        yield site.env.timeout(10.0)
         print(f"t={site.env.now:7.1f} s  CRASH: manager services die "
               f"({site.aida.snapshot_count(info.session_id)} snapshots merged)")
         site.injector.crash_services()

@@ -9,9 +9,11 @@ constraints:
   engines' partial results exactly (merge is associative and commutative,
   property-tested), which is what makes the scatter/merge architecture
   correct;
+* every object can be **frozen** (read-only in place): results travel
+  from engines to the AIDA manager service and on to the polling client
+  as frozen objects, with no serialization in between;
 * every object is **serializable** to plain dicts (:func:`to_dict` /
-  :func:`from_dict`), which is how results travel from engines to the AIDA
-  manager service and on to the polling client;
+  :func:`from_dict`) — the durable form of checkpoints and digests;
 * histograms carry weighted entries, under/overflow, and per-object moments
   (mean/rms) like their AIDA counterparts.
 
@@ -23,14 +25,7 @@ order the engines report in.
 """
 
 from repro.aida.axis import Axis
-from repro.aida.codec import (
-    codec_disabled,
-    codec_enabled,
-    decode_array,
-    encode_array,
-    payload_nbytes,
-    set_codec_enabled,
-)
+from repro.aida.codec import decode_array, encode_array, payload_nbytes
 from repro.aida.hist1d import Histogram1D
 from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
@@ -44,13 +39,10 @@ __all__ = [
     "ObjectTree",
     "Profile1D",
     "TreeError",
-    "codec_disabled",
-    "codec_enabled",
     "decode_array",
     "encode_array",
     "from_dict",
     "merge",
     "payload_nbytes",
-    "set_codec_enabled",
     "to_dict",
 ]

@@ -148,11 +148,11 @@ class Axis:
         NaNs map to the underflow slot, matching :meth:`coord_to_index`.
         """
         xs = np.asarray(xs, dtype=float)
+        # searchsorted over the bins + 1 edges returns 0..bins+1 only:
+        # x < first edge at 0 (underflow), x >= last edge at bins+1,
+        # in-range values at 1..bins.  NaN sorts to the end under
+        # 'right'; force it to underflow.
         idx = np.searchsorted(self._edges, xs, side="right")
-        idx = np.clip(idx, 0, self.bins + 1)
-        # searchsorted puts x == last edge at bins+1 already; x < first edge
-        # at 0 (underflow).  In-range values land at 1..bins.  NaN sorts to
-        # the end under 'right'; force it to underflow.
         idx[np.isnan(xs)] = 0
         return idx
 
@@ -194,15 +194,17 @@ class Axis:
             )
         return f"Axis(edges=<{self.bins + 1} values>)"
 
-    def to_dict(self) -> dict:
-        """Serialize to a plain dict."""
+    def to_wire(self, array=encode_array) -> dict:
+        """The plain dict form, the edges passed through *array*."""
         if self._fixed:
             return {
                 "bins": self.bins,
                 "lower": self.lower_edge,
                 "upper": self.upper_edge,
             }
-        return {"edges": encode_array(self._edges)}
+        return {"edges": array(self._edges)}
+
+    to_dict = to_wire
 
     @classmethod
     def from_dict(cls, data: dict) -> "Axis":

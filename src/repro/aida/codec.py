@@ -1,28 +1,27 @@
-"""Compact wire codec for the numpy arrays inside AIDA payloads.
+"""Compact durable codec for the numpy arrays inside AIDA payloads.
 
-Every engine snapshot ships histogram statistics to the AIDA manager as
-plain dicts (the stand-in for Java serialization over RMI, §3.7).  The
+Results cross the in-process planes as frozen objects (see
+:mod:`repro.aida.base`); the dict form — ``to_dict()`` / ``from_dict()``
+— is only their *durable* form: checkpoints and the oracle digest.  The
 seed implementation spelled every array out as a Python list via
-``tolist()`` — readable, but ~18 bytes per float once JSON-encoded and a
-full list↔ndarray conversion on both ends of the hot merge path.
+``tolist()`` — readable, but ~18 bytes per float once JSON-encoded.
 
 This module encodes arrays as dtype-tagged raw bytes instead (base64 in
-the JSON form), cutting the steady-state payload to ~10.7 bytes per float
-(8 raw × 4/3 base64) and replacing the element-wise list conversion with a
-single ``frombuffer`` on decode.  Small arrays stay plain lists — below
+the JSON form), ~10.7 bytes per float (8 raw × 4/3 base64), decoded with
+a single ``frombuffer``.  Small arrays stay plain lists — below
 :data:`MIN_CODEC_SIZE` elements the base64 envelope would not pay for its
 own framing, and tiny payloads stay human-readable in logs and tests.
 
-:func:`decode_array` accepts both forms, so pre-codec payloads (and
+:func:`decode_array` accepts both forms, so list-form payloads (and
 hand-written test fixtures) keep deserializing unchanged.
+:func:`payload_nbytes` sizes an AIDA object or tree as its ``to_dict()``
+form without building it, so byte metrics stay exact without a wire.
 """
 
 from __future__ import annotations
 
 import base64
-import copy
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -32,44 +31,16 @@ MIN_CODEC_SIZE = 24
 #: Marker key of an encoded-array dict (unlikely to collide with real data).
 ENCODED_KEY = "__ndarray__"
 
-_enabled = True
-
-
-def codec_enabled() -> bool:
-    """Whether :func:`encode_array` currently emits the compact form."""
-    return _enabled
-
-
-def set_codec_enabled(flag: bool) -> None:
-    """Globally enable/disable the compact form (lists are always legal)."""
-    global _enabled
-    _enabled = bool(flag)
-
-
-@contextmanager
-def codec_disabled() -> Iterator[None]:
-    """Context manager: force plain-list encoding (the pre-codec wire form).
-
-    Used by benchmarks to measure the old payload path and by tests that
-    want to pin the fallback behaviour.
-    """
-    previous = _enabled
-    set_codec_enabled(False)
-    try:
-        yield
-    finally:
-        set_codec_enabled(previous)
-
 
 def encode_array(array: np.ndarray) -> Union[list, dict]:
     """Serialize *array* to its JSON-compatible wire form.
 
     Returns a dtype-tagged base64 dict for arrays of at least
-    :data:`MIN_CODEC_SIZE` elements (when the codec is enabled), otherwise
-    a plain (possibly nested) list.
+    :data:`MIN_CODEC_SIZE` elements, otherwise a plain (possibly nested)
+    list.
     """
     array = np.ascontiguousarray(array)
-    if not _enabled or array.size < MIN_CODEC_SIZE:
+    if array.size < MIN_CODEC_SIZE:
         return array.tolist()
     return {
         ENCODED_KEY: 1,
@@ -114,9 +85,11 @@ def payload_nbytes(data: Any) -> int:
     actual string in one piece on the hot path.  Non-JSON objects count a
     flat 64 bytes so service-level accounting never raises.
 
-    Called once per published snapshot, so the exact types a ``to_dict()``
-    payload is made of are answered first; subclasses and everything else
-    take the ``isinstance`` chain below and get the same integer.
+    An AIDA object or tree (anything with ``to_wire``) counts as its
+    ``to_dict()`` form, each array sized from its shape and dtype instead
+    of being encoded.  The exact types a ``to_dict()`` payload is made of
+    are answered first; subclasses and everything else take the
+    ``isinstance`` chain below and get the same integer.
     """
     kind = type(data)
     if kind is str:
@@ -134,6 +107,8 @@ def payload_nbytes(data: Any) -> int:
                 total += len(value) + 2
             elif kind is float or kind is int:
                 total += len(repr(value))
+            elif kind is _EncodedSize:
+                total += value.nbytes
             else:
                 total += payload_nbytes(value)
         return total
@@ -157,26 +132,34 @@ def payload_nbytes(data: Any) -> int:
         )
     if isinstance(data, (list, tuple, set, frozenset)):
         return sum(payload_nbytes(v) + 2 for v in data)
+    to_wire = getattr(data, "to_wire", None)
+    if to_wire is not None:
+        return payload_nbytes(to_wire(_encoded_size))
     return 64
 
 
-_SHARED_TYPES = frozenset((str, int, float, bool, type(None)))
+class _EncodedSize:
+    """Stands in for ``encode_array(array)``: knows only its size."""
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self, nbytes: int) -> None:
+        self.nbytes = nbytes
 
 
-def copy_payload(data: Any) -> Any:
-    """Independent copy of a JSON-shaped payload.
+#: An encoded-array dict's size minus dtype tag, shape and base64 text.
+_ENCODED_FRAME = payload_nbytes(
+    {ENCODED_KEY: 1, "dtype": "", "shape": [], "data": ""}
+)
 
-    ``dict`` and ``list`` are rebuilt, immutable scalars are shared, and
-    anything else (a tuple, an ndarray, a subclass) goes to
-    :func:`copy.deepcopy` — the isolation ``deepcopy`` gives for payloads
-    that hold each container once (``to_dict()`` output does), without
-    its memo bookkeeping.
-    """
-    kind = type(data)
-    if kind in _SHARED_TYPES:
-        return data
-    if kind is dict:
-        return {key: copy_payload(value) for key, value in data.items()}
-    if kind is list:
-        return [copy_payload(value) for value in data]
-    return copy.deepcopy(data)
+
+def _encoded_size(array: np.ndarray) -> Union[list, _EncodedSize]:
+    """What ``payload_nbytes(encode_array(array))`` reads, from shape and
+    dtype alone: small arrays are their list form, large ones their frame
+    plus ``4 * ceil(nbytes / 3)`` base64 characters."""
+    if array.size < MIN_CODEC_SIZE:
+        return array.tolist()
+    shape = sum(len(repr(n)) + 2 for n in array.shape)
+    return _EncodedSize(
+        _ENCODED_FRAME + len(array.dtype.str) + shape + 4 * -(-array.nbytes // 3)
+    )

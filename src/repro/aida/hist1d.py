@@ -7,10 +7,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.aida.axis import OVERFLOW, UNDERFLOW, Axis
-from repro.aida.codec import decode_array, encode_array
+from repro.aida.base import Binned
+from repro.aida.codec import encode_array
 
 
-class Histogram1D:
+class Histogram1D(Binned):
     """AIDA-style 1-D histogram.
 
     Storage arrays have length ``bins + 2``: slot 0 is underflow, slots
@@ -37,6 +38,8 @@ class Histogram1D:
     """
 
     kind = "Histogram1D"
+    _arrays = ("_counts", "_sumw", "_sumw2")
+    _moments = ("_swx", "_swx2")
 
     def __init__(
         self,
@@ -66,11 +69,6 @@ class Histogram1D:
         # Bumped on every mutation; drives delta-snapshot dirty tracking.
         self._version = 0
 
-    @property
-    def data_version(self) -> int:
-        """Monotonic mutation counter (fill/reset/merge/scale bump it)."""
-        return self._version
-
     # -- filling ----------------------------------------------------------
     def fill(self, x: float, weight: float = 1.0) -> None:
         """Add one entry at *x* with the given *weight*."""
@@ -90,6 +88,7 @@ class Histogram1D:
         weights: Optional[Union[Sequence[float], np.ndarray]] = None,
     ) -> None:
         """Vectorized fill of many entries at once (the engine hot path)."""
+        self._check_mutable()
         self._version += 1
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
@@ -109,15 +108,6 @@ class Histogram1D:
         win = w[in_range]
         self._swx += float(np.dot(win, xin))
         self._swx2 += float(np.dot(win, xin * xin))
-
-    def reset(self) -> None:
-        """Clear all statistics (the client's *rewind*, §3.6)."""
-        self._version += 1
-        self._counts[:] = 0
-        self._sumw[:] = 0.0
-        self._sumw2[:] = 0.0
-        self._swx = 0.0
-        self._swx2 = 0.0
 
     # -- statistics -------------------------------------------------------
     @property
@@ -198,31 +188,6 @@ class Histogram1D:
         return float(self._sumw[-1])
 
     # -- algebra ------------------------------------------------------------
-    def _check_compatible(self, other: "Histogram1D") -> None:
-        if not isinstance(other, Histogram1D):
-            raise TypeError(f"cannot combine Histogram1D with {type(other).__name__}")
-        if self.axis != other.axis:
-            raise ValueError(
-                f"incompatible axes for {self.name!r} and {other.name!r}"
-            )
-
-    def __iadd__(self, other: "Histogram1D") -> "Histogram1D":
-        """Merge *other*'s statistics into this histogram."""
-        self._check_compatible(other)
-        self._version += 1
-        self._counts += other._counts
-        self._sumw += other._sumw
-        self._sumw2 += other._sumw2
-        self._swx += other._swx
-        self._swx2 += other._swx2
-        return self
-
-    def __add__(self, other: "Histogram1D") -> "Histogram1D":
-        """Return a new histogram with both sets of statistics."""
-        result = self.copy()
-        result += other
-        return result
-
     def scale(self, factor: float) -> None:
         """Multiply every weight by *factor* (keeps entry counts)."""
         self._version += 1
@@ -230,16 +195,6 @@ class Histogram1D:
         self._sumw2 *= factor * factor
         self._swx *= factor
         self._swx2 *= factor
-
-    def copy(self, name: Optional[str] = None) -> "Histogram1D":
-        """Deep copy, optionally renamed."""
-        clone = Histogram1D(name or self.name, self.title, axis=self.axis)
-        clone._counts = self._counts.copy()
-        clone._sumw = self._sumw.copy()
-        clone._sumw2 = self._sumw2.copy()
-        clone._swx = self._swx
-        clone._swx2 = self._swx2
-        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram1D):
@@ -261,29 +216,28 @@ class Histogram1D:
         )
 
     # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Serialize to a JSON-compatible dict."""
+    def to_wire(self, array=encode_array) -> dict:
+        """The JSON-compatible dict form, each array passed through *array*."""
         return {
             "kind": self.kind,
             "name": self.name,
             "title": self.title,
-            "axis": self.axis.to_dict(),
-            "counts": encode_array(self._counts),
-            "sumw": encode_array(self._sumw),
-            "sumw2": encode_array(self._sumw2),
+            "axis": self.axis.to_wire(array),
+            "counts": array(self._counts),
+            "sumw": array(self._sumw),
+            "sumw2": array(self._sumw2),
             "swx": self._swx,
             "swx2": self._swx2,
         }
 
+    to_dict = to_wire
+
     @classmethod
     def from_dict(cls, data: dict) -> "Histogram1D":
         """Reconstruct a histogram serialized with :meth:`to_dict`."""
-        hist = cls(
-            data["name"], data["title"], axis=Axis.from_dict(data["axis"])
+        return cls._restore(
+            data,
+            axis=Axis.from_dict(data["axis"]),
+            _swx=float(data["swx"]),
+            _swx2=float(data["swx2"]),
         )
-        hist._counts = decode_array(data["counts"], dtype=np.int64)
-        hist._sumw = decode_array(data["sumw"], dtype=float)
-        hist._sumw2 = decode_array(data["sumw2"], dtype=float)
-        hist._swx = float(data["swx"])
-        hist._swx2 = float(data["swx2"])
-        return hist

@@ -7,11 +7,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.aida.axis import Axis
-from repro.aida.codec import decode_array, encode_array
+from repro.aida.base import Binned
+from repro.aida.codec import encode_array
 from repro.aida.hist1d import Histogram1D
 
 
-class Histogram2D:
+class Histogram2D(Binned):
     """AIDA-style 2-D histogram with under/overflow on both axes.
 
     Storage is a ``(xbins + 2) x (ybins + 2)`` weight grid; row/column 0 and
@@ -20,6 +21,9 @@ class Histogram2D:
     """
 
     kind = "Histogram2D"
+    _arrays = ("_counts", "_sumw", "_sumw2")
+    _moments = ("_swx", "_swy", "_swx2", "_swy2")
+    _axes = ("x_axis", "y_axis")
 
     def __init__(
         self,
@@ -52,11 +56,6 @@ class Histogram2D:
         # Bumped on every mutation; drives delta-snapshot dirty tracking.
         self._version = 0
 
-    @property
-    def data_version(self) -> int:
-        """Monotonic mutation counter (fill/reset/merge bump it)."""
-        return self._version
-
     # -- filling ----------------------------------------------------------
     def fill(self, x: float, y: float, weight: float = 1.0) -> None:
         """Add one (x, y) entry."""
@@ -79,6 +78,7 @@ class Histogram2D:
         weights: Optional[Union[Sequence[float], np.ndarray]] = None,
     ) -> None:
         """Vectorized fill of many (x, y) pairs."""
+        self._check_mutable()
         self._version += 1
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -106,14 +106,6 @@ class Histogram2D:
         self._swy += float(np.dot(win, yin))
         self._swx2 += float(np.dot(win, xin * xin))
         self._swy2 += float(np.dot(win, yin * yin))
-
-    def reset(self) -> None:
-        """Clear all statistics."""
-        self._version += 1
-        self._counts[:] = 0
-        self._sumw[:] = 0.0
-        self._sumw2[:] = 0.0
-        self._swx = self._swy = self._swx2 = self._swy2 = 0.0
 
     # -- statistics -------------------------------------------------------
     @property
@@ -211,46 +203,6 @@ class Histogram2D:
         hist._swx2 = self._swy2
         return hist
 
-    # -- algebra ------------------------------------------------------------
-    def _check_compatible(self, other: "Histogram2D") -> None:
-        if not isinstance(other, Histogram2D):
-            raise TypeError(f"cannot combine Histogram2D with {type(other).__name__}")
-        if self.x_axis != other.x_axis or self.y_axis != other.y_axis:
-            raise ValueError(
-                f"incompatible axes for {self.name!r} and {other.name!r}"
-            )
-
-    def __iadd__(self, other: "Histogram2D") -> "Histogram2D":
-        """Merge *other* into this histogram."""
-        self._check_compatible(other)
-        self._version += 1
-        self._counts += other._counts
-        self._sumw += other._sumw
-        self._sumw2 += other._sumw2
-        self._swx += other._swx
-        self._swy += other._swy
-        self._swx2 += other._swx2
-        self._swy2 += other._swy2
-        return self
-
-    def __add__(self, other: "Histogram2D") -> "Histogram2D":
-        """Return a merged copy."""
-        result = self.copy()
-        result += other
-        return result
-
-    def copy(self, name: Optional[str] = None) -> "Histogram2D":
-        """Deep copy, optionally renamed."""
-        clone = Histogram2D(
-            name or self.name, self.title, x_axis=self.x_axis, y_axis=self.y_axis
-        )
-        clone._counts = self._counts.copy()
-        clone._sumw = self._sumw.copy()
-        clone._sumw2 = self._sumw2.copy()
-        clone._swx, clone._swy = self._swx, self._swy
-        clone._swx2, clone._swy2 = self._swx2, self._swy2
-        return clone
-
     def __repr__(self) -> str:
         return (
             f"<Histogram2D {self.name!r} "
@@ -259,33 +211,29 @@ class Histogram2D:
         )
 
     # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Serialize to a JSON-compatible dict."""
+    def to_wire(self, array=encode_array) -> dict:
+        """The JSON-compatible dict form, each array passed through *array*."""
         return {
             "kind": self.kind,
             "name": self.name,
             "title": self.title,
-            "x_axis": self.x_axis.to_dict(),
-            "y_axis": self.y_axis.to_dict(),
-            "counts": encode_array(self._counts),
-            "sumw": encode_array(self._sumw),
-            "sumw2": encode_array(self._sumw2),
+            "x_axis": self.x_axis.to_wire(array),
+            "y_axis": self.y_axis.to_wire(array),
+            "counts": array(self._counts),
+            "sumw": array(self._sumw),
+            "sumw2": array(self._sumw2),
             "moments": [self._swx, self._swy, self._swx2, self._swy2],
         }
+
+    to_dict = to_wire
 
     @classmethod
     def from_dict(cls, data: dict) -> "Histogram2D":
         """Reconstruct a histogram serialized with :meth:`to_dict`."""
-        hist = cls(
-            data["name"],
-            data["title"],
+        moments = dict(zip(cls._moments, map(float, data["moments"])))
+        return cls._restore(
+            data,
             x_axis=Axis.from_dict(data["x_axis"]),
             y_axis=Axis.from_dict(data["y_axis"]),
+            **moments,
         )
-        hist._counts = decode_array(data["counts"], dtype=np.int64)
-        hist._sumw = decode_array(data["sumw"], dtype=float)
-        hist._sumw2 = decode_array(data["sumw2"], dtype=float)
-        hist._swx, hist._swy, hist._swx2, hist._swy2 = map(
-            float, data["moments"]
-        )
-        return hist

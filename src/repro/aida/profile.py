@@ -7,10 +7,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.aida.axis import Axis
-from repro.aida.codec import decode_array, encode_array
+from repro.aida.base import Binned
+from repro.aida.codec import encode_array
 
 
-class Profile1D:
+class Profile1D(Binned):
     """AIDA-style 1-D profile.
 
     For each x bin it tracks the weighted moments of y so the bin *height*
@@ -20,6 +21,7 @@ class Profile1D:
     """
 
     kind = "Profile1D"
+    _arrays = ("_counts", "_sumw", "_sumwy", "_sumwy2")
 
     def __init__(
         self,
@@ -44,11 +46,6 @@ class Profile1D:
         # Bumped on every mutation; drives delta-snapshot dirty tracking.
         self._version = 0
 
-    @property
-    def data_version(self) -> int:
-        """Monotonic mutation counter (fill/reset/merge bump it)."""
-        return self._version
-
     # -- filling ----------------------------------------------------------
     def fill(self, x: float, y: float, weight: float = 1.0) -> None:
         """Add one (x, y) sample."""
@@ -66,6 +63,7 @@ class Profile1D:
         weights: Optional[Union[Sequence[float], np.ndarray]] = None,
     ) -> None:
         """Vectorized fill of many samples."""
+        self._check_mutable()
         self._version += 1
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -83,14 +81,6 @@ class Profile1D:
         np.add.at(self._sumw, slots, w)
         np.add.at(self._sumwy, slots, w * ys)
         np.add.at(self._sumwy2, slots, w * ys * ys)
-
-    def reset(self) -> None:
-        """Clear all statistics."""
-        self._version += 1
-        self._counts[:] = 0
-        self._sumw[:] = 0.0
-        self._sumwy[:] = 0.0
-        self._sumwy2[:] = 0.0
 
     # -- accessors ----------------------------------------------------------
     @property
@@ -133,60 +123,26 @@ class Profile1D:
                 np.nan,
             )
 
-    # -- algebra ------------------------------------------------------------
-    def __iadd__(self, other: "Profile1D") -> "Profile1D":
-        """Merge *other*'s samples into this profile."""
-        if not isinstance(other, Profile1D):
-            raise TypeError(f"cannot combine Profile1D with {type(other).__name__}")
-        if self.axis != other.axis:
-            raise ValueError(
-                f"incompatible axes for {self.name!r} and {other.name!r}"
-            )
-        self._version += 1
-        self._counts += other._counts
-        self._sumw += other._sumw
-        self._sumwy += other._sumwy
-        self._sumwy2 += other._sumwy2
-        return self
-
-    def __add__(self, other: "Profile1D") -> "Profile1D":
-        """Return a merged copy."""
-        result = self.copy()
-        result += other
-        return result
-
-    def copy(self, name: Optional[str] = None) -> "Profile1D":
-        """Deep copy, optionally renamed."""
-        clone = Profile1D(name or self.name, self.title, axis=self.axis)
-        clone._counts = self._counts.copy()
-        clone._sumw = self._sumw.copy()
-        clone._sumwy = self._sumwy.copy()
-        clone._sumwy2 = self._sumwy2.copy()
-        return clone
-
     def __repr__(self) -> str:
         return f"<Profile1D {self.name!r} bins={self.axis.bins} entries={self.entries}>"
 
     # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Serialize to a JSON-compatible dict."""
+    def to_wire(self, array=encode_array) -> dict:
+        """The JSON-compatible dict form, each array passed through *array*."""
         return {
             "kind": self.kind,
             "name": self.name,
             "title": self.title,
-            "axis": self.axis.to_dict(),
-            "counts": encode_array(self._counts),
-            "sumw": encode_array(self._sumw),
-            "sumwy": encode_array(self._sumwy),
-            "sumwy2": encode_array(self._sumwy2),
+            "axis": self.axis.to_wire(array),
+            "counts": array(self._counts),
+            "sumw": array(self._sumw),
+            "sumwy": array(self._sumwy),
+            "sumwy2": array(self._sumwy2),
         }
+
+    to_dict = to_wire
 
     @classmethod
     def from_dict(cls, data: dict) -> "Profile1D":
         """Reconstruct a profile serialized with :meth:`to_dict`."""
-        prof = cls(data["name"], data["title"], axis=Axis.from_dict(data["axis"]))
-        prof._counts = decode_array(data["counts"], dtype=np.int64)
-        prof._sumw = decode_array(data["sumw"], dtype=float)
-        prof._sumwy = decode_array(data["sumwy"], dtype=float)
-        prof._sumwy2 = decode_array(data["sumwy2"], dtype=float)
-        return prof
+        return cls._restore(data, axis=Axis.from_dict(data["axis"]))

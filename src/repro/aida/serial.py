@@ -1,8 +1,10 @@
 """Serialization and merge dispatch for AIDA objects.
 
-Engines ship snapshots to the AIDA manager as plain dicts (the stand-in for
-Java serialization over RMI); these helpers turn any supported object into a
-dict and back, and merge two compatible objects regardless of concrete type.
+Results cross the in-process planes as frozen objects (engines to the AIDA
+manager to the client, see :mod:`repro.aida.base`); the dict form is the
+durable one — checkpoints and digests.  These helpers turn any supported
+object into that dict and back, and merge two compatible objects regardless
+of concrete type.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ every object present in both and copies objects present in only one.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Collection, Dict, Iterator, List, Optional, Set, Tuple
+
+from repro.aida.base import Freezable
+from repro.aida.codec import encode_array
 
 
 class TreeError(Exception):
@@ -32,24 +35,37 @@ def join_path(parts: Tuple[str, ...]) -> str:
     return "/" + "/".join(parts)
 
 
+def _walk_key(path: str) -> List[Tuple[int, str]]:
+    """Depth-first walk order: per level, objects before subdirectories."""
+    *dirs, leaf = path[1:].split("/")
+    return [(1, name) for name in dirs] + [(0, leaf)]
+
+
 class _Directory:
     __slots__ = ("subdirs", "objects")
 
     def __init__(self) -> None:
         self.subdirs: Dict[str, "_Directory"] = {}
-        self.objects: Dict[str, object] = {}
+        #: Leaf names of the objects stored here (the tree indexes them).
+        self.objects: Set[str] = set()
 
 
-class ObjectTree:
+class ObjectTree(Freezable):
     """A mounted hierarchy of analysis objects.
 
     All stored objects are expected to expose the small AIDA protocol used
-    across this package: ``name``, ``kind``, ``to_dict()``, ``copy()`` and
-    (for mergeables) ``__iadd__``.
+    across this package: ``name``, ``kind``, ``to_dict()``, ``copy()``,
+    ``freeze()`` and (for mergeables) ``__iadd__``.  A frozen tree (what
+    engines publish and the manager serves) refuses ``put`` / ``remove``
+    / ``mkdir``; ``copy()`` gives a writable one.
     """
 
     def __init__(self) -> None:
         self._root = _Directory()
+        #: Every object by normalized path: lookups skip the directories.
+        self._objects: Dict[str, object] = {}
+        #: Object paths in walk order; ``None`` once a path comes or goes.
+        self._order: Optional[List[str]] = None
         # Per-path put generation: bumped whenever an object is (re)stored
         # at a path, so replacing an object is visible to dirty tracking
         # even when the new object's own data_version happens to match.
@@ -59,6 +75,7 @@ class ObjectTree:
     # -- directories ------------------------------------------------------
     def mkdir(self, path: str) -> None:
         """Create a directory (and parents) at *path*; idempotent."""
+        self._check_mutable()
         node = self._root
         for part in split_path(path):
             if part in node.objects:
@@ -93,6 +110,15 @@ class ObjectTree:
     # -- objects ----------------------------------------------------------
     def put(self, path: str, obj: object) -> None:
         """Store *obj* at *path*, creating parent directories."""
+        self._check_mutable()
+        if path not in self._objects:
+            path = self._place(path)
+        self._objects[path] = obj
+        self._put_serial += 1
+        self._put_gen[path] = self._put_serial
+
+    def _place(self, path: str) -> str:
+        """Make room for an object at *path*; returns the normalized path."""
         parts = split_path(path)
         if not parts:
             raise TreeError("cannot store an object at /")
@@ -104,17 +130,20 @@ class ObjectTree:
             node = node.subdirs.setdefault(part, _Directory())
         if leaf in node.subdirs:
             raise TreeError(f"directory exists at {path!r}; cannot store object")
-        node.objects[leaf] = obj
-        self._put_serial += 1
-        self._put_gen[join_path(parts)] = self._put_serial
+        node.objects.add(leaf)
+        self._order = None
+        return join_path(parts)
 
     def get(self, path: str) -> object:
         """Fetch the object at *path* (raises :class:`TreeError` if absent)."""
-        parts = split_path(path)
-        *dirs, leaf = parts
-        node = self._walk_to(tuple(dirs))
         try:
-            return node.objects[leaf]
+            return self._objects[path]
+        except KeyError:
+            pass
+        parts = split_path(path)
+        self._walk_to(parts[:-1])
+        try:
+            return self._objects[join_path(parts)]
         except KeyError:
             raise TreeError(f"no object at {path!r}") from None
 
@@ -128,43 +157,45 @@ class ObjectTree:
 
     def remove(self, path: str) -> None:
         """Delete the object or (empty or not) directory at *path*."""
+        self._check_mutable()
         parts = split_path(path)
         *dirs, leaf = parts
         node = self._walk_to(tuple(dirs))
         full = join_path(parts)
         if leaf in node.objects:
-            del node.objects[leaf]
-            self._put_gen.pop(full, None)
+            node.objects.remove(leaf)
+            gone = [full]
         elif leaf in node.subdirs:
             del node.subdirs[leaf]
-            prefix = full + "/"
-            for key in [k for k in self._put_gen if k.startswith(prefix)]:
-                del self._put_gen[key]
+            gone = [k for k in self._objects if k.startswith(full + "/")]
         else:
             raise TreeError(f"nothing at {path!r}")
+        for key in gone:
+            del self._objects[key]
+            self._put_gen.pop(key, None)
+        self._order = None
 
     # -- traversal ----------------------------------------------------------
+    def _walk_order(self) -> List[str]:
+        if self._order is None:
+            self._order = sorted(self._objects, key=_walk_key)
+        return self._order
+
     def walk(self) -> Iterator[Tuple[str, object]]:
         """Yield every (path, object) pair in depth-first sorted order."""
-
-        def recurse(node: _Directory, prefix: Tuple[str, ...]):
-            for name in sorted(node.objects):
-                yield join_path(prefix + (name,)), node.objects[name]
-            for name in sorted(node.subdirs):
-                yield from recurse(node.subdirs[name], prefix + (name,))
-
-        yield from recurse(self._root, ())
+        objects = self._objects
+        return ((path, objects[path]) for path in self._walk_order())
 
     def paths(self) -> List[str]:
         """All object paths in the tree."""
-        return [path for path, _ in self.walk()]
+        return list(self._walk_order())
 
     def find(self, name: str) -> List[str]:
         """Paths of every object whose leaf name equals *name*."""
         return [p for p in self.paths() if p.rsplit("/", 1)[-1] == name]
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.walk())
+        return len(self._objects)
 
     def __contains__(self, path: str) -> bool:
         return self.exists(path)
@@ -205,17 +236,31 @@ class ObjectTree:
                         f"cannot merge object at {path!r}: {exc}"
                     ) from exc
                 # += on immutable containers returns a new object.
-                self.remove(path)
                 self.put(path, mine)
             else:
                 self.put(path, obj.copy())  # type: ignore[attr-defined]
 
     def copy(self) -> "ObjectTree":
-        """Deep copy of the whole tree."""
+        """Deep, writable copy of the whole tree."""
         clone = ObjectTree()
         for path, obj in self.walk():
             clone.put(path, obj.copy())  # type: ignore[attr-defined]
         return clone
+
+    def frozen_copy(self, only: Optional[Collection[str]] = None) -> "ObjectTree":
+        """A frozen tree of frozen copies of the objects — with *only*,
+        just those at these paths (what an engine publishes)."""
+        clone = ObjectTree()
+        for path, obj in self.walk():
+            if only is None or path in only:
+                clone.put(path, obj.copy().freeze())  # type: ignore[attr-defined]
+        return clone.freeze()
+
+    def update(self, other: "ObjectTree") -> None:
+        """Store every object of *other* at its path, replacing what is
+        there — the objects themselves, shared, not copied."""
+        for path, obj in other.walk():
+            self.put(path, obj)
 
     def reset_all(self) -> None:
         """Reset every object in place (the rewind operation)."""
@@ -226,23 +271,18 @@ class ObjectTree:
         return f"<ObjectTree {len(self)} objects>"
 
     # -- serialization ------------------------------------------------------
-    def to_dict(
-        self, only: Optional[Union[Set[str], FrozenSet[str]]] = None
-    ) -> dict:
-        """Serialize the tree (delegates to each object's ``to_dict``).
-
-        With *only*, serialize just the objects at those paths — the
-        delta-snapshot form published by engines when most of the tree is
-        unchanged.
-        """
+    def to_wire(self, array=encode_array) -> dict:
+        """The dict form, each array passed through *array*.  Encoded, it
+        is :meth:`to_dict`: the durable form (checkpoints, digests)."""
         return {
             "kind": "ObjectTree",
             "objects": {
-                path: obj.to_dict()  # type: ignore[attr-defined]
+                path: obj.to_wire(array)  # type: ignore[attr-defined]
                 for path, obj in self.walk()
-                if only is None or path in only
             },
         }
+
+    to_dict = to_wire
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectTree":

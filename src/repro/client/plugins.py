@@ -60,12 +60,12 @@ class DatasetCatalogPlugin:
 class RemoteDataPlugin:
     """Polls the AIDA manager over the cheap RMI channel (Fig. 2 step 7).
 
-    Polls are conditional: the plug-in keeps the last tree it decoded and
-    sends its validator (``progress.merge_generation``) along; while the
-    manager's merged tree has not changed the reply is "not modified" and
-    :meth:`poll` returns the tree it already holds.  That tree is
-    therefore **shared between every poll of one generation — treat it
-    as read-only** (``tree.copy()`` first to edit it).
+    Polls are conditional: the plug-in keeps the last tree it was served
+    and sends its validator (``progress.merge_generation``) along; while
+    the manager's merged tree has not changed the reply is "not modified"
+    and :meth:`poll` returns the tree it already holds.  The tree is the
+    manager's frozen one, **shared by every poll of one generation**:
+    editing it raises (``tree.copy()`` first to edit it).
     """
 
     def __init__(
@@ -77,7 +77,7 @@ class RemoteDataPlugin:
         self.client_id = client_id
         self.token: Optional[str] = None
         self.session_id: Optional[str] = None
-        #: The last tree decoded and the validator it was served under.
+        #: The last tree served and the validator it was served under.
         self._tree: Optional[ObjectTree] = None
         self._have: Optional[int] = None
 
@@ -101,14 +101,14 @@ class RemoteDataPlugin:
             args["client_id"] = self.client_id
         if self._have is not None:
             args["have"] = self._have
-        tree_dict, progress = yield from self.container.request(
+        tree, progress = yield from self.container.request(
             "aida",
             "merged",
             args,
             channel="rmi",
             token=self.token,
         )
-        if tree_dict is not None:
-            self._tree = ObjectTree.from_dict(tree_dict)
+        if tree is not None:
+            self._tree = tree
             self._have = progress.merge_generation
         return self._tree, progress

@@ -22,7 +22,7 @@ from repro.engine.controls import Controller, ControlState
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A serialized intermediate result from one engine.
+    """An intermediate result from one engine.
 
     Attributes
     ----------
@@ -41,8 +41,8 @@ class Snapshot:
         Increments on every rewind, so results from an abandoned run never
         pollute the current merge.
     tree:
-        ``ObjectTree.to_dict()`` payload.  For a delta snapshot it holds
-        only the objects changed since snapshot ``base_sequence``.
+        Frozen ``ObjectTree`` of frozen copies of the engine's objects;
+        a delta holds only those changed since ``base_sequence``.
     final:
         True when the part is exhausted.
     base_sequence:
@@ -62,7 +62,7 @@ class Snapshot:
     total_events: int
     analysis_version: int
     run_id: int
-    tree: dict
+    tree: ObjectTree
     final: bool = False
     base_sequence: int = 0
     combiner: Optional[str] = None
@@ -328,10 +328,10 @@ class AnalysisEngine:
 
     # -- snapshots ----------------------------------------------------------
     def take_snapshot(self, final: bool = False, full: bool = False) -> Snapshot:
-        """Serialize the current tree as a :class:`Snapshot`.
+        """Publish frozen copies of the current tree as a :class:`Snapshot`.
 
         In delta mode only objects whose version fingerprint changed since
-        the last published snapshot are serialized; a full keyframe is
+        the last published snapshot are copied; a full keyframe is
         forced by *full* (e.g. when the merger reports a sequence gap), on
         the first snapshot of a run, and every :attr:`keyframe_every`
         snapshots.
@@ -345,7 +345,7 @@ class AnalysisEngine:
             or self._snapshots_since_keyframe >= self.keyframe_every - 1
         )
         if emit_full:
-            tree_dict = self.tree.to_dict()
+            published = self.tree.frozen_copy()
             base_sequence = 0
             self._snapshots_since_keyframe = 0
         else:
@@ -356,7 +356,7 @@ class AnalysisEngine:
                 for path, fingerprint in versions.items()
                 if fingerprint[1] is None or previous.get(path) != fingerprint
             }
-            tree_dict = self.tree.to_dict(only=dirty)
+            published = self.tree.frozen_copy(only=dirty)
             base_sequence = self._published_sequence
             self._snapshots_since_keyframe += 1
         self._published_versions = versions
@@ -370,7 +370,7 @@ class AnalysisEngine:
                 self._analysis.version if self._analysis is not None else 0
             ),
             run_id=self._run_id,
-            tree=tree_dict,
+            tree=published,
             final=final,
             base_sequence=base_sequence,
         )

@@ -17,11 +17,12 @@ concurrently within a level, so an all-dirty poll costs
 both depths at 4-1024 engines and checks the served trees are equal.
 
 The merge is **incremental** at every depth: the tree keeps each
-engine's latest accepted snapshot with its deserialized cumulative
-tree, accepts *delta* snapshots that carry only changed objects on top
-of an acknowledged base sequence, and re-folds only the paths touched
-since the last poll.  A poll is charged the tree's own
-``poll_latency`` — what it is about to fold — on the simulated clock.
+engine's latest accepted snapshot with its cumulative tree of frozen
+objects (stored as they arrive), accepts *delta* snapshots that carry
+only changed objects on top of an acknowledged base sequence, and
+re-folds only the paths touched since the last poll.  A poll is
+charged the tree's own ``poll_latency`` — what it is about to fold —
+on the simulated clock.
 ``begin_run`` (rewind), ``discard_engine`` (failure recovery),
 ``crash_combiner`` and ``drop_session`` invalidate exactly the state
 they name, so the served tree stays bit-identical to a from-scratch
@@ -41,7 +42,8 @@ Correctness rules:
 
 The poll contract (:meth:`AIDAManagerService.merged`): every reply
 carries ``progress.merge_generation``, a validator of the served root
-that moves whenever the root may have changed and is never reused; a
+that moves whenever the root may have changed and is never reused (one
+frozen tree is served per generation, shared by its polls); a
 poll that sends the validator it holds (``have=``) and is about to be
 served the same one gets ``(None, progress)`` — "not modified" — at the
 same simulated cost.  Concurrent polls of one session share one merge:
@@ -51,10 +53,9 @@ the leader triggers, and it is the leader that advances their cursors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.aida.codec import copy_payload
 from repro.aida.tree import ObjectTree
 from repro.engine.engine import Snapshot
 from repro.obs import NULL_OBS, Observability
@@ -136,7 +137,7 @@ class _InflightMerge:
         #: ``(have, event, [(client_id, join span), ...])``, oldest first.
         self.waves: List[tuple] = []
         self.n_joiners = 0
-        #: The leader's ``(tree_dict, progress)``, set when it completes.
+        #: The leader's ``(tree, progress)``, set when it completes.
         self.full: Optional[tuple] = None
 
     def join(self, env: Environment, client_id, have, span) -> Event:
@@ -271,6 +272,8 @@ class AIDAManagerService:
         self._inflight: Dict[str, _InflightMerge] = {}
         #: Merge generation per session: the validator of its served root.
         self._generations: Dict[str, int] = {}
+        #: Per session: ``(generation, frozen tree)`` last served.
+        self._served: Dict[str, Tuple[int, ObjectTree]] = {}
         #: Times this manager came back from a crash.  Not session state:
         #: the one word a restarting service reads from disk and rewrites
         #: (an NFS server's boot verifier), so it survives ``crash()``.
@@ -287,6 +290,7 @@ class AIDAManagerService:
             "recovering": self._recovering,
             "inflight": self._inflight,
             "generations": self._generations,
+            "served": self._served,
             "cursors": self._cursors,
         }
         #: True between a service crash and its restart+recovery.
@@ -337,10 +341,7 @@ class AIDAManagerService:
         ):
             self._dropped_metric.inc(reason="out_of_order")
             return "dropped"
-        # Freeze the payload: the submitter keeps a live reference to the
-        # tree dict, and a later in-place mutation must not be able to
-        # reach into stored snapshots (or the merged result).
-        snapshot = replace(snapshot, tree=copy_payload(snapshot.tree))
+        # Frozen objects: stored as they are, out of the submitter's reach.
         status = tier.ingest(snapshot)
         if status != "accepted":
             self._dropped_metric.inc(reason="gap")
@@ -584,6 +585,7 @@ class AIDAManagerService:
         self._tiers[session_id] = tier
         self._tier_depth_metric.set(tier.depth, session=session_id)
         for engine_id, entry in engines.items():
+            tree = ObjectTree.from_dict(entry["tree"])
             snapshot = Snapshot(
                 engine_id=engine_id,
                 sequence=entry["sequence"],
@@ -591,12 +593,10 @@ class AIDAManagerService:
                 total_events=entry["total_events"],
                 analysis_version=entry["analysis_version"],
                 run_id=entry["run_id"],
-                tree=entry["tree"],
+                tree=tree,
                 final=entry.get("final", False),
             )
-            tier.restore_engine(
-                EngineEntry(snapshot, ObjectTree.from_dict(entry["tree"]))
-            )
+            tier.restore_engine(EngineEntry(snapshot, tree))
 
     # -- serving ------------------------------------------------------------
     def _live_tier(self, session_id: str) -> MergeTree:
@@ -610,10 +610,11 @@ class AIDAManagerService:
         client_id: Optional[str] = None,
         have: Optional[int] = None,
     ) -> Event:
-        """Merge the latest snapshots; value is ``(tree_dict, progress)``.
+        """Merge the latest snapshots; value is ``(tree, progress)``.
 
         Charges what the tree is about to fold on the simulated clock,
-        then re-folds its dirty paths and serves the root.
+        then re-folds its dirty paths and serves the root as a frozen
+        ``ObjectTree``, one per generation, shared by all its polls.
 
         **Validator.**  ``progress.merge_generation`` names the served
         root: it moves whenever the root's content may have (a dirty
@@ -635,10 +636,10 @@ class AIDAManagerService:
         **Coalescing.**  A poll arriving while another poll's merge is
         in flight *joins* it instead of merging again: it is handed an
         event the leader triggers when its merge completes, carrying the
-        same ``(tree_dict, progress)`` — bit-identical to what the
-        joiner's own merge would have produced, because the leader folds
-        the freshest dirty state in the fixed sorted-engine order — or
-        the not-modified form of it, per joiner's *have*.  The leader is
+        same ``(tree, progress)`` — equal to what the joiner's own merge
+        would have produced, because the leader folds the freshest dirty
+        state in the fixed sorted-engine order — or the not-modified form
+        of it, per joiner's *have*.  The leader is
         the only process: it advances every joiner's cursor, counts the
         coalesced polls and closes their ``aida.merge.join`` spans when
         it completes.  *client_id* (optional) keys the per-client
@@ -705,7 +706,16 @@ class AIDAManagerService:
                     merge_generation=generation,
                 )
                 self.merge_log.append((session_id, len(session), latency))
-                full = (tier.root_tree.to_dict(), progress)
+                # One frozen root per generation; it shares the partial's
+                # frozen objects, which re-folds replace, never edit.
+                served = self._served.get(session_id)
+                if served is None or served[0] != generation:
+                    root = ObjectTree()
+                    root.update(tier.root_tree)
+                    served = (generation, root.freeze())
+                    if session_id in self._tiers:
+                        self._served[session_id] = served
+                full = (served[1], progress)
                 if inflight is not None:
                     inflight.full = full
             finally:

@@ -10,8 +10,8 @@ tree the manager serves.  ``fan_in=None`` is the paper's single merging
 component — one leaf that owns every engine, a tree of depth 1.
 
 Each leaf keeps, per engine, the latest accepted snapshot and its
-cumulative deserialized tree: a keyframe replaces the cached tree, a
-delta patches it, and a delta whose base does not match the cached
+cumulative tree of frozen objects: a keyframe replaces the cached tree,
+a delta patches it, and a delta whose base does not match the cached
 sequence is answered ``"resync"``.  Every combiner keeps an
 **incremental partial**: only the object paths dirtied since the last
 poll are re-folded, and each combiner republishes its *combined* dirty
@@ -47,7 +47,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.aida.serial import from_dict as object_from_dict
 from repro.aida.tree import ObjectTree
 from repro.engine.engine import Snapshot
 
@@ -151,7 +150,8 @@ class CombinerNode:
                     acc = contributions[0].copy()
                     for obj in contributions[1:]:
                         acc += obj
-                    self.partial.put(path, acc)
+                    # Frozen: served trees share it until it re-folds.
+                    self.partial.put(path, acc.freeze())
             self.version += 1
         self.dirty_paths.clear()
         self.dirty_children.clear()
@@ -275,18 +275,19 @@ class MergeTree:
     def ingest(self, snapshot: Snapshot) -> str:
         """Fold a validated snapshot into its leaf combiner's entry.
 
-        A full keyframe replaces the cached tree outright: everything
-        it previously contributed and everything it now contributes is
-        re-folded.  A delta patches the cached tree; one whose base does
-        not match the cached sequence (a snapshot was lost, or no
-        keyframe was ever seen) cannot be applied and returns
-        ``"resync"``.
+        Its frozen objects are stored as they are.  A full keyframe
+        replaces the cached tree outright: everything it previously
+        contributed and everything it now contributes is re-folded.  A
+        delta patches the cached tree; one whose base does not match the
+        cached sequence (a snapshot was lost, or no keyframe was ever
+        seen) cannot be applied and returns ``"resync"``.
         """
         engine_id = snapshot.engine_id
         leaf = self.leaf_for(engine_id)
         cached = leaf.engines.get(engine_id)
         if snapshot.base_sequence == 0:
-            new_tree = ObjectTree.from_dict(snapshot.tree)
+            new_tree = ObjectTree()
+            new_tree.update(snapshot.tree)
             if cached is not None:
                 leaf.dirty_paths.update(cached.tree.paths())
             leaf.engines[engine_id] = EngineEntry(snapshot, new_tree)
@@ -295,11 +296,8 @@ class MergeTree:
         if cached is None or cached.snapshot.sequence != snapshot.base_sequence:
             return "resync"
         tree = cached.tree
-        changed = snapshot.tree.get("objects", {})
-        for path, obj_data in changed.items():
-            if tree.exists(path):
-                tree.remove(path)
-            tree.put(path, object_from_dict(obj_data))
+        tree.update(snapshot.tree)
+        changed = snapshot.tree.paths()
         leaf.engines[engine_id] = EngineEntry(snapshot, tree)
         if changed:
             self._mark_dirty(leaf, engine_id, changed)

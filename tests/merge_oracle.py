@@ -20,17 +20,11 @@ from repro.sim import Environment
 
 
 def reference_merge(latest):
-    """Serialized from-scratch merge of ``{engine_id: tree}``.
-
-    Values are ``ObjectTree``\\ s or full-keyframe tree dicts (which are
-    deserialized first, as the pre-incremental manager did on every poll).
-    """
+    """Serialized from-scratch merge of ``{engine_id: tree}`` (full trees:
+    an engine's own, or a keyframe snapshot's)."""
     merged = ObjectTree()
     for engine_id in sorted(latest):
-        tree = latest[engine_id]
-        if isinstance(tree, dict):
-            tree = ObjectTree.from_dict(tree)
-        merged.merge_from(tree)
+        merged.merge_from(latest[engine_id])
     return merged.to_dict()
 
 
@@ -76,25 +70,26 @@ class ConditionalViewer:
     """A poller that always sends the validator of the tree it holds."""
 
     def __init__(self):
-        self.tree_dict = None
+        self.tree = None
         self.have = None
 
     def poll(self, env, manager):
-        tree_dict, progress = env.run(
+        tree, progress = env.run(
             until=manager.merged("s1", client_id="viewer", have=self.have)
         )
-        if tree_dict is not None:
-            self.tree_dict = tree_dict
+        if tree is not None:
+            self.tree = tree
             self.have = progress.merge_generation
-        return self.tree_dict
+        return self.tree
 
 
 def check_poll(env, manager, latest, viewer=None):
-    tree_dict, progress = env.run(until=manager.merged("s1"))
-    assert tree_dict == reference_merge(latest)
+    tree, progress = env.run(until=manager.merged("s1"))
+    assert tree.to_dict() == reference_merge(latest)
     assert progress.engines_reporting == len(latest)
     if viewer is not None:
-        assert viewer.poll(env, manager) == tree_dict
+        # One frozen tree per generation: the viewer holds that very tree.
+        assert viewer.poll(env, manager) is tree
 
 
 def check_interleaving(seed, fan_in, n_engines):

@@ -77,6 +77,27 @@ def test_scalar_and_vector_lookup_agree():
         assert axis.index_to_storage(axis.coord_to_index(x)) == storage
 
 
+@pytest.mark.parametrize("axis", [
+    Axis(bins=37, lower=-3.2, upper=11.7),
+    Axis(bins=1, lower=0.0, upper=1.0),
+    Axis(edges=[-2.0, -0.5, 0.0, 1e-300, 3.0, 1e300]),
+], ids=["fixed", "one-bin", "variable"])
+def test_storage_indices_equal_the_clipped_lookup(axis):
+    """The storage lookup without its former ``np.clip``: searchsorted over
+    the bins + 1 edges only yields 0..bins+1, so the indices are those of
+    the clipped form on edges, NaN and both infinities."""
+    edges = axis.edges
+    xs = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308],
+    ])
+    clipped = np.clip(np.searchsorted(edges, xs, side="right"), 0, axis.bins + 1)
+    clipped[np.isnan(xs)] = 0
+    storage = axis.coords_to_storage(xs)
+    assert storage.dtype == clipped.dtype
+    np.testing.assert_array_equal(storage, clipped)
+
+
 def test_storage_roundtrip():
     axis = Axis(bins=4, lower=0, upper=4)
     for index in [UNDERFLOW, 0, 1, 2, 3, OVERFLOW]:

@@ -8,14 +8,10 @@ import pytest
 from repro.aida.axis import Axis
 from repro.aida.codec import (
     MIN_CODEC_SIZE,
-    codec_disabled,
-    codec_enabled,
-    copy_payload,
     decode_array,
     encode_array,
     is_encoded,
     payload_nbytes,
-    set_codec_enabled,
 )
 from repro.aida.hist1d import Histogram1D
 from repro.aida.hist2d import Histogram2D
@@ -85,20 +81,6 @@ def test_decode_casts_to_requested_dtype():
     assert out.dtype == np.int64
 
 
-def test_codec_disable_toggle():
-    arr = np.arange(64, dtype=float)
-    assert codec_enabled()
-    with codec_disabled():
-        assert not codec_enabled()
-        assert isinstance(encode_array(arr), list)
-    assert codec_enabled()
-    set_codec_enabled(False)
-    try:
-        assert isinstance(encode_array(arr), list)
-    finally:
-        set_codec_enabled(True)
-
-
 # ---------------------------------------------------------------------------
 # payload size model
 # ---------------------------------------------------------------------------
@@ -120,8 +102,7 @@ def test_payload_nbytes_encoded_smaller_than_lists():
     # chars (8 raw bytes x 4/3) in the compact form.
     arr = np.random.default_rng(11).random(500)
     encoded = payload_nbytes(encode_array(arr))
-    with codec_disabled():
-        plain = payload_nbytes(encode_array(arr))
+    plain = payload_nbytes(arr.tolist())
     assert encoded < 0.6 * plain
 
 
@@ -155,11 +136,8 @@ def reference_payload_nbytes(data):
     lambda: _fill_tree(),
 ])
 def test_payload_nbytes_unchanged_on_every_object_kind(factory):
-    obj = factory()
-    with codec_disabled():
-        plain_lists = obj.to_dict()
-    for data in (obj.to_dict(), plain_lists):
-        assert payload_nbytes(data) == reference_payload_nbytes(data)
+    data = factory().to_dict()
+    assert payload_nbytes(data) == reference_payload_nbytes(data)
 
 
 class _Text(str):
@@ -179,43 +157,6 @@ class _Table(dict):
 ])
 def test_payload_nbytes_unchanged_on_odd_values(data):
     assert payload_nbytes(data) == reference_payload_nbytes(data)
-
-
-# ---------------------------------------------------------------------------
-# structural copy of a payload
-# ---------------------------------------------------------------------------
-
-def test_copy_payload_rebuilds_every_container():
-    with codec_disabled():
-        data = _fill_tree().to_dict()
-    clone = copy_payload(data)
-    assert clone == data
-
-    def containers(value):
-        if isinstance(value, dict):
-            yield value
-            for item in value.values():
-                yield from containers(item)
-        elif isinstance(value, list):
-            yield value
-            for item in value:
-                yield from containers(item)
-
-    originals = {id(c) for c in containers(data)}
-    assert originals and not originals & {id(c) for c in containers(clone)}
-
-
-def test_copy_payload_deep_copies_what_is_not_json():
-    array = np.arange(4.0)
-    data = {"rows": ([1.0], [2.0]), "array": array, "table": _Table(a=[1])}
-    clone = copy_payload(data)
-    assert type(clone["rows"]) is tuple and type(clone["table"]) is _Table
-    data["rows"][0][0] = 999.0
-    array[:] = -1.0
-    data["table"]["a"][0] = 999
-    assert clone["rows"] == ([1.0], [2.0])
-    assert clone["array"].tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert clone["table"] == {"a": [1]}
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +225,10 @@ def test_axis_variable_edges_roundtrip():
 
 def test_pre_codec_payloads_still_deserialize():
     hist = _filled_hist1d(bins=200)
-    with codec_disabled():
-        legacy = hist.to_dict()
+    legacy = {
+        key: decode_array(value).tolist() if is_encoded(value) else value
+        for key, value in hist.to_dict().items()
+    }
     assert isinstance(legacy["counts"], list)
     restored = Histogram1D.from_dict(legacy)
     assert restored == hist
@@ -338,13 +281,80 @@ def test_tree_versions_fingerprints():
     assert v3["/dir/h"][0] != v2["/dir/h"][0]
 
 
-def test_tree_to_dict_only_filter():
-    from repro.aida.tree import ObjectTree
-
+def test_tree_frozen_copy_only_filter():
     tree = ObjectTree()
     tree.put("/a", Histogram1D("a", bins=5, lower=0, upper=1))
     tree.put("/b", Histogram1D("b", bins=5, lower=0, upper=1))
-    full = tree.to_dict()
-    partial = tree.to_dict(only={"/b"})
-    assert set(full["objects"]) == {"/a", "/b"}
-    assert set(partial["objects"]) == {"/b"}
+    full = tree.frozen_copy()
+    partial = tree.frozen_copy(only={"/b"})
+    assert full.paths() == ["/a", "/b"]
+    assert partial.paths() == ["/b"]
+    assert partial.get("/b") is not tree.get("/b")
+    assert partial.to_dict()["objects"]["/b"] == tree.get("/b").to_dict()
+
+
+# ---------------------------------------------------------------------------
+# byte model: an object is sized as its to_dict() form, without encoding
+# ---------------------------------------------------------------------------
+
+def _hist1d_with_bins(bins):
+    hist = Histogram1D("h", bins=bins, lower=0.0, upper=1.0)
+    hist.fill_array(np.linspace(-0.1, 1.1, 37), np.linspace(0.5, 2.0, 37))
+    return hist
+
+
+def _non_finite_hist1d():
+    hist = _hist1d_with_bins(40)
+    hist.fill(0.5, weight=float("inf"))
+    hist._swx2 = float("nan")
+    return hist
+
+
+def _hist2d_with_bins(x_bins, y_bins):
+    hist = Histogram2D(
+        "h2", x_bins=x_bins, x_lower=0, x_upper=1, y_bins=y_bins, y_lower=0,
+        y_upper=1,
+    )
+    hist.fill_array([0.1, 0.5, 0.9], [0.2, 0.4, 1.5], [1.0, 0.25, 3.0])
+    return hist
+
+
+def _variable_edges_profile():
+    prof = Profile1D("p", edges=np.linspace(0.0, 1.0, 30) ** 2)
+    prof.fill_array([0.1, 0.5, 0.9], [1.0, -2.0, 3.5])
+    return prof
+
+
+BYTE_MODEL_CASES = {
+    # MIN_CODEC_SIZE = 24: storage arrays are bins + 2 long.
+    "hist1d_list_form": lambda: _hist1d_with_bins(MIN_CODEC_SIZE - 3),
+    "hist1d_at_codec_size": lambda: _hist1d_with_bins(MIN_CODEC_SIZE - 2),
+    "hist1d_above_codec_size": lambda: _hist1d_with_bins(200),
+    "hist1d_non_finite": _non_finite_hist1d,
+    "hist1d_empty": lambda: Histogram1D("e", "Empty", bins=1, lower=-1, upper=1),
+    "hist2d_nested_lists": lambda: _hist2d_with_bins(2, 3),
+    "hist2d_encoded": lambda: _hist2d_with_bins(30, 7),
+    "profile_list_form": lambda: Profile1D("p", bins=5, lower=0, upper=1),
+    "profile_variable_edges": _variable_edges_profile,
+    "tree": lambda: _fill_tree(),
+    "tree_empty": ObjectTree,
+    "tree_frozen_mixed": lambda: _mixed_tree().frozen_copy(),
+}
+
+
+def _mixed_tree():
+    tree = ObjectTree()
+    tree.put("/small/h", _hist1d_with_bins(3))
+    tree.put("/small/h2", _hist2d_with_bins(2, 2))
+    tree.put("/large/h", _non_finite_hist1d())
+    tree.put("/p", _variable_edges_profile())
+    return tree
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_MODEL_CASES))
+def test_payload_nbytes_of_objects_equals_their_dict_form(case):
+    obj = BYTE_MODEL_CASES[case]()
+    assert payload_nbytes(obj) == payload_nbytes(obj.to_dict())
+    # An object in a larger payload (a poll reply) is sized the same way.
+    reply = (obj, {"progress": 1})
+    assert payload_nbytes(reply) == payload_nbytes((obj.to_dict(), {"progress": 1}))

@@ -27,7 +27,7 @@ from tests.merge_oracle import reference_merge
 COST = 0.01
 
 
-def snap(engine_id, sequence, tree_dict, base=0, final=False):
+def snap(engine_id, sequence, tree, base=0, final=False):
     return Snapshot(
         engine_id=engine_id,
         sequence=sequence,
@@ -35,7 +35,7 @@ def snap(engine_id, sequence, tree_dict, base=0, final=False):
         total_events=10,
         analysis_version=1,
         run_id=0,
-        tree=tree_dict,
+        tree=tree,
         final=final,
         base_sequence=base,
     )
@@ -49,7 +49,7 @@ def dyadic_tree(values):
     for value in values:
         hist.fill((value % 33) / 32.0, weight=((value % 8) + 1) / 8.0)
     tree.put("/d/h", hist)
-    return tree.to_dict()
+    return tree.frozen_copy()
 
 
 def build_pair(n_engines, fan_in):
@@ -144,8 +144,8 @@ def test_configure_tier_is_idempotent_and_migrates_flat_state():
     assert tier is manager.configure_tier("s1", ["e0", "e1", "e2"])
     assert tier.depth == 2
     assert tier.engine_entry("e0").snapshot.sequence == 1
-    tree_dict, progress = env.run(until=manager.merged("s1"))
-    assert tree_dict == reference_merge({"e0": dyadic_tree([1, 2])})
+    tree, progress = env.run(until=manager.merged("s1"))
+    assert tree.to_dict() == reference_merge({"e0": dyadic_tree([1, 2])})
     assert progress.engines_reporting == 1
 
 
@@ -171,7 +171,7 @@ def test_single_dirty_engine_costs_one_fold_per_level():
     env.run(until=tiered.merged("s1"))
     tier = tiered.tier("s1")
     assert tier.poll_latency(COST) == 0.0
-    delta = {"objects": dyadic_tree([7])["objects"]}
+    delta = dyadic_tree([7])
     tiered.submit_snapshot("s1", snap(ids[7], 2, delta, base=1))
     assert tier.poll_latency(COST) == pytest.approx(tier.depth * COST)
 
@@ -187,15 +187,15 @@ def test_merge_latency_incremental_accounts_for_fan_in():
         manager.submit_snapshot("s1", snap(engine_id, 1, dyadic_tree([1])))
     assert tier.poll_latency(0.1) == pytest.approx(0.1 * 4 * 3)  # all dirty
     env.run(until=manager.merged("s1"))
-    delta = {"objects": dyadic_tree([2])["objects"]}
-    manager.submit_snapshot("s1", snap(ids[0], 2, dict(delta), base=1))
+    delta = dyadic_tree([2])
+    manager.submit_snapshot("s1", snap(ids[0], 2, delta, base=1))
     assert tier.poll_latency(0.1) == pytest.approx(0.3)  # one fold per level
     # A second dirty engine under the same leaf: that leaf folds two.
-    manager.submit_snapshot("s1", snap(ids[1], 2, dict(delta), base=1))
+    manager.submit_snapshot("s1", snap(ids[1], 2, delta, base=1))
     assert tier.poll_latency(0.1) == pytest.approx(0.4)
     # One under another leaf of the same parent: the leaves fold
     # concurrently (max 2), their parent folds two children.
-    manager.submit_snapshot("s1", snap(ids[4], 2, dict(delta), base=1))
+    manager.submit_snapshot("s1", snap(ids[4], 2, delta, base=1))
     assert tier.poll_latency(0.1) == pytest.approx(0.2 + 0.2 + 0.1)
     started = env.now
     env.run(until=manager.merged("s1"))
@@ -212,15 +212,15 @@ def test_tiered_merge_is_exactly_equal_to_flat_merge():
         tiered.submit_snapshot("s1", snap(engine_id, 1, payload))
     flat_tree, flat_progress = env.run(until=flat.merged("s1"))
     tiered_tree, tiered_progress = env.run(until=tiered.merged("s1"))
-    assert tiered_tree == flat_tree
+    assert tiered_tree.to_dict() == flat_tree.to_dict()
     assert tiered_progress.engines_reporting == flat_progress.engines_reporting
     # Deltas keep them in lockstep.
-    delta = {"objects": dyadic_tree([5])["objects"]}
-    flat.submit_snapshot("s1", snap(ids[5], 2, dict(delta), base=1))
-    tiered.submit_snapshot("s1", snap(ids[5], 2, dict(delta), base=1))
+    delta = dyadic_tree([5])
+    flat.submit_snapshot("s1", snap(ids[5], 2, delta, base=1))
+    tiered.submit_snapshot("s1", snap(ids[5], 2, delta, base=1))
     flat_tree, _ = env.run(until=flat.merged("s1"))
     tiered_tree, _ = env.run(until=tiered.merged("s1"))
-    assert tiered_tree == flat_tree
+    assert tiered_tree.to_dict() == flat_tree.to_dict()
 
 
 def test_discard_engine_removes_contribution_from_tier():
@@ -233,7 +233,7 @@ def test_discard_engine_removes_contribution_from_tier():
     tiered.discard_engine("s1", ids[4])
     flat_tree, _ = env.run(until=flat.merged("s1"))
     tiered_tree, _ = env.run(until=tiered.merged("s1"))
-    assert tiered_tree == flat_tree
+    assert tiered_tree.to_dict() == flat_tree.to_dict()
     # Banned: late submissions never reach the tier.
     assert tiered.submit_snapshot("s1", snap(ids[4], 2, dyadic_tree([9]))) == (
         "dropped"
@@ -251,8 +251,8 @@ def test_rewind_resets_tier_but_keeps_topology():
     assert tiered.tier("s1") is tier
     assert tier.depth == depth
     assert not tier.dirty_engines
-    tree_dict, _ = env.run(until=tiered.merged("s1"))
-    assert tree_dict == ObjectTree().to_dict()
+    tree, _ = env.run(until=tiered.merged("s1"))
+    assert tree.paths() == []
 
 
 # -- combiner failures ------------------------------------------------------
@@ -269,20 +269,20 @@ def test_leaf_combiner_crash_forces_resync_and_heals():
     affected = tiered.crash_combiner("s1", victim)
     assert affected == sorted(ids[:2])
     # A delta on a lost cache is answered with "resync".
-    delta = {"objects": dyadic_tree([0])["objects"]}
+    delta = dyadic_tree([0])
     assert tiered.submit_snapshot("s1", snap(ids[0], 2, delta, base=1)) == (
         "resync"
     )
     # The served tree honestly drops the lost contributions...
     partial_tree, _ = env.run(until=tiered.merged("s1"))
-    assert partial_tree != flat_tree
+    assert partial_tree.to_dict() != flat_tree.to_dict()
     # ...and heals once the affected engines republish keyframes.
     for i, engine_id in enumerate(affected):
         tiered.submit_snapshot(
             "s1", snap(engine_id, 3, dyadic_tree([i, i + 3]))
         )
     healed_tree, _ = env.run(until=tiered.merged("s1"))
-    assert healed_tree == flat_tree
+    assert healed_tree.to_dict() == flat_tree.to_dict()
 
 
 def test_leaf_combiner_crash_is_not_reported_complete():
@@ -304,7 +304,7 @@ def test_leaf_combiner_crash_is_not_reported_complete():
     assert lost == ["e0", "e1"]
     assert manager.snapshot_count("s1") == 2
     half, progress = env.run(until=manager.merged("s1"))
-    assert half == reference_merge(
+    assert half.to_dict() == reference_merge(
         {e: dyadic_tree([i]) for i, e in enumerate(ids) if e not in lost}
     )
     assert progress.engines_reporting == 2
@@ -313,7 +313,7 @@ def test_leaf_combiner_crash_is_not_reported_complete():
     assert not progress.complete
     # The resync handshake is unchanged: deltas on the lost entries are
     # refused, the republished keyframes heal tree and progress together.
-    delta = {"objects": dyadic_tree([0])["objects"]}
+    delta = dyadic_tree([0])
     assert manager.submit_snapshot(
         "s1", snap("e0", 2, delta, base=1, final=True)
     ) == "resync"
@@ -322,7 +322,7 @@ def test_leaf_combiner_crash_is_not_reported_complete():
             "s1", snap(engine_id, 3, dyadic_tree([i]), final=True)
         ) == "accepted"
     healed, progress = env.run(until=manager.merged("s1"))
-    assert healed == whole
+    assert healed.to_dict() == whole.to_dict()
     assert progress.complete and progress.engines_reporting == 4
 
 
@@ -338,7 +338,7 @@ def test_internal_combiner_crash_rebuilds_without_engine_resync():
     internal = tier.levels[1][0].combiner_id
     assert tiered.crash_combiner("s1", internal) == []
     rebuilt_tree, _ = env.run(until=tiered.merged("s1"))
-    assert rebuilt_tree == flat_tree
+    assert rebuilt_tree.to_dict() == flat_tree.to_dict()
 
 
 def test_crash_unknown_combiner_raises():
@@ -362,16 +362,16 @@ def test_retire_leaf_reparents_engines_and_preserves_tree():
     target = tiered.retire_combiner("s1", victim)
     assert tiered.combiner_of("s1", ids[2]) == target
     retired_tree, _ = env.run(until=tiered.merged("s1"))
-    assert retired_tree == flat_tree
+    assert retired_tree.to_dict() == flat_tree.to_dict()
     # Deltas keep flowing through the new parent.
-    delta = {"objects": dyadic_tree([2])["objects"]}
+    delta = dyadic_tree([2])
     assert tiered.submit_snapshot("s1", snap(ids[2], 2, delta, base=1)) == (
         "accepted"
     )
-    flat.submit_snapshot("s1", snap(ids[2], 2, dict(delta), base=1))
+    flat.submit_snapshot("s1", snap(ids[2], 2, delta, base=1))
     flat_tree, _ = env.run(until=flat.merged("s1"))
     tiered_tree, _ = env.run(until=tiered.merged("s1"))
-    assert tiered_tree == flat_tree
+    assert tiered_tree.to_dict() == flat_tree.to_dict()
 
 
 def test_retire_only_leaf_is_rejected():
@@ -396,7 +396,7 @@ def test_checkpoint_restore_rebuilds_tier_bit_identically():
     assert tier is not None
     assert len(tier.dirty_engines) == len(ids)
     after, _ = env.run(until=tiered.merged("s1"))
-    assert after == before
+    assert after.to_dict() == before.to_dict()
 
 
 @pytest.mark.parametrize("fan_in", [None, 2])
@@ -418,8 +418,8 @@ def test_drop_session_leaves_no_state_at_any_depth(fan_in):
     manager.begin_run("s1", 1)
     poll = manager.merged("s1", client_id="c1")
     manager.drop_session("s1")
-    tree_dict, progress = env.run(until=poll)
-    assert tree_dict == ObjectTree().to_dict()
+    tree, progress = env.run(until=poll)
+    assert tree.paths() == []
     assert progress.engines_reporting == 0
     assert manager.session_cache_keys("s1") == []
 

@@ -44,7 +44,7 @@ def test_interleaved_polls_from_many_clients_share_one_merge():
     env = site.env
     alice = IPAClient(site, site.enroll_user("/CN=alice"))
     n_viewers, n_rounds = 4, 5
-    polled = {}  # (round, viewer) -> (tree_dict, merge_generation)
+    polled = {}  # (round, viewer) -> (tree.to_dict(), merge_generation)
     merges_during_rounds = {}
 
     def poll_once(plugin, round_no, index):
@@ -223,7 +223,7 @@ def test_rewind_moves_the_generation_of_the_emptied_tree():
     # The rewind emptied the root: that is a different tree, so it must
     # be served under a different (greater) generation, and the poll that
     # fetched it was not redundant.
-    assert before["objects"] and not after["objects"]
+    assert before.paths() and not after.paths()
     assert progress.merge_generation > served
     assert obs.metrics.counter("aida_polls_redundant_total", "").total() == 0
 
@@ -250,7 +250,8 @@ def test_generation_survives_checkpoint_and_never_repeats_after_a_crash():
     # The restored tree is the checkpoint's (older) one.  A client still
     # holding generation 2 must be sent it, not told "not modified".
     restored, progress = env.run(until=manager.merged("s1", have=held))
-    assert restored is not None and restored != newest
+    assert restored is not None
+    assert restored.to_dict() != newest.to_dict()
     assert progress.merge_generation > held
 
     # A different manager process restoring the same checkpoint resumes
@@ -271,24 +272,24 @@ def test_not_modified_reply_costs_the_same_and_skips_the_tree():
     manager = AIDAManagerService(env, merge_cost_per_tree=0.25, obs=obs)
     engine = _engine_with_data("e0", [0.1, 0.5])
     manager.submit_snapshot("s1", engine.take_snapshot())
-    tree_dict, progress = env.run(until=manager.merged("s1", client_id="c1"))
-    assert tree_dict is not None and env.now == 0.25
+    tree, progress = env.run(until=manager.merged("s1", client_id="c1"))
+    assert tree is not None and env.now == 0.25
     have = progress.merge_generation
     # Same validator: no tree, fresh progress, cursor and counters as ever.
-    tree_dict, progress = env.run(
+    tree, progress = env.run(
         until=manager.merged("s1", client_id="c1", have=have)
     )
-    assert tree_dict is None
+    assert tree is None
     assert progress.merge_generation == have and progress.merged_at == 0.25
     assert obs.metrics.counter("aida_polls_redundant_total", "").total() == 1
     # A stale (or foreign) validator gets the tree.
-    tree_dict, _ = env.run(until=manager.merged("s1", have=have - 1))
-    assert tree_dict is not None
+    tree, _ = env.run(until=manager.merged("s1", have=have - 1))
+    assert tree is not None
     # New data: charged the same 0.25 s whether or not a validator came.
     engine.tree.get("/h").fill(0.9)
     manager.submit_snapshot("s1", engine.take_snapshot())
-    tree_dict, progress = env.run(until=manager.merged("s1", have=have))
-    assert tree_dict is not None and env.now == 0.5
+    tree, progress = env.run(until=manager.merged("s1", have=have))
+    assert tree is not None and env.now == 0.5
     assert progress.merge_generation == have + 1
 
 
@@ -347,8 +348,11 @@ def test_plugin_rebind_drops_the_held_tree_and_anonymous_plugins_work():
         assert again is first
         assert first.to_dict() == final.tree.to_dict()
         anonymous.bind(info.session_id, info.token)
-        rebound, _ = yield from anonymous.poll()
-        assert rebound is not first and rebound.to_dict() == first.to_dict()
+        assert anonymous._tree is None and anonymous._have is None
+        rebound, again_progress = yield from anonymous.poll()
+        # Re-fetched unconditionally, and served the generation's one tree.
+        assert again_progress.merge_generation == progress.merge_generation
+        assert rebound is first
         seen["generation"] = progress.merge_generation
         yield from alice.close()
 
@@ -449,10 +453,8 @@ def test_coalesced_polls_bit_identical_to_uncoalesced_reference(seed):
     n_clients = 5
 
     def poll(client_id, results):
-        tree_dict, progress = yield manager.merged(
-            "s1", client_id=client_id
-        )
-        results.append((tree_dict, progress.merge_generation))
+        tree, progress = yield manager.merged("s1", client_id=client_id)
+        results.append((tree, progress.merge_generation))
 
     for _ in range(8):
         # A random batch of new data lands...
@@ -479,11 +481,13 @@ def test_coalesced_polls_bit_identical_to_uncoalesced_reference(seed):
         env.run(until=env.all_of(polls))
         # One shared merge served everyone...
         assert len(manager.merge_log) - merges_before == 1
-        # ...and every reply is byte-for-byte the reference flat merge.
+        # ...and every reply is the one tree, byte-for-byte the reference
+        # flat merge.
         ref = reference_merge(latest)
-        generation = results[0][1]
-        for tree_dict, reply_generation in results:
-            assert tree_dict == ref
+        tree, generation = results[0]
+        assert tree.to_dict() == ref
+        for reply_tree, reply_generation in results:
+            assert reply_tree is tree
             assert reply_generation == generation
         for index in range(n_clients):
             assert manager.poll_cursor("s1", f"c{index}") == generation

@@ -38,15 +38,15 @@ def make_snapshot(
         total_events=100,
         analysis_version=1,
         run_id=run_id,
-        tree=tree.to_dict(),
+        tree=tree.frozen_copy(),
         final=final,
         base_sequence=base_sequence,
     )
 
 
 def merged_entries(env, manager, session_id="s1", path="/h"):
-    tree_dict, _ = env.run(until=manager.merged(session_id))
-    return ObjectTree.from_dict(tree_dict).get(path).entries
+    tree, _ = env.run(until=manager.merged(session_id))
+    return tree.get(path).entries
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_first_snapshot_is_full_keyframe():
     engine = make_engine()
     snap = engine.take_snapshot()
     assert snap.base_sequence == 0
-    assert set(snap.tree["objects"]) == {"/a", "/b"}
+    assert set(snap.tree.paths()) == {"/a", "/b"}
 
 
 def test_delta_carries_only_changed_objects():
@@ -74,7 +74,7 @@ def test_delta_carries_only_changed_objects():
     snap = engine.take_snapshot()
     assert snap.base_sequence == 1
     assert snap.sequence == 2
-    assert set(snap.tree["objects"]) == {"/a"}
+    assert set(snap.tree.paths()) == {"/a"}
 
 
 def test_unchanged_tree_yields_empty_delta():
@@ -82,7 +82,7 @@ def test_unchanged_tree_yields_empty_delta():
     engine.take_snapshot()
     snap = engine.take_snapshot()
     assert snap.base_sequence == 1
-    assert snap.tree["objects"] == {}
+    assert snap.tree.paths() == []
 
 
 def test_keyframe_cadence():
@@ -100,7 +100,7 @@ def test_full_flag_forces_keyframe():
     engine.take_snapshot()
     snap = engine.take_snapshot(full=True)
     assert snap.base_sequence == 0
-    assert set(snap.tree["objects"]) == {"/a", "/b"}
+    assert set(snap.tree.paths()) == {"/a", "/b"}
 
 
 def test_delta_snapshots_disabled_always_full():
@@ -127,7 +127,7 @@ def test_replaced_object_is_detected_as_dirty():
     engine.tree.remove("/b")
     engine.tree.put("/b", Histogram1D("b", bins=10, lower=0, upper=10))
     snap = engine.take_snapshot()
-    assert set(snap.tree["objects"]) == {"/b"}
+    assert set(snap.tree.paths()) == {"/b"}
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +149,7 @@ def test_delta_adds_new_paths():
     manager.submit_snapshot("s1", make_snapshot("e0", 10))
     delta = make_snapshot("e0", 7, sequence=2, base_sequence=1, path="/h2")
     assert manager.submit_snapshot("s1", delta) == "accepted"
-    tree_dict, _ = env.run(until=manager.merged("s1"))
-    tree = ObjectTree.from_dict(tree_dict)
+    tree, _ = env.run(until=manager.merged("s1"))
     assert tree.get("/h").entries == 10
     assert tree.get("/h2").entries == 7
 
@@ -190,8 +189,8 @@ def test_engine_manager_resync_roundtrip():
     assert manager.submit_snapshot("s1", delta) == "resync"
     full = engine.take_snapshot(full=True)
     assert manager.submit_snapshot("s1", full) == "accepted"
-    tree_dict, _ = env.run(until=manager.merged("s1"))
-    assert ObjectTree.from_dict(tree_dict).get("/a").entries == 1
+    tree, _ = env.run(until=manager.merged("s1"))
+    assert tree.get("/a").entries == 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +225,38 @@ def test_dropped_snapshots_counted_by_reason():
 # snapshot aliasing (regression)
 # ---------------------------------------------------------------------------
 
+def scribble_on(hist):
+    """Every way to edit a histogram in place; each must raise and leave
+    the statistics as they were."""
+    before = hist.to_dict()
+    attempts = [
+        lambda: hist.fill(5.0),
+        lambda: hist.fill_array([1.0, 2.0]),
+        lambda: hist.reset(),
+        lambda: hist.scale(2.0),
+        lambda: hist.__iadd__(hist.copy()),
+        lambda: hist._counts.__setitem__(slice(None), 999),
+        lambda: hist._sumw.__setitem__(0, -1.0),
+        lambda: hist._sumw2.__setitem__(0, -1.0),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ValueError, match="read-only"):
+            attempt()
+    assert hist.to_dict() == before
+
+
 def test_mutating_submitted_tree_cannot_corrupt_merge():
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=0.0)
     snapshot = make_snapshot("e0", 10)
     manager.submit_snapshot("s1", snapshot)
-    before = merged_entries(env, manager)
-    # The submitter still holds the tree dict; scribble all over it.
-    for obj_data in snapshot.tree["objects"].values():
-        obj_data["counts"] = [999] * len(obj_data["counts"])
-        obj_data["swx"] = -1.0
-    snapshot.tree["objects"]["/evil"] = {"kind": "bogus"}
-    assert merged_entries(env, manager) == before == 10
+    before, _ = env.run(until=manager.merged("s1"))
+    # The submitter still holds the snapshot: every edit is refused.
+    scribble_on(snapshot.tree.get("/h"))
+    with pytest.raises(ValueError, match="read-only"):
+        snapshot.tree.put("/evil", Histogram1D("evil", bins=1, lower=0, upper=1))
+    assert merged_entries(env, manager) == 10
+    assert before.to_dict() == make_snapshot("e0", 10).tree.to_dict()
 
 
 def manager_at_depth(env, tiered):
@@ -252,7 +271,7 @@ def manager_at_depth(env, tiered):
 
 @pytest.mark.parametrize("tiered", [True, False])
 def test_mutating_nested_lists_of_submitted_tree_cannot_corrupt_merge(tiered):
-    """Histogram2D in list form: lists of lists must be frozen at depth."""
+    """Histogram2D: its 2-D storage is read-only row by row."""
     env = Environment()
     manager = manager_at_depth(env, tiered)
     tree = ObjectTree()
@@ -261,33 +280,40 @@ def test_mutating_nested_lists_of_submitted_tree_cannot_corrupt_merge(tiered):
     )
     hist.fill_array(np.array([0.5, 1.5, 1.5]), np.array([0.5, 1.5, 0.5]))
     tree.put("/h2", hist)
-    snapshot = replace(make_snapshot("e0", 3), tree=tree.to_dict())
-    rows = snapshot.tree["objects"]["/h2"]["counts"]
-    assert isinstance(rows[0], list)
+    snapshot = replace(make_snapshot("e0", 3), tree=tree.frozen_copy())
+    published = snapshot.tree.get("/h2")
     manager.submit_snapshot("s1", snapshot)
     before, _ = env.run(until=manager.merged("s1"))
-    for row in rows:
-        row[:] = [999] * len(row)
+    for row in published._counts:
+        with pytest.raises(ValueError, match="read-only"):
+            row[:] = 999
+    with pytest.raises(ValueError, match="read-only"):
+        published.fill(0.5, 0.5)
+    manager.submit_snapshot("s1", make_snapshot("e1", 0, path="/other"))
     after, _ = env.run(until=manager.merged("s1"))
-    assert after == before
-    assert after["objects"]["/h2"] == hist.to_dict()
+    assert after is not before
+    assert after.get("/h2") is before.get("/h2")  # unchanged, shared
+    assert after.get("/h2").to_dict() == hist.to_dict()
 
 
 @pytest.mark.parametrize("tiered", [True, False])
-def test_submitted_tree_holding_tuple_and_ndarray_is_frozen_too(tiered):
-    """Anything that is not plain JSON takes the deepcopy fallback."""
+def test_submitted_snapshot_tree_refuses_put_and_remove(tiered):
     env = Environment()
     manager = manager_at_depth(env, tiered)
     snapshot = make_snapshot("e0", 10)
-    obj_data = snapshot.tree["objects"]["/h"]
-    obj_data["counts"] = np.array(obj_data["counts"])
-    obj_data["sumw"] = tuple(obj_data["sumw"])
     manager.submit_snapshot("s1", snapshot)
     before, _ = env.run(until=manager.merged("s1"))
-    obj_data["counts"][:] = 999
+    with pytest.raises(ValueError, match="read-only"):
+        snapshot.tree.remove("/h")
+    with pytest.raises(ValueError, match="read-only"):
+        snapshot.tree.mkdir("/dir")
+    # A delta on top still applies to the leaf's own copy of the tree.
+    delta = make_snapshot("e0", 4, sequence=2, base_sequence=1, path="/h2")
+    assert manager.submit_snapshot("s1", delta) == "accepted"
     after, _ = env.run(until=manager.merged("s1"))
-    assert after == before
-    assert ObjectTree.from_dict(after).get("/h").entries == 10
+    assert after.paths() == ["/h", "/h2"]
+    assert snapshot.tree.paths() == ["/h"]
+    assert after.get("/h") is before.get("/h")
 
 
 @pytest.mark.parametrize("tiered", [True, False])
@@ -295,12 +321,40 @@ def test_served_tree_is_not_aliased_to_cache(tiered):
     env = Environment()
     manager = manager_at_depth(env, tiered)
     manager.submit_snapshot("s1", make_snapshot("e0", 10))
-    tree_dict, _ = env.run(until=manager.merged("s1"))
-    counts = tree_dict["objects"]["/h"]["counts"]
-    if isinstance(counts, list):
-        counts[:] = [0] * len(counts)
-    tree_dict["objects"]["/h"]["swx"] = -1.0
-    assert merged_entries(env, manager) == 10
+    served, _ = env.run(until=manager.merged("s1"))
+    scribble_on(served.get("/h"))
+    for edit in (
+        lambda: served.remove("/h"),
+        lambda: served.put("/evil", Histogram1D("evil", bins=1, lower=0, upper=1)),
+        served.reset_all,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            edit()
+    manager.submit_snapshot("s1", make_snapshot("e1", 5))
+    after, _ = env.run(until=manager.merged("s1"))
+    assert after.get("/h").entries == 15
+    assert served.paths() == ["/h"] and served.get("/h").entries == 10
+    # A copy is the way to edit.
+    mine = served.copy()
+    mine.get("/h").fill(5.0)
+    assert mine.get("/h").entries == 11
+
+
+@pytest.mark.parametrize("tiered", [True, False])
+def test_coalesced_joiners_get_the_leaders_tree(tiered):
+    env = Environment()
+    manager = manager_at_depth(env, tiered)
+    manager.merge_cost_per_tree = 0.1
+    manager.submit_snapshot("s1", make_snapshot("e0", 10))
+    manager.submit_snapshot("s1", make_snapshot("e2", 7))
+    polls = [manager.merged("s1", client_id=f"c{i}") for i in range(4)]
+    env.run(until=polls[-1])
+    trees = [poll.value[0] for poll in polls]
+    assert all(tree is trees[0] for tree in trees)
+    assert trees[0].get("/h").entries == 17
+    # Nothing moved: a later poll of the same generation is served it too.
+    again, _ = env.run(until=manager.merged("s1"))
+    assert again is trees[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +480,8 @@ def test_drop_session_clears_caches():
     manager.submit_snapshot("s1", make_snapshot("e0", 10))
     env.run(until=manager.merged("s1"))
     manager.drop_session("s1")
-    tree_dict, progress = env.run(until=manager.merged("s1"))
-    assert tree_dict["objects"] == {}
+    tree, progress = env.run(until=manager.merged("s1"))
+    assert tree.paths() == []
     assert progress.engines_reporting == 0
 
 
@@ -444,4 +498,4 @@ def test_incremental_matches_from_scratch_merge():
         manager.submit_snapshot("s1", snap)
         latest[snap.engine_id] = snap.tree
     served, _ = env.run(until=manager.merged("s1"))
-    assert served == reference_merge(latest)
+    assert served.to_dict() == reference_merge(latest)

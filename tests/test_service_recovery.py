@@ -349,7 +349,7 @@ def test_polls_across_a_service_recovery_never_reuse_a_generation():
         out["after"] = progress.merge_generation
         out["decoded_again"] = tree is not held
         unconditional, _ = yield site.aida.merged(info.session_id)
-        out["equal"] = tree.to_dict() == unconditional
+        out["equal"] = tree.to_dict() == unconditional.to_dict()
         yield from client.reconnect()
         yield from client.wait_for_completion(
             poll_interval=2.0, timeout=20_000.0, reconnect=True

@@ -348,7 +348,7 @@ def make_snapshot(engine_id, entries, sequence=1, run_id=0, final=False, version
         total_events=100,
         analysis_version=version,
         run_id=run_id,
-        tree=tree.to_dict(),
+        tree=tree.frozen_copy(),
         final=final,
     )
 
@@ -358,8 +358,7 @@ def test_manager_merges_engines_exactly():
     manager = AIDAManagerService(env, merge_cost_per_tree=0.0)
     manager.submit_snapshot("s1", make_snapshot("e0", 10))
     manager.submit_snapshot("s1", make_snapshot("e1", 20))
-    tree_dict, progress = env.run(until=manager.merged("s1"))
-    tree = ObjectTree.from_dict(tree_dict)
+    tree, progress = env.run(until=manager.merged("s1"))
     assert tree.get("/h").entries == 30
     assert progress.engines_reporting == 2
     assert progress.events_processed == 30
@@ -373,8 +372,8 @@ def test_manager_latest_snapshot_wins():
     manager.submit_snapshot("s1", make_snapshot("e0", 10, sequence=1))
     manager.submit_snapshot("s1", make_snapshot("e0", 25, sequence=2))
     manager.submit_snapshot("s1", make_snapshot("e0", 15, sequence=1))  # stale
-    tree_dict, progress = env.run(until=manager.merged("s1"))
-    assert ObjectTree.from_dict(tree_dict).get("/h").entries == 25
+    tree, progress = env.run(until=manager.merged("s1"))
+    assert tree.get("/h").entries == 25
 
 
 def test_manager_rewind_drops_old_run():
@@ -383,8 +382,8 @@ def test_manager_rewind_drops_old_run():
     manager.submit_snapshot("s1", make_snapshot("e0", 50, run_id=0))
     manager.submit_snapshot("s1", make_snapshot("e1", 5, sequence=1, run_id=1))
     manager.submit_snapshot("s1", make_snapshot("e0", 99, sequence=9, run_id=0))
-    tree_dict, progress = env.run(until=manager.merged("s1"))
-    assert ObjectTree.from_dict(tree_dict).get("/h").entries == 5
+    tree, progress = env.run(until=manager.merged("s1"))
+    assert tree.get("/h").entries == 5
     assert progress.run_id == 1
 
 
@@ -437,8 +436,8 @@ def test_manager_merge_charges_time():
 def test_manager_empty_session():
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=0.1)
-    tree_dict, progress = env.run(until=manager.merged("nothing"))
-    assert ObjectTree.from_dict(tree_dict).paths() == []
+    tree, progress = env.run(until=manager.merged("nothing"))
+    assert tree.paths() == []
     assert progress.engines_reporting == 0
     assert progress.fraction_done == 0.0
 

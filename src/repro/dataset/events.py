@@ -223,7 +223,7 @@ class EventBatch:
             raise ValueError("values must hold one entry per particle")
         counts = np.diff(self.offsets)
         out = np.zeros(len(self))
-        for k in np.unique(counts[counts > 0]):
+        for k in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             where = np.flatnonzero(counts == k)
             first = self.offsets[where]
             if k < _PAIRWISE_BLOCK:

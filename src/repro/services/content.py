@@ -12,14 +12,19 @@ Block-deterministic scheme: events are produced in fixed-size blocks; block
 ``events_for(range)`` touches only the overlapping blocks — random access
 over arbitrarily large virtual datasets stays O(range), not O(dataset).
 
-The store owns the event bytes: generated blocks sit in a small LRU cache,
-frozen read-only, and ``events_for`` hands out *views* of them — a range
-inside one block costs no copy, however many engines and sessions read it.
+Blocks are generated once per process, not per store: one bounded
+``lru_cache`` of :data:`MAX_CACHED_BLOCKS` frozen blocks, keyed by
+``(reader, recipe, block)``, serves every ``ContentStore`` (each site's,
+each federation member's, a bare one).  It caches immutable results, not
+shared mutable state — a block is a pure function of its key, frozen before
+it is cached — so sharing cannot change what any reader sees.  The reader
+is in the key because kinds are registered per store.  ``events_for`` hands
+out *views* of the blocks: a range inside one block costs no copy.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import lru_cache
 from typing import Dict, List
 
 from repro.dataset.events import EventBatch
@@ -28,6 +33,10 @@ from repro.analysis.trading import generate_trading_days
 
 #: Events per deterministic generation block.
 BLOCK_EVENTS = 10_000
+
+#: Blocks cached per process, whatever the number of stores (about 31 MB
+#: of ILC blocks): the largest paper-lattice dataset is 16 blocks.
+MAX_CACHED_BLOCKS = 24
 
 
 class ContentError(Exception):
@@ -50,9 +59,6 @@ class ContentStore:
     """
 
     def __init__(self) -> None:
-        #: (recipe, block) -> frozen block, least recently used first.
-        self._generator_cache: "OrderedDict[tuple, EventBatch]" = OrderedDict()
-        self._max_cached_blocks = 8
         # kind -> factory(content, block_seed, n_events) -> EventBatch
         self._readers: Dict[str, object] = {
             "ilc": _ilc_block,
@@ -86,8 +92,8 @@ class ContentStore:
         ``ilc`` additionally honours ``signal_fraction``.
 
         The batch is read-only.  A range inside one generation block is a
-        view of the cached block; a range spanning blocks is concatenated
-        once into arrays of its own.
+        view of the process-wide cached block; a range spanning blocks is
+        concatenated once into arrays of its own.
         """
         if start < 0 or stop < start:
             raise ContentError(f"bad event range [{start}, {stop})")
@@ -96,15 +102,14 @@ class ContentStore:
         kind = content.get("kind")
         if kind not in self._readers:
             raise ContentError(f"unknown content kind {kind!r}")
-        seed = int(content.get("seed", 0))
-        recipe = (kind, seed, tuple(sorted(content.items())))
+        recipe = (kind, int(content.get("seed", 0)), tuple(sorted(content.items())))
 
         pieces: List[EventBatch] = []
         first_block = start // BLOCK_EVENTS
         last_block = (stop - 1) // BLOCK_EVENTS
         for block in range(first_block, last_block + 1):
             block_start = block * BLOCK_EVENTS
-            batch = self._block(recipe, content, block)
+            batch = _block(self._readers[kind], recipe, block)
             lo = max(start, block_start) - block_start
             hi = min(stop, block_start + BLOCK_EVENTS) - block_start
             pieces.append(batch.slice(lo, hi))
@@ -112,25 +117,19 @@ class ContentStore:
             return pieces[0]
         return EventBatch.concatenate(pieces).freeze()
 
-    def _block(self, recipe: tuple, content: dict, block: int) -> EventBatch:
-        kind, seed, _ = recipe
-        key = (recipe, block)
-        cached = self._generator_cache.get(key)
-        if cached is not None:
-            self._generator_cache.move_to_end(key)
-            return cached
-        block_seed = _block_seed(seed, block)
-        batch = self._readers[kind](content, block_seed, BLOCK_EVENTS)
-        if len(batch) != BLOCK_EVENTS:
-            raise ContentError(
-                f"reader for kind {kind!r} produced {len(batch)} events, "
-                f"expected {BLOCK_EVENTS}"
-            )
-        batch.event_ids[:] = batch.event_ids + block * BLOCK_EVENTS
-        self._generator_cache[key] = batch.freeze()
-        if len(self._generator_cache) > self._max_cached_blocks:
-            self._generator_cache.popitem(last=False)
-        return batch
+
+@lru_cache(maxsize=MAX_CACHED_BLOCKS)
+def _block(reader, recipe: tuple, block: int) -> EventBatch:
+    """Block *block* of *recipe* as *reader* generates it, frozen."""
+    kind, seed, items = recipe
+    batch = reader(dict(items), _block_seed(seed, block), BLOCK_EVENTS)
+    if len(batch) != BLOCK_EVENTS:
+        raise ContentError(
+            f"reader for kind {kind!r} produced {len(batch)} events, "
+            f"expected {BLOCK_EVENTS}"
+        )
+    batch.event_ids[:] = batch.event_ids + block * BLOCK_EVENTS
+    return batch.freeze()
 
 
 def _ilc_block(content: dict, block_seed: int, n_events: int) -> EventBatch:

@@ -152,7 +152,7 @@ class EngineHost:
     injected by the failure injector — takes the entire engine down
     without leaving orphaned sub-processes behind.
 
-    The host holds *views* of the content store's cached blocks, and only
+    The host holds *views* of the process-wide cached content blocks, only
     while its job lives: when the body ends, by whatever route, it drops
     its parts and the engine's staged data (the engine keeps answering
     ``cursor`` / ``total_events``).

@@ -9,7 +9,7 @@ enough to move a pinned digest.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataset import generator
@@ -62,6 +62,18 @@ def batch_views(draw):
     return batch.slice(start, stop)
 
 
+def with_nan():
+    """Multiplicities 9, 0, 3 and 12 (both reduction orders), NaNs in the 9 and the 3."""
+    counts = [9, 0, 3, 12]
+    energy = np.linspace(-2.5, 7.0, sum(counts))
+    energy[[4, 10]] = np.nan
+    return EventBatch(
+        np.arange(4), np.zeros(4), np.ones(4), np.concatenate([[0], np.cumsum(counts)]),
+        np.full(len(energy), 81), energy, np.zeros(len(energy)),
+        np.zeros(len(energy)), np.zeros(len(energy)),
+    )
+
+
 def loop_sum(batch, array):
     return np.array(
         [array[batch.offsets[i]:batch.offsets[i + 1]].sum() for i in range(len(batch))]
@@ -80,20 +92,22 @@ def loop_max(batch, array):
 
 
 @given(batch_views())
+@example(with_nan())
 @settings(max_examples=300, deadline=None)
 def test_per_event_sum_equals_slice_loop(batch):
     result = batch.per_event_sum(batch.e)
     assert result.dtype == np.float64
     assert result.shape == (len(batch),)
-    assert np.array_equal(result, loop_sum(batch, batch.e))
+    assert np.array_equal(result, loop_sum(batch, batch.e), equal_nan=True)
 
 
 @given(batch_views())
+@example(with_nan())
 @settings(max_examples=300, deadline=None)
 def test_per_event_max_equals_slice_loop(batch):
     result = batch.per_event_max(batch.e)
     assert result.shape == (len(batch),)
-    assert np.array_equal(result, loop_max(batch, batch.e))
+    assert np.array_equal(result, loop_max(batch, batch.e), equal_nan=True)
 
 
 def test_all_empty_events_reduce_to_zero():

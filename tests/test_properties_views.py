@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from repro.dataset.events import EventBatch
 from repro.engine.base import Analysis
 from repro.engine.engine import AnalysisEngine
-from repro.services.content import BLOCK_EVENTS, ContentStore
+from repro.services.content import BLOCK_EVENTS, MAX_CACHED_BLOCKS, ContentStore
 from tests.test_properties_columnar import BATCH_ARRAYS, batches
+from tests.test_shared_blocks import CountingReader
 
 CONTENT = {"kind": "ilc", "seed": 19}
 N_BLOCKS = 3
 
-#: One store for every example: its three blocks are generated once.
+#: One store for every example.
 STORE = ContentStore()
 
 
@@ -41,13 +42,8 @@ def validating_slice(batch, start, stop):
 
 
 def block_of(index):
-    STORE.events_for(CONTENT, index * BLOCK_EVENTS, index * BLOCK_EVENTS + 1)
-    (block,) = [
-        batch
-        for (_recipe, k), batch in STORE._generator_cache.items()
-        if k == index
-    ]
-    return block
+    """The whole cached block *index*, as a view of every array."""
+    return STORE.events_for(CONTENT, index * BLOCK_EVENTS, (index + 1) * BLOCK_EVENTS)
 
 
 def slice_then_concatenate(start, stop):
@@ -100,15 +96,30 @@ def test_events_for_equals_slice_then_concatenate(span):
 
 
 def test_lru_keeps_the_block_just_read():
-    store = ContentStore()
-    content = {"kind": "trading", "seed": 1}
-    for index in range(8):
-        store.events_for(content, index * BLOCK_EVENTS, index * BLOCK_EVENTS + 1)
-    first = store.events_for(content, 0, 10)  # a hit: block 0 is now the newest
-    store.events_for(content, 8 * BLOCK_EVENTS, 8 * BLOCK_EVENTS + 1)  # evicts one
-    cached = [index for _recipe, index in store._generator_cache]
-    assert len(cached) == 8 and 0 in cached and 1 not in cached
-    assert np.shares_memory(store.events_for(content, 0, 10).e, first.e)
+    """One bound for every store in the process, least recently used out."""
+    reader = CountingReader()
+    stores = [ContentStore(), ContentStore()]
+    for store in stores:
+        store.register_kind("counted", reader)
+    content = {"kind": "counted", "seed": 1}
+
+    def read(index, store=0):
+        start = index * BLOCK_EVENTS
+        return stores[store].events_for(content, start, start + 10)
+
+    for index in range(MAX_CACHED_BLOCKS):  # fills the cache with these alone
+        read(index, store=index % 2)
+    assert reader.calls == MAX_CACHED_BLOCKS
+    first = read(0, store=1)  # a hit: block 0 is now the newest
+    read(MAX_CACHED_BLOCKS)  # evicts block 1, the oldest
+    assert reader.calls == MAX_CACHED_BLOCKS + 1
+    assert np.shares_memory(read(0).e, first.e)
+    assert reader.calls == MAX_CACHED_BLOCKS + 1
+    read(1, store=1)  # generated again; evicts block 2
+    assert reader.calls == MAX_CACHED_BLOCKS + 2
+    for index in range(3, MAX_CACHED_BLOCKS):  # the rest are all still cached
+        read(index, store=index % 2)
+    assert reader.calls == MAX_CACHED_BLOCKS + 2
 
 
 @given(batches(), st.data())

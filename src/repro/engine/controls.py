@@ -63,9 +63,9 @@ class Controller:
         self.state = ControlState.IDLE
         #: Remaining events allowed by an active STEP command (None = no cap).
         self.step_budget: Optional[int] = None
-        #: Set when a REWIND was requested; the engine clears it after
-        #: resetting its cursor and histograms.
-        self.rewind_requested = False
+        #: REWINDs requested since the engine last reset (0 = none); the
+        #: engine clears it after resetting its cursor and histograms.
+        self.rewind_requested = 0
 
     # -- client-side verbs -------------------------------------------------
     def run(self) -> None:
@@ -103,7 +103,7 @@ class Controller:
     def _apply(self, message: ControlMessage) -> None:
         command = message.command
         if command == Command.REWIND:
-            self.rewind_requested = True
+            self.rewind_requested += 1
             self.step_budget = None
             self.state = ControlState.PAUSED
         elif command == Command.STOP:
@@ -139,7 +139,7 @@ class Controller:
 
     def acknowledge_rewind(self) -> None:
         """Engine confirms it reset its cursor and results."""
-        self.rewind_requested = False
+        self.rewind_requested = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Controller {self.state} pending={self.pending}>"

@@ -250,7 +250,10 @@ class AnalysisEngine:
         controller = self.controller
         controller.drain()
         if controller.rewind_requested:
-            self.rewind()
+            # One reset per REWIND drained: each opens a run id of its own,
+            # so the engine stays on the run the session's merge expects.
+            for _ in range(controller.rewind_requested):
+                self.rewind()
             controller.acknowledge_rewind()
 
         if controller.state in (

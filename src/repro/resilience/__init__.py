@@ -37,12 +37,7 @@ from repro.resilience.faults import (
     WorkerFault,
 )
 from repro.resilience.heartbeat import HeartbeatMonitor, RecoveryConfig
-from repro.resilience.journal import (
-    DurableStore,
-    JournalModel,
-    SessionJournal,
-    replay_journal,
-)
+from repro.resilience.journal import DurableStore, SessionJournal
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -55,7 +50,6 @@ __all__ = [
     "FailureInjector",
     "FaultPlan",
     "HeartbeatMonitor",
-    "JournalModel",
     "RecoveryConfig",
     "RetryPolicy",
     "ServiceFault",
@@ -63,5 +57,4 @@ __all__ = [
     "SessionJournal",
     "SiteFault",
     "WorkerFault",
-    "replay_journal",
 ]

@@ -19,10 +19,9 @@ fix:
     at the first corrupt record, so a torn tail (a crash mid-append)
     costs at most the unflushed suffix, never the whole journal.
 
-:func:`replay_journal`
-    Folds a journal's records into a :class:`JournalModel` — the durable
-    view of a session the restarted service rebuilds its volatile state
-    from.
+What a record *means* is not defined here: ``apply`` and ``fold`` in
+:mod:`repro.services.session` turn records into a ``SessionState``, for
+the live service and for the restarted one alike.
 
 Journal and checkpoint writes charge **zero simulated time**: durability
 is modelled as asynchronous local-disk I/O that never blocks the service
@@ -33,8 +32,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 
 def json_default(value):
@@ -185,105 +183,3 @@ class SessionJournal:
             out.append(record)
         self.torn_records = 0
         return out
-
-
-@dataclass
-class JournalModel:
-    """A session's durable state, folded from its journal records."""
-
-    session_id: str
-    owner: str = ""
-    token: str = ""
-    n_engines: int = 0
-    #: Engines believed alive per the journal: engine_id -> worker name.
-    engines: Dict[str, str] = field(default_factory=dict)
-    #: Engines quarantined before the crash (their AIDA ban set).
-    banned: Set[str] = field(default_factory=set)
-    dataset_id: Optional[str] = None
-    strategy: str = "by-events"
-    size_mb: float = 0.0
-    n_events: int = 0
-    content: dict = field(default_factory=dict)
-    #: Part descriptors of the current stage, as plain dicts.
-    parts: List[dict] = field(default_factory=list)
-    #: Current dispatch map: engine_id -> [part_index, ...].
-    assignments: Dict[str, List[int]] = field(default_factory=dict)
-    #: Part indexes orphaned by a quarantine and not yet re-dispatched.
-    orphaned: List[int] = field(default_factory=list)
-    #: Replica-cache keys pinned for this session.
-    pin_keys: List[str] = field(default_factory=list)
-    #: Timing/hit bookkeeping of the last stage (StagedDataset extras).
-    staged: dict = field(default_factory=dict)
-    class_name: Optional[str] = None
-    running: bool = False
-    rewinds: int = 0
-    closing: bool = False
-    closed: bool = False
-
-
-def replay_journal(records: List[dict]) -> Optional[JournalModel]:
-    """Fold journal *records* into the session's durable state.
-
-    Returns ``None`` when no ``create`` record survived (nothing to
-    recover).  The fold mirrors the live bookkeeping: quarantines move an
-    engine's parts to the orphan pool, dispatches move one part back to
-    its new owner, spare joins add engines.
-    """
-    model: Optional[JournalModel] = None
-    for record in records:
-        rtype = record.get("type")
-        data = record.get("data", {})
-        if rtype == "create":
-            model = JournalModel(
-                session_id=data["session_id"],
-                owner=data.get("owner", ""),
-                token=data.get("token", ""),
-                n_engines=data.get("n_engines", 0),
-                engines=dict(data.get("engines", {})),
-            )
-            continue
-        if model is None:
-            continue
-        if rtype == "stage":
-            model.dataset_id = data["dataset_id"]
-            model.strategy = data.get("strategy", "by-events")
-            model.size_mb = data.get("size_mb", 0.0)
-            model.n_events = data.get("n_events", 0)
-            model.content = dict(data.get("content", {}))
-            model.parts = list(data.get("parts", []))
-            model.assignments = {
-                engine_id: list(indexes)
-                for engine_id, indexes in data.get("assignments", {}).items()
-            }
-            model.orphaned = []
-            model.staged = dict(data.get("staged", {}))
-        elif rtype == "pins":
-            model.pin_keys = list(data.get("keys", []))
-        elif rtype == "code":
-            model.class_name = data.get("class_name")
-        elif rtype == "control":
-            verb = data.get("verb")
-            if verb in ("run", "step"):
-                model.running = True
-            elif verb in ("pause", "stop"):
-                model.running = False
-            elif verb == "rewind":
-                model.rewinds += 1
-        elif rtype == "quarantine":
-            engine_id = data["engine_id"]
-            model.engines.pop(engine_id, None)
-            model.banned.add(engine_id)
-            model.orphaned.extend(model.assignments.pop(engine_id, []))
-        elif rtype == "dispatch":
-            engine_id = data["engine_id"]
-            part_index = data["part_index"]
-            if part_index in model.orphaned:
-                model.orphaned.remove(part_index)
-            model.assignments.setdefault(engine_id, []).append(part_index)
-        elif rtype == "engine_joined":
-            model.engines[data["engine_id"]] = data["worker"]
-        elif rtype == "closing":
-            model.closing = True
-        elif rtype == "closed":
-            model.closed = True
-    return model

@@ -36,12 +36,16 @@ equal to a failure-free run.
 
 Service faults
 --------------
-The service also survives *its own* crash: every state transition is
-journalled write-ahead and the merge state checkpointed periodically to
-the manager node's durable store.  ``crash()`` models the service process
-dying (volatile state lost, tokens revoked, endpoints raising
+The service also survives *its own* crash.  A session's durable state is
+one frozen :class:`SessionState`, and :func:`apply` is the only place a
+transition of it is defined: the live service commits every transition
+as a journal record (write-ahead, to the manager node's durable store)
+and then applies that record to its state.  The merge state is
+checkpointed periodically beside it.  ``crash()`` models the service
+process dying (volatile state lost, tokens revoked, endpoints raising
 :class:`~repro.resilience.faults.ServiceUnavailable`); ``recover()`` is
-the cold start that replays the journal, restores the merge cache from
+the cold start that :func:`fold`\\ s each journal back into the same
+state, re-attaches the volatile handles, restores the merge cache from
 the last committed checkpoint, re-binds still-running engines through the
 (surviving) registry, quarantines engines that died during the downtime,
 and asks every live engine to republish a full keyframe — so the final
@@ -51,8 +55,9 @@ merged trees are bit-identical to an uninterrupted run.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -74,7 +79,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.resilience.checkpoint import CheckpointStore, DurabilityConfig
 from repro.resilience.faults import ServiceUnavailable
 from repro.resilience.heartbeat import HeartbeatMonitor, RecoveryConfig
-from repro.resilience.journal import JournalModel, SessionJournal, replay_journal
+from repro.resilience.journal import SessionJournal
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.catalog import DatasetCatalogService
 from repro.services.codeloader import CodeLoaderError, ManagingClassLoaderService
@@ -91,7 +96,7 @@ class SessionError(Exception):
     """Raised on invalid session operations."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StagedDataset:
     """Bookkeeping for the dataset currently attached to a session."""
 
@@ -99,10 +104,11 @@ class StagedDataset:
     size_mb: float
     n_events: int
     content: dict
-    parts: List[PartDescriptor]
-    fetch_seconds: float
-    split_seconds: float
-    move_parts_seconds: float
+    #: The split plan; ``parts[i].part_index == i``.
+    parts: Tuple[PartDescriptor, ...]
+    fetch_seconds: float = 0.0
+    split_seconds: float = 0.0
+    move_parts_seconds: float = 0.0
     #: Split strategy the parts were cut under (keys replicas by geometry).
     strategy: str = "by-events"
     #: Replica-cache outcome of this stage.
@@ -117,6 +123,131 @@ class StagedDataset:
     def stage_seconds(self) -> float:
         """Total staging wall-clock (fetch + split + move parts)."""
         return self.fetch_seconds + self.split_seconds + self.move_parts_seconds
+
+
+#: The ``StagedDataset`` fields a ``stage`` record carries under "staged".
+_STAGE_EXTRAS = (
+    "fetch_seconds", "split_seconds", "move_parts_seconds", "local_hits",
+    "peer_hits", "se_hits", "cold_parts", "fetch_skipped", "saved_mb",
+)
+
+
+@dataclass(frozen=True)
+class SessionState:
+    """A session's durable state: what its journal records fold to."""
+
+    session_id: str
+    owner: str = ""
+    token: str = ""
+    n_engines: int = 0
+    #: Engines believed alive: engine_id -> worker name.
+    engines: Dict[str, str] = field(default_factory=dict)
+    #: Engines quarantined (their AIDA ban set).
+    banned: FrozenSet[str] = frozenset()
+    dataset: Optional[StagedDataset] = None
+    #: Dispatch map: engine_id -> indexes into ``dataset.parts``.
+    assignments: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+    #: Part indexes orphaned by a quarantine and not yet re-dispatched.
+    orphaned: Tuple[int, ...] = ()
+    #: Replica-cache keys pinned for this session.
+    pin_keys: Tuple[str, ...] = ()
+    running: bool = False
+    rewinds: int = 0
+    closing: bool = False
+    closed: bool = False
+
+
+def apply(state: Optional[SessionState], record: dict) -> Optional[SessionState]:
+    """The state after one journal *record*: the only definition of a
+    durable session transition, for the live service and for recovery.
+
+    ``None`` until a ``create`` record arrives.  Returns a new value and
+    never mutates *state*; lists read back from JSON become tuples, so a
+    record applies the same before and after its trip through the disk.
+    """
+    kind = record.get("type")
+    data = record.get("data", {})
+    if kind == "create":
+        return SessionState(
+            session_id=data["session_id"],
+            owner=data.get("owner", ""),
+            token=data.get("token", ""),
+            n_engines=data.get("n_engines", 0),
+            engines=dict(data.get("engines", {})),
+        )
+    if state is None:
+        return None
+    if kind == "stage":
+        dataset = StagedDataset(
+            dataset_id=data["dataset_id"],
+            size_mb=data["size_mb"],
+            n_events=data["n_events"],
+            content=data["content"],
+            parts=tuple(PartDescriptor(**part) for part in data["parts"]),
+            strategy=data["strategy"],
+            **data["staged"],
+        )
+        assignments, orphaned = {}, ()
+        for engine_id, indexes in data["assignments"].items():
+            if engine_id in state.engines:
+                assignments[engine_id] = tuple(indexes)
+            else:
+                # Planned onto an engine quarantined while the stage ran:
+                # its part is an orphan from the start.
+                orphaned += tuple(indexes)
+        return replace(
+            state, dataset=dataset, assignments=assignments, orphaned=orphaned
+        )
+    if kind == "pins":
+        return replace(state, pin_keys=tuple(data["keys"]))
+    if kind == "control":
+        verb = data["verb"]
+        if verb in (Command.RUN, Command.STEP):
+            return replace(state, running=True)
+        if verb in (Command.PAUSE, Command.STOP):
+            return replace(state, running=False)
+        if verb == Command.REWIND:
+            return replace(state, rewinds=state.rewinds + 1)
+        return state
+    if kind == "quarantine":
+        # The dead engine's parts move to the orphan pool.
+        engine_id = data["engine_id"]
+        assignments = dict(state.assignments)
+        lost = assignments.pop(engine_id, ())
+        return replace(
+            state,
+            engines={e: w for e, w in state.engines.items() if e != engine_id},
+            banned=state.banned | {engine_id},
+            assignments=assignments,
+            orphaned=state.orphaned + lost,
+        )
+    if kind == "dispatch":
+        # One orphaned part moves to its new owner.
+        engine_id, index = data["engine_id"], data["part_index"]
+        orphaned = list(state.orphaned)
+        if index in orphaned:
+            orphaned.remove(index)
+        owned = state.assignments.get(engine_id, ()) + (index,)
+        return replace(
+            state,
+            orphaned=tuple(orphaned),
+            assignments={**state.assignments, engine_id: owned},
+        )
+    if kind == "engine_joined":
+        engines = {**state.engines, data["engine_id"]: data["worker"]}
+        return replace(state, engines=engines)
+    if kind == "closing":
+        return replace(state, closing=True)
+    if kind == "closed":
+        return replace(state, closed=True)
+    # "code" records are history only: nothing durable reads them back.
+    return state
+
+
+def fold(records: Iterable[dict]) -> Optional[SessionState]:
+    """A session's durable state from its journal (``None`` without a
+    ``create``): recovery's whole reading of the journal."""
+    return reduce(apply, records, None)
 
 
 @dataclass
@@ -553,9 +684,21 @@ class SessionService:
             self._journals[session_id] = journal
         return journal
 
-    def _log(self, session_id: str, record_type: str, /, **data) -> None:
-        """Append one write-ahead journal record (no simulated time)."""
-        self._journal(session_id).append(record_type, **data)
+    def _commit(
+        self, session_id: str, record_type: str, /, **data
+    ) -> Optional[SessionState]:
+        """Make one durable transition: journal the record write-ahead (no
+        simulated time), then ``apply`` it to the live session's state.
+
+        Returns the new state (``None`` when the session is not live: a
+        late record still reaches the journal, and recovery folds it).
+        """
+        record = self._journal(session_id).append(record_type, **data)
+        session = self._sessions.get(session_id)
+        if session is None:
+            return None
+        session["state"] = apply(session["state"], record)
+        return session["state"]
 
     def _checkpoint_store(self, session_id: str) -> CheckpointStore:
         store = self._checkpoints.get(session_id)
@@ -569,9 +712,10 @@ class SessionService:
         return store
 
     def _closed_in_journal(self, session_id: str) -> bool:
-        """Whether the durable journal tombstones this session as closed."""
-        records = self._journal(session_id).records()
-        return any(r.get("type") == "closed" for r in records)
+        """Whether the durable journal tombstones this session as closed
+        (read through an uncached reader: a closed session keeps none)."""
+        state = fold(SessionJournal(self.durability.store, session_id).records())
+        return state is not None and state.closed
 
     def closed_before_crash(self, session_id: str) -> bool:
         """Whether this session's close completed before a service crash.
@@ -581,51 +725,6 @@ class SessionService:
         ``SessionError``.
         """
         return session_id in self._tombstones
-
-    def _log_stage(
-        self,
-        session_id: str,
-        staged: "StagedDataset",
-        keys: Optional[List[str]] = None,
-    ) -> None:
-        """Journal a completed dataset stage (plan + dispatch map + pins)."""
-        session = self._sessions[session_id]
-        self._log(
-            session_id,
-            "stage",
-            dataset_id=staged.dataset_id,
-            strategy=staged.strategy,
-            size_mb=staged.size_mb,
-            n_events=staged.n_events,
-            content=staged.content,
-            parts=[
-                {
-                    "part_index": part.part_index,
-                    "start_event": part.start_event,
-                    "stop_event": part.stop_event,
-                    "size_mb": part.size_mb,
-                    "worker": part.worker,
-                }
-                for part in staged.parts
-            ],
-            assignments={
-                engine_id: [part.part_index for part, _content in pairs]
-                for engine_id, pairs in session["assignments"].items()
-            },
-            staged={
-                "fetch_seconds": staged.fetch_seconds,
-                "split_seconds": staged.split_seconds,
-                "move_parts_seconds": staged.move_parts_seconds,
-                "local_hits": staged.local_hits,
-                "peer_hits": staged.peer_hits,
-                "se_hits": staged.se_hits,
-                "cold_parts": staged.cold_parts,
-                "fetch_skipped": staged.fetch_skipped,
-                "saved_mb": staged.saved_mb,
-            },
-        )
-        if keys is not None:
-            self._log(session_id, "pins", keys=list(keys))
 
     # -- lifecycle ----------------------------------------------------------
     def create_session(
@@ -710,9 +809,8 @@ class SessionService:
         # "Ready Signal with Reference").
         references = yield self.registry.wait_for(session_id, count)
         token = secrets.token_hex(16)
-        session = self._session_record(
+        self._sessions[session_id] = self._session_record(
             ref=ref,
-            context=context,
             chain=list(credential_chain),
             submission=submission,
             hosts=hosts,
@@ -721,21 +819,20 @@ class SessionService:
                 f"{session_id}-engine-{index}": job
                 for index, job in enumerate(submission.jobs)
             },
-            token=token,
             # (vo, slots) held at the admission controller, if any.
             admission=admitted,
             next_engine_index=count,
             # Trace context of the creating call: recovery work started by
             # the background monitor parents here instead of floating free.
             trace_parent=self.obs.tracer.current_id,
+            state=None,
         )
-        self._sessions[session_id] = session
         self.aida.set_expected_engines(session_id, count)
         # Plan the session's merge tree now that its engines are known.
         self.aida.configure_tier(
             session_id, [reference.engine_id for reference in references]
         )
-        self._log(
+        self._commit(
             session_id,
             "create",
             session_id=session_id,
@@ -776,25 +873,18 @@ class SessionService:
 
     @staticmethod
     def _session_record(**fields) -> dict:
-        """The volatile record of one session: fresh-session defaults
-        overridden by *fields*.  Both builders (start and recovery) must
-        supply ``ref, context, chain, submission, hosts, references,
-        engine_jobs, token, admission, next_engine_index, trace_parent``;
-        recovery adds what it replayed from the journal.
+        """The record of one session: its durable ``"state"`` (a
+        :class:`SessionState` only ``_commit`` replaces) beside the
+        volatile handles.  Both builders (start and recovery) supply
+        ``ref, chain, submission, hosts, references, engine_jobs,
+        admission, next_engine_index, trace_parent, state``.
         """
         session = {
             "spare_submissions": [],
-            "assignments": {},
-            "orphaned": [],
             "pending_acks": [],
             "recoveries": [],
             "redispatches": [],
-            "dataset": None,
-            "running": False,
-            "closing": False,
-            "closed": False,
             "unrecoverable": False,
-            "rewinds": 0,
             "monitor": None,
             "monitor_proc": None,
             "checkpoint_proc": None,
@@ -834,7 +924,7 @@ class SessionService:
 
     def token(self, session_id: str) -> str:
         """The session's RMI token."""
-        return self._session(session_id)["token"]
+        return self._session(session_id)["state"].token
 
     # -- dataset staging ------------------------------------------------------
     def add_dataset(
@@ -859,7 +949,7 @@ class SessionService:
         location = self.locator.locate(dataset_id)
         rm = self.replicas
 
-        if session["dataset"] is not None:
+        if session["state"].dataset is not None:
             # Dataset switch: release the previous dataset's pins so its
             # cached parts become evictable.
             rm.unpin_session(session_id)
@@ -880,67 +970,79 @@ class SessionService:
             location.origin_host is not None and rm.has_whole(location)
         )
         if not plan.fully_cold or fetch_skippable:
+            references = aligned
             staged = yield from self._stage_from_replicas(
-                session, session_id, entry, location, strategy,
-                streams, aligned, parts, keys, plan,
-            )
-            session["dataset"] = staged
-            self.resources.set_property(session["ref"], "dataset", dataset_id)
-            self._log_stage(session_id, staged, keys)
-            return staged
-
-        # Fully cold: the §3.4 pipeline as-is.  No catalog consult, whose
-        # SOAP round-trip would add to Table 2's stage time.
-        fetch_seconds = 0.0
-        if location.origin_host is not None:
-            fetch_seconds = yield from self._fetch_whole(location)
-
-        workers = [
-            self.gram.scheduler.element.worker(ref.worker) for ref in references
-        ]
-        if location.kind == "database":
-            # Contiguous-record DB location (§3.4): server-side range
-            # queries replace the serial split pass entirely.
-            report: StageReport = yield self.splitter.query_and_scatter(
-                location, workers, strategy=strategy, streams=streams
+                session_id, entry, location, strategy, streams, parts, keys,
+                plan,
             )
         else:
-            report = yield self.splitter.split_and_scatter(
-                location, workers, strategy=strategy, streams=streams
-            )
-        # Bookkeeping only (no simulated time): record every copy the cold
-        # pipeline just produced, pinned for this session.
-        for part, key in zip(report.parts, keys):
-            if location.kind != "database":
-                rm.record_se_part(dataset_id, key, part.size_mb)
-            rm.record_worker_part(
-                dataset_id, key, part.worker, part.size_mb, session_id
-            )
-        rm.note_stage(plan)
-        # Hand each engine its part descriptor + the content recipe, and
-        # record who owns what (the recovery monitor re-dispatches these
-        # assignments when an engine dies).
-        session["assignments"] = {}
-        session["orphaned"] = []
-        for ref, part in zip(references, report.parts):
-            session["assignments"][ref.engine_id] = [(part, entry.content)]
-            yield ref.mailbox.put(("load_data", part, entry.content))
+            # Fully cold: the §3.4 pipeline as-is.  No catalog consult,
+            # whose SOAP round-trip would add to Table 2's stage time.
+            fetch_seconds = 0.0
+            if location.origin_host is not None:
+                fetch_seconds = yield from self._fetch_whole(location)
 
-        staged = StagedDataset(
-            dataset_id=dataset_id,
-            size_mb=location.size_mb,
-            n_events=location.n_events,
-            content=entry.content,
-            parts=report.parts,
-            fetch_seconds=fetch_seconds,
-            split_seconds=report.split_seconds,
-            move_parts_seconds=report.move_parts_seconds,
-            strategy=strategy,
-            cold_parts=len(report.parts),
+            workers = [
+                self.gram.scheduler.element.worker(ref.worker)
+                for ref in references
+            ]
+            if location.kind == "database":
+                # Contiguous-record DB location (§3.4): server-side range
+                # queries replace the serial split pass entirely.
+                report: StageReport = yield self.splitter.query_and_scatter(
+                    location, workers, strategy=strategy, streams=streams
+                )
+            else:
+                report = yield self.splitter.split_and_scatter(
+                    location, workers, strategy=strategy, streams=streams
+                )
+            # Bookkeeping only (no simulated time): record every copy the
+            # cold pipeline just produced, pinned for this session.
+            for part, key in zip(report.parts, keys):
+                if location.kind != "database":
+                    rm.record_se_part(dataset_id, key, part.size_mb)
+                rm.record_worker_part(
+                    dataset_id, key, part.worker, part.size_mb, session_id
+                )
+            rm.note_stage(plan)
+            staged = StagedDataset(
+                dataset_id=dataset_id,
+                size_mb=location.size_mb,
+                n_events=location.n_events,
+                content=entry.content,
+                parts=tuple(report.parts),
+                fetch_seconds=fetch_seconds,
+                split_seconds=report.split_seconds,
+                move_parts_seconds=report.move_parts_seconds,
+                strategy=strategy,
+                cold_parts=len(report.parts),
+            )
+        # Record the plan and who owns what (the recovery monitor
+        # re-dispatches these assignments when an engine dies) before any
+        # engine loads its part descriptor + the content recipe.
+        self._commit(
+            session_id,
+            "stage",
+            dataset_id=staged.dataset_id,
+            strategy=staged.strategy,
+            size_mb=staged.size_mb,
+            n_events=staged.n_events,
+            content=staged.content,
+            parts=[asdict(part) for part in staged.parts],
+            assignments={
+                ref.engine_id: [part.part_index]
+                for ref, part in zip(references, staged.parts)
+            },
+            staged={name: getattr(staged, name) for name in _STAGE_EXTRAS},
         )
-        session["dataset"] = staged
+        state = self._commit(session_id, "pins", keys=list(keys))
+        if state is not None and state.orphaned:
+            # The monitor re-dispatches the dead engine's part; hold the
+            # merge open until it is taken over.
+            self.aida.set_recovering(session_id, True)
+        for ref, part in zip(references, staged.parts):
+            yield ref.mailbox.put(("load_data", part, entry.content))
         self.resources.set_property(session["ref"], "dataset", dataset_id)
-        self._log_stage(session_id, staged, keys)
         return staged
 
     def _fetch_whole(self, location: DatasetLocation):
@@ -980,13 +1082,11 @@ class SessionService:
 
     def _stage_from_replicas(
         self,
-        session: dict,
         session_id: str,
         entry,
         location: DatasetLocation,
         strategy: str,
         streams: Optional[int],
-        references: List,
         parts: List[PartDescriptor],
         keys: List[str],
         plan,
@@ -1105,19 +1205,12 @@ class SessionService:
                 fetch_skipped_mb=location.size_mb if fetch_skipped else 0.0,
             )
         span.finish(fetch_skipped=fetch_skipped)
-
-        session["assignments"] = {}
-        session["orphaned"] = []
-        for ref, part in zip(references, parts):
-            session["assignments"][ref.engine_id] = [(part, entry.content)]
-            yield ref.mailbox.put(("load_data", part, entry.content))
-
         return StagedDataset(
             dataset_id=dataset_id,
             size_mb=location.size_mb,
             n_events=location.n_events,
             content=entry.content,
-            parts=parts,
+            parts=tuple(parts),
             fetch_seconds=fetch_seconds,
             split_seconds=split_seconds,
             move_parts_seconds=move_seconds,
@@ -1179,10 +1272,12 @@ class SessionService:
         with tracer.activate(code_span):
             staging = self.codeloader.stage(session_id, bundle, workers)
         yield staging
-        for ref in references:
+        # The engines live now: a spare that joined while the code was in
+        # flight found no current bundle to load.
+        for ref in session["references"]:
             yield ref.mailbox.put(("load_code", bundle))
         code_span.finish()
-        self._log(
+        self._commit(
             session_id,
             "code",
             class_name=bundle.class_name,
@@ -1207,19 +1302,21 @@ class SessionService:
     def control(self, session_id: str, verb: str, argument=None):
         """Fan a control verb out to every engine (generator operation)."""
         session = self._session(session_id)
+        # Write-ahead: the verb is durable before any engine acts on it.
+        state = self._commit(session_id, "control", verb=verb)
         if verb == Command.REWIND:
             # Invalidate the previous run's merged results immediately so a
             # poll between rewind and the first new snapshot cannot return
             # stale (complete-looking) data.
-            session["rewinds"] = session.get("rewinds", 0) + 1
-            self.aida.begin_run(session_id, session["rewinds"])
-        if verb in (Command.RUN, Command.STEP):
-            session["running"] = True
-        elif verb in (Command.PAUSE, Command.STOP):
-            session["running"] = False
-        # Write-ahead: the verb is durable before any engine acts on it.
-        self._log(session_id, "control", verb=verb)
+            self.aida.begin_run(session_id, state.rewinds)
+        starts = verb in (Command.RUN, Command.STEP)
         for ref in session["references"]:
+            if starts and state.dataset is not None and (
+                not state.assignments.get(ref.engine_id)
+            ):
+                # A spare that holds no part yet: its takeover resumes it,
+                # a run now would find nothing staged to read.
+                continue
             yield ref.mailbox.put(("control", verb, argument))
         return len(session["references"])
 
@@ -1227,7 +1324,7 @@ class SessionService:
     def status(self, session_id: str) -> dict:
         """Summary of the session's engines and staged dataset."""
         session = self._session(session_id)
-        dataset = session["dataset"]
+        state = session["state"]
         submission = session["submission"]
         all_jobs = list(submission.jobs)
         for spare in session["spare_submissions"]:
@@ -1248,9 +1345,9 @@ class SessionService:
         }
         return {
             "session_id": session_id,
-            "owner": session["context"].identity,
+            "owner": state.owner,
             "n_engines": len(session["references"]),
-            "dataset": dataset.dataset_id if dataset else None,
+            "dataset": state.dataset.dataset_id if state.dataset else None,
             "job_states": [job.state for job in all_jobs],
             "failures": failures,
             "node_failures": node_failures,
@@ -1264,7 +1361,7 @@ class SessionService:
                 for record in session["recoveries"]
             ],
             "redispatches": list(session["redispatches"]),
-            "orphaned_parts": len(session["orphaned"]),
+            "orphaned_parts": len(state.orphaned),
             "unrecoverable": session["unrecoverable"],
             "engines": [
                 {
@@ -1305,10 +1402,10 @@ class SessionService:
             return
         monitor = session["monitor"]
         while True:
-            if session["closed"]:
+            if session["state"].closed:
                 return
             yield self.env.timeout(self.recovery.heartbeat_interval)
-            if session["closed"]:
+            if session["state"].closed:
                 return
             suspects = set(monitor.stale())
             for engine_id in list(monitor.watched):
@@ -1341,7 +1438,8 @@ class SessionService:
                     monitor.unwatch(engine_id)
                     continue
                 self._quarantine(session_id, engine_id)
-            if session["orphaned"] and not session["closing"]:
+            state = session["state"]
+            if state.orphaned and not state.closing:
                 # Track the re-dispatch process so a service crash can
                 # interrupt it too (it must not act on wiped state).
                 proc = self.env.process(
@@ -1446,8 +1544,7 @@ class SessionService:
         ]
         self.aida.set_expected_engines(session_id, len(session["references"]))
         session["hosts"].pop(engine_id, None)
-        orphaned = session["assignments"].pop(engine_id, [])
-        session["orphaned"].extend(orphaned)
+        orphaned = session["state"].assignments.get(engine_id, ())
         record = {
             "engine_id": engine_id,
             "cause": cause,
@@ -1456,7 +1553,7 @@ class SessionService:
             "span": recovery_span,
         }
         session["recoveries"].append(record)
-        self._log(session_id, "quarantine", engine_id=engine_id)
+        self._commit(session_id, "quarantine", engine_id=engine_id)
         # A dead engine is no straggler: drop its anomaly series and any
         # placement/suspicion hints it accumulated while degrading.
         self.obs.anomaly.forget_engine(session_id, engine_id)
@@ -1497,14 +1594,16 @@ class SessionService:
         session = self._sessions.get(session_id)
         if session is None:
             return
-        while (
-            session["orphaned"]
-            and not session["closing"]
-            and not session["closed"]
-        ):
+        while True:
+            state = session["state"]
+            if not state.orphaned or state.closing or state.closed:
+                break
             target: Optional[EngineReference] = None
             if self.gram.scheduler.available_worker_count > 0:
                 target = yield from self._start_spare(session_id)
+            state = session["state"]
+            if not state.orphaned:
+                break  # a re-stage while the spare came up replaced the plan
             if target is None:
                 live = session["references"]
                 if not live:
@@ -1516,19 +1615,19 @@ class SessionService:
                 target = min(
                     live,
                     key=lambda ref: (
-                        len(session["assignments"].get(ref.engine_id, [])),
+                        len(state.assignments.get(ref.engine_id, ())),
                         ref.engine_id,
                     ),
                 )
             worker = self.gram.scheduler.element.worker(target.worker)
-            part, content = session["orphaned"][0]
-            dataset = session["dataset"]
-            dataset_id = dataset.dataset_id if dataset else session_id
+            # Orphans are indexes into the stage that produced them.
+            dataset = state.dataset
+            part = dataset.parts[state.orphaned[0]]
             try:
                 yield self.ftp.transfer_file(
                     self.storage,
                     worker,
-                    f"{dataset_id}.part{part.part_index}.redispatch",
+                    f"{dataset.dataset_id}.part{part.part_index}.redispatch",
                     part.size_mb,
                     read_disk=True,
                     write_disk=True,
@@ -1540,38 +1639,29 @@ class SessionService:
                 return
             # Record the assignment *before* waiting for the ack: if the
             # target dies mid-takeover its quarantine re-orphans the part.
-            session["orphaned"].pop(0)
-            session["assignments"].setdefault(target.engine_id, []).append(
-                (part, content)
+            self._commit(
+                session_id,
+                "dispatch",
+                engine_id=target.engine_id,
+                part_index=part.part_index,
             )
-            if dataset is not None:
-                key = self.replicas.catalog.part_key(
-                    dataset.dataset_id,
-                    dataset.strategy,
-                    len(dataset.parts),
-                    part.part_index,
-                    part.start_event,
-                    part.stop_event,
-                )
-                self.replicas.record_worker_part(
-                    dataset.dataset_id,
-                    key,
-                    target.worker,
-                    part.size_mb,
-                    session_id,
-                )
+            key = self.replicas.catalog.part_key(
+                dataset.dataset_id,
+                dataset.strategy,
+                len(dataset.parts),
+                part.part_index,
+                part.start_event,
+                part.stop_event,
+            )
+            self.replicas.record_worker_part(
+                dataset.dataset_id, key, target.worker, part.size_mb, session_id
+            )
             session["redispatches"].append(
                 {
                     "part": part.part_index,
                     "to": target.engine_id,
                     "at": self.env.now,
                 }
-            )
-            self._log(
-                session_id,
-                "dispatch",
-                engine_id=target.engine_id,
-                part_index=part.part_index,
             )
             self.obs.metrics.counter(
                 "session_redispatches_total",
@@ -1591,7 +1681,10 @@ class SessionService:
             ack = self.env.event()
             session["pending_acks"].append(ack)
             yield target.mailbox.put(
-                ("takeover", part, content, ack, session["running"])
+                (
+                    "takeover", part, dataset.content, ack,
+                    session["state"].running,
+                )
             )
             timeout = self.env.timeout(self.recovery.dispatch_ack_timeout)
             yield self.env.any_of([ack, timeout])
@@ -1615,7 +1708,7 @@ class SessionService:
         session["pending_acks"] = [
             ack for ack in session["pending_acks"] if not ack.triggered
         ]
-        if not session["orphaned"] and not session["pending_acks"]:
+        if not session["state"].orphaned and not session["pending_acks"]:
             self.aida.set_recovering(session_id, False)
             for record in session["recoveries"]:
                 span = record.get("span")
@@ -1669,28 +1762,35 @@ class SessionService:
             timeout = self.env.timeout(deadline - self.env.now)
             yield self.env.any_of([arrival, timeout])
         session["hosts"][engine_id] = host
+        # The newcomer joins the session's current run: its snapshots must
+        # not read as leftovers from before the last rewind.
+        for _ in range(session["state"].rewinds):
+            host.engine.rewind()
         session["references"].append(reference)
         self.aida.set_expected_engines(session_id, len(session["references"]))
-        self._log(
+        self._commit(
             session_id,
             "engine_joined",
             engine_id=engine_id,
             worker=reference.worker,
         )
         session["monitor"].watch(engine_id)
-        # Ship the session's current analysis code to the newcomer.
         try:
-            bundle = self.codeloader.current(session_id)
+            yield from self._ship_code(session_id, reference)
         except CodeLoaderError as exc:
             # Nothing staged (yet): the spare joins bare and gets the code
             # with everyone else on the next stage_code.
             self._spare_start_failed(session_id, engine_id, exc)
-            bundle = None
-        if bundle is not None:
-            worker = self.gram.scheduler.element.worker(reference.worker)
-            yield self.codeloader.stage(session_id, bundle, [worker])
-            yield reference.mailbox.put(("load_code", bundle))
         return reference
+
+    def _ship_code(self, session_id: str, reference: EngineReference):
+        """Stage the session's current analysis code to one engine
+        (generator).  Raises :class:`CodeLoaderError` when none is staged.
+        """
+        bundle = self.codeloader.current(session_id)
+        worker = self.gram.scheduler.element.worker(reference.worker)
+        yield self.codeloader.stage(session_id, bundle, [worker])
+        yield reference.mailbox.put(("load_code", bundle))
 
     def _spare_start_failed(
         self, session_id: str, engine_id: str, exc: Exception
@@ -1726,8 +1826,7 @@ class SessionService:
             ):
                 return True
             raise SessionError(f"no active session {session_id!r}")
-        session["closing"] = True
-        self._log(session_id, "closing")
+        self._commit(session_id, "closing")
         for ref in list(session["references"]):
             yield ref.mailbox.put(("shutdown",))
         # Engines drain their mailboxes and exit; wait for the jobs to end,
@@ -1756,12 +1855,15 @@ class SessionService:
         self.replicas.unpin_session(session_id)
         self.resources.set_property(session["ref"], "state", "closed")
         self.resources.destroy(session["ref"])
+        # Tombstone first (write-ahead), then drop the checkpoint file —
+        # after a crash the journal alone must prove the close happened.
+        self._commit(session_id, "closed")
         # A closed session holds nothing: the record (hosts, jobs,
-        # references, submissions, credential chain) leaves the service.
-        # Background loops still asleep hold the old record and exit on
-        # its flag.
-        session["closed"] = True
+        # references, submissions, credential chain) and its journal
+        # reader leave the service.  Background loops still asleep hold
+        # the old record and exit on its state.
         self._sessions.pop(session_id, None)
+        self._journals.pop(session_id, None)
         if self.admission is not None and session.get("admission"):
             # Return the VO's engine slots; queued admissions are served
             # weighted-fair off this release.
@@ -1778,9 +1880,6 @@ class SessionService:
             message=session_id,
             session=session_id,
         )
-        # Tombstone first (write-ahead), then drop the checkpoint file —
-        # after a crash the journal alone must prove the close happened.
-        self._log(session_id, "closed")
         self._checkpoint_store(session_id).delete()
         self._checkpoints.pop(session_id, None)
         return True
@@ -1820,10 +1919,8 @@ class SessionService:
             parent_id=session.get("trace_parent"),
             session=session_id,
         )
-        session_state = {
-            "rewinds": session.get("rewinds", 0),
-            "running": session["running"],
-        }
+        state = session["state"]
+        session_state = {"rewinds": state.rewinds, "running": state.running}
         merge_state = self.aida.checkpoint_state(session_id)
         kind = store.write(session_state, merge_state, torn=torn)
         span.finish(kind=kind)
@@ -1883,7 +1980,7 @@ class SessionService:
                 if proc is not None and proc.is_alive:
                     proc.interrupt("service-crash")
                 session[key] = None
-            self.container.revoke_token(session["token"])
+            self.container.revoke_token(session["state"].token)
         self._sessions = {}
         self._journals = {}
         self._checkpoints = {}
@@ -1921,19 +2018,24 @@ class SessionService:
         self._down = False
         restored_sessions = 0
         reconciled_engines = 0
-        for session_id in SessionJournal.session_ids(self.durability.store):
-            model = replay_journal(self._journal(session_id).records())
-            if model is None:
+        store = self.durability.store
+        for session_id in SessionJournal.session_ids(store):
+            journal = SessionJournal(
+                store, session_id, fsync=self.durability.journal_fsync
+            )
+            state = fold(journal.records())
+            if state is None:
                 continue
-            if model.closed:
+            if state.closed:
                 # Finished before the crash: only the tombstone matters
                 # (keeps close() idempotent and zombie submissions
-                # dropped).
+                # dropped); no journal reader stays behind.
                 self._tombstones.add(session_id)
                 self.aida.mark_dropped(session_id)
                 continue
+            self._journals[session_id] = journal
             reconciled_engines += yield from self._recover_session(
-                session_id, model
+                session_id, state
             )
             restored_sessions += 1
         yield self.env.timeout(
@@ -1966,182 +2068,115 @@ class SessionService:
         )
         return restored_sessions
 
-    def _recover_session(self, session_id: str, model: JournalModel):
-        """Rebuild one session from its journal + checkpoint (generator).
+    def _recover_session(self, session_id: str, state: SessionState):
+        """Re-attach the volatile handles of one folded session (generator).
 
         Returns the number of engine trees reconciled (restored from the
         checkpoint or republished by a live engine) — the recovery cost
         model's unit of work.
         """
-        span = self.obs.tracer.start(
-            "session.recover_state", session=session_id
-        )
+        span = self.obs.tracer.start("session.recover_state", session=session_id)
         ref = self.resources.create(
-            {
-                "owner": model.owner,
-                "state": "recovering",
-                "engines": model.n_engines,
-            },
+            {"owner": state.owner, "state": "recovering", "engines": state.n_engines},
             resource_id=session_id,
         )
-        self.container.issue_token(model.token)
-
+        self.container.issue_token(state.token)
         # Re-bind engines that are still alive: the registry (and the
         # EngineHost processes out on the workers) survived the crash.
         live = {r.engine_id: r for r in self.registry.engines(session_id)}
-        references: List[EngineReference] = []
-        hosts: Dict[str, EngineHost] = {}
-        engine_jobs: Dict[str, object] = {}
-        next_index = model.n_engines
-        for engine_id in list(model.engines) + sorted(model.banned):
-            suffix = engine_id.rsplit("-", 1)[-1]
-            if suffix.isdigit():
-                next_index = max(next_index, int(suffix) + 1)
-        for engine_id in sorted(model.engines):
-            reference = live.get(engine_id)
-            if reference is None:
-                continue
-            references.append(reference)
-            if reference.host is not None:
-                hosts[engine_id] = reference.host
+        bound = [live[e] for e in sorted(state.engines) if e in live]
+        engine_jobs = {}
+        for reference in bound:
             job = self.gram.scheduler.running_job_on(reference.worker)
             if job is not None:
-                engine_jobs[engine_id] = job
-        references.sort(key=lambda r: (r.registered_at, r.engine_id))
-
-        dataset = None
-        parts_by_index: Dict[int, PartDescriptor] = {}
-        if model.dataset_id is not None:
-            parts = [PartDescriptor(**p) for p in model.parts]
-            parts_by_index = {p.part_index: p for p in parts}
-            staged = model.staged
-            dataset = StagedDataset(
-                dataset_id=model.dataset_id,
-                size_mb=model.size_mb,
-                n_events=model.n_events,
-                content=model.content,
-                parts=parts,
-                fetch_seconds=staged.get("fetch_seconds", 0.0),
-                split_seconds=staged.get("split_seconds", 0.0),
-                move_parts_seconds=staged.get("move_parts_seconds", 0.0),
-                strategy=model.strategy,
-                local_hits=staged.get("local_hits", 0),
-                peer_hits=staged.get("peer_hits", 0),
-                se_hits=staged.get("se_hits", 0),
-                cold_parts=staged.get("cold_parts", 0),
-                fetch_skipped=staged.get("fetch_skipped", False),
-                saved_mb=staged.get("saved_mb", 0.0),
-            )
-        assignments: Dict[str, list] = {}
-        for engine_id in model.engines:
-            pairs = [
-                (parts_by_index[idx], model.content)
-                for idx in model.assignments.get(engine_id, [])
-                if idx in parts_by_index
-            ]
-            if pairs:
-                assignments[engine_id] = pairs
-        orphaned = [
-            (parts_by_index[idx], model.content)
-            for idx in model.orphaned
-            if idx in parts_by_index
-        ]
-
-        session = self._session_record(
+                engine_jobs[reference.engine_id] = job
+        references = sorted(bound, key=lambda r: (r.registered_at, r.engine_id))
+        indexes = [int(e.rsplit("-", 1)[1]) for e in [*state.engines, *state.banned]]
+        vo = self.gram.authz.vo_of(state.owner) or state.owner
+        self._sessions[session_id] = session = self._session_record(
             ref=ref,
-            context=_RecoveredContext(model.owner),
-            # The client's credential chain is security material, never
-            # journalled: reconnect() refreshes it.  Until then
-            # spare-engine GRAM submits fail closed and re-dispatch falls
-            # back to surviving engines.
+            # The credential chain is security material, never journalled:
+            # until reconnect() refreshes it, spare-engine GRAM submits fail
+            # closed and re-dispatch falls back to surviving engines.
             chain=[],
-            submission=_RecoveredSubmission(
-                self.env, list(engine_jobs.values())
-            ),
-            hosts=hosts,
+            submission=_RecoveredSubmission(self.env, list(engine_jobs.values())),
+            hosts={r.engine_id: r.host for r in bound if r.host is not None},
             references=references,
             engine_jobs=engine_jobs,
-            token=model.token,
-            # The crashed service never released the VO's engine slots, so
-            # a recovered session still holds them: record the grant (do
-            # NOT re-acquire) so close() returns the slots.
-            admission=(
-                (
-                    self.gram.authz.vo_of(model.owner) or model.owner,
-                    model.n_engines,
-                )
-                if self.admission is not None
-                else None
-            ),
-            next_engine_index=next_index,
+            # The crashed service never released the VO's engine slots: keep
+            # the grant (do NOT re-acquire) so close() returns them.
+            admission=(vo, state.n_engines) if self.admission is not None else None,
+            next_engine_index=max([state.n_engines] + [i + 1 for i in indexes]),
             trace_parent=span.span_id,
-            assignments=assignments,
-            orphaned=orphaned,
-            dataset=dataset,
-            running=model.running,
-            closing=model.closing,
-            rewinds=model.rewinds,
+            state=state,
         )
-        self._sessions[session_id] = session
-        self.aida.set_expected_engines(session_id, len(model.engines))
-        if model.rewinds:
-            self.aida.begin_run(session_id, model.rewinds)
+        for reference in references:
+            if reference.host is not None and reference.host.engine.analysis is None:
+                # A spare whose join the crash cut short has no code yet.
+                try:
+                    yield from self._ship_code(session_id, reference)
+                except CodeLoaderError:
+                    break  # nothing staged: stage_code will reach them all
+        restored = self._restore_merge_state(session_id, state)
+        self._arm_background_loops(session_id)
+        # Engines the journal believed alive but that deregistered (died)
+        # during the downtime: quarantine now; the monitor's sweeps
+        # re-dispatch the orphaned parts.
+        for engine_id in sorted(state.engines):
+            if engine_id not in live:
+                self._quarantine(session_id, engine_id)
+        if session["state"].orphaned:
+            self.aida.set_recovering(session_id, True)
+        # Make sure the merge tree is planned even when no checkpoint
+        # carried its topology (restore_state rebuilds it otherwise).
+        self.aida.configure_tier(session_id, [r.engine_id for r in references])
+        # Ask every live engine for a full keyframe: covers everything the
+        # last checkpoint missed, including engines that finished during
+        # the downtime (their final snapshot died with the old process).
+        republish = sorted(references, key=lambda r: r.engine_id)
+        for reference in republish:
+            yield reference.mailbox.put(("republish",))
+        if republish:
+            self.obs.metrics.counter(
+                "service_recovery_resyncs_total",
+                "Live engines asked to republish a keyframe on recovery",
+            ).inc(len(republish))
+        self.resources.set_property(ref, "state", "ready")
+        if state.dataset is not None:
+            self.resources.set_property(ref, "dataset", state.dataset.dataset_id)
+        self._maybe_end_recovery(session_id)
+        span.finish(engines=len(references), restored=restored)
+        return max(restored, len(republish))
 
-        # Merge state: last committed checkpoint, unless it predates a
-        # journalled rewind (then it describes a dead run).
+    def _restore_merge_state(self, session_id: str, state: SessionState) -> int:
+        """Hand a recovered session's durable state back to the planes that
+        lost it: the AIDA merge cache and the replica pins.
+
+        The merge cache comes from the last committed checkpoint unless it
+        predates a journalled rewind (then it describes a dead run); the
+        ban set is replayed on top (quarantines after the checkpoint).
+        Returns the number of engine trees the checkpoint restored.
+        """
+        if state.rewinds:
+            self.aida.begin_run(session_id, state.rewinds)
         restored = 0
         loaded = self._checkpoint_store(session_id).load()
         if loaded is not None:
             ckpt_session, merge_state = loaded
-            if ckpt_session.get("rewinds", 0) >= model.rewinds:
+            if ckpt_session.get("rewinds", 0) >= state.rewinds:
                 self.aida.restore_state(session_id, merge_state)
                 restored = len(merge_state.get("engines", {}))
-        # Replay the ban set on top (quarantines after the checkpoint).
-        for engine_id in sorted(model.banned):
+        for engine_id in sorted(state.banned):
             self.aida.discard_engine(session_id, engine_id)
-
+        # The journal's engine count, not the checkpoint's: a quarantine
+        # after the last checkpoint shrank it.
+        self.aida.set_expected_engines(session_id, len(state.engines))
         # Re-pin this session's replica keys wherever the parts still sit.
-        for key in model.pin_keys:
+        for key in state.pin_keys:
             for cache in self.replicas.caches.values():
                 if key in cache:
                     cache.pin(key, session_id)
-
-        self._arm_background_loops(session_id)
-
-        # Engines the journal believed alive but that deregistered (died)
-        # during the downtime: quarantine now; the monitor's sweeps
-        # re-dispatch the orphaned parts.
-        for engine_id in sorted(model.engines):
-            if engine_id not in live:
-                self._quarantine(session_id, engine_id)
-        if session["orphaned"] or session["pending_acks"]:
-            self.aida.set_recovering(session_id, True)
-
-        # Make sure the merge tree is planned even when no checkpoint
-        # carried its topology (restore_state rebuilds it otherwise).
-        self.aida.configure_tier(
-            session_id, [reference.engine_id for reference in references]
-        )
-
-        # Ask every live engine for a full keyframe: covers everything the
-        # last checkpoint missed, including engines that finished during
-        # the downtime (their final snapshot died with the old process).
-        resyncs = 0
-        for reference in sorted(references, key=lambda r: r.engine_id):
-            yield reference.mailbox.put(("republish",))
-            resyncs += 1
-        if resyncs:
-            self.obs.metrics.counter(
-                "service_recovery_resyncs_total",
-                "Live engines asked to republish a keyframe on recovery",
-            ).inc(resyncs)
-
-        self.resources.set_property(ref, "state", "ready")
-        if model.dataset_id is not None:
-            self.resources.set_property(ref, "dataset", model.dataset_id)
-        self._maybe_end_recovery(session_id)
-        span.finish(engines=len(references), restored=restored)
-        return max(restored, resyncs)
+        return restored
 
     def reconnect(
         self,
@@ -2163,32 +2198,21 @@ class SessionService:
             if self._closed_in_journal(session_id):
                 raise SessionError(f"session {session_id!r} is closed")
             raise SessionError(f"no active session {session_id!r}")
-        if session["context"].identity != context.identity:
+        state = session["state"]
+        if state.owner != context.identity:
             raise SessionError(
                 "reconnect identity does not match the session owner"
             )
-        session["context"] = context
         session["chain"] = list(credential_chain)
         return SessionInfo(
             session_id=session_id,
             resource=session["ref"],
-            token=session["token"],
+            token=state.token,
             n_engines=len(session["references"]),
             engine_ids=sorted(
                 ref.engine_id for ref in session["references"]
             ),
         )
-
-
-class _RecoveredContext:
-    """Security-context stand-in for a recovered session.
-
-    Only the owner identity survives in the journal; the full context is
-    re-established when the client reconnects.
-    """
-
-    def __init__(self, identity: str) -> None:
-        self.identity = identity
 
 
 class _RecoveredSubmission:

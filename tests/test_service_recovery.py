@@ -1,7 +1,8 @@
 """Durable session checkpointing and service-crash recovery.
 
 Covers the durable layer bottom-up: the crash-surviving store, the
-write-ahead journal (torn tails included), journal replay, keyframe/delta
+write-ahead journal (torn tails included), the fold of its records into
+a session's state, keyframe/delta
 checkpoints, AIDA merge-state capture/restore, and the full
 crash → restart → reconnect workflow, whose recovered results must be
 bit-identical to an uninterrupted run.
@@ -16,14 +17,9 @@ from repro.client.plugins import RemoteDataPlugin
 from repro.core.site import GridSite, SiteConfig
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import ServiceUnavailable
-from repro.resilience.journal import (
-    DurableStore,
-    SessionJournal,
-    decode_record,
-    replay_journal,
-)
+from repro.resilience.journal import DurableStore, SessionJournal, decode_record
 from repro.services.envelope import Fault
-from repro.services.session import SessionError
+from repro.services.session import SessionError, apply, fold
 from repro.engine.engine import Snapshot
 
 
@@ -95,7 +91,7 @@ def test_record_checksum_rejects_corruption():
     assert decode_record("garbage") is None
 
 
-def test_replay_journal_folds_lifecycle():
+def test_fold_journal_lifecycle():
     store = DurableStore()
     journal = SessionJournal(store, "s1")
     journal.append(
@@ -124,25 +120,32 @@ def test_replay_journal_folds_lifecycle():
     )
     journal.append("control", verb="run")
     journal.append("quarantine", engine_id="s1-engine-1")
-    model = replay_journal(journal.records())
-    assert model.running
-    assert model.banned == {"s1-engine-1"}
-    assert sorted(model.engines) == ["s1-engine-0"]
-    assert model.orphaned == [1]  # the dead engine's part
-    journal.append("dispatch", engine_id="s1-engine-0", part_index=1)
-    model = replay_journal(journal.records())
-    assert model.orphaned == []
-    assert model.assignments["s1-engine-0"] == [0, 1]
-    assert not model.closed
+    state = fold(journal.records())
+    assert state.running
+    assert state.banned == {"s1-engine-1"}
+    assert sorted(state.engines) == ["s1-engine-0"]
+    assert state.orphaned == (1,)  # the dead engine's part
+    dispatch = journal.append("dispatch", engine_id="s1-engine-0", part_index=1)
+    before = fold(journal.records()[:-1])
+    after = apply(before, dispatch)
+    # apply returns a new value and leaves its input as it was.
+    assert before == state and before.orphaned == (1,)
+    assert before.assignments["s1-engine-0"] == (0,)
+    state = fold(journal.records())
+    assert state == after
+    assert state.orphaned == ()
+    assert state.assignments["s1-engine-0"] == (0, 1)
+    assert state.dataset.parts[1].start_event == 50
+    assert not state.closed
     journal.append("closing")
     journal.append("closed")
-    model = replay_journal(journal.records())
-    assert model.closing and model.closed
+    state = fold(journal.records())
+    assert state.closing and state.closed
 
 
-def test_replay_journal_without_create_returns_none():
-    assert replay_journal([]) is None
-    assert replay_journal([{"type": "control", "data": {"verb": "run"}}]) is None
+def test_fold_without_create_returns_none():
+    assert fold([]) is None
+    assert fold([{"type": "control", "data": {"verb": "run"}}]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +473,29 @@ def test_close_idempotent_across_recovery_boundary():
 
     site.env.run(until=site.env.process(scenario()))
     assert out["done"]
+
+
+def test_closed_session_leaves_no_journal_reader():
+    site, client = _build()
+    service = site.session_service
+    out = {}
+
+    def scenario():
+        info = yield from client.obtain_proxy_and_connect(n_engines=2)
+        sid = info.session_id
+        yield from client.select_dataset("ds")
+        yield from client.close()
+        out["after_close"] = sid in service._journals
+        # A repeated close answers from the durable tombstone.
+        out["again"] = yield site.env.process(service.close(sid))
+        out["after_second_close"] = sid in service._journals
+        out["records"] = SessionJournal(service.durability.store, sid).records()
+
+    site.env.run(until=site.env.process(scenario()))
+    assert out["again"] is True
+    assert not out["after_close"] and not out["after_second_close"]
+    # The durable lines stay behind; only the in-memory reader goes.
+    assert out["records"][-1]["type"] == "closed"
 
 
 # ---------------------------------------------------------------------------

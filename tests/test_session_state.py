@@ -1,0 +1,220 @@
+"""Property test: the live session state is the fold of its journal.
+
+A session's durable state is defined once, by ``apply`` over journal
+records.  The live service commits every transition through that same
+function, and recovery folds the records it reads back from disk — so
+after any sequence of client actions and faults:
+
+* ``fold(journal lines on the DurableStore) == session["state"]`` after
+  every step.  The fold reads the lines back through the JSON codec, as
+  recovery does, so a tuple that comes back as a list or a value that
+  does not survive the round trip shows up here.
+* After every service restart, the recovered state is the pre-crash
+  state with the downtime quarantines applied (engines that died while
+  the service was down), and nothing else.
+* The final merged tree equals a crash-free run's, exactly: the counting
+  analysis sums unit weights, so any part lost, duplicated or re-read
+  from the wrong range is a real recovery bug, not round-off.
+
+A 4-engine session runs on a 5-worker site, so one spare worker can
+take over from a dead engine.
+"""
+
+from functools import lru_cache
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import counting
+from repro.client.client import IPAClient
+from repro.core.site import GridSite, SiteConfig
+from repro.resilience.journal import SessionJournal
+from repro.services.session import apply, fold
+
+N_WORKERS = 5
+N_ENGINES = 4
+N_EVENTS = 4_000  # 1000 events per part: two chunks, so runs can pause mid-way
+SIZE_MB = 20.0
+DOWNTIME_S = 10.0
+MAX_WORKER_FAULTS = 2  # at least two engines always survive
+
+ACTIONS = ("select", "upload", "run", "pause", "step", "rewind", "reload")
+FAULTS = ("crash", "hang", "service-crash", "torn-restart")
+CONTROLS = ("run", "pause", "step", "rewind")
+
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(ACTIONS + FAULTS),
+        st.integers(min_value=0, max_value=N_ENGINES - 1),
+        st.sampled_from((0.0, 2.0, 10.0, 30.0)),
+    ),
+    max_size=8,
+)
+
+
+def build_site():
+    site = GridSite(SiteConfig(n_workers=N_WORKERS, checkpoint_every_s=10.0))
+    site.register_dataset(
+        "ds", "/t/ds", size_mb=SIZE_MB, n_events=N_EVENTS,
+        content={"kind": "ilc", "seed": 31},
+    )
+    return site, IPAClient(site, site.enroll_user("/CN=prop"))
+
+
+def durable_state(site, session_id):
+    """The fold of the session's journal as it sits on the durable store."""
+    store = site.session_service.durability.store
+    return fold(SessionJournal(store, session_id).records())
+
+
+def live_state(site, session_id):
+    session = site.session_service._sessions.get(session_id)
+    return None if session is None else session["state"]
+
+
+def finish(site, client, out):
+    """Stage what is missing, rewind, and run to completion."""
+    if not out["selected"]:
+        yield from client.select_dataset("ds")
+    if not out["uploaded"]:
+        yield from client.upload_code(counting.SOURCE)
+    yield from client.rewind()
+    yield from client.run()
+    final = yield from client.wait_for_completion(
+        poll_interval=5.0, timeout=5_000.0, reconnect=True
+    )
+    return final.tree.to_dict()
+
+
+@lru_cache(maxsize=None)
+def crash_free_tree():
+    site, client = build_site()
+    out = {"selected": False, "uploaded": False}
+
+    def scenario():
+        yield from client.obtain_proxy_and_connect(n_engines=N_ENGINES)
+        out["tree"] = yield from finish(site, client, out)
+        yield from client.close()
+
+    site.env.run(until=site.env.process(scenario()))
+    return out["tree"]
+
+
+def restart(site, client, session_id, torn):
+    """Crash the services, restart them, and check what recovery rebuilt."""
+    before = live_state(site, session_id)
+    site.injector.crash_services(torn_checkpoint=torn)
+    yield site.env.timeout(DOWNTIME_S)
+    alive = {ref.engine_id for ref in site.registry.engines(session_id)}
+    expected = before
+    for engine_id in sorted(set(before.engines) - alive):
+        expected = apply(
+            expected, {"type": "quarantine", "data": {"engine_id": engine_id}}
+        )
+    yield site.injector.restart_services()
+    assert live_state(site, session_id) == expected
+    yield from client.reconnect()
+
+
+def act(site, client, session_id, kind, victim, out):
+    """One client action or fault (generator)."""
+    if kind in CONTROLS and not (out["selected"] and out["uploaded"]):
+        return  # nothing to control yet
+    if kind == "select" and out["selected"] and out["worker_faults"]:
+        # A re-stage while a spare joins leaves the spare holding a part of
+        # the old plan (ROADMAP item 2): not explored here.
+        return
+    if kind == "select":
+        yield from client.select_dataset("ds")
+        out["selected"] = True
+    elif kind == "upload" or (kind == "reload" and not out["uploaded"]):
+        yield from client.upload_code(counting.SOURCE)
+        out["uploaded"] = True
+    elif kind == "reload":
+        yield from client.reload_code()
+    elif kind == "step":
+        yield from client.step(300)
+    elif kind in CONTROLS:
+        yield from getattr(client, kind)()
+    elif kind in ("crash", "hang"):
+        engines = sorted(
+            site.registry.engines(session_id), key=lambda ref: ref.engine_id
+        )
+        if out["worker_faults"] >= MAX_WORKER_FAULTS or not engines:
+            return
+        state = live_state(site, session_id)
+        registered = {ref.engine_id for ref in engines}
+        if state.orphaned or out["victims"] & set(state.engines) or (
+            registered != set(state.engines)
+        ):
+            # The last fault's recovery is still in flight: a second fault
+            # now (or a spare dying while it joins) can strand the
+            # session (ROADMAP item 2).
+            return
+        out["worker_faults"] += 1
+        target = engines[victim % len(engines)]
+        out["victims"].add(target.engine_id)
+        worker = target.worker
+        if kind == "crash":
+            site.injector.crash_worker(worker)
+        else:
+            site.injector.hang_worker(worker)
+    else:
+        yield from restart(site, client, session_id, kind == "torn-restart")
+
+
+def run_schedule(schedule):
+    site, client = build_site()
+    out = {
+        "selected": False, "uploaded": False,
+        "worker_faults": 0, "victims": set(),
+    }
+
+    def check(session_id):
+        live = live_state(site, session_id)
+        if live is not None:
+            assert durable_state(site, session_id) == live
+
+    def scenario():
+        info = yield from client.obtain_proxy_and_connect(n_engines=N_ENGINES)
+        session_id = info.session_id
+        check(session_id)
+        for kind, victim, wait in schedule:
+            yield from act(site, client, session_id, kind, victim, out)
+            yield site.env.timeout(wait)
+            check(session_id)
+        out["tree"] = yield from finish(site, client, out)
+        check(session_id)
+        yield from client.close()
+
+    site.env.run(until=site.env.process(scenario()))
+    return out["tree"]
+
+
+@settings(max_examples=4, deadline=None)
+@given(schedule=steps)
+# A crash after staging: quarantine, spare start, dispatch, takeover.
+@example(schedule=[
+    ("select", 0, 0.0), ("upload", 0, 0.0), ("run", 0, 2.0),
+    ("crash", 1, 30.0), ("pause", 0, 0.0),
+])
+# An engine dies while the service is down: quarantined by recovery; the
+# spare that replaces it joins after two rewinds and must start on the
+# session's current run, not on run 0.
+@example(schedule=[
+    ("select", 0, 0.0), ("upload", 0, 0.0), ("run", 0, 2.0),
+    ("crash", 2, 0.0), ("torn-restart", 0, 2.0), ("rewind", 0, 10.0),
+])
+# Two rewinds reach the engines before the next run: each is a run of its own.
+@example(schedule=[("select", 0, 0.0), ("upload", 0, 0.0), ("rewind", 0, 0.0)])
+# An engine dies while the stage is planned onto it: its part is orphaned
+# by the stage record, not lost.
+@example(schedule=[("crash", 0, 0.0)])
+# A quarantine after the last checkpoint: recovery expects the journal's
+# engine count, and re-ships code to a spare whose join the crash cut short.
+@example(schedule=[
+    ("upload", 0, 0.0), ("crash", 0, 0.0), ("select", 0, 10.0),
+    ("service-crash", 0, 0.0),
+])
+def test_live_state_is_the_fold_of_the_journal(schedule):
+    assert run_schedule(schedule) == crash_free_tree()

@@ -24,7 +24,7 @@ def main() -> None:
         "ilc-tune",
         "/ilc/tune",
         size_mb=120.0,
-        n_events=10_000,
+        n_events=12_000,
         metadata={"experiment": "ilc"},
         content={"kind": "ilc", "seed": 31},
     )

@@ -3,9 +3,10 @@
 Engines publish, and the AIDA manager serves, *frozen* objects: the same
 Python objects travel engine → leaf combiner → root → client unserialized,
 so isolation comes from immutability, not from a copy.  A frozen object's
-arrays are read-only, so every mutator (``fill*``, ``+=``, ``scale``,
-``reset``) raises ``ValueError`` before any statistic changes; a frozen
-tree refuses ``put`` / ``remove`` / ``mkdir``.  ``copy()`` is writable.
+arrays are read-only, and every mutator (``fill*``, ``+=``, ``scale``,
+``reset``) raises ``ValueError`` before any statistic or its
+``data_version`` changes; a frozen tree refuses ``put`` / ``remove`` /
+``mkdir``.  ``copy()`` is writable.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ class Freezable:
         return self
 
     def _check_mutable(self) -> None:
-        # Needed where the array write cannot refuse by itself: ``np.add.at``
-        # writes through a read-only flag, and a tree has no arrays.
+        # Called before anything changes: a read-only array refuses a write
+        # only once the version has moved, ``np.add.at`` writes through the
+        # flag, and a tree has no arrays.
         if self._frozen:
             raise ValueError(
                 f"{type(self).__name__} is frozen (read-only); copy() it to edit"
@@ -48,6 +50,12 @@ class Binned(Freezable):
     _moments: Tuple[str, ...] = ()
     _axes: Tuple[str, ...] = ("axis",)
 
+    def _touch(self) -> None:
+        # Every mutator's first step: refuse a frozen object before the
+        # version (or anything else) moves, then count the mutation.
+        self._check_mutable()
+        self._version += 1
+
     @property
     def data_version(self) -> int:
         """Monotonic mutation counter (fill/reset/merge/scale bump it)."""
@@ -55,7 +63,7 @@ class Binned(Freezable):
 
     def reset(self) -> None:
         """Clear all statistics (the client's *rewind*, §3.6)."""
-        self._version += 1
+        self._touch()
         for attr in self._arrays:
             getattr(self, attr)[...] = 0
         for attr in self._moments:
@@ -71,7 +79,7 @@ class Binned(Freezable):
             raise ValueError(
                 f"incompatible axes for {self.name!r} and {other.name!r}"
             )
-        self._version += 1
+        self._touch()
         for attr in self._arrays:
             getattr(self, attr).__iadd__(getattr(other, attr))
         for attr in self._moments:

@@ -72,7 +72,7 @@ class Histogram1D(Binned):
     # -- filling ----------------------------------------------------------
     def fill(self, x: float, weight: float = 1.0) -> None:
         """Add one entry at *x* with the given *weight*."""
-        self._version += 1
+        self._touch()
         index = self.axis.coord_to_index(x)
         slot = self.axis.index_to_storage(index)
         self._counts[slot] += 1
@@ -88,8 +88,7 @@ class Histogram1D(Binned):
         weights: Optional[Union[Sequence[float], np.ndarray]] = None,
     ) -> None:
         """Vectorized fill of many entries at once (the engine hot path)."""
-        self._check_mutable()
-        self._version += 1
+        self._touch()
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
             raise ValueError("xs must be 1-D")
@@ -190,7 +189,7 @@ class Histogram1D(Binned):
     # -- algebra ------------------------------------------------------------
     def scale(self, factor: float) -> None:
         """Multiply every weight by *factor* (keeps entry counts)."""
-        self._version += 1
+        self._touch()
         self._sumw *= factor
         self._sumw2 *= factor * factor
         self._swx *= factor

@@ -59,7 +59,7 @@ class Histogram2D(Binned):
     # -- filling ----------------------------------------------------------
     def fill(self, x: float, y: float, weight: float = 1.0) -> None:
         """Add one (x, y) entry."""
-        self._version += 1
+        self._touch()
         sx = self.x_axis.index_to_storage(self.x_axis.coord_to_index(x))
         sy = self.y_axis.index_to_storage(self.y_axis.coord_to_index(y))
         self._counts[sx, sy] += 1
@@ -78,8 +78,7 @@ class Histogram2D(Binned):
         weights: Optional[Union[Sequence[float], np.ndarray]] = None,
     ) -> None:
         """Vectorized fill of many (x, y) pairs."""
-        self._check_mutable()
-        self._version += 1
+        self._touch()
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:

@@ -49,7 +49,7 @@ class Profile1D(Binned):
     # -- filling ----------------------------------------------------------
     def fill(self, x: float, y: float, weight: float = 1.0) -> None:
         """Add one (x, y) sample."""
-        self._version += 1
+        self._touch()
         slot = self.axis.index_to_storage(self.axis.coord_to_index(x))
         self._counts[slot] += 1
         self._sumw[slot] += weight
@@ -63,8 +63,7 @@ class Profile1D(Binned):
         weights: Optional[Union[Sequence[float], np.ndarray]] = None,
     ) -> None:
         """Vectorized fill of many samples."""
-        self._check_mutable()
-        self._version += 1
+        self._touch()
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:

@@ -4,13 +4,17 @@ Events are stored in **batches** — flat numpy arrays with per-event offsets
 — so the analysis hot path (invariant masses over thousands of events)
 stays vectorized, while :class:`Event` offers a convenient per-record view
 for user analysis code, matching the paper's "the analysis code accepts the
-records from the dataset" contract (§3.5).
+records from the dataset" contract (§3.5).  An :class:`EventChain` reads
+several batches end to end as one without joining them: a staged part that
+spans generation blocks is the chain of its block views.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -238,26 +242,11 @@ class EventBatch:
     # -- combination ----------------------------------------------------------
     @staticmethod
     def concatenate(batches: Sequence["EventBatch"]) -> "EventBatch":
-        """Concatenate batches into one (event order preserved)."""
-        batches = [b for b in batches if len(b)]
-        if not batches:
+        """One read-only batch of *batches* end to end (event order preserved)."""
+        chain = EventChain([b for b in batches if len(b)])
+        if not chain.pieces:
             return EventBatch.empty()
-        offsets = [np.asarray([0], dtype=np.int64)]
-        base = 0
-        for batch in batches:
-            offsets.append(batch.offsets[1:] + base)
-            base += batch.offsets[-1]
-        return EventBatch(
-            np.concatenate([b.event_ids for b in batches]),
-            np.concatenate([b.process for b in batches]),
-            np.concatenate([b.weights for b in batches]),
-            np.concatenate(offsets),
-            np.concatenate([b.pdg for b in batches]),
-            np.concatenate([b.e for b in batches]),
-            np.concatenate([b.px for b in batches]),
-            np.concatenate([b.py for b in batches]),
-            np.concatenate([b.pz for b in batches]),
-        )
+        return EventBatch(*(getattr(chain, name) for name in _ARRAYS))
 
     @staticmethod
     def empty() -> "EventBatch":
@@ -307,3 +296,54 @@ class EventBatch:
 
     def __repr__(self) -> str:
         return f"<EventBatch events={len(self)} particles={self.n_particles}>"
+
+
+class EventChain:
+    """Batches read end to end as one, without joining them.
+
+    ``len`` and :meth:`slice` answer as for the :class:`EventBatch` the
+    pieces would make, so an engine stages a chain like a batch.  A slice
+    inside one piece is a view of it; a slice across a seam joins only the
+    straddled pieces.  Reading a whole-run array (``chain.e``) joins that
+    one array, read-only, on every read and keeps nothing: the whole-range
+    copy is made only where a caller asks for it.
+    """
+
+    def __init__(self, pieces: Sequence[EventBatch]) -> None:
+        self.pieces = tuple(pieces)
+        #: Piece *i* holds the chain's events ``[bounds[i], bounds[i + 1])``.
+        self.bounds = list(accumulate((len(piece) for piece in self.pieces), initial=0))
+
+    def __len__(self) -> int:
+        return self.bounds[-1]
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only for names the chain does not hold: the nine arrays.
+        if name not in _ARRAYS:
+            raise AttributeError(name)
+        if name == "offsets":
+            bases = accumulate((piece.n_particles for piece in self.pieces), initial=0)
+            arrays = [np.zeros(1, dtype=np.int64)]
+            arrays += [piece.offsets[1:] + base for piece, base in zip(self.pieces, bases)]
+        else:
+            arrays = [getattr(piece, name) for piece in self.pieces]
+        joined = np.concatenate(arrays)
+        joined.flags.writeable = False
+        return joined
+
+    def slice(self, start: int, stop: int) -> EventBatch:
+        """Events [start, stop): a view inside one piece, else one join."""
+        if not 0 <= start <= stop <= len(self):
+            raise IndexError(f"bad slice [{start}, {stop}) of {len(self)}")
+        bounds = self.bounds
+        first = min(bisect_right(bounds, start), len(self.pieces)) - 1
+        last = max(first, bisect_left(bounds, stop) - 1)
+        views = [
+            self.pieces[i].slice(max(start, lo) - lo, min(stop, bounds[i + 1]) - lo)
+            for i, lo in zip(range(first, last + 1), bounds[first:])
+        ]
+        return views[0] if len(views) == 1 else EventBatch.concatenate(views)
+
+
+#: What an engine stages: one batch, or the chain of a part's block views.
+Events = Union[EventBatch, EventChain]

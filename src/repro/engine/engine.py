@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.aida.tree import ObjectTree
-from repro.dataset.events import EventBatch
+from repro.dataset.events import Events
 from repro.engine.base import Analysis, AnalysisError
 from repro.engine.controls import Controller, ControlState
 
@@ -122,7 +122,7 @@ class AnalysisEngine:
         self.keyframe_every = keyframe_every
         self.controller = Controller()
         self.tree = ObjectTree()
-        self._data: Optional[EventBatch] = None
+        self._data: Optional[Events] = None
         self._analysis: Optional[Analysis] = None
         self._cursor = 0
         self._chunks_since_snapshot = 0
@@ -141,7 +141,7 @@ class AnalysisEngine:
         self._total_base = 0
 
     # -- staging ------------------------------------------------------------
-    def load_data(self, batch: EventBatch) -> None:
+    def load_data(self, batch: Events) -> None:
         """Stage the dataset part; resets the cursor and any prior parts."""
         self._data = batch
         self._cursor = 0
@@ -149,7 +149,7 @@ class AnalysisEngine:
         self._events_base = 0
         self._total_base = 0
 
-    def load_additional_data(self, batch: EventBatch) -> None:
+    def load_additional_data(self, batch: Events) -> None:
         """Absorb a further dataset part (partition takeover on recovery).
 
         The tree and analysis state are kept — AIDA merge semantics make the

@@ -8,14 +8,14 @@ the compute half of the local-workflow baseline of Table 1.
 from __future__ import annotations
 
 from repro.aida.tree import ObjectTree
-from repro.dataset.events import EventBatch
+from repro.dataset.events import Events
 from repro.engine.engine import AnalysisEngine
 from repro.engine.sandbox import CodeBundle
 
 
 def run_local(
     bundle: CodeBundle,
-    batch: EventBatch,
+    batch: Events,
     chunk_events: int = 2000,
 ) -> ObjectTree:
     """Run one analysis over a batch in-process; returns the result tree."""

@@ -19,7 +19,9 @@ each federation member's, a bare one).  It caches immutable results, not
 shared mutable state — a block is a pure function of its key, frozen before
 it is cached — so sharing cannot change what any reader sees.  The reader
 is in the key because kinds are registered per store.  ``events_for`` hands
-out *views* of the blocks: a range inside one block costs no copy.
+out *views* of the blocks and copies no event: a range inside one block is
+a view of it, a range across blocks an :class:`EventChain` of one view per
+block, whose chunk slices join only the pieces that straddle a seam.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List
 
-from repro.dataset.events import EventBatch
+from repro.dataset.events import EventBatch, EventChain, Events
 from repro.dataset.generator import GeneratorConfig, ILCEventGenerator
 from repro.analysis.trading import generate_trading_days
 
@@ -85,15 +87,17 @@ class ContentStore:
         """Registered content kinds."""
         return sorted(self._readers)
 
-    def events_for(self, content: dict, start: int, stop: int) -> EventBatch:
+    def events_for(self, content: dict, start: int, stop: int) -> Events:
         """Events [start, stop) of the dataset described by *content*.
 
         ``content`` must carry ``kind`` (a registered reader) and ``seed``;
         ``ilc`` additionally honours ``signal_fraction``.
 
-        The batch is read-only.  A range inside one generation block is a
-        view of the process-wide cached block; a range spanning blocks is
-        concatenated once into arrays of its own.
+        The events are read-only and none is copied.  A range inside one
+        generation block is a view of the process-wide cached block; a
+        range spanning blocks is the :class:`EventChain` of its per-block
+        views, so a chunk slice of it is a view unless it crosses a block
+        edge, and then a join of at most the chunk's own events.
         """
         if start < 0 or stop < start:
             raise ContentError(f"bad event range [{start}, {stop})")
@@ -113,9 +117,7 @@ class ContentStore:
             lo = max(start, block_start) - block_start
             hi = min(stop, block_start + BLOCK_EVENTS) - block_start
             pieces.append(batch.slice(lo, hi))
-        if len(pieces) == 1:
-            return pieces[0]
-        return EventBatch.concatenate(pieces).freeze()
+        return pieces[0] if len(pieces) == 1 else EventChain(pieces)
 
 
 @lru_cache(maxsize=MAX_CACHED_BLOCKS)

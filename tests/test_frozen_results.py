@@ -89,6 +89,29 @@ def test_every_mutator_of_a_frozen_object_raises_and_changes_nothing(kind):
     fills[0](restored)
 
 
+MUTATORS = [
+    (kind, index)
+    for kind, (_, fills) in sorted(KINDS.items())
+    for index in range(len(fills) + 2)
+]
+
+
+@pytest.mark.parametrize("kind, index", MUTATORS)
+def test_a_refused_mutation_moves_neither_the_version_nor_a_statistic(kind, index):
+    make, fills = KINDS[kind]
+    mutate = (fills + [lambda o: o.reset(), lambda o: o.__iadd__(make())])[index]
+    obj = make().freeze()
+    version = obj.data_version
+    arrays = {name: getattr(obj, name).copy() for name in obj._arrays}
+    moments = {name: getattr(obj, name) for name in obj._moments}
+    with pytest.raises(ValueError, match="read-only"):
+        mutate(obj)
+    assert obj.data_version == version
+    for name, before in arrays.items():
+        assert np.array_equal(getattr(obj, name), before), name
+    assert {name: getattr(obj, name) for name in obj._moments} == moments
+
+
 def test_a_frozen_tree_refuses_edits_and_its_copies_do_not():
     tree = ObjectTree()
     tree.put("/a/h", filled_hist1d())

@@ -17,8 +17,8 @@ constraints:
 * histograms carry weighted entries, under/overflow, and per-object moments
   (mean/rms) like their AIDA counterparts.
 
-Public types: :class:`Axis`, :class:`Histogram1D`, :class:`Histogram2D`,
-:class:`Profile1D` and :class:`ObjectTree`, plus fitting
+Public types: :class:`Axis`, :class:`Histogram1D`, :class:`Profile1D`
+and :class:`ObjectTree`, plus fitting
 (:mod:`repro.aida.fit`) and ASCII rendering (:mod:`repro.aida.render`).
 Only binned types: a fixed-shape array merges by addition, whatever the
 order the engines report in.
@@ -27,7 +27,6 @@ order the engines report in.
 from repro.aida.axis import Axis
 from repro.aida.codec import decode_array, encode_array, payload_nbytes
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
 from repro.aida.serial import from_dict, merge, to_dict
 from repro.aida.tree import ObjectTree, TreeError
@@ -35,7 +34,6 @@ from repro.aida.tree import ObjectTree, TreeError
 __all__ = [
     "Axis",
     "Histogram1D",
-    "Histogram2D",
     "ObjectTree",
     "Profile1D",
     "TreeError",

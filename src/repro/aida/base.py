@@ -95,12 +95,13 @@ class Binned(Freezable):
     def copy(self, name: Optional[str] = None):
         """Deep, writable copy (of a frozen one too), optionally renamed."""
         clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__, _version=0)
-        clone.__dict__.pop("_frozen", None)
+        state = clone.__dict__
+        state.update(self.__dict__, _version=0)
+        state.pop("_frozen", None)
         for attr in self._arrays:
-            setattr(clone, attr, getattr(self, attr).copy())
+            state[attr] = state[attr].copy()
         if name:
-            clone.name = name
+            state["name"] = name
         return clone
 
     @classmethod

@@ -10,6 +10,10 @@ from repro.aida.axis import OVERFLOW, UNDERFLOW, Axis
 from repro.aida.base import Binned
 from repro.aida.codec import encode_array
 
+#: Unit weights for ``fill_array(xs)``, sliced rather than allocated.
+_ONES = np.ones(4096)
+_ONES.flags.writeable = False
+
 
 class Histogram1D(Binned):
     """AIDA-style 1-D histogram.
@@ -40,6 +44,9 @@ class Histogram1D(Binned):
     kind = "Histogram1D"
     _arrays = ("_counts", "_sumw", "_sumw2")
     _moments = ("_swx", "_swx2")
+    #: Every weight sum is its count, bit for bit (no -0.0): proven by a
+    #: unit-weight fill, dropped by every mutator (:meth:`_touch`).
+    _unit_sums = False
 
     def __init__(
         self,
@@ -69,6 +76,10 @@ class Histogram1D(Binned):
         # Bumped on every mutation; drives delta-snapshot dirty tracking.
         self._version = 0
 
+    def _touch(self) -> None:
+        super()._touch()
+        self._unit_sums = False
+
     # -- filling ----------------------------------------------------------
     def fill(self, x: float, weight: float = 1.0) -> None:
         """Add one entry at *x* with the given *weight*."""
@@ -87,24 +98,40 @@ class Histogram1D(Binned):
         xs: Union[Sequence[float], np.ndarray],
         weights: Optional[Union[Sequence[float], np.ndarray]] = None,
     ) -> None:
-        """Vectorized fill of many entries at once (the engine hot path)."""
+        """Vectorized fill of many entries at once (the engine hot path).
+
+        Unit weights into sums that are still their counts add one
+        ``bincount``: the integers ``np.add.at`` reaches ``+ 1.0`` at a time."""
+        unit = weights is None and self._unit_sums  # read before _touch drops it
         self._touch()
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
             raise ValueError("xs must be 1-D")
         if weights is None:
-            w = np.ones_like(xs)
+            w = _ONES[:len(xs)] if len(xs) <= len(_ONES) else np.ones(len(xs))
         else:
             w = np.asarray(weights, dtype=float)
             if w.shape != xs.shape:
                 raise ValueError("weights must match xs in shape")
         slots = self.axis.coords_to_storage(xs)
-        np.add.at(self._counts, slots, 1)
-        np.add.at(self._sumw, slots, w)
-        np.add.at(self._sumw2, slots, w * w)
+        counts, sumw, sumw2 = self._counts, self._sumw, self._sumw2
+        if weights is None and not unit:
+            unit = np.array_equal(sumw, counts) and np.array_equal(sumw2, counts)
+            unit = unit and not (np.signbit(sumw) | np.signbit(sumw2)).any()
+        if unit:
+            added = np.bincount(slots, minlength=len(counts))
+            counts += added
+            sumw += added
+            sumw2 += added
+        else:
+            np.add.at(counts, slots, 1)
+            np.add.at(sumw, slots, w)
+            np.add.at(sumw2, slots, w * w)
+        self._unit_sums = unit
         in_range = (slots >= 1) & (slots <= self.axis.bins)
         xin = xs[in_range]
-        win = w[in_range]
+        # The moments stay BLAS dots with the weights, ones included.
+        win = w[:len(xin)] if weights is None else w[in_range]
         self._swx += float(np.dot(win, xin))
         self._swx2 += float(np.dot(win, xin * xin))
 

@@ -2,7 +2,7 @@
 
 The JAS3 client displayed live-updating histogram plots (Fig. 4); our
 headless client renders the same content as terminal text: vertical bar
-charts for 1-D histograms/profiles and a density grid for 2-D histograms.
+charts for 1-D histograms and profiles.
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ from typing import List
 import numpy as np
 
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
-
-#: Characters from light to dark for 2-D density cells.
-_SHADES = " .:-=+*#%@"
 
 
 def render_hist1d(
@@ -61,34 +57,6 @@ def render_hist1d(
     return "\n".join(lines)
 
 
-def render_hist2d(hist: Histogram2D, max_cells: int = 40) -> str:
-    """Render a 2-D histogram as a shaded density grid."""
-    grid = hist.heights()
-    x_bins, y_bins = grid.shape
-    x_cells = min(max_cells, x_bins)
-    y_cells = min(max_cells // 2, y_bins)
-    x_edges = np.linspace(0, x_bins, x_cells + 1).astype(int)
-    y_edges = np.linspace(0, y_bins, y_cells + 1).astype(int)
-    cells = np.zeros((x_cells, y_cells))
-    for i in range(x_cells):
-        for j in range(y_cells):
-            cells[i, j] = grid[
-                x_edges[i]:x_edges[i + 1], y_edges[j]:y_edges[j + 1]
-            ].sum()
-    peak = cells.max() if cells.max() > 0 else 1.0
-    lines = [hist.title]
-    # Highest y at the top.
-    for j in range(y_cells - 1, -1, -1):
-        row = "".join(
-            _SHADES[min(int(cells[i, j] / peak * (len(_SHADES) - 1)), len(_SHADES) - 1)]
-            for i in range(x_cells)
-        )
-        lines.append(f"|{row}|")
-    lines.append(f"+{'-' * x_cells}+")
-    lines.append(f"entries={hist.entries}")
-    return "\n".join(lines)
-
-
 def render_profile(profile: Profile1D, width: int = 60, height: int = 10) -> str:
     """Render a profile's bin means as an ASCII chart (NaN bins blank)."""
     heights = profile.heights()
@@ -122,8 +90,6 @@ def render_object(obj: object, **kwargs) -> str:
     """Dispatch rendering on object type (fallback: ``repr``)."""
     if isinstance(obj, Histogram1D):
         return render_hist1d(obj, **kwargs)
-    if isinstance(obj, Histogram2D):
-        return render_hist2d(obj, **kwargs)
     if isinstance(obj, Profile1D):
         return render_profile(obj, **kwargs)
     return repr(obj)

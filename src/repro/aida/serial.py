@@ -12,12 +12,10 @@ from __future__ import annotations
 from typing import Any, Dict, Type
 
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
 
 _REGISTRY: Dict[str, Type] = {
     "Histogram1D": Histogram1D,
-    "Histogram2D": Histogram2D,
     "Profile1D": Profile1D,
 }
 

@@ -249,11 +249,21 @@ class ObjectTree(Freezable):
 
     def frozen_copy(self, only: Optional[Collection[str]] = None) -> "ObjectTree":
         """A frozen tree of frozen copies of the objects — with *only*,
-        just those at these paths (what an engine publishes)."""
+        just those at these paths (what an engine publishes).  The index
+        (walk order, put generations, directories) is cloned, not rebuilt."""
         clone = ObjectTree()
-        for path, obj in self.walk():
-            if only is None or path in only:
-                clone.put(path, obj.copy().freeze())  # type: ignore[attr-defined]
+        order = [p for p in self._walk_order() if only is None or p in only]
+        for path in order:
+            *dirs, leaf = path[1:].split("/")
+            node = clone._root
+            for part in dirs:
+                node = node.subdirs.setdefault(part, _Directory())
+            node.objects.add(leaf)
+        objects = self._objects
+        clone._objects = {p: objects[p].copy().freeze() for p in order}
+        clone._order = order
+        clone._put_gen = {p: self._put_gen[p] for p in order}
+        clone._put_serial = self._put_serial
         return clone.freeze()
 
     def update(self, other: "ObjectTree") -> None:

@@ -87,6 +87,9 @@ class EventBatch:
     a batch read-only): copy an array before modifying it.
     """
 
+    #: ``(block, first event)`` of a view; ``None`` for a batch of its own.
+    _origin = None
+
     def __init__(
         self,
         event_ids: np.ndarray,
@@ -108,6 +111,8 @@ class EventBatch:
         self.px = np.asarray(px, dtype=np.float64)
         self.py = np.asarray(py, dtype=np.float64)
         self.pz = np.asarray(pz, dtype=np.float64)
+        #: Per-event sums by column, filled by views' :meth:`per_event_sum`.
+        self._sums: Dict[str, np.ndarray] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -186,6 +191,8 @@ class EventBatch:
             offsets = offsets - p_lo
             offsets.flags.writeable = self.offsets.flags.writeable
         view = EventBatch.__new__(EventBatch)
+        root, base = self._origin or (self, 0)
+        view._origin = (root, base + start)
         view.event_ids = self.event_ids[start:stop]
         view.process = self.process[start:stop]
         view.weights = self.weights[start:stop]
@@ -206,8 +213,19 @@ class EventBatch:
         whether the analysis looped or called the kernel.  That rules out
         ``np.add.reduceat``, which adds ``v[0] + (v[1] + v[2] + ...)`` and
         differs in the last bit on about a quarter of four-jet events.
+
+        On a read-only view of a block, for one of its particle columns
+        (``batch.e``), the block's sums are computed once, in one pass,
+        kept on the block, and the view gets a copy of its own run.
         """
-        return self._per_event_reduce(values, np.add)
+        column = next((c for c in ("e", "px", "py", "pz") if values is getattr(self, c)), None)
+        root, base = self._origin or (self, 0)
+        if column is None or root is self or getattr(root, column).flags.writeable:
+            return self._per_event_reduce(values, np.add)
+        sums = root._sums.get(column)
+        if sums is None:
+            sums = root._sums[column] = root._per_event_reduce(getattr(root, column), np.add)
+        return sums[base:base + len(self)].copy()
 
     def per_event_max(self, values: np.ndarray) -> np.ndarray:
         """Per-event maximum of a per-particle array (``0.0`` for empty events)."""

@@ -23,7 +23,6 @@ from typing import Any, Dict, Optional, Type
 import numpy as np
 
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
 from repro.dataset import physics
 from repro.engine.base import Analysis
@@ -57,7 +56,6 @@ def _build_namespace() -> Dict[str, Any]:
         "numpy": np,
         "Analysis": Analysis,
         "Histogram1D": Histogram1D,
-        "Histogram2D": Histogram2D,
         "Profile1D": Profile1D,
         "physics": physics,
     }

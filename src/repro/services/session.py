@@ -313,6 +313,8 @@ class EngineHost:
         # then parents under the session tree even though GRAM starts it in
         # a fresh simulation process.
         self._trace_parent = self.obs.tracer.current_id
+        #: Snapshot sizing feeds only a metric: one branch, decided here.
+        self._observed = self.obs.enabled
         metrics = self.obs.metrics
         self._events_metric = metrics.counter(
             "engine_events_total", "Events processed by analysis engines"
@@ -493,20 +495,22 @@ class EngineHost:
         with a full snapshot after another RMI hop.
         """
         combiner = self.aida.combiner_of(self.session_id, self.engine_id)
-        if combiner is not None:
-            snapshot = replace(snapshot, combiner=combiner)
-        self._payload_metric.inc(
-            payload_nbytes(snapshot.tree),
-            kind="full" if snapshot.base_sequence == 0 else "delta",
-        )
-        status = self.aida.submit_snapshot(self.session_id, snapshot)
+        status = self._submit(snapshot, combiner)
         if status == "resync":
             yield env.timeout(self.calibration.rmi_latency_s)
             full = self.engine.take_snapshot(final=snapshot.final, full=True)
-            if combiner is not None:
-                full = replace(full, combiner=combiner)
-            self._payload_metric.inc(payload_nbytes(full.tree), kind="full")
-            self.aida.submit_snapshot(self.session_id, full)
+            self._submit(full, combiner)
+
+    def _submit(self, snapshot: Snapshot, combiner: Optional[str]) -> str:
+        # The snapshot is fresh from the engine, seen by no one yet: its
+        # route is stamped in place rather than by rebuilding it.
+        object.__setattr__(snapshot, "combiner", combiner)
+        if self._observed:
+            self._payload_metric.inc(
+                payload_nbytes(snapshot.tree),
+                kind="full" if snapshot.base_sequence == 0 else "delta",
+            )
+        return self.aida.submit_snapshot(self.session_id, snapshot)
 
     def _apply_control(self, verb: str, arg) -> None:
         controller = self.engine.controller

@@ -14,7 +14,6 @@ from repro.aida.codec import (
     payload_nbytes,
 )
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
 from repro.aida.serial import from_dict, to_dict
 from repro.aida.tree import ObjectTree
@@ -131,7 +130,7 @@ def reference_payload_nbytes(data):
 @pytest.mark.parametrize("factory", [
     lambda: _filled_hist1d(),
     lambda: Histogram1D("small", bins=10, lower=0, upper=1),
-    lambda: _fill_hist2d(),
+    lambda: _fill_variable_edges_hist1d(),
     lambda: _fill_profile(),
     lambda: _fill_tree(),
 ])
@@ -172,7 +171,7 @@ def _filled_hist1d(bins=200, n=1000):
 
 @pytest.mark.parametrize("factory", [
     lambda: _filled_hist1d(),
-    lambda: _fill_hist2d(),
+    lambda: _fill_variable_edges_hist1d(),
     lambda: _fill_profile(),
 ])
 def test_objects_roundtrip_bit_exact_through_codec(factory):
@@ -182,12 +181,10 @@ def test_objects_roundtrip_bit_exact_through_codec(factory):
     assert to_dict(restored) == to_dict(obj)
 
 
-def _fill_hist2d():
-    hist = Histogram2D(
-        "h2", x_bins=30, x_lower=0, x_upper=1, y_bins=30, y_lower=0, y_upper=1
-    )
+def _fill_variable_edges_hist1d():
+    hist = Histogram1D("v", edges=np.linspace(0.0, 1.0, 41) ** 2)
     rng = np.random.default_rng(4)
-    hist.fill_array(rng.random(500), rng.random(500), rng.random(500))
+    hist.fill_array(rng.random(500), rng.random(500))
     return hist
 
 
@@ -201,7 +198,7 @@ def _fill_profile():
 def _fill_tree():
     tree = ObjectTree()
     tree.put("/a/h1", _filled_hist1d())
-    tree.put("/a/h2", _fill_hist2d())
+    tree.put("/a/v", _fill_variable_edges_hist1d())
     tree.put("/b/profile", _fill_profile())
     return tree
 
@@ -310,15 +307,6 @@ def _non_finite_hist1d():
     return hist
 
 
-def _hist2d_with_bins(x_bins, y_bins):
-    hist = Histogram2D(
-        "h2", x_bins=x_bins, x_lower=0, x_upper=1, y_bins=y_bins, y_lower=0,
-        y_upper=1,
-    )
-    hist.fill_array([0.1, 0.5, 0.9], [0.2, 0.4, 1.5], [1.0, 0.25, 3.0])
-    return hist
-
-
 def _variable_edges_profile():
     prof = Profile1D("p", edges=np.linspace(0.0, 1.0, 30) ** 2)
     prof.fill_array([0.1, 0.5, 0.9], [1.0, -2.0, 3.5])
@@ -332,8 +320,6 @@ BYTE_MODEL_CASES = {
     "hist1d_above_codec_size": lambda: _hist1d_with_bins(200),
     "hist1d_non_finite": _non_finite_hist1d,
     "hist1d_empty": lambda: Histogram1D("e", "Empty", bins=1, lower=-1, upper=1),
-    "hist2d_nested_lists": lambda: _hist2d_with_bins(2, 3),
-    "hist2d_encoded": lambda: _hist2d_with_bins(30, 7),
     "profile_list_form": lambda: Profile1D("p", bins=5, lower=0, upper=1),
     "profile_variable_edges": _variable_edges_profile,
     "tree": lambda: _fill_tree(),
@@ -345,7 +331,6 @@ BYTE_MODEL_CASES = {
 def _mixed_tree():
     tree = ObjectTree()
     tree.put("/small/h", _hist1d_with_bins(3))
-    tree.put("/small/h2", _hist2d_with_bins(2, 2))
     tree.put("/large/h", _non_finite_hist1d())
     tree.put("/p", _variable_edges_profile())
     return tree

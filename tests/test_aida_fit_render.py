@@ -10,11 +10,9 @@ from repro.aida.fit import (
     gaussian_plus_linear,
 )
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
 from repro.aida.render import (
     render_hist1d,
-    render_hist2d,
     render_object,
     render_profile,
 )
@@ -149,17 +147,6 @@ def test_render_hist1d_without_stats():
     hist = gaussian_hist(n=100)
     text = render_hist1d(hist, show_stats=False)
     assert "entries" not in text
-
-
-def test_render_hist2d():
-    hist = Histogram2D(
-        "h2", x_bins=20, x_lower=0, x_upper=1, y_bins=20, y_lower=0, y_upper=1
-    )
-    rng = np.random.default_rng(2)
-    hist.fill_array(rng.uniform(0, 1, 500), rng.uniform(0, 1, 500))
-    text = render_hist2d(hist)
-    assert "entries=500" in text
-    assert text.startswith("h2")
 
 
 def test_render_profile():

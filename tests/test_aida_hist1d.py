@@ -253,3 +253,73 @@ def test_repr():
     hist = make()
     hist.fill(1)
     assert "entries=1" in repr(hist)
+
+
+# -- unit-weight fills ----------------------------------------------------------
+
+def reference_unit_fill(hist, xs):
+    """``fill_array(xs)`` as three ``np.add.at`` scatters of explicit ones."""
+    xs = np.asarray(xs, dtype=float)
+    w = np.ones_like(xs)
+    slots = hist.axis.coords_to_storage(xs)
+    np.add.at(hist._counts, slots, 1)
+    np.add.at(hist._sumw, slots, w)
+    np.add.at(hist._sumw2, slots, w * w)
+    in_range = (slots >= 1) & (slots <= hist.axis.bins)
+    xin, win = xs[in_range], w[in_range]
+    hist._swx += float(np.dot(win, xin))
+    hist._swx2 += float(np.dot(win, xin * xin))
+
+
+def _weighted():
+    # 32 storage slots: to_dict() encodes the arrays, so == compares bits.
+    hist = Histogram1D("h", bins=30, lower=-1.5, upper=3.0)
+    rng = np.random.default_rng(11)
+    hist.fill_array(rng.uniform(-2, 4, 300), rng.uniform(0.1, 3.0, 300))
+    return hist
+
+
+def _prior(state):
+    hist = Histogram1D("h", bins=30, lower=-1.5, upper=3.0)
+    if state == "unit_fills":
+        hist.fill_array(np.random.default_rng(12).uniform(-2, 4, 400))
+    elif state == "weighted_fill":
+        hist = _weighted()
+    elif state == "scaled":
+        hist.fill_array(np.random.default_rng(13).uniform(-2, 4, 400))
+        hist.scale(0.1)
+    elif state == "merged_weighted":
+        hist.fill_array(np.random.default_rng(14).uniform(-2, 4, 400))
+        hist += _weighted()
+    elif state == "empty_scaled_negative":  # every weight sum is -0.0
+        hist.scale(-1.0)
+    return hist
+
+
+def _awkward_values(axis):
+    edges = axis.edges
+    rng = np.random.default_rng(15)
+    values = np.concatenate([
+        [np.nan, np.inf, -np.inf],
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.repeat(rng.uniform(-1.4, 2.9, 40), 25),  # many hits per bin
+        rng.uniform(-2, 4, 500),
+    ])
+    return rng.permutation(values)
+
+
+@pytest.mark.parametrize("state", [
+    "fresh", "unit_fills", "weighted_fill", "scaled", "merged_weighted",
+    "empty_scaled_negative",
+])
+def test_a_unit_weight_fill_equals_the_add_at_fill_bit_for_bit(state):
+    hist = _prior(state)
+    reference = hist.copy()
+    xs = _awkward_values(hist.axis)
+    # A fill that leaves most slots untouched, one that hits all, and one
+    # longer than the cached run of unit weights.
+    for fill in (xs[(xs >= 0.0) & (xs < 1.0)], xs, np.tile(xs, 3)):
+        hist.fill_array(fill)
+        reference_unit_fill(reference, fill)
+        assert hist.to_dict() == reference.to_dict()

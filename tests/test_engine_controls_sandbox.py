@@ -206,8 +206,6 @@ def test_sandbox_provides_aida_names():
 class UsesAida(Analysis):
     def start(self, tree):
         tree.put("/h1", Histogram1D("h1", bins=2, lower=0, upper=1))
-        tree.put("/h2", Histogram2D("h2", x_bins=2, x_lower=0, x_upper=1,
-                                    y_bins=2, y_lower=0, y_upper=1))
         tree.put("/p", Profile1D("p", bins=2, lower=0, upper=1))
 '''
     from repro.aida.tree import ObjectTree
@@ -215,7 +213,7 @@ class UsesAida(Analysis):
     analysis = load_analysis(source)
     tree = ObjectTree()
     analysis.start(tree)
-    assert len(tree) == 3
+    assert len(tree) == 2
 
 
 def test_sandbox_import_crash_reported():

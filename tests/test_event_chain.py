@@ -9,18 +9,21 @@ bounds stay relative to the part start, so the tree is the one the
 concatenated range gives, bit for bit.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import higgs
-from repro.dataset.events import EventChain
+from repro.dataset.events import EventBatch, EventChain
 from repro.engine.base import Analysis
 from repro.engine.engine import AnalysisEngine
 from repro.engine.runner import run_local
 from repro.engine.sandbox import CodeBundle
+from repro.services import content as content_module
 from repro.services.content import BLOCK_EVENTS, ContentStore
 from tests.test_properties_columnar import BATCH_ARRAYS
 from tests.test_properties_views import CONTENT, N_BLOCKS, STORE, slice_then_concatenate
@@ -111,3 +114,64 @@ def test_the_tree_over_a_chain_equals_the_tree_over_its_concatenation(start, len
     chained = run_local(bundle, STORE.events_for(CONTENT, start, stop), chunk_events)
     joined = run_local(bundle, slice_then_concatenate(start, stop), chunk_events)
     assert chained.to_dict() == joined.to_dict()
+
+
+# -- per-event sums, once per block ------------------------------------------------
+
+
+def _bits(values):
+    return values.tobytes()
+
+
+def test_per_event_sums_of_a_block_view_come_from_the_block_and_equal_the_reduction():
+    store = ContentStore()
+    recipe = {"kind": "ilc", "seed": 3_131}  # read by no other test: a cold block
+    part = store.events_for(recipe, 2_000, BLOCK_EVENTS + 3_000)
+    block = part.pieces[0]._origin[0]
+    chunks = {
+        "inside a block": part.slice(1_000, 1_500),
+        "across the seam": part.slice(7_800, 8_300),
+        "of the next block": part.slice(8_500, 9_000),
+    }
+    for where, chunk in chunks.items():
+        reference = chunk._per_event_reduce(chunk.e, np.add)
+        assert _bits(chunk.per_event_sum(chunk.e)) == _bits(reference), where
+    assert set(block._sums) == {"e"} and len(block._sums["e"]) == BLOCK_EVENTS
+    # Not a column: the chunk's own reduction.
+    chunk = chunks["inside a block"]
+    shifted = chunk.e + 0.0
+    assert _bits(chunk.per_event_sum(shifted)) == _bits(
+        chunk._per_event_reduce(shifted, np.add)
+    )
+    # A copy per call: editing one answer does not reach the next.
+    first = chunk.per_event_sum(chunk.e)
+    expected = first.copy()
+    first[:] = -1.0
+    assert _bits(chunk.per_event_sum(chunk.e)) == _bits(expected)
+    assert not np.shares_memory(first, block._sums["e"])
+
+
+def test_a_writeable_batch_keeps_its_own_reduction():
+    frozen = ContentStore().events_for({"kind": "ilc", "seed": 3_137}, 0, 2_000)
+    arrays = [getattr(frozen, name).copy() for name in BATCH_ARRAYS]
+    writeable = EventBatch(*arrays)
+    chunk = writeable.slice(700, 1_300)
+    assert _bits(chunk.per_event_sum(chunk.e)) == _bits(
+        chunk._per_event_reduce(chunk.e, np.add)
+    )
+    assert writeable._sums == {}
+    writeable.e[:] += 1.0  # a writeable batch may change under its views
+    assert _bits(chunk.per_event_sum(chunk.e)) == _bits(
+        chunk._per_event_reduce(chunk.e, np.add)
+    )
+
+
+def test_block_sums_die_with_their_block():
+    part = ContentStore().events_for({"kind": "ilc", "seed": 3_139}, 100, 600)
+    part.per_event_sum(part.e)
+    block = weakref.ref(part._origin[0])
+    assert "e" in block()._sums
+    del part
+    content_module._block.cache_clear()
+    gc.collect()
+    assert block() is None

@@ -14,9 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.aida.codec import decode_array, encode_array
+from repro.aida.codec import decode_array, encode_array, payload_nbytes
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
 from repro.aida.tree import ObjectTree
 from repro.analysis import higgs
@@ -28,14 +27,6 @@ from repro.services.session import SessionService
 def filled_hist1d():
     hist = Histogram1D("h", bins=30, lower=0.0, upper=1.0)
     hist.fill_array(np.linspace(-0.2, 1.2, 41), np.linspace(0.5, 1.5, 41))
-    return hist
-
-
-def filled_hist2d():
-    hist = Histogram2D(
-        "h2", x_bins=4, x_lower=0, x_upper=1, y_bins=3, y_lower=0, y_upper=1
-    )
-    hist.fill_array([0.1, 0.6, 0.9], [0.2, 0.5, 1.4], [1.0, 2.0, 0.5])
     return hist
 
 
@@ -51,10 +42,6 @@ KINDS = {
         lambda o: o.fill_array([0.25, 0.75]),
         lambda o: o.fill_array([0.25], [2.0]),
         lambda o: o.scale(2.0),
-    ]),
-    "hist2d": (filled_hist2d, [
-        lambda o: o.fill(0.5, 0.5),
-        lambda o: o.fill_array([0.25, 0.75], [0.5, 0.5]),
     ]),
     "profile": (filled_profile, [
         lambda o: o.fill(0.5, 1.0),
@@ -161,33 +148,13 @@ def test_walk_order_is_depth_first_objects_before_subdirectories():
     assert len(tree) == 7
 
 
-@pytest.mark.parametrize("fan_in", [None, 2])
-def test_a_site_session_serializes_nothing_outside_its_checkpoints(fan_in):
-    """Publish → merge → poll until final, counting every call of the
-    codec and of ``ObjectTree.from_dict``.  A profile hook counts calls by
-    code object, so it also sees ``to_wire``'s default-argument binding of
-    ``encode_array``; calls under a durable checkpoint write are allowed."""
-    site = GridSite(SiteConfig(n_workers=4, merge_fan_in=fan_in))
+def run_site_session(site, n_events):
+    """Publish → merge → poll until final, then close; the final reply."""
     site.register_dataset(
-        "ds", "/test/ds", size_mb=20.0, n_events=2_000,
+        "ds", "/test/ds", size_mb=20.0, n_events=n_events,
         content={"kind": "ilc", "seed": 42},
     )
     client = IPAClient(site, site.enroll_user("/O=ILC/CN=guard"))
-    watched = {
-        encode_array.__code__: 0,
-        decode_array.__code__: 0,
-        ObjectTree.from_dict.__func__.__code__: 0,
-    }
-    durable = SessionService.write_checkpoint.__code__
-    depth = [0]
-
-    def hook(frame, event, _arg):
-        code = frame.f_code
-        if code is durable:
-            depth[0] += 1 if event == "call" else -1 if event == "return" else 0
-        elif event == "call" and code in watched and not depth[0]:
-            watched[code] += 1
-
     out = {}
 
     def scenario():
@@ -199,12 +166,63 @@ def test_a_site_session_serializes_nothing_outside_its_checkpoints(fan_in):
         out["tree"], out["progress"] = final.tree, final.progress
         yield from client.close()
 
+    site.env.run(until=site.env.process(scenario()))
+    assert out["progress"].complete
+    assert out["tree"].get("/higgs/dijet_mass").entries > 0
+    return out
+
+
+@pytest.mark.parametrize("fan_in", [None, 2])
+def test_a_site_session_serializes_nothing_outside_its_checkpoints(fan_in):
+    """Publish → merge → poll until final, counting every call of the
+    codec, of ``ObjectTree.from_dict`` and of the snapshot sizing.  A
+    profile hook counts calls by code object, so it also sees
+    ``to_wire``'s default-argument binding of ``encode_array``; calls
+    under a durable checkpoint write are allowed.  With observability
+    off nothing sizes a snapshot."""
+    site = GridSite(SiteConfig(n_workers=4, merge_fan_in=fan_in))
+    watched = {
+        encode_array.__code__: 0,
+        decode_array.__code__: 0,
+        ObjectTree.from_dict.__func__.__code__: 0,
+        payload_nbytes.__code__: 0,
+    }
+    durable = SessionService.write_checkpoint.__code__
+    depth = [0]
+
+    def hook(frame, event, _arg):
+        code = frame.f_code
+        if code is durable:
+            depth[0] += 1 if event == "call" else -1 if event == "return" else 0
+        elif event == "call" and code in watched and not depth[0]:
+            watched[code] += 1
+
     sys.setprofile(hook)
     try:
-        site.env.run(until=site.env.process(scenario()))
+        run_site_session(site, n_events=2_000)
         filled_hist1d().to_dict()  # the hook itself must see an encode
     finally:
         sys.setprofile(None)
-    assert out["progress"].complete
-    assert out["tree"].get("/higgs/dijet_mass").entries > 0
-    assert list(watched.values()) == [3, 0, 0]
+    assert list(watched.values()) == [3, 0, 0, 0]
+
+
+def test_an_observed_site_session_counts_every_published_byte():
+    """Observability on: the payload counter, per snapshot kind, is the
+    sum of ``payload_nbytes`` over the snapshots the engines published."""
+    site = GridSite(SiteConfig(n_workers=4, enable_observability=True))
+    published = []
+    submit = site.aida.submit_snapshot
+
+    def recording_submit(session_id, snapshot):
+        published.append(snapshot)
+        return submit(session_id, snapshot)
+
+    site.aida.submit_snapshot = recording_submit
+    run_site_session(site, n_events=8_000)  # four chunks per engine
+    expected = {"full": 0, "delta": 0}
+    for snapshot in published:
+        kind = "full" if snapshot.base_sequence == 0 else "delta"
+        expected[kind] += payload_nbytes(snapshot.tree)
+    assert expected["full"] > 0 and expected["delta"] > 0
+    counter = site.obs.metrics.counter("aida_snapshot_payload_bytes_total")
+    assert {kind: counter.value(kind=kind) for kind in expected} == expected

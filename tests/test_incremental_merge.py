@@ -4,11 +4,9 @@ them."""
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.tree import ObjectTree
 from repro.engine.engine import AnalysisEngine, Snapshot
 from repro.obs import Observability
@@ -267,33 +265,6 @@ def manager_at_depth(env, tiered):
     tier = manager.configure_tier("s1", ["e0", "e1", "e2"])
     assert tier.depth == (2 if tiered else 1)
     return manager
-
-
-@pytest.mark.parametrize("tiered", [True, False])
-def test_mutating_nested_lists_of_submitted_tree_cannot_corrupt_merge(tiered):
-    """Histogram2D: its 2-D storage is read-only row by row."""
-    env = Environment()
-    manager = manager_at_depth(env, tiered)
-    tree = ObjectTree()
-    hist = Histogram2D(
-        "h2", x_bins=2, x_lower=0, x_upper=2, y_bins=2, y_lower=0, y_upper=2
-    )
-    hist.fill_array(np.array([0.5, 1.5, 1.5]), np.array([0.5, 1.5, 0.5]))
-    tree.put("/h2", hist)
-    snapshot = replace(make_snapshot("e0", 3), tree=tree.frozen_copy())
-    published = snapshot.tree.get("/h2")
-    manager.submit_snapshot("s1", snapshot)
-    before, _ = env.run(until=manager.merged("s1"))
-    for row in published._counts:
-        with pytest.raises(ValueError, match="read-only"):
-            row[:] = 999
-    with pytest.raises(ValueError, match="read-only"):
-        published.fill(0.5, 0.5)
-    manager.submit_snapshot("s1", make_snapshot("e1", 0, path="/other"))
-    after, _ = env.run(until=manager.merged("s1"))
-    assert after is not before
-    assert after.get("/h2") is before.get("/h2")  # unchanged, shared
-    assert after.get("/h2").to_dict() == hist.to_dict()
 
 
 @pytest.mark.parametrize("tiered", [True, False])

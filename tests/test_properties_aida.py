@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.aida.axis import Axis
 from repro.aida.hist1d import Histogram1D
-from repro.aida.hist2d import Histogram2D
 from repro.aida.profile import Profile1D
 
 finite_floats = st.floats(
@@ -103,30 +102,6 @@ def test_hist1d_mean_within_data_range(xs):
         hist.fill(x)
     assert min(xs) - 1e-6 <= hist.mean <= max(xs) + 1e-6
     assert hist.rms >= 0
-
-
-@given(xy_points, xy_points)
-def test_hist2d_distributed_fill_equals_central(da, db):
-    def fill(data):
-        h = Histogram2D(
-            "h",
-            x_bins=8,
-            x_lower=-100.0,
-            x_upper=100.0,
-            y_bins=8,
-            y_lower=-100.0,
-            y_upper=100.0,
-        )
-        for x, y, w in data:
-            h.fill(x, y, w)
-        return h
-
-    merged = fill(da) + fill(db)
-    central = fill(da + db)
-    assert np.array_equal(merged._counts, central._counts)
-    assert np.allclose(merged._sumw, central._sumw)
-    assert np.isclose(merged._swx, central._swx)
-    assert np.isclose(merged._swy2, central._swy2)
 
 
 @given(xy_points, xy_points)

@@ -47,7 +47,7 @@ frozen tree is served per generation, shared by its polls); a
 poll that sends the validator it holds (``have=``) and is about to be
 served the same one gets ``(None, progress)`` — "not modified" — at the
 same simulated cost.  Concurrent polls of one session share one merge:
-the first is the leader and the only process; the rest wait on an event
+the first, the leader, is a timer that folds; the rest wait on an event
 the leader triggers, and it is the leader that advances their cursors.
 """
 
@@ -61,7 +61,7 @@ from repro.engine.engine import Snapshot
 from repro.obs import NULL_OBS, Observability
 from repro.resilience.faults import ServiceUnavailable
 from repro.services.combiner import EngineEntry, MergeTree, plan_groups
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
 
 
 class MergeError(Exception):
@@ -197,6 +197,8 @@ class AIDAManagerService:
             raise ValueError("coalesce_window_s must be >= 0")
         self.env = env
         self.obs = obs or NULL_OBS
+        #: Per-merge span attributes and metrics: one branch, decided here.
+        self._observed = self.obs.enabled
         self._snapshot_metric = self.obs.metrics.counter(
             "aida_snapshots_total",
             "Engine snapshots accepted by the AIDA manager",
@@ -639,105 +641,98 @@ class AIDAManagerService:
         same ``(tree, progress)`` — equal to what the joiner's own merge
         would have produced, because the leader folds the freshest dirty
         state in the fixed sorted-engine order — or the not-modified form
-        of it, per joiner's *have*.  The leader is
-        the only process: it advances every joiner's cursor, counts the
-        coalesced polls and closes their ``aida.merge.join`` spans when
-        it completes.  *client_id* (optional) keys the per-client
-        sequence cursor, so redundant re-polls are observable via
-        :meth:`poll_cursor` and ``aida_polls_redundant_total``.
+        of it, per joiner's *have*.  The leader is one ``Timeout`` of
+        the merge latency whose first callback folds and sets the reply
+        as its value; the next advances every joiner's cursor, counts the
+        coalesced polls and closes their ``aida.merge.join`` spans.
+        *client_id* (optional) keys the per-client sequence cursor, so
+        redundant re-polls are observable via :meth:`poll_cursor` and
+        ``aida_polls_redundant_total``.
         """
         if self._down:
             raise ServiceUnavailable("AIDA manager is down")
         self._poll_metric.inc()
         inflight = self._inflight.get(session_id) if self.coalesce else None
         if inflight is not None:
-            return inflight.join(
-                self.env,
-                client_id,
-                have,
-                self.obs.tracer.child("aida.merge.join", session=session_id),
-            )
+            span = self.obs.tracer.child("aida.merge.join", session=session_id)
+            return inflight.join(self.env, client_id, have, span)
         span = self.obs.tracer.child("aida.merge", session=session_id)
+        tier = self._live_tier(session_id)
+        latency = tier.poll_latency(self.merge_cost_per_tree)
+        if self._observed:
+            span.set(n_trees=tier.n_engines, n_dirty=len(tier.dirty_engines))
         if self.coalesce:
             inflight = self._inflight[session_id] = _InflightMerge()
+            # Keep the merge joinable for at least the coalesce window,
+            # even when nothing is dirty yet.
+            latency = max(latency, self.coalesce_window_s)
+        leader = Timeout(self.env, latency)
 
-        def run():
-            try:
-                tier = self._live_tier(session_id)
-                latency = tier.poll_latency(self.merge_cost_per_tree)
-                span.set(
-                    n_trees=tier.n_engines, n_dirty=len(tier.dirty_engines)
-                )
-                if inflight is not None:
-                    # Keep the merge joinable for at least the coalesce
-                    # window, even when nothing is dirty yet.
-                    latency = max(latency, self.coalesce_window_s)
-                if latency:
-                    yield self.env.timeout(latency)
-                self._merge_metric.observe(latency)
-                # Submissions may have landed while the latency elapsed;
-                # fold whatever is dirty *now* so the served tree matches
-                # the freshest snapshots.  The tree is re-fetched too: a
-                # drop/rewind during the sleep must not fold stale state.
-                tier = self._live_tier(session_id)
-                session = [e.snapshot for e in tier.entries().values()]
-                n_dirty = len(tier.dirty_engines)
-                self._cache_hit_metric.inc(max(0, len(session) - n_dirty))
-                self._cache_miss_metric.inc(n_dirty)
-                self._dirty_engines_metric.observe(n_dirty)
-                for level_folds in tier.refold():
-                    self._combiner_folds_metric.observe(level_folds)
-                if n_dirty:
-                    self._bump_generation(session_id)
-                generation = self.merge_generation(session_id)
-                progress = MergeProgress(
-                    session_id=session_id,
-                    engines_reporting=len(session),
-                    events_processed=sum(s.events_processed for s in session),
-                    total_events=sum(s.total_events for s in session),
-                    final_engines=sum(1 for s in session if s.final),
-                    run_id=self._run_ids.get(session_id, 0),
-                    analysis_versions=sorted(
-                        {s.analysis_version for s in session}
-                    ),
-                    merged_at=self.env.now,
-                    expected_engines=self._expected.get(session_id),
-                    recovering=self._recovering.get(session_id, False),
-                    merge_generation=generation,
-                )
-                self.merge_log.append((session_id, len(session), latency))
-                # One frozen root per generation; it shares the partial's
-                # frozen objects, which re-folds replace, never edit.
-                served = self._served.get(session_id)
-                if served is None or served[0] != generation:
-                    root = ObjectTree()
-                    root.update(tier.root_tree)
-                    served = (generation, root.freeze())
-                    if session_id in self._tiers:
-                        self._served[session_id] = served
+        def fold(leader: Timeout) -> None:
+            # Submissions may have landed while the latency elapsed: fold whatever is
+            # dirty *now*, from a re-fetched tree (a drop/rewind during the sleep
+            # must not fold stale state), so the reply has the freshest snapshots.
+            if inflight is not None and self._inflight.get(session_id) is inflight:
+                del self._inflight[session_id]
+            with self.obs.tracer.activate(span):
+                try:
+                    tier = self._live_tier(session_id)
+                    session = [e.snapshot for e in tier.entries().values()]
+                    n_dirty = len(tier.dirty_engines)
+                    level_folds = tier.refold()
+                    if self._observed:
+                        self._merge_metric.observe(latency)
+                        self._cache_hit_metric.inc(max(0, len(session) - n_dirty))
+                        self._cache_miss_metric.inc(n_dirty)
+                        self._dirty_engines_metric.observe(n_dirty)
+                        for folds in level_folds:
+                            self._combiner_folds_metric.observe(folds)
+                    if n_dirty:
+                        self._bump_generation(session_id)
+                    generation = self.merge_generation(session_id)
+                    progress = MergeProgress(
+                        session_id=session_id,
+                        engines_reporting=len(session),
+                        events_processed=sum(s.events_processed for s in session),
+                        total_events=sum(s.total_events for s in session),
+                        final_engines=sum(1 for s in session if s.final),
+                        run_id=self._run_ids.get(session_id, 0),
+                        analysis_versions=sorted({s.analysis_version for s in session}),
+                        merged_at=self.env.now,
+                        expected_engines=self._expected.get(session_id),
+                        recovering=self._recovering.get(session_id, False),
+                        merge_generation=generation,
+                    )
+                    self.merge_log.append((session_id, len(session), latency))
+                    # One frozen root per generation; it shares the partial's
+                    # frozen objects, which re-folds replace, never edit.
+                    served = self._served.get(session_id)
+                    if served is None or served[0] != generation:
+                        root = ObjectTree()
+                        root.update(tier.root_tree)
+                        served = (generation, root.freeze())
+                        if session_id in self._tiers:
+                            self._served[session_id] = served
+                except Exception as exc:
+                    # ``fail()`` in place: the event is being processed.
+                    leader._ok, leader._value = False, exc
+                    span.finish(error=repr(exc))
+                    return
+                self._note_served(session_id, client_id, generation)
                 full = (served[1], progress)
                 if inflight is not None:
                     inflight.full = full
-            finally:
-                if (
-                    inflight is not None
-                    and self._inflight.get(session_id) is inflight
-                ):
-                    del self._inflight[session_id]
-            self._note_served(session_id, client_id, generation)
-            if inflight is not None:
-                span.set(coalesced_waiters=inflight.n_joiners)
-            return (None, progress) if have == generation else full
+                    span.set(coalesced_waiters=inflight.n_joiners)
+                span.finish()
+            leader._value = (None, progress) if have == generation else full
 
-        leader = self.env.process(self.obs.tracer.wrap(span, run()))
+        # The fold runs first; then the joiners are released, before the
+        # leader's own caller resumes: its reply is scheduled ahead of
+        # theirs, in arrival order.
+        leader.callbacks.append(fold)
         if inflight is not None:
-            # Joiners are released from the leader's own completion, as
-            # the first of its callbacks: the leader's reply is then
-            # scheduled ahead of theirs, in arrival order.
             leader.callbacks.append(
-                lambda event: self._release_joiners(
-                    session_id, inflight, event
-                )
+                lambda event: self._release_joiners(session_id, inflight, event)
             )
         return leader
 

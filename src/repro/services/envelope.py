@@ -30,10 +30,11 @@ processes: a request that finds one free takes it and sleeps the dispatch
 overhead in the caller's process (one kernel event); one that finds none
 parks a ticket in the service's FIFO (a full bounded queue refuses with
 :class:`RetryAfter` and a drain-time hint, HTTP 503 semantics) and is
-handed the slot, still in FIFO order, by the request that releases it
-(two events).  The slot is held only for the dispatch overhead, never
-while the handler runs, so a slow operation (session creation, a large
-merge) never head-of-line blocks the queue behind it.  A handler may
+handed the slot, still in FIFO order, by the request that releases it,
+which fires the ticket one dispatch overhead later (one event too).  The
+slot is held only for the dispatch overhead, never while the handler
+runs, so a slow operation (session creation, a large merge) never
+head-of-line blocks the queue behind it.  A handler may
 return a plain value, a generator, or any kernel :class:`~repro.sim.Event`
 (a process it started, or an event somebody else will trigger — how a
 coalesced poll waits on its leader's merge); the latter two are awaited
@@ -173,7 +174,7 @@ class ServiceContainer:
             ),
         }
         self._valid_tokens: set = set()
-        #: operation key -> [exception, remaining count or None].
+        #: (service, operation) -> [exception, remaining count or None].
         self._injected_faults: Dict[str, list] = {}
         #: The most recent completed calls, for diagnostics:
         #: (service, operation, channel).
@@ -284,11 +285,11 @@ class ServiceContainer:
         """
         if count is not None and count < 1:
             raise ValueError("count must be >= 1 (or None for persistent)")
-        self._injected_faults[f"{service}.{operation}"] = [error, count]
+        self._injected_faults[service, operation] = [error, count]
 
     def clear_fault(self, service: str, operation: str) -> None:
         """Remove an injected fault (idempotent)."""
-        self._injected_faults.pop(f"{service}.{operation}", None)
+        self._injected_faults.pop((service, operation), None)
 
     # -- dispatch ------------------------------------------------------------
     def call(self, service: str, operation: str, args: Optional[dict] = None,
@@ -313,7 +314,8 @@ class ServiceContainer:
         return self._enqueue(service, span, state)
 
     def _enqueue(self, service: str, span, state: _ServiceState):
-        """Take a dispatch slot (FIFO), hold it for the dispatch overhead."""
+        """Take a dispatch slot (FIFO), hold it for the dispatch overhead
+        (a handed-over slot's overhead is in the wait for its ticket)."""
         profile = state.profile
         depth = profile.queue_depth
         if depth is not None and state.backlog >= depth:
@@ -333,20 +335,23 @@ class ServiceContainer:
         try:
             if state.free:
                 state.free -= 1
+                if profile.dispatch_overhead_s:
+                    yield Timeout(env, profile.dispatch_overhead_s)
             else:
                 ticket = Event(env)
                 state.waiting.append(ticket)
                 yield ticket
-            if profile.dispatch_overhead_s:
-                yield Timeout(env, profile.dispatch_overhead_s)
         finally:
             state.backlog -= 1
             if ticket is not None and not ticket.triggered:
                 # Interrupted while still queued: it never held a slot.
                 state.waiting.remove(ticket)
             elif state.waiting:
-                # Hand the slot straight to the oldest waiter.
-                state.waiting.popleft().succeed()
+                # Hand the slot to the oldest waiter: its ticket fires
+                # (``succeed()``) once it has held it for the overhead.
+                handed = state.waiting.popleft()
+                handed._ok, handed._value = True, None
+                env.schedule(handed, delay=profile.dispatch_overhead_s)
             else:
                 state.free += 1
         state.served += 1
@@ -387,7 +392,7 @@ class ServiceContainer:
         env = self.env
         tracer = self.obs.tracer
         observed = self._observed
-        key = f"{service}.{operation}"
+        key = f"{service}.{operation}" if observed else None
         span = NULL_SPAN
         if observed:
             span = tracer.start(
@@ -412,14 +417,14 @@ class ServiceContainer:
                 raise ServiceError(
                     f"service {service!r} has no operation {operation!r}"
                 )
-            injected = self._injected_faults.get(key)
+            faults = self._injected_faults
+            injected = faults.get((service, operation)) if faults else None
             if injected is not None:
                 error, remaining = injected
-                if remaining is not None:
-                    if remaining <= 1:
-                        del self._injected_faults[key]
-                    else:
-                        injected[1] = remaining - 1
+                if remaining == 1:
+                    del faults[service, operation]
+                elif remaining is not None:
+                    injected[1] = remaining - 1
                 raise error
             gate = self._admit(service, span)
             if gate is not None:

@@ -408,3 +408,71 @@ def test_interrupted_requests_leak_neither_a_slot_nor_a_place(env):
     assert container.stats()["svc"] == {
         "backlog": 0, "served": 2, "rejected": 0,
     }
+
+
+def test_a_queued_request_costs_its_caller_one_step_and_the_overhead(env):
+    # The twin of the free-slot case above: a request that has to queue
+    # parks on a ticket the releasing request fires one dispatch overhead
+    # later, so its wait is one kernel step and it is dispatched at
+    # exactly release + overhead.
+    container = ServiceContainer(env, soap_latency=0.0, rmi_latency=0.0)
+    dispatched = []
+
+    def now():
+        dispatched.append(env.now)
+        return env.now
+
+    container.register("svc", {"now": now})
+    container.configure_service(
+        "svc", ServiceProfile(concurrency=1, dispatch_overhead_s=0.01)
+    )
+
+    def caller():
+        return (yield from container.request("svc", "now"))
+
+    first = env.process(caller())
+    second = env.process(caller())
+    steps = 0
+    while not second.processed:
+        env.step()
+        steps += 1
+    # Two Initializes and two completions, the first request's overhead
+    # timeout, and one step for the queued request: its ticket.
+    assert steps == 4 + 1 + 1
+    assert dispatched == [0.01, 0.01 + 0.01]
+    assert (first.value, second.value) == (0.01, 0.01 + 0.01)
+    assert container.stats()["svc"]["backlog"] == 0
+    assert env.peek() == float("inf")
+
+
+def test_a_caller_interrupted_after_its_ticket_was_scheduled(env):
+    # Request 1 was handed the slot at t=1.0 (its ticket fires at 2.0)
+    # and is interrupted at 1.5: it passes the slot on to request 2 at
+    # 1.5, which is dispatched one overhead later.
+    container = make_container(env)
+    container.configure_service(
+        "svc", ServiceProfile(concurrency=1, dispatch_overhead_s=1.0)
+    )
+    calls = {}
+    finished = {}
+
+    def caller(index):
+        calls[index] = container.call("svc", "echo", {"value": index})
+        try:
+            yield calls[index]
+            finished[index] = env.now
+        except Interrupt:
+            finished[index] = ("interrupted", env.now)
+
+    def canceller():
+        yield env.timeout(1.5)
+        calls[1].interrupt("gone")
+
+    for index in range(4):
+        env.process(caller(index))
+    env.process(canceller())
+    env.run()
+    assert finished == {0: 1.0, 1: ("interrupted", 1.5), 2: 2.5, 3: 3.5}
+    assert container.stats()["svc"] == {
+        "backlog": 0, "served": 3, "rejected": 0,
+    }

@@ -191,6 +191,51 @@ def test_a_counted_fault_is_consumed_twice_then_the_operation_recovers():
     ]
 
 
+@pytest.mark.parametrize("observed", [False, True], ids=["obs-off", "obs-on"])
+def test_a_fault_injected_during_the_request_latency_raises_at_routing(observed):
+    env = Environment()
+    obs = Observability(env, enabled=True) if observed else None
+    container = _container(env, obs=obs)
+
+    def injector():
+        yield env.timeout(0.1)  # the call is inside its 0.25 s request hop
+        container.inject_fault("math", "add", Fault("late"), count=1)
+
+    env.process(injector())
+    assert _outcome(env, container, True, "math", "add", {"a": 1, "b": 1}) == (
+        Fault, "late", None, 0.25,
+    )
+    # Consumed: the next call goes through.
+    assert _outcome(env, container, True, "math", "add", {"a": 1, "b": 1}) == (
+        "ok", 2, 0.75,
+    )
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["obs-off", "obs-on"])
+def test_a_counted_fault_is_consumed_once_per_concurrent_call(observed):
+    env = Environment()
+    obs = Observability(env, enabled=True) if observed else None
+    container = _container(env, obs=obs)
+    container.inject_fault("math", "add", Fault("flaky"), count=2)
+    outcomes = []
+
+    def caller(index, operation, args):
+        try:
+            value = yield from container.request("math", operation, args)
+        except Fault as exc:
+            value = str(exc)
+        outcomes.append((index, value, env.now))
+
+    # Another operation of the service does not consume the fault.
+    env.process(caller("slow", "slow", {"duration": 0.0}))
+    for index in range(3):
+        env.process(caller(index, "add", {"a": index, "b": 1}))
+    env.run()
+    assert set(outcomes) == {
+        (0, "flaky", 0.25), (1, "flaky", 0.25), (2, 3, 0.5), ("slow", "done", 0.5),
+    }
+
+
 def test_a_full_queue_refuses_inline_with_its_drain_hint():
     refusals = []
     for inline in (True, False):

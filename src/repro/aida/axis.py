@@ -147,14 +147,25 @@ class Axis:
 
         NaNs map to the underflow slot, matching :meth:`coord_to_index`.
         """
-        xs = np.asarray(xs, dtype=float)
+        return self.storage_counts(np.asarray(xs, dtype=float))[0]
+
+    def storage_counts(self, xs: np.ndarray) -> tuple:
+        """:meth:`coords_to_storage` of a float array and the number of
+        entries in each storage slot (length ``bins + 2``)."""
         # searchsorted over the bins + 1 edges returns 0..bins+1 only:
         # x < first edge at 0 (underflow), x >= last edge at bins+1,
         # in-range values at 1..bins.  NaN sorts to the end under
-        # 'right'; force it to underflow.
-        idx = np.searchsorted(self._edges, xs, side="right")
-        idx[np.isnan(xs)] = 0
-        return idx
+        # 'right', so only a non-empty overflow slot can hold one; force
+        # it to underflow.
+        idx = self._edges.searchsorted(xs, side="right")
+        counts = np.bincount(idx, minlength=len(self._edges) + 1)
+        if counts[-1]:
+            nan = np.isnan(xs)
+            idx[nan] = 0
+            moved = np.count_nonzero(nan)
+            counts[0] += moved
+            counts[-1] -= moved
+        return idx, counts
 
     def storage_to_index(self, storage: int) -> int:
         """Convert a storage slot (0..bins+1) to a public index."""

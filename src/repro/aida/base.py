@@ -51,8 +51,9 @@ class Binned(Freezable):
     _axes: Tuple[str, ...] = ("axis",)
 
     def _touch(self) -> None:
-        # Every mutator's first step: refuse a frozen object before the
-        # version (or anything else) moves, then count the mutation.
+        # Every mutator's first step that changes anything (after it has
+        # validated its input): refuse a frozen object before the version
+        # (or anything else) moves, then count the mutation.
         self._check_mutable()
         self._version += 1
 

@@ -102,8 +102,6 @@ class Histogram1D(Binned):
 
         Unit weights into sums that are still their counts add one
         ``bincount``: the integers ``np.add.at`` reaches ``+ 1.0`` at a time."""
-        unit = weights is None and self._unit_sums  # read before _touch drops it
-        self._touch()
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
             raise ValueError("xs must be 1-D")
@@ -113,17 +111,19 @@ class Histogram1D(Binned):
             w = np.asarray(weights, dtype=float)
             if w.shape != xs.shape:
                 raise ValueError("weights must match xs in shape")
-        slots = self.axis.coords_to_storage(xs)
+        unit = weights is None and self._unit_sums  # read before _touch drops it
+        self._touch()
         counts, sumw, sumw2 = self._counts, self._sumw, self._sumw2
         if weights is None and not unit:
             unit = np.array_equal(sumw, counts) and np.array_equal(sumw2, counts)
             unit = unit and not (np.signbit(sumw) | np.signbit(sumw2)).any()
         if unit:
-            added = np.bincount(slots, minlength=len(counts))
+            slots, added = self.axis.storage_counts(xs)
             counts += added
             sumw += added
             sumw2 += added
         else:
+            slots = self.axis.coords_to_storage(xs)
             np.add.at(counts, slots, 1)
             np.add.at(sumw, slots, w)
             np.add.at(sumw2, slots, w * w)

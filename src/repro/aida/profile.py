@@ -63,7 +63,6 @@ class Profile1D(Binned):
         weights: Optional[Union[Sequence[float], np.ndarray]] = None,
     ) -> None:
         """Vectorized fill of many samples."""
-        self._touch()
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
@@ -75,6 +74,7 @@ class Profile1D(Binned):
         )
         if w.shape != xs.shape:
             raise ValueError("weights must match xs in shape")
+        self._touch()
         slots = self.axis.coords_to_storage(xs)
         np.add.at(self._counts, slots, 1)
         np.add.at(self._sumw, slots, w)

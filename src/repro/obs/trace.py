@@ -236,10 +236,6 @@ class Tracer:
         """Spans without a parent, in start order."""
         return [span for span in self.spans if span.parent_id is None]
 
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of *span*, in start order."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def descendant_names(self, root: Span) -> List[str]:
         """Names of every span in *root*'s subtree (excluding the root)."""
         by_parent: Dict[str, List[Span]] = {}

@@ -177,11 +177,6 @@ class FaultPlan:
         self.faults.append(fault)
         return self
 
-    def add_service(self, fault: ServiceFault) -> "FaultPlan":
-        """Append a service-level fault; returns self for chaining."""
-        self.service_faults.append(fault)
-        return self
-
     def add_site(self, fault: SiteFault) -> "FaultPlan":
         """Append a site-level fault; returns self for chaining."""
         self.site_faults.append(fault)

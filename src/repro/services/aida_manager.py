@@ -348,12 +348,13 @@ class AIDAManagerService:
         if status != "accepted":
             self._dropped_metric.inc(reason="gap")
             return status
-        self._snapshot_metric.inc()
-        # Straggler detection watches the cumulative progress counter on
-        # every accepted snapshot (events/s, snapshot lag per engine).
-        self.obs.anomaly.record_snapshot(
-            session_id, snapshot.engine_id, snapshot.events_processed
-        )
+        if self._observed:
+            self._snapshot_metric.inc()
+            # Straggler detection watches the cumulative progress counter
+            # on every accepted snapshot (events/s, snapshot lag per engine).
+            self.obs.anomaly.record_snapshot(
+                session_id, snapshot.engine_id, snapshot.events_processed
+            )
         return "accepted"
 
     # -- merge tree ---------------------------------------------------------

@@ -47,6 +47,8 @@ class WorkerRegistryService:
     ) -> None:
         self.env = env
         self.obs = obs or NULL_OBS
+        #: Per-beat gap metric and anomaly feed: one branch, decided here.
+        self._observed = self.obs.enabled
         self._engines: Dict[str, Dict[str, EngineReference]] = {}
         self._waiters: Dict[str, List[tuple]] = {}
         #: (session_id, engine_id) -> simulated time of the last heartbeat.
@@ -79,7 +81,7 @@ class WorkerRegistryService:
         key = (session_id, engine_id)
         now = self.env.now
         previous = self._heartbeats.get(key)
-        if previous is not None:
+        if previous is not None and self._observed:
             self._gap_metric.observe(now - previous)
             self.obs.anomaly.record_heartbeat(
                 session_id, engine_id, now - previous

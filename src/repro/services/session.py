@@ -313,7 +313,7 @@ class EngineHost:
         # then parents under the session tree even though GRAM starts it in
         # a fresh simulation process.
         self._trace_parent = self.obs.tracer.current_id
-        #: Snapshot sizing feeds only a metric: one branch, decided here.
+        #: Per-chunk metrics and snapshot sizing: one branch, decided here.
         self._observed = self.obs.enabled
         metrics = self.obs.metrics
         self._events_metric = metrics.counter(
@@ -568,7 +568,7 @@ class EngineHost:
                 yield env.timeout(
                     chunk_mb * cal.grid_analysis_rate_s_per_mb * worker.slow_factor
                 )
-            if result.events > 0:
+            if result.events > 0 and self._observed:
                 self._events_metric.inc(result.events, engine=self.engine_id)
                 self._chunk_metric.observe(
                     env.now - chunk_started, engine=self.engine_id

@@ -85,17 +85,24 @@ def test_scalar_and_vector_lookup_agree():
 def test_storage_indices_equal_the_clipped_lookup(axis):
     """The storage lookup without its former ``np.clip``: searchsorted over
     the bins + 1 edges only yields 0..bins+1, so the indices are those of
-    the clipped form on edges, NaN and both infinities."""
+    the clipped form on edges, NaN and both infinities.  ``storage_counts``
+    gives the same indices and their bincount, also when the overflow slot
+    is empty (no NaN scan) or holds NaN alone."""
     edges = axis.edges
     xs = np.concatenate([
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
         [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308],
     ])
-    clipped = np.clip(np.searchsorted(edges, xs, side="right"), 0, axis.bins + 1)
-    clipped[np.isnan(xs)] = 0
-    storage = axis.coords_to_storage(xs)
-    assert storage.dtype == clipped.dtype
-    np.testing.assert_array_equal(storage, clipped)
+    inside = 0.5 * (edges[:-1] + edges[1:])
+    for values in (xs, inside, np.array([np.nan]), np.array([])):
+        clipped = np.clip(np.searchsorted(edges, values, side="right"), 0, axis.bins + 1)
+        clipped[np.isnan(values)] = 0
+        storage = axis.coords_to_storage(values)
+        assert storage.dtype == clipped.dtype
+        np.testing.assert_array_equal(storage, clipped)
+        slots, counts = axis.storage_counts(values)
+        np.testing.assert_array_equal(slots, clipped)
+        np.testing.assert_array_equal(counts, np.bincount(clipped, minlength=axis.bins + 2))
 
 
 def test_storage_roundtrip():

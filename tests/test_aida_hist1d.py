@@ -98,10 +98,14 @@ def test_fill_array_equivalent_to_scalar_fills():
 
 def test_fill_array_validation():
     hist = make()
+    hist.fill_array([1.0, 2.0])  # proves the unit sums
+    before = (hist.data_version, hist._unit_sums, hist.to_dict())
     with pytest.raises(ValueError):
         hist.fill_array(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         hist.fill_array([1.0, 2.0], weights=[1.0])
+    # A rejected fill is no mutation: nothing to republish, nothing to re-prove.
+    assert (hist.data_version, hist._unit_sums, hist.to_dict()) == before
 
 
 def test_fill_array_with_nan_goes_to_underflow():
@@ -317,9 +321,16 @@ def test_a_unit_weight_fill_equals_the_add_at_fill_bit_for_bit(state):
     hist = _prior(state)
     reference = hist.copy()
     xs = _awkward_values(hist.axis)
+    inside = xs[(xs >= 0.0) & (xs < 1.0)]
     # A fill that leaves most slots untouched, one that hits all, and one
-    # longer than the cached run of unit weights.
-    for fill in (xs[(xs >= 0.0) & (xs < 1.0)], xs, np.tile(xs, 3)):
+    # longer than the cached run of unit weights.  Then fills whose
+    # overflow slot the NaN scan reads: all in range (also strided), only
+    # overflow, only NaN, only infinities, the edges alone, nothing at all.
+    for fill in (
+        inside, xs, np.tile(xs, 3), np.tile(inside, 12)[::3], np.array([3.0, 1e300]),
+        np.array([np.nan]), np.array([np.inf, -np.inf]), hist.axis.edges,
+        np.array([]),
+    ):
         hist.fill_array(fill)
         reference_unit_fill(reference, fill)
         assert hist.to_dict() == reference.to_dict()

@@ -59,10 +59,12 @@ def test_profile_fill_array_equivalent():
 
 def test_profile_fill_array_validation():
     prof = make_profile()
+    before = (prof.data_version, prof.to_dict())
     with pytest.raises(ValueError):
         prof.fill_array([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         prof.fill_array([1.0], [1.0], weights=[1.0, 2.0])
+    assert (prof.data_version, prof.to_dict()) == before
 
 
 def test_profile_merge_matches_combined():

@@ -226,3 +226,48 @@ def test_an_observed_site_session_counts_every_published_byte():
     assert expected["full"] > 0 and expected["delta"] > 0
     counter = site.obs.metrics.counter("aida_snapshot_payload_bytes_total")
     assert {kind: counter.value(kind=kind) for kind in expected} == expected
+
+
+#: The per-chunk, per-beat and per-snapshot telemetry of a session, by the
+#: owner (class, method) that calls it.
+TELEMETRY_CALLERS = {
+    ("EngineHost", "_process_loop"): {"inc", "observe"},
+    ("WorkerRegistryService", "heartbeat"): {"observe", "record_heartbeat"},
+    ("AIDAManagerService", "submit_snapshot"): {"inc", "record_snapshot"},
+}
+CALLER_METHODS = {method for _owner, method in TELEMETRY_CALLERS}
+
+
+def telemetry_calls(site):
+    """``(caller, method)`` of each telemetry call a site session makes."""
+    seen = set()
+
+    def hook(frame, event, _arg):
+        caller = frame.f_back
+        if event != "call" or caller is None:
+            return
+        if caller.f_code.co_name not in CALLER_METHODS:
+            return
+        owner = (type(caller.f_locals.get("self")).__name__, caller.f_code.co_name)
+        if frame.f_code.co_name in TELEMETRY_CALLERS.get(owner, ()):
+            seen.add((owner, frame.f_code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        run_site_session(site, n_events=8_000)  # four chunks per engine
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_an_unobserved_session_calls_no_telemetry_per_chunk_beat_or_snapshot(
+    observed,
+):
+    site = GridSite(SiteConfig(n_workers=4, enable_observability=observed))
+    expected = {
+        (caller, method)
+        for caller, methods in TELEMETRY_CALLERS.items()
+        for method in methods
+    }
+    assert telemetry_calls(site) == (expected if observed else set())

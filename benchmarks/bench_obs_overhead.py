@@ -2,7 +2,8 @@
 
 The instrumentation across the three tiers (service container, grid
 fabric, engines) routes through null objects when disabled and through the
-real tracer/registry/event-log/SLO-tracker/anomaly-monitor when enabled.
+real tracer/registry/event-log/SLO-tracker when enabled.  The plane is
+write-only — nothing in the product reads it back to decide anything.
 This benchmark runs the reference 16-node Higgs experiment both ways,
 interleaved, writes the CI gate file ``benchmarks/out/BENCH_obs.json``,
 and asserts:

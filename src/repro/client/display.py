@@ -3,7 +3,7 @@
 ``dashboard`` renders the merged-results view (Fig. 4);
 ``render_catalog`` renders the dataset-chooser view (Fig. 3);
 ``status_board`` renders the operator's telemetry view (nodes, SLO
-gauges, stragglers, recent events — see :mod:`repro.obs.dashboard`).
+gauges, recent events — see :mod:`repro.obs.dashboard`).
 """
 
 from __future__ import annotations

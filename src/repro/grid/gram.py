@@ -175,7 +175,7 @@ class GramGatekeeper:
         identity = self.ca.validate_chain(credential_chain, self.env.now)
         policy = self.authz.authorize(identity)
         # Tag the jobs with the submitter's VO so the scheduler can
-        # dispatch weighted-fair between VOs sharing a queue tier.
+        # dispatch fairly between VOs sharing a queue tier.
         vo = self.authz.vo_of(identity)
         if description.count > policy.max_engines_per_session:
             raise GramError(

@@ -103,7 +103,7 @@ class Job:
         #: Worker names to try first (data affinity), best first.
         self.preferred = list(preferred or [])
         #: Virtual Organization the submitter belongs to (``None`` =
-        #: untagged); drives weighted-fair dispatch within a queue tier.
+        #: untagged); drives fair dispatch within a queue tier.
         self.vo = vo
         self.state = JobState.PENDING
         self.worker: Optional[WorkerNode] = None
@@ -146,14 +146,7 @@ class BatchScheduler:
         self._running: Dict[str, Job] = {}
         self._wakeup: Event = env.event()
         self._idle: List[WorkerNode] = list(element.workers)
-        #: Workers the anomaly monitor flagged as stragglers: still
-        #: schedulable (a hint, not a ban) but chosen only when no
-        #: unflagged worker is available.
-        self._deprioritized: set = set()
-        #: VO -> fair-share weight (default 1.0); drives the weighted-
-        #: fair rank used within a queue-priority tier.
-        self._vo_weights: Dict[Optional[str], float] = {}
-        #: VO -> jobs dispatched so far (the WFQ virtual-service count).
+        #: VO -> jobs dispatched so far (the fair-dispatch rank).
         self._vo_served: Dict[Optional[str], int] = {}
         env.process(self._dispatcher())
 
@@ -164,24 +157,15 @@ class BatchScheduler:
             raise SchedulerError(f"queue {spec.name!r} already exists")
         self._queues[spec.name] = spec
 
-    def set_vo_weight(self, vo: str, weight: float) -> None:
-        """Set a VO's fair-share weight for dispatch (default 1.0)."""
-        if weight <= 0:
-            raise SchedulerError("weight must be > 0")
-        self._vo_weights[vo] = weight
-
     def vo_served(self, vo: Optional[str]) -> int:
-        """Jobs dispatched so far for *vo* (WFQ bookkeeping)."""
-        return self._vo_served.get(vo, 0)
-
-    def _wfq_rank(self, vo: Optional[str]) -> float:
-        """Weighted-fair rank: lower = more underserved.
+        """Jobs dispatched so far for *vo*: its fair rank within a queue
+        tier (lower = more underserved).
 
         With a single VO (or every job untagged) all pending jobs share
         one rank and dispatch degenerates to the original submission
         (job-id) order — existing single-tenant behaviour is unchanged.
         """
-        return self._vo_served.get(vo, 0) / self._vo_weights.get(vo, 1.0)
+        return self._vo_served.get(vo, 0)
 
     @property
     def queues(self) -> Dict[str, QueueSpec]:
@@ -203,7 +187,7 @@ class BatchScheduler:
         (data-affinity hint from the replica catalog: land the engine
         where its dataset parts are already cached); placement falls back
         to the first idle worker when none of them is available.  *vo*
-        tags the job for weighted-fair dispatch between VOs sharing a
+        tags the job for fair dispatch between VOs sharing a
         queue tier.
         """
         if queue not in self._queues:
@@ -267,36 +251,7 @@ class BatchScheduler:
         worker.slow_factor = 1.0
         if not worker.busy and worker not in self._idle:
             self._idle.append(worker)
-        self.restore_priority(name)
         self._kick()
-
-    # -- placement hints ---------------------------------------------------
-    def deprioritize(self, name: str) -> None:
-        """Hint: place new jobs on *name* only as a last resort.
-
-        Fed by straggler detection; idempotent, and never blocks
-        placement — with every worker deprioritized, dispatch proceeds
-        as if none were.
-        """
-        self.element.worker(name)  # validate the name
-        self._deprioritized.add(name)
-        self.obs.metrics.gauge(
-            "scheduler_deprioritized_workers",
-            "Workers currently hinted away from new placements",
-        ).set(len(self._deprioritized))
-
-    def restore_priority(self, name: str) -> None:
-        """Drop the deprioritization hint for *name* (idempotent)."""
-        self._deprioritized.discard(name)
-        self.obs.metrics.gauge(
-            "scheduler_deprioritized_workers",
-            "Workers currently hinted away from new placements",
-        ).set(len(self._deprioritized))
-
-    @property
-    def deprioritized(self) -> List[str]:
-        """Currently deprioritized worker names, sorted."""
-        return sorted(self._deprioritized)
 
     # -- internals --------------------------------------------------------
     def _kick(self) -> None:
@@ -306,7 +261,7 @@ class BatchScheduler:
     def _dispatcher(self):
         while True:
             # Dispatch as many jobs as there are idle workers, in
-            # (queue priority, weighted-fair VO rank, submission order)
+            # (queue priority, fair VO rank, submission order)
             # order.  Each job lands on its first available preferred
             # worker (data affinity), or the first idle worker when it
             # has no reachable preference.
@@ -318,31 +273,20 @@ class BatchScheduler:
                     self._pending,
                     key=lambda j: (
                         self._queues[j.queue].priority,
-                        self._wfq_rank(j.vo),
+                        self.vo_served(j.vo),
                         j.id,
                     ),
                 )
                 self._vo_served[job.vo] = self._vo_served.get(job.vo, 0) + 1
-                # Straggler hints demote workers without banning them:
-                # both the data-affinity preference list and the
-                # first-idle fallback try unflagged workers first, and a
-                # flagged worker is still used when it is all that's left.
-                demoted = self._deprioritized
-                candidates = sorted(
-                    healthy, key=lambda w: w.name in demoted
-                )  # stable: keeps idle order within each tier
                 worker = None
-                for name in sorted(
-                    job.preferred,
-                    key=lambda n: (n in demoted, job.preferred.index(n)),
-                ):
+                for name in job.preferred:
                     worker = next(
-                        (w for w in candidates if w.name == name), None
+                        (w for w in healthy if w.name == name), None
                     )
                     if worker is not None:
                         break
                 if worker is None:
-                    worker = candidates[0]
+                    worker = healthy[0]
                 self._pending.remove(job)
                 self._idle.remove(worker)
                 self.env.process(self._run_job(job, worker))

@@ -307,7 +307,7 @@ class AuthorizationService:
     def add_vo(self, vo: VirtualOrganization, allowed: bool = True) -> None:
         """Register another VO; with *allowed*, admit it at this site.
 
-        Multi-tenant sites (fair-share admission, WFQ dispatch) grow
+        Multi-tenant sites (fair-share admission, fair dispatch) grow
         their VO set at runtime; re-adding an existing name replaces it.
         """
         self._vos[vo.name] = vo

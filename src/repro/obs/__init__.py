@@ -2,20 +2,19 @@
 
 The paper's argument is a timing argument — Tables 1/2 and the cost model
 ``T_grid = 0.338X + 53 + (62 + 5.3X)/N`` are phase breakdowns of a live
-session — so the runtime itself must be able to say where the time goes,
-whether the latency objective holds, and which node is dragging.  This
-package provides:
+session — so the runtime itself must be able to say where the time goes
+and whether the latency objective holds.  The plane is write-only: no
+product decision reads it, so a session runs the same with it on or
+off.  This package provides:
 
 * :mod:`repro.obs.metrics` — Counter / Gauge / Histogram with labeled
   series, exponential latency buckets, and bucket-interpolated quantiles;
 * :mod:`repro.obs.trace` — a span tracer with correct context propagation
   across interleaved simulation processes;
 * :mod:`repro.obs.events` — a bounded structured event log (faults,
-  quarantines, evictions, checkpoints, SLO breaches) with subscriptions;
+  quarantines, evictions, checkpoints, SLO breaches);
 * :mod:`repro.obs.slo` — sliding-window quantile estimators and
   :class:`~repro.obs.slo.SLOPolicy` objectives with error-budget burn;
-* :mod:`repro.obs.anomaly` — per-engine rate tracking and robust z-score
-  straggler detection feeding scheduler/heartbeat hints;
 * :mod:`repro.obs.profile` — folded ``phase;subphase`` stacks, exact (from
   the finished trace) and sampled (live, on the simulated clock);
 * :mod:`repro.obs.dashboard` — the ASCII status board, live or from
@@ -26,20 +25,13 @@ package provides:
 
 Everything hangs off one :class:`Observability` handle.  Components take
 ``obs=None`` and fall back to :data:`NULL_OBS`, whose tracer, registry,
-event log, SLO tracker and anomaly monitor are all no-ops —
-instrumentation is free when disabled (asserted by
+event log and SLO tracker are all no-ops — instrumentation is free
+when disabled (asserted by
 ``benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations
 
-from repro.obs.anomaly import (
-    NULL_ANOMALY_MONITOR,
-    AnomalyMonitor,
-    NullAnomalyMonitor,
-    StragglerReport,
-    robust_zscores,
-)
 from repro.obs.events import (
     EVENT_KINDS,
     Event,
@@ -111,15 +103,11 @@ class Observability:
             self.slo: SLOTracker = SLOTracker(
                 env, events=self.events, metrics=self.metrics
             )
-            self.anomaly: AnomalyMonitor = AnomalyMonitor(
-                env, events=self.events, metrics=self.metrics
-            )
         else:
             self.tracer = NULL_TRACER
             self.metrics = NULL_REGISTRY
             self.events = NULL_EVENT_LOG
             self.slo = NULL_SLO_TRACKER
-            self.anomaly = NULL_ANOMALY_MONITOR
 
 
 #: Shared disabled instance — the default for every instrumented component.
@@ -127,7 +115,6 @@ NULL_OBS = Observability(enabled=False)
 
 
 __all__ = [
-    "AnomalyMonitor",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "EVENT_KINDS",
@@ -137,7 +124,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "NULL_ANOMALY_MONITOR",
     "NULL_EVENT_LOG",
     "NULL_METRIC",
     "NULL_OBS",
@@ -145,7 +131,6 @@ __all__ = [
     "NULL_SLO_TRACKER",
     "NULL_SPAN",
     "NULL_TRACER",
-    "NullAnomalyMonitor",
     "NullEventLog",
     "NullRegistry",
     "NullSLOTracker",
@@ -156,12 +141,10 @@ __all__ = [
     "SLOTracker",
     "SlidingReservoir",
     "Span",
-    "StragglerReport",
     "TraceError",
     "Tracer",
     "WindowedHistogram",
     "events_from_jsonl",
     "exponential_buckets",
     "quantile_from_cumulative",
-    "robust_zscores",
 ]

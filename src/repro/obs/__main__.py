@@ -79,7 +79,7 @@ def record_run(
 ) -> dict:
     """Run one instrumented session and export its telemetry artifacts.
 
-    Returns a small summary dict (session id, breach/straggler counts,
+    Returns a small summary dict (session id, breach count,
     artifact paths) so tests and the CI job can assert on the result.
     """
     from repro.analysis import higgs
@@ -151,7 +151,6 @@ def record_run(
     counts = site.obs.events.counts()
     out["paths"] = {name: str(path) for name, path in artifacts.items()}
     out["slo_breaches"] = counts.get("slo_breach", 0)
-    out["stragglers_flagged"] = counts.get("straggler_detected", 0)
     out["event_counts"] = counts
     return out
 
@@ -176,7 +175,6 @@ def cmd_record(args: argparse.Namespace) -> str:
         f"session: {summary['session_id']}",
         f"events processed: {summary['events_processed']}",
         f"slo breaches: {summary['slo_breaches']}",
-        f"stragglers flagged: {summary['stragglers_flagged']}",
         "artifacts:",
     ]
     lines.extend(

@@ -1,14 +1,13 @@
-"""Live ASCII status board: nodes × phase, SLO gauges, stragglers, events.
+"""Live ASCII status board: nodes × phase, SLO gauges, events.
 
 The GRAPPA portal's lesson (PAPERS.md) is that a grid analysis framework
 needs an *operator surface*, not just logs: one glance should answer "are
-my engines healthy, is the latency objective holding, who is slow, what
-just happened".  This module renders exactly that board, two ways:
+my engines healthy, is the latency objective holding, what just
+happened".  This module renders exactly that board, two ways:
 
 * :func:`render_board` — live, mid-run, from the :class:`Observability`
   handle plus (optionally) a session service: per-node engine progress,
-  SLO gauges with error-budget burn, the currently flagged stragglers,
-  and the newest events;
+  SLO gauges with error-budget burn, and the newest events;
 * :func:`board_from_jsonl` — offline, from exported JSONL artifacts
   (events / profile / spans), for post-mortems and the chaos CI job.
 
@@ -34,35 +33,30 @@ def progress_bar(fraction: float, width: int = 20) -> str:
 # -- section renderers (shared by live and offline boards) ----------------
 
 def nodes_section(
-    engines: List[Dict[str, object]],
-    flagged: Optional[Dict[str, str]] = None,
-    bar_width: int = 16,
+    engines: List[Dict[str, object]], bar_width: int = 16
 ) -> List[str]:
-    """Per-engine rows: worker, state, progress bar, straggler marks.
+    """Per-engine rows: worker, state, progress bar.
 
     *engines* rows carry ``engine_id`` / ``worker`` / ``cursor`` /
-    ``total`` / ``state`` (the shape ``SessionService.status`` returns);
-    *flagged* maps engine ids to a short straggler annotation.
+    ``total`` / ``state`` (the shape ``SessionService.status`` returns).
+    A slow engine shows as a lagging bar.
     """
     if not engines:
         return ["  (no engines)"]
-    flagged = flagged or {}
     lines = []
     for row in engines:
         total = int(row.get("total") or 0)
         cursor = int(row.get("cursor") or 0)
         fraction = cursor / total if total else 0.0
-        mark = flagged.get(str(row.get("engine_id")), "")
         lines.append(
             "  {worker:<8} {engine:<10} {state:<9} {bar} "
-            "{cursor:>8}/{total:<8}{mark}".format(
+            "{cursor:>8}/{total}".format(
                 worker=str(row.get("worker") or "?"),
                 engine=str(row.get("engine_id")),
                 state=str(row.get("state") or "?"),
                 bar=progress_bar(fraction, bar_width),
                 cursor=cursor,
                 total=total,
-                mark=f"  << {mark}" if mark else "",
             )
         )
     return lines
@@ -92,25 +86,6 @@ def slo_section(rows: List[Dict[str, object]]) -> List[str]:
                 burn=row["burn_rate"],
                 n=row["samples"],
                 w=row["window_s"],
-            )
-        )
-    return lines
-
-
-def straggler_section(reports) -> List[str]:
-    """Rows for the currently flagged stragglers."""
-    if not reports:
-        return ["  (none)"]
-    lines = []
-    for report in reports:
-        lines.append(
-            "  {engine:<10} {signal}={value:.3g} vs median {median:.3g} "
-            "(z={score:.1f})".format(
-                engine=report.engine_id,
-                signal=report.signal,
-                value=report.value,
-                median=report.median,
-                score=report.score,
             )
         )
     return lines
@@ -170,8 +145,8 @@ def render_board(
     that session's engines; otherwise it is omitted.  With a
     *federation* (a :class:`~repro.federation.topology.Federation`) a
     per-site panel is prepended — sessions brokered, resident replica
-    bytes, WAN traffic, admission backlog, partition state.  SLO /
-    straggler / event sections come from the
+    bytes, WAN traffic, admission backlog, partition state.  SLO and
+    event sections come from the
     :class:`~repro.obs.Observability` handle and say so when telemetry
     is disabled.
     """
@@ -195,14 +170,8 @@ def render_board(
 
     if session_service is not None and session_id is not None:
         status = session_service.status(session_id)
-        flagged = {}
-        if getattr(obs, "enabled", False):
-            for report in obs.anomaly.stragglers(session_id):
-                flagged[report.engine_id] = (
-                    f"straggler z={report.score:.1f}"
-                )
         lines.append("nodes:")
-        lines.extend(nodes_section(status["engines"], flagged))
+        lines.extend(nodes_section(status["engines"]))
         if status["orphaned_parts"]:
             lines.append(
                 f"  orphaned parts: {status['orphaned_parts']}"
@@ -214,12 +183,6 @@ def render_board(
 
     lines.append("slo:")
     lines.extend(slo_section(obs.slo.status()))
-
-    lines.append("stragglers:")
-    if session_id is not None:
-        lines.extend(straggler_section(obs.anomaly.stragglers(session_id)))
-    else:
-        lines.append("  (no session selected)")
 
     lines.append(f"events (last {max_events}):")
     lines.extend(events_section(obs.events.tail(max_events), max_events))
@@ -263,11 +226,9 @@ def board_from_jsonl(
     if events_text is not None:
         events = events_from_jsonl(events_text)
         breaches = [e for e in events if e.kind == "slo_breach"]
-        stragglers = [e for e in events if e.kind == "straggler_detected"]
         lines.append(
             f"events: {len(events)} exported, "
-            f"{len(breaches)} SLO breaches, "
-            f"{len(stragglers)} stragglers flagged"
+            f"{len(breaches)} SLO breaches"
         )
         federated = [e for e in events if e.kind.startswith("federation_")]
         partitions = [e for e in events if e.kind == "site_partitioned"]

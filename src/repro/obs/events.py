@@ -1,4 +1,4 @@
-"""Bounded structured event log with subscriptions and JSONL export.
+"""Bounded structured event log with JSONL export.
 
 Metrics answer "how much"; traces answer "where did the time go"; the
 event log answers "what happened" — the discrete, operator-significant
@@ -9,9 +9,7 @@ clock, and carries free-form attributes.
 
 The log is **bounded**: it keeps the newest ``capacity`` events and
 counts what it dropped, so a week-long chaos run cannot grow it without
-limit.  Subscribers receive every event at emit time (before any
-eviction), which is how the dashboard and tests observe transitions
-live; per-kind all-time counts survive eviction too.
+limit.  Per-kind all-time counts survive eviction.
 
 When observability is disabled, :data:`NULL_EVENT_LOG` swallows
 everything at the cost of one attribute lookup and call — the same
@@ -23,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 #: Canonical event kinds emitted by the instrumented runtime.  ``emit``
@@ -51,8 +49,6 @@ EVENT_KINDS = (
     "combiner_retired",
     "slo_breach",
     "slo_recovered",
-    "straggler_detected",
-    "straggler_recovered",
     "federation_session_brokered",
     "federation_failover",
     "federation_replica_migrated",
@@ -120,7 +116,6 @@ class EventLog:
         self.env = env
         self.capacity = capacity
         self._events: deque = deque(maxlen=capacity)
-        self._subscribers: List[tuple] = []
         self._counts: Dict[str, int] = {}
         #: Events evicted by the capacity bound (all-time).
         self.dropped = 0
@@ -135,7 +130,7 @@ class EventLog:
         severity: str = "info",
         **attrs: Any,
     ) -> Event:
-        """Record one event now; notifies subscribers before bounding."""
+        """Record one event now, evicting the oldest at capacity."""
         if severity not in SEVERITIES:
             raise ValueError(f"unknown severity {severity!r}")
         self._seq += 1
@@ -148,37 +143,10 @@ class EventLog:
             attrs=attrs,
         )
         self._counts[kind] = self._counts.get(kind, 0) + 1
-        for want_kind, callback in list(self._subscribers):
-            if want_kind is None or want_kind == kind:
-                callback(event)
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(event)
         return event
-
-    # -- subscriptions ----------------------------------------------------
-    def subscribe(
-        self,
-        callback: Callable[[Event], None],
-        kind: Optional[str] = None,
-    ) -> Callable[[], None]:
-        """Call *callback* on every emit (optionally one *kind* only).
-
-        Returns an unsubscribe function.  Subscriber exceptions propagate
-        to the emitter — the simulation is deterministic, so a broken
-        subscriber should fail the run loudly rather than silently drop
-        telemetry.
-        """
-        entry = (kind, callback)
-        self._subscribers.append(entry)
-
-        def unsubscribe() -> None:
-            try:
-                self._subscribers.remove(entry)
-            except ValueError:
-                pass
-
-        return unsubscribe
 
     # -- queries ----------------------------------------------------------
     def events(
@@ -262,9 +230,6 @@ class NullEventLog:
 
     def emit(self, kind, /, message="", severity="info", **attrs) -> None:
         return None
-
-    def subscribe(self, callback, kind=None) -> Callable[[], None]:
-        return lambda: None
 
     def events(self, kind=None, severity=None, since=None) -> list:
         return []

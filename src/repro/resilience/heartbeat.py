@@ -66,9 +66,6 @@ class HeartbeatMonitor:
         self.session_id = session_id
         self.config = config
         self._watched: Dict[str, bool] = {}
-        #: engine_id -> timeout scale factor in (0, 1]; fed by straggler
-        #: detection so a flagged engine is declared dead sooner.
-        self._suspicion: Dict[str, float] = {}
 
     def watch(self, engine_id: str) -> None:
         """Start watching an engine; seeds its beat clock at *now*."""
@@ -78,32 +75,6 @@ class HeartbeatMonitor:
     def unwatch(self, engine_id: str) -> None:
         """Stop watching an engine (dead, shut down, or unrecoverable)."""
         self._watched.pop(engine_id, None)
-        self._suspicion.pop(engine_id, None)
-
-    def suspect(self, engine_id: str, factor: float = 0.5) -> None:
-        """Shorten an engine's effective heartbeat timeout by *factor*.
-
-        A straggler-detection hint: a flagged engine that then goes
-        silent is quarantined after ``timeout * factor`` instead of the
-        full timeout.  The factor is floored so the effective timeout
-        always exceeds one heartbeat interval — a merely-slow engine
-        that still beats on schedule can never be declared dead by
-        suspicion alone.
-        """
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("factor must be in (0, 1]")
-        floor = self.config.heartbeat_interval / self.config.heartbeat_timeout
-        self._suspicion[engine_id] = max(factor, min(1.0, floor * 1.5))
-
-    def clear_suspicion(self, engine_id: str) -> None:
-        """Drop the suspicion hint for an engine (idempotent)."""
-        self._suspicion.pop(engine_id, None)
-
-    def timeout_for(self, engine_id: str) -> float:
-        """Effective staleness timeout for one engine (hints applied)."""
-        return self.config.heartbeat_timeout * self._suspicion.get(
-            engine_id, 1.0
-        )
 
     @property
     def watched(self) -> List[str]:
@@ -115,15 +86,12 @@ class HeartbeatMonitor:
         return self.registry.last_heartbeat(self.session_id, engine_id)
 
     def stale(self) -> List[str]:
-        """Watched engines whose last beat exceeds their timeout, sorted.
-
-        Each engine's timeout is the configured one scaled by any
-        suspicion hint (see :meth:`suspect`).
-        """
+        """Watched engines whose last beat exceeds the timeout, sorted."""
         now = self.env.now
+        timeout = self.config.heartbeat_timeout
         out = []
         for engine_id in self._watched:
             last = self.last_beat(engine_id)
-            if last is None or now - last > self.timeout_for(engine_id):
+            if last is None or now - last > timeout:
                 out.append(engine_id)
         return sorted(out)

@@ -350,11 +350,6 @@ class AIDAManagerService:
             return status
         if self._observed:
             self._snapshot_metric.inc()
-            # Straggler detection watches the cumulative progress counter
-            # on every accepted snapshot (events/s, snapshot lag per engine).
-            self.obs.anomaly.record_snapshot(
-                session_id, snapshot.engine_id, snapshot.events_processed
-            )
         return "accepted"
 
     # -- merge tree ---------------------------------------------------------

@@ -47,7 +47,7 @@ class WorkerRegistryService:
     ) -> None:
         self.env = env
         self.obs = obs or NULL_OBS
-        #: Per-beat gap metric and anomaly feed: one branch, decided here.
+        #: Per-beat gap metric: one branch, decided here.
         self._observed = self.obs.enabled
         self._engines: Dict[str, Dict[str, EngineReference]] = {}
         self._waiters: Dict[str, List[tuple]] = {}
@@ -83,9 +83,6 @@ class WorkerRegistryService:
         previous = self._heartbeats.get(key)
         if previous is not None and self._observed:
             self._gap_metric.observe(now - previous)
-            self.obs.anomaly.record_heartbeat(
-                session_id, engine_id, now - previous
-            )
         self._heartbeats[key] = now
 
     def last_heartbeat(self, session_id: str, engine_id: str) -> Optional[float]:

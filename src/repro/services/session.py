@@ -893,9 +893,6 @@ class SessionService:
             "monitor_proc": None,
             "checkpoint_proc": None,
             "redispatch_proc": None,
-            #: engine_id -> worker currently demoted on straggler hints
-            #: (diffed against the anomaly monitor's flags each sweep).
-            "straggler_hints": {},
         }
         session.update(fields)
         return session
@@ -1456,39 +1453,7 @@ class SessionService:
                 session["redispatch_proc"] = proc
                 yield proc
                 session["redispatch_proc"] = None
-            self._apply_straggler_hints(session_id)
             self._maybe_end_recovery(session_id)
-
-    def _apply_straggler_hints(self, session_id: str) -> None:
-        """One anomaly sweep: demote flagged workers, restore recovered ones.
-
-        Detection is advisory — a flagged worker is deprioritized for new
-        placements and its engine's heartbeat timeout shortened, but
-        nothing is killed; a recovered engine gets both hints lifted.
-        """
-        session = self._sessions.get(session_id)
-        if session is None:
-            return
-        monitor = session["monitor"]
-        hints: Dict[str, str] = session["straggler_hints"]
-        flagged = {
-            report.engine_id for report in self.obs.anomaly.detect(session_id)
-        }
-        workers_by_engine = {
-            ref.engine_id: ref.worker for ref in session["references"]
-        }
-        scheduler = self.gram.scheduler
-        for engine_id in sorted(flagged - set(hints)):
-            worker = workers_by_engine.get(engine_id)
-            if worker is None:
-                continue
-            hints[engine_id] = worker
-            scheduler.deprioritize(worker)
-            monitor.suspect(engine_id)
-        for engine_id in sorted(set(hints) - flagged):
-            worker = hints.pop(engine_id)
-            scheduler.restore_priority(worker)
-            monitor.clear_suspicion(engine_id)
 
     def _quarantine(self, session_id: str, engine_id: str) -> dict:
         """Declare an engine dead: ban its results, orphan its partitions."""
@@ -1558,12 +1523,6 @@ class SessionService:
         }
         session["recoveries"].append(record)
         self._commit(session_id, "quarantine", engine_id=engine_id)
-        # A dead engine is no straggler: drop its anomaly series and any
-        # placement/suspicion hints it accumulated while degrading.
-        self.obs.anomaly.forget_engine(session_id, engine_id)
-        hinted_worker = session["straggler_hints"].pop(engine_id, None)
-        if hinted_worker is not None:
-            self.gram.scheduler.restore_priority(hinted_worker)
         self.obs.events.emit(
             "engine_quarantined",
             message=f"{engine_id} quarantined, {len(orphaned)} parts orphaned",
@@ -1873,12 +1832,6 @@ class SessionService:
             # weighted-fair off this release.
             self.admission.release(*session["admission"])
             session["admission"] = None
-        # Lift any straggler hints the session left on the scheduler and
-        # drop its anomaly series.
-        for worker in sorted(set(session["straggler_hints"].values())):
-            self.gram.scheduler.restore_priority(worker)
-        session["straggler_hints"] = {}
-        self.obs.anomaly.forget_session(session_id)
         self.obs.events.emit(
             "session_closed",
             message=session_id,

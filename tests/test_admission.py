@@ -4,7 +4,7 @@ import pytest
 
 from repro.grid.admission import AdmissionController, AdmissionError
 from repro.grid.nodes import ComputeElement, NodeSpec, WorkerNode
-from repro.grid.scheduler import BatchScheduler, QueueSpec, SchedulerError
+from repro.grid.scheduler import BatchScheduler, QueueSpec
 from repro.obs import Observability
 from repro.services.envelope import RetryAfter
 from repro.sim import Environment
@@ -233,14 +233,8 @@ def sleeper(duration):
     return body
 
 
-def test_vo_weight_validation():
-    env, sched = build_scheduler()
-    with pytest.raises(SchedulerError):
-        sched.set_vo_weight("ilc", 0.0)
-
-
 def test_untagged_jobs_keep_submission_order():
-    # All jobs without a VO: WFQ degenerates to the original
+    # All jobs without a VO: fair dispatch degenerates to the original
     # (priority, id) order, so nothing about the seed behaviour changes.
     env, sched = build_scheduler(n_workers=1)
     jobs = [
@@ -253,7 +247,7 @@ def test_untagged_jobs_keep_submission_order():
 
 def test_wfq_interleaves_vos_on_a_contended_queue():
     # 4 ilc jobs then 4 atlas jobs on one worker: FIFO would run all of
-    # ilc first; WFQ alternates because each dispatch bumps the serving
+    # ilc first; fair dispatch alternates because each dispatch bumps the serving
     # VO's rank.
     env, sched = build_scheduler(n_workers=1)
     jobs = []
@@ -276,25 +270,3 @@ def test_wfq_interleaves_vos_on_a_contended_queue():
     assert sched.vo_served("ilc") == 4
     assert sched.vo_served("atlas") == 4
 
-
-def test_wfq_weights_skew_the_interleave():
-    # ilc weighs 3: it gets ~3 dispatches for every atlas one.
-    env, sched = build_scheduler(n_workers=1)
-    sched.set_vo_weight("ilc", 3.0)
-    jobs = []
-    for index in range(6):
-        jobs.append(
-            sched.submit(f"ilc-{index}", "interactive", sleeper(1.0), vo="ilc")
-        )
-    for index in range(2):
-        jobs.append(
-            sched.submit(
-                f"atlas-{index}", "interactive", sleeper(1.0), vo="atlas"
-            )
-        )
-    env.run()
-    order = sorted(jobs, key=lambda j: j.start_time)
-    first_four = [job.vo for job in order[:4]]
-    # Within the first four dispatches atlas gets exactly one slot.
-    assert first_four.count("atlas") == 1
-    assert first_four.count("ilc") == 3

@@ -232,8 +232,8 @@ def test_an_observed_site_session_counts_every_published_byte():
 #: owner (class, method) that calls it.
 TELEMETRY_CALLERS = {
     ("EngineHost", "_process_loop"): {"inc", "observe"},
-    ("WorkerRegistryService", "heartbeat"): {"observe", "record_heartbeat"},
-    ("AIDAManagerService", "submit_snapshot"): {"inc", "record_snapshot"},
+    ("WorkerRegistryService", "heartbeat"): {"observe"},
+    ("AIDAManagerService", "submit_snapshot"): {"inc"},
 }
 CALLER_METHODS = {method for _owner, method in TELEMETRY_CALLERS}
 

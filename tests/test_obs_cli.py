@@ -27,9 +27,6 @@ def test_record_exports_all_artifacts(recorded):
     assert "# TYPE" in (out_dir / "metrics.prom").read_text()
     assert "ipa status board" in (out_dir / "dashboard.txt").read_text()
     assert summary["events_processed"] == 8_000
-    # A clean run: no node misbehaves (the aggressive 250 ms poll
-    # objective may still breach — polling pays a per-poll merge cost).
-    assert summary["stragglers_flagged"] == 0
     assert summary["event_counts"]["session_created"] == 1
     assert summary["event_counts"]["session_closed"] == 1
     assert summary["event_counts"]["checkpoint_committed"] > 0
@@ -57,7 +54,6 @@ def test_record_subcommand_via_main(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "session: session-1" in printed
     assert "slo breaches:" in printed
-    assert "stragglers flagged:" in printed
     assert "artifacts:" in printed
     events = [
         json.loads(line)
@@ -125,3 +121,45 @@ def test_dashboard_subcommand_from_artifacts(recorded, capsys):
     assert "SLO breaches" in board
     assert main(["dashboard"]) == 0
     assert "(no artifacts provided)" in capsys.readouterr().out
+
+
+# -- acceptance: seeded 16-node run with one injected slow node ------------
+
+@pytest.fixture(scope="module")
+def slow_node_run(tmp_path_factory):
+    """``record --slow w5:4`` at 16 nodes: a 4x-slow engine drags the
+    merged poll latency past the default ``poll-latency`` objective."""
+    out_dir = tmp_path_factory.mktemp("telemetry")
+    summary = record_run(
+        out_dir,
+        nodes=16,
+        size_mb=480.0,
+        n_events=80_000,
+        slow_worker="w5",
+        slow_factor=4.0,
+    )
+    events = [
+        json.loads(line)
+        for line in (out_dir / "events.jsonl").read_text().splitlines()
+        if line.strip()
+    ]
+    return summary, events, out_dir
+
+
+def test_acceptance_poll_latency_breach_reported_as_event(slow_node_run):
+    summary, events, _ = slow_node_run
+    assert summary["slo_breaches"] >= 1
+    breaches = [e for e in events if e["kind"] == "slo_breach"]
+    assert breaches, "expected a poll-latency SLO breach event"
+    breach = breaches[0]
+    assert breach["attrs"]["policy"] == "poll-latency"
+    assert breach["attrs"]["signal"] == "aida.merged"
+    assert breach["attrs"]["estimate"] > breach["attrs"]["objective"]
+    assert breach["severity"] == "warning"
+
+
+def test_acceptance_dashboard_shows_breach(slow_node_run):
+    _, _, out_dir = slow_node_run
+    board = (out_dir / "dashboard.txt").read_text()
+    assert "BREACH" in board
+    assert "poll-latency" in board

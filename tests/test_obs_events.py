@@ -1,4 +1,4 @@
-"""Structured event log: bounds, subscriptions, JSONL export, null contract."""
+"""Structured event log: bounds, JSONL export, null contract."""
 
 import pytest
 
@@ -52,6 +52,11 @@ def test_capacity_bound_drops_oldest_but_counts_survive():
     assert [e.attrs["index"] for e in log.events()] == [7, 8, 9]
     # All-time per-kind counts are not bounded by the retention window.
     assert log.counts() == {"fault_injected": 10}
+    single = EventLog(Clock(), capacity=1)
+    single.emit("fault_injected", index=0)
+    single.emit("fault_injected", index=1)
+    assert len(single) == 1
+    assert single.dropped == 1
 
 
 def test_capacity_and_severity_validation():
@@ -79,37 +84,6 @@ def test_query_filters_and_tail():
     assert log.tail(0) == []
 
 
-def test_subscribe_kind_filter_and_unsubscribe():
-    log = EventLog(Clock())
-    seen, breaches = [], []
-    unsubscribe_all = log.subscribe(seen.append)
-    unsubscribe_breach = log.subscribe(breaches.append, kind="slo_breach")
-    log.emit("session_created")
-    log.emit("slo_breach", severity="warning")
-    unsubscribe_breach()
-    unsubscribe_breach()  # idempotent
-    log.emit("slo_breach", severity="warning")
-    assert [e.kind for e in seen] == [
-        "session_created",
-        "slo_breach",
-        "slo_breach",
-    ]
-    assert len(breaches) == 1
-    unsubscribe_all()
-    log.emit("session_closed")
-    assert len(seen) == 3
-
-
-def test_subscribers_fire_before_eviction():
-    log = EventLog(Clock(), capacity=1)
-    seen = []
-    log.subscribe(seen.append)
-    log.emit("fault_injected", index=0)
-    log.emit("fault_injected", index=1)
-    assert [e.attrs["index"] for e in seen] == [0, 1]
-    assert len(log) == 1
-
-
 def test_jsonl_round_trip():
     clock = Clock(1.25)
     log = EventLog(clock)
@@ -131,11 +105,11 @@ def test_jsonl_round_trip():
 def test_render_events():
     log = EventLog(Clock(3.0))
     log.emit(
-        "straggler_detected", message="e5 slow", severity="warning", engine="e5"
+        "engine_quarantined", message="e5 silent", severity="warning", engine="e5"
     )
     text = render_events(log.events())
-    assert "straggler_detected" in text
-    assert "e5 slow" in text
+    assert "engine_quarantined" in text
+    assert "e5 silent" in text
     assert "engine=e5" in text
     assert render_events([]) == "(no events)"
     assert len(render_events(log.tail(10), limit=1).splitlines()) == 1
@@ -166,8 +140,6 @@ def test_event_vocabulary_is_pinned():
         "combiner_retired",
         "slo_breach",
         "slo_recovered",
-        "straggler_detected",
-        "straggler_recovered",
         "federation_session_brokered",
         "federation_failover",
         "federation_replica_migrated",
@@ -183,7 +155,6 @@ def test_null_event_log_is_inert():
     assert null is NULL_EVENT_LOG
     assert null.enabled is False
     assert null.emit("slo_breach", message="x", severity="warning", a=1) is None
-    assert null.subscribe(lambda e: None)() is None
     assert null.events() == []
     assert null.tail() == []
     assert null.counts() == {}

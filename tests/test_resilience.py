@@ -290,6 +290,76 @@ class TestHeartbeats:
             <= config.heartbeat_timeout + config.heartbeat_interval + 1e-6
         )
 
+    def test_hang_on_the_monitor_tick_grid_pins_same_instant_order(self):
+        """Beats, sweeps and the hang share instants: pin their order.
+
+        Every engine registers at the instant the session's monitor
+        starts, so its beats ``t0 + k·p`` land on the sweep ticks
+        ``s0 + k·p``.  The hang is injected at a tick too.  Observed
+        order: the injection runs before that instant's beat (the last
+        beat is one interval earlier), and the sweep that finds the
+        engine silent for more than the timeout quarantines it.  A
+        liveness rule computed instead of beaten out must reproduce
+        these instants.
+        """
+        site, client = build(n_workers=3)
+        service = site.session_service
+        period = service.recovery.heartbeat_interval
+        timeout = service.recovery.heartbeat_timeout
+        armed_at = []
+        arm = service._arm_background_loops
+
+        def recording_arm(session_id):
+            armed_at.append(site.env.now)
+            return arm(session_id)
+
+        service._arm_background_loops = recording_arm
+        marks = {}
+
+        def scenario():
+            info = yield from client.obtain_proxy_and_connect(n_engines=2)
+            refs = site.registry.engines(info.session_id)
+            marks["phases"] = [
+                (ref.registered_at - armed_at[0]) % period for ref in refs
+            ]
+            yield from client.select_dataset("ds-small")
+            yield from client.upload_code(higgs.SOURCE)
+            yield from client.run()
+            victim = refs[0]
+            ticks = (site.env.now - victim.registered_at) // period + 2
+            yield site.env.timeout(
+                victim.registered_at + ticks * period - site.env.now
+            )
+            marks["hung_at"] = site.env.now
+            marks["last_beat"] = site.registry.last_heartbeat(
+                info.session_id, victim.engine_id
+            )
+            site.injector.hang_worker(victim.worker)
+            final = yield from client.wait_for_completion(
+                poll_interval=2.0, timeout=4000.0
+            )
+            marks["events"] = final.progress.events_processed
+            marks["session"] = service._sessions[info.session_id]
+            yield from client.close()
+
+        drive(site, scenario())
+        assert armed_at == [3.75]
+        assert marks["phases"] == [0.0, 0.0]
+        assert marks["hung_at"] == 33.75
+        assert marks["last_beat"] == marks["hung_at"] - period
+        (recovery,) = marks["session"]["recoveries"]
+        assert recovery["detected_at"] == pytest.approx(53.75, abs=1e-9)
+        # First tick at which the silence exceeds the timeout.
+        assert recovery["detected_at"] == marks["last_beat"] + timeout + period
+        resumed_at = min(
+            d["at"]
+            for d in marks["session"]["redispatches"]
+            if d["at"] >= recovery["detected_at"]
+        )
+        detect_to_resume = resumed_at - recovery["detected_at"]
+        assert detect_to_resume == pytest.approx(12.72021984155128, abs=1e-9)
+        assert marks["events"] == 2_000
+
 
 # ---------------------------------------------------------------------------
 # Re-dispatch under worker loss

@@ -52,11 +52,6 @@ def test_capacity_bound_drops_oldest_but_counts_survive():
     assert [e.attrs["index"] for e in log.events()] == [7, 8, 9]
     # All-time per-kind counts are not bounded by the retention window.
     assert log.counts() == {"fault_injected": 10}
-    single = EventLog(Clock(), capacity=1)
-    single.emit("fault_injected", index=0)
-    single.emit("fault_injected", index=1)
-    assert len(single) == 1
-    assert single.dropped == 1
 
 
 def test_capacity_and_severity_validation():
@@ -82,6 +77,17 @@ def test_query_filters_and_tail():
     ]
     assert [e.kind for e in log.tail(2)] == ["fault_detected", "slo_breach"]
     assert log.tail(0) == []
+
+
+def test_subscribers_fire_before_eviction():
+    # emit hands each event back to its caller, so even one the bound
+    # evicts at once is seen in full before it goes.
+    log = EventLog(Clock(), capacity=1)
+    seen = [log.emit("fault_injected", index=index) for index in range(2)]
+    assert [e.attrs["index"] for e in seen] == [0, 1]
+    assert len(log) == 1
+    assert log.dropped == 1
+    assert log.events() == seen[1:]
 
 
 def test_jsonl_round_trip():

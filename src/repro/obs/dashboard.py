@@ -39,27 +39,38 @@ def nodes_section(
 
     *engines* rows carry ``engine_id`` / ``worker`` / ``cursor`` /
     ``total`` / ``state`` (the shape ``SessionService.status`` returns).
+    Rows are ordered by engine index (``engine-2`` before ``engine-10``)
+    and every column is as wide as its widest cell, so the bars line up.
     A slow engine shows as a lagging bar.
     """
     if not engines:
         return ["  (no engines)"]
-    lines = []
-    for row in engines:
-        total = int(row.get("total") or 0)
-        cursor = int(row.get("cursor") or 0)
-        fraction = cursor / total if total else 0.0
-        lines.append(
-            "  {worker:<8} {engine:<10} {state:<9} {bar} "
-            "{cursor:>8}/{total}".format(
-                worker=str(row.get("worker") or "?"),
-                engine=str(row.get("engine_id")),
-                state=str(row.get("state") or "?"),
-                bar=progress_bar(fraction, bar_width),
-                cursor=cursor,
-                total=total,
-            )
+    cells = [
+        (
+            str(row.get("worker") or "?"),
+            str(row.get("engine_id")),
+            str(row.get("state") or "?"),
+            int(row.get("cursor") or 0),
+            int(row.get("total") or 0),
         )
-    return lines
+        for row in engines
+    ]
+    cells.sort(key=lambda cell: _engine_order(cell[1]))
+    worker_w, engine_w, state_w = (
+        max(len(cell[column]) for cell in cells) for column in range(3)
+    )
+    return [
+        f"  {worker:<{worker_w}} {engine:<{engine_w}} {state:<{state_w}} "
+        f"{progress_bar(cursor / total if total else 0.0, bar_width)} "
+        f"{cursor:>8}/{total}"
+        for worker, engine, state, cursor, total in cells
+    ]
+
+
+def _engine_order(engine_id: str):
+    """Sort key: the id's prefix, then its trailing index as a number."""
+    prefix, _, index = engine_id.rpartition("-")
+    return (prefix, int(index)) if index.isdigit() else (engine_id, -1)
 
 
 def slo_section(rows: List[Dict[str, object]]) -> List[str]:

@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.aida.tree import ObjectTree
 from repro.engine.engine import Snapshot
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, NULL_SPAN, Observability
 from repro.resilience.faults import ServiceUnavailable
 from repro.services.combiner import EngineEntry, MergeTree, plan_groups
 from repro.sim import Environment, Event, Timeout
@@ -647,15 +647,20 @@ class AIDAManagerService:
         """
         if self._down:
             raise ServiceUnavailable("AIDA manager is down")
-        self._poll_metric.inc()
+        observed = self._observed
+        if observed:
+            self._poll_metric.inc()
         inflight = self._inflight.get(session_id) if self.coalesce else None
         if inflight is not None:
-            span = self.obs.tracer.child("aida.merge.join", session=session_id)
+            span = NULL_SPAN
+            if observed:
+                span = self.obs.tracer.child("aida.merge.join", session=session_id)
             return inflight.join(self.env, client_id, have, span)
-        span = self.obs.tracer.child("aida.merge", session=session_id)
         tier = self._live_tier(session_id)
         latency = tier.poll_latency(self.merge_cost_per_tree)
-        if self._observed:
+        span = NULL_SPAN
+        if observed:
+            span = self.obs.tracer.child("aida.merge", session=session_id)
             span.set(n_trees=tier.n_engines, n_dirty=len(tier.dirty_engines))
         if self.coalesce:
             inflight = self._inflight[session_id] = _InflightMerge()
@@ -676,7 +681,7 @@ class AIDAManagerService:
                     session = [e.snapshot for e in tier.entries().values()]
                     n_dirty = len(tier.dirty_engines)
                     level_folds = tier.refold()
-                    if self._observed:
+                    if observed:
                         self._merge_metric.observe(latency)
                         self._cache_hit_metric.inc(max(0, len(session) - n_dirty))
                         self._cache_miss_metric.inc(n_dirty)
@@ -738,7 +743,8 @@ class AIDAManagerService:
         """The leader's merge completed: serve (or fail) every joiner."""
         if not inflight.n_joiners:
             return
-        self._coalesced_metric.inc(inflight.n_joiners)
+        if self._observed:
+            self._coalesced_metric.inc(inflight.n_joiners)
         if not leader.ok:
             for _have, event, joiners in inflight.waves:
                 for _client_id, span in joiners:
@@ -761,7 +767,7 @@ class AIDAManagerService:
         if client_id is None or session_id in self._dropped:
             return
         cursors = self._cursors.setdefault(session_id, {})
-        if cursors.get(client_id) == generation:
+        if cursors.get(client_id) == generation and self._observed:
             self._redundant_metric.inc()
         cursors[client_id] = generation
 

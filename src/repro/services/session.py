@@ -937,13 +937,15 @@ class SessionService:
     ):
         """Stage a dataset onto the session's workers (generator operation).
 
-        The replica catalog is consulted first: a warm hit skips the WAN
-        fetch and/or the scatter entirely, a partial hit moves only the
-        missing parts (peer-to-peer from other worker caches where that is
-        cheaper than the SE spindle), and a fully cold stage runs the
-        §3.4 pipeline, registering the copies it produces so the next
-        stage is warm.  Returns the :class:`StagedDataset` bookkeeping
-        (with the per-phase timing breakdown the benchmarks print).
+        One path for every stage: the replica plan says where each part
+        comes from (a fully cold stage is a plan with every part
+        missing).  The catalog is consulted only when it knows the
+        dataset, the whole file is fetched only when a split needs it
+        and the SE lacks it, and the splitter's pipeline produces the
+        missing parts and moves every part the workers lack.  The copies
+        the stage leaves behind are recorded, so the next stage is warm.
+        Returns the :class:`StagedDataset` bookkeeping (with the
+        per-phase timing breakdown the benchmarks print).
         """
         session = self._session(session_id)
         entry = self.catalog.entry(dataset_id)
@@ -957,67 +959,92 @@ class SessionService:
         # Part keys depend only on the split geometry, so plan with a
         # template worker order, then permute the references so cached
         # parts land on the workers that hold them.
-        references = session["references"]
         template = self.splitter.plan_parts(
-            location, [ref.worker for ref in references], strategy
+            location, [ref.worker for ref in session["references"]], strategy
         )
         keys = rm.part_keys(dataset_id, strategy, template)
-        aligned = rm.align_references(references, keys)
+        references = rm.align_references(session["references"], keys)
         parts = self.splitter.plan_parts(
-            location, [ref.worker for ref in aligned], strategy
+            location, [ref.worker for ref in references], strategy
         )
         plan = rm.plan_sources(location, strategy, parts, keys)
-        fetch_skippable = (
-            location.origin_host is not None and rm.has_whole(location)
-        )
-        if not plan.fully_cold or fetch_skippable:
-            references = aligned
-            staged = yield from self._stage_from_replicas(
-                session_id, entry, location, strategy, streams, parts, keys,
-                plan,
-            )
-        else:
-            # Fully cold: the §3.4 pipeline as-is.  No catalog consult,
-            # whose SOAP round-trip would add to Table 2's stage time.
-            fetch_seconds = 0.0
-            if location.origin_host is not None:
-                fetch_seconds = yield from self._fetch_whole(location)
 
-            workers = [
-                self.gram.scheduler.element.worker(ref.worker)
-                for ref in references
-            ]
-            if location.kind == "database":
-                # Contiguous-record DB location (§3.4): server-side range
-                # queries replace the serial split pass entirely.
-                report: StageReport = yield self.splitter.query_and_scatter(
-                    location, workers, strategy=strategy, streams=streams
-                )
-            else:
-                report = yield self.splitter.split_and_scatter(
-                    location, workers, strategy=strategy, streams=streams
-                )
-            # Bookkeeping only (no simulated time): record every copy the
-            # cold pipeline just produced, pinned for this session.
-            for part, key in zip(report.parts, keys):
-                if location.kind != "database":
+        # The split phase is the catalog consult plus production, never
+        # the WAN fetch; without a consult it starts with the pipeline.
+        started = None
+        if not plan.fully_cold or (
+            location.origin_host is not None and rm.has_whole(location)
+        ):
+            # One SOAP round trip.  A dataset the catalog has never seen
+            # is a local lookup: a cold stage adds nothing to Table 2.
+            started = self.env.now
+            yield self.env.timeout(self.calibration.soap_latency_s)
+        need_split = bool(plan.missing) and location.kind != "database"
+        fetch_seconds = 0.0
+        if need_split and not rm.has_whole(location):
+            fetch_seconds = yield from self._fetch_whole(location)
+            if started is not None:
+                started += fetch_seconds
+        fetch_skipped = location.origin_host is not None and not fetch_seconds
+
+        def record_split():
+            # A split pass leaves every part file of the geometry on the SE.
+            for part, key in zip(parts, keys):
+                if not rm.se_has_part(key):
                     rm.record_se_part(dataset_id, key, part.size_mb)
-                rm.record_worker_part(
-                    dataset_id, key, part.worker, part.size_mb, session_id
-                )
-            rm.note_stage(plan)
-            staged = StagedDataset(
-                dataset_id=dataset_id,
-                size_mb=location.size_mb,
-                n_events=location.n_events,
-                content=entry.content,
-                parts=tuple(report.parts),
-                fetch_seconds=fetch_seconds,
-                split_seconds=report.split_seconds,
-                move_parts_seconds=report.move_parts_seconds,
-                strategy=strategy,
-                cold_parts=len(report.parts),
+
+        # A stage the catalog knows registers the split's part files as the
+        # split ends; a cold stage registers every copy as it completes.
+        record_now = need_split and started is not None
+        if len(plan.local) < len(parts):  # something to produce or move
+            element = self.gram.scheduler.element
+            report: StageReport = yield self.splitter.split_and_scatter(
+                location,
+                [element.worker(ref.worker) for ref in references],
+                streams=streams,
+                plan=plan,
+                fetch_peer=lambda source: self._peer_fetch(
+                    location, source, streams
+                ),
+                started=started,
+                produced=record_split if record_now else None,
             )
+            split_seconds = report.split_seconds
+            move_seconds = report.move_parts_seconds
+        else:
+            split_seconds, move_seconds = self.env.now - started, 0.0
+
+        # Bookkeeping only (no simulated time): record the copies this
+        # stage made, pinned for this session.
+        if need_split and not record_now:
+            record_split()
+        for s in plan.local:
+            rm.touch(s.worker, s.key, session_id)
+        for s in plan.peer + plan.se + plan.missing:
+            rm.record_worker_part(
+                dataset_id, s.key, s.worker, s.size_mb, session_id
+            )
+        rm.note_stage(
+            plan, fetch_skipped_mb=location.size_mb if fetch_skipped else 0.0
+        )
+        staged = StagedDataset(
+            dataset_id=dataset_id,
+            size_mb=location.size_mb,
+            n_events=location.n_events,
+            content=entry.content,
+            parts=tuple(parts),
+            fetch_seconds=fetch_seconds,
+            split_seconds=split_seconds,
+            move_parts_seconds=move_seconds,
+            strategy=strategy,
+            local_hits=len(plan.local),
+            peer_hits=len(plan.peer),
+            se_hits=len(plan.se),
+            cold_parts=len(plan.missing),
+            fetch_skipped=fetch_skipped,
+            saved_mb=sum(s.size_mb for s in plan.local)
+            + (location.size_mb if fetch_skipped else 0.0),
+        )
         # Record the plan and who owns what (the recovery monitor
         # re-dispatches these assignments when an engine dies) before any
         # engine loads its part descriptor + the content recipe.
@@ -1075,156 +1102,6 @@ class SessionService:
         self.replicas.record_whole(location)
         return self.env.now - started
 
-    @staticmethod
-    def _part_file_name(location: DatasetLocation, part: PartDescriptor) -> str:
-        """The on-disk part name the splitter's pipelines use."""
-        stem = "range" if location.kind == "database" else "part"
-        return f"{location.dataset_id}.{stem}{part.part_index}"
-
-    def _stage_from_replicas(
-        self,
-        session_id: str,
-        entry,
-        location: DatasetLocation,
-        strategy: str,
-        streams: Optional[int],
-        parts: List[PartDescriptor],
-        keys: List[str],
-        plan,
-    ):
-        """Warm/partial staging driven by the replica catalog (generator).
-
-        Movement policy per part: **local** parts move nothing (the
-        assigned worker already caches them); **se** parts (and parts
-        just produced by a split/range query) scatter through the
-        spindle-serialized GridFTP path; **peer** parts transfer
-        point-to-point between worker caches, falling back to the SE if
-        the peer fails mid-transfer.  The WAN fetch and serial split run
-        only when some part of this geometry must actually be produced.
-        """
-        rm = self.replicas
-        cal = self.calibration
-        dataset_id = location.dataset_id
-        tracer = self.obs.tracer
-        element = self.gram.scheduler.element
-        span = tracer.child(
-            "stage.replica",
-            dataset=dataset_id,
-            local=len(plan.local),
-            peer=len(plan.peer),
-            se=len(plan.se),
-            missing=len(plan.missing),
-        )
-        with tracer.activate(span):
-            split_started = self.env.now
-            # One SOAP round-trip: the replica-catalog consult.
-            yield self.env.timeout(cal.soap_latency_s)
-
-            fetch_seconds = 0.0
-            need_split = bool(plan.missing) and location.kind != "database"
-            if need_split and not rm.has_whole(location):
-                fetch_seconds = yield from self._fetch_whole(location)
-            fetch_skipped = (
-                location.origin_host is not None and fetch_seconds == 0.0
-            )
-
-            if need_split:
-                # The split pass iterates the whole file regardless of how
-                # many parts are missing — same cost as a cold split — and
-                # leaves *every* part file on the SE.
-                split_span = tracer.child(
-                    "stage.split",
-                    phase="split",
-                    mb=location.size_mb,
-                    parts=len(parts),
-                )
-                yield self.env.timeout(
-                    self.splitter.split_seconds_for(location, len(parts))
-                )
-                split_span.finish()
-                for part, key in zip(parts, keys):
-                    if not rm.se_has_part(key):
-                        rm.record_se_part(dataset_id, key, part.size_mb)
-            elif plan.missing:
-                # Database location: missing parts are server-side range
-                # queries, no split pass.
-                plan_span = tracer.child(
-                    "stage.query_plan", phase="split", parts=len(plan.missing)
-                )
-                yield self.env.timeout(
-                    SplitterService.DEFAULT_PER_QUERY_OVERHEAD
-                    * len(plan.missing)
-                )
-                plan_span.finish()
-            split_seconds = self.env.now - split_started
-
-            move_started = self.env.now
-            move_span = tracer.child("stage.move_parts", phase="move_parts")
-            scatter_sources = plan.se + plan.missing
-            waits = []
-            with tracer.activate(move_span):
-                if scatter_sources:
-                    waits.append(
-                        self.ftp.scatter(
-                            self.storage,
-                            [element.worker(s.worker) for s in scatter_sources],
-                            [
-                                (
-                                    self._part_file_name(location, s.part),
-                                    s.size_mb,
-                                )
-                                for s in scatter_sources
-                            ],
-                            streams=streams,
-                        )
-                    )
-                for s in plan.peer:
-                    waits.append(
-                        self.env.process(
-                            tracer.trace_gen(
-                                "stage.peer_fetch",
-                                self._peer_fetch(location, s, streams),
-                                file=self._part_file_name(location, s.part),
-                                src=s.source,
-                                dst=s.worker,
-                            )
-                        )
-                    )
-            if waits:
-                yield self.env.all_of(waits)
-            move_span.finish()
-            move_seconds = self.env.now - move_started
-
-            for s in plan.local:
-                rm.touch(s.worker, s.key, session_id)
-            for s in plan.peer + scatter_sources:
-                rm.record_worker_part(
-                    dataset_id, s.key, s.worker, s.size_mb, session_id
-                )
-            rm.note_stage(
-                plan,
-                fetch_skipped_mb=location.size_mb if fetch_skipped else 0.0,
-            )
-        span.finish(fetch_skipped=fetch_skipped)
-        return StagedDataset(
-            dataset_id=dataset_id,
-            size_mb=location.size_mb,
-            n_events=location.n_events,
-            content=entry.content,
-            parts=tuple(parts),
-            fetch_seconds=fetch_seconds,
-            split_seconds=split_seconds,
-            move_parts_seconds=move_seconds,
-            strategy=strategy,
-            local_hits=len(plan.local),
-            peer_hits=len(plan.peer),
-            se_hits=len(plan.se),
-            cold_parts=len(plan.missing),
-            fetch_skipped=fetch_skipped,
-            saved_mb=sum(s.size_mb for s in plan.local)
-            + (location.size_mb if fetch_skipped else 0.0),
-        )
-
     def _peer_fetch(self, location: DatasetLocation, source, streams):
         """Pull one part from another worker's cache (generator).
 
@@ -1236,7 +1113,7 @@ class SessionService:
         rm = self.replicas
         element = self.gram.scheduler.element
         dst = element.worker(source.worker)
-        name = self._part_file_name(location, source.part)
+        name = self.splitter.part_file(location, source.part)
         try:
             peer = element.worker(source.source)
             yield self.ftp.transfer_file(

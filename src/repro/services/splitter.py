@@ -16,15 +16,18 @@ nearly-flat split column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.grid.nodes import Node, StorageElement
-from repro.grid.transfer import GridFTPService, ScatterReport
+from repro.grid.transfer import GridFTPService
 from repro.obs import NULL_OBS, Observability
 from repro.services.locator import DatasetLocation
 from repro.sim import Environment, Process
+
+if TYPE_CHECKING:
+    from repro.replica.manager import PartSource, StagePlan
 
 
 class SplitterError(Exception):
@@ -57,7 +60,11 @@ class StageReport:
 
 
 class SplitterService:
-    """Splits a dataset on its storage element and scatters the parts.
+    """Produces a stage's missing parts and moves the parts workers lack.
+
+    Every stage, cold or warm, runs the one pipeline
+    :meth:`split_and_scatter`: a fully cold stage is the replica plan
+    with every part missing.
 
     Parameters
     ----------
@@ -74,8 +81,8 @@ class SplitterService:
         overhead for the number of split files", §4).
     """
 
-    #: Per-part range-query planning cost (seconds) when none is given.
-    DEFAULT_PER_QUERY_OVERHEAD = 0.5
+    #: Per-part range-query planning cost (seconds) of a database location.
+    PER_QUERY_OVERHEAD = 0.5
 
     def __init__(
         self,
@@ -94,16 +101,6 @@ class SplitterService:
         self.ftp = ftp
         self.split_rate = split_rate
         self.per_file_overhead = per_file_overhead
-
-    def split_seconds_for(self, location: DatasetLocation, n_parts: int) -> float:
-        """Cost of the serial split pass for *n_parts* (the §4 model).
-
-        The pass "must iterate through the entire dataset in all cases",
-        so the cost is the same whether every part is needed or only a
-        few are missing — the replica-aware staging path charges exactly
-        this when any part of a geometry has to be (re)produced.
-        """
-        return location.size_mb * self.split_rate + n_parts * self.per_file_overhead
 
     def plan_parts(
         self,
@@ -186,62 +183,11 @@ class SplitterService:
             for index in range(n_parts)
         ]
 
-    def query_and_scatter(
-        self,
-        location: DatasetLocation,
-        worker_nodes: Sequence[Node],
-        strategy: str = "by-events",
-        event_weights: Optional[np.ndarray] = None,
-        streams: Optional[int] = None,
-        per_query_overhead: float = DEFAULT_PER_QUERY_OVERHEAD,
-    ) -> Process:
-        """Stage a *database*-located dataset: range queries, no split pass.
-
-        §3.4 allows the location to be "a set of contiguous records in a
-        database server"; each part is then a server-side range query, so
-        the serial whole-dataset split pass disappears — only a small
-        per-query planning overhead plus the scatter remain.
-        """
-        parts = self.plan_parts(
-            location,
-            [node.name for node in worker_nodes],
-            strategy,
-            event_weights,
-        )
-
-        tracer = self.obs.tracer
-
-        def run():
-            planning_started = self.env.now
-            plan_span = tracer.child(
-                "stage.query_plan", phase="split", parts=len(parts)
-            )
-            yield self.env.timeout(per_query_overhead * len(parts))
-            plan_span.finish()
-            planning_seconds = self.env.now - planning_started
-            move_started = self.env.now
-            move_span = tracer.child("stage.move_parts", phase="move_parts")
-            with tracer.activate(move_span):
-                scatter = self.ftp.scatter(
-                    self.storage,
-                    list(worker_nodes),
-                    [
-                        (f"{location.dataset_id}.range{p.part_index}", p.size_mb)
-                        for p in parts
-                    ],
-                    streams=streams,
-                )
-            yield scatter
-            move_span.finish()
-            return StageReport(
-                split_seconds=planning_seconds,
-                move_parts_seconds=self.env.now - move_started,
-                parts=parts,
-            )
-
-        return self.env.process(
-            tracer.trace_gen("stage.query_and_scatter", run())
-        )
+    @staticmethod
+    def part_file(location: DatasetLocation, part: PartDescriptor) -> str:
+        """The on-disk name of one part (a range query's for a database)."""
+        stem = "range" if location.kind == "database" else "part"
+        return f"{location.dataset_id}.{stem}{part.part_index}"
 
     def split_and_scatter(
         self,
@@ -250,48 +196,90 @@ class SplitterService:
         strategy: str = "by-events",
         event_weights: Optional[np.ndarray] = None,
         streams: Optional[int] = None,
+        plan: Optional["StagePlan"] = None,
+        fetch_peer: Optional[Callable[["PartSource"], Generator]] = None,
+        started: Optional[float] = None,
+        produced: Optional[Callable[[], None]] = None,
     ) -> Process:
-        """Run the full §3.4 staging pipeline; value is a :class:`StageReport`.
+        """Produce what a stage misses and move what it lacks; value is a
+        :class:`StageReport`.
 
-        The split pass (serial, whole dataset) runs first; the scatter then
-        pipelines SE disk reads with parallel per-worker transfers.
+        *worker_nodes* are the workers in part order.  Without a *plan*
+        every part is missing (the §3.4 pipeline); with one
+        (``ReplicaManager.plan_sources``) its parts are the geometry.
+        Production: a file location runs the serial split pass over the
+        whole dataset if any part is missing; a database location plans
+        one server-side range query per missing part; then *produced*
+        (if given) is called.  Movement: the SE and missing parts
+        scatter, pipelining SE disk reads with parallel per-worker
+        transfers, while each peer part runs ``fetch_peer(source)``
+        alongside.  ``split_seconds`` runs from *started* (default: the
+        pipeline's start) to the end of production.
         """
-        parts = self.plan_parts(
-            location,
-            [node.name for node in worker_nodes],
-            strategy,
-            event_weights,
-        )
-
+        if plan is None:
+            parts = self.plan_parts(
+                location,
+                [node.name for node in worker_nodes],
+                strategy,
+                event_weights,
+            )
+            missing, scatter, peers = parts, parts, []
+        else:
+            parts = [source.part for source in plan.sources]
+            missing = [source.part for source in plan.missing]
+            scatter = [source.part for source in plan.se] + missing
+            peers = plan.peer
+        nodes = list(worker_nodes)
         tracer = self.obs.tracer
 
         def run():
-            split_started = self.env.now
-            split_span = tracer.child(
-                "stage.split",
-                phase="split",
-                mb=location.size_mb,
-                parts=len(parts),
-            )
-            yield self.env.timeout(
-                self.split_seconds_for(location, len(parts))
-            )
-            split_span.finish()
+            split_started = self.env.now if started is None else started
+            if missing:
+                if location.kind == "database":
+                    # Server-side range queries: no split pass at all.
+                    name = "stage.query_plan"
+                    seconds = self.PER_QUERY_OVERHEAD * len(missing)
+                else:
+                    # The pass "must iterate through the entire dataset in
+                    # all cases" (§4): one cost however few parts are missing.
+                    name = "stage.split"
+                    seconds = (
+                        location.size_mb * self.split_rate
+                        + len(parts) * self.per_file_overhead
+                    )
+                span = tracer.child(name, phase="split", parts=len(missing))
+                yield self.env.timeout(seconds)
+                span.finish()
             split_seconds = self.env.now - split_started
+            if produced is not None:
+                produced()
 
             move_started = self.env.now
             move_span = tracer.child("stage.move_parts", phase="move_parts")
+            waits = []
             with tracer.activate(move_span):
-                scatter = self.ftp.scatter(
-                    self.storage,
-                    list(worker_nodes),
-                    [
-                        (f"{location.dataset_id}.part{p.part_index}", p.size_mb)
-                        for p in parts
-                    ],
-                    streams=streams,
-                )
-            report: ScatterReport = yield scatter
+                if scatter:
+                    waits.append(
+                        self.ftp.scatter(
+                            self.storage,
+                            [nodes[part.part_index] for part in scatter],
+                            [(self.part_file(location, p), p.size_mb) for p in scatter],
+                            streams=streams,
+                        )
+                    )
+                for source in peers:
+                    waits.append(
+                        self.env.process(
+                            tracer.trace_gen(
+                                "stage.peer_fetch",
+                                fetch_peer(source),
+                                file=self.part_file(location, source.part),
+                                src=source.source,
+                                dst=source.worker,
+                            )
+                        )
+                    )
+            yield waits[0] if len(waits) == 1 else self.env.all_of(waits)
             move_span.finish()
             return StageReport(
                 split_seconds=split_seconds,
@@ -300,5 +288,11 @@ class SplitterService:
             )
 
         return self.env.process(
-            tracer.trace_gen("stage.split_and_scatter", run())
+            tracer.trace_gen(
+                "stage.split_and_scatter",
+                run(),
+                missing=len(missing),
+                se=len(scatter) - len(missing),
+                peer=len(peers),
+            )
         )

@@ -234,6 +234,7 @@ TELEMETRY_CALLERS = {
     ("EngineHost", "_process_loop"): {"inc", "observe"},
     ("WorkerRegistryService", "heartbeat"): {"observe"},
     ("AIDAManagerService", "submit_snapshot"): {"inc"},
+    ("AIDAManagerService", "merged"): {"inc", "child"},
 }
 CALLER_METHODS = {method for _owner, method in TELEMETRY_CALLERS}
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.__main__ import main, record_run
+from repro.obs.dashboard import nodes_section
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,25 @@ def test_dashboard_subcommand_from_artifacts(recorded, capsys):
     assert "SLO breaches" in board
     assert main(["dashboard"]) == 0
     assert "(no artifacts provided)" in capsys.readouterr().out
+
+
+def test_status_board_rows_in_engine_order_with_aligned_bars():
+    # ``SessionService.status`` lists engines in string order.
+    rows = [
+        {
+            "engine_id": f"session-3-engine-{k}",
+            "worker": f"w{k}",
+            "cursor": 50 * k,
+            "total": 600,
+            "state": "running",
+        }
+        for k in sorted(range(12), key=str)
+    ]
+    lines = nodes_section(rows)
+    assert [line.split()[1] for line in lines] == [
+        f"session-3-engine-{k}" for k in range(12)
+    ]
+    assert len({line.index("[") for line in lines}) == 1
 
 
 # -- acceptance: seeded 16-node run with one injected slow node ------------

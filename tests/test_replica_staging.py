@@ -119,6 +119,114 @@ def test_cold_stage_timings_identical_with_and_without_cache():
 
 
 # ---------------------------------------------------------------------------
+# Pinned breakdowns: every staging case costs exactly what it always did.
+# Each literal is (fetch, split, move parts, local, peer, se, cold parts).
+# ---------------------------------------------------------------------------
+
+def breakdown(staged):
+    return (
+        staged.fetch_seconds,
+        staged.split_seconds,
+        staged.move_parts_seconds,
+        staged.local_hits,
+        staged.peer_hits,
+        staged.se_hits,
+        staged.cold_parts,
+    )
+
+
+def build_db_site():
+    site = build_site()
+    site.register_dataset(
+        "db", "/t/db", size_mb=40.0, n_events=2000,
+        content={"kind": "ilc", "seed": 42}, kind="database",
+    )
+    return site
+
+
+def test_cold_database_stage_timings_pinned():
+    site = build_db_site()
+    cred = site.enroll_user("/CN=alice")
+    staged = run_session(site, cred, dataset="db")["staged"]
+    assert breakdown(staged) == (
+        0.0, 2.0, 5.448559069369487, 0, 0, 0, 4
+    )
+
+
+def test_partial_peer_stage_timings_pinned():
+    site = build_site(n_workers=6)
+    cred = site.enroll_user("/CN=alice")
+    first = run_session(site, cred, n_engines=4)
+    rm = site.replicas
+    # holder_a's part moves to holder_b's cache only (SE part files of
+    # both gone), so holder_a's slot must pull it from holder_b.
+    holder_a, holder_b = first["workers"][0], first["workers"][1]
+    moved_key = rm.caches[holder_a].keys()[0]
+    size = rm.caches[holder_a].entry(moved_key).size_mb
+    rm.caches[holder_a].remove(moved_key, reason="scratch-purge")
+    for key in list(rm.caches[holder_b].keys()) + [moved_key]:
+        rm.catalog.unregister(key, "se", reason="scratch-purge")
+    rm.record_worker_part("ds", moved_key, holder_b, size)
+    staged = run_session(site, cred, n_engines=4, dataset_hint="ds")["staged"]
+    assert breakdown(staged) == (
+        0.0, 0.25, 1.5683090693694837, 3, 1, 0, 0
+    )
+
+
+def test_partial_database_stage_timings_pinned():
+    site = build_db_site()
+    cred = site.enroll_user("/CN=alice")
+    first = run_session(site, cred, dataset="db")
+    victim = first["workers"][0]
+    evicted_key = site.replicas.caches[victim].keys()[0]
+    site.replicas.caches[victim].remove(evicted_key, reason="scratch-purge")
+    staged = run_session(site, cred, dataset="db", dataset_hint="db")["staged"]
+    assert breakdown(staged) == (
+        0.0, 0.75, 2.5188715693694874, 3, 0, 0, 1
+    )
+
+
+def test_fully_local_restage_timings_pinned():
+    site = build_site()
+    cred = site.enroll_user("/CN=alice")
+    run_session(site, cred)
+    staged = run_session(site, cred, dataset_hint="ds")["staged"]
+    assert breakdown(staged) == (0.0, 0.25, 0.0, 4, 0, 0, 0)
+
+
+def test_restage_that_refetches_counts_the_fetch_once():
+    """``stage_seconds`` is the sim time the stage took, WAN fetch included once."""
+    site = build_site()
+    cred = site.enroll_user("/CN=alice")
+    first = run_session(site, cred)
+    rm = site.replicas
+    # One part leaves its worker cache and the SE, and the SE's whole
+    # file is evicted: the re-stage must fetch, split and scatter it.
+    victim = first["workers"][0]
+    key = rm.caches[victim].keys()[0]
+    rm.caches[victim].remove(key, reason="scratch-purge")
+    rm.catalog.unregister(key, "se", reason="scratch-purge")
+    assert rm.forget_whole("ds")
+
+    client = IPAClient(site, cred)
+    out = {}
+
+    def scenario():
+        yield from client.obtain_proxy_and_connect(dataset_hint="ds")
+        started = site.env.now
+        out["staged"] = yield site.env.process(
+            site.session_service.add_dataset(client.session.session_id, "ds")
+        )
+        out["took"] = site.env.now - started
+        yield from client.close()
+
+    site.env.run(until=site.env.process(scenario()))
+    staged = out["staged"]
+    assert staged.cold_parts == 1 and staged.fetch_seconds > 0
+    assert staged.stage_seconds == pytest.approx(out["took"], abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # Partial hits, peers, affinity
 # ---------------------------------------------------------------------------
 

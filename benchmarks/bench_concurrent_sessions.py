@@ -47,7 +47,7 @@ DISPATCH_OVERHEAD_S = 0.002
 MERGE_COST_S = 0.05
 #: CI gate: p99 at 1024 sessions within this factor of 16 sessions.
 P99_FACTOR = 5.0
-#: Absolute interactivity backstop (the site SLO default is 0.25 s).
+#: Absolute interactivity backstop (the poll-latency objective is 0.25 s).
 P99_ABS_S = 0.5
 
 #: Coalescing case: many clients, one session.

@@ -1,9 +1,8 @@
 """ASCII dashboards: headless stand-ins for the JAS windows.
 
 ``dashboard`` renders the merged-results view (Fig. 4);
-``render_catalog`` renders the dataset-chooser view (Fig. 3);
-``status_board`` renders the operator's telemetry view (nodes, SLO
-gauges, recent events — see :mod:`repro.obs.dashboard`).
+``render_catalog`` renders the dataset-chooser view (Fig. 3).  The
+operator's telemetry view is :func:`repro.obs.dashboard.render_board`.
 """
 
 from __future__ import annotations
@@ -59,29 +58,6 @@ def dashboard(
         lines.append(f"... and {len(paths) - max_objects} more objects")
     lines.append("=" * (width + 2))
     return "\n".join(lines)
-
-
-def status_board(
-    obs,
-    session_service=None,
-    session_id: Optional[str] = None,
-    max_events: int = 8,
-) -> str:
-    """Render the live telemetry status board for one run.
-
-    Thin client-side wrapper over
-    :func:`repro.obs.dashboard.render_board` so display code can stay
-    imported from one place; works mid-run and degrades gracefully when
-    observability is disabled.
-    """
-    from repro.obs.dashboard import render_board
-
-    return render_board(
-        obs,
-        session_service=session_service,
-        session_id=session_id,
-        max_events=max_events,
-    )
 
 
 def render_catalog(

@@ -41,7 +41,7 @@ from repro.grid.security import (
     VirtualOrganization,
 )
 from repro.grid.transfer import GridFTPService
-from repro.obs import Observability, SLOPolicy
+from repro.obs import Observability
 from repro.replica import ReplicaManager
 from repro.resilience import (
     DurabilityConfig,
@@ -444,24 +444,6 @@ class GridSite:
             session_service=self.session_service,
             obs=self.obs,
         )
-        # Default interactivity SLO (§2.3 "limits of human tolerance"):
-        # merged-result polls must stay sub-interactive.  Signals are fed
-        # by the service envelope as "<service>.<operation>".
-        if self.obs.enabled:
-            # Federated sites share one Observability; only the first
-            # site to assemble installs the policy.
-            if not any(
-                p.name == "poll-latency" for p in self.obs.slo.policies
-            ):
-                self.obs.slo.add_policy(
-                    SLOPolicy(
-                        name="poll-latency",
-                        signal="aida.merged",
-                        objective=0.25,
-                        quantile=0.99,
-                        window_s=60.0,
-                    )
-                )
         self.control = ControlService(
             env,
             self.ca,

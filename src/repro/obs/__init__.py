@@ -12,20 +12,20 @@ off.  This package provides:
 * :mod:`repro.obs.trace` — a span tracer with correct context propagation
   across interleaved simulation processes;
 * :mod:`repro.obs.events` — a bounded structured event log (faults,
-  quarantines, evictions, checkpoints, SLO breaches);
-* :mod:`repro.obs.slo` — sliding-window quantile estimators and
-  :class:`~repro.obs.slo.SLOPolicy` objectives with error-budget burn;
+  quarantines, evictions, checkpoints);
 * :mod:`repro.obs.profile` — folded ``phase;subphase`` stacks, exact (from
   the finished trace) and sampled (live, on the simulated clock);
 * :mod:`repro.obs.dashboard` — the ASCII status board, live or from
-  exported JSONL;
+  exported JSONL, and the poll-latency objective: a read-time fold of
+  the finished ``aida.merged`` call spans, so it keeps no state of its
+  own;
 * :mod:`repro.obs.exporters` — JSON-lines traces, Prometheus text
   exposition, and the per-phase summary that reconciles with
   :mod:`repro.core.timeline` and feeds the paper-table benchmarks.
 
 Everything hangs off one :class:`Observability` handle.  Components take
-``obs=None`` and fall back to :data:`NULL_OBS`, whose tracer, registry,
-event log and SLO tracker are all no-ops — instrumentation is free
+``obs=None`` and fall back to :data:`NULL_OBS`, whose tracer, registry
+and event log are all no-ops — instrumentation is free
 when disabled (asserted by
 ``benchmarks/bench_obs_overhead.py``).
 """
@@ -52,15 +52,6 @@ from repro.obs.metrics import (
     NullRegistry,
     exponential_buckets,
     quantile_from_cumulative,
-)
-from repro.obs.slo import (
-    NULL_SLO_TRACKER,
-    NullSLOTracker,
-    SLOError,
-    SLOPolicy,
-    SLOTracker,
-    SlidingReservoir,
-    WindowedHistogram,
 )
 from repro.obs.trace import (
     NULL_SPAN,
@@ -100,14 +91,10 @@ class Observability:
             self.tracer: Tracer = Tracer(env)
             self.metrics: MetricsRegistry = MetricsRegistry()
             self.events: EventLog = EventLog(env, capacity=event_capacity)
-            self.slo: SLOTracker = SLOTracker(
-                env, events=self.events, metrics=self.metrics
-            )
         else:
             self.tracer = NULL_TRACER
             self.metrics = NULL_REGISTRY
             self.events = NULL_EVENT_LOG
-            self.slo = NULL_SLO_TRACKER
 
 
 #: Shared disabled instance — the default for every instrumented component.
@@ -128,22 +115,15 @@ __all__ = [
     "NULL_METRIC",
     "NULL_OBS",
     "NULL_REGISTRY",
-    "NULL_SLO_TRACKER",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullEventLog",
     "NullRegistry",
-    "NullSLOTracker",
     "NullTracer",
     "Observability",
-    "SLOError",
-    "SLOPolicy",
-    "SLOTracker",
-    "SlidingReservoir",
     "Span",
     "TraceError",
     "Tracer",
-    "WindowedHistogram",
     "events_from_jsonl",
     "exponential_buckets",
     "quantile_from_cumulative",

@@ -7,7 +7,8 @@ Render exported telemetry offline, or record a fresh instrumented run:
 * ``events events.jsonl`` — the structured event log;
 * ``profile profile.jsonl`` — folded-stack flame table;
 * ``dashboard --events E [--profile P] [--spans S]`` — the status board
-  rebuilt from exported artifacts;
+  rebuilt from exported artifacts (the poll-latency objective and its
+  breaches are folded from the spans alone);
 * ``record --out DIR`` — run a seeded, fully instrumented 16-node
   session (optionally with an injected slow node) and export
   ``spans.jsonl`` / ``events.jsonl`` / ``profile.jsonl`` /
@@ -79,14 +80,19 @@ def record_run(
 ) -> dict:
     """Run one instrumented session and export its telemetry artifacts.
 
-    Returns a small summary dict (session id, breach count,
-    artifact paths) so tests and the CI job can assert on the result.
+    Returns a small summary dict (session id, the poll-latency
+    objective folded from the whole trace and its breach count, artifact
+    paths) so tests and the CI job can assert on the result.
     """
     from repro.analysis import higgs
     from repro.client.client import IPAClient
     from repro.core.site import GridSite, SiteConfig
-    from repro.obs.dashboard import render_board
-    from repro.obs.exporters import metrics_to_prometheus, trace_to_jsonl
+    from repro.obs.dashboard import poll_objective, render_board
+    from repro.obs.exporters import (
+        metrics_to_prometheus,
+        span_to_dict,
+        trace_to_jsonl,
+    )
     from repro.obs.profile import SamplingProfiler, profile_to_jsonl
 
     site = GridSite(
@@ -148,10 +154,12 @@ def record_run(
     )
     artifacts["dashboard"].write_text(out["board"] + "\n")
 
-    counts = site.obs.events.counts()
     out["paths"] = {name: str(path) for name, path in artifacts.items()}
-    out["slo_breaches"] = counts.get("slo_breach", 0)
-    out["event_counts"] = counts
+    out["slo"] = poll_objective(
+        map(span_to_dict, site.obs.tracer.finished_spans())
+    )
+    out["slo_breaches"] = len(out["slo"]["breaches"])
+    out["event_counts"] = site.obs.events.counts()
     return out
 
 

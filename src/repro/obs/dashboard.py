@@ -1,4 +1,4 @@
-"""Live ASCII status board: nodes × phase, SLO gauges, events.
+"""Live ASCII status board: nodes × phase, the latency objective, events.
 
 The GRAPPA portal's lesson (PAPERS.md) is that a grid analysis framework
 needs an *operator surface*, not just logs: one glance should answer "are
@@ -7,9 +7,15 @@ happened".  This module renders exactly that board, two ways:
 
 * :func:`render_board` — live, mid-run, from the :class:`Observability`
   handle plus (optionally) a session service: per-node engine progress,
-  SLO gauges with error-budget burn, and the newest events;
+  the poll-latency objective with error-budget burn, and the newest
+  events;
 * :func:`board_from_jsonl` — offline, from exported JSONL artifacts
   (events / profile / spans), for post-mortems and the chaos CI job.
+
+The objective is checked at read time: :func:`poll_objective` folds the
+finished ``call:aida.merged`` spans the tracer already keeps, so the live
+board (the tracer's spans) and the offline one (``spans.jsonl``) report
+the same numbers and nothing is recorded for it while the run goes.
 
 Every section degrades gracefully: with ``NULL_OBS`` the board still
 renders, stating that telemetry is disabled.
@@ -17,9 +23,15 @@ renders, stating that telemetry is disabled.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.events import Event, events_from_jsonl, render_events
+from repro.obs.exporters import (
+    phase_summary_records,
+    span_to_dict,
+    spans_from_jsonl,
+)
 from repro.obs.profile import profile_from_jsonl, render_profile
 
 
@@ -73,32 +85,104 @@ def _engine_order(engine_id: str):
     return (prefix, int(index)) if index.isdigit() else (engine_id, -1)
 
 
-def slo_section(rows: List[Dict[str, object]]) -> List[str]:
-    """SLO gauge rows from :meth:`repro.obs.slo.SLOTracker.status`."""
-    if not rows:
-        return ["  (no SLO policies)"]
-    lines = []
-    for row in rows:
-        estimate = row["estimate"]
-        shown = (
-            "    --" if estimate != estimate else f"{estimate:6.3f}s"
+#: The interactivity objective (§2.3 "within the limits of human
+#: tolerance"): the p99 latency of merged-result polls over any 60
+#: simulated seconds stays below 250 ms, judged once 5 polls are in window.
+POLL_SPAN = "call:aida.merged"
+OBJECTIVE_S = 0.25
+QUANTILE = 0.99
+WINDOW_S = 60.0
+MIN_SAMPLES = 5
+
+
+def exact_quantile(values: List[float], q: float) -> float:
+    """*q*-quantile of sorted *values*, linear between order statistics."""
+    if not values:
+        return float("nan")
+    position = q * (len(values) - 1)
+    low = int(position)
+    high = min(low + 1, len(values) - 1)
+    return values[low] + (values[high] - values[low]) * (position - low)
+
+
+def poll_objective(
+    spans: Iterable[Dict[str, object]], now: Optional[float] = None
+) -> Dict[str, object]:
+    """Fold finished span records into the poll-latency objective.
+
+    The samples are the served ``call:aida.merged`` spans (status ``ok``;
+    latency ``end - start``).  The rule is replayed at each completion in
+    end order over an exact reservoir of the window ``(t - 60, t]``: the
+    objective breaches when the window's p99 exceeds it and recovers when
+    the p99 falls back, and nothing breaches below 5 samples.  The row
+    reads the window at *now*, no earlier than the last completion
+    (default: that completion); ``burn`` is the window's over-objective
+    share relative to the 1 % budget.
+    """
+    samples = sorted(
+        (
+            (span["end"], span["end"] - span["start"])
+            for span in spans
+            if span["name"] == POLL_SPAN and span["status"] == "ok"
+        ),
+        key=lambda sample: sample[0],
+    )
+    window: deque = deque()
+    breached = False
+    breaches = []
+    for end, latency in samples:
+        window.append((end, latency))
+        while window[0][0] <= end - WINDOW_S:
+            window.popleft()
+        if len(window) < MIN_SAMPLES:
+            continue
+        estimate = exact_quantile(sorted(v for _, v in window), QUANTILE)
+        if (estimate > OBJECTIVE_S) != breached:
+            breached = not breached
+            if breached:
+                breaches.append((end, estimate, len(window)))
+    if now is None:
+        now = samples[-1][0] if samples else 0.0
+    latencies = [v for t, v in window if t > now - WINDOW_S]
+    burn = (
+        sum(v > OBJECTIVE_S for v in latencies) / len(latencies)
+        / (1.0 - QUANTILE)
+        if latencies
+        else 0.0
+    )
+    return {
+        "name": "poll-latency",
+        "p99": exact_quantile(sorted(latencies), QUANTILE),
+        "samples": len(latencies),
+        "breached": breached,
+        "budget": max(0.0, 1.0 - burn),
+        "burn": burn,
+        "breaches": breaches,
+    }
+
+
+def slo_section(row: Dict[str, object]) -> List[str]:
+    """The objective's gauge row, then one line per breach instant."""
+    p99 = row["p99"]
+    lines = [
+        "  {name:<16} p{q:<4} {est} / {obj:.3f}s  {state:<6} "
+        "budget {budget:>4.0%}  burn {burn:4.1f}x  "
+        "({n} samples/{w:.0f}s)".format(
+            name=row["name"],
+            q=f"{QUANTILE * 100:g}",
+            est="    --" if p99 != p99 else f"{p99:6.3f}s",
+            obj=OBJECTIVE_S,
+            state="BREACH" if row["breached"] else "ok",
+            budget=row["budget"],
+            burn=row["burn"],
+            n=row["samples"],
+            w=WINDOW_S,
         )
-        state = "BREACH" if row["breached"] else "ok"
-        lines.append(
-            "  {name:<16} p{q:<4} {est} / {obj:.3f}s  {state:<6} "
-            "budget {budget:>4.0%}  burn {burn:4.1f}x  "
-            "({n} samples/{w:.0f}s)".format(
-                name=row["name"],
-                q=f"{float(row['quantile']) * 100:g}",
-                est=shown,
-                obj=row["objective"],
-                state=state,
-                budget=row["budget_remaining"],
-                burn=row["burn_rate"],
-                n=row["samples"],
-                w=row["window_s"],
-            )
-        )
+    ]
+    lines.extend(
+        f"  breach at t={time:.2f}s: p99 {estimate:.3f}s over {n} samples"
+        for time, estimate, n in row["breaches"]
+    )
     return lines
 
 
@@ -156,10 +240,10 @@ def render_board(
     that session's engines; otherwise it is omitted.  With a
     *federation* (a :class:`~repro.federation.topology.Federation`) a
     per-site panel is prepended — sessions brokered, resident replica
-    bytes, WAN traffic, admission backlog, partition state.  SLO and
-    event sections come from the
-    :class:`~repro.obs.Observability` handle and say so when telemetry
-    is disabled.
+    bytes, WAN traffic, admission backlog, partition state.  The
+    objective (folded from the tracer's spans at ``env.now``) and event
+    sections come from the :class:`~repro.obs.Observability` handle and
+    say so when telemetry is disabled.
     """
     now = getattr(getattr(obs, "env", None), "now", None)
     header = "== ipa status board"
@@ -193,7 +277,8 @@ def render_board(
         return "\n".join(lines)
 
     lines.append("slo:")
-    lines.extend(slo_section(obs.slo.status()))
+    spans = map(span_to_dict, obs.tracer.finished_spans())
+    lines.extend(slo_section(poll_objective(spans, now=obs.env.now)))
 
     lines.append(f"events (last {max_events}):")
     lines.extend(events_section(obs.events.tail(max_events), max_events))
@@ -216,13 +301,11 @@ def board_from_jsonl(
     rendered_any = False
 
     if spans_text is not None:
-        from repro.obs.exporters import (
-            phase_summary_records,
-            spans_from_jsonl,
-        )
-
         records = spans_from_jsonl(spans_text)
         lines.append(phase_summary_records(records))
+        row = poll_objective(records)
+        lines.append(f"slo: {len(row['breaches'])} SLO breaches")
+        lines.extend(slo_section(row))
         rendered_any = True
 
     if profile_text is not None:
@@ -236,11 +319,7 @@ def board_from_jsonl(
 
     if events_text is not None:
         events = events_from_jsonl(events_text)
-        breaches = [e for e in events if e.kind == "slo_breach"]
-        lines.append(
-            f"events: {len(events)} exported, "
-            f"{len(breaches)} SLO breaches"
-        )
+        lines.append(f"events: {len(events)} exported")
         federated = [e for e in events if e.kind.startswith("federation_")]
         partitions = [e for e in events if e.kind == "site_partitioned"]
         if federated or partitions:

@@ -3,9 +3,9 @@
 Metrics answer "how much"; traces answer "where did the time go"; the
 event log answers "what happened" — the discrete, operator-significant
 state transitions of a run: a fault was detected, an engine was
-quarantined, a replica was evicted, a checkpoint committed, an SLO
-breached.  Every record is typed (``kind``), timestamped on the simulated
-clock, and carries free-form attributes.
+quarantined, a replica was evicted, a checkpoint committed.  Every
+record is typed (``kind``), timestamped on the simulated clock, and
+carries free-form attributes.
 
 The log is **bounded**: it keeps the newest ``capacity`` events and
 counts what it dropped, so a week-long chaos run cannot grow it without
@@ -47,8 +47,6 @@ EVENT_KINDS = (
     "tier_configured",
     "combiner_crash",
     "combiner_retired",
-    "slo_breach",
-    "slo_recovered",
     "federation_session_brokered",
     "federation_failover",
     "federation_replica_migrated",

@@ -63,8 +63,7 @@ def quantile_from_cumulative(
     PromQL: the rank is ``q * total``; observations are assumed uniform
     within a bucket; the first finite bucket interpolates from 0 and the
     ``+Inf`` bucket degrades to the highest finite bound.  Returns ``nan``
-    with no observations.  Shared by :meth:`Histogram.quantile` and the
-    sliding-window estimators in :mod:`repro.obs.slo`.
+    with no observations.  Backs :meth:`Histogram.quantile`.
     """
     if not 0.0 <= q <= 1.0:
         raise MetricError("quantile must be in [0, 1]")

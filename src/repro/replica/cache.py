@@ -1,4 +1,4 @@
-"""Per-worker staging cache with capacity accounting, LRU+TTL, pinning.
+"""Per-worker staging cache with capacity accounting, LRU, pinning.
 
 Each worker node gets a :class:`NodeCache` tracking which dataset parts it
 holds on local disk and how many megabytes they occupy.  Admission may
@@ -40,7 +40,7 @@ EvictionCallback = Callable[[str, str, str], None]
 
 
 class NodeCache:
-    """LRU + TTL staging cache for one worker node.
+    """LRU staging cache for one worker node.
 
     Parameters
     ----------
@@ -48,10 +48,7 @@ class NodeCache:
         Worker/node name (reported to the eviction callback).
     capacity_mb:
         Disk budget for cached parts.  ``None`` disables the capacity
-        limit (TTL and explicit invalidation still apply).
-    ttl_s:
-        Entries unused for longer than this are treated as expired on the
-        next lookup and dropped.  ``None`` disables expiry.
+        limit (explicit invalidation still applies).
     on_evict:
         Called as ``on_evict(name, key, reason)`` for every entry that
         leaves the cache for any reason other than an explicit
@@ -62,12 +59,10 @@ class NodeCache:
         self,
         name: str,
         capacity_mb: Optional[float] = None,
-        ttl_s: Optional[float] = None,
         on_evict: Optional[EvictionCallback] = None,
     ) -> None:
         self.name = name
         self.capacity_mb = capacity_mb
-        self.ttl_s = ttl_s
         self.on_evict = on_evict
         self._entries: Dict[str, CacheEntry] = {}
         self.evictions = 0
@@ -90,26 +85,12 @@ class NodeCache:
         return self._entries.get(key)
 
     # -- lookup ------------------------------------------------------------
-    def _expired(self, entry: CacheEntry, now: float) -> bool:
-        if self.ttl_s is None or entry.pinned:
-            return False
-        return (now - entry.last_used) > self.ttl_s
-
-    def has(self, key: str, now: float) -> bool:
-        """Whether *key* is resident and fresh (drops it if TTL-expired)."""
+    def touch(self, key: str, now: float) -> bool:
+        """Mark *key* as used now (refreshes its LRU order)."""
         entry = self._entries.get(key)
         if entry is None:
             return False
-        if self._expired(entry, now):
-            self._drop(key, reason="ttl-expired")
-            return False
-        return True
-
-    def touch(self, key: str, now: float) -> bool:
-        """Mark *key* as used now (refreshes LRU order and TTL)."""
-        if not self.has(key, now):
-            return False
-        self._entries[key].last_used = now
+        entry.last_used = now
         return True
 
     # -- admission ---------------------------------------------------------
@@ -135,7 +116,6 @@ class NodeCache:
         if self.capacity_mb is not None:
             if size_mb > self.capacity_mb:
                 return False
-            self._sweep_expired(now)
             needed = self.used_mb + size_mb - self.capacity_mb
             if needed > 0 and not self._evict_lru(needed):
                 return False
@@ -144,12 +124,6 @@ class NodeCache:
             entry.pins.add(pin)
         self._entries[key] = entry
         return True
-
-    def _sweep_expired(self, now: float) -> None:
-        for key in list(self._entries):
-            entry = self._entries[key]
-            if self._expired(entry, now):
-                self._drop(key, reason="ttl-expired")
 
     def _evict_lru(self, needed_mb: float) -> bool:
         """Evict unpinned entries, least recently used first."""

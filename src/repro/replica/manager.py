@@ -101,7 +101,7 @@ class ReplicaManager:
     Parameters
     ----------
     env:
-        Simulation environment (supplies timestamps for LRU/TTL).
+        Simulation environment (supplies timestamps for LRU).
     network:
         Topology for source-cost estimation.
     storage:
@@ -110,8 +110,6 @@ class ReplicaManager:
         Worker nodes that get staging caches.
     capacity_mb:
         Per-worker cache budget (``None`` = unlimited).
-    ttl_s:
-        Per-entry idle time-to-live (``None`` = no expiry).
     se_disk_mbps:
         SE spindle rate, for the selector's backlog term.
     """
@@ -123,7 +121,6 @@ class ReplicaManager:
         storage: StorageElement,
         workers: Sequence[WorkerNode],
         capacity_mb: Optional[float] = None,
-        ttl_s: Optional[float] = None,
         se_disk_mbps: float = 10.24,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -134,9 +131,7 @@ class ReplicaManager:
         self.selector = ReplicaSelector(network, storage.name, se_disk_mbps)
         self._workers: Dict[str, WorkerNode] = {w.name: w for w in workers}
         self.caches: Dict[str, NodeCache] = {
-            w.name: NodeCache(
-                w.name, capacity_mb, ttl_s, on_evict=self._on_evict
-            )
+            w.name: NodeCache(w.name, capacity_mb, on_evict=self._on_evict)
             for w in workers
         }
         self.catalog.add_invalidation_hook(self._on_invalidate)
@@ -257,12 +252,12 @@ class ReplicaManager:
 
     # -- residency queries ----------------------------------------------------
     def worker_has(self, worker: str, key: str) -> bool:
-        """Fresh cache hit on a healthy worker (TTL enforced here)."""
+        """Cache hit on a healthy worker."""
         node = self._workers.get(worker)
         if node is None or node.failed or node.link_down:
             return False
         cache = self.caches.get(worker)
-        return cache is not None and cache.has(key, self.env.now)
+        return cache is not None and key in cache
 
     def se_has_part(self, key: str) -> bool:
         return self.catalog.has(key, self.storage.name)

@@ -164,7 +164,7 @@ class ServiceContainer:
     ) -> None:
         self.env = env
         self.obs = obs or NULL_OBS
-        #: Per-call spans, metrics and SLO samples: one branch, decided here.
+        #: Per-call spans and metrics: one branch, decided here.
         self._observed = self.obs.enabled
         self._services: Dict[str, Dict[str, Callable]] = {}
         self._channels: Dict[str, ChannelSpec] = {
@@ -454,8 +454,9 @@ class ServiceContainer:
             if spec.response_latency:
                 yield Timeout(env, spec.response_latency)
         except GeneratorExit:
-            # The caller was closed (an abandoned client): not a failure.
-            span.finish()
+            # The caller was closed (an abandoned client): not a failed
+            # call, and not a served one either.
+            span.finish(error="abandoned")
             raise
         except BaseException as exc:
             if observed:
@@ -467,9 +468,6 @@ class ServiceContainer:
             elapsed = env.now - started
             self._calls_metric.inc(operation=key, channel=channel)
             self._latency_metric.observe(elapsed, channel=channel)
-            # Every completed call is an SLO signal named service.operation —
-            # policies like "aida.merged p99 < 250 ms over 60 s" attach here.
-            self.obs.slo.record(key, elapsed)
             # Response payload accounting: how many bytes each operation
             # ships back (merged trees dominate; a "not modified" poll
             # reply ships none, so it is charged none).  Estimated, so the

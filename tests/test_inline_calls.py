@@ -334,8 +334,10 @@ def test_a_closed_caller_is_not_a_failed_call():
     abandoned.close()  # what garbage collection does to an abandoned client
     env.run()
     assert obs.metrics.counter("service_errors_total", "").total() == 0
+    # Nor a served one: the span says the reply never went out.
     (span,) = obs.tracer.find("call:math.slow")
-    assert span.status == "ok" and span.end == 1.0
+    assert span.status == "error" and span.end == 1.0
+    assert span.attrs["error"] == "abandoned"
     # A real failure is still one.
     with pytest.raises(ServiceError):
         env.run(until=env.process(container.request("math", "ghost")))

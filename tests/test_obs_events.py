@@ -26,11 +26,11 @@ def test_emit_stamps_clock_and_sequences():
     log = EventLog(clock)
     first = log.emit("session_created", message="s-1 up", session="s-1")
     clock.now = 2.5
-    second = log.emit("slo_breach", severity="warning")
+    second = log.emit("fault_injected", severity="warning")
     assert (first.seq, first.time) == (1, 0.0)
     assert (second.seq, second.time) == (2, 2.5)
     assert first.attrs == {"session": "s-1"}
-    assert [e.kind for e in log.events()] == ["session_created", "slo_breach"]
+    assert [e.kind for e in log.events()] == ["session_created", "fault_injected"]
     assert len(log) == 2
 
 
@@ -68,14 +68,14 @@ def test_query_filters_and_tail():
     log.emit("session_created")
     clock.now = 5.0
     log.emit("fault_detected", severity="error")
-    log.emit("slo_breach", severity="warning")
-    assert [e.kind for e in log.events(kind="slo_breach")] == ["slo_breach"]
+    log.emit("fault_injected", severity="warning")
+    assert [e.kind for e in log.events(kind="fault_injected")] == ["fault_injected"]
     assert [e.kind for e in log.events(severity="error")] == ["fault_detected"]
     assert [e.kind for e in log.events(since=5.0)] == [
         "fault_detected",
-        "slo_breach",
+        "fault_injected",
     ]
-    assert [e.kind for e in log.tail(2)] == ["fault_detected", "slo_breach"]
+    assert [e.kind for e in log.tail(2)] == ["fault_detected", "fault_injected"]
     assert log.tail(0) == []
 
 
@@ -144,8 +144,6 @@ def test_event_vocabulary_is_pinned():
         "tier_configured",
         "combiner_crash",
         "combiner_retired",
-        "slo_breach",
-        "slo_recovered",
         "federation_session_brokered",
         "federation_failover",
         "federation_replica_migrated",
@@ -160,7 +158,7 @@ def test_null_event_log_is_inert():
     null = NULL_OBS.events
     assert null is NULL_EVENT_LOG
     assert null.enabled is False
-    assert null.emit("slo_breach", message="x", severity="warning", a=1) is None
+    assert null.emit("fault_injected", message="x", severity="warning", a=1) is None
     assert null.events() == []
     assert null.tail() == []
     assert null.counts() == {}

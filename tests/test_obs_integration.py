@@ -287,7 +287,7 @@ def test_quarantine_and_replica_invalidation_telemetry():
 
 def test_status_board_renders_mid_run_and_when_disabled():
     from repro.analysis import higgs
-    from repro.client.display import status_board
+    from repro.obs.dashboard import render_board
 
     site, client = _chaos_site()
     boards = []
@@ -299,7 +299,7 @@ def test_status_board_renders_mid_run_and_when_disabled():
         yield from client.run()
         yield site.env.timeout(30.0)  # mid-run, nothing finished yet
         boards.append(
-            status_board(
+            render_board(
                 site.obs,
                 session_service=site.session_service,
                 session_id=info.session_id,
@@ -320,24 +320,21 @@ def test_status_board_renders_mid_run_and_when_disabled():
 
     from repro.obs import NULL_OBS
 
-    disabled = status_board(NULL_OBS)
+    disabled = render_board(NULL_OBS)
     assert "(observability disabled)" in disabled
 
 
 def test_null_obs_whole_surface_is_noop():
     """Every telemetry-plane API added this round is free when disabled."""
     from repro.obs import NULL_OBS
-    from repro.obs.slo import SLOPolicy
 
     assert NULL_OBS.enabled is False
     # Event log
-    assert NULL_OBS.events.emit("slo_breach", severity="warning") is None
+    assert NULL_OBS.events.emit("fault_detected", severity="error") is None
     assert NULL_OBS.events.counts() == {}
-    # SLO tracker
-    policy = SLOPolicy(name="p", signal="s", objective=1.0)
-    NULL_OBS.slo.add_policy(policy)
-    NULL_OBS.slo.record("s", 10.0)
-    assert NULL_OBS.slo.status() == []
+    # Tracer: nothing to fold the latency objective from.
+    NULL_OBS.tracer.start("call:aida.merged").finish()
+    assert NULL_OBS.tracer.finished_spans() == []
     # And nothing above left state behind on the shared singleton.
     assert NULL_OBS.events.events() == []
-    assert NULL_OBS.slo.policies == []
+    assert not hasattr(NULL_OBS, "slo")

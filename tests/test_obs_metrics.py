@@ -1,8 +1,13 @@
 """Metrics layer: counters, gauges, histograms, registry, exposition."""
 
+import math
+import random
+from bisect import bisect_left
+
 import pytest
 
 from repro.obs import NULL_METRIC, NULL_REGISTRY, Observability
+from repro.obs.dashboard import exact_quantile
 from repro.obs.exporters import metrics_to_prometheus
 from repro.obs.metrics import (
     Counter,
@@ -12,6 +17,7 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
     exponential_buckets,
+    quantile_from_cumulative,
 )
 
 
@@ -172,3 +178,45 @@ def test_disabled_observability_uses_null_registry():
 def test_enabled_observability_requires_env():
     with pytest.raises(ValueError):
         Observability(env=None, enabled=True)
+
+
+def test_histogram_quantile_property_vs_exact_quantile():
+    """Bucketed estimates land in the same bucket as the exact quantile."""
+    buckets = tuple(0.005 * 2.0 ** i for i in range(16))
+    rng = random.Random(20060815)
+    for trial in range(20):
+        histogram = Histogram("probe_seconds", buckets=buckets)
+        values = []
+        for _ in range(rng.randrange(5, 400)):
+            value = rng.choice(
+                [rng.uniform(0.001, 0.1), rng.expovariate(1.0 / 2.0)]
+            )
+            histogram.observe(value)
+            values.append(value)
+        values.sort()
+        for q in (0.25, 0.5, 0.9, 0.99, 1.0):
+            exact = exact_quantile(values, q)
+            estimate = histogram.quantile(q)
+            # The estimate's error is bounded by the bucket width: both
+            # land in the same bucket up to rank-convention differences
+            # at the bucket edge.
+            assert abs(
+                bisect_left(buckets, estimate) - bisect_left(buckets, exact)
+            ) <= 1, (trial, q, exact, estimate)
+            # And the estimate never exceeds the largest finite bound.
+            assert estimate <= buckets[-1]
+
+
+def test_quantile_from_cumulative_edges():
+    assert math.isnan(quantile_from_cumulative([], 0.5))
+    assert math.isnan(
+        quantile_from_cumulative([(1.0, 0), (float("inf"), 0)], 0.5)
+    )
+    with pytest.raises(MetricError):
+        quantile_from_cumulative([(1.0, 1)], 1.5)
+    # All mass in +Inf: degrade to the highest finite bound.
+    pairs = [(1.0, 0), (2.0, 0), (float("inf"), 4)]
+    assert quantile_from_cumulative(pairs, 0.9) == 2.0
+    # Interpolation from zero inside the first finite bucket.
+    pairs = [(2.0, 4), (float("inf"), 4)]
+    assert quantile_from_cumulative(pairs, 0.5) == pytest.approx(1.0)

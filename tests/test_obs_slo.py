@@ -1,260 +1,124 @@
-"""Rolling SLOs: window estimators, objectives, breach events, budgets."""
+"""The poll-latency objective: a read-time fold of the finished trace."""
 
 import math
-import random
 
 import pytest
 
-from repro.obs import NULL_OBS
-from repro.obs.events import EventLog
-from repro.obs.metrics import (
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    quantile_from_cumulative,
+from repro.obs import Observability
+from repro.obs.dashboard import (
+    MIN_SAMPLES,
+    OBJECTIVE_S,
+    POLL_SPAN,
+    exact_quantile,
+    poll_objective,
+    slo_section,
 )
-from repro.obs.slo import (
-    NULL_SLO_TRACKER,
-    SLOError,
-    SLOPolicy,
-    SLOTracker,
-    SlidingReservoir,
-    WindowedHistogram,
-)
+from repro.obs.exporters import span_to_dict
+from repro.services.envelope import ServiceContainer
+from repro.sim import Environment
 
 
-class Clock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
+def poll(end, latency, name=POLL_SPAN, status="ok"):
+    """One exported span record of a call that finished at *end*."""
+    return {"name": name, "status": status, "start": end - latency, "end": end}
 
 
-# -- sliding reservoir -----------------------------------------------------
+# -- the exact in-window reservoir -----------------------------------------
 
 def test_reservoir_exact_quantiles():
-    reservoir = SlidingReservoir(window_s=60.0)
-    for value in (1.0, 2.0, 3.0, 4.0):
-        reservoir.observe(0.0, value)
-    assert reservoir.quantile(0.0, now=0.0) == 1.0
-    assert reservoir.quantile(1.0, now=0.0) == 4.0
-    assert reservoir.quantile(0.5, now=0.0) == 2.5  # interpolated median
-    assert reservoir.count(0.0) == 4
+    values = [1.0, 2.0, 3.0, 4.0]
+    assert exact_quantile(values, 0.0) == 1.0
+    assert exact_quantile(values, 1.0) == 4.0
+    assert exact_quantile(values, 0.5) == 2.5  # interpolated median
+    assert exact_quantile([7.0], 0.99) == 7.0
+    assert math.isnan(exact_quantile([], 0.5))
 
 
 def test_reservoir_window_pruning():
-    reservoir = SlidingReservoir(window_s=10.0)
-    reservoir.observe(0.0, 100.0)
-    reservoir.observe(5.0, 1.0)
-    assert reservoir.count(9.9) == 2
+    spans = [poll(0.0, 100.0), poll(30.0, 1.0)]
+    assert poll_objective(spans, now=59.9)["samples"] == 2
     # t=0 sits exactly on the horizon edge and is pruned (half-open window).
-    assert reservoir.values(10.0) == [1.0]
-    assert reservoir.quantile(0.99, now=14.9) == 1.0  # single sample
-    assert math.isnan(reservoir.quantile(0.5, now=100.0))
+    row = poll_objective(spans, now=60.0)
+    assert (row["samples"], row["p99"]) == (1, 1.0)
+    row = poll_objective(spans, now=100.0)
+    assert row["samples"] == 0 and math.isnan(row["p99"])
+    assert (row["burn"], row["budget"]) == (0.0, 1.0)
+    # Without a *now*, the row reads the window at the last completion.
+    assert poll_objective(spans)["samples"] == 2
 
 
-def test_reservoir_cap_sets_saturated():
-    reservoir = SlidingReservoir(window_s=60.0, cap=3)
-    for index in range(4):
-        reservoir.observe(float(index), float(index))
-    assert reservoir.saturated
-    assert reservoir.values(3.0) == [1.0, 2.0, 3.0]
-    with pytest.raises(SLOError):
-        reservoir.quantile(1.5, now=3.0)
-    with pytest.raises(SLOError):
-        SlidingReservoir(window_s=0.0)
+# -- breach transitions and budget -----------------------------------------
 
-
-# -- windowed histogram ----------------------------------------------------
-
-def test_windowed_histogram_expires_old_slots():
-    window = WindowedHistogram(window_s=12.0, slots=12, buckets=(1.0, 10.0))
-    window.observe(0.5, 100.0)  # slow outlier in an early slot
-    window.observe(1.5, 0.5)
-    assert window.count(2.0) == 2
-    assert window.quantile(1.0, now=2.0) == 10.0  # +Inf degrades to top bound
-    # Advancing almost a full window drops the outlier's slot while the
-    # newer observation's slot stays live.
-    assert window.count(12.5) == 1
-    assert window.quantile(1.0, now=12.5) <= 1.0
-    # And eventually everything expires.
-    assert window.count(100.0) == 0
-    assert math.isnan(window.quantile(0.5, now=100.0))
-
-
-def test_windowed_histogram_matches_registry_histogram_while_fresh():
-    buckets = (0.1, 0.5, 1.0, 5.0)
-    window = WindowedHistogram(window_s=1000.0, slots=4, buckets=buckets)
-    cumulative = Histogram("h_seconds", buckets=buckets)
-    rng = random.Random(7)
-    for _ in range(200):
-        value = rng.uniform(0.0, 6.0)
-        window.observe(1.0, value)
-        cumulative.observe(value)
-    for q in (0.1, 0.5, 0.9, 0.99):
-        assert window.quantile(q, now=1.0) == cumulative.quantile(q)
-
-
-# -- policy validation -----------------------------------------------------
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"name": ""},
-        {"signal": ""},
-        {"objective": 0.0},
-        {"quantile": 0.0},
-        {"quantile": 1.0},
-        {"window_s": 0.0},
-        {"min_samples": 0},
-    ],
-)
-def test_policy_validation(kwargs):
-    base = {"name": "p", "signal": "s", "objective": 1.0}
-    with pytest.raises(SLOError):
-        SLOPolicy(**{**base, **kwargs})
-
-
-# -- tracker ---------------------------------------------------------------
-
-def make_tracker(clock=None, objective=0.25, min_samples=3, window_s=60.0):
-    clock = clock or Clock()
-    events = EventLog(clock)
-    metrics = MetricsRegistry()
-    tracker = SLOTracker(clock, events=events, metrics=metrics)
-    tracker.add_policy(
-        SLOPolicy(
-            name="poll-p99",
-            signal="aida.merged",
-            objective=objective,
-            quantile=0.99,
-            window_s=window_s,
-            min_samples=min_samples,
-        )
-    )
-    return tracker, events, metrics
-
-
-def test_tracker_breach_and_recovery_transitions():
-    clock = Clock()
-    tracker, events, metrics = make_tracker(clock)
-    # Below min_samples nothing can breach, however slow.
-    tracker.record("aida.merged", 5.0)
-    tracker.record("aida.merged", 5.0)
-    assert events.counts() == {}
-    tracker.record("aida.merged", 5.0)
-    assert events.counts() == {"slo_breach": 1}
-    breach = events.events(kind="slo_breach")[0]
-    assert breach.severity == "warning"
-    assert breach.attrs["policy"] == "poll-p99"
-    assert breach.attrs["estimate"] > 0.25
-    # Still breached: no duplicate transition events.
-    tracker.record("aida.merged", 5.0)
-    assert events.counts() == {"slo_breach": 1}
-    assert metrics.get("slo_breaches_total").value(policy="poll-p99") == 1.0
-    # Let the slow window expire, then feed fast samples -> recovery.
-    clock.now = 120.0
-    for _ in range(5):
-        tracker.record("aida.merged", 0.01)
-    assert events.counts() == {"slo_breach": 1, "slo_recovered": 1}
-    (row,) = tracker.status("poll-p99")
+def test_fold_breach_and_recovery_transitions():
+    slow = [poll(float(t), 5.0) for t in range(1, 8)]
+    # Below MIN_SAMPLES nothing can breach, however slow.
+    row = poll_objective(slow[: MIN_SAMPLES - 1])
+    assert row["breaches"] == [] and row["breached"] is False
+    row = poll_objective(slow[:MIN_SAMPLES])
+    ((time, estimate, samples),) = row["breaches"]
+    assert (time, estimate, samples) == (5.0, 5.0, MIN_SAMPLES)
+    assert row["breached"] is True
+    # Still breached: no second transition.
+    assert len(poll_objective(slow)["breaches"]) == 1
+    # The slow window expires; fast polls recover once enough are in it.
+    fast = [poll(120.0 + t, 0.01) for t in range(MIN_SAMPLES)]
+    assert poll_objective(slow + fast[:-1])["breached"] is True
+    row = poll_objective(slow + fast)
     assert row["breached"] is False
-    assert row["breaches"] == 1
+    assert len(row["breaches"]) == 1
+    assert row["p99"] == pytest.approx(0.01)
 
 
-def test_tracker_status_budget_and_burn():
-    tracker, _, _ = make_tracker(min_samples=1)
-    for _ in range(9):
-        tracker.record("aida.merged", 0.01)
-    tracker.record("aida.merged", 5.0)
-    (row,) = tracker.status()
-    assert row["name"] == "poll-p99"
+def test_fold_budget_and_burn():
+    spans = [poll(float(t), 0.01) for t in range(9)] + [poll(9.0, 5.0)]
+    row = poll_objective(spans)
+    assert row["name"] == "poll-latency"
     assert row["samples"] == 10
-    assert row["exact"] is True
     # 1 bad of 10 against a 1% budget -> burning 10x.
-    assert row["burn_rate"] == pytest.approx(10.0)
-    assert row["budget_remaining"] == 0.0
-    assert row["total_burn"] == pytest.approx(10.0)
-    with pytest.raises(SLOError):
-        tracker.status("no-such-policy")
+    assert row["burn"] == pytest.approx(10.0)
+    assert row["budget"] == 0.0
+    assert row["p99"] > OBJECTIVE_S and row["breached"] is True
 
 
-def test_tracker_ignores_unmatched_signals_and_rejects_duplicates():
-    tracker, events, _ = make_tracker(min_samples=1)
-    tracker.record("ftp.transfer", 100.0)  # no policy watches this signal
-    assert events.counts() == {}
-    with pytest.raises(SLOError):
-        tracker.add_policy(
-            SLOPolicy(name="poll-p99", signal="other", objective=1.0)
-        )
-    assert [p.name for p in tracker.policies] == ["poll-p99"]
+def test_fold_ignores_unrelated_spans():
+    spans = [poll(float(t), 100.0, name="call:ftp.transfer") for t in range(9)]
+    spans += [poll(float(t), 100.0, status="error") for t in range(9)]
+    row = poll_objective(spans)
+    assert (row["samples"], row["breaches"], row["breached"]) == (0, [], False)
+    (line,) = slo_section(row)
+    assert "    -- / 0.250s  ok" in line and "(0 samples/60s)" in line
 
 
-def test_tracker_falls_back_to_bucketed_estimator_when_saturated():
-    clock = Clock()
-    tracker = SLOTracker(clock, reservoir_cap=8)
-    tracker.add_policy(
-        SLOPolicy(name="p", signal="s", objective=1000.0, min_samples=1)
-    )
-    for index in range(50):
-        tracker.record("s", float(index % 10))
-    (row,) = tracker.status("p")
-    assert row["exact"] is False
-    assert row["samples"] == 50  # the windowed histogram still sees all
-    assert row["estimate"] == row["estimate"]  # not NaN
+def test_abandoned_and_failed_polls_are_not_samples():
+    env = Environment()
+    obs = Observability(env, enabled=True)
+    container = ServiceContainer(env, obs=obs)
 
+    def merged(duration, fail=False):
+        yield env.timeout(duration)
+        if fail:
+            raise ValueError("merge failed")
+        return "tree"
 
-# -- Histogram.quantile vs exact reservoir (property) ----------------------
+    container.register("aida", {"merged": merged})
 
-def test_histogram_quantile_property_vs_reservoir():
-    """Bucketed estimates land in the same bucket as the exact quantile."""
-    from bisect import bisect_left
-
-    buckets = tuple(0.005 * 2.0 ** i for i in range(16))
-    rng = random.Random(20060815)
-    for trial in range(20):
-        histogram = Histogram("probe_seconds", buckets=buckets)
-        reservoir = SlidingReservoir(window_s=1e9, cap=5000)
-        for _ in range(rng.randrange(5, 400)):
-            value = rng.choice(
-                [rng.uniform(0.001, 0.1), rng.expovariate(1.0 / 2.0)]
+    def poller(duration, fail=False):
+        try:
+            yield from container.request(
+                "aida", "merged", {"duration": duration, "fail": fail}
             )
-            histogram.observe(value)
-            reservoir.observe(0.0, value)
-        for q in (0.25, 0.5, 0.9, 0.99, 1.0):
-            exact = reservoir.quantile(q, now=0.0)
-            estimate = histogram.quantile(q)
-            # The estimate's error is bounded by the bucket width: both
-            # land in the same bucket up to rank-convention differences
-            # at the bucket edge.
-            assert abs(
-                bisect_left(buckets, estimate) - bisect_left(buckets, exact)
-            ) <= 1, (trial, q, exact, estimate)
-            # And the estimate never exceeds the largest finite bound.
-            assert estimate <= buckets[-1]
+        except ValueError:
+            pass
 
-
-def test_quantile_from_cumulative_edges():
-    assert math.isnan(quantile_from_cumulative([], 0.5))
-    assert math.isnan(
-        quantile_from_cumulative([(1.0, 0), (float("inf"), 0)], 0.5)
-    )
-    with pytest.raises(MetricError):
-        quantile_from_cumulative([(1.0, 1)], 1.5)
-    # All mass in +Inf: degrade to the highest finite bound.
-    pairs = [(1.0, 0), (2.0, 0), (float("inf"), 4)]
-    assert quantile_from_cumulative(pairs, 0.9) == 2.0
-    # Interpolation from zero inside the first finite bucket.
-    pairs = [(2.0, 4), (float("inf"), 4)]
-    assert quantile_from_cumulative(pairs, 0.5) == pytest.approx(1.0)
-
-
-# -- null contract ---------------------------------------------------------
-
-def test_null_slo_tracker_is_inert():
-    null = NULL_OBS.slo
-    assert null is NULL_SLO_TRACKER
-    assert null.enabled is False
-    policy = SLOPolicy(name="p", signal="s", objective=1.0)
-    assert null.add_policy(policy) is policy
-    assert null.record("s", 1.0) is None
-    assert null.status() == []
-    assert null.policies == []
+    abandoned = poller(3.0)
+    env.process(abandoned)
+    env.process(poller(1.0, fail=True))
+    served = env.process(poller(2.0))
+    env.run(until=1.0)
+    abandoned.close()  # the client went away mid-poll
+    env.run(until=served)
+    spans = [span_to_dict(s) for s in obs.tracer.finished_spans()]
+    assert sorted(s["status"] for s in spans) == ["error", "error", "ok"]
+    row = poll_objective(spans)
+    assert row["samples"] == 1
+    assert row["p99"] == pytest.approx(2.0 + 2 * 0.25)

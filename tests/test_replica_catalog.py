@@ -122,14 +122,6 @@ def test_cache_oversized_object_rejected():
     assert len(cache) == 0
 
 
-def test_cache_ttl_expiry_spares_pins():
-    cache = NodeCache("w0", ttl_s=10.0)
-    cache.put("old", 1.0, now=0.0)
-    cache.put("pinned", 1.0, now=0.0, pin="s1")
-    assert not cache.has("old", now=11.0)
-    assert cache.has("pinned", now=11.0)
-
-
 def test_cache_remove_overrides_pins():
     cache = NodeCache("w0")
     cache.put("a", 1.0, now=0.0, pin="s1")
@@ -138,11 +130,12 @@ def test_cache_remove_overrides_pins():
 
 
 def test_cache_put_refreshes_existing_entry():
-    cache = NodeCache("w0", capacity_mb=10.0, ttl_s=5.0)
+    cache = NodeCache("w0", capacity_mb=10.0)
     cache.put("a", 4.0, now=0.0)
-    assert cache.put("a", 4.0, now=4.0, pin="s2")
-    assert cache.has("a", now=8.0)  # TTL restarted at the second put
+    assert cache.put("a", 6.0, now=4.0, pin="s2")
+    assert cache.entry("a").last_used == 4.0
     assert cache.entry("a").pins == {"s2"}
+    assert cache.used_mb == 6.0 and len(cache) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +200,12 @@ class _Ref:
         return f"_Ref({self.worker})"
 
 
-def build_manager(n_workers=4, capacity_mb=None, ttl_s=None):
+def build_manager(n_workers=4, capacity_mb=None):
     env = Environment()
     net = star_network(env, n_workers)
     se = StorageElement(env, "se", NodeSpec())
     workers = [WorkerNode(env, f"w{i}", NodeSpec()) for i in range(n_workers)]
-    manager = ReplicaManager(
-        env, net, se, workers, capacity_mb=capacity_mb, ttl_s=ttl_s
-    )
+    manager = ReplicaManager(env, net, se, workers, capacity_mb=capacity_mb)
     return env, manager, workers
 
 

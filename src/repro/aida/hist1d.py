@@ -229,10 +229,10 @@ class Histogram1D(Binned):
             self.name == other.name
             and self.axis == other.axis
             and np.array_equal(self._counts, other._counts)
-            and np.allclose(self._sumw, other._sumw)
-            and np.allclose(self._sumw2, other._sumw2)
-            and np.isclose(self._swx, other._swx)
-            and np.isclose(self._swx2, other._swx2)
+            and np.array_equal(self._sumw, other._sumw, equal_nan=True)
+            and np.array_equal(self._sumw2, other._sumw2, equal_nan=True)
+            and self._swx == other._swx
+            and self._swx2 == other._swx2
         )
 
     def __repr__(self) -> str:

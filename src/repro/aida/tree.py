@@ -223,8 +223,8 @@ class ObjectTree(Freezable):
         """Merge another tree into this one.
 
         Objects at paths present in both trees are combined with ``+=``;
-        objects only in *other* are deep-copied in.  This is the operation
-        the AIDA manager applies to every engine snapshot.
+        objects only in *other* are deep-copied in.  This is the fold the
+        merge oracle (``tests/merge_oracle.py``) holds ``MergeTree`` to.
         """
         for path, obj in other.walk():
             if self.exists(path):

@@ -11,12 +11,12 @@ with the Web Services" (§3.1):
 
 :class:`~repro.client.client.IPAClient` composes the three plug-ins into
 the user-facing facade driving the session workflow, and
-:mod:`repro.client.display` renders live ASCII dashboards in place of the
-JAS plot windows.
+:mod:`repro.client.display` renders the live ASCII dashboard in place of
+the JAS plot windows.
 """
 
 from repro.client.client import IPAClient, PollResult
-from repro.client.display import dashboard, render_catalog
+from repro.client.display import dashboard
 from repro.client.plugins import (
     DatasetCatalogPlugin,
     GridProxyPlugin,
@@ -30,5 +30,4 @@ __all__ = [
     "PollResult",
     "RemoteDataPlugin",
     "dashboard",
-    "render_catalog",
 ]

@@ -1,18 +1,16 @@
-"""ASCII dashboards: headless stand-ins for the JAS windows.
+"""ASCII dashboard: the headless stand-in for the JAS results window.
 
-``dashboard`` renders the merged-results view (Fig. 4);
-``render_catalog`` renders the dataset-chooser view (Fig. 3).  The
-operator's telemetry view is :func:`repro.obs.dashboard.render_board`.
+``dashboard`` renders the merged-results view (Fig. 4).  The operator's
+telemetry view is :func:`repro.obs.dashboard.render_board`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.aida.render import render_object
 from repro.aida.tree import ObjectTree
 from repro.services.aida_manager import MergeProgress
-from repro.services.catalog import DatasetEntry
 
 
 def progress_bar(fraction: float, width: int = 40) -> str:
@@ -57,42 +55,4 @@ def dashboard(
     if len(paths) > max_objects:
         lines.append(f"... and {len(paths) - max_objects} more objects")
     lines.append("=" * (width + 2))
-    return "\n".join(lines)
-
-
-def render_catalog(
-    listing: dict,
-    path: str = "/",
-    entries: Optional[Sequence[DatasetEntry]] = None,
-) -> str:
-    """Render a catalog browse result as the Fig.-3-style chooser view.
-
-    Parameters
-    ----------
-    listing:
-        Output of ``browse``: ``{"directories": [...], "datasets": [...]}``.
-    path:
-        The directory being shown.
-    entries:
-        Optional full entries for the listed datasets (adds size/event
-        columns when provided).
-    """
-    lines = [f"Dataset Catalog — {path}", "-" * 48]
-    for directory in listing.get("directories", []):
-        lines.append(f"  [+] {directory}/")
-    by_name = {}
-    if entries:
-        for entry in entries:
-            by_name[entry.path.rsplit("/", 1)[-1]] = entry
-    for dataset in listing.get("datasets", []):
-        entry = by_name.get(dataset)
-        if entry is not None:
-            lines.append(
-                f"  [=] {dataset}  ({entry.size_mb:.0f} MB, "
-                f"{entry.n_events} events)"
-            )
-        else:
-            lines.append(f"  [=] {dataset}")
-    if len(lines) == 2:
-        lines.append("  (empty)")
     return "\n".join(lines)

@@ -31,19 +31,13 @@ class Span:
 class Timeline:
     """Collects spans against an environment's clock.
 
-    Use either the explicit pair::
+    A simulation process brackets its ``yield``\\ s with the pair::
 
         timeline.begin("split")
         ...
         timeline.end("split")
 
-    or the context manager::
-
-        with timeline.span("split"):
-            ...
-
-    (the context-manager form is for plain code; simulation processes use
-    begin/end around their ``yield``\\ s).
+    and :meth:`record` adds a span measured elsewhere.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -69,29 +63,11 @@ class Timeline:
         self.spans.append(span)
         return span
 
-    def span(self, name: str, lane: str = ""):
-        """Context manager wrapping begin/end."""
-        timeline = self
-
-        class _Ctx:
-            def __enter__(self):
-                timeline.begin(name, lane)
-                return timeline
-
-            def __exit__(self, exc_type, exc, tb):
-                timeline.end(name, lane)
-
-        return _Ctx()
-
     def record(self, name: str, start: float, end: float, lane: str = "") -> None:
         """Add a pre-measured span."""
         if end < start:
             raise ValueError("end must be >= start")
         self.spans.append(Span(name, start, end, lane))
-
-    def total(self, name: str) -> float:
-        """Summed duration of all spans with this name."""
-        return sum(s.duration for s in self.spans if s.name == name)
 
     def render(self, width: int = 64) -> str:
         """ASCII Gantt: one row per span, bars scaled to the full extent."""
@@ -115,6 +91,3 @@ class Timeline:
                 f" {span.duration:8.1f} s"
             )
         return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.spans)

@@ -6,8 +6,11 @@ that proprietary simulation output, so this package provides the closest
 synthetic equivalent (DESIGN.md §2):
 
 * a vectorized four-vector toolkit (:mod:`repro.dataset.physics`);
-* a batched event model (:mod:`repro.dataset.events`) — events are jets and
-  leptons with four-momenta plus a ground-truth process label;
+* a columnar event model (:mod:`repro.dataset.events`) — events are jets
+  and leptons with four-momenta plus a ground-truth process label, stored
+  as flat per-particle arrays with per-event offsets (an
+  :class:`~repro.dataset.events.EventBatch`; an ``EventChain`` reads
+  several batches end to end);
 * a seeded generator (:mod:`repro.dataset.generator`) producing
   e+e- → ZH signal (m_H = 120 GeV, H → bb) over WW / ZZ / qq backgrounds
   with Gaussian detector smearing — the dijet invariant-mass spectrum shows
@@ -17,11 +20,10 @@ A dataset lives in the site's content store as seeded blocks of events;
 :mod:`repro.services.splitter` cuts it into per-engine parts (§3.4).
 """
 
-from repro.dataset.events import Event, EventBatch, PROCESS_CODES, PROCESS_NAMES
+from repro.dataset.events import EventBatch, PROCESS_CODES, PROCESS_NAMES
 from repro.dataset.generator import GeneratorConfig, ILCEventGenerator
 
 __all__ = [
-    "Event",
     "EventBatch",
     "GeneratorConfig",
     "ILCEventGenerator",

@@ -2,19 +2,18 @@
 
 Events are stored in **batches** — flat numpy arrays with per-event offsets
 — so the analysis hot path (invariant masses over thousands of events)
-stays vectorized, while :class:`Event` offers a convenient per-record view
-for user analysis code, matching the paper's "the analysis code accepts the
-records from the dataset" contract (§3.5).  An :class:`EventChain` reads
-several batches end to end as one without joining them: a staged part that
-spans generation blocks is the chain of its block views.
+stays vectorized: the paper's "the analysis code accepts the records from
+the dataset" contract (§3.5) hands user code a chunk of records as one
+batch.  An :class:`EventChain` reads several batches end to end as one
+without joining them: a staged part that spans generation blocks is the
+chain of its block views.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,44 +31,6 @@ PROCESS_NAMES: Dict[int, str] = {v: k for k, v in PROCESS_CODES.items()}
 #: and switches to unrolled pairwise summation (``PW_BLOCKSIZE`` logic in
 #: numpy's ``pairwise_sum``).
 _PAIRWISE_BLOCK = 8
-
-
-@dataclass(frozen=True)
-class Event:
-    """A per-record view over one event in a batch.
-
-    Attributes expose the particle content as numpy array slices (no
-    copies): ``e``, ``px``, ``py``, ``pz`` and integer ``pdg`` codes; jets
-    are labelled pdg=81, leptons by their PDG codes.
-    """
-
-    event_id: int
-    process: int
-    weight: float
-    pdg: np.ndarray
-    e: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
-    pz: np.ndarray
-
-    @property
-    def n_particles(self) -> int:
-        """Number of particles in the event."""
-        return len(self.pdg)
-
-    @property
-    def process_name(self) -> str:
-        """Human-readable process label."""
-        return PROCESS_NAMES.get(self.process, f"unknown({self.process})")
-
-    def jets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(e, px, py, pz) of the jet-like particles (pdg == 81)."""
-        mask = self.pdg == 81
-        return self.e[mask], self.px[mask], self.py[mask], self.pz[mask]
-
-    def total_energy(self) -> float:
-        """Scalar sum of particle energies."""
-        return float(self.e.sum())
 
 
 #: The nine arrays of an :class:`EventBatch`, in constructor order.
@@ -153,26 +114,6 @@ class EventBatch:
         return self
 
     # -- access ------------------------------------------------------------
-    def event(self, index: int) -> Event:
-        """Per-record view of event *index* (0-based within the batch)."""
-        if not 0 <= index < len(self):
-            raise IndexError(f"event index {index} out of range")
-        lo, hi = int(self.offsets[index]), int(self.offsets[index + 1])
-        return Event(
-            event_id=int(self.event_ids[index]),
-            process=int(self.process[index]),
-            weight=float(self.weights[index]),
-            pdg=self.pdg[lo:hi],
-            e=self.e[lo:hi],
-            px=self.px[lo:hi],
-            py=self.py[lo:hi],
-            pz=self.pz[lo:hi],
-        )
-
-    def __iter__(self) -> Iterator[Event]:
-        for index in range(len(self)):
-            yield self.event(index)
-
     def slice(self, start: int, stop: int) -> "EventBatch":
         """Sub-batch of events [start, stop) with re-based offsets.
 
@@ -226,10 +167,6 @@ class EventBatch:
         if sums is None:
             sums = root._sums[column] = root._per_event_reduce(getattr(root, column), np.add)
         return sums[base:base + len(self)].copy()
-
-    def per_event_max(self, values: np.ndarray) -> np.ndarray:
-        """Per-event maximum of a per-particle array (``0.0`` for empty events)."""
-        return self._per_event_reduce(values, np.maximum)
 
     def _per_event_reduce(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
         """Reduce *values* within each event, one vector pass per slot.

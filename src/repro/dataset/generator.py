@@ -21,7 +21,7 @@ reproducibility, and generation is fully vectorized over events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -134,16 +134,6 @@ class ILCEventGenerator:
         )
         self._next_event_id += n_events
         return reordered
-
-    def stream(self, n_events: int, batch_size: int = 5000) -> Iterator[EventBatch]:
-        """Yield batches until *n_events* have been produced."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        remaining = n_events
-        while remaining > 0:
-            take = min(batch_size, remaining)
-            yield self.generate(take)
-            remaining -= take
 
     # -- process builders ----------------------------------------------
     def _two_boson_jets(

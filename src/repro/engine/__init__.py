@@ -5,7 +5,8 @@ script and analyze the dataset using the script to produce a result" (§2).
 This package provides:
 
 * the user-code contract (:class:`~repro.engine.base.Analysis` with
-  ``start`` / ``process_batch`` / ``process_event`` / ``end`` hooks);
+  ``start`` / ``process_batch`` / ``end`` hooks: a chunk of records
+  arrives as one columnar batch);
 * a source-code **sandbox loader** with versioned hot reload
   (:mod:`repro.engine.sandbox`) — the staging target of the managing class
   loader (§3.5, §3.6);

@@ -1,17 +1,17 @@
 """The user-analysis contract.
 
 Analysis code "should take the records of the dataset as input and run the
-analysis" (§2.4).  Users subclass :class:`Analysis` and implement either the
-vectorized :meth:`Analysis.process_batch` (preferred — whole event batches,
-numpy arrays) or the per-record :meth:`Analysis.process_event`; results go
-into the engine-local AIDA :class:`~repro.aida.tree.ObjectTree`, which the
-framework merges across engines.
+analysis" (§2.4).  Users subclass :class:`Analysis` and implement
+:meth:`Analysis.process_batch`, which takes a chunk of records as one
+columnar :class:`~repro.dataset.events.EventBatch` (numpy arrays); results
+go into the engine-local AIDA :class:`~repro.aida.tree.ObjectTree`, which
+the framework merges across engines.
 """
 
 from __future__ import annotations
 
 from repro.aida.tree import ObjectTree
-from repro.dataset.events import Event, EventBatch
+from repro.dataset.events import EventBatch
 
 
 class AnalysisError(Exception):
@@ -25,8 +25,7 @@ class Analysis:
 
     1. :meth:`start` — once per run (and again after a rewind); create the
        histograms here;
-    2. :meth:`process_batch` — once per chunk of events (default
-       implementation loops over :meth:`process_event`);
+    2. :meth:`process_batch` — once per chunk of events (required);
     3. :meth:`end` — once when the dataset part is exhausted.
 
     Attributes
@@ -45,14 +44,9 @@ class Analysis:
         """Create output objects; called at run start and after rewind."""
 
     def process_batch(self, batch: EventBatch, tree: ObjectTree) -> None:
-        """Process a chunk of events (override for vectorized analyses)."""
-        for event in batch:
-            self.process_event(event, tree)
-
-    def process_event(self, event: Event, tree: ObjectTree) -> None:
-        """Process one record (override for per-event analyses)."""
+        """Process a chunk of events; every analysis overrides this."""
         raise NotImplementedError(
-            "override process_batch or process_event"
+            f"{type(self).__name__} must override process_batch"
         )
 
     def end(self, tree: ObjectTree) -> None:

@@ -13,8 +13,9 @@ off.  This package provides:
   across interleaved simulation processes;
 * :mod:`repro.obs.events` — a bounded structured event log (faults,
   quarantines, evictions, checkpoints);
-* :mod:`repro.obs.profile` — folded ``phase;subphase`` stacks, exact (from
-  the finished trace) and sampled (live, on the simulated clock);
+* :mod:`repro.obs.profile` — the profiler: an exact fold of the finished
+  trace into ``phase;subphase`` stacks (anchored to the phase totals) and
+  root-chain stacks for the spans outside every phase;
 * :mod:`repro.obs.dashboard` — the ASCII status board, live or from
   exported JSONL, and the poll-latency objective: a read-time fold of
   the finished ``aida.merged`` call spans, so it keeps no state of its

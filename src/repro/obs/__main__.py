@@ -76,13 +76,14 @@ def record_run(
     slow_worker: Optional[str] = None,
     slow_factor: float = 4.0,
     seed: int = 0,
-    sample_period: float = 2.0,
 ) -> dict:
     """Run one instrumented session and export its telemetry artifacts.
 
-    Returns a small summary dict (session id, the poll-latency
-    objective folded from the whole trace and its breach count, artifact
-    paths) so tests and the CI job can assert on the result.
+    The profile is the exact fold of the run's finished spans
+    (:func:`repro.obs.profile.fold_tracer`).  Returns a small summary dict
+    (session id, the poll-latency objective folded from the whole trace
+    and its breach count, artifact paths) so tests and the CI job can
+    assert on the result.
     """
     from repro.analysis import higgs
     from repro.client.client import IPAClient
@@ -93,7 +94,7 @@ def record_run(
         span_to_dict,
         trace_to_jsonl,
     )
-    from repro.obs.profile import SamplingProfiler, profile_to_jsonl
+    from repro.obs.profile import fold_tracer, profile_to_jsonl
 
     site = GridSite(
         SiteConfig(n_workers=nodes, enable_observability=True)
@@ -107,8 +108,6 @@ def record_run(
         content={"kind": "ilc", "seed": seed},
     )
     client = IPAClient(site, site.enroll_user("/O=ILC/CN=telemetry"))
-    profiler = SamplingProfiler(site.obs, period=sample_period)
-    profiler.install(site.env)
     out: dict = {}
 
     def scenario():
@@ -134,7 +133,6 @@ def record_run(
         yield from client.close()
 
     site.env.run(until=site.env.process(scenario()))
-    profiler.stop()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {
@@ -147,7 +145,7 @@ def record_run(
     artifacts["spans"].write_text(trace_to_jsonl(site.obs.tracer) + "\n")
     artifacts["events"].write_text(site.obs.events.to_jsonl() + "\n")
     artifacts["profile"].write_text(
-        profile_to_jsonl(profiler.weights) + "\n"
+        profile_to_jsonl(fold_tracer(site.obs.tracer)) + "\n"
     )
     artifacts["metrics"].write_text(
         metrics_to_prometheus(site.obs.metrics)

@@ -46,7 +46,6 @@ EVENT_KINDS = (
     "service_recovered",
     "tier_configured",
     "combiner_crash",
-    "combiner_retired",
     "federation_session_brokered",
     "federation_failover",
     "federation_replica_migrated",

@@ -9,9 +9,8 @@ Three consumption paths for the telemetry the runtime emits:
   ``# HELP`` / ``# TYPE`` format every scraper understands;
 * **per-phase summary** — spans carrying a ``phase`` attribute are summed
   into the paper's phase vocabulary (session_setup / move_whole / split /
-  move_parts / stage_code / analysis), rendered as an ASCII table, and
-  exportable into a :class:`repro.core.timeline.Timeline` so the existing
-  Gantt view and the benchmark tables are fed by the same telemetry.
+  move_parts / stage_code / analysis) and rendered as an ASCII table; the
+  benchmark tables read the same totals.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.core.timeline import Timeline
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
@@ -135,32 +133,13 @@ def escape_label_value(value: str) -> str:
 
     Backslash, double-quote and newline must be escaped inside the quoted
     label value (in that order — escaping the backslash first keeps the
-    transform reversible).
+    transform injective: ``\\n`` and a newline escape differently).
     """
     return (
         value.replace("\\", "\\\\")
         .replace('"', '\\"')
         .replace("\n", "\\n")
     )
-
-
-def unescape_label_value(value: str) -> str:
-    """Invert :func:`escape_label_value` (used by the round-trip parser)."""
-    out: List[str] = []
-    index = 0
-    while index < len(value):
-        char = value[index]
-        if char == "\\" and index + 1 < len(value):
-            nxt = value[index + 1]
-            if nxt == "n":
-                out.append("\n")
-            else:  # \\ and \" (unknown escapes pass the char through)
-                out.append(nxt)
-            index += 2
-        else:
-            out.append(char)
-            index += 1
-    return "".join(out)
 
 
 def _escape_help(text: str) -> str:
@@ -207,52 +186,6 @@ def metrics_to_prometheus(registry: MetricsRegistry) -> str:
                     f"{_format_value(float(value))}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus(text: str) -> Dict[str, List[tuple]]:
-    """Parse text exposition back into ``name -> [(labels, value), ...]``.
-
-    A deliberately small parser covering what :func:`metrics_to_prometheus`
-    emits — enough for the round-trip tests that pin the escaping rules
-    (quoted label values with ``\\\\``, ``\\"`` and ``\\n`` escapes).
-    """
-    out: Dict[str, List[tuple]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        brace = line.find("{")
-        labels: Dict[str, str] = {}
-        if brace != -1:
-            close = line.rindex("}")
-            name = line[:brace]
-            body = line[brace + 1 : close]
-            value_text = line[close + 1 :].strip()
-            index = 0
-            while index < len(body):
-                eq = body.index("=", index)
-                key = body[index:eq].strip().lstrip(",").strip()
-                if body[eq + 1] != '"':
-                    raise ValueError(f"unquoted label value in {line!r}")
-                cursor = eq + 2
-                raw: List[str] = []
-                while body[cursor] != '"':
-                    if body[cursor] == "\\":
-                        raw.append(body[cursor : cursor + 2])
-                        cursor += 2
-                    else:
-                        raw.append(body[cursor])
-                        cursor += 1
-                labels[key] = unescape_label_value("".join(raw))
-                index = cursor + 1
-        else:
-            name, _, value_text = line.partition(" ")
-            value_text = value_text.strip()
-        value = (
-            float("inf") if value_text == "+Inf" else float(value_text)
-        )
-        out.setdefault(name, []).append((labels, value))
-    return out
 
 
 # -- phase summary --------------------------------------------------------
@@ -315,32 +248,3 @@ def phase_totals(tracer: Tracer) -> Dict[str, float]:
 def phase_summary(tracer: Tracer, title: str = "per-phase summary") -> str:
     """ASCII table of phase totals, in the paper's phase order."""
     return _phase_table(phase_totals(tracer), title)
-
-
-def to_timeline(
-    tracer: Tracer,
-    timeline: Optional[Timeline] = None,
-    phases_only: bool = True,
-) -> Timeline:
-    """Export finished spans into a :class:`~repro.core.timeline.Timeline`.
-
-    With ``phases_only`` (default) only phase-tagged spans are exported —
-    one Gantt row per phase occurrence, reconciling the trace with the
-    existing timeline rendering.  Otherwise every finished span is
-    exported with its name, laned by phase.
-    """
-    if timeline is None:
-        if tracer.env is None:
-            raise ValueError("tracer has no environment to build a Timeline on")
-        timeline = Timeline(tracer.env)
-    for span in tracer.finished_spans():
-        phase = span.attrs.get("phase")
-        if phases_only:
-            if phase is None:
-                continue
-            timeline.record(str(phase), span.start, span.end)
-        else:
-            timeline.record(
-                span.name, span.start, span.end, lane=str(phase or "")
-            )
-    return timeline

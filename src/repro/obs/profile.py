@@ -1,25 +1,27 @@
-"""Continuous profiling: folded span stacks on the simulated clock.
+"""The profiler: an exact fold of the finished trace into span stacks.
 
-Two complementary views of where a session's time goes, both expressed in
-the collapsed "flame graph" format (``phase;subphase;detail weight``):
+:func:`fold_records` turns a run's finished spans into weights in the
+collapsed "flame graph" format (``frame;frame;frame weight``), on the
+simulated clock and with no sampling error:
 
-* :func:`fold_records` — a **deterministic exact fold** over the finished
-  trace.  Every phase-tagged span is swept boundary-by-boundary; each
-  elementary time slice is attributed to the deepest descendant span
-  active during it (the span's ancestor chain becomes the stack), and
-  time no descendant covers is the phase's self time.  Per phase, the
-  folded weights are anchored so they **sum exactly to the phase total**
-  that :func:`repro.obs.exporters.phase_totals` (and therefore
-  ``GridBreakdown``) reports — the profile and the paper tables can never
-  disagree.
-* :class:`SamplingProfiler` — a **live sampler**: a simulation process
-  that wakes every ``period`` simulated seconds and folds the currently
-  *open* span stacks, the way a wall-clock profiler samples threads.
-  Cheap, available mid-run (it feeds the dashboard), and statistically
-  convergent to the exact fold as the period shrinks.
+* **phase stacks** (``phase;subspan;detail``) — every phase-tagged span
+  is swept boundary-by-boundary; each elementary time slice goes to the
+  deepest descendant span active during it (the span's path below the
+  phase span becomes the stack), and time no descendant covers is the
+  phase's self time.  Per phase, the weights are anchored so they **sum
+  exactly to the phase total** that
+  :func:`repro.obs.exporters.phase_totals` (and therefore
+  ``GridBreakdown``) reports — the profile and the paper tables can
+  never disagree;
+* **chain stacks** (``root;child;span``) — a span with no phase-tagged
+  span on its root chain weighs the time it is open with none of its
+  children open, keyed by that root chain.  Concurrent spans each count
+  (sixteen engines running for 100 s weigh 1 600 engine-seconds), so the
+  engines' compute shows up beside the staging phases.
 
-Both emit/ingest one-object-per-line JSONL so profiles ride the same
-export path as traces and events.
+``python -m repro.obs record`` writes the fold of its run as
+``profile.jsonl`` (one object per line, the export path of traces and
+events); ``python -m repro.obs profile`` and the dashboard render it.
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ import json
 import math
 from typing import Any, Dict, List, Optional
 
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Tracer
 
 
 FrameWeights = Dict[str, float]
 
-
-# -- exact fold over finished spans ---------------------------------------
 
 def _clip(
     start: float, end: float, lo: float, hi: float
@@ -46,12 +46,25 @@ def _clip(
     return (clipped_start, clipped_end)
 
 
+def _uncovered(record: Dict[str, Any], kids: List[Dict[str, Any]]) -> float:
+    """Time *record* is open while none of *kids* is: the gaps between
+    the children's intervals, clipped to the span."""
+    end = record["end"]
+    gaps, reach = 0.0, record["start"]
+    for lo, hi in sorted((kid["start"], kid["end"]) for kid in kids):
+        if reach >= end:
+            break
+        if lo > reach:
+            gaps += min(lo, end) - reach
+        reach = max(reach, hi)
+    return gaps + max(end - reach, 0.0)
+
+
 def fold_records(records: List[Dict[str, Any]]) -> FrameWeights:
     """Exact folded stacks from span dicts (see module docstring).
 
-    Only spans tagged with a ``phase`` attribute root a fold; their
-    finished descendants (clipped to the root's interval) form the
-    stacks.  Anchoring guarantees, per phase::
+    Open spans (no ``end``) are left out.  Anchoring guarantees, per
+    phase::
 
         math.fsum(w for stack, w in weights.items()
                   if stack == phase or stack.startswith(phase + ";"))
@@ -65,6 +78,24 @@ def fold_records(records: List[Dict[str, Any]]) -> FrameWeights:
             children.setdefault(parent, []).append(record)
 
     weights: FrameWeights = {}
+
+    # Chain stacks: spans outside every phase-tagged subtree.
+    by_id = {r["span_id"]: r for r in records}
+    for record in finished:
+        names: List[str] = []
+        node: Optional[Dict[str, Any]] = record
+        while node is not None:
+            if (node.get("attrs") or {}).get("phase") is not None:
+                break
+            names.append(node["name"])
+            node = by_id.get(node.get("parent_id"))
+        else:  # no phase-tagged span on the root chain
+            self_time = _uncovered(record, children.get(record["span_id"], []))
+            if self_time > 0:
+                key = ";".join(reversed(names))
+                weights[key] = weights.get(key, 0.0) + self_time
+
+    # Phase stacks, anchored to the phase totals.
     phase_targets: Dict[str, float] = {}
 
     for root in finished:
@@ -144,93 +175,6 @@ def fold_tracer(tracer: Tracer) -> FrameWeights:
     )
 
 
-def phase_weights(weights: FrameWeights) -> Dict[str, float]:
-    """Per-phase folded totals (``fsum`` over each phase's stacks)."""
-    phases: Dict[str, List[float]] = {}
-    for stack, weight in weights.items():
-        phase = stack.split(";", 1)[0]
-        phases.setdefault(phase, []).append(weight)
-    return {
-        phase: math.fsum(values) for phase, values in sorted(phases.items())
-    }
-
-
-# -- live sampling profiler ------------------------------------------------
-
-class SamplingProfiler:
-    """Samples open span stacks every ``period`` simulated seconds.
-
-    Install on an enabled :class:`~repro.obs.Observability` and start:
-
-    >>> profiler = SamplingProfiler(obs, period=1.0)
-    >>> profiler.install(env)          # doctest: +SKIP
-
-    Each tick attributes ``period`` seconds to every currently open leaf
-    span's stack (rooted at the nearest phase-tagged ancestor when one
-    exists).  With observability disabled, :meth:`install` is a no-op.
-    """
-
-    def __init__(self, obs, period: float = 1.0) -> None:
-        if period <= 0:
-            raise ValueError("period must be > 0")
-        self.obs = obs
-        self.period = period
-        self.weights: FrameWeights = {}
-        self.samples = 0
-        self._proc = None
-
-    def install(self, env):
-        """Start the sampling loop; returns the process (or ``None``)."""
-        if not getattr(self.obs, "enabled", False):
-            return None
-        self._proc = env.process(self._run(env))
-        return self._proc
-
-    def stop(self) -> None:
-        """Stop the sampling loop (idempotent)."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("profiler-stop")
-        self._proc = None
-
-    def _run(self, env):
-        from repro.sim import Interrupt
-
-        try:
-            while True:
-                yield env.timeout(self.period)
-                self.sample()
-        except Interrupt:
-            return
-
-    def sample(self) -> int:
-        """Fold the currently open span stacks once; returns leaf count."""
-        tracer = self.obs.tracer
-        open_spans = [s for s in tracer.spans if s.end is None]
-        if not open_spans:
-            return 0
-        self.samples += 1
-        by_id: Dict[str, Span] = {s.span_id: s for s in open_spans}
-        has_open_child = {
-            s.parent_id for s in open_spans if s.parent_id in by_id
-        }
-        leaves = [s for s in open_spans if s.span_id not in has_open_child]
-        for leaf in leaves:
-            names: List[str] = []
-            phase: Optional[str] = None
-            node: Optional[Span] = leaf
-            while node is not None:
-                names.append(node.name)
-                if phase is None and node.attrs.get("phase") is not None:
-                    phase = str(node.attrs["phase"])
-                node = by_id.get(node.parent_id)
-            names.reverse()
-            if phase is not None:
-                names.insert(0, phase)
-            stack = ";".join(names)
-            self.weights[stack] = self.weights.get(stack, 0.0) + self.period
-        return len(leaves)
-
-
 # -- export / rendering ----------------------------------------------------
 
 def profile_to_jsonl(weights: FrameWeights) -> str:
@@ -251,13 +195,6 @@ def profile_from_jsonl(text: str) -> FrameWeights:
             record = json.loads(line)
             weights[str(record["stack"])] = float(record["weight"])
     return weights
-
-
-def folded_lines(weights: FrameWeights) -> str:
-    """The classic collapsed-stack format: ``stack weight`` per line."""
-    return "\n".join(
-        f"{stack} {weights[stack]:g}" for stack in sorted(weights)
-    )
 
 
 def render_profile(

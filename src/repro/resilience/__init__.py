@@ -11,8 +11,9 @@ blocks the grid and session layers share:
     max-attempt budget — used by GridFTP transfers, GRAM submission and
     session admission.
 ``FaultPlan`` / ``FailureInjector`` (:mod:`repro.resilience.faults`)
-    Declarative, seeded fault schedules (crash / hang / slow node /
-    link-down) applied to workers via kernel interrupts.
+    Declarative fault schedules at absolute simulated times (crash /
+    hang / slow node / link-down on workers via kernel interrupts,
+    service crashes and restarts, site partitions).
 ``RecoveryConfig`` / ``HeartbeatMonitor`` (:mod:`repro.resilience.heartbeat`)
     Heartbeat bookkeeping and the tunables of the session service's
     detect-and-re-dispatch loop.

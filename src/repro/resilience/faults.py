@@ -19,16 +19,14 @@ infrastructure failures, layered on the sim kernel's interrupt mechanism:
     with :class:`~repro.sim.LinkDown` and heartbeats stop reaching the
     manager while the engine keeps computing uselessly.
 
-Faults fire either at an absolute simulated time (``at=...``) or
-probabilistically (``probability=...`` per check interval, driven by a
-seeded RNG so chaos runs are reproducible).
+Every planned fault fires at an absolute simulated time (``at=...``), so a
+chaos run replays exactly.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Tuple, TYPE_CHECKING
 
 from repro.grid.network import Network
 from repro.grid.scheduler import BatchScheduler
@@ -118,59 +116,30 @@ class SiteFault:
 
 @dataclass(frozen=True)
 class WorkerFault:
-    """One planned fault against a named worker.
-
-    Exactly one of ``at`` (absolute simulated time) or ``probability``
-    (chance per plan check interval) should be set.
-    """
+    """One planned fault against a named worker at an absolute time."""
 
     worker: str
+    at: float
     kind: str = "crash"
-    at: Optional[float] = None
-    probability: float = 0.0
     slow_factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.at is None and self.probability <= 0.0:
-            raise ValueError("fault needs either at= or probability>0")
-        if self.at is not None and self.at < 0:
+        if self.at < 0:
             raise ValueError("at must be >= 0")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
         if self.slow_factor < 1.0:
             raise ValueError("slow_factor must be >= 1.0")
 
 
 @dataclass
 class FaultPlan:
-    """A reproducible schedule of infrastructure faults.
-
-    Parameters
-    ----------
-    faults:
-        The planned faults.
-    seed:
-        RNG seed for probabilistic faults.
-    check_every:
-        Interval (simulated seconds) at which probabilistic faults are
-        rolled.
-    horizon:
-        Stop rolling probabilistic faults after this simulated time
-        (``None`` = keep rolling until every one has fired).
-    """
+    """A reproducible schedule of infrastructure faults: worker, service
+    and site faults, each at an absolute simulated time."""
 
     faults: List[WorkerFault] = field(default_factory=list)
-    seed: int = 0
-    check_every: float = 5.0
-    horizon: Optional[float] = None
     service_faults: List[ServiceFault] = field(default_factory=list)
     site_faults: List[SiteFault] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.check_every <= 0:
-            raise ValueError("check_every must be > 0")
 
     def add(self, fault: WorkerFault) -> "FaultPlan":
         """Append a fault; returns self for chaining."""
@@ -183,15 +152,8 @@ class FaultPlan:
         return self
 
     def scheduled(self) -> List[WorkerFault]:
-        """Faults pinned to an absolute time, in firing order."""
-        return sorted(
-            (f for f in self.faults if f.at is not None),
-            key=lambda f: (f.at, f.worker),
-        )
-
-    def probabilistic(self) -> List[WorkerFault]:
-        """Faults fired by per-interval dice rolls."""
-        return [f for f in self.faults if f.at is None]
+        """The worker faults in firing order."""
+        return sorted(self.faults, key=lambda f: (f.at, f.worker))
 
 
 class FailureInjector:
@@ -406,8 +368,6 @@ class FailureInjector:
             plan.site_faults, key=lambda f: (f.at, f.site)
         ):
             procs.append(self.env.process(self._fire_site_at(site_fault)))
-        if plan.probabilistic():
-            procs.append(self.env.process(self._roll(plan)))
         return procs
 
     def _fire_at(self, fault: WorkerFault):
@@ -427,18 +387,6 @@ class FailureInjector:
         if delay > 0:
             yield self.env.timeout(delay)
         self.apply_site_fault(fault)
-
-    def _roll(self, plan: FaultPlan):
-        rng = random.Random(plan.seed)
-        outstanding = list(plan.probabilistic())
-        while outstanding:
-            if plan.horizon is not None and self.env.now >= plan.horizon:
-                return
-            yield self.env.timeout(plan.check_every)
-            for fault in list(outstanding):
-                if rng.random() < fault.probability:
-                    self.apply_fault(fault)
-                    outstanding.remove(fault)
 
     # -- internals --------------------------------------------------------
     def _interrupt_job(self, worker_name: str, cause) -> None:

@@ -247,10 +247,6 @@ class AIDAManagerService:
             "aida_combiner_crashes_total",
             "Combiner nodes crashed (volatile partial state lost)",
         )
-        self._combiner_retired_metric = self.obs.metrics.counter(
-            "aida_combiner_retired_total",
-            "Leaf combiners retired with engines re-parented",
-        )
         self.merge_cost_per_tree = merge_cost_per_tree
         self.fan_in = fan_in
         self.coalesce = coalesce
@@ -422,24 +418,6 @@ class AIDAManagerService:
             engines=len(affected),
         )
         return affected
-
-    def retire_combiner(self, session_id: str, combiner_id: str) -> str:
-        """Retire a leaf combiner, re-parenting its engines; returns the
-        absorbing leaf's id."""
-        tier = self._tiers.get(session_id)
-        if tier is None:
-            raise MergeError(f"session {session_id!r} has no merge tree")
-        target = tier.retire_combiner(combiner_id)
-        self._combiner_retired_metric.inc()
-        self._tier_depth_metric.set(tier.depth, session=session_id)
-        self.obs.events.emit(
-            "combiner_retired",
-            message=f"{combiner_id} retired; engines re-parented to {target}",
-            session=session_id,
-            combiner=combiner_id,
-            target=target,
-        )
-        return target
 
     def begin_run(self, session_id: str, run_id: int) -> None:
         """Invalidate snapshots older than *run_id* (a rewind happened).

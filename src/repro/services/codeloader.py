@@ -74,11 +74,6 @@ class ManagingClassLoaderService:
             raise CodeLoaderError(f"no code staged for session {session_id!r}")
         return staged.bundle
 
-    def current_version(self, session_id: str) -> int:
-        """Version number of the staged bundle (0 when none)."""
-        staged = self._staged.get(session_id)
-        return staged.bundle.version if staged else 0
-
     def stage(
         self,
         session_id: str,
@@ -87,8 +82,9 @@ class ManagingClassLoaderService:
     ) -> Process:
         """Ship *bundle* to every worker; value is the staging time (s).
 
-        Re-staging with a new bundle is the dynamic-reload path: the new
-        version replaces the old one and engines observe the version bump.
+        Re-staging with a new bundle is the dynamic-reload path
+        (``SessionService.reload_code``): the new version replaces the old
+        one and engines observe the version bump.
         """
         def run():
             started = self.env.now
@@ -117,18 +113,6 @@ class ManagingClassLoaderService:
                 fanout=len(workers),
             )
         )
-
-    def reload(
-        self,
-        session_id: str,
-        workers: Sequence[Node],
-        source: Optional[str] = None,
-        parameters: Optional[dict] = None,
-    ) -> Process:
-        """Stage an updated bundle (bumped version) for the session."""
-        current = self.current(session_id)
-        updated = current.updated(source=source, parameters=parameters)
-        return self.stage(session_id, updated, workers)
 
     def drop_session(self, session_id: str) -> None:
         """Forget a session's staged code (session close)."""

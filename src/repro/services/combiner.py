@@ -38,8 +38,7 @@ contributions, merge progress stops counting those engines, and their
 next deltas are answered with ``"resync"`` (the injector additionally
 directs them to republish, so finished engines heal too).  An
 *internal* combiner crash only loses its partial; it rebuilds from its
-children's intact partials on the next poll.  A retired leaf re-parents
-its engines onto the adjacent leaf, preserving the global fold order.
+children's intact partials on the next poll.
 """
 
 from __future__ import annotations
@@ -430,56 +429,6 @@ class MergeTree:
             node.dirty_children.add(child.combiner_id)
         node.dirty_paths.update(stale)
         return []
-
-    def retire_combiner(self, combiner_id: str) -> str:
-        """Remove a leaf combiner, re-parenting its engines onto the
-        adjacent leaf (the previous one in level order, else the next).
-
-        Adjacent re-parenting keeps the global engine fold order
-        contiguous, so the served tree is unchanged (up to float
-        association) once the moved paths re-fold.  Returns the id of
-        the leaf that absorbed the engines.
-        """
-        node = self._by_id.get(combiner_id)
-        if node is None:
-            raise CombinerError(f"unknown combiner {combiner_id!r}")
-        if not node.is_leaf:
-            raise CombinerError("only leaf combiners can be retired")
-        leaves = self.levels[0]
-        if len(leaves) == 1:
-            raise CombinerError("cannot retire the only combiner")
-        index = leaves.index(node)
-        target = leaves[index - 1] if index > 0 else leaves[index + 1]
-        for engine_id, entry in node.engines.items():
-            target.engines[engine_id] = entry
-            self._mark_dirty(target, engine_id, entry.tree.paths())
-        node.engines = {}
-        for engine_id, leaf in list(self._assignment.items()):
-            if leaf is node:
-                self._assignment[engine_id] = target
-        target.low = min(target.low, node.low)
-        parent = node.parent
-        if parent is not None:
-            parent.dirty_paths.update(node.partial.paths())
-            parent.dirty_children.add(node.combiner_id)
-            parent.children.remove(node)
-        leaves.remove(node)
-        del self._by_id[node.combiner_id]
-        # Prune ancestors left childless by the removal.
-        while (
-            parent is not None
-            and not parent.children
-            and parent.parent is not None
-        ):
-            grand = parent.parent
-            grand.dirty_paths.update(parent.partial.paths())
-            grand.dirty_children.add(parent.combiner_id)
-            grand.children.remove(parent)
-            self.levels[parent.level - 1].remove(parent)
-            del self._by_id[parent.combiner_id]
-            parent = grand
-        self._rebuild_routing()
-        return target.combiner_id
 
     # -- lifecycle ----------------------------------------------------------
     def reset(self) -> None:

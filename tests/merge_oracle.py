@@ -33,7 +33,7 @@ def reference_merge(latest):
 #
 # One body for every tree depth: a manager is driven through a random
 # interleaving of fills, submissions, held/out-of-order deliveries, polls,
-# combiner crashes and retirements, discards and rewinds, and every poll
+# combiner crashes, discards and rewinds, and every poll
 # must serve exactly ``reference_merge`` of the latest accepted trees.
 # A ``ConditionalViewer`` rides along: whatever "not modified" replies it
 # collects, the tree it holds must equal the unconditional poll's.  On
@@ -166,9 +166,6 @@ def check_interleaving(seed, fan_in, n_engines):
                 [node for level in tier.levels[1:] for node in level]
             )
             assert manager.crash_combiner("s1", internal.combiner_id) == []
-        elif op < 0.91 and len(tier.levels[0]) > 1:
-            victim = rng.choice(tier.levels[0])
-            manager.retire_combiner("s1", victim.combiner_id)
         elif op < 0.95 and len(latest) > 1:
             manager.discard_engine("s1", engine_id)
             banned.add(engine_id)

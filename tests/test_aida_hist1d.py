@@ -219,6 +219,23 @@ def test_equality():
     assert a != "x"
 
 
+def test_equality_is_bit_exact():
+    hist = make()
+    hist.fill_array(np.random.default_rng(3).normal(5, 2, 50))
+    moment = hist.copy()
+    assert moment == hist
+    moment._swx = np.nextafter(moment._swx, np.inf)
+    assert moment != hist
+    weight = hist.copy()
+    weight._sumw[3] = np.nextafter(weight._sumw[3], np.inf)
+    assert weight != hist
+    # A NaN weight sum (a NaN weight filled into underflow, which the
+    # in-range moments do not see) still equals itself.
+    with_nan = make()
+    with_nan.fill(-100.0, weight=float("nan"))
+    assert with_nan == with_nan.copy()
+
+
 def test_serialization_roundtrip():
     hist = make()
     hist.fill_array(np.random.default_rng(1).normal(5, 2, 100))

@@ -114,33 +114,3 @@ def test_remote_data_plugin_requires_binding():
     with pytest.raises(RuntimeError, match="not bound"):
         next(plugin.poll())
 
-
-# ---------------------------------------------------------------------------
-# render_catalog (the Fig. 3 chooser)
-# ---------------------------------------------------------------------------
-
-def test_render_catalog_directories_and_datasets():
-    from repro.client.display import render_catalog
-
-    listing = {"directories": ["ilc", "lhc"], "datasets": ["readme-ds"]}
-    text = render_catalog(listing, path="/experiments")
-    assert "/experiments" in text
-    assert "[+] ilc/" in text
-    assert "[=] readme-ds" in text
-
-
-def test_render_catalog_with_entries():
-    from repro.client.display import render_catalog
-    from repro.services.catalog import DatasetEntry
-
-    entry = DatasetEntry("d1", "/x/zh-500", {}, size_mb=471.0, n_events=40000)
-    listing = {"directories": [], "datasets": ["zh-500"]}
-    text = render_catalog(listing, path="/x", entries=[entry])
-    assert "471 MB" in text
-    assert "40000 events" in text
-
-
-def test_render_catalog_empty():
-    from repro.client.display import render_catalog
-
-    assert "(empty)" in render_catalog({"directories": [], "datasets": []})

@@ -1,7 +1,7 @@
 """Unit + integration tests for the merge tree.
 
 Covers topology planning and routing, the poll latency model, combiner
-crash/resync and leaf retirement, checkpoint/restore of the tree,
+crash/resync, checkpoint/restore of the tree,
 session-state hygiene, and an end-to-end site run with ``merge_fan_in``
 set against the single-leaf (``merge_fan_in=None``) run.
 """
@@ -348,36 +348,6 @@ def test_crash_unknown_combiner_raises():
     untouched = AIDAManagerService(env, merge_cost_per_tree=COST)
     with pytest.raises(MergeError):
         untouched.crash_combiner("s1", "anything")
-
-
-def test_retire_leaf_reparents_engines_and_preserves_tree():
-    env, flat, tiered, ids = build_pair(9, 2)
-    for i, engine_id in enumerate(ids):
-        payload = dyadic_tree([i, 7 * i])
-        flat.submit_snapshot("s1", snap(engine_id, 1, payload))
-        tiered.submit_snapshot("s1", snap(engine_id, 1, payload))
-    flat_tree, _ = env.run(until=flat.merged("s1"))
-    env.run(until=tiered.merged("s1"))
-    victim = tiered.combiner_of("s1", ids[2])
-    target = tiered.retire_combiner("s1", victim)
-    assert tiered.combiner_of("s1", ids[2]) == target
-    retired_tree, _ = env.run(until=tiered.merged("s1"))
-    assert retired_tree.to_dict() == flat_tree.to_dict()
-    # Deltas keep flowing through the new parent.
-    delta = dyadic_tree([2])
-    assert tiered.submit_snapshot("s1", snap(ids[2], 2, delta, base=1)) == (
-        "accepted"
-    )
-    flat.submit_snapshot("s1", snap(ids[2], 2, delta, base=1))
-    flat_tree, _ = env.run(until=flat.merged("s1"))
-    tiered_tree, _ = env.run(until=tiered.merged("s1"))
-    assert tiered_tree.to_dict() == flat_tree.to_dict()
-
-
-def test_retire_only_leaf_is_rejected():
-    tier = MergeTree("s1", 2, [["e0", "e1"]])
-    with pytest.raises(CombinerError):
-        tier.retire_combiner(tier.levels[0][0].combiner_id)
 
 
 # -- durability and hygiene -------------------------------------------------

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dataset.events import PROCESS_CODES, Event, EventBatch
+from repro.dataset.events import PROCESS_CODES, EventBatch
 from repro.dataset.generator import GeneratorConfig, ILCEventGenerator
-from repro.dataset.physics import MASS_Z, invariant_mass, pair_mass
+from repro.dataset.physics import MASS_Z, pair_mass
 
 
 def simple_batch():
@@ -30,47 +30,44 @@ def test_batch_lengths():
 
 
 def test_batch_event_view():
-    batch = simple_batch()
-    event = batch.event(0)
-    assert isinstance(event, Event)
+    # One event's record is the one-event slice of the columns.
+    event = simple_batch().slice(0, 1)
     assert event.n_particles == 2
-    assert event.process_name == "zh"
-    assert event.total_energy() == pytest.approx(190.0)
-    assert event.weight == 1.0
+    assert event.process[0] == PROCESS_CODES["zh"]
+    assert event.per_event_sum(event.e)[0] == pytest.approx(190.0)
+    assert event.weights[0] == 1.0
 
 
 def test_batch_event_empty_particles():
-    event = simple_batch().event(2)
+    event = simple_batch().slice(2, 3)
     assert event.n_particles == 0
-    assert event.total_energy() == 0.0
+    assert event.per_event_sum(event.e).tolist() == [0.0]
 
 
 def test_batch_event_out_of_range():
     with pytest.raises(IndexError):
-        simple_batch().event(3)
+        simple_batch().slice(3, 4)
 
 
 def test_event_jets_filter():
     batch = EventBatch.from_events(
         [(0, 0, 1.0, [(81, 10.0, 0, 0, 0), (13, 5.0, 0, 0, 0)])]
     )
-    e, px, py, pz = batch.event(0).jets()
-    assert len(e) == 1
-    assert e[0] == 10.0
+    jets = batch.pdg == 81
+    assert jets.sum() == 1
+    assert batch.e[jets].tolist() == [10.0]
 
 
 def test_batch_iteration():
-    ids = [event.event_id for event in simple_batch()]
-    assert ids == [0, 1, 2]
+    assert simple_batch().event_ids.tolist() == [0, 1, 2]
 
 
 def test_batch_slice_rebases_offsets():
     batch = simple_batch()
     sub = batch.slice(1, 3)
     assert len(sub) == 2
-    assert sub.offsets[0] == 0
-    assert sub.event(0).n_particles == 1
-    assert sub.event(0).event_id == 1
+    assert sub.offsets.tolist() == [0, 1, 1]
+    assert sub.event_ids[0] == 1
 
 
 def test_batch_slice_validation():
@@ -170,27 +167,35 @@ def test_generator_process_mixture():
 
 def test_generator_particle_counts_by_process():
     batch = ILCEventGenerator(seed=9).generate(500)
-    for event in batch:
-        if event.process_name == "qq":
-            assert event.n_particles == 2
-        else:
-            assert event.n_particles == 4
+    counts = np.diff(batch.offsets)
+    qq = batch.process == PROCESS_CODES["qq"]
+    assert qq.any() and (~qq).any()
+    assert (counts[qq] == 2).all()
+    assert (counts[~qq] == 4).all()
+
+
+def zh_jet_pair_mass(batch, i, j):
+    """Per-event mass of jets *i* and *j* of a batch of ZH events.
+
+    Every particle of a ZH event is a jet (pdg 81), four per event: jets
+    0,1 are the Higgs decay by construction, 2,3 the Z decay.
+    """
+    assert (batch.process == PROCESS_CODES["zh"]).all()
+    assert (np.diff(batch.offsets) == 4).all()
+    assert (batch.pdg == 81).all()
+    e, px, py, pz = (column.reshape(-1, 4) for column in (batch.e, batch.px, batch.py, batch.pz))
+    return pair_mass(e[:, i], px[:, i], py[:, i], pz[:, i], e[:, j], px[:, j], py[:, j], pz[:, j])
 
 
 def test_signal_events_contain_higgs_mass_peak():
     """Pairing the two H jets of ZH events reconstructs ~120 GeV."""
     config = GeneratorConfig(fractions=(("zh", 1.0),), smear_stochastic=0.0, smear_constant=0.0)
     batch = ILCEventGenerator(config, seed=11).generate(300)
-    masses = []
-    for event in batch:
-        e, px, py, pz = event.jets()
-        # Jets 0,1 are the Higgs decay by construction, 2,3 the Z decay.
-        masses.append(
-            pair_mass(e[0], px[0], py[0], pz[0], e[1], px[1], py[1], pz[1])
-        )
-        z_mass = pair_mass(e[2], px[2], py[2], pz[2], e[3], px[3], py[3], pz[3])
-        assert z_mass == pytest.approx(MASS_Z, rel=1e-6)
+    masses = zh_jet_pair_mass(batch, 0, 1)
+    z_masses = zh_jet_pair_mass(batch, 2, 3)
+    assert len(masses) == 300
     assert np.allclose(masses, 120.0, rtol=1e-6)
+    assert np.allclose(z_masses, MASS_Z, rtol=1e-6)
 
 
 def test_smearing_broadens_peak():
@@ -200,14 +205,7 @@ def test_smearing_broadens_peak():
     smeared_config = GeneratorConfig(fractions=(("zh", 1.0),))
 
     def mass_spread(config, seed):
-        batch = ILCEventGenerator(config, seed=seed).generate(500)
-        masses = []
-        for event in batch:
-            e, px, py, pz = event.jets()
-            masses.append(
-                float(pair_mass(e[0], px[0], py[0], pz[0], e[1], px[1], py[1], pz[1]))
-            )
-        return np.std(masses)
+        return np.std(zh_jet_pair_mass(ILCEventGenerator(config, seed=seed).generate(500), 0, 1))
 
     assert mass_spread(smeared_config, 13) > 10 * mass_spread(sharp_config, 13)
 
@@ -215,18 +213,6 @@ def test_smearing_broadens_peak():
 def test_energy_conservation_before_smearing():
     config = GeneratorConfig(fractions=(("ww", 1.0),), smear_stochastic=0.0, smear_constant=0.0)
     batch = ILCEventGenerator(config, seed=17).generate(100)
-    for event in batch:
-        assert event.total_energy() == pytest.approx(500.0, rel=1e-9)
-        assert abs(event.px.sum()) < 1e-6
-        assert abs(event.py.sum()) < 1e-6
-        assert abs(event.pz.sum()) < 1e-6
-
-
-def test_stream_batches():
-    gen = ILCEventGenerator(seed=19)
-    batches = list(gen.stream(250, batch_size=100))
-    assert [len(b) for b in batches] == [100, 100, 50]
-    ids = np.concatenate([b.event_ids for b in batches])
-    assert np.array_equal(ids, np.arange(250))
-    with pytest.raises(ValueError):
-        list(gen.stream(10, batch_size=0))
+    assert np.allclose(batch.per_event_sum(batch.e), 500.0, rtol=1e-9, atol=0.0)
+    for column in (batch.px, batch.py, batch.pz):
+        assert (np.abs(batch.per_event_sum(column)) < 1e-6).all()

@@ -299,7 +299,7 @@ def test_bundle_updated_source_compiles_the_new_text():
     assert bundle.instantiate().name == "mine"
 
 
-def test_base_analysis_process_event_required():
+def test_base_analysis_process_batch_required():
     from repro.aida.tree import ObjectTree
     from repro.dataset.events import EventBatch
 
@@ -307,5 +307,5 @@ def test_base_analysis_process_event_required():
         pass
 
     batch = EventBatch.from_events([(0, 0, 1.0, [(81, 1.0, 0, 0, 0)])])
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(NotImplementedError, match="Lazy must override process_batch"):
         Lazy().process_batch(batch, ObjectTree())

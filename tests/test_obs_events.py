@@ -143,7 +143,6 @@ def test_event_vocabulary_is_pinned():
         "service_recovered",
         "tier_configured",
         "combiner_crash",
-        "combiner_retired",
         "federation_session_brokered",
         "federation_failover",
         "federation_replica_migrated",

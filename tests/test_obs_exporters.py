@@ -1,13 +1,8 @@
-"""Prometheus exposition escaping and round-trip parsing."""
+"""Prometheus exposition: escaping, and the exact text each metric kind renders."""
 
 import pytest
 
-from repro.obs.exporters import (
-    escape_label_value,
-    metrics_to_prometheus,
-    parse_prometheus,
-    unescape_label_value,
-)
+from repro.obs.exporters import escape_label_value, metrics_to_prometheus
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 
@@ -24,7 +19,6 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 )
 def test_escape_label_value_round_trips(raw, escaped):
     assert escape_label_value(raw) == escaped
-    assert unescape_label_value(escaped) == raw
 
 
 def test_escape_order_keeps_transform_reversible():
@@ -33,7 +27,6 @@ def test_escape_order_keeps_transform_reversible():
     tricky = ["a\\nb", "a\nb", 'a"b', "a\\\"b", "\\", "\n", '"']
     escaped = [escape_label_value(value) for value in tricky]
     assert len(set(escaped)) == len(tricky)
-    assert [unescape_label_value(e) for e in escaped] == tricky
 
 
 def test_exposition_escapes_label_values_and_help():
@@ -41,13 +34,11 @@ def test_exposition_escapes_label_values_and_help():
     registry.counter("jobs_total", 'submitted "jobs"\nper queue').inc(
         3, queue='short\n"batch"\\x'
     )
-    text = metrics_to_prometheus(registry)
-    assert '# HELP jobs_total submitted "jobs"\\nper queue' in text
-    assert 'queue="short\\n\\"batch\\"\\\\x"' in text
-    parsed = parse_prometheus(text)
-    ((labels, value),) = parsed["jobs_total"]
-    assert labels == {"queue": 'short\n"batch"\\x'}
-    assert value == 3.0
+    assert metrics_to_prometheus(registry).splitlines() == [
+        '# HELP jobs_total submitted "jobs"\\nper queue',
+        "# TYPE jobs_total counter",
+        'jobs_total{queue="short\\n\\"batch\\"\\\\x"} 3',
+    ]
 
 
 def test_histogram_round_trips_with_inf_bucket():
@@ -58,29 +49,33 @@ def test_histogram_round_trips_with_inf_bucket():
     histogram.observe(0.05, service="control")
     histogram.observe(0.5, service="control")
     histogram.observe(10.0, service="control")
-    text = metrics_to_prometheus(registry)
-    assert 'le="+Inf"' in text
-    parsed = parse_prometheus(text)
-    buckets = {
-        labels["le"]: value
-        for labels, value in parsed["latency_seconds_bucket"]
-    }
-    assert buckets == {"0.1": 1.0, "1": 2.0, "+Inf": 3.0}
-    ((count_labels, count),) = parsed["latency_seconds_count"]
-    assert count_labels == {"service": "control"}
-    assert count == 3.0
-    ((_, total),) = parsed["latency_seconds_sum"]
-    assert total == pytest.approx(10.55)
+    assert metrics_to_prometheus(registry).splitlines() == [
+        "# HELP latency_seconds call latency",
+        "# TYPE latency_seconds histogram",
+        'latency_seconds_bucket{service="control",le="0.1"} 1',
+        'latency_seconds_bucket{service="control",le="1"} 2',
+        'latency_seconds_bucket{service="control",le="+Inf"} 3',
+        'latency_seconds_sum{service="control"} 10.55',
+        'latency_seconds_count{service="control"} 3',
+    ]
 
 
-def test_parse_prometheus_unlabeled_and_comments():
-    text = "# HELP up 1 when scraped\n# TYPE up gauge\nup 1\n\nfree_bytes 2.5\n"
-    parsed = parse_prometheus(text)
-    assert parsed["up"] == [({}, 1.0)]
-    assert parsed["free_bytes"] == [({}, 2.5)]
+def test_exposition_of_unlabeled_series_and_comments():
+    registry = MetricsRegistry()
+    registry.gauge("up", "1 when scraped").set(1)
+    registry.gauge("free_bytes", "").set(2.5)
+    # Sorted by name; an empty help string writes no HELP line.
+    assert metrics_to_prometheus(registry) == (
+        "# TYPE free_bytes gauge\n"
+        "free_bytes 2.5\n"
+        "# HELP up 1 when scraped\n"
+        "# TYPE up gauge\n"
+        "up 1\n"
+    )
+    assert metrics_to_prometheus(MetricsRegistry()) == ""
 
 
-def test_registry_dump_parses_back_value_for_value():
+def test_registry_dump_matches_expected_exposition():
     registry = MetricsRegistry()
     registry.counter("a_total", "a").inc(7, node="w\\1")
     registry.gauge("b_ratio", "b").set(0.25, mode='x"y')
@@ -88,10 +83,17 @@ def test_registry_dump_parses_back_value_for_value():
         registry.histogram("c_seconds", "c", buckets=(1.0,)), Histogram
     )
     registry.get("c_seconds").observe(2.0)
-    parsed = parse_prometheus(metrics_to_prometheus(registry))
-    assert parsed["a_total"] == [({"node": "w\\1"}, 7.0)]
-    assert parsed["b_ratio"] == [({"mode": 'x"y'}, 0.25)]
-    assert parsed["c_seconds_bucket"] == [
-        ({"le": "1"}, 0.0),
-        ({"le": "+Inf"}, 1.0),
+    assert metrics_to_prometheus(registry).splitlines() == [
+        "# HELP a_total a",
+        "# TYPE a_total counter",
+        'a_total{node="w\\\\1"} 7',
+        "# HELP b_ratio b",
+        "# TYPE b_ratio gauge",
+        'b_ratio{mode="x\\"y"} 0.25',
+        "# HELP c_seconds c",
+        "# TYPE c_seconds histogram",
+        'c_seconds_bucket{le="1"} 0',
+        'c_seconds_bucket{le="+Inf"} 1',
+        "c_seconds_sum 2",
+        "c_seconds_count 1",
     ]

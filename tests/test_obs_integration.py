@@ -8,7 +8,6 @@ from repro.obs.exporters import (
     phase_summary,
     phase_totals,
     render_tree,
-    to_timeline,
 )
 
 SIZE_MB = 471.0
@@ -81,14 +80,6 @@ def test_prometheus_dump_and_tree_render(traced_run):
     rendered = render_tree(traced_run.obs.tracer, max_depth=2)
     assert rendered.startswith("session")
     assert "engine.run" in render_tree(traced_run.obs.tracer)
-
-
-def test_timeline_export_matches_phases(traced_run):
-    timeline = to_timeline(traced_run.obs.tracer)
-    for phase in PHASES:
-        assert timeline.total(phase) == pytest.approx(
-            getattr(traced_run, phase), abs=1e-9
-        )
 
 
 def test_disabled_run_is_identical_and_untelemetered(traced_run):

@@ -1,23 +1,19 @@
-"""Continuous profiler: exact folds, live sampling, JSONL, reconciliation."""
+"""The profiler: exact folds, JSONL, reconciliation with the phase totals."""
 
 import math
 
 import pytest
 
 from repro.core.experiment import run_grid_experiment
-from repro.obs import NULL_OBS, Observability
-from repro.obs.exporters import phase_totals
+from repro.obs.__main__ import record_run
+from repro.obs.exporters import phase_totals, phase_totals_records, spans_from_jsonl
 from repro.obs.profile import (
-    SamplingProfiler,
     fold_records,
     fold_tracer,
-    folded_lines,
-    phase_weights,
     profile_from_jsonl,
     profile_to_jsonl,
     render_profile,
 )
-from repro.sim import Environment
 
 PHASES = (
     "session_setup",
@@ -27,6 +23,18 @@ PHASES = (
     "stage_code",
     "analysis",
 )
+
+
+def phase_sums(weights, phases):
+    """``fsum`` of each phase's stacks (``phase`` and ``phase;...``)."""
+    return {
+        phase: math.fsum(
+            w
+            for stack, w in weights.items()
+            if stack == phase or stack.startswith(phase + ";")
+        )
+        for phase in phases
+    }
 
 
 def record(span_id, parent_id, name, start, end, **attrs):
@@ -56,17 +64,29 @@ def test_fold_records_attributes_slices_to_deepest_active_span():
         "analysis;chunk;merge": 1.0,  # [2,3): deepest active wins
         "analysis;io": 2.0,  # [8,10): clipped
     }
-    assert phase_weights(weights) == {"analysis": 10.0}
+    assert phase_sums(weights, ["analysis"]) == {"analysis": 10.0}
 
 
-def test_fold_records_ignores_unphased_roots_and_open_spans():
+def test_fold_records_folds_unphased_spans_by_root_chain_and_skips_open_ones():
     records = [
-        record("r", None, "run", 0.0, 10.0),  # no phase attr -> not a root
+        record("r", None, "run", 0.0, 10.0),  # no phase on the chain
+        record("w1", "r", "work", 2.0, 6.0),
+        record("w2", "r", "work", 4.0, 12.0),  # outlives its parent
+        record("g", "w1", "io", 3.0, 4.0),
+        record("p", "r", "stage", 1.0, 2.0, phase="move_whole"),
+        record("q", "p", "xfer", 1.0, 2.0),  # under a phase: phase stack
         record("open", None, "pending", 0.0, None, phase="split"),
-        record("p", None, "move", 3.0, 5.0, phase="move_whole"),
     ]
     weights = fold_records(records)
-    assert weights == {"move_whole": 2.0}
+    assert weights == {
+        # run: open [0, 10), a child open over [1, 10).
+        "run": 1.0,
+        # Each concurrent span weighs its own childless time.
+        "run;work": (6.0 - 2.0 - 1.0) + (12.0 - 4.0),
+        "run;work;io": 1.0,
+        "move_whole": 0.0,
+        "move_whole;xfer": 1.0,
+    }
     assert fold_records([]) == {}
 
 
@@ -92,7 +112,7 @@ def test_fold_records_multiple_roots_same_phase_accumulate():
         record("r1", None, "part", 0.0, 2.0, phase="move_parts"),
         record("r2", None, "part", 5.0, 8.0, phase="move_parts"),
     ]
-    assert phase_weights(fold_records(records)) == {"move_parts": 5.0}
+    assert phase_sums(fold_records(records), ["move_parts"]) == {"move_parts": 5.0}
 
 
 # -- reconciliation with the grid experiment -------------------------------
@@ -107,7 +127,7 @@ def traced_run():
 def test_folded_profile_reconciles_exactly_with_breakdown(traced_run):
     """The tentpole acceptance: profile and GridBreakdown cannot disagree."""
     weights = fold_tracer(traced_run.obs.tracer)
-    folded = phase_weights(weights)
+    folded = phase_sums(weights, PHASES)
     totals = phase_totals(traced_run.obs.tracer)
     for phase in PHASES:
         # Sum-equal (bit-equal, no tolerance) against both the trace's
@@ -131,40 +151,25 @@ def test_folded_profile_has_stack_depth(traced_run):
     assert any(stack.count(";") >= 2 for stack in weights)
 
 
-# -- live sampling profiler ------------------------------------------------
+# -- the profile ``python -m repro.obs record`` writes ----------------------
 
-def test_sampling_profiler_samples_open_stacks():
-    env = Environment()
-    obs = Observability(env)
-    profiler = SamplingProfiler(obs, period=1.0)
-    assert profiler.install(env) is not None
+def test_record_run_writes_the_exact_profile(tmp_path):
+    kwargs = dict(nodes=4, size_mb=96.0, n_events=8_000)
+    record_run(tmp_path / "a", **kwargs)
+    record_run(tmp_path / "b", **kwargs)
+    text = (tmp_path / "a" / "profile.jsonl").read_text()
+    assert (tmp_path / "b" / "profile.jsonl").read_text() == text
 
-    def workload():
-        root = obs.tracer.start("run", phase="analysis")
-        child = root.child("inner")
-        yield env.timeout(5.0)
-        child.finish()
-        root.finish()
-
-    env.run(until=env.process(workload()))
-    profiler.stop()
-    profiler.stop()  # idempotent
-    assert profiler.samples >= 4
-    assert math.fsum(profiler.weights.values()) == pytest.approx(
-        profiler.samples * 1.0
+    weights = profile_from_jsonl(text)
+    # The engines' compute is there, beside the staging phases.
+    engine = [s for s in weights if s.split(";")[-1] == "engine.run"]
+    assert engine and all(weights[s] > 0 for s in engine)
+    # Each phase's stacks sum exactly to that phase's total in the spans.
+    totals = phase_totals_records(
+        spans_from_jsonl((tmp_path / "a" / "spans.jsonl").read_text())
     )
-    (stack,) = profiler.weights
-    assert stack == "analysis;run;inner"
-
-
-def test_sampling_profiler_disabled_is_noop():
-    env = Environment()
-    profiler = SamplingProfiler(NULL_OBS, period=1.0)
-    assert profiler.install(env) is None
-    assert profiler.sample() == 0
-    assert profiler.weights == {}
-    with pytest.raises(ValueError):
-        SamplingProfiler(NULL_OBS, period=0.0)
+    assert set(totals) >= {"move_whole", "split", "move_parts", "stage_code"}
+    assert phase_sums(weights, totals) == totals
 
 
 # -- export / rendering ----------------------------------------------------
@@ -173,11 +178,6 @@ def test_profile_jsonl_round_trip():
     weights = {"analysis;run": 12.5, "split": 3.0}
     assert profile_from_jsonl(profile_to_jsonl(weights)) == weights
     assert profile_from_jsonl("") == {}
-
-
-def test_folded_lines_format():
-    text = folded_lines({"b;x": 2.0, "a": 1.5})
-    assert text.splitlines() == ["a 1.5", "b;x 2"]
 
 
 def test_render_profile_orders_by_weight():

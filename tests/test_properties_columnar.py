@@ -1,8 +1,8 @@
 """Property-based tests: the columnar kernels equal the loops they replaced.
 
-``EventBatch.per_event_sum`` / ``per_event_max`` and the vectorized
-``_permute_batch`` must be ``==``-equal (not ``allclose``) to the
-per-event Python loops, which are kept here as the reference: merged
+``EventBatch.per_event_sum`` (and the segmented reduction under it, for
+any ufunc) and the vectorized ``_permute_batch`` must be ``==``-equal (not
+``allclose``) to the per-event Python loops, which are kept here as the reference: merged
 trees are pinned bit for bit, and one ulp in a visible-energy sum is
 enough to move a pinned digest.
 """
@@ -105,7 +105,7 @@ def test_per_event_sum_equals_slice_loop(batch):
 @example(with_nan())
 @settings(max_examples=300, deadline=None)
 def test_per_event_max_equals_slice_loop(batch):
-    result = batch.per_event_max(batch.e)
+    result = batch._per_event_reduce(batch.e, np.maximum)
     assert result.shape == (len(batch),)
     assert np.array_equal(result, loop_max(batch, batch.e), equal_nan=True)
 
@@ -113,7 +113,7 @@ def test_per_event_max_equals_slice_loop(batch):
 def test_all_empty_events_reduce_to_zero():
     batch = EventBatch.from_events([(i, 0, 1.0, []) for i in range(5)])
     assert batch.per_event_sum(batch.e).tolist() == [0.0] * 5
-    assert batch.per_event_max(batch.e).tolist() == [0.0] * 5
+    assert batch._per_event_reduce(batch.e, np.maximum).tolist() == [0.0] * 5
     empty = EventBatch.empty()
     assert empty.per_event_sum(empty.e).shape == (0,)
 
@@ -123,7 +123,7 @@ def test_reduction_rejects_array_of_wrong_length():
     with pytest.raises(ValueError):
         batch.per_event_sum(batch.e[:-1])
     with pytest.raises(ValueError):
-        batch.per_event_max(batch.weights)
+        batch._per_event_reduce(batch.weights, np.maximum)
 
 
 def test_per_event_sum_exact_on_generated_events():

@@ -1,8 +1,8 @@
 """Property test: at every tree depth the served merge is bit-identical to
 the from-scratch oracle fold under random interleavings of submissions,
-held/out-of-order deliveries, combiner crashes, combiner retirements,
-discards, rewinds, and polls (``tests/merge_oracle.py`` holds the one
-body; this file picks the depths).
+held/out-of-order deliveries, combiner crashes, discards, rewinds, and
+polls (``tests/merge_oracle.py`` holds the one body; this file picks the
+depths).
 
 After a *leaf* combiner crash its engines' entries are gone; the model
 immediately republishes full keyframes for the affected engines (what

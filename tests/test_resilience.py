@@ -122,19 +122,20 @@ class TestFaultPlan:
     def test_fault_validation(self):
         with pytest.raises(ValueError):
             WorkerFault("w0", kind="meteor", at=1.0)
+        with pytest.raises(TypeError):
+            WorkerFault("w0")  # at= is required
         with pytest.raises(ValueError):
-            WorkerFault("w0")  # neither at= nor probability
+            WorkerFault("w0", at=-1.0)
         with pytest.raises(ValueError):
             WorkerFault("w0", at=1.0, slow_factor=0.5)
         assert WorkerFault("w0", at=0.0).kind in FAULT_KINDS
 
-    def test_plan_partitions_scheduled_and_probabilistic(self):
-        plan = FaultPlan(seed=3)
+    def test_plan_schedules_faults_in_firing_order(self):
+        plan = FaultPlan()
         plan.add(WorkerFault("w1", kind="crash", at=20.0))
         plan.add(WorkerFault("w0", kind="hang", at=10.0))
-        plan.add(WorkerFault("w2", kind="slow", probability=0.5))
-        assert [f.worker for f in plan.scheduled()] == ["w0", "w1"]
-        assert [f.worker for f in plan.probabilistic()] == ["w2"]
+        plan.add(WorkerFault("w2", kind="slow", at=10.0))
+        assert [f.worker for f in plan.scheduled()] == ["w0", "w2", "w1"]
 
     def test_scheduled_faults_fire_at_their_times(self):
         site, client = build(n_workers=2)
@@ -150,22 +151,6 @@ class TestFaultPlan:
         assert site.injector.log == [(30.0, "slow", "w0"), (50.0, "crash", "w1")]
         assert site.element.worker("w0").slow_factor == 2.0
         assert site.element.worker("w1").failed
-
-    def test_probabilistic_faults_are_seeded_and_reproducible(self):
-        times = []
-        for _ in range(2):
-            site, _ = build(n_workers=2)
-            plan = FaultPlan(seed=11, check_every=5.0, horizon=500.0)
-            plan.add(WorkerFault("w1", kind="crash", probability=0.1))
-            site.injector.apply(plan)
-
-            def scenario():
-                yield site.env.timeout(600.0)
-
-            drive(site, scenario())
-            times.append(list(site.injector.log))
-        assert times[0] == times[1]
-        assert times[0], "fault should have fired within the horizon"
 
 
 class TestFailureInjector:

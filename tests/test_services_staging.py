@@ -298,18 +298,32 @@ def test_codeloader_stage_and_current():
     duration = env.run(until=loader.stage("s1", bundle, workers))
     assert duration == pytest.approx(7.0, abs=0.6)  # ~7 s as in Table 1
     assert loader.current("s1") is bundle
-    assert loader.current_version("s1") == 1
+    assert bundle.version == 1
     for worker in workers:
         assert worker.has_file("s1-code-v1")
 
 
 def test_codeloader_reload_bumps_version():
-    env, net, se, mgr, workers, ftp = build_site(2)
-    loader = ManagingClassLoaderService(env, mgr, ftp, stage_overhead=1.0)
-    env.run(until=loader.stage("s1", CodeBundle(SOURCE), workers))
-    env.run(until=loader.reload("s1", workers, parameters={"x": 1}))
-    assert loader.current_version("s1") == 2
-    assert loader.current("s1").parameters == {"x": 1}
+    # A reload is a session operation: the session service re-stages the
+    # current bundle with a bumped version through the code loader.
+    from repro.client.client import IPAClient
+    from repro.core.site import GridSite, SiteConfig
+
+    site = GridSite(SiteConfig(n_workers=2))
+    client = IPAClient(site, site.enroll_user("/O=ILC/CN=reloader"))
+
+    def scenario():
+        info = yield from client.obtain_proxy_and_connect(n_engines=2)
+        yield from client.upload_code(SOURCE)
+        yield from client.reload_code(parameters={"x": 1})
+        return info.session_id
+
+    session_id = site.env.run(until=site.env.process(scenario()))
+    reloaded = site.session_service.codeloader.current(session_id)
+    assert reloaded.version == 2
+    assert reloaded.parameters == {"x": 1}
+    for ref in site.registry.engines(session_id):
+        assert site.element.worker(ref.worker).has_file(f"{session_id}-code-v2")
 
 
 def test_codeloader_unknown_session():
@@ -317,7 +331,6 @@ def test_codeloader_unknown_session():
     loader = ManagingClassLoaderService(env, mgr, ftp)
     with pytest.raises(CodeLoaderError):
         loader.current("ghost")
-    assert loader.current_version("ghost") == 0
 
 
 def test_codeloader_drop_session():

@@ -42,7 +42,7 @@ PACKAGE = SRC / "repro"
 
 #: Function lines no product path calls, as of the last PR that moved it.
 #: CI fails above this; lower it whenever the census reads lower.
-CEILING = 1662
+CEILING = 1250
 
 PAPER_BENCHES = [
     "benchmarks/bench_table1.py",

@@ -231,8 +231,7 @@ class Histogram1D(Binned):
             and np.array_equal(self._counts, other._counts)
             and np.array_equal(self._sumw, other._sumw, equal_nan=True)
             and np.array_equal(self._sumw2, other._sumw2, equal_nan=True)
-            and self._swx == other._swx
-            and self._swx2 == other._swx2
+            and np.array_equal((self._swx, self._swx2), (other._swx, other._swx2), equal_nan=True)
         )
 
     def __repr__(self) -> str:

@@ -32,7 +32,7 @@ from repro.resilience.faults import ServiceUnavailable
 from repro.resilience.retry import RetryPolicy
 from repro.services.aida_manager import MergeProgress
 from repro.services.envelope import Fault, RetryAfter
-from repro.services.session import SessionInfo, StagedDataset
+from repro.services.session_state import SessionInfo, StagedDataset
 
 #: Default backoff for :meth:`IPAClient.reconnect`: ~8 attempts over a few
 #: minutes, matching how long a manager-node service restart takes.

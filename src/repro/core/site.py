@@ -118,7 +118,7 @@ class SiteConfig:
 
     Every site runs the replica plane (catalog + per-worker caches, see
     :mod:`repro.replica`) and the recovery plane (heartbeat monitor +
-    partition re-dispatch, see :mod:`repro.services.session`); neither
+    partition re-dispatch, see :mod:`repro.services.recovery`); neither
     has an off switch.
     """
 

@@ -24,7 +24,9 @@ a :class:`~repro.resilience.retry.RetryPolicy` (exponential backoff with
 optional deterministic jitter), raising :class:`TransferError` once the
 policy is exhausted — mirroring real GridFTP clients' restart behaviour.
 A dropped network link (:class:`~repro.sim.LinkDown`) is retried the same
-way, so a transfer survives a brief outage if the link comes back.
+way, so a transfer survives a brief outage if the link comes back; an
+attempt that finds no route at all (every link of an endpoint down) fails
+the same way, so a cut-off worker surfaces as a :class:`TransferError`.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from dataclasses import dataclass
 from itertools import count
 from typing import List, Optional, Sequence, Tuple
 
-from repro.grid.network import Network, TransferStats
+from repro.grid.network import Network, NetworkError, TransferStats
 from repro.grid.nodes import Node, StorageElement
 from repro.obs import NULL_OBS, Observability
 from repro.resilience.retry import RetryPolicy
-from repro.sim import Environment, LinkDown, Process
+from repro.sim import Environment, Event, LinkDown, Process
 
 
 class TransferError(Exception):
@@ -61,6 +63,13 @@ class ScatterReport:
     def total_mb(self) -> float:
         """Total payload moved."""
         return sum(stat.size_mb for stat in self.per_part)
+
+
+def _observed(send: Process) -> Process:
+    """Mark *send*'s failure handled as it happens: the fan-out's later
+    ``all_of`` reports the first one, and no failure stops the kernel."""
+    send.callbacks.append(Event.defused)
+    return send
 
 
 class GridFTPService:
@@ -130,6 +139,14 @@ class GridFTPService:
             return True
         return False
 
+    def _send(self, src: Node, dst: Node, size_mb: float, cap) -> Process:
+        """One network flow of an attempt; no route fails the attempt like
+        a link dying mid-flight (retried, then a :class:`TransferError`)."""
+        try:
+            return self.network.transfer(src.name, dst.name, size_mb, stream_cap=cap)
+        except NetworkError as exc:
+            raise TransferError(str(exc)) from None
+
     # ------------------------------------------------------------------
     def _flow_cap(self, streams: Optional[int]) -> Optional[float]:
         n = self.default_streams if streams is None else streams
@@ -181,16 +198,11 @@ class GridFTPService:
                 yield src.disk_read(size_mb)
             if self._consume_failure():
                 # Model a mid-flight abort: half the transfer time is lost.
-                half = self.network.transfer(
-                    src.name, dst.name, size_mb / 2, stream_cap=cap
-                )
-                yield half
+                yield self._send(src, dst, size_mb / 2, cap)
                 raise TransferError(
                     f"transfer of {name!r} to {dst.name} aborted mid-flight"
                 )
-            stats = yield self.network.transfer(
-                src.name, dst.name, size_mb, stream_cap=cap
-            )
+            stats = yield self._send(src, dst, size_mb, cap)
             if write_disk:
                 yield dst.disk_write(size_mb)
             dst.store_file(name, size_mb)
@@ -311,8 +323,9 @@ class GridFTPService:
         overlaps with the next read.  A part delivery that fails mid-flight
         (injected failure or link outage) is restarted under the service's
         :class:`RetryPolicy` without re-reading the spindle; the report is
-        only returned once every part landed.  The process value is a
-        :class:`ScatterReport`.
+        only returned once every part landed, and a delivery that exhausts
+        its retries fails the scatter once every part has been read.  The
+        process value is a :class:`ScatterReport`.
         """
         if len(parts) != len(destinations):
             raise TransferError(
@@ -341,16 +354,12 @@ class GridFTPService:
                     if self._consume_failure():
                         # Mid-flight abort: half the transfer time is lost
                         # (same restart model as transfer_file).
-                        yield self.network.transfer(
-                            source.name, dest.name, part_mb / 2, stream_cap=cap
-                        )
+                        yield self._send(source, dest, part_mb / 2, cap)
                         raise TransferError(
                             f"scatter of {part_name!r} to {dest.name} "
                             f"aborted mid-flight"
                         )
-                    stats = yield self.network.transfer(
-                        source.name, dest.name, part_mb, stream_cap=cap
-                    )
+                    stats = yield self._send(source, dest, part_mb, cap)
                     yield dest.disk_write(part_mb)
                     dest.store_file(part_name, part_mb)
                     metrics.counter(
@@ -385,18 +394,11 @@ class GridFTPService:
                     ).inc()
                     raise last_error
 
-                sends.append(
-                    self.env.process(
-                        tracer.trace_gen(
-                            "ftp.part",
-                            deliver(),
-                            file=part_name,
-                            dst=dest.name,
-                            mb=part_mb,
-                        )
-                    )
+                delivery = tracer.trace_gen(
+                    "ftp.part", deliver(), file=part_name, dst=dest.name, mb=part_mb
                 )
-            done = yield self.env.all_of(sends)
+                sends.append(_observed(self.env.process(delivery)))
+            yield self.env.all_of(sends)
             stats_list = [proc.value for proc in sends]
             self.log.extend(stats_list)
             return ScatterReport(
@@ -428,9 +430,7 @@ class GridFTPService:
 
         def run():
             sends = [
-                self.transfer_file(
-                    source, dest, name, size_mb, streams=streams
-                )
+                _observed(self.transfer_file(source, dest, name, size_mb, streams=streams))
                 for dest in destinations
             ]
             yield self.env.all_of(sends)

@@ -20,7 +20,7 @@ fix:
     costs at most the unflushed suffix, never the whole journal.
 
 What a record *means* is not defined here: ``apply`` and ``fold`` in
-:mod:`repro.services.session` turn records into a ``SessionState``, for
+:mod:`repro.services.session_state` turn records into a ``SessionState``, for
 the live service and for the restarted one alike.
 
 Journal and checkpoint writes charge **zero simulated time**: durability

@@ -8,7 +8,11 @@ Module                 Paper counterpart
 ``envelope``           SOAP transport + service container (Globus GT4 host)
 ``wsrf``               WS-Resource Framework stateful resources
 ``control``            Control Service (mutual auth, session creation)
-``session``            IPA Session Manager Service
+``session``            IPA Session Manager Service (façade + durability)
+``session_state``      Its durable state: ``SessionState``, ``apply``, ``fold``
+``engine_host``        The analysis-engine job body on each worker
+``stager``             Dataset staging for a session
+``recovery``           Engine-failure recovery (``RecoverySupervisor``)
 ``catalog``            Dataset Catalog Service (browse + query language)
 ``locator``            Locator Service (dataset id -> physical location)
 ``splitter``           Splitter Service (split + disperse parts)

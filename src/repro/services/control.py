@@ -23,7 +23,8 @@ from repro.grid.security import (
     mutual_authenticate,
 )
 from repro.services.envelope import ServiceContainer
-from repro.services.session import SessionError, SessionInfo, SessionService
+from repro.services.session import SessionService
+from repro.services.session_state import SessionError, SessionInfo
 from repro.sim import Environment
 
 
@@ -64,7 +65,7 @@ class ControlService:
     ):
         """Authenticate, authorize, and create a session (generator op).
 
-        Returns the :class:`~repro.services.session.SessionInfo`; the
+        Returns the :class:`~repro.services.session_state.SessionInfo`; the
         session token is registered with the container so subsequent RMI
         polling calls are accepted.  *dataset_hint* is forwarded to the
         session service for data-affinity engine placement.
@@ -133,7 +134,7 @@ class ControlService:
         Plain (non-generator) operation: the session already exists, so
         this only refreshes the security context, re-registers the RMI
         token with the container, and returns a fresh
-        :class:`~repro.services.session.SessionInfo`.
+        :class:`~repro.services.session_state.SessionInfo`.
         """
         context = self.authenticate(client_chain)
         info = self.session_service.reconnect(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.aida.axis import OVERFLOW, UNDERFLOW, Axis
+from repro.aida.axis import OVERFLOW, UNDERFLOW
 from repro.aida.hist1d import Histogram1D
 
 
@@ -234,6 +234,11 @@ def test_equality_is_bit_exact():
     with_nan = make()
     with_nan.fill(-100.0, weight=float("nan"))
     assert with_nan == with_nan.copy()
+    # In range, the NaN weight reaches the moments too.
+    nan_moments = make()
+    nan_moments.fill(3.3, weight=float("nan"))
+    assert nan_moments == nan_moments.copy()
+    assert nan_moments != with_nan
 
 
 def test_serialization_roundtrip():

@@ -8,7 +8,6 @@ from repro.client.display import dashboard, progress_bar
 from repro.client.plugins import GridProxyPlugin, RemoteDataPlugin
 from repro.core.site import GridSite, SiteConfig
 from repro.services.aida_manager import MergeProgress
-from repro.sim import Environment
 
 
 # ---------------------------------------------------------------------------

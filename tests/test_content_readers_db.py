@@ -7,7 +7,7 @@ from repro.analysis import counting
 from repro.client.client import IPAClient
 from repro.core.site import GridSite, SiteConfig
 from repro.dataset.events import EventBatch
-from repro.services.content import BLOCK_EVENTS, ContentError, ContentStore
+from repro.services.content import ContentError, ContentStore
 
 
 # ---------------------------------------------------------------------------

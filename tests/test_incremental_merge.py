@@ -2,8 +2,6 @@
 entries in the AIDA manager's merge tree, and the resync protocol between
 them."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.aida.hist1d import Histogram1D

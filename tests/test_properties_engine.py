@@ -1,7 +1,5 @@
 """Property-based tests: the engine survives arbitrary control sequences."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

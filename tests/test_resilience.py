@@ -16,9 +16,9 @@ from repro.engine.runner import run_local
 from repro.engine.sandbox import CodeBundle
 from repro.grid.gram import GramUnavailable
 from repro.grid.scheduler import JobState
+from repro.grid.transfer import TransferError
 from repro.resilience import (
     FAULT_KINDS,
-    FailureInjector,
     FaultPlan,
     HeartbeatMonitor,
     RecoveryConfig,
@@ -28,7 +28,7 @@ from repro.resilience import (
 from repro.services.content import ContentStore
 from repro.services.envelope import Fault
 from repro.services.registry import WorkerRegistryService
-from repro.sim import Environment, NodeCrash, NodeFailure, NodeHang
+from repro.sim import Environment, NodeCrash, NodeHang
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +517,7 @@ class TestRecovery:
 
             monkeypatch.setattr(site.gram, "submit", submit)
             with pytest.raises(RuntimeError, match="could not be built"):
-                yield from site.session_service._start_spare(info.session_id)
+                yield from site.session_service.supervisor._start_spare(info.session_id)
             yield from client.close()
 
         drive(site, scenario())
@@ -623,6 +623,94 @@ class TestShutdown:
             site.registry.drop_session("ghost")
             site.aida.drop_session("ghost")
             site.codeloader.drop_session("ghost")
+
+    def test_one_job_entry_per_engine_through_a_spare_and_a_restart(self):
+        """``status()`` lists each engine job the service holds once, a
+        spare's included, before and after a service restart; ``close()``
+        leaves none of them running."""
+        site, client = build(n_workers=4)
+        service = site.session_service
+        out = {}
+
+        def scenario():
+            info = yield from client.obtain_proxy_and_connect(n_engines=3)
+            yield from client.select_dataset("ds-small")
+            yield from client.upload_code(higgs.SOURCE)
+            yield from client.run()
+            yield site.env.timeout(10.0)
+            victim = site.registry.engines(info.session_id)[0]
+            site.injector.crash_worker(victim.worker)
+            yield from client.wait_for_completion(
+                poll_interval=2.0, timeout=4000.0
+            )
+            out["spare"] = yield from client.status()
+            out["jobs"] = list(
+                service._sessions[info.session_id]["engine_jobs"].values()
+            )
+            site.injector.crash_services()
+            yield site.injector.restart_services()
+            yield from client.reconnect()
+            out["recovered"] = yield from client.status()
+            out["rebound"] = list(
+                service._sessions[info.session_id]["engine_jobs"].values()
+            )
+            assert (yield from client.close())
+
+        drive(site, scenario())
+        # Three engines started with the session and one spare joined.
+        assert len(out["jobs"]) == 4
+        assert sorted(out["spare"]["job_states"]) == [
+            JobState.FAILED, JobState.RUNNING, JobState.RUNNING,
+            JobState.RUNNING,
+        ]
+        assert out["spare"]["redispatches"][0]["to"].endswith("-engine-3")
+        # Recovery re-binds the three live jobs, each listed once.
+        assert len({id(job) for job in out["rebound"]}) == 3
+        assert out["recovered"]["job_states"] == [JobState.RUNNING] * 3
+        assert all(job.state in JobState.TERMINAL for job in out["jobs"])
+
+
+# ---------------------------------------------------------------------------
+# Link-down: a cut-off worker is a typed transfer failure
+# ---------------------------------------------------------------------------
+
+class TestLinkDown:
+    @staticmethod
+    def cut_engine_one(site, session_id):
+        (ref,) = [
+            ref for ref in site.registry.engines(session_id)
+            if ref.engine_id == f"{session_id}-engine-1"
+        ]
+        site.injector.cut_links(ref.worker)
+
+    def test_cut_before_staging_fails_the_stage_with_a_transfer_error(self):
+        site, client = build(n_workers=4)
+        out = {}
+
+        def scenario():
+            info = yield from client.obtain_proxy_and_connect(n_engines=4)
+            self.cut_engine_one(site, info.session_id)
+            with pytest.raises(TransferError):
+                yield from client.select_dataset("ds-small")
+            out["closed"] = yield from client.close()
+
+        drive(site, scenario())
+        assert out["closed"] is True
+
+    def test_cut_before_code_upload_fails_it_with_a_transfer_error(self):
+        site, client = build(n_workers=4)
+        out = {}
+
+        def scenario():
+            info = yield from client.obtain_proxy_and_connect(n_engines=4)
+            yield from client.select_dataset("ds-small")
+            self.cut_engine_one(site, info.session_id)
+            with pytest.raises(TransferError):
+                yield from client.upload_code(higgs.SOURCE)
+            out["closed"] = yield from client.close()
+
+        drive(site, scenario())
+        assert out["closed"] is True
 
 
 # ---------------------------------------------------------------------------

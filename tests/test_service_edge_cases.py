@@ -8,10 +8,11 @@ from repro.core.config import DEFAULT_CALIBRATION
 from repro.core.site import GridSite, SiteConfig
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.content import ContentStore
-from repro.services.envelope import Fault, ServiceContainer, ServiceError
+from repro.services.envelope import Fault, ServiceContainer
 from repro.services.registry import WorkerRegistryService
-from repro.services.session import EngineHost, SessionError
-from repro.sim import Environment, Store
+from repro.services.engine_host import EngineHost
+from repro.services.session_state import SessionError
+from repro.sim import Environment
 
 
 def test_generator_operation_failure_propagates():

@@ -19,7 +19,7 @@ from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import ServiceUnavailable
 from repro.resilience.journal import DurableStore, SessionJournal, decode_record
 from repro.services.envelope import Fault
-from repro.services.session import SessionError, apply, fold
+from repro.services.session_state import SessionError, apply, fold
 from repro.engine.engine import Snapshot
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.aida.tree import ObjectTree
 from repro.dataset.events import EventBatch
-from repro.engine.engine import AnalysisEngine, Snapshot
+from repro.engine.engine import Snapshot
 from repro.engine.sandbox import CodeBundle
 from repro.grid.network import Network
 from repro.grid.nodes import ManagerNode, NodeSpec, StorageElement, WorkerNode

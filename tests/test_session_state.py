@@ -29,7 +29,7 @@ from repro.analysis import counting
 from repro.client.client import IPAClient
 from repro.core.site import GridSite, SiteConfig
 from repro.resilience.journal import SessionJournal
-from repro.services.session import apply, fold
+from repro.services.session_state import apply, fold
 
 N_WORKERS = 5
 N_ENGINES = 4

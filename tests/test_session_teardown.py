@@ -28,7 +28,7 @@ from repro.engine.engine import AnalysisEngine
 from repro.federation import FederatedClient, Federation
 from repro.services import content as content_module
 from repro.services.content import BLOCK_EVENTS, MAX_CACHED_BLOCKS, ContentStore
-from repro.services.session import EngineHost
+from repro.services.engine_host import EngineHost
 
 N_WORKERS = 4
 #: 1000 events per engine = two compute chunks, so "mid-run" exists.

@@ -9,7 +9,6 @@ from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
-    Timeout,
 )
 
 

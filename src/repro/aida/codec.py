@@ -87,9 +87,9 @@ def payload_nbytes(data: Any) -> int:
 
     An AIDA object or tree (anything with ``to_wire``) counts as its
     ``to_dict()`` form, each array sized from its shape and dtype instead
-    of being encoded.  The exact types a ``to_dict()`` payload is made of
-    are answered first; subclasses and everything else take the
-    ``isinstance`` chain below and get the same integer.
+    of being encoded; one with ``wire_nbytes()`` answers that integer.  The
+    exact types a ``to_dict()`` payload is made of are answered first;
+    subclasses and everything else take the ``isinstance`` chain below.
     """
     kind = type(data)
     if kind is str:
@@ -113,9 +113,15 @@ def payload_nbytes(data: Any) -> int:
                 total += payload_nbytes(value)
         return total
     if kind is list:
-        if set(map(type, data)) <= _PLAIN_NUMBERS:
+        kinds = set(map(type, data))
+        if kinds <= _PLAIN_NUMBERS:
             return sum(map(len, map(repr, data))) + 2 * len(data)
-        return sum(payload_nbytes(v) + 2 for v in data)
+        if kinds == {str}:
+            return sum(map(len, data)) + 4 * len(data)
+        return sum(map(payload_nbytes, data)) + 2 * len(data)
+    wire_nbytes = getattr(data, "wire_nbytes", None)
+    if wire_nbytes is not None:
+        return wire_nbytes()
     if data is None or isinstance(data, bool):
         return 4
     if isinstance(data, (int, float)):
@@ -134,7 +140,7 @@ def payload_nbytes(data: Any) -> int:
         return sum(payload_nbytes(v) + 2 for v in data)
     to_wire = getattr(data, "to_wire", None)
     if to_wire is not None:
-        return payload_nbytes(to_wire(_encoded_size))
+        return payload_nbytes(to_wire(encoded_size))
     return 64
 
 
@@ -153,10 +159,10 @@ _ENCODED_FRAME = payload_nbytes(
 )
 
 
-def _encoded_size(array: np.ndarray) -> Union[list, _EncodedSize]:
+def encoded_size(array: np.ndarray) -> Union[list, _EncodedSize]:
     """What ``payload_nbytes(encode_array(array))`` reads, from shape and
-    dtype alone: small arrays are their list form, large ones their frame
-    plus ``4 * ceil(nbytes / 3)`` base64 characters."""
+    dtype alone (``to_wire``'s array hook for sizing): small arrays are
+    their list form, large ones their frame plus ``4 * ceil(nbytes / 3)``."""
     if array.size < MIN_CODEC_SIZE:
         return array.tolist()
     shape = sum(len(repr(n)) + 2 for n in array.shape)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.aida.axis import OVERFLOW, UNDERFLOW, Axis
 from repro.aida.base import Binned
-from repro.aida.codec import encode_array
+from repro.aida.codec import MIN_CODEC_SIZE, encode_array, encoded_size, payload_nbytes
 
 #: Unit weights for ``fill_array(xs)``, sliced rather than allocated.
 _ONES = np.ones(4096)
@@ -257,6 +258,16 @@ class Histogram1D(Binned):
 
     to_dict = to_wire
 
+    def wire_nbytes(self) -> int:
+        """``payload_nbytes`` of :meth:`to_dict`'s form: a kept frame plus the moments."""
+        axis = self.axis
+        if not axis.fixed_binning or axis.bins + 2 < MIN_CODEC_SIZE:
+            return payload_nbytes(self.to_wire(encoded_size))
+        # Edges by repr: 0.0 and -0.0 are one key but differ in size.
+        lower, upper = repr(axis.lower_edge), repr(axis.upper_edge)
+        frame = _frame_nbytes(self.name, self.title, axis.bins, lower, upper)
+        return frame + payload_nbytes(self._swx) + payload_nbytes(self._swx2)
+
     @classmethod
     def from_dict(cls, data: dict) -> "Histogram1D":
         """Reconstruct a histogram serialized with :meth:`to_dict`."""
@@ -266,3 +277,12 @@ class Histogram1D(Binned):
             _swx=float(data["swx"]),
             _swx2=float(data["swx2"]),
         )
+
+
+@lru_cache(maxsize=256)
+def _frame_nbytes(name: str, title: str, bins: int, lower: str, upper: str) -> int:
+    """A fixed-axis histogram's size less its moments: its arrays are sized
+    by shape alone (at least ``MIN_CODEC_SIZE`` slots), so these fix it."""
+    empty = Histogram1D("_", bins=bins, lower=float(lower), upper=float(upper))
+    empty.name, empty.title = name, title
+    return payload_nbytes(empty.to_wire(encoded_size)) - 2 * payload_nbytes(0.0)

@@ -12,7 +12,10 @@ from __future__ import annotations
 from typing import Collection, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.aida.base import Freezable
-from repro.aida.codec import encode_array
+from repro.aida.codec import encode_array, payload_nbytes
+
+#: ``payload_nbytes`` of an empty tree's dict form.
+_EMPTY_TREE_NBYTES = payload_nbytes({"kind": "ObjectTree", "objects": {}})
 
 
 class TreeError(Exception):
@@ -293,6 +296,10 @@ class ObjectTree(Freezable):
         }
 
     to_dict = to_wire
+
+    def wire_nbytes(self) -> int:
+        """``payload_nbytes`` of :meth:`to_dict`'s form, each object sized by its own."""
+        return _EMPTY_TREE_NBYTES + sum(len(p) + 4 + payload_nbytes(o) for p, o in self.walk())
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectTree":

@@ -57,11 +57,12 @@ def generate_trading_days(
     volumes = rng.lognormal(mean=4.0, sigma=1.0, size=n_trades)
     sides = rng.choice([-1, 1], size=n_trades)
     offsets = np.arange(n_days + 1, dtype=np.int64) * trades_per_day
-    zeros = np.zeros(n_trades)
+    # Columns with one value throughout are read-only zero-stride views.
+    zeros = np.broadcast_to(0.0, n_trades)
     return EventBatch(
         event_ids=np.arange(n_days),
-        process=np.zeros(n_days, dtype=np.int16),
-        weights=np.ones(n_days),
+        process=np.broadcast_to(np.int16(0), n_days),
+        weights=np.broadcast_to(1.0, n_days),
         offsets=offsets,
         pdg=sides.astype(np.int32),
         e=prices,

@@ -104,8 +104,9 @@ class EventBatch:
 
     @property
     def nbytes(self) -> int:
-        """In-memory footprint of the payload arrays."""
-        return sum(getattr(self, name).nbytes for name in _ARRAYS)
+        """Bytes the payload arrays hold: a zero-stride column holds one value."""
+        arrays = [getattr(self, name) for name in _ARRAYS]
+        return sum(a.itemsize if a.strides == (0,) else a.nbytes for a in arrays)
 
     def freeze(self) -> "EventBatch":
         """Make every array read-only (and so every later slice); returns self."""

@@ -39,6 +39,12 @@ from repro.dataset.physics import (
 #: PDG-style label we give reconstructed jets.
 JET_PDG = 81
 
+#: Jets per event by process code: zh, ww and zz decay to four, qq is two.
+JETS_PER_EVENT = np.array([4, 4, 4, 2])
+
+#: One jet of every event of a process: ``(e, px, py, pz)`` arrays.
+Jet = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -105,7 +111,12 @@ class ILCEventGenerator:
 
     # ------------------------------------------------------------------
     def generate(self, n_events: int) -> EventBatch:
-        """Generate a batch of *n_events* mixed-process events."""
+        """Generate a batch of *n_events* mixed-process events.
+
+        The drawn process labels lay out the block; each process's jets are
+        then smeared straight into their slots.  ``pdg`` and ``weights`` are
+        one value throughout: read-only zero-stride columns.
+        """
         if n_events < 0:
             raise ValueError("n_events must be >= 0")
         if n_events == 0:
@@ -113,58 +124,57 @@ class ILCEventGenerator:
         rng = self._rng
         names = [name for name, _ in self.config.fractions]
         probs = np.array([f for _, f in self.config.fractions])
-        choice = rng.choice(len(names), size=n_events, p=probs)
+        codes = np.array([PROCESS_CODES[name] for name in names], dtype=np.int16)
+        process = codes[rng.choice(len(names), size=n_events, p=probs)]
 
-        sub_batches: List[Tuple[np.ndarray, EventBatch]] = []
-        for index, name in enumerate(names):
-            mask = choice == index
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            maker = getattr(self, f"_make_{name}")
-            sub_batches.append((np.nonzero(mask)[0], maker(count)))
+        offsets = np.zeros(n_events + 1, dtype=np.int64)
+        np.cumsum(JETS_PER_EVENT[process], out=offsets[1:])
+        columns = tuple(np.empty(int(offsets[-1])) for _ in range(4))
+        for name, code in zip(names, codes):
+            first = offsets[:-1][process == code]
+            if len(first):
+                jets = getattr(self, f"_make_{name}")(len(first))
+                self._smear_into(jets, first, columns)
 
-        # Re-interleave to the original event order for realism.
-        order = np.concatenate([positions for positions, _ in sub_batches])
-        merged = EventBatch.concatenate([batch for _, batch in sub_batches])
-        perm = np.argsort(order, kind="stable")
-        reordered = _permute_batch(merged, perm)
-        reordered.event_ids[:] = np.arange(
-            self._next_event_id, self._next_event_id + n_events
-        )
+        event_ids = np.arange(self._next_event_id, self._next_event_id + n_events)
         self._next_event_id += n_events
-        return reordered
+        return EventBatch(
+            event_ids,
+            process,
+            np.broadcast_to(1.0, n_events),
+            offsets,
+            np.broadcast_to(np.int32(JET_PDG), len(columns[0])),
+            *columns,
+        )
 
     # -- process builders ----------------------------------------------
-    def _two_boson_jets(
-        self, n: int, mass_a: float, mass_b: float, process: str
-    ) -> EventBatch:
+    def _two_boson_jets(self, n: int, mass_a: float, mass_b: float) -> List[Jet]:
         """Events with two bosons back-to-back, each decaying to two jets."""
         rng = self._rng
         roots = self.config.sqrt_s
         p = two_body_momentum(roots, mass_a, mass_b)
-        ux, uy, uz = isotropic_directions(n, rng)
+        momentum = [p * u for u in isotropic_directions(n, rng)]
         ea = np.full(n, np.sqrt(p * p + mass_a * mass_a))
+        jets = list(two_body_decay(ea, *momentum, 0.0, 0.0, rng))
+        # Boson b flies opposite boson a: negate a's momentum in place.
+        for component in momentum:
+            np.negative(component, out=component)
         eb = np.full(n, np.sqrt(p * p + mass_b * mass_b))
-        a = (ea, p * ux, p * uy, p * uz)
-        b = (eb, -p * ux, -p * uy, -p * uz)
-        j1, j2 = two_body_decay(*a, 0.0, 0.0, rng)
-        j3, j4 = two_body_decay(*b, 0.0, 0.0, rng)
-        return self._jets_to_batch([j1, j2, j3, j4], process)
+        return jets + list(two_body_decay(eb, *momentum, 0.0, 0.0, rng))
 
-    def _make_zh(self, n: int) -> EventBatch:
+    def _make_zh(self, n: int) -> List[Jet]:
         """Signal: Z H with H -> bb and Z -> qq (four jets)."""
-        return self._two_boson_jets(n, self.config.higgs_mass, MASS_Z, "zh")
+        return self._two_boson_jets(n, self.config.higgs_mass, MASS_Z)
 
-    def _make_ww(self, n: int) -> EventBatch:
+    def _make_ww(self, n: int) -> List[Jet]:
         """Background: W pair to four jets."""
-        return self._two_boson_jets(n, MASS_W, MASS_W, "ww")
+        return self._two_boson_jets(n, MASS_W, MASS_W)
 
-    def _make_zz(self, n: int) -> EventBatch:
+    def _make_zz(self, n: int) -> List[Jet]:
         """Background: Z pair to four jets."""
-        return self._two_boson_jets(n, MASS_Z, MASS_Z, "zz")
+        return self._two_boson_jets(n, MASS_Z, MASS_Z)
 
-    def _make_qq(self, n: int) -> EventBatch:
+    def _make_qq(self, n: int) -> List[Jet]:
         """Background: continuum q qbar — two back-to-back jets."""
         rng = self._rng
         # Radiative return spreads the effective energy below sqrt(s).
@@ -172,68 +182,14 @@ class ILCEventGenerator:
         ux, uy, uz = isotropic_directions(n, rng)
         j1 = (e_jet, e_jet * ux, e_jet * uy, e_jet * uz)
         j2 = (e_jet, -e_jet * ux, -e_jet * uy, -e_jet * uz)
-        return self._jets_to_batch([j1, j2], "qq")
+        return [j1, j2]
 
     # -- helpers --------------------------------------------------------
-    def _jets_to_batch(
-        self,
-        jets: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-        process: str,
-    ) -> EventBatch:
-        """Smear jets and pack one event per row of the jet arrays."""
-        rng = self._rng
-        n = len(jets[0][0])
-        k = len(jets)
-        e = np.empty((n, k))
-        px = np.empty((n, k))
-        py = np.empty((n, k))
-        pz = np.empty((n, k))
-        for column, (je, jx, jy, jz) in enumerate(jets):
-            scale = (
-                smear_energies(
-                    je,
-                    rng,
-                    self.config.smear_stochastic,
-                    self.config.smear_constant,
-                )
-                / np.clip(je, 1e-12, None)
-            )
-            e[:, column] = je * scale
-            px[:, column] = jx * scale
-            py[:, column] = jy * scale
-            pz[:, column] = jz * scale
-        offsets = np.arange(n + 1, dtype=np.int64) * k
-        return EventBatch(
-            event_ids=np.zeros(n, dtype=np.int64),  # assigned by generate()
-            process=np.full(n, PROCESS_CODES[process], dtype=np.int16),
-            weights=np.ones(n),
-            offsets=offsets,
-            pdg=np.full(n * k, JET_PDG, dtype=np.int32),
-            e=e.ravel(),
-            px=px.ravel(),
-            py=py.ravel(),
-            pz=pz.ravel(),
-        )
-
-
-def _permute_batch(batch: EventBatch, perm: np.ndarray) -> EventBatch:
-    """Reorder a batch's events by *perm* (array of source indices)."""
-    counts = np.diff(batch.offsets)
-    new_counts = counts[perm]
-    new_offsets = np.concatenate([[0], np.cumsum(new_counts)])
-    n_particles = int(batch.offsets[-1])
-    # Particle gather index: slot j of the output belongs to the event whose
-    # particles moved by (old start - new start), so add that shift to j.
-    shift = batch.offsets[:-1][perm] - new_offsets[:-1]
-    gather = np.arange(n_particles) + np.repeat(shift, new_counts)
-    return EventBatch(
-        batch.event_ids[perm],
-        batch.process[perm],
-        batch.weights[perm],
-        new_offsets,
-        batch.pdg[gather],
-        batch.e[gather],
-        batch.px[gather],
-        batch.py[gather],
-        batch.pz[gather],
-    )
+    def _smear_into(self, jets: List[Jet], first: np.ndarray, out: Tuple[np.ndarray, ...]) -> None:
+        """Smear jet *k* of each event into slot ``first + k`` of *out*."""
+        stochastic, constant = self.config.smear_stochastic, self.config.smear_constant
+        for slot, jet in enumerate(jets):
+            je = jet[0]
+            scale = smear_energies(je, self._rng, stochastic, constant) / np.clip(je, 1e-12, None)
+            for column, values in zip(out, jet):
+                column[first + slot] = values * scale

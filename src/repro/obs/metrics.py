@@ -15,6 +15,7 @@ pay a single attribute lookup and method call.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -24,6 +25,9 @@ class MetricError(Exception):
 
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: A metric name: letters, digits, ``_`` and ``:`` (``\w`` is ``isalnum()`` or ``_``).
+_NAME = re.compile(r"[\w:]+")
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -97,7 +101,7 @@ class Metric:
     type_name = "untyped"
 
     def __init__(self, name: str, help: str = "") -> None:
-        if not name or not all(c.isalnum() or c in "_:" for c in name):
+        if not _NAME.fullmatch(name):
             raise MetricError(f"invalid metric name {name!r}")
         if name[0].isdigit():
             raise MetricError(f"invalid metric name {name!r}")
@@ -191,17 +195,21 @@ class Histogram(Metric):
         #: Finite upper bounds; an implicit +Inf bucket follows them.
         self.buckets: Tuple[float, ...] = tuple(float(b) for b in bounds)
 
+    #: The unlabeled series, once observed: most hot histograms have no labels.
+    _unlabeled: Optional[_HistogramSeries] = None
+
     def _get(self, labels: Dict[str, object]) -> _HistogramSeries:
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
-            series = _HistogramSeries(len(self.buckets) + 1)
-            self._series[key] = series
+            series = self._series[key] = _HistogramSeries(len(self.buckets) + 1)
+            if not key:
+                self._unlabeled = series
         return series
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation (``value <= bound`` lands in a bucket)."""
-        series = self._get(labels)
+        series = (not labels and self._unlabeled) or self._get(labels)
         # First bound >= value, i.e. the smallest bucket whose ``le``
         # admits the observation; past the last bound this is +Inf.
         index = bisect_left(self.buckets, value)

@@ -343,3 +343,20 @@ def test_payload_nbytes_of_objects_equals_their_dict_form(case):
     # An object in a larger payload (a poll reply) is sized the same way.
     reply = (obj, {"progress": 1})
     assert payload_nbytes(reply) == payload_nbytes((obj.to_dict(), {"progress": 1}))
+
+
+@pytest.mark.parametrize("bins", [MIN_CODEC_SIZE - 3, MIN_CODEC_SIZE - 2, 200])
+def test_a_histogram_is_sized_afresh_after_every_change(bins):
+    """The kept frame of a histogram's size follows its name, title, axis
+    and moments: every edit is sized like the dict form it would send."""
+    hist = _hist1d_with_bins(bins)
+    copies = [hist, hist.copy(), hist.copy(name="a_longer_name"), hist.copy()]
+    copies[1].fill(0.5, weight=1.0 / 3.0)
+    copies[3].title = "a title of another length"
+    copies += [
+        Histogram1D("h", bins=bins, lower=-10.0, upper=0.0),
+        Histogram1D("h", bins=bins, lower=-10.0, upper=-0.0),  # an equal edge of another size
+        Histogram1D("h", edges=np.linspace(0.0, 1.0, bins + 1) ** 2),
+    ]
+    for obj in copies:
+        assert payload_nbytes(obj) == payload_nbytes(obj.to_dict())

@@ -42,7 +42,7 @@ def test_exponential_buckets_validation(kwargs):
         exponential_buckets(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["", "9lives", "has space", "semi;colon"])
+@pytest.mark.parametrize("name", ["", "9lives", "has space", "semi;colon", "dash-ed", "new\nline"])
 def test_invalid_metric_names(name):
     with pytest.raises(MetricError):
         Counter(name)
@@ -105,6 +105,18 @@ def test_histogram_labeled_series_are_independent():
     assert hist.count() == 0
     assert hist.mean(phase="missing") == 0.0
     assert hist.cumulative_counts(phase="missing") == [(1.0, 0), (float("inf"), 0)]
+
+
+def test_histogram_unlabeled_series_appears_on_first_observe():
+    hist = Histogram("y_seconds", buckets=(1.0,))
+    hist.observe(0.5, phase="a")
+    assert hist.labels_seen() == [(("phase", "a"),)]
+    for value in (0.5, 2.0, 3.0):
+        hist.observe(value)
+    hist.observe(0.25, phase="a")
+    assert hist.labels_seen() == [(), (("phase", "a"),)]
+    assert hist.cumulative_counts() == [(1.0, 1), (float("inf"), 3)]
+    assert hist.total() == 5.5 and hist.count(phase="a") == 2
 
 
 @pytest.mark.parametrize("buckets", [(), (2.0, 1.0), (1.0, 1.0)])

@@ -1,8 +1,9 @@
 """Property-based tests: the columnar kernels equal the loops they replaced.
 
 ``EventBatch.per_event_sum`` (and the segmented reduction under it, for
-any ufunc) and the vectorized ``_permute_batch`` must be ``==``-equal (not
-``allclose``) to the per-event Python loops, which are kept here as the reference: merged
+any ufunc) and the in-place generator must be ``==``-equal (not
+``allclose``) to the per-event Python loops and the sub-batch construction
+they replaced, which are kept here as the reference: merged
 trees are pinned bit for bit, and one ulp in a visible-energy sum is
 enough to move a pinned digest.
 """
@@ -12,9 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dataset import generator
-from repro.dataset.events import EventBatch
-from repro.dataset.generator import ILCEventGenerator, _permute_batch
+from repro.dataset.events import PROCESS_CODES, EventBatch
+from repro.dataset.generator import GeneratorConfig, ILCEventGenerator
+from repro.dataset.physics import (
+    MASS_W,
+    MASS_Z,
+    isotropic_directions,
+    smear_energies,
+    two_body_decay,
+    two_body_momentum,
+)
 
 BATCH_ARRAYS = (
     "event_ids", "process", "weights", "offsets", "pdg", "e", "px", "py", "pz"
@@ -135,11 +143,11 @@ def test_per_event_sum_exact_on_generated_events():
 
 
 # ---------------------------------------------------------------------------
-# _permute_batch
+# The generator builds each block in place
 # ---------------------------------------------------------------------------
 
 def loop_permute_batch(batch, perm):
-    """The per-event gather loop ``_permute_batch`` used to run."""
+    """Reorder *batch*'s events by *perm* with a per-event gather loop."""
     counts = np.diff(batch.offsets)
     new_counts = counts[perm]
     new_offsets = np.concatenate([[0], np.cumsum(new_counts)])
@@ -163,6 +171,79 @@ def loop_permute_batch(batch, perm):
     )
 
 
+class SubBatchGenerator:
+    """The generator as it was built before blocks were laid out in place.
+
+    One batch per process, joined with ``EventBatch.concatenate`` and
+    re-interleaved to the drawn event order by :func:`loop_permute_batch`;
+    the physics is the same code, so its bytes are the reference.
+    """
+
+    def __init__(self, seed):
+        self.config = GeneratorConfig()
+        self.rng = np.random.default_rng(seed)
+        self.next_event_id = 0
+
+    def generate(self, n_events):
+        names = [name for name, _ in self.config.fractions]
+        probs = np.array([f for _, f in self.config.fractions])
+        choice = self.rng.choice(len(names), size=n_events, p=probs)
+        sub_batches = []
+        for index, name in enumerate(names):
+            mask = choice == index
+            count = int(mask.sum())
+            if count:
+                sub_batches.append((np.nonzero(mask)[0], self.make(name, count)))
+        order = np.concatenate([positions for positions, _ in sub_batches])
+        merged = EventBatch.concatenate([batch for _, batch in sub_batches])
+        reordered = loop_permute_batch(merged, np.argsort(order, kind="stable"))
+        reordered.event_ids[:] = np.arange(self.next_event_id, self.next_event_id + n_events)
+        self.next_event_id += n_events
+        return reordered
+
+    def make(self, name, n):
+        rng = self.rng
+        if name == "qq":
+            e_jet = self.config.sqrt_s / 2 * rng.uniform(0.5, 1.0, n)
+            ux, uy, uz = isotropic_directions(n, rng)
+            j1 = (e_jet, e_jet * ux, e_jet * uy, e_jet * uz)
+            j2 = (e_jet, -e_jet * ux, -e_jet * uy, -e_jet * uz)
+            return self.jets_to_batch([j1, j2], name)
+        mass_a, mass_b = {
+            "zh": (self.config.higgs_mass, MASS_Z), "ww": (MASS_W, MASS_W), "zz": (MASS_Z, MASS_Z)
+        }[name]
+        p = two_body_momentum(self.config.sqrt_s, mass_a, mass_b)
+        ux, uy, uz = isotropic_directions(n, rng)
+        a = (np.full(n, np.sqrt(p * p + mass_a * mass_a)), p * ux, p * uy, p * uz)
+        b = (np.full(n, np.sqrt(p * p + mass_b * mass_b)), -p * ux, -p * uy, -p * uz)
+        j1, j2 = two_body_decay(*a, 0.0, 0.0, self.rng)
+        j3, j4 = two_body_decay(*b, 0.0, 0.0, self.rng)
+        return self.jets_to_batch([j1, j2, j3, j4], name)
+
+    def jets_to_batch(self, jets, process):
+        n, k = len(jets[0][0]), len(jets)
+        e, px, py, pz = (np.empty((n, k)) for _ in range(4))
+        for column, (je, jx, jy, jz) in enumerate(jets):
+            scale = smear_energies(
+                je, self.rng, self.config.smear_stochastic, self.config.smear_constant
+            ) / np.clip(je, 1e-12, None)
+            e[:, column] = je * scale
+            px[:, column] = jx * scale
+            py[:, column] = jy * scale
+            pz[:, column] = jz * scale
+        return EventBatch(
+            event_ids=np.zeros(n, dtype=np.int64),
+            process=np.full(n, PROCESS_CODES[process], dtype=np.int16),
+            weights=np.ones(n),
+            offsets=np.arange(n + 1, dtype=np.int64) * k,
+            pdg=np.full(n * k, 81, dtype=np.int32),
+            e=e.ravel(),
+            px=px.ravel(),
+            py=py.ravel(),
+            pz=pz.ravel(),
+        )
+
+
 def assert_batches_identical(a, b):
     for name in BATCH_ARRAYS:
         left, right = getattr(a, name), getattr(b, name)
@@ -170,19 +251,8 @@ def assert_batches_identical(a, b):
         assert np.array_equal(left, right), name
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_permute_batch_equals_gather_loop(data):
-    batch = data.draw(batches())
-    perm = np.array(data.draw(st.permutations(range(len(batch)))), dtype=np.int64)
-    assert_batches_identical(
-        _permute_batch(batch, perm), loop_permute_batch(batch, perm)
-    )
-
-
 @pytest.mark.parametrize("seed", [0, 3, 202])
-def test_generator_output_unchanged_by_vectorized_permute(seed, monkeypatch):
-    vectorized = ILCEventGenerator(seed=seed).generate(5000)
-    monkeypatch.setattr(generator, "_permute_batch", loop_permute_batch)
-    looped = ILCEventGenerator(seed=seed).generate(5000)
-    assert_batches_identical(vectorized, looped)
+def test_generator_equals_the_sub_batch_construction(seed):
+    in_place, reference = ILCEventGenerator(seed=seed), SubBatchGenerator(seed)
+    for size in (1, 7, 5000):  # one RNG stream: each size continues the last
+        assert_batches_identical(in_place.generate(size), reference.generate(size))

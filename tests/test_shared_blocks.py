@@ -7,11 +7,14 @@ same kind name gets blocks of its own.  The bound and the eviction order
 are pinned in ``tests/test_properties_views.py``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.site import GridSite, SiteConfig
 from repro.dataset.events import EventBatch
+from repro.dataset.generator import ILCEventGenerator
 from repro.federation import Federation
 from repro.services.content import BLOCK_EVENTS, ContentStore
 from tests.test_properties_columnar import BATCH_ARRAYS
@@ -94,3 +97,36 @@ def test_a_block_served_to_a_second_store_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         theirs.e *= 2.0
     assert np.array_equal(first.events_for(content, 0, 100).e, pristine)
+
+
+def test_a_cached_block_shares_its_constant_columns():
+    store = ContentStore()
+    content = {"kind": "ilc", "seed": 2_802}  # a recipe no other test reads
+    block = store.events_for(content, 0, BLOCK_EVENTS)
+    part = store.events_for(content, 1_234, 5_678)
+    for batch in (block, part, part.slice(10, 20)):
+        for name in ("pdg", "weights"):
+            column = getattr(batch, name)
+            assert column.strides == (0,), name
+            assert not column.flags.writeable, name
+    assert (part.pdg == 81).all() and (part.weights == 1.0).all()
+
+
+def test_a_block_holds_only_the_bytes_that_differ_per_event():
+    block = ContentStore().events_for({"kind": "ilc", "seed": 2_803}, 0, BLOCK_EVENTS)
+    # Four-momenta, offsets, ids and process codes; pdg and weights are one value each.
+    per_event = block.event_ids.nbytes + block.process.nbytes + block.offsets.nbytes
+    assert block.nbytes == per_event + 4 * block.e.nbytes + 4 + 8
+    assert block.nbytes <= 1.25 * 2**20
+
+
+def test_generating_a_block_peaks_near_its_own_size():
+    generator = ILCEventGenerator(seed=2_804)
+    tracemalloc.start()
+    try:
+        block = generator.generate(BLOCK_EVENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The block plus one process's jets: no per-process batch, join or copy.
+    assert peak <= 2.2 * block.nbytes

@@ -103,9 +103,11 @@ class SiteConfig:
         Fixed per-request cost charged by a dispatch slot before the
         handler runs (connection demultiplexing, envelope parsing).
     poll_coalesce_window_s:
-        Minimum time a coalescing leader holds the merge open so that
-        near-simultaneous pollers can join it (0 = only exactly
-        concurrent polls coalesce).
+        Floor on a merge's latency, so that near-simultaneous pollers
+        can join it (0 = only polls overlapping the merge's own latency
+        coalesce).  A poll finding nothing changed since the last merge
+        runs no merge and waits for no window: it gets that merge's
+        reply.
     max_concurrent_engines:
         Site-wide cap on engines running across all sessions (``None``
         = no admission control).  When set, session admits go through

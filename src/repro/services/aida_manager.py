@@ -49,6 +49,9 @@ served the same one gets ``(None, progress)`` — "not modified" — at the
 same simulated cost.  Concurrent polls of one session share one merge:
 the first, the leader, is a timer that folds; the rest wait on an event
 the leader triggers, and it is the leader that advances their cursors.
+A poll that finds nothing to fold and no merge in flight runs no merge:
+it is answered at once from the reply the last merge left, which every
+change to the session's merge state discards.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from repro.engine.engine import Snapshot
 from repro.obs import NULL_OBS, NULL_SPAN, Observability
 from repro.resilience.faults import ServiceUnavailable
 from repro.services.combiner import EngineEntry, MergeTree, plan_groups
-from repro.sim import Environment, Event, Timeout
+from repro.sim import Environment, Event, Processed, Timeout
 
 
 class MergeError(Exception):
@@ -79,6 +82,8 @@ class MergeProgress:
     final_engines: int
     run_id: int
     analysis_versions: List[int]
+    #: Sim time of the merge that produced this reply (a poll answered
+    #: from the last merge's reply, or a joiner, carries that merge's).
     merged_at: float
     #: Engines the session currently expects results from (set by the
     #: session service; maintained through recovery).  ``None`` when the
@@ -171,13 +176,18 @@ class AIDAManagerService:
         state after its latency elapses and the fold order is fixed, the
         shared tree is bit-identical to what each joiner's own merge
         would have produced.  Per-client cursors (see ``poll_cursor``)
-        track which merge generation each client last saw.
+        track which merge generation each client last saw.  A poll
+        finding nothing changed since the last merge runs none: it gets
+        that merge's reply.  False is the per-client reference: every
+        poll runs a merge of its own.
     coalesce_window_s:
-        Floor on the leader's in-flight duration: with a window of *w*,
-        polls landing within *w* seconds of the leader join it even when
-        nothing is dirty (latency would otherwise be 0 and leave no
-        window to join).  0 (default) preserves the uncoalesced timing
-        exactly for sequential pollers.
+        Floor on a leader's in-flight duration: with a window of *w*,
+        polls landing within *w* seconds of the leader join it.  A poll
+        with nothing changed since the last merge has no leader (it gets
+        that merge's reply), so the window binds only on a merge shorter
+        than *w*: one after a change that left nothing to fold, or one
+        whose folds cost less.  0 (default) preserves the uncoalesced
+        timing exactly for sequential pollers.
     """
 
     def __init__(
@@ -272,6 +282,10 @@ class AIDAManagerService:
         self._generations: Dict[str, int] = {}
         #: Per session: ``(generation, frozen tree)`` last served.
         self._served: Dict[str, Tuple[int, ObjectTree]] = {}
+        #: Per session: the last fold's ``(frozen tree, progress)``, kept
+        #: until something changes the session's merge state; a poll finding
+        #: it is answered from it, with no merge.
+        self._replies: Dict[str, Tuple[ObjectTree, MergeProgress]] = {}
         #: Times this manager came back from a crash.  Not session state:
         #: the one word a restarting service reads from disk and rewrites
         #: (an NFS server's boot verifier), so it survives ``crash()``.
@@ -289,6 +303,7 @@ class AIDAManagerService:
             "inflight": self._inflight,
             "generations": self._generations,
             "served": self._served,
+            "replies": self._replies,
             "cursors": self._cursors,
         }
         #: True between a service crash and its restart+recovery.
@@ -344,6 +359,7 @@ class AIDAManagerService:
         if status != "accepted":
             self._dropped_metric.inc(reason="gap")
             return status
+        self._replies.pop(session_id, None)
         if self._observed:
             self._snapshot_metric.inc()
         return "accepted"
@@ -375,6 +391,7 @@ class AIDAManagerService:
             # A new root: whatever the grown one served is not vouched for.
             self._bump_generation(session_id)
         self._tiers[session_id] = tier
+        self._replies.pop(session_id, None)
         self._tier_depth_metric.set(tier.depth, session=session_id)
         n_engines = sum(len(group) for group in groups)
         self.obs.events.emit(
@@ -408,6 +425,7 @@ class AIDAManagerService:
         if tier is None:
             raise MergeError(f"session {session_id!r} has no merge tree")
         affected = tier.crash_combiner(combiner_id)
+        self._replies.pop(session_id, None)
         self._combiner_crash_metric.inc()
         self.obs.events.emit(
             "combiner_crash",
@@ -430,6 +448,7 @@ class AIDAManagerService:
         """
         if run_id > self._run_ids.get(session_id, 0):
             self._run_ids[session_id] = run_id
+            self._replies.pop(session_id, None)
             tier = self._tiers.get(session_id)
             if tier is not None:
                 # The served root changes (to empty) and nothing is left
@@ -451,6 +470,7 @@ class AIDAManagerService:
             # ban set / dirty maps for a session already released.
             return
         self._banned.setdefault(session_id, set()).add(engine_id)
+        self._replies.pop(session_id, None)
         tier = self._tiers.get(session_id)
         if tier is not None:
             # Every path it contributed is re-folded without it.
@@ -460,11 +480,19 @@ class AIDAManagerService:
         """Declare how many engines the session expects results from."""
         if count < 0:
             raise MergeError("expected engine count must be >= 0")
+        if self._expected.get(session_id) != count:
+            self._replies.pop(session_id, None)
         self._expected[session_id] = count
 
     def set_recovering(self, session_id: str, flag: bool) -> None:
-        """Mark the session as (not) mid-recovery; gates ``complete``."""
-        self._recovering[session_id] = bool(flag)
+        """Mark the session as (not) mid-recovery; gates ``complete``.
+
+        The recovery monitor re-asserts the flag on every sweep: only a
+        change discards the last merge's reply."""
+        flag = bool(flag)
+        if self._recovering.get(session_id, False) != flag:
+            self._replies.pop(session_id, None)
+        self._recovering[session_id] = flag
 
     def drop_session(self, session_id: str) -> None:
         """Forget a session's snapshots (session close); idempotent.
@@ -559,6 +587,7 @@ class AIDAManagerService:
             groups = plan_groups(engines, self.fan_in)
         tier = MergeTree(session_id, self.fan_in, groups)
         self._tiers[session_id] = tier
+        self._replies.pop(session_id, None)
         self._tier_depth_metric.set(tier.depth, session=session_id)
         for engine_id, entry in engines.items():
             tree = ObjectTree.from_dict(entry["tree"])
@@ -604,14 +633,25 @@ class AIDAManagerService:
         **Not modified.**  *have* is the validator of the tree the
         caller still holds.  When it equals the validator about to be
         served the value is ``(None, progress)``: progress is always
-        fresh, the tree is the one the caller has.  The poll is charged
-        the same merge latency (and the same RMI round trip) either way;
-        what it saves is the reply payload and the client's decode.
-        ``have=None`` always gets the tree.
+        current, the tree is the one the caller has.  The poll is
+        charged the same (merge latency, if any, and the RMI round trip)
+        either way; what it saves is the reply payload and the client's
+        decode.  ``have=None`` always gets the tree.
+
+        **Nothing to fold.**  While nothing changed the session's merge
+        state since the last merge (no snapshot accepted, no re-plan,
+        crash, rewind, discard, restore, expected-engine or recovery
+        change) and no merge is in flight, the poll runs no merge: the
+        returned event is already processed and carries that merge's
+        ``(tree, progress)``, or its not-modified form.  It advances the
+        client's cursor and opens no ``aida.merge`` span; ``merge_log``
+        does not grow.  The test is one dict lookup.
 
         **Coalescing.**  A poll arriving while another poll's merge is
-        in flight *joins* it instead of merging again: it is handed an
-        event the leader triggers when its merge completes, carrying the
+        in flight *joins* it instead of merging again (a poll leads a
+        merge only when the merge state changed since the last merge, or
+        none has served the session yet): it is handed an event the
+        leader triggers when its merge completes, carrying the
         same ``(tree, progress)`` — equal to what the joiner's own merge
         would have produced, because the leader folds the freshest dirty
         state in the fixed sorted-engine order — or the not-modified form
@@ -628,18 +668,31 @@ class AIDAManagerService:
         observed = self._observed
         if observed:
             self._poll_metric.inc()
-        inflight = self._inflight.get(session_id) if self.coalesce else None
-        if inflight is not None:
-            span = NULL_SPAN
-            if observed:
-                span = self.obs.tracer.child("aida.merge.join", session=session_id)
-            return inflight.join(self.env, client_id, have, span)
+        if self.coalesce:
+            inflight = self._inflight.get(session_id)
+            if inflight is not None:
+                span = NULL_SPAN
+                if observed:
+                    span = self.obs.tracer.child(
+                        "aida.merge.join", session=session_id
+                    )
+                return inflight.join(self.env, client_id, have, span)
+            reply = self._replies.get(session_id)
+            if reply is not None:
+                # Nothing changed since the last merge: answer with its reply.
+                progress = reply[1]
+                generation = progress.merge_generation
+                self._note_served(session_id, client_id, generation)
+                return Processed(
+                    self.env, (None, progress) if have == generation else reply
+                )
         tier = self._live_tier(session_id)
         latency = tier.poll_latency(self.merge_cost_per_tree)
         span = NULL_SPAN
         if observed:
             span = self.obs.tracer.child("aida.merge", session=session_id)
             span.set(n_trees=tier.n_engines, n_dirty=len(tier.dirty_engines))
+        inflight = None
         if self.coalesce:
             inflight = self._inflight[session_id] = _InflightMerge()
             # Keep the merge joinable for at least the coalesce window,
@@ -692,13 +745,15 @@ class AIDAManagerService:
                         served = (generation, root.freeze())
                         if session_id in self._tiers:
                             self._served[session_id] = served
+                    full = (served[1], progress)
+                    if session_id in self._tiers:
+                        self._replies[session_id] = full
                 except Exception as exc:
                     # ``fail()`` in place: the event is being processed.
                     leader._ok, leader._value = False, exc
                     span.finish(error=repr(exc))
                     return
                 self._note_served(session_id, client_id, generation)
-                full = (served[1], progress)
                 if inflight is not None:
                     inflight.full = full
                     span.set(coalesced_waiters=inflight.n_joiners)

@@ -15,7 +15,7 @@ Public API
 ----------
 ``Environment``
     The event loop and virtual clock.
-``Process``, ``Timeout``, ``Event``, ``AnyOf``, ``AllOf``
+``Process``, ``Timeout``, ``Event``, ``Processed``, ``AnyOf``, ``AllOf``
     Event primitives.
 ``Resource``, ``Store``
     Shared-resource primitives with queueing.
@@ -41,6 +41,7 @@ from repro.sim.kernel import (
     Environment,
     Event,
     Process,
+    Processed,
     Timeout,
 )
 from repro.sim.resources import Resource, Store
@@ -56,6 +57,7 @@ __all__ = [
     "NodeFailure",
     "NodeHang",
     "Process",
+    "Processed",
     "Resource",
     "SimulationError",
     "Store",

@@ -162,6 +162,23 @@ class Timeout(Event):
         return f"<Timeout({self.delay}) at {id(self):#x}>"
 
 
+class Processed(Event):
+    """An event that is already processed when made: a value on hand.
+
+    It never enters the heap.  A process that yields it continues at once
+    with *value*, and ``env.run(until=...)`` returns *value* at once.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", value: Any = None) -> None:
+        self.env = env
+        self.callbacks = None
+        self._value = value
+        self._ok = True
+        self._defused = False
+
+
 class Initialize(Event):
     """Internal event that starts a newly created :class:`Process`."""
 

@@ -126,8 +126,28 @@ def _p99(latencies):
     return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
 
 
+def _round_keyframes():
+    """The shared session's engine publishes a full keyframe before each
+    coalescing round, one fill more each time, so every round has a new
+    tree to merge."""
+    engine = AnalysisEngine("e-shared")
+    engine.tree.put(
+        "/bench/h", Histogram1D("h", bins=32, lower=0.0, upper=1.0)
+    )
+    hist = engine.tree.get("/bench/h")
+    keyframes = []
+    for round_index in range(COALESCE_ROUNDS):
+        hist.fill(((round_index * 7) % 100) / 100.0)
+        keyframes.append(engine.take_snapshot(full=True))
+    return keyframes
+
+
 def _coalescing_case():
-    """64 clients on one session: shared merges, bit-identical replies."""
+    """64 clients on one session: shared merges, bit-identical replies.
+
+    Returns, per mode, the reply tree of each round and the merge count.
+    """
+    keyframes = _round_keyframes()
     results = {}
     merge_counts = {}
     for mode, coalesce in (("coalesced", True), ("per_client", False)):
@@ -138,41 +158,40 @@ def _coalescing_case():
             coalesce=coalesce,
             coalesce_window_s=COALESCE_WINDOW_S if coalesce else 0.0,
         )
-        manager.submit_snapshot("shared", _snapshot_for(0))
-        replies = []
+        replies = [[] for _ in range(COALESCE_ROUNDS)]
 
-        def poll(client_id, _manager=manager, _replies=replies):
-            tree, progress = yield _manager.merged(
+        def poll(client_id, round_replies):
+            tree, _progress = yield manager.merged(
                 "shared", client_id=client_id
             )
-            _replies.append(tree.to_dict())
+            round_replies.append(tree.to_dict())
 
-        if coalesce:
-            # All clients poll concurrently each round — the leader's
-            # in-flight merge serves every joiner.
-            def round_driver():
-                for _ in range(COALESCE_ROUNDS):
-                    polls = [
-                        env.process(poll(f"c{i}")) for i in range(N_CLIENTS)
-                    ]
-                    yield env.all_of(polls)
-                    yield env.timeout(POLL_INTERVAL_S)
-
-            env.run(until=env.process(round_driver()))
-        else:
-            # Reference: every client merges for itself, sequentially.
-            def round_driver():
-                for _ in range(COALESCE_ROUNDS):
+        def round_driver():
+            for keyframe, round_replies in zip(keyframes, replies):
+                assert manager.submit_snapshot("shared", keyframe) == "accepted"
+                if coalesce:
+                    # All clients poll concurrently — the leader's
+                    # in-flight merge serves every joiner.
+                    yield env.all_of(
+                        [
+                            env.process(poll(f"c{i}", round_replies))
+                            for i in range(N_CLIENTS)
+                        ]
+                    )
+                else:
+                    # Reference: every client merges for itself,
+                    # sequentially.
                     for i in range(N_CLIENTS):
-                        yield env.process(poll(f"c{i}"))
-                    yield env.timeout(POLL_INTERVAL_S)
+                        yield env.process(poll(f"c{i}", round_replies))
+                yield env.timeout(POLL_INTERVAL_S)
 
-            env.run(until=env.process(round_driver()))
-        assert len(replies) == N_CLIENTS * COALESCE_ROUNDS
-        # Within one run every reply is identical (nothing new lands
-        # between rounds), so keep one exemplar per mode.
-        assert all(reply == replies[0] for reply in replies)
-        results[mode] = replies[0]
+        env.run(until=env.process(round_driver()))
+        # Within one round every reply is identical, so keep one
+        # exemplar per round.
+        for round_replies in replies:
+            assert len(round_replies) == N_CLIENTS
+            assert all(reply == round_replies[0] for reply in round_replies)
+        results[mode] = [round_replies[0] for round_replies in replies]
         merge_counts[mode] = len(manager.merge_log)
     return results, merge_counts
 

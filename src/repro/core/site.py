@@ -349,7 +349,7 @@ class GridSite:
             obs=self.obs,
         )
         self.catalog = DatasetCatalogService()
-        self.locator = LocatorService(site_id=self.name)
+        self.locator = LocatorService()
         self.splitter = SplitterService(
             env,
             self.storage,
@@ -385,9 +385,6 @@ class GridSite:
             se_disk_mbps=cal.se_disk_mbps,
             obs=self.obs,
         )
-        # Dataset re-registration bumps the generation, invalidating
-        # every replica cut from the previous content.
-        self.locator.add_update_hook(self.replicas.dataset_updated)
         # Durable manager-node disk for the session journal + checkpoints;
         # survives service crashes (minus any unsynced tail).
         self.durable_store = DurableStore()

@@ -10,8 +10,8 @@ and brokers every client session across them:
     joined by calibrated inter-site WAN links, plus site-partition
     faults and per-site panel stats.
 :class:`FederatedCatalog` (:mod:`repro.federation.catalog`)
-    Dataset→site placement with per-site generations, wrapping each
-    site's locator/replica stack.
+    Dataset→site placement (home site, sites holding a whole copy),
+    wrapping each site's locator/replica stack.
 :class:`SessionBroker` (:mod:`repro.federation.broker`)
     Data-locality / admission-headroom / queue-depth scoring of
     candidate sites.

@@ -6,17 +6,15 @@ at *every* site (the home site resident by construction, remote sites
 pointing their ``origin_host`` at the home SE), and per-site replica
 residency remains the property of each site's own
 :class:`~repro.replica.manager.ReplicaManager`.  What the federation adds
-is the cross-site view: which sites hold a whole copy right now, which
-site is home, and per-site placement generations driven by the locator
-update hooks' originating-site id (so an update at one site never
-invalidates another site's copies — the over-invalidation footgun the
-site-id hook fix exists to prevent).
+is the cross-site view: which sites hold a whole copy right now and
+which site is home.  A dataset is placed once and its locations never
+change, so no site's copy can go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.federation.errors import FederationError
 from repro.services.locator import LocatorError
@@ -34,36 +32,11 @@ class Placement:
 
 
 class FederatedCatalog:
-    """Cross-site dataset placement with per-site generations."""
+    """Cross-site dataset placement over each site's replica state."""
 
     def __init__(self, federation) -> None:
         self.federation = federation
         self._placements: Dict[str, Placement] = {}
-        #: (dataset_id, site_id) -> locator-update count at that site.
-        self._site_generations: Dict[Tuple[str, Optional[str]], int] = {}
-        #: Chronological (dataset_id, site_id) invalidations (diagnostics).
-        self.invalidations: List[Tuple[str, Optional[str]]] = []
-        for site in federation.sites.values():
-            site.locator.add_update_hook(self._on_locator_update)
-
-    # -- locator hooks ---------------------------------------------------
-    def _on_locator_update(
-        self, dataset_id: str, site_id: Optional[str]
-    ) -> None:
-        """One site re-registered a dataset.
-
-        The originating site's own replica manager has already bumped its
-        local generation through its own locator hook; here only that
-        site's federation-level generation moves — every other site's
-        replicas stay valid.
-        """
-        key = (dataset_id, site_id)
-        self._site_generations[key] = self._site_generations.get(key, 0) + 1
-        self.invalidations.append((dataset_id, site_id))
-
-    def generation(self, dataset_id: str, site: str) -> int:
-        """Locator-update count of *dataset_id* at *site* (0 = pristine)."""
-        return self._site_generations.get((dataset_id, site), 0)
 
     # -- registration ------------------------------------------------------
     def register(
@@ -111,17 +84,6 @@ class FederatedCatalog:
         placement = Placement(dataset_id, home, float(size_mb), n_events, kind)
         self._placements[dataset_id] = placement
         return placement
-
-    def republish(self, dataset_id: str, site: str) -> None:
-        """Re-register a dataset's location at *one* site.
-
-        Fires that site's locator update hooks (carrying the site id), so
-        only that site's replicas are invalidated — the other sites' whole
-        copies keep serving.
-        """
-        target = self.federation.site(site)
-        location = target.locator.locate(dataset_id)
-        target.locator.replace_location(location)
 
     # -- placement queries -------------------------------------------------
     def placement(self, dataset_id: str) -> Placement:

@@ -8,8 +8,8 @@ pairwise with inter-site WAN links (calibrated
 cross-site services on top:
 
 - :class:`~repro.federation.catalog.FederatedCatalog` — dataset→site
-  placement with per-site generations, wrapping each site's locator and
-  replica stack;
+  placement (home site, sites holding a whole copy), wrapping each
+  site's locator and replica stack;
 - :class:`~repro.federation.broker.SessionBroker` — locality/admission/
   queue-depth scoring of candidate sites for every client session;
 - :class:`~repro.federation.policy.ReplicationPolicy` — pin-N-copies

@@ -11,8 +11,8 @@ package supplies that mechanism:
 
 * :mod:`repro.replica.catalog` — :class:`ReplicaCatalog`: logical dataset
   ids (and split *parts*) → physical replicas on storage elements and
-  worker caches, with per-dataset generations, health state, and
-  invalidation hooks;
+  worker caches, with invalidation hooks (a dataset's location never
+  changes, so a copy is lost on eviction or node failure, never stale);
 * :mod:`repro.replica.cache` — :class:`NodeCache`: per-worker staging
   cache with capacity accounting, LRU + TTL eviction, and per-session
   pinning of parts while a run is active;

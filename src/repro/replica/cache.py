@@ -4,8 +4,7 @@ Each worker node gets a :class:`NodeCache` tracking which dataset parts it
 holds on local disk and how many megabytes they occupy.  Admission may
 evict least-recently-used *unpinned* entries to make room; entries pinned
 by an active session are never evicted for capacity, only invalidated
-(node failure, dataset re-registration), because a running engine is
-reading them.
+(node failure), because a running engine is reading them.
 
 The cache is deliberately dumb about *what* the keys mean — the
 :class:`~repro.replica.catalog.ReplicaCatalog` owns logical identity; the

@@ -2,10 +2,9 @@
 
 The catalog maps *logical keys* — a whole dataset file or one split part —
 to the hosts that hold a physical copy (the storage element, or a worker
-node's staging cache).  Keys embed the dataset's *generation*: when a
-dataset is re-registered (its content replaced), the generation is bumped
-and every replica of the old generation is invalidated, so a stale copy
-can never satisfy a lookup for the new content.
+node's staging cache).  A dataset id is registered once and its location
+never changes (:class:`~repro.services.locator.LocatorService`), so a
+copy can go missing (eviction, node failure) but never stale.
 
 Part keys embed the full split geometry (strategy, part count, event
 range), because a cached part is only reusable by a session that would
@@ -35,15 +34,13 @@ class Replica:
     Attributes
     ----------
     key:
-        Logical object key (whole-file or part key, generation included).
+        Logical object key (whole-file or part key).
     dataset_id:
         The dataset the object belongs to.
     host:
         Network host holding the copy (``"se"`` or a worker name).
     size_mb:
         Physical size of the copy.
-    generation:
-        Dataset generation the copy was cut from.
     registered_at:
         Simulated time of registration.
     valid:
@@ -55,7 +52,6 @@ class Replica:
     dataset_id: str
     host: str
     size_mb: float
-    generation: int
     registered_at: float
     valid: bool = True
 
@@ -65,41 +61,22 @@ InvalidationHook = Callable[[Replica, str], None]
 
 
 class ReplicaCatalog:
-    """Registry of dataset/part replicas with generations and hooks."""
+    """Registry of dataset/part replicas with invalidation hooks."""
 
     def __init__(self) -> None:
-        #: dataset id -> current generation (0 until first bump).
-        self._generations: Dict[str, int] = {}
         #: logical key -> host -> replica record.
         self._replicas: Dict[str, Dict[str, Replica]] = {}
-        #: dataset id -> keys ever registered for it (for invalidation).
+        #: dataset id -> keys ever registered for it (placement affinity).
         self._dataset_keys: Dict[str, set] = {}
         self._hooks: List[InvalidationHook] = []
         #: Monotonic counters (for tests/diagnostics).
         self.invalidations = 0
         self.registrations = 0
 
-    # -- generations -------------------------------------------------------
-    def generation(self, dataset_id: str) -> int:
-        """Current generation of *dataset_id* (0 when never re-registered)."""
-        return self._generations.get(dataset_id, 0)
-
-    def bump_generation(self, dataset_id: str) -> int:
-        """Re-registration of a dataset: new generation, old replicas die.
-
-        Every replica of every older generation is invalidated (reason
-        ``"re-registration"``), so no copy of the previous content can be
-        served against the new dataset id.  Returns the new generation.
-        """
-        self.invalidate_dataset(dataset_id, reason="re-registration")
-        new_gen = self.generation(dataset_id) + 1
-        self._generations[dataset_id] = new_gen
-        return new_gen
-
     # -- keys --------------------------------------------------------------
     def whole_key(self, dataset_id: str) -> str:
-        """Logical key of the whole dataset file at its current generation."""
-        return f"{dataset_id}@g{self.generation(dataset_id)}/whole"
+        """Logical key of the whole dataset file."""
+        return f"{dataset_id}/whole"
 
     def part_key(
         self,
@@ -110,14 +87,14 @@ class ReplicaCatalog:
         start_event: int,
         stop_event: int,
     ) -> str:
-        """Logical key of one split part at the current generation.
+        """Logical key of one split part.
 
         The key pins the whole split geometry: parts cut under a different
         strategy or fan-out never collide.
         """
         return (
-            f"{dataset_id}@g{self.generation(dataset_id)}"
-            f"/{strategy}/{n_parts}/{part_index}:{start_event}-{stop_event}"
+            f"{dataset_id}/{strategy}/{n_parts}"
+            f"/{part_index}:{start_event}-{stop_event}"
         )
 
     # -- registration ------------------------------------------------------
@@ -137,7 +114,6 @@ class ReplicaCatalog:
             dataset_id=dataset_id,
             host=host,
             size_mb=size_mb,
-            generation=self.generation(dataset_id),
             registered_at=now,
         )
         self._replicas.setdefault(key, {})[host] = replica
@@ -179,16 +155,15 @@ class ReplicaCatalog:
         )
 
     def hosts_with_dataset(self, dataset_id: str) -> Dict[str, float]:
-        """host -> cached MB of the dataset's *current* generation.
+        """host -> cached MB of the dataset.
 
         Feeds data-affinity placement: workers already holding parts of the
         dataset rank first when engines are dispatched.
         """
-        gen = self.generation(dataset_id)
         totals: Dict[str, float] = {}
         for key in self._dataset_keys.get(dataset_id, ()):  # pragma: no branch
             for replica in self._replicas.get(key, {}).values():
-                if replica.valid and replica.generation == gen:
+                if replica.valid:
                     totals[replica.host] = (
                         totals.get(replica.host, 0.0) + replica.size_mb
                     )
@@ -206,18 +181,6 @@ class ReplicaCatalog:
             if host in self._replicas.get(key, {}):
                 if self.unregister(key, host, reason=reason):
                     count += 1
-        return count
-
-    def invalidate_dataset(
-        self, dataset_id: str, reason: str = "invalidated"
-    ) -> int:
-        """Invalidate every replica of every generation of *dataset_id*."""
-        count = 0
-        for key in list(self._dataset_keys.get(dataset_id, ())):
-            for host in list(self._replicas.get(key, {})):
-                if self.unregister(key, host, reason=reason):
-                    count += 1
-            self._dataset_keys.get(dataset_id, set()).discard(key)
         return count
 
     def __len__(self) -> int:

@@ -15,8 +15,8 @@ choice) behind one API:
   hit if the part index lands on its holder;
 * record new copies (SE whole file, SE part files, worker parts) and pin
   worker parts for the staging session;
-* invalidate on node failure and dataset re-registration, keeping the
-  worker caches and the catalog mutually consistent.
+* invalidate on node failure, keeping the worker caches and the catalog
+  mutually consistent.
 
 Consistency invariant: every cache entry has a catalog record and vice
 versa (for worker hosts).  Cache evictions unregister the replica;
@@ -234,8 +234,8 @@ class ReplicaManager:
         """Drop the SE whole-file copy (federation byte-pressure eviction).
 
         Only the whole-file replica goes; split part files and worker
-        caches survive (they serve same-geometry restages until the next
-        generation bump).  Returns whether a copy was actually dropped.
+        caches survive and keep serving same-geometry restages.  Returns
+        whether a copy was actually dropped.
         Datasets resident by construction (no ``origin_host``) have no
         whole-file record and return ``False`` — the home copy cannot be
         evicted.
@@ -404,19 +404,6 @@ class ReplicaManager:
         if cache is not None:
             cache.clear(reason=reason)
         return count
-
-    def dataset_updated(
-        self, dataset_id: str, site_id: Optional[str] = None
-    ) -> int:
-        """Dataset re-registered: bump the generation, killing old replicas.
-
-        ``site_id`` identifies the originating site when the update comes
-        through a locator hook; a single-site manager invalidates its own
-        copies either way, the parameter exists so federated catalogs can
-        fan the same callback out per site without over-invalidating.
-        """
-        del site_id  # single-site manager: all local copies die regardless
-        return self.catalog.bump_generation(dataset_id)
 
     # -- placement affinity ----------------------------------------------------
     def preferred_workers(self, dataset_id: str) -> List[str]:

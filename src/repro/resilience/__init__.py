@@ -10,10 +10,10 @@ blocks the grid and session layers share:
     Exponential backoff with deterministic jitter, a deadline, and a
     max-attempt budget — used by GridFTP transfers, GRAM submission and
     session admission.
-``FaultPlan`` / ``FailureInjector`` (:mod:`repro.resilience.faults`)
-    Declarative fault schedules at absolute simulated times (crash /
-    hang / slow node / link-down on workers via kernel interrupts,
-    service crashes and restarts, site partitions).
+``FailureInjector`` (:mod:`repro.resilience.faults`)
+    One method per fault, fired when called: crash / hang / slow node /
+    link-down on workers via kernel interrupts, combiner crashes,
+    service crashes and restarts, site partitions and heals.
 ``RecoveryConfig`` / ``HeartbeatMonitor`` (:mod:`repro.resilience.heartbeat`)
     Heartbeat bookkeeping and the tunables of the session service's
     detect-and-re-dispatch loop.
@@ -26,36 +26,19 @@ blocks the grid and session layers share:
 """
 
 from repro.resilience.checkpoint import CheckpointStore, DurabilityConfig
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    SERVICE_FAULT_KINDS,
-    SITE_FAULT_KINDS,
-    FailureInjector,
-    FaultPlan,
-    ServiceFault,
-    ServiceUnavailable,
-    SiteFault,
-    WorkerFault,
-)
+from repro.resilience.faults import FailureInjector, ServiceUnavailable
 from repro.resilience.heartbeat import HeartbeatMonitor, RecoveryConfig
 from repro.resilience.journal import DurableStore, SessionJournal
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
-    "FAULT_KINDS",
-    "SERVICE_FAULT_KINDS",
-    "SITE_FAULT_KINDS",
     "CheckpointStore",
     "DurabilityConfig",
     "DurableStore",
     "FailureInjector",
-    "FaultPlan",
     "HeartbeatMonitor",
     "RecoveryConfig",
     "RetryPolicy",
-    "ServiceFault",
     "ServiceUnavailable",
     "SessionJournal",
-    "SiteFault",
-    "WorkerFault",
 ]

@@ -1,31 +1,34 @@
-"""Fault plans and the failure injector.
+"""The failure injector.
 
-The injector turns declarative :class:`FaultPlan` entries into concrete
-infrastructure failures, layered on the sim kernel's interrupt mechanism:
+Each method turns one fault into a concrete infrastructure failure,
+layered on the sim kernel's interrupt mechanism, at the simulated time
+it is called:
 
-``crash``
+``crash_worker``
     The worker dies abruptly: its running job is interrupted with
     :class:`~repro.sim.NodeCrash`, the engine deregisters (the OS is gone),
     and the node is marked failed so the scheduler avoids it.
-``hang``
+``hang_worker``
     The worker freezes: the job keeps "running" but stops making progress
     and stops heartbeating (:class:`~repro.sim.NodeHang`).  Only the
     session heartbeat monitor can detect this.
-``slow``
-    The worker degrades: analysis compute is scaled by ``slow_factor``
+``slow_worker``
+    The worker degrades: analysis compute is scaled by ``factor``
     (preemption / noisy neighbour).  No interrupt is delivered.
-``link-down``
+``cut_links``
     Every network link of the worker goes down: in-flight transfers fail
     with :class:`~repro.sim.LinkDown` and heartbeats stop reaching the
     manager while the engine keeps computing uselessly.
 
-Every planned fault fires at an absolute simulated time (``at=...``), so a
-chaos run replays exactly.
+``crash_combiner``, ``partition_site`` / ``heal_site`` and
+``crash_services`` / ``restart_services`` do the same for a merge-tier
+combiner, a site's WAN boundary and the manager-node processes.  A
+caller that wants a fault at a given time waits for it with its own
+``env.timeout``, so a chaos run replays exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Tuple, TYPE_CHECKING
 
 from repro.grid.network import Network
@@ -34,22 +37,6 @@ from repro.sim import Environment, NodeCrash, NodeHang
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.replica.manager import ReplicaManager
-
-#: Recognised fault kinds.
-FAULT_KINDS = ("crash", "hang", "slow", "link-down")
-
-#: Recognised service-level fault kinds (manager-node process faults).
-#: ``combiner-crash`` kills one merge-tier sub-merger (its volatile
-#: partial state is lost; affected engines are asked to resync).
-SERVICE_FAULT_KINDS = (
-    "service-crash",
-    "service-restart",
-    "checkpoint-torn",
-    "combiner-crash",
-)
-
-#: Recognised site-level fault kinds (federation WAN events).
-SITE_FAULT_KINDS = ("site-partition", "site-heal")
 
 
 class ServiceUnavailable(Exception):
@@ -62,100 +49,6 @@ class ServiceUnavailable(Exception):
     """
 
 
-@dataclass(frozen=True)
-class ServiceFault:
-    """One planned manager-node service fault at an absolute time.
-
-    ``service-crash``
-        The SessionService + AIDA manager processes die: volatile session
-        state is lost, tokens are revoked, endpoints raise
-        :class:`ServiceUnavailable` until restart.
-    ``checkpoint-torn``
-        Same, but the crash lands mid-checkpoint-flush, leaving a torn
-        record recovery must tolerate.
-    ``service-restart``
-        The processes come back and run cold-start recovery from the
-        durable journal + checkpoints.
-    """
-
-    kind: str
-    at: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in SERVICE_FAULT_KINDS:
-            raise ValueError(f"unknown service fault kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError("at must be >= 0")
-
-
-@dataclass(frozen=True)
-class SiteFault:
-    """One planned site-level WAN fault at an absolute time.
-
-    ``site-partition``
-        Every boundary link of the site (links with exactly one endpoint
-        inside it) goes down: in-flight WAN transfers fail with
-        :class:`~repro.sim.LinkDown`, no route in or out of the site
-        survives, but the site keeps running internally.  The federation
-        layer heals sessions stranded at a partitioned site by brokered
-        failover to the next-ranked site.
-    ``site-heal``
-        The boundary links come back up.
-    """
-
-    site: str
-    at: float
-    kind: str = "site-partition"
-
-    def __post_init__(self) -> None:
-        if self.kind not in SITE_FAULT_KINDS:
-            raise ValueError(f"unknown site fault kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError("at must be >= 0")
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """One planned fault against a named worker at an absolute time."""
-
-    worker: str
-    at: float
-    kind: str = "crash"
-    slow_factor: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError("at must be >= 0")
-        if self.slow_factor < 1.0:
-            raise ValueError("slow_factor must be >= 1.0")
-
-
-@dataclass
-class FaultPlan:
-    """A reproducible schedule of infrastructure faults: worker, service
-    and site faults, each at an absolute simulated time."""
-
-    faults: List[WorkerFault] = field(default_factory=list)
-    service_faults: List[ServiceFault] = field(default_factory=list)
-    site_faults: List[SiteFault] = field(default_factory=list)
-
-    def add(self, fault: WorkerFault) -> "FaultPlan":
-        """Append a fault; returns self for chaining."""
-        self.faults.append(fault)
-        return self
-
-    def add_site(self, fault: SiteFault) -> "FaultPlan":
-        """Append a site-level fault; returns self for chaining."""
-        self.site_faults.append(fault)
-        return self
-
-    def scheduled(self) -> List[WorkerFault]:
-        """The worker faults in firing order."""
-        return sorted(self.faults, key=lambda f: (f.at, f.worker))
-
-
 class FailureInjector:
     """Applies faults to a running site.
 
@@ -165,7 +58,7 @@ class FailureInjector:
         The simulation environment and the batch scheduler owning the
         workers.
     network:
-        The site's network (``link-down`` and site faults).
+        The site's network (``cut_links`` and site faults).
     replicas:
         The site's replica manager: worker-killing faults invalidate the
         victim's cached dataset parts so no stale replica is served.
@@ -297,15 +190,6 @@ class FailureInjector:
         self.log.append((self.env.now, "site-heal", site))
         return names
 
-    def apply_site_fault(self, fault: SiteFault) -> None:
-        """Fire one planned site fault now."""
-        if fault.kind == "site-partition":
-            self.partition_site(fault.site)
-        elif fault.kind == "site-heal":
-            self.heal_site(fault.site)
-        else:  # pragma: no cover - guarded by SiteFault validation
-            raise ValueError(f"unknown site fault kind {fault.kind!r}")
-
     # -- service faults ---------------------------------------------------
     def crash_services(self, torn_checkpoint: bool = False) -> None:
         """Kill the SessionService + AIDA manager processes.
@@ -327,66 +211,6 @@ class FailureInjector:
         """
         self.log.append((self.env.now, "service-restart", "manager"))
         return self.env.process(self.session_service.recover())
-
-    def apply_service_fault(self, fault: ServiceFault) -> None:
-        """Fire one planned service fault now."""
-        if fault.kind == "service-crash":
-            self.crash_services()
-        elif fault.kind == "checkpoint-torn":
-            self.crash_services(torn_checkpoint=True)
-        elif fault.kind == "service-restart":
-            self.restart_services()
-        else:  # pragma: no cover - guarded by ServiceFault validation
-            raise ValueError(f"unknown service fault kind {fault.kind!r}")
-
-    def apply_fault(self, fault: WorkerFault) -> None:
-        """Fire one planned fault now."""
-        if fault.kind == "crash":
-            self.crash_worker(fault.worker)
-        elif fault.kind == "hang":
-            self.hang_worker(fault.worker)
-        elif fault.kind == "slow":
-            self.slow_worker(fault.worker, fault.slow_factor)
-        elif fault.kind == "link-down":
-            self.cut_links(fault.worker)
-        else:  # pragma: no cover - guarded by WorkerFault validation
-            raise ValueError(f"unknown fault kind {fault.kind!r}")
-
-    # -- plan execution --------------------------------------------------
-    def apply(self, plan: FaultPlan) -> List:
-        """Start simulation processes that execute *plan*.
-
-        Returns the started processes (for tests that want to wait on
-        them); faults fire as simulated time reaches them.
-        """
-        procs = []
-        for fault in plan.scheduled():
-            procs.append(self.env.process(self._fire_at(fault)))
-        for service_fault in sorted(plan.service_faults, key=lambda f: f.at):
-            procs.append(self.env.process(self._fire_service_at(service_fault)))
-        for site_fault in sorted(
-            plan.site_faults, key=lambda f: (f.at, f.site)
-        ):
-            procs.append(self.env.process(self._fire_site_at(site_fault)))
-        return procs
-
-    def _fire_at(self, fault: WorkerFault):
-        delay = fault.at - self.env.now
-        if delay > 0:
-            yield self.env.timeout(delay)
-        self.apply_fault(fault)
-
-    def _fire_service_at(self, fault: ServiceFault):
-        delay = fault.at - self.env.now
-        if delay > 0:
-            yield self.env.timeout(delay)
-        self.apply_service_fault(fault)
-
-    def _fire_site_at(self, fault: SiteFault):
-        delay = fault.at - self.env.now
-        if delay > 0:
-            yield self.env.timeout(delay)
-        self.apply_site_fault(fault)
 
     # -- internals --------------------------------------------------------
     def _interrupt_job(self, worker_name: str, cause) -> None:

@@ -389,7 +389,7 @@ class AIDAManagerService:
             for entry in grown.entries().values():
                 tier.restore_engine(entry)
             # A new root: whatever the grown one served is not vouched for.
-            self._bump_generation(session_id)
+            self._advance_generation(session_id)
         self._tiers[session_id] = tier
         self._replies.pop(session_id, None)
         self._tier_depth_metric.set(tier.depth, session=session_id)
@@ -453,7 +453,7 @@ class AIDAManagerService:
             if tier is not None:
                 # The served root changes (to empty) and nothing is left
                 # dirty to announce it at the next poll.
-                self._bump_generation(session_id)
+                self._advance_generation(session_id)
                 tier.reset()
 
     # -- failure recovery ---------------------------------------------------
@@ -720,7 +720,7 @@ class AIDAManagerService:
                         for folds in level_folds:
                             self._combiner_folds_metric.observe(folds)
                     if n_dirty:
-                        self._bump_generation(session_id)
+                        self._advance_generation(session_id)
                     generation = self.merge_generation(session_id)
                     progress = MergeProgress(
                         session_id=session_id,
@@ -817,7 +817,7 @@ class AIDAManagerService:
             session_id, self._boots * _GENERATIONS_PER_BOOT
         )
 
-    def _bump_generation(self, session_id: str) -> None:
+    def _advance_generation(self, session_id: str) -> None:
         self._generations[session_id] = self.merge_generation(session_id) + 1
 
     def snapshot_count(self, session_id: str) -> int:

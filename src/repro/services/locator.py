@@ -10,7 +10,7 @@ service returns the location of the splitter service" (§3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 
 class LocatorError(Exception):
@@ -57,16 +57,12 @@ class DatasetLocation:
 class LocatorService:
     """Resolves dataset identifiers to :class:`DatasetLocation` records.
 
-    ``site_id`` names the grid site this locator serves.  It is carried
-    in every update-hook callback so that federated catalogs subscribed
-    to many locators can invalidate only the affected site's replicas
-    instead of every copy everywhere.
+    A location is registered once and never changes, so nothing cut from
+    it (a split part, a cached replica) can go stale.
     """
 
-    def __init__(self, site_id: Optional[str] = None) -> None:
-        self.site_id = site_id
+    def __init__(self) -> None:
         self._locations: Dict[str, DatasetLocation] = {}
-        self._update_hooks: List[Callable[[str, Optional[str]], None]] = []
 
     def add_location(self, location: DatasetLocation) -> None:
         """Register where a dataset lives (one location per id)."""
@@ -77,29 +73,6 @@ class LocatorService:
                 f"dataset {location.dataset_id!r} already has a location"
             )
         self._locations[location.dataset_id] = location
-
-    def replace_location(self, location: DatasetLocation) -> None:
-        """Re-register a dataset (its content or placement changed).
-
-        The id must already be known.  Update hooks fire so dependent
-        layers — notably the replica catalog — can invalidate every copy
-        cut from the previous registration.
-        """
-        if location.kind not in ("gridftp", "database"):
-            raise LocatorError(f"unknown location kind {location.kind!r}")
-        if location.dataset_id not in self._locations:
-            raise LocatorError(
-                f"dataset {location.dataset_id!r} has no location to replace"
-            )
-        self._locations[location.dataset_id] = location
-        for hook in self._update_hooks:
-            hook(location.dataset_id, self.site_id)
-
-    def add_update_hook(
-        self, hook: Callable[[str, Optional[str]], None]
-    ) -> None:
-        """Call *hook(dataset_id, site_id)* whenever a location is replaced."""
-        self._update_hooks.append(hook)
 
     def locate(self, dataset_id: str) -> DatasetLocation:
         """Resolve *dataset_id*; raises :class:`LocatorError` if unknown."""

@@ -18,7 +18,6 @@ from repro.federation import (
     FederationError,
 )
 from repro.obs.dashboard import render_board, sites_section
-from repro.resilience import FaultPlan, SiteFault
 
 DATASET = dict(
     dataset_id="ilc-fed",
@@ -152,26 +151,6 @@ def test_duplicate_registration_rejected():
         fed.register_dataset(
             DATASET["dataset_id"], "/elsewhere", size_mb=1.0, n_events=10
         )
-
-
-def test_republish_invalidates_only_origin_site():
-    """The locator-hook site id prevents cross-site over-invalidation."""
-    fed = build_federation()
-    ds = DATASET["dataset_id"]
-
-    def migrate():
-        yield from fed.policy.ensure_resident(ds, "site2")
-
-    fed.run(until=fed.env.process(migrate()))
-    assert fed.catalog.sites_with_copy(ds) == ["site1", "site2"]
-
-    fed.catalog.republish(ds, "site1")
-    # site1's update bumped only site1's generation...
-    assert fed.catalog.generation(ds, "site1") == 1
-    assert fed.catalog.generation(ds, "site2") == 0
-    assert ("ilc-fed", "site1") in fed.catalog.invalidations
-    # ...and site2's migrated whole copy keeps serving.
-    assert "site2" in fed.catalog.sites_with_copy(ds)
 
 
 # -- broker -----------------------------------------------------------------
@@ -428,9 +407,15 @@ def test_failover_first_poll_at_the_new_site_decodes_a_full_tree():
 
 def test_scheduled_site_fault_plan_partitions_boundary():
     fed = build_federation()
-    plan = FaultPlan().add_site(SiteFault(site="site1", at=5.0))
-    fed.site("site1").injector.apply(plan)
+    injector = fed.site("site1").injector
+
+    def faults():
+        yield fed.env.timeout(5.0)
+        injector.partition_site("site1")
+
+    fed.env.process(faults())
     fed.run(until=10.0)
+    assert injector.log[-1][:2] == (5.0, "site-partition")
     # boundary links are down; intra-site LAN is untouched
     assert not fed.network.links["wan-site1-se-site2-se"].up
     assert fed.network.links["lan-site1-manager-site1-se"].up

@@ -1,7 +1,7 @@
 """Property test: replica-aware staging never changes analysis results.
 
-Under random interleavings of sessions, cache evictions, node kills (with
-restore), and dataset re-registrations, every session's merged histograms
+Under random interleavings of sessions, cache evictions and node kills
+(with restore), every session's merged histograms
 must be exactly equal — dict equality, float bits included — to a
 reference run: the first session of a fresh site, whose fully cold stage
 runs the §3.4 fetch/split/scatter pipeline without consulting the
@@ -21,7 +21,6 @@ import pytest
 from repro.analysis import counting
 from repro.client.client import IPAClient
 from repro.core.site import GridSite, SiteConfig
-from repro.services.locator import DatasetLocation
 
 N_WORKERS = 4
 N_ENGINES = 3
@@ -57,21 +56,6 @@ def analyze_once(site, cred, dataset_hint=None):
     return out["staged"], out["tree"]
 
 
-def reregister(site):
-    site.locator.replace_location(
-        DatasetLocation(
-            dataset_id="ds",
-            kind="gridftp",
-            host="se",
-            path="/t/ds",
-            size_mb=30.0,
-            n_events=1500,
-            splitter_host="se",
-            origin_host="repository",
-        )
-    )
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_chaotic_replica_interleavings_preserve_results(seed):
     rng = random.Random(seed)
@@ -89,43 +73,31 @@ def test_chaotic_replica_interleavings_preserve_results(seed):
     cred = site.enroll_user("/CN=alice")
     rm = site.replicas
     workers = [w.name for w in site.workers]
-    invalidated = False  # a bump/kill since the last stage?
 
     staged, tree = analyze_once(site, cred)  # cold priming stage
     assert tree == reference_tree
 
     for _ in range(N_OPS):
         op = rng.random()
-        if op < 0.45:
+        if op < 0.53:
             hint = "ds" if rng.random() < 0.5 else None
             staged, tree = analyze_once(site, cred, dataset_hint=hint)
             assert tree == reference_tree
             hits = staged.local_hits + staged.peer_hits + staged.se_hits
             assert hits + staged.cold_parts == N_ENGINES
-            if invalidated:
-                # Nothing stale may have been served: the whole-file fetch
-                # re-ran, so every byte came from the new registration.
-                assert staged.fetch_seconds > 0
-            invalidated = False
-        elif op < 0.65:
+        elif op < 0.76:
             # Scratch-purge one random cached part.
             victim = rng.choice(workers)
             keys = rm.caches[victim].keys()
             if keys:
                 rm.caches[victim].remove(rng.choice(keys), reason="purge")
-        elif op < 0.85:
+        else:
             # Kill and immediately restore a worker: its cache is wiped.
             victim = rng.choice(workers)
             site.injector.crash_worker(victim)
             assert len(rm.caches[victim]) == 0
             assert victim not in rm.catalog.hosts_with_dataset("ds")
             site.injector.restore_worker(victim)
-        else:
-            # Content re-registered under the same id: generation bump.
-            reregister(site)
-            assert all(len(c) == 0 for c in rm.caches.values())
-            assert not rm.has_whole(site.locator.locate("ds"))
-            invalidated = True
 
     # Final sweep: one more warm-ish run must still match exactly.
     _, tree = analyze_once(site, cred, dataset_hint="ds")

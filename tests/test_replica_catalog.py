@@ -39,20 +39,6 @@ def test_catalog_keys_pin_geometry():
     assert len({four, eight, bybytes}) == 3
 
 
-def test_catalog_generation_bump_invalidates_old_replicas():
-    catalog = ReplicaCatalog()
-    seen = []
-    catalog.add_invalidation_hook(lambda r, reason: seen.append((r.key, reason)))
-    key = catalog.whole_key("ds")
-    catalog.register(key, "ds", "se", 100.0)
-    assert catalog.generation("ds") == 0
-    assert catalog.bump_generation("ds") == 1
-    assert not catalog.has(key, "se")
-    assert seen == [(key, "re-registration")]
-    # New-generation keys differ, so the old copy can never be served.
-    assert catalog.whole_key("ds") != key
-
-
 def test_catalog_unregister_fires_hooks_once():
     catalog = ReplicaCatalog()
     seen = []
@@ -70,16 +56,6 @@ def test_catalog_invalidate_host():
     catalog.register("a", "ds", "w1", 1.0)
     assert catalog.invalidate_host("w0") == 2
     assert [r.host for r in catalog.holders("a")] == ["w1"]
-
-
-def test_catalog_hosts_with_dataset_skips_stale_generations():
-    catalog = ReplicaCatalog()
-    old = catalog.part_key("ds", "by-events", 2, 0, 0, 50)
-    catalog.register(old, "ds", "w0", 5.0)
-    catalog.bump_generation("ds")
-    new = catalog.part_key("ds", "by-events", 2, 0, 0, 50)
-    catalog.register(new, "ds", "w1", 7.0)
-    assert catalog.hosts_with_dataset("ds") == {"w1": 7.0}
 
 
 def test_catalog_rejects_negative_size():
@@ -303,19 +279,6 @@ def test_manager_eviction_unregisters_catalog_replica():
     manager.record_worker_part("ds", keys[1], "w0", 10.0)  # evicts part 0
     assert manager.catalog.holders(keys[0]) == []
     assert manager.catalog.has(keys[1], "w0")
-
-
-def test_manager_dataset_updated_invalidates_everything():
-    env, manager, workers = build_manager()
-    location = make_location(origin=None)
-    parts = make_parts([w.name for w in workers])
-    keys = manager.part_keys("ds", "by-events", parts)
-    for key, part in zip(keys, parts):
-        manager.record_worker_part("ds", key, part.worker, part.size_mb)
-    manager.dataset_updated("ds")
-    plan = manager.plan_sources(location, "by-events", parts)
-    assert plan.fully_cold
-    assert all(len(cache) == 0 for cache in manager.caches.values())
 
 
 def test_manager_has_whole_and_record_whole():

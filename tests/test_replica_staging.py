@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import counting
 from repro.client.client import IPAClient
 from repro.core.site import GridSite, SiteConfig
-from repro.services.locator import DatasetLocation
+from repro.services.catalog import CatalogError
 
 
 def build_site(n_workers=4, **kwargs):
@@ -298,30 +298,31 @@ def test_warm_session_results_bit_identical_to_cold():
     assert warm["tree"] == cold["tree"]  # exact dict (float-bit) equality
 
 
-def test_dataset_reregistration_invalidates_replicas():
+def test_second_registration_of_a_known_id_is_refused():
+    """A location never changes, so no cached copy can go stale.
+
+    Re-registering a known id (even with new content and a new path) is
+    refused by the catalog before the locator is touched; every copy cut
+    from the first registration keeps serving.
+    """
     site = build_site()
     cred = site.enroll_user("/CN=alice")
     run_session(site, cred)
-    assert any(len(c) for c in site.replicas.caches.values())
-    # Content replaced under the same id: the locator update hook bumps
-    # the replica generation, killing every cached copy.
-    site.locator.replace_location(
-        DatasetLocation(
-            dataset_id="ds",
-            kind="gridftp",
-            host="se",
-            path="/t/ds-v2",
-            size_mb=40.0,
-            n_events=2000,
-            splitter_host="se",
-            origin_host="repository",
+    location = site.locator.locate("ds")
+    cached = {name: set(cache.keys()) for name, cache in site.replicas.caches.items()}
+    assert any(cached.values())
+    with pytest.raises(CatalogError):
+        site.register_dataset(
+            "ds", "/t/ds-v2", size_mb=80.0, n_events=4000,
+            content={"kind": "ilc", "seed": 43},
         )
-    )
-    assert all(len(c) == 0 for c in site.replicas.caches.values())
-    second = run_session(site, cred)["staged"]
-    assert second.cold_parts == 4
-    assert not second.fetch_skipped
-    assert second.fetch_seconds > 0
+    assert site.locator.locate("ds") is location
+    assert {
+        name: set(cache.keys()) for name, cache in site.replicas.caches.items()
+    } == cached
+    warm = run_session(site, cred, dataset_hint="ds")["staged"]
+    assert warm.local_hits == 4
+    assert warm.cold_parts == 0
 
 
 def test_node_failure_invalidates_its_replicas():

@@ -1,6 +1,6 @@
 """Fault-injection & recovery subsystem tests.
 
-Covers the retry policy, the fault plan / injector, heartbeat detection
+Covers the retry policy, the failure injector, heartbeat detection
 latency, partition re-dispatch under 1-of-N and (N-1)-of-N worker loss,
 spare-worker replacement, unrecoverable sessions, idempotent shutdown, and
 per-operation fault injection across every registered service.
@@ -17,14 +17,7 @@ from repro.engine.sandbox import CodeBundle
 from repro.grid.gram import GramUnavailable
 from repro.grid.scheduler import JobState
 from repro.grid.transfer import TransferError
-from repro.resilience import (
-    FAULT_KINDS,
-    FaultPlan,
-    HeartbeatMonitor,
-    RecoveryConfig,
-    RetryPolicy,
-    WorkerFault,
-)
+from repro.resilience import HeartbeatMonitor, RecoveryConfig, RetryPolicy
 from repro.services.content import ContentStore
 from repro.services.envelope import Fault
 from repro.services.registry import WorkerRegistryService
@@ -115,34 +108,20 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# FaultPlan / FailureInjector
+# FailureInjector
 # ---------------------------------------------------------------------------
 
-class TestFaultPlan:
-    def test_fault_validation(self):
-        with pytest.raises(ValueError):
-            WorkerFault("w0", kind="meteor", at=1.0)
-        with pytest.raises(TypeError):
-            WorkerFault("w0")  # at= is required
-        with pytest.raises(ValueError):
-            WorkerFault("w0", at=-1.0)
-        with pytest.raises(ValueError):
-            WorkerFault("w0", at=1.0, slow_factor=0.5)
-        assert WorkerFault("w0", at=0.0).kind in FAULT_KINDS
-
-    def test_plan_schedules_faults_in_firing_order(self):
-        plan = FaultPlan()
-        plan.add(WorkerFault("w1", kind="crash", at=20.0))
-        plan.add(WorkerFault("w0", kind="hang", at=10.0))
-        plan.add(WorkerFault("w2", kind="slow", at=10.0))
-        assert [f.worker for f in plan.scheduled()] == ["w0", "w2", "w1"]
-
+class TestFailureInjector:
     def test_scheduled_faults_fire_at_their_times(self):
         site, client = build(n_workers=2)
-        plan = FaultPlan()
-        plan.add(WorkerFault("w0", kind="slow", at=30.0, slow_factor=2.0))
-        plan.add(WorkerFault("w1", kind="crash", at=50.0))
-        site.injector.apply(plan)
+
+        def faults():
+            yield site.env.timeout(30.0)
+            site.injector.slow_worker("w0", factor=2.0)
+            yield site.env.timeout(20.0)
+            site.injector.crash_worker("w1")
+
+        site.env.process(faults())
 
         def scenario():
             yield site.env.timeout(100.0)
@@ -151,9 +130,9 @@ class TestFaultPlan:
         assert site.injector.log == [(30.0, "slow", "w0"), (50.0, "crash", "w1")]
         assert site.element.worker("w0").slow_factor == 2.0
         assert site.element.worker("w1").failed
+        with pytest.raises(ValueError):
+            site.injector.slow_worker("w0", factor=0.5)
 
-
-class TestFailureInjector:
     def test_crash_fails_running_job_with_node_crash(self):
         site, client = build(n_workers=2)
 
@@ -363,9 +342,12 @@ class TestRecovery:
             yield from client.run()
             yield site.env.timeout(10.0)
             victim = site.registry.engines(info.session_id)[0]
-            site.injector.apply_fault(
-                WorkerFault(victim.worker, kind=kind, at=site.env.now)
-            )
+            inject = {
+                "crash": site.injector.crash_worker,
+                "hang": site.injector.hang_worker,
+                "link-down": site.injector.cut_links,
+            }[kind]
+            inject(victim.worker)
             final = yield from client.wait_for_completion(
                 poll_interval=2.0, timeout=4000.0
             )

@@ -43,13 +43,7 @@ from repro.grid.security import (
 from repro.grid.transfer import GridFTPService
 from repro.obs import Observability
 from repro.replica import ReplicaManager
-from repro.resilience import (
-    DurabilityConfig,
-    DurableStore,
-    FailureInjector,
-    RecoveryConfig,
-    RetryPolicy,
-)
+from repro.resilience import DurableStore, FailureInjector, RetryPolicy
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.catalog import DatasetCatalogService, DatasetEntry
 from repro.services.codeloader import ManagingClassLoaderService
@@ -89,10 +83,10 @@ class SiteConfig:
     worker_cache_mb:
         Per-worker replica cache capacity in MB (``None`` = unbounded).
     checkpoint_every_s:
-        Period of the per-session checkpoint loop in simulated seconds.
-        The durable session layer always runs (its writes charge zero
-        simulated time); journal sync and keyframe cadence are
-        :class:`~repro.resilience.checkpoint.DurabilityConfig` defaults.
+        Period of the per-session checkpoint loop in simulated seconds
+        (> 0).  The durable session layer always runs (its writes charge
+        zero simulated time); every journal record is durable at once and
+        every fourth checkpoint is a keyframe.
     service_concurrency:
         Dispatch slots per container service (``None`` = direct
         dispatch, no request queue).  When set, the control, session and
@@ -146,6 +140,8 @@ class SiteConfig:
             and self.max_concurrent_engines < 1
         ):
             raise ValueError("max_concurrent_engines must be >= 1")
+        if self.checkpoint_every_s <= 0:
+            raise ValueError("checkpoint_every_s must be > 0")
 
 
 class GridSite:
@@ -386,7 +382,7 @@ class GridSite:
             obs=self.obs,
         )
         # Durable manager-node disk for the session journal + checkpoints;
-        # survives service crashes (minus any unsynced tail).
+        # survives service crashes.
         self.durable_store = DurableStore()
         # Per-VO fair-share admission: caps engines running site-wide and
         # queues (or refuses) session admits weighted by VO share.
@@ -415,13 +411,10 @@ class GridSite:
             content_store=self.content_store,
             calibration=cal,
             session_lifetime=config.session_lifetime,
-            recovery=RecoveryConfig(),
             obs=self.obs,
             replicas=self.replicas,
-            durability=DurabilityConfig(
-                store=self.durable_store,
-                checkpoint_every_s=config.checkpoint_every_s,
-            ),
+            durable_store=self.durable_store,
+            checkpoint_every_s=config.checkpoint_every_s,
             container=self.container,
             admission=self.admission,
         )

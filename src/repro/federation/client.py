@@ -8,12 +8,11 @@ Wraps :class:`~repro.client.client.IPAClient` behind the federation's
   through on ``RetryAfter``/setup failures until one site accepts;
 - every delegated operation first checks the bound site's
   ``partitioned`` flag (the control plane is simulated in-process, so a
-  severed WAN boundary must be surfaced explicitly) and, with
-  ``auto_failover``, reacts to :class:`SitePartitioned` /
-  ``ServiceUnavailable`` / transport ``Fault`` by re-brokering to the
-  next-ranked site and replaying the completed workflow steps
-  (reconnect → re-select → re-upload → re-run) before retrying the
-  interrupted operation.
+  severed WAN boundary must be surfaced explicitly) and reacts to
+  :class:`SitePartitioned` / ``ServiceUnavailable`` / transport ``Fault``
+  by re-brokering to the next-ranked site and replaying the completed
+  workflow steps (reconnect → re-select → re-upload → re-run) before
+  retrying the interrupted operation.
 
 Replay relies on results being reproducible from the dataset + code
 (deterministic content generators), which is what the bit-identical
@@ -39,13 +38,11 @@ class FederatedClient:
         federation,
         credential,
         client_id: Optional[str] = None,
-        auto_failover: bool = True,
     ) -> None:
         self.federation = federation
         self.env = federation.env
         self.credential = credential
         self.client_id = client_id or credential.subject
-        self.auto_failover = auto_failover
         self.site = None
         self._client: Optional[IPAClient] = None
         # connect() arguments, kept for re-brokering on failover.
@@ -189,7 +186,7 @@ class FederatedClient:
         return info
 
     def _call(self, op):
-        """Generator op: run *op(client)*, failing over when allowed."""
+        """Generator op: run *op(client)*, failing over on a site fault."""
         attempts = len(self.federation.sites) + 1
         last_error: Optional[BaseException] = None
         for _ in range(attempts):
@@ -200,8 +197,6 @@ class FederatedClient:
                 return result
             except (SitePartitioned, ServiceUnavailable, Fault) as exc:
                 last_error = exc
-                if not self.auto_failover:
-                    raise
                 yield from self.failover(reason=type(exc).__name__)
         raise FederationError("failover attempts exhausted") from last_error
 

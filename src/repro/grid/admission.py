@@ -34,6 +34,10 @@ from repro.services.envelope import RetryAfter
 from repro.sim import Environment, Event
 
 
+#: Base of the ``retry_after`` hint attached to rejections, in seconds.
+RETRY_AFTER_S = 5.0
+
+
 class AdmissionError(Exception):
     """Raised for requests the controller can never satisfy."""
 
@@ -53,8 +57,6 @@ class AdmissionController:
     queue_depth:
         Admissions allowed to *wait* per VO when over quota; 0 (default)
         rejects immediately with :class:`RetryAfter`.
-    retry_after_s:
-        Base of the ``retry_after`` hint attached to rejections.
     """
 
     def __init__(
@@ -63,15 +65,12 @@ class AdmissionController:
         capacity: int,
         shares: Optional[Mapping[str, float]] = None,
         queue_depth: int = 0,
-        retry_after_s: float = 5.0,
         obs: Optional[Observability] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-        if retry_after_s <= 0:
-            raise ValueError("retry_after_s must be > 0")
         for vo, share in dict(shares or {}).items():
             if share <= 0:
                 raise ValueError(f"share for VO {vo!r} must be > 0")
@@ -79,7 +78,6 @@ class AdmissionController:
         self.obs = obs or NULL_OBS
         self.capacity = capacity
         self.queue_depth = queue_depth
-        self.retry_after_s = retry_after_s
         self._shares: Dict[str, float] = dict(shares or {})
         #: VOs that ever requested admission — the quota denominator.
         self._seen: set = set(self._shares)
@@ -279,4 +277,4 @@ class AdmissionController:
 
     def _retry_hint(self) -> float:
         """Deterministic backoff hint scaled by the total backlog."""
-        return self.retry_after_s * (1 + self.waiting())
+        return RETRY_AFTER_S * (1 + self.waiting())

@@ -227,7 +227,6 @@ class GramGatekeeper:
         queue errors are permanent and propagate on the first attempt.
         """
         policy = policy or self.retry_policy
-        start = self.env.now
         last_error: Optional[GramUnavailable] = None
         for attempt in range(policy.max_attempts):
             try:
@@ -237,7 +236,7 @@ class GramGatekeeper:
                 )
             except GramUnavailable as exc:
                 last_error = exc
-                if not policy.should_retry(attempt, self.env.now - start):
+                if not policy.should_retry(attempt):
                     break
                 yield self.env.timeout(
                     policy.delay(attempt, salt=("gram", self._request_seq))

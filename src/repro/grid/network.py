@@ -65,11 +65,6 @@ class Link:
         Capacity in MB/s shared by all flows crossing the link.
     latency:
         One-way propagation delay in seconds, paid once per transfer.
-    per_flow_cap:
-        Optional maximum rate of any single flow on this link (models a TCP
-        single-stream window limit); ``None`` means uncapped.  GridFTP's
-        parallel streams raise a flow's effective cap (see
-        :mod:`repro.grid.transfer`).
     """
 
     def __init__(
@@ -79,20 +74,16 @@ class Link:
         b: str,
         bandwidth: float,
         latency: float = 0.0,
-        per_flow_cap: Optional[float] = None,
     ) -> None:
         if bandwidth <= 0:
             raise ValueError(f"link {name}: bandwidth must be > 0")
         if latency < 0:
             raise ValueError(f"link {name}: latency must be >= 0")
-        if per_flow_cap is not None and per_flow_cap <= 0:
-            raise ValueError(f"link {name}: per_flow_cap must be > 0")
         self.name = name
         self.a = a
         self.b = b
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
-        self.per_flow_cap = per_flow_cap
         #: Whether the link is operational; down links carry no routes and
         #: in-flight flows crossing them fail with :class:`LinkDown`.
         self.up = True
@@ -182,12 +173,8 @@ class _Flow:
         self.stats = TransferStats(src, dst, size_mb, started_at, float("nan"))
 
     def cap(self) -> float:
-        """Per-flow rate ceiling from link caps and the stream cap."""
-        cap = float("inf") if self.stream_cap is None else self.stream_cap
-        for link in self.links:
-            if link.per_flow_cap is not None:
-                cap = min(cap, link.per_flow_cap)
-        return cap
+        """Per-flow rate ceiling: the stream cap, if any."""
+        return float("inf") if self.stream_cap is None else self.stream_cap
 
 
 def maxmin_allocate(
@@ -292,7 +279,6 @@ class Network:
         b: str,
         bandwidth: float,
         latency: float = 0.0,
-        per_flow_cap: Optional[float] = None,
     ) -> Link:
         """Connect hosts *a* and *b* with a new link."""
         for endpoint in (a, b):
@@ -300,7 +286,7 @@ class Network:
                 raise NetworkError(f"unknown host {endpoint!r}")
         if name in self._links:
             raise NetworkError(f"link {name!r} already exists")
-        link = Link(name, a, b, bandwidth, latency, per_flow_cap)
+        link = Link(name, a, b, bandwidth, latency)
         self._links[name] = link
         self._adjacency[a].append(link)
         self._adjacency[b].append(link)
@@ -474,8 +460,7 @@ class Network:
         ----------
         stream_cap:
             Optional per-flow rate ceiling in MB/s (single TCP stream
-            behaviour); see :class:`Link.per_flow_cap` for the link-side
-            equivalent.
+            behaviour).
         """
         if size_mb < 0:
             raise ValueError("size_mb must be >= 0")

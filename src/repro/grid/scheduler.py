@@ -10,8 +10,7 @@ This scheduler models a simplified LSF/PBS:
 * named queues, each with a *priority* (lower = dispatched first), a
   *dispatch latency* (how long the scheduler takes to place a runnable job —
   batch schedulers of the era polled every 30–60 s, the dedicated
-  interactive queue here dispatches in ~1 s) and an optional *wall-time
-  limit*;
+  interactive queue here dispatches in ~1 s);
 * one job occupies one worker node; jobs wait until a worker is idle;
 * jobs can be cancelled while pending or running (session shutdown kills
   the engines, §2.3: "started for each session and shut down at the end").
@@ -41,9 +40,8 @@ class JobState:
     COMPLETED = "completed"
     FAILED = "failed"
     CANCELLED = "cancelled"
-    KILLED = "killed"  # exceeded wall-time
 
-    TERMINAL = frozenset({COMPLETED, FAILED, CANCELLED, KILLED})
+    TERMINAL = frozenset({COMPLETED, FAILED, CANCELLED})
 
 
 @dataclass(frozen=True)
@@ -59,20 +57,15 @@ class QueueSpec:
     dispatch_latency:
         Seconds between a worker becoming available and the job actually
         starting (scheduler polling / placement cost).
-    max_wall_time:
-        Optional per-job run-time ceiling in seconds.
     """
 
     name: str
     priority: int = 10
     dispatch_latency: float = 30.0
-    max_wall_time: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.dispatch_latency < 0:
             raise ValueError("dispatch_latency must be >= 0")
-        if self.max_wall_time is not None and self.max_wall_time <= 0:
-            raise ValueError("max_wall_time must be > 0")
 
 
 class Job:
@@ -311,12 +304,6 @@ class BatchScheduler:
         ).inc(queue=job.queue)
         body_proc = self.env.process(job.body(self.env, worker))
         job._process = body_proc
-
-        watchdog: Optional[Process] = None
-        if spec.max_wall_time is not None:
-            watchdog = self.env.process(
-                self._watchdog(body_proc, spec.max_wall_time)
-            )
         try:
             job.result = yield body_proc
             job_state = JobState.COMPLETED
@@ -329,11 +316,7 @@ class BatchScheduler:
                 worker.failed = True
             else:
                 job.error = intr
-                job_state = (
-                    JobState.KILLED
-                    if intr.cause == "wall-time"
-                    else JobState.CANCELLED
-                )
+                job_state = JobState.CANCELLED
         except NodeFailure as exc:  # body observed its node failing
             job.error = exc
             job_state = JobState.FAILED
@@ -341,21 +324,11 @@ class BatchScheduler:
         except BaseException as exc:  # job body crashed
             job.error = exc
             job_state = JobState.FAILED
-        if watchdog is not None and watchdog.is_alive:
-            watchdog.interrupt("job-done")
         worker.engine_id = None
         if not worker.failed:
             self._idle.append(worker)
         self._finish(job, job_state)
         self._kick()
-
-    def _watchdog(self, body_proc: Process, limit: float):
-        try:
-            yield self.env.timeout(limit)
-        except Interrupt:
-            return  # job finished in time
-        if body_proc.is_alive:
-            body_proc.interrupt("wall-time")
 
     def _finish(self, job: Job, state: str) -> None:
         job.state = state

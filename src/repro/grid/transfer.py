@@ -238,9 +238,7 @@ class GridFTPService:
                         "ftp_retries_total",
                         "GridFTP transfer attempts that failed mid-flight",
                     ).inc()
-                    if not policy.should_retry(
-                        attempt_index, self.env.now - start
-                    ):
+                    if not policy.should_retry(attempt_index):
                         break
                     delay = policy.delay(attempt_index, salt)
                     if delay:
@@ -368,7 +366,6 @@ class GridFTPService:
                     return stats
 
                 def deliver(attempt=attempt, salt=salt):
-                    attempt_started = self.env.now
                     last_error: Optional[Exception] = None
                     for attempt_index in range(policy.max_attempts):
                         try:
@@ -381,9 +378,7 @@ class GridFTPService:
                                 "GridFTP transfer attempts that failed "
                                 "mid-flight",
                             ).inc()
-                            if not policy.should_retry(
-                                attempt_index, self.env.now - attempt_started
-                            ):
+                            if not policy.should_retry(attempt_index):
                                 break
                             delay = policy.delay(attempt_index, salt)
                             if delay:

@@ -74,16 +74,9 @@ class Observability:
         be ``None`` only when ``enabled=False``.
     enabled:
         With ``False``, every subsystem is the shared no-op singleton.
-    event_capacity:
-        Bound of the structured event log.
     """
 
-    def __init__(
-        self,
-        env=None,
-        enabled: bool = True,
-        event_capacity: int = 2048,
-    ) -> None:
+    def __init__(self, env=None, enabled: bool = True) -> None:
         if enabled and env is None:
             raise ValueError("an enabled Observability needs an environment")
         self.enabled = enabled
@@ -91,7 +84,7 @@ class Observability:
         if enabled:
             self.tracer: Tracer = Tracer(env)
             self.metrics: MetricsRegistry = MetricsRegistry()
-            self.events: EventLog = EventLog(env, capacity=event_capacity)
+            self.events: EventLog = EventLog(env)
         else:
             self.tracer = NULL_TRACER
             self.metrics = NULL_REGISTRY

@@ -7,10 +7,10 @@ the journal alone would force every live engine to resend its entire
 history; a checkpoint lets recovery restore the merge cache to the last
 flushed state and ask engines only for what came after.
 
-The on-disk format reuses the keyframe/delta idea from the incremental
-snapshot pipeline (PR 4): every ``checkpoint_keyframe_every``-th write is
-a full keyframe, the writes in between are deltas carrying only engines
-whose sequence advanced since the previous checkpoint.  Records are
+The on-disk format reuses the keyframe/delta idea of the incremental
+snapshot pipeline: every ``keyframe_every``-th write (4 on the session
+service) is a full keyframe, the writes in between are deltas carrying
+only engines whose sequence advanced since the previous checkpoint.  Records are
 checksummed lines in the :class:`~repro.resilience.journal.DurableStore`;
 :meth:`CheckpointStore.load` folds the last *committed* keyframe plus
 subsequent committed deltas, so a torn final record (crash mid-flush)
@@ -19,31 +19,9 @@ silently falls back to the previous consistent state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .journal import DurableStore, decode_record, encode_record
-
-
-@dataclass
-class DurabilityConfig:
-    """Wiring + cadence knobs for the durable session layer.
-
-    ``checkpoint_every_s``
-        Simulated seconds between periodic checkpoints of each live
-        session (the write itself charges no simulated time).
-    ``journal_fsync``
-        When True (default) every journal record is durable immediately;
-        when False records buffer until the next checkpoint syncs them,
-        so a crash can lose the journal tail written since then.
-    ``checkpoint_keyframe_every``
-        Every Nth checkpoint is a full keyframe; the rest are deltas.
-    """
-
-    store: DurableStore
-    checkpoint_every_s: float = 30.0
-    journal_fsync: bool = True
-    checkpoint_keyframe_every: int = 4
 
 
 class CheckpointStore:
@@ -100,9 +78,9 @@ class CheckpointStore:
         }
         line = encode_record(record)
         if torn:
-            self.store.append(self.name, line[: max(1, len(line) // 2)], sync=True)
+            self.store.append(self.name, line[: max(1, len(line) // 2)])
             return "torn"
-        self.store.append(self.name, line, sync=True)
+        self.store.append(self.name, line)
         self._writes += 1
         self._last_seqs = {
             engine_id: state.get("sequence", 0)

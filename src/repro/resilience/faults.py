@@ -195,9 +195,9 @@ class FailureInjector:
         """Kill the SessionService + AIDA manager processes.
 
         Volatile session state is lost and every RMI token revoked; the
-        durable journal/checkpoint files survive (minus any unsynced
-        tail).  With ``torn_checkpoint`` the crash lands mid-flush,
-        leaving a half-written checkpoint record behind.
+        durable journal/checkpoint files survive.  With
+        ``torn_checkpoint`` the crash lands mid-flush, leaving a
+        half-written checkpoint record behind.
         """
         self.session_service.crash(torn_checkpoint=torn_checkpoint)
         kind = "checkpoint-torn" if torn_checkpoint else "service-crash"

@@ -7,25 +7,24 @@ fix:
 
 :class:`DurableStore`
     An in-memory model of the manager node's *local disk*: it survives a
-    service-process crash (only the process' volatile dictionaries die)
-    while honouring fsync semantics — appends made with ``sync=False``
-    sit in a buffered tail that a crash discards, exactly like page-cache
-    writes that never reached the platter.
+    service-process crash (only the process' volatile dictionaries die).
+    Every append is durable when it returns (fsync'd); only a write torn
+    mid-line by the crash itself is lost.
 
 :class:`SessionJournal`
     A per-session append-only log of state transitions (create, stage
     plan, code stage, control verbs, quarantines, re-dispatches, replica
     pins, close).  Every record is a checksummed JSON line; readers stop
     at the first corrupt record, so a torn tail (a crash mid-append)
-    costs at most the unflushed suffix, never the whole journal.
+    costs at most the torn suffix, never the whole journal.
 
 What a record *means* is not defined here: ``apply`` and ``fold`` in
 :mod:`repro.services.session_state` turn records into a ``SessionState``, for
 the live service and for the restarted one alike.
 
 Journal and checkpoint writes charge **zero simulated time**: durability
-is modelled as asynchronous local-disk I/O that never blocks the service
-hot path, so enabling it does not perturb any calibrated timing.
+is modelled as local-disk I/O that never blocks the service hot path, so
+it does not perturb any calibrated timing.
 """
 
 from __future__ import annotations
@@ -71,32 +70,21 @@ def decode_record(line: str) -> Optional[dict]:
 class DurableStore:
     """The manager node's local disk, as seen by the service processes.
 
-    Files are ordered lists of text lines.  Each file tracks a *synced
-    watermark*: lines above it were fsync'd and survive anything; lines
-    past it are buffered and are dropped by :meth:`crash` (the modelled
-    power-cut / process-kill).  :meth:`tear` additionally truncates the
+    Files are ordered lists of text lines; every appended line is durable
+    at once and survives a service crash.  :meth:`tear` truncates the
     last line mid-way — the torn-write case a checksummed reader must
     tolerate.
     """
 
     def __init__(self) -> None:
         self._files: Dict[str, List[str]] = {}
-        self._synced: Dict[str, int] = {}
 
-    def append(self, name: str, line: str, sync: bool = True) -> None:
-        """Append one line; with ``sync`` it is durable immediately."""
-        lines = self._files.setdefault(name, [])
-        lines.append(line)
-        if sync:
-            self._synced[name] = len(lines)
-
-    def sync(self, name: str) -> None:
-        """fsync: make every buffered line of *name* durable."""
-        if name in self._files:
-            self._synced[name] = len(self._files[name])
+    def append(self, name: str, line: str) -> None:
+        """Append one line; it is durable when this returns."""
+        self._files.setdefault(name, []).append(line)
 
     def read(self, name: str) -> List[str]:
-        """All lines currently visible (synced or still buffered)."""
+        """All lines of *name*."""
         return list(self._files.get(name, []))
 
     def names(self, prefix: str = "") -> List[str]:
@@ -106,7 +94,6 @@ class DurableStore:
     def delete(self, name: str) -> None:
         """Remove a file (idempotent)."""
         self._files.pop(name, None)
-        self._synced.pop(name, None)
 
     def tear(self, name: str) -> None:
         """Truncate the last line mid-way (a torn write caught by a crash)."""
@@ -116,30 +103,18 @@ class DurableStore:
         last = lines[-1]
         lines[-1] = last[: max(1, len(last) // 2)]
 
-    def crash(self) -> None:
-        """Power-cut semantics: every unsynced buffered tail is lost."""
-        for name, lines in self._files.items():
-            keep = self._synced.get(name, 0)
-            del lines[keep:]
-
 
 class SessionJournal:
     """Append-only, checksummed write-ahead log for one session.
 
-    With ``fsync=True`` (the default) every record is durable the moment
-    :meth:`append` returns; with ``fsync=False`` records are buffered
-    until the next :meth:`sync` (the checkpoint loop syncs on every
-    checkpoint), trading the buffered tail for lower modelled I/O load.
+    Every record is durable the moment :meth:`append` returns.
     """
 
     PREFIX = "journal/"
 
-    def __init__(
-        self, store: DurableStore, session_id: str, fsync: bool = True
-    ) -> None:
+    def __init__(self, store: DurableStore, session_id: str) -> None:
         self.store = store
         self.session_id = session_id
-        self.fsync = fsync
         self.name = self.name_for(session_id)
         #: Corrupt/torn lines skipped by the last :meth:`records` call.
         self.torn_records = 0
@@ -160,12 +135,8 @@ class SessionJournal:
         """Write one record; returns it (with its sequence number)."""
         self._seq += 1
         record = {"seq": self._seq, "type": record_type, "data": data}
-        self.store.append(self.name, encode_record(record), sync=self.fsync)
+        self.store.append(self.name, encode_record(record))
         return record
-
-    def sync(self) -> None:
-        """Make every buffered record durable."""
-        self.store.sync(self.name)
 
     def records(self) -> List[dict]:
         """Valid records in order, stopping at the first corrupt line.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -37,10 +36,6 @@ class RetryPolicy:
         calibration tests deterministic.
     seed:
         Seed mixed into the jitter RNG (ignored when ``jitter == 0``).
-    deadline:
-        Optional budget in simulated seconds: once the cumulative delay
-        would exceed it, :meth:`delay` returns ``None`` and the caller
-        should give up even if attempts remain.
     """
 
     max_attempts: int = 3
@@ -49,7 +44,6 @@ class RetryPolicy:
     max_delay: float = 60.0
     jitter: float = 0.0
     seed: int = 0
-    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -62,13 +56,6 @@ class RetryPolicy:
             raise ValueError("max_delay must be >= 0")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if self.deadline is not None and self.deadline < 0:
-            raise ValueError("deadline must be >= 0")
-
-    @property
-    def max_retries(self) -> int:
-        """Number of retries after the first attempt."""
-        return self.max_attempts - 1
 
     def delay(self, attempt: int, salt: object = None) -> float:
         """Backoff delay after failed attempt *attempt* (0-based).
@@ -86,26 +73,9 @@ class RetryPolicy:
         factor = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return base * factor
 
-    def delays(self, salt: object = None) -> list:
-        """All retry delays in order, honouring ``deadline`` if set."""
-        out = []
-        spent = 0.0
-        for attempt in range(self.max_retries):
-            d = self.delay(attempt, salt)
-            if self.deadline is not None and spent + d > self.deadline:
-                break
-            spent += d
-            out.append(d)
-        return out
-
-    def should_retry(self, attempt: int, elapsed: float = 0.0) -> bool:
+    def should_retry(self, attempt: int) -> bool:
         """Whether another try is allowed after failed attempt *attempt*."""
-        if attempt + 1 >= self.max_attempts:
-            return False
-        if self.deadline is not None:
-            if elapsed + self.delay(attempt) > self.deadline:
-                return False
-        return True
+        return attempt + 1 < self.max_attempts
 
     def with_attempts(self, max_attempts: int) -> "RetryPolicy":
         """Copy of this policy with a different attempt budget."""

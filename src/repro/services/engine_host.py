@@ -16,6 +16,7 @@ from repro.engine.controls import Command
 from repro.engine.engine import AnalysisEngine, Snapshot
 from repro.grid.nodes import WorkerNode
 from repro.obs import NULL_OBS, Observability
+from repro.resilience.heartbeat import HEARTBEAT_INTERVAL_S
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.content import ContentStore
 from repro.services.registry import EngineReference, WorkerRegistryService
@@ -42,7 +43,7 @@ class EngineHost:
     * ``("shutdown",)`` — leave the loop and deregister.
 
     The host also runs a liveness loop that beats into the registry every
-    ``heartbeat_interval``; the beat stops when the node hangs or its
+    ``HEARTBEAT_INTERVAL_S``; the beat stops when the node hangs or its
     link goes down, which is what the session monitor detects.  The whole
     directive-handling chain runs inside the *one* job-body process (via
     ``yield from``), so a single kernel interrupt — a crash or hang
@@ -63,7 +64,6 @@ class EngineHost:
         aida: AIDAManagerService,
         content_store: ContentStore,
         calibration: "Calibration",
-        heartbeat_interval: float,
         obs: Optional[Observability] = None,
     ) -> None:
         self.engine_id = engine_id
@@ -72,7 +72,6 @@ class EngineHost:
         self.aida = aida
         self.content_store = content_store
         self.calibration = calibration
-        self.heartbeat_interval = heartbeat_interval
         self.obs = obs or NULL_OBS
         # Captured at construction time, which happens inside the (traced)
         # create_session / recovery execution — the engine's whole lifetime
@@ -152,7 +151,7 @@ class EngineHost:
         finally:
             self._stop_heartbeat()
             self.registry.deregister(self.session_id, self.engine_id)
-            # However the job ends (shutdown, crash, cancel, wall-time), the
+            # However the job ends (shutdown, crash or cancel), the
             # parts staged to it go with it; the engine keeps its counts.
             self._owned = []
             self._pending = []
@@ -163,7 +162,7 @@ class EngineHost:
         """Beat into the registry until interrupted (engine exit/crash)."""
         try:
             while True:
-                yield env.timeout(self.heartbeat_interval)
+                yield env.timeout(HEARTBEAT_INTERVAL_S)
                 if not worker.link_down:
                     self.registry.heartbeat(self.session_id, self.engine_id)
         except Interrupt:

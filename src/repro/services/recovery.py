@@ -2,9 +2,9 @@
 
 Failure model
 -------------
-Engines beat into the registry every ``heartbeat_interval`` seconds.  The
-session's monitor loop treats a silent engine (crash, hang, or severed
-link) as dead after ``heartbeat_timeout``: the engine is *quarantined* —
+Engines beat into the registry every ``HEARTBEAT_INTERVAL_S`` seconds.
+The session's monitor loop treats a silent engine (crash, hang, or
+severed link) as dead after ``HEARTBEAT_TIMEOUT_S``: the engine is *quarantined* —
 its AIDA contributions discarded and future (zombie) submissions banned,
 its job cancelled, its partitions marked orphaned — and the orphans are
 re-staged from the storage element and re-dispatched, preferring a spare
@@ -21,7 +21,9 @@ from repro.grid.gram import GramError, JobDescription
 from repro.grid.scheduler import JobState
 from repro.grid.security import SecurityError
 from repro.grid.transfer import TransferError
-from repro.resilience.heartbeat import HeartbeatMonitor
+from repro.resilience.heartbeat import (
+    DISPATCH_ACK_TIMEOUT_S, HEARTBEAT_INTERVAL_S, SPARE_TIMEOUT_S, HeartbeatMonitor,
+)
 from repro.services.codeloader import CodeLoaderError
 from repro.services.registry import EngineReference
 from repro.sim import Interrupt, LinkDown, NodeCrash, NodeFailure, Process
@@ -48,7 +50,6 @@ class RecoverySupervisor:
     def __init__(self, service: "SessionService") -> None:
         self.service = service
         self.env = service.env
-        self.config = service.recovery
         self.gram = service.gram
         self.registry = service.registry
         self.aida = service.aida
@@ -61,7 +62,7 @@ class RecoverySupervisor:
     def arm(self, session_id: str) -> Process:
         """Watch every engine of the session; start its monitor loop."""
         session = self.service._sessions[session_id]
-        monitor = HeartbeatMonitor(self.env, self.registry, session_id, self.config)
+        monitor = HeartbeatMonitor(self.env, self.registry, session_id)
         for reference in session["references"]:
             # watch() seeds a fresh beat: after a restart nobody gets
             # quarantined because their last beat predates the downtime.
@@ -72,7 +73,7 @@ class RecoverySupervisor:
     def monitor(self, session_id: str):
         """Detect dead engines by missing heartbeats and recover (generator).
 
-        One sweep per ``RecoveryConfig.heartbeat_interval``: first *every*
+        One sweep per ``HEARTBEAT_INTERVAL_S``: first *every*
         stale engine is quarantined (so a multi-failure never re-dispatches
         onto a worker that is itself about to be declared dead), then
         orphaned partitions are re-dispatched.  Runs until the session
@@ -90,7 +91,7 @@ class RecoverySupervisor:
             while True:
                 if session["state"].closed:
                     return
-                yield self.env.timeout(self.config.heartbeat_interval)
+                yield self.env.timeout(HEARTBEAT_INTERVAL_S)
                 if session["state"].closed:
                     return
                 jobs = session["engine_jobs"]
@@ -101,7 +102,7 @@ class RecoverySupervisor:
                 for engine_id in sorted(suspects):
                     job = jobs.get(engine_id)
                     if job is not None and job.state in JobState.TERMINAL and not _node_failed(job):
-                        # Shutdown, cancel or wall-time, or the user's analysis
+                        # Shutdown or cancel, or the user's analysis
                         # crashed (surfaced through status()): nothing to recover.
                         monitor.unwatch(engine_id)
                     else:
@@ -285,7 +286,7 @@ class RecoverySupervisor:
                 yield target.mailbox.put(
                     ("takeover", part, dataset.content, ack, session["state"].running)
                 )
-                timeout = self.env.timeout(self.config.dispatch_ack_timeout)
+                timeout = self.env.timeout(DISPATCH_ACK_TIMEOUT_S)
                 yield self.env.any_of([ack, timeout])
                 if not ack.triggered:
                     # Target went silent mid-takeover; the monitor's next
@@ -323,7 +324,7 @@ class RecoverySupervisor:
         """Submit a replacement engine on a spare worker (generator).
 
         Returns its :class:`EngineReference`, or ``None`` when no spare
-        came up within ``RecoveryConfig.spare_timeout`` (the caller then
+        came up within ``SPARE_TIMEOUT_S`` (the caller then
         falls back to a surviving engine).
         """
         session = self.service._sessions[session_id]
@@ -343,7 +344,7 @@ class RecoverySupervisor:
             self._spare_start_failed(session_id, engine_id, exc)
             return None
         session["engine_jobs"][engine_id] = submission.jobs[0]
-        deadline = self.env.now + self.config.spare_timeout
+        deadline = self.env.now + SPARE_TIMEOUT_S
         while True:
             refs = {ref.engine_id: ref for ref in self.registry.engines(session_id)}
             if engine_id in refs:

@@ -56,10 +56,10 @@ from repro.grid.scheduler import JobState
 from repro.grid.security import Certificate, SecurityContext
 from repro.grid.transfer import GridFTPService
 from repro.obs import NULL_OBS, Observability
-from repro.resilience.checkpoint import CheckpointStore, DurabilityConfig
+from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import ServiceUnavailable
-from repro.resilience.heartbeat import RecoveryConfig
-from repro.resilience.journal import SessionJournal
+from repro.resilience.heartbeat import CLOSE_GRACE_S
+from repro.resilience.journal import DurableStore, SessionJournal
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.catalog import DatasetCatalogService
 from repro.services.codeloader import ManagingClassLoaderService
@@ -81,8 +81,10 @@ from repro.sim import Environment, Interrupt, NodeFailure
 class SessionService:
     """Server-side coordinator of interactive analysis sessions.
 
-    Engine-failure recovery is the :attr:`supervisor`'s (tuned by
-    *recovery*); staging is the :attr:`stager`'s, *replicas* first.
+    Engine-failure recovery is the :attr:`supervisor`'s; staging is the
+    :attr:`stager`'s, *replicas* first.  Every transition is journalled
+    to *durable_store*, and each live session's merge state is
+    checkpointed there every *checkpoint_every_s* simulated seconds.
     """
 
     def __init__(
@@ -99,9 +101,9 @@ class SessionService:
         storage: StorageElement,
         content_store: ContentStore,
         calibration: "Calibration",
-        durability: DurabilityConfig,
+        durable_store: DurableStore,
+        checkpoint_every_s: float,
         container: ServiceContainer,
-        recovery: RecoveryConfig,
         replicas: "ReplicaManager",
         session_lifetime: Optional[float] = None,
         obs: Optional[Observability] = None,
@@ -119,9 +121,9 @@ class SessionService:
         self.storage = storage
         self.content_store = content_store
         self.calibration = calibration
-        self.recovery = recovery
-        #: Durable journal/checkpoint wiring.
-        self.durability = durability
+        #: The manager node's disk: session journals and checkpoints.
+        self.durable_store = durable_store
+        self.checkpoint_every_s = checkpoint_every_s
         #: Service container, for token revocation on crash / reissue on
         #: recovery.
         self.container = container
@@ -153,11 +155,7 @@ class SessionService:
     def _journal(self, session_id: str) -> SessionJournal:
         journal = self._journals.get(session_id)
         if journal is None:
-            journal = SessionJournal(
-                self.durability.store,
-                session_id,
-                fsync=self.durability.journal_fsync,
-            )
+            journal = SessionJournal(self.durable_store, session_id)
             self._journals[session_id] = journal
         return journal
 
@@ -180,18 +178,14 @@ class SessionService:
     def _checkpoint_store(self, session_id: str) -> CheckpointStore:
         store = self._checkpoints.get(session_id)
         if store is None:
-            store = CheckpointStore(
-                self.durability.store,
-                session_id,
-                keyframe_every=self.durability.checkpoint_keyframe_every,
-            )
+            store = CheckpointStore(self.durable_store, session_id)
             self._checkpoints[session_id] = store
         return store
 
     def _closed_in_journal(self, session_id: str) -> bool:
         """Whether the durable journal tombstones this session as closed
         (read through an uncached reader: a closed session keeps none)."""
-        state = fold(SessionJournal(self.durability.store, session_id).records())
+        state = fold(SessionJournal(self.durable_store, session_id).records())
         return state is not None and state.closed
 
     def closed_before_crash(self, session_id: str) -> bool:
@@ -333,7 +327,6 @@ class SessionService:
             aida=self.aida,
             content_store=self.content_store,
             calibration=self.calibration,
-            heartbeat_interval=self.recovery.heartbeat_interval,
             obs=self.obs,
         )
 
@@ -541,7 +534,7 @@ class SessionService:
         # then cancel any stragglers.
         jobs = list(session["engine_jobs"].values())
         all_done = self.env.all_of([job.done for job in jobs])
-        grace = self.env.timeout(self.recovery.close_grace)
+        grace = self.env.timeout(CLOSE_GRACE_S)
         yield self.env.any_of([all_done, grace])
         if not all_done.triggered:
             # A hung engine never read its shutdown directive and the
@@ -586,13 +579,12 @@ class SessionService:
         """Periodically checkpoint one session's merge state (generator).
 
         Durable writes charge zero simulated time — the loop only adds
-        timeout events — so enabling durability does not perturb any
-        calibrated timing.  A service crash interrupts the loop.
+        timeout events — so durability does not perturb any calibrated
+        timing.  A service crash interrupts the loop.
         """
-        config = self.durability
         try:
             while True:
-                yield self.env.timeout(config.checkpoint_every_s)
+                yield self.env.timeout(self.checkpoint_every_s)
                 if session_id not in self._sessions:
                     return
                 self.write_checkpoint(session_id)
@@ -602,15 +594,15 @@ class SessionService:
     def write_checkpoint(self, session_id: str, torn: bool = False):
         """Write one durable checkpoint now; returns its kind.
 
-        WAL ordering: the journal is synced first, so a checkpoint can
-        never describe state the journal cannot explain.  ``torn`` models
-        a crash mid-flush (only half the record reaches the disk).
+        Every journal record is durable before it is applied, so a
+        checkpoint can never describe state the journal cannot explain.
+        ``torn`` models a crash mid-flush (only half the record reaches
+        the disk).
         """
         session = self._sessions.get(session_id)
         if session is None:
             return None
         store = self._checkpoint_store(session_id)
-        self._journal(session_id).sync()
         span = self.obs.tracer.start(
             "checkpoint.write",
             parent_id=session.get("trace_parent"),
@@ -661,10 +653,10 @@ class SessionService:
     def crash(self, torn_checkpoint: bool = False) -> None:
         """The manager-node service processes die (injected fault).
 
-        Volatile session state is wiped (the durable store survives,
-        minus any unsynced journal tail), every live session's RMI token
-        is revoked, the background monitor/checkpoint/re-dispatch loops
-        are interrupted, and the AIDA manager goes down too.  With
+        Volatile session state is wiped (the durable store survives),
+        every live session's RMI token is revoked, the background
+        monitor/checkpoint/re-dispatch loops are interrupted, and the
+        AIDA manager goes down too.  With
         ``torn_checkpoint`` each live session first flushes *half* a
         checkpoint record — the crash-mid-flush case recovery must
         tolerate.
@@ -686,7 +678,6 @@ class SessionService:
             self.env, "session", self._session_lifetime
         )
         self._down = True
-        self.durability.store.crash()
         self.aida.crash()
         self.obs.metrics.counter(
             "service_crashes_total",
@@ -716,11 +707,9 @@ class SessionService:
         self._down = False
         restored_sessions = 0
         reconciled_engines = 0
-        store = self.durability.store
+        store = self.durable_store
         for session_id in SessionJournal.session_ids(store):
-            journal = SessionJournal(
-                store, session_id, fsync=self.durability.journal_fsync
-            )
+            journal = SessionJournal(store, session_id)
             state = fold(journal.records())
             if state is None:
                 continue

@@ -24,8 +24,6 @@ def test_controller_validation(env):
     with pytest.raises(ValueError):
         AdmissionController(env, capacity=4, queue_depth=-1)
     with pytest.raises(ValueError):
-        AdmissionController(env, capacity=4, retry_after_s=0.0)
-    with pytest.raises(ValueError):
         AdmissionController(env, capacity=4, shares={"ilc": 0.0})
 
 
@@ -73,9 +71,7 @@ def test_single_vo_borrows_the_whole_pool(env):
 
 
 def test_over_quota_rejected_with_scaled_hint(env):
-    ctl = AdmissionController(
-        env, capacity=4, queue_depth=1, retry_after_s=2.0
-    )
+    ctl = AdmissionController(env, capacity=4, queue_depth=1)
     hints = []
 
     def scenario():
@@ -92,8 +88,8 @@ def test_over_quota_rejected_with_scaled_hint(env):
         yield from ctl.acquire("ilc", 1)
 
     env.run(until=env.process(scenario()))
-    # hint = retry_after_s * (1 + backlog); one waiter queued -> 4.0.
-    assert hints == [pytest.approx(4.0), pytest.approx(4.0)]
+    # hint = RETRY_AFTER_S * (1 + backlog); one waiter queued -> 10.0.
+    assert hints == [pytest.approx(10.0), pytest.approx(10.0)]
     assert ctl.waiting("ilc") == 1
 
 

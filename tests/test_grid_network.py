@@ -6,12 +6,12 @@ from repro.grid.network import Network, NetworkError, star_topology
 from repro.sim import Environment
 
 
-def make_pair(bandwidth=10.0, latency=0.0, per_flow_cap=None):
+def make_pair(bandwidth=10.0, latency=0.0):
     env = Environment()
     net = Network(env)
     net.add_host("a")
     net.add_host("b")
-    net.add_link("ab", "a", "b", bandwidth, latency, per_flow_cap)
+    net.add_link("ab", "a", "b", bandwidth, latency)
     return env, net
 
 
@@ -48,8 +48,6 @@ def test_link_parameter_validation():
         net.add_link("bad", "a", "c", bandwidth=0)
     with pytest.raises(ValueError):
         net.add_link("bad", "a", "c", bandwidth=1, latency=-1)
-    with pytest.raises(ValueError):
-        net.add_link("bad", "a", "c", bandwidth=1, per_flow_cap=0)
 
 
 def test_route_direct():
@@ -149,12 +147,6 @@ def test_negative_size_rejected():
     env, net = make_pair()
     with pytest.raises(ValueError):
         net.transfer("a", "b", -1.0)
-
-
-def test_per_flow_cap_limits_single_transfer():
-    env, net = make_pair(bandwidth=10.0, per_flow_cap=2.0)
-    stats = env.run(until=net.transfer("a", "b", 20.0))
-    assert stats.duration == pytest.approx(10.0)  # 20 MB at 2 MB/s
 
 
 def test_stream_cap_argument_limits_transfer():

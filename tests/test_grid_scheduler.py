@@ -33,8 +33,6 @@ def sleeper(duration):
 def test_queue_spec_validation():
     with pytest.raises(ValueError):
         QueueSpec("q", dispatch_latency=-1)
-    with pytest.raises(ValueError):
-        QueueSpec("q", max_wall_time=0)
 
 
 def test_duplicate_queue_rejected():
@@ -151,27 +149,6 @@ def test_body_exception_fails_job():
     env.run()
     assert job.state == JobState.FAILED
     assert isinstance(job.error, RuntimeError)
-
-
-def test_wall_time_limit_kills_job():
-    env, sched = build()
-    sched.add_queue(
-        QueueSpec("short", priority=1, dispatch_latency=0.0, max_wall_time=5.0)
-    )
-    job = sched.submit("long", "short", sleeper(100.0))
-    env.run()
-    assert job.state == JobState.KILLED
-    assert job.end_time == pytest.approx(5.0)
-
-
-def test_wall_time_limit_spares_fast_job():
-    env, sched = build()
-    sched.add_queue(
-        QueueSpec("short", priority=1, dispatch_latency=0.0, max_wall_time=5.0)
-    )
-    job = sched.submit("quick", "short", sleeper(2.0))
-    env.run()
-    assert job.state == JobState.COMPLETED
 
 
 def test_graceful_body_catches_interrupt():

@@ -17,7 +17,8 @@ from repro.engine.sandbox import CodeBundle
 from repro.grid.gram import GramUnavailable
 from repro.grid.scheduler import JobState
 from repro.grid.transfer import TransferError
-from repro.resilience import HeartbeatMonitor, RecoveryConfig, RetryPolicy
+from repro.resilience import HeartbeatMonitor, RetryPolicy
+from repro.resilience.heartbeat import HEARTBEAT_INTERVAL_S, HEARTBEAT_TIMEOUT_S
 from repro.services.content import ContentStore
 from repro.services.envelope import Fault
 from repro.services.registry import WorkerRegistryService
@@ -47,6 +48,11 @@ def drive(site, generator):
     return site.env.run(until=site.env.process(generator))
 
 
+def retry_delays(policy, salt=None):
+    """Every retry delay the policy allows, in order."""
+    return [policy.delay(i, salt) for i in range(policy.max_attempts - 1)]
+
+
 def local_reference_tree(n_events=2_000, seed=42):
     content = ContentStore()
     batch = content.events_for({"kind": "ilc", "seed": seed}, 0, n_events)
@@ -62,8 +68,8 @@ class TestRetryPolicy:
         policy = RetryPolicy(
             max_attempts=5, base_delay=1.0, multiplier=2.0, max_delay=5.0
         )
-        assert policy.delays() == [1.0, 2.0, 4.0, 5.0]
-        assert policy.max_retries == 4
+        assert retry_delays(policy) == [1.0, 2.0, 4.0, 5.0]
+        assert policy.should_retry(3) and not policy.should_retry(4)
 
     def test_zero_jitter_is_exact(self):
         policy = RetryPolicy(base_delay=3.0, multiplier=2.0)
@@ -73,21 +79,15 @@ class TestRetryPolicy:
     def test_jitter_is_deterministic_and_bounded(self):
         a = RetryPolicy(base_delay=10.0, jitter=0.25, seed=7, max_attempts=4)
         b = RetryPolicy(base_delay=10.0, jitter=0.25, seed=7, max_attempts=4)
-        assert a.delays(salt="x") == b.delays(salt="x")
+        assert retry_delays(a, salt="x") == retry_delays(b, salt="x")
         # Different salt / seed decorrelates the stream.
-        assert a.delays(salt="x") != a.delays(salt="y")
+        assert retry_delays(a, salt="x") != retry_delays(a, salt="y")
         c = RetryPolicy(base_delay=10.0, jitter=0.25, seed=8, max_attempts=4)
-        assert a.delays(salt="x") != c.delays(salt="x")
+        assert retry_delays(a, salt="x") != retry_delays(c, salt="x")
         for attempt in range(3):
             base = 10.0 * 2.0**attempt
             d = a.delay(attempt, salt="x")
             assert base * 0.75 <= d <= base * 1.25
-
-    def test_deadline_stops_retrying(self):
-        policy = RetryPolicy(max_attempts=10, base_delay=4.0, deadline=10.0)
-        assert policy.should_retry(0, elapsed=0.0)
-        assert not policy.should_retry(1, elapsed=8.0)
-        assert len(policy.delays()) < policy.max_retries
 
     def test_with_attempts_copies(self):
         policy = RetryPolicy(max_attempts=3, base_delay=2.0)
@@ -187,8 +187,7 @@ class TestHeartbeats:
     def test_monitor_stale_logic(self):
         env = Environment()
         registry = WorkerRegistryService(env)
-        config = RecoveryConfig(heartbeat_interval=5.0, heartbeat_timeout=20.0)
-        monitor = HeartbeatMonitor(env, registry, "s1", config)
+        monitor = HeartbeatMonitor(env, registry, "s1")
         monitor.watch("e0")
         monitor.watch("e1")
 
@@ -215,16 +214,12 @@ class TestHeartbeats:
                     info.session_id, ref.engine_id
                 )
                 assert last is not None
-                assert (
-                    site.env.now - last
-                    <= site.session_service.recovery.heartbeat_interval
-                )
+                assert site.env.now - last <= HEARTBEAT_INTERVAL_S
 
         drive(site, scenario())
 
     def test_detection_latency_is_bounded_by_timeout_plus_period(self):
         site, client = build(n_workers=2)
-        config = site.session_service.recovery
         marks = {}
 
         def scenario():
@@ -248,11 +243,8 @@ class TestHeartbeats:
         latency = recoveries[0]["detected_at"] - marks["killed_at"]
         # Last beat is at most one interval before the kill; the monitor
         # needs a beat older than the timeout, observed at sweep granularity.
-        assert latency >= config.heartbeat_timeout - config.heartbeat_interval
-        assert (
-            latency
-            <= config.heartbeat_timeout + config.heartbeat_interval + 1e-6
-        )
+        assert latency >= HEARTBEAT_TIMEOUT_S - HEARTBEAT_INTERVAL_S
+        assert latency <= HEARTBEAT_TIMEOUT_S + HEARTBEAT_INTERVAL_S + 1e-6
 
     def test_hang_on_the_monitor_tick_grid_pins_same_instant_order(self):
         """Beats, sweeps and the hang share instants: pin their order.
@@ -268,8 +260,8 @@ class TestHeartbeats:
         """
         site, client = build(n_workers=3)
         service = site.session_service
-        period = service.recovery.heartbeat_interval
-        timeout = service.recovery.heartbeat_timeout
+        period = HEARTBEAT_INTERVAL_S
+        timeout = HEARTBEAT_TIMEOUT_S
         armed_at = []
         arm = service._arm_background_loops
 
@@ -771,7 +763,8 @@ class TestGramRetry:
         drive(site, scenario())
         assert marks["n"] == 2
         # Two failed attempts cost the policy's first two backoff delays.
-        expected = sum(site.gram.retry_policy.delays()[:2])
+        policy = site.gram.retry_policy
+        expected = sum(policy.delay(i) for i in range(2))
         assert marks["elapsed"] >= expected
 
     def test_submission_gives_up_after_policy_exhausted(self):

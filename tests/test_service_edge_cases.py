@@ -44,7 +44,6 @@ def test_engine_host_rejects_unknown_directive():
         aida=AIDAManagerService(env, merge_cost_per_tree=0.0),
         content_store=ContentStore(),
         calibration=DEFAULT_CALIBRATION,
-        heartbeat_interval=5.0,
     )
     from repro.grid.nodes import NodeSpec, WorkerNode
 
@@ -69,7 +68,6 @@ def test_engine_host_rejects_unknown_control_verb():
         aida=AIDAManagerService(env, merge_cost_per_tree=0.0),
         content_store=ContentStore(),
         calibration=DEFAULT_CALIBRATION,
-        heartbeat_interval=5.0,
     )
     with pytest.raises(SessionError, match="unknown control verb"):
         host._apply_control("warp", None)

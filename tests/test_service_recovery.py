@@ -27,20 +27,6 @@ from repro.engine.engine import Snapshot
 # DurableStore
 # ---------------------------------------------------------------------------
 
-def test_durable_store_crash_drops_unsynced_tail():
-    store = DurableStore()
-    store.append("journal/s1", "a", sync=True)
-    store.append("journal/s1", "b", sync=False)
-    store.append("journal/s1", "c", sync=False)
-    store.crash()
-    assert store.read("journal/s1") == ["a"]
-    # A sync makes the tail durable.
-    store.append("journal/s1", "d", sync=False)
-    store.sync("journal/s1")
-    store.crash()
-    assert store.read("journal/s1") == ["a", "d"]
-
-
 def test_durable_store_names_and_delete():
     store = DurableStore()
     store.append("journal/s2", "x")
@@ -306,6 +292,38 @@ def test_service_crash_with_torn_checkpoint_recovers():
     assert recovered["hist"].to_dict() == baseline["hist"].to_dict()
 
 
+def test_crash_right_after_a_checkpoint_leaves_a_journal_that_explains_it():
+    # Write-ahead: every record is durable before it is applied, so the
+    # journal that survives a crash folds to the state the last
+    # checkpoint describes.
+    site, client = _build()
+    service = site.session_service
+    out = {}
+
+    def scenario():
+        info = yield from client.obtain_proxy_and_connect(n_engines=N_WORKERS)
+        sid = info.session_id
+        yield from client.select_dataset("ds")
+        yield from client.upload_code(higgs.SOURCE)
+        yield from client.run()
+        while site.aida.snapshot_count(sid) < N_WORKERS:
+            yield site.env.timeout(1.0)
+        yield from client.rewind()
+        out["live"] = service._sessions[sid]["state"]
+        out["kind"] = service.write_checkpoint(sid)
+        site.injector.crash_services()
+        out["folded"] = fold(SessionJournal(site.durable_store, sid).records())
+        out["checkpoint"] = CheckpointStore(site.durable_store, sid).load()
+
+    site.env.run(until=site.env.process(scenario()))
+    folded = out["folded"]
+    assert out["kind"] == "keyframe"
+    assert folded == out["live"]
+    assert folded.rewinds == 1
+    session_state, _merge_state = out["checkpoint"]
+    assert session_state == {"rewinds": folded.rewinds, "running": folded.running}
+
+
 def test_worker_death_during_downtime_is_recovered():
     baseline = _run()
     recovered = _run(crash=True, kill_worker_during_downtime=True)
@@ -489,7 +507,7 @@ def test_closed_session_leaves_no_journal_reader():
         # A repeated close answers from the durable tombstone.
         out["again"] = yield site.env.process(service.close(sid))
         out["after_second_close"] = sid in service._journals
-        out["records"] = SessionJournal(service.durability.store, sid).records()
+        out["records"] = SessionJournal(service.durable_store, sid).records()
 
     site.env.run(until=site.env.process(scenario()))
     assert out["again"] is True

@@ -63,7 +63,7 @@ def build_site():
 
 def durable_state(site, session_id):
     """The fold of the session's journal as it sits on the durable store."""
-    store = site.session_service.durability.store
+    store = site.session_service.durable_store
     return fold(SessionJournal(store, session_id).records())
 
 

@@ -26,6 +26,7 @@ from repro.dataset.generator import ILCEventGenerator
 from repro.engine.base import Analysis, AnalysisError
 from repro.engine.engine import AnalysisEngine
 from repro.federation import FederatedClient, Federation
+from repro.resilience.heartbeat import HEARTBEAT_TIMEOUT_S
 from repro.services import content as content_module
 from repro.services.content import BLOCK_EVENTS, MAX_CACHED_BLOCKS, ContentStore
 from repro.services.engine_host import EngineHost
@@ -115,9 +116,9 @@ class Audit:
                 assert site.aida.session_cache_keys(session_id) == []
 
 
-def settle(env, site):
+def settle(env):
     """Let background loops asleep at the last close see its flag."""
-    return env.timeout(2 * site.session_service.recovery.heartbeat_timeout)
+    return env.timeout(2 * HEARTBEAT_TIMEOUT_S)
 
 
 def test_single_site_sessions_leave_nothing_behind():
@@ -134,7 +135,7 @@ def test_single_site_sessions_leave_nothing_behind():
             connect = lambda: client.obtain_proxy_and_connect(n_engines=N_WORKERS)
             closed.append((yield from run_session(env, site, client, connect, index)))
             if index in (19, 39):
-                yield settle(env, site)
+                yield settle(env)
                 gc.collect()
                 retained.append(tracemalloc.get_traced_memory()[0])
 
@@ -166,7 +167,7 @@ def test_federation_sessions_leave_nothing_behind():
             closed.append(
                 (yield from run_session(env, fed.site(name), client, connect, index))
             )
-        yield settle(env, fed.site("site1"))
+        yield settle(env)
 
     fed.run(until=env.process(scenario()))
     assert len(closed) == 6
@@ -284,7 +285,7 @@ def test_staged_analysis_cannot_write_into_the_shared_block():
     shared.env.run(until=shared.env.process(offender(shared)))
     # The failed jobs keep their error, but not (through its traceback)
     # the engines or the chunk that raised it.
-    shared.env.run(until=settle(shared.env, shared))
+    shared.env.run(until=settle(shared.env))
     assert audit.new(EngineHost, AnalysisEngine) == []
     assert len(audit.new(EventBatch)) <= 1  # the block, unless already cached
     failed = [shared.scheduler.job(job_id) for job_id in (1, 2)]

@@ -1,10 +1,20 @@
-"""Config classes are a ratchet: a knob is added by editing these lists."""
+"""Config classes and trimmed signatures are a ratchet: a knob is added
+by editing these lists."""
 
+import inspect
 from dataclasses import fields
+
+import pytest
 
 from repro.core.config import Calibration
 from repro.core.site import GridSite, SiteConfig
-from repro.resilience import RecoveryConfig
+from repro.federation import FederatedClient
+from repro.grid.admission import AdmissionController
+from repro.grid.network import Network
+from repro.grid.scheduler import QueueSpec
+from repro.obs import Observability
+from repro.resilience import DurableStore, RetryPolicy, SessionJournal
+from repro.services.session import SessionService
 
 
 def test_site_config_fields_are_the_expected_thirteen():
@@ -25,13 +35,51 @@ def test_site_config_fields_are_the_expected_thirteen():
     ]
 
 
-def test_recovery_config_fields_are_the_expected_five():
-    assert [f.name for f in fields(RecoveryConfig)] == [
-        "heartbeat_interval",
-        "heartbeat_timeout",
-        "spare_timeout",
-        "dispatch_ack_timeout",
-        "close_grace",
+@pytest.mark.parametrize("value", [0.0, -5.0])
+def test_checkpoint_period_must_be_positive(value):
+    # At 0 the checkpoint loop never lets the clock advance; below 0 the
+    # kernel refuses the first checkpoint's delay mid-run.
+    with pytest.raises(ValueError, match="checkpoint_every_s"):
+        SiteConfig(checkpoint_every_s=value)
+
+
+def _parameters(callable_):
+    return [name for name in inspect.signature(callable_).parameters if name != "self"]
+
+
+def test_trimmed_signatures_keep_only_their_parameters():
+    assert _parameters(SessionService) == [
+        "env",
+        "gram",
+        "registry",
+        "catalog",
+        "locator",
+        "splitter",
+        "codeloader",
+        "aida",
+        "ftp",
+        "storage",
+        "content_store",
+        "calibration",
+        "durable_store",
+        "checkpoint_every_s",
+        "container",
+        "replicas",
+        "session_lifetime",
+        "obs",
+        "admission",
+    ]
+    assert _parameters(SessionJournal) == ["store", "session_id"]
+    assert _parameters(DurableStore.append) == ["name", "line"]
+    assert _parameters(Observability) == ["env", "enabled"]
+    assert _parameters(FederatedClient) == ["federation", "credential", "client_id"]
+    assert _parameters(Network.add_link) == ["name", "a", "b", "bandwidth", "latency"]
+    assert _parameters(AdmissionController) == [
+        "env", "capacity", "shares", "queue_depth", "obs",
+    ]
+    assert [f.name for f in fields(QueueSpec)] == ["name", "priority", "dispatch_latency"]
+    assert [f.name for f in fields(RetryPolicy)] == [
+        "max_attempts", "base_delay", "multiplier", "max_delay", "jitter", "seed",
     ]
 
 
@@ -67,7 +115,7 @@ def test_calibration_fields_are_the_expected_twenty_four():
 def test_default_site_always_has_durability_and_a_container():
     site = GridSite(SiteConfig())
     assert site.durable_store is not None
-    assert site.session_service.durability.store is site.durable_store
+    assert site.session_service.durable_store is site.durable_store
     assert site.session_service.container is site.container
 
 
@@ -75,4 +123,4 @@ def test_default_site_always_runs_the_replica_and_recovery_planes():
     site = GridSite(SiteConfig())
     assert site.session_service.replicas is site.replicas
     assert site.injector.replicas is site.replicas
-    assert site.session_service.recovery == RecoveryConfig()
+    assert site.session_service.supervisor.service is site.session_service

@@ -7,7 +7,7 @@ accommodate a sub-level of components that performs the merging" (§2.5).
 
 The manager *runs* the sub-merger tree: engines publish to per-group
 combiners holding incremental partials, combiners republish upward, and a
-poll re-folds only dirty subtrees while the combiner levels charge their
+merge re-folds only dirty subtrees while the combiner levels charge their
 latency concurrently on the simulated clock.  Without a fan-in the same
 ``MergeTree`` is one leaf that owns every engine (depth 1) — the paper's
 single merging component.
@@ -15,14 +15,17 @@ single merging component.
 This benchmark feeds two managers — flat (``fan_in=None``, depth 1) and
 tiered (fan-in 8) — byte-identical delta/keyframe snapshot streams at
 4..1024 engines.
-Every poll is taken in the worst case for the tier ablation, all engines
-dirty, where flat charges O(n) tree merges and the tier charges
-O(f·log_f n).  After every polled generation the two served trees must be
-*exactly* equal (serialized-dict equality — fills are dyadic rationals so
-fold association cannot change the float bits).  Results land in
-``benchmarks/out/BENCH_merge_tree.json``; the CI gate requires the tiered
-root poll at 1024 engines to cost at most 0.25x the flat poll (>= 4x
-speedup).
+Every merge is taken in the worst case for the tier ablation, all
+engines dirty, where flat charges O(n) tree merges and the tier charges
+O(f·log_f n).  A round's first snapshot starts the merge, which folds
+the whole round and is charged for it: the bench reads each merge's
+latency from the manager's ``merge_log``, the merge's own record, and
+then polls its reply.  After every merged
+generation the two served trees must be *exactly* equal (serialized-dict
+equality — fills are dyadic rationals so fold association cannot change
+the float bits).  Results land in ``benchmarks/out/BENCH_merge_tree.json``;
+the CI gate requires the tiered root merge at 1024 engines to cost at most
+0.25x the flat merge (>= 4x speedup).
 """
 
 import json
@@ -40,7 +43,7 @@ from repro.sim import Environment
 ENGINE_COUNTS = (4, 16, 64, 256, 1024)
 FAN_IN = 8
 MERGE_COST = 0.01  # simulated seconds per tree merge
-ROUNDS = 2  # all-dirty polls after the warm-up poll
+ROUNDS = 2  # all-dirty merges after the warm-up merge
 BINS = 30
 OUT_JSON = Path(__file__).parent / "out" / "BENCH_merge_tree.json"
 
@@ -65,10 +68,10 @@ def dyadic_fill(engine, rng):
 
 
 def measure(n_engines, fan_in):
-    """Drive one manager through warm-up + all-dirty polls.
+    """Drive one manager through warm-up + all-dirty merges.
 
-    Returns per-generation served trees, simulated poll latencies, and
-    wall-clock poll times.
+    Returns per-generation served trees, simulated merge latencies (from
+    ``merge_log``), and wall-clock times of each merge.
     """
     env = Environment()
     manager = AIDAManagerService(
@@ -80,19 +83,22 @@ def measure(n_engines, fan_in):
 
     trees, sim_latencies, wall_times = [], [], []
 
-    def all_dirty_poll():
+    def all_dirty_merge():
         for engine in engines:
             dyadic_fill(engine, rng)
             manager.submit_snapshot("s1", engine.take_snapshot())
-        before = env.now
         started = time.perf_counter()
-        tree, _ = env.run(until=manager.merged("s1"))
+        env.run()
         wall_times.append(time.perf_counter() - started)
-        sim_latencies.append(env.now - before)
-        trees.append(tree)
+        _session, n_trees, latency = manager.merge_log[-1]
+        assert n_trees == n_engines
+        sim_latencies.append(latency)
+        poll = manager.merged("s1")
+        assert poll.processed  # the merge's reply, no merge of its own
+        trees.append(poll.value[0])
 
     for _ in range(1 + ROUNDS):  # first round doubles as the warm-up
-        all_dirty_poll()
+        all_dirty_merge()
     return {
         "trees": trees,
         "sim_latencies": sim_latencies,
@@ -108,7 +114,7 @@ def run_matrix():
         assert flat["depth"] == 1
         tiered = measure(n_engines, fan_in=FAN_IN)
         # Correctness first: the tier must serve the exact flat tree at
-        # every polled generation (fold association changes nothing).
+        # every merged generation (fold association changes nothing).
         for generation, (flat_tree, tiered_tree) in enumerate(
             zip(flat["trees"], tiered["trees"])
         ):
@@ -120,12 +126,12 @@ def run_matrix():
         tiered_sim = min(tiered["sim_latencies"][1:])
         results[n_engines] = {
             "flat": {
-                "sim_poll_seconds": flat_sim,
-                "wall_poll_seconds": min(flat["wall_times"][1:]),
+                "sim_merge_seconds": flat_sim,
+                "wall_merge_seconds": min(flat["wall_times"][1:]),
             },
             "tiered": {
-                "sim_poll_seconds": tiered_sim,
-                "wall_poll_seconds": min(tiered["wall_times"][1:]),
+                "sim_merge_seconds": tiered_sim,
+                "wall_merge_seconds": min(tiered["wall_times"][1:]),
                 "depth": tiered["depth"],
             },
             "latency_ratio": flat_sim / tiered_sim,
@@ -138,7 +144,7 @@ def test_merge_tree(benchmark, report):
     results = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
 
     table = ComparisonTable(
-        f"All-dirty poll, flat vs combiner tier (fan-in {FAN_IN}, "
+        f"All-dirty merge, flat vs combiner tier (fan-in {FAN_IN}, "
         f"{MERGE_COST} s per tree merge, min of {ROUNDS})",
         [
             "engines",
@@ -154,11 +160,11 @@ def test_merge_tree(benchmark, report):
         table.add_row(
             n_engines,
             row["tiered"]["depth"],
-            f"{row['flat']['sim_poll_seconds']:.2f} s",
-            f"{row['tiered']['sim_poll_seconds']:.2f} s",
+            f"{row['flat']['sim_merge_seconds']:.2f} s",
+            f"{row['tiered']['sim_merge_seconds']:.2f} s",
             f"{row['latency_ratio']:.1f}x",
-            f"{row['flat']['wall_poll_seconds'] * 1000:.1f} ms",
-            f"{row['tiered']['wall_poll_seconds'] * 1000:.1f} ms",
+            f"{row['flat']['wall_merge_seconds'] * 1000:.1f} ms",
+            f"{row['tiered']['wall_merge_seconds'] * 1000:.1f} ms",
         )
     report("merge_tree", table.render())
 
@@ -178,7 +184,7 @@ def test_merge_tree(benchmark, report):
     )
 
     # Sanity on the cost model itself: flat all-dirty is O(n).
-    assert results[1024]["flat"]["sim_poll_seconds"] >= (
+    assert results[1024]["flat"]["sim_merge_seconds"] >= (
         1024 * MERGE_COST - 1e-6
     )
     # The tier never loses at any measured scale...
@@ -187,18 +193,18 @@ def test_merge_tree(benchmark, report):
             assert row["latency_ratio"] > 1.0, (
                 f"tier slower than flat at {n_engines} engines"
             )
-    # ...and the CI gate: at 1024 engines the root poll must cost at most
-    # 0.25x the flat poll (the measured topology gives ~39x).
+    # ...and the CI gate: at 1024 engines the root merge must cost at most
+    # 0.25x the flat merge (the measured topology gives ~39x).
     gate = results[1024]
     assert (
-        gate["tiered"]["sim_poll_seconds"]
-        <= 0.25 * gate["flat"]["sim_poll_seconds"]
+        gate["tiered"]["sim_merge_seconds"]
+        <= 0.25 * gate["flat"]["sim_merge_seconds"]
     ), (
-        f"tiered poll at 1024 engines not <= 0.25x flat: "
-        f"{gate['tiered']['sim_poll_seconds']:.2f} vs "
-        f"{gate['flat']['sim_poll_seconds']:.2f}"
+        f"tiered merge at 1024 engines not <= 0.25x flat: "
+        f"{gate['tiered']['sim_merge_seconds']:.2f} vs "
+        f"{gate['flat']['sim_merge_seconds']:.2f}"
     )
     assert gate["latency_ratio"] >= 4.0, (
-        f"expected >= 4x poll speedup at 1024 engines, got "
+        f"expected >= 4x merge speedup at 1024 engines, got "
         f"{gate['latency_ratio']:.1f}x"
     )

@@ -1,15 +1,18 @@
-"""Service-crash recovery cost — cold-start vs one interactive poll.
+"""Service-crash recovery cost — cold-start vs one round trip plus one merge.
 
 Crashes the manager-node services (SessionService + AIDA manager) during
 a paused Higgs session and measures the cold-start recovery: journal
 replay, checkpoint restore, engine re-binding, and full-keyframe
 republication.  The claim under test: recovery costs about one SOAP
-round-trip plus one merge pass over the live engine trees — the same
-order as a single all-dirty result poll — NOT a re-staging or re-run of
-the session.  The gate (at 16 engines): recovery takes less than 2x one
-clean poll cycle.  The merged tree after recovery must equal the
-pre-crash tree exactly (the session is paused, so zero progress is the
-correct answer).
+round-trip plus one merge pass over the live engine trees — NOT a
+re-staging or re-run of the session.  The yardstick is measured in two
+parts: the round trip is a clean poll of the paused session (its merge
+already ran, so the poll only reads its reply), and the all-dirty merge
+pass is the latency the manager logs for the merge its restore starts,
+which folds every one of the session's engine trees at once.  The gate
+(at 16 engines): recovery takes less than 2x the yardstick.  The merged
+tree after recovery must equal the pre-crash tree exactly (the session is
+paused, so zero progress is the correct answer).
 
 Writes ``benchmarks/out/BENCH_recovery_service.json``.
 """
@@ -54,11 +57,12 @@ def run_once(n_workers):
         # pre-crash and post-recovery merged trees must be identical.
         yield from client.pause()
         yield site.env.timeout(QUIESCE_S)
-        # One clean poll with every engine dirty — the yardstick.
+        # One clean poll: the RMI round trip of the yardstick.
         started = site.env.now
         before = yield from client.poll()
         out["poll_s"] = site.env.now - started
         out["before"] = before.tree.to_dict()
+        logged = len(site.aida.merge_log)
         site.injector.crash_services()
         yield site.env.timeout(DOWNTIME_S)
         started = site.env.now
@@ -67,6 +71,12 @@ def run_once(n_workers):
         yield from client.reconnect()
         after = yield from client.poll()
         out["after"] = after.tree.to_dict()
+        # The restore's merge folds every engine tree at once.
+        out["merge_s"] = next(
+            latency
+            for _session, n_trees, latency in site.aida.merge_log[logged:]
+            if n_trees == n_workers
+        )
         yield from client.run()  # resume; close() below drains the session
         yield from client.close()
 
@@ -81,12 +91,14 @@ def sweep():
         # Bit-identical restore: journal replay + checkpoint + keyframe
         # republication reconstructed exactly the pre-crash merge.
         assert result["after"] == result["before"], n_workers
+        yardstick = result["poll_s"] + result["merge_s"]
         rows.append(
             {
                 "engines": n_workers,
                 "poll_s": result["poll_s"],
+                "merge_s": result["merge_s"],
                 "recovery_s": result["recovery_s"],
-                "ratio": result["recovery_s"] / result["poll_s"],
+                "ratio": result["recovery_s"] / yardstick,
             }
         )
     return rows
@@ -96,14 +108,22 @@ def test_service_recovery(benchmark, report):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     table = ComparisonTable(
-        "Manager-service cold-start recovery vs one all-dirty result poll "
-        "(paused Higgs session, merged tree bit-identical across the crash)",
-        ["engines", "clean poll", "recovery", "recovery / poll"],
+        "Manager-service cold-start recovery vs one round trip plus one "
+        "all-dirty merge (paused Higgs session, merged tree bit-identical "
+        "across the crash)",
+        [
+            "engines",
+            "clean poll",
+            "all-dirty merge",
+            "recovery",
+            "recovery / (poll + merge)",
+        ],
     )
     for row in rows:
         table.add_row(
             str(row["engines"]),
             format_seconds(row["poll_s"]),
+            format_seconds(row["merge_s"]),
             format_seconds(row["recovery_s"]),
             f"{row['ratio']:.2f}x",
         )
@@ -123,7 +143,7 @@ def test_service_recovery(benchmark, report):
     )
 
     # CI gate: cold-start recovery at 16 engines costs less than two
-    # clean poll cycles (it is one SOAP round-trip + one merge pass, not
-    # a session re-run).
+    # yardsticks (it is one SOAP round-trip + one merge pass, not a
+    # session re-run).
     at_16 = next(row for row in rows if row["engines"] == 16)
-    assert at_16["recovery_s"] < 2.0 * at_16["poll_s"], at_16
+    assert at_16["ratio"] < 2.0, at_16

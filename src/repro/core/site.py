@@ -99,9 +99,9 @@ class SiteConfig:
     poll_coalesce_window_s:
         Floor on a merge's latency, so that near-simultaneous pollers
         can join it (0 = only polls overlapping the merge's own latency
-        coalesce).  A poll finding nothing changed since the last merge
-        runs no merge and waits for no window: it gets that merge's
-        reply.
+        coalesce).  A merge starts when a session's merge state
+        changes; a poll with none in flight waits for no window: it gets
+        the last merge's reply.
     max_concurrent_engines:
         Site-wide cap on engines running across all sessions (``None``
         = no admission control).  When set, session admits go through

@@ -6,13 +6,13 @@ a special manager service called the AIDA manager service.  A separate
 plug-in on the JAS client constantly polls the AIDA manager" (§3.7).
 
 All merge state of a session lives in one :class:`~repro.services.
-combiner.MergeTree`, and every poll folds through it.  With
+combiner.MergeTree`, and every merge folds through it.  With
 ``fan_in=None`` the tree is a single leaf that owns every engine — the
-paper's one merging component, whose all-dirty poll costs O(engines)
+paper's one merging component, whose all-dirty merge costs O(engines)
 and is §2.5's bottleneck.  With ``fan_in=f`` the same tree grows the
 "sub-level of components that performs the merging" §2.5 prescribes:
 leaf combiners of degree *f* under internal combiners, folding
-concurrently within a level, so an all-dirty poll costs
+concurrently within a level, so an all-dirty merge costs
 ``f * ceil(log_f engines)`` instead.  ``bench_merge_tree.py`` measures
 both depths at 4-1024 engines and checks the served trees are equal.
 
@@ -20,7 +20,7 @@ The merge is **incremental** at every depth: the tree keeps each
 engine's latest accepted snapshot with its cumulative tree of frozen
 objects (stored as they arrive), accepts *delta* snapshots that carry
 only changed objects on top of an acknowledged base sequence, and
-re-folds only the paths touched since the last poll.  A poll is
+re-folds only the paths touched since the last merge.  A merge is
 charged the tree's own ``poll_latency`` — what it is about to fold —
 on the simulated clock.
 ``begin_run`` (rewind), ``discard_engine`` (failure recovery),
@@ -46,12 +46,12 @@ that moves whenever the root may have changed and is never reused (one
 frozen tree is served per generation, shared by its polls); a
 poll that sends the validator it holds (``have=``) and is about to be
 served the same one gets ``(None, progress)`` — "not modified" — at the
-same simulated cost.  Concurrent polls of one session share one merge:
-the first, the leader, is a timer that folds; the rest wait on an event
-the leader triggers, and it is the leader that advances their cursors.
-A poll that finds nothing to fold and no merge in flight runs no merge:
-it is answered at once from the reply the last merge left, which every
-change to the session's merge state discards.
+same simulated cost.  Collecting and polling are separate steps, as in
+§3.7: every change to a session's merge state discards the last merge's
+reply and starts the session's merge, a timer that folds, unless one is
+in flight (that one is charged for what landed meanwhile before it
+folds).  A poll joins the merge in flight or is answered at once from
+the reply the last merge left.
 """
 
 from __future__ import annotations
@@ -136,9 +136,11 @@ class _InflightMerge:
     the tree or "not modified" — is decided once, when the merge is done.
     """
 
-    __slots__ = ("waves", "n_joiners", "full")
+    __slots__ = ("waves", "n_joiners", "full", "changed")
 
     def __init__(self) -> None:
+        #: The merge state changed since the merge was last charged.
+        self.changed = False
         #: ``(have, event, [(client_id, join span), ...])``, oldest first.
         self.waves: List[tuple] = []
         self.n_joiners = 0
@@ -169,25 +171,20 @@ class AIDAManagerService:
         case).  The session layer plans each tree over the session's
         engines via :meth:`configure_tier`.
     coalesce:
-        When True (default), concurrent polls of the same session share
-        one in-flight merge: the first poll (the *leader*) runs the
-        merge; every poll arriving while it is in flight joins it and is
-        served the leader's result.  Because the leader re-reads dirty
-        state after its latency elapses and the fold order is fixed, the
-        shared tree is bit-identical to what each joiner's own merge
-        would have produced.  Per-client cursors (see ``poll_cursor``)
-        track which merge generation each client last saw.  A poll
-        finding nothing changed since the last merge runs none: it gets
-        that merge's reply.  False is the per-client reference: every
-        poll runs a merge of its own.
+        When True (default), each change to a session's merge state
+        starts its merge (the *leader*); every poll arriving while it is
+        in flight joins it and is served its result, and a poll after it
+        gets its reply.  Because the leader re-reads dirty state after
+        its latency elapses (charged for what it then folds) and the
+        fold order is fixed, the shared tree is bit-identical to what
+        each joiner's own merge would have produced.  Per-client cursors
+        (see ``poll_cursor``) track which merge generation each client
+        last saw.  False is the per-client reference: every poll runs a
+        merge of its own, and nothing merges in the background.
     coalesce_window_s:
         Floor on a leader's in-flight duration: with a window of *w*,
-        polls landing within *w* seconds of the leader join it.  A poll
-        with nothing changed since the last merge has no leader (it gets
-        that merge's reply), so the window binds only on a merge shorter
-        than *w*: one after a change that left nothing to fold, or one
-        whose folds cost less.  0 (default) preserves the uncoalesced
-        timing exactly for sequential pollers.
+        polls landing within *w* seconds of the leader's start join it.
+        It binds only on a merge whose folds cost less than *w*.
     """
 
     def __init__(
@@ -359,7 +356,7 @@ class AIDAManagerService:
         if status != "accepted":
             self._dropped_metric.inc(reason="gap")
             return status
-        self._replies.pop(session_id, None)
+        self._changed(session_id)
         if self._observed:
             self._snapshot_metric.inc()
         return "accepted"
@@ -375,7 +372,7 @@ class AIDAManagerService:
         join must not rebuild the topology under in-flight deltas).  A
         tree grown from early snapshots is a single leaf: if the plan
         needs more than one it is re-planned, and the entries already
-        ingested carry over, marked dirty so the next poll re-folds them.
+        ingested carry over, marked dirty for the merge the re-plan starts.
         """
         if self._down or session_id in self._dropped:
             return None
@@ -391,7 +388,7 @@ class AIDAManagerService:
             # A new root: whatever the grown one served is not vouched for.
             self._advance_generation(session_id)
         self._tiers[session_id] = tier
-        self._replies.pop(session_id, None)
+        self._changed(session_id)
         self._tier_depth_metric.set(tier.depth, session=session_id)
         n_engines = sum(len(group) for group in groups)
         self.obs.events.emit(
@@ -425,7 +422,7 @@ class AIDAManagerService:
         if tier is None:
             raise MergeError(f"session {session_id!r} has no merge tree")
         affected = tier.crash_combiner(combiner_id)
-        self._replies.pop(session_id, None)
+        self._changed(session_id)
         self._combiner_crash_metric.inc()
         self.obs.events.emit(
             "combiner_crash",
@@ -448,13 +445,13 @@ class AIDAManagerService:
         """
         if run_id > self._run_ids.get(session_id, 0):
             self._run_ids[session_id] = run_id
-            self._replies.pop(session_id, None)
             tier = self._tiers.get(session_id)
             if tier is not None:
                 # The served root changes (to empty) and nothing is left
                 # dirty to announce it at the next poll.
                 self._advance_generation(session_id)
                 tier.reset()
+            self._changed(session_id)
 
     # -- failure recovery ---------------------------------------------------
     def discard_engine(self, session_id: str, engine_id: str) -> None:
@@ -470,29 +467,39 @@ class AIDAManagerService:
             # ban set / dirty maps for a session already released.
             return
         self._banned.setdefault(session_id, set()).add(engine_id)
-        self._replies.pop(session_id, None)
         tier = self._tiers.get(session_id)
         if tier is not None:
             # Every path it contributed is re-folded without it.
             tier.discard_engine(engine_id)
+        self._changed(session_id)
 
     def set_expected_engines(self, session_id: str, count: int) -> None:
         """Declare how many engines the session expects results from."""
         if count < 0:
             raise MergeError("expected engine count must be >= 0")
         if self._expected.get(session_id) != count:
-            self._replies.pop(session_id, None)
+            self._changed(session_id)
         self._expected[session_id] = count
 
     def set_recovering(self, session_id: str, flag: bool) -> None:
         """Mark the session as (not) mid-recovery; gates ``complete``.
 
         The recovery monitor re-asserts the flag on every sweep: only a
-        change discards the last merge's reply."""
+        change discards the last merge's reply and starts a merge."""
         flag = bool(flag)
         if self._recovering.get(session_id, False) != flag:
-            self._replies.pop(session_id, None)
+            self._changed(session_id)
         self._recovering[session_id] = flag
+
+    def _changed(self, session_id: str) -> None:
+        """The merge state changed: discard the last reply and, coalescing,
+        start the merge that folds the change unless one is in flight."""
+        self._replies.pop(session_id, None)
+        inflight = self._inflight.get(session_id)
+        if inflight is not None:
+            inflight.changed = True
+        elif self.coalesce and not self._down and session_id not in self._dropped:
+            self._lead(session_id)
 
     def drop_session(self, session_id: str) -> None:
         """Forget a session's snapshots (session close); idempotent.
@@ -564,9 +571,9 @@ class AIDAManagerService:
     def restore_state(self, session_id: str, state: dict) -> None:
         """Rebuild the merge tree from a checkpoint's merge state.
 
-        Every restored engine starts dirty, so the first poll re-folds
-        the merged tree from the restored engine trees — the same
-        association order as a clean run, hence bit-identical.  The
+        Every restored engine starts dirty, so the merge the restore
+        starts re-folds the merged tree from the restored engine trees —
+        the same association order as a clean run, hence bit-identical.  The
         merge generation resumes from the checkpointed one, or from this
         incarnation's floor when that is higher: polls served between the
         checkpoint and the crash saw generations the checkpoint never
@@ -587,7 +594,6 @@ class AIDAManagerService:
             groups = plan_groups(engines, self.fan_in)
         tier = MergeTree(session_id, self.fan_in, groups)
         self._tiers[session_id] = tier
-        self._replies.pop(session_id, None)
         self._tier_depth_metric.set(tier.depth, session=session_id)
         for engine_id, entry in engines.items():
             tree = ObjectTree.from_dict(entry["tree"])
@@ -602,6 +608,7 @@ class AIDAManagerService:
                 final=entry.get("final", False),
             )
             tier.restore_engine(EngineEntry(snapshot, tree))
+        self._changed(session_id)
 
     # -- serving ------------------------------------------------------------
     def _live_tier(self, session_id: str) -> MergeTree:
@@ -615,10 +622,10 @@ class AIDAManagerService:
         client_id: Optional[str] = None,
         have: Optional[int] = None,
     ) -> Event:
-        """Merge the latest snapshots; value is ``(tree, progress)``.
+        """The merged latest snapshots; value is ``(tree, progress)``.
 
-        Charges what the tree is about to fold on the simulated clock,
-        then re-folds its dirty paths and serves the root as a frozen
+        A merge charges what the tree folds on the simulated clock, then
+        re-folds its dirty paths and serves the root as a frozen
         ``ObjectTree``, one per generation, shared by all its polls.
 
         **Validator.**  ``progress.merge_generation`` names the served
@@ -634,31 +641,32 @@ class AIDAManagerService:
         caller still holds.  When it equals the validator about to be
         served the value is ``(None, progress)``: progress is always
         current, the tree is the one the caller has.  The poll is
-        charged the same (merge latency, if any, and the RMI round trip)
-        either way; what it saves is the reply payload and the client's
-        decode.  ``have=None`` always gets the tree.
+        charged the same (the wait for a merge in flight, if any, and
+        the RMI round trip) either way; what it saves is the reply
+        payload and the client's decode.  ``have=None`` always gets the tree.
 
-        **Nothing to fold.**  While nothing changed the session's merge
-        state since the last merge (no snapshot accepted, no re-plan,
-        crash, rewind, discard, restore, expected-engine or recovery
-        change) and no merge is in flight, the poll runs no merge: the
+        **The reply on hand.**  Coalescing, every change to the session's
+        merge state starts its merge (see :meth:`_changed`), so a poll
+        with no merge in flight reads the reply the last merge left: the
         returned event is already processed and carries that merge's
         ``(tree, progress)``, or its not-modified form.  It advances the
         client's cursor and opens no ``aida.merge`` span; ``merge_log``
-        does not grow.  The test is one dict lookup.
+        does not grow.  The test is one dict lookup.  A poll finding
+        neither a reply nor a merge (a session never touched, or one
+        whose last fold failed) starts one and joins it.
 
-        **Coalescing.**  A poll arriving while another poll's merge is
-        in flight *joins* it instead of merging again (a poll leads a
-        merge only when the merge state changed since the last merge, or
-        none has served the session yet): it is handed an event the
-        leader triggers when its merge completes, carrying the
-        same ``(tree, progress)`` — equal to what the joiner's own merge
-        would have produced, because the leader folds the freshest dirty
-        state in the fixed sorted-engine order — or the not-modified form
-        of it, per joiner's *have*.  The leader is one ``Timeout`` of
-        the merge latency whose first callback folds and sets the reply
-        as its value; the next advances every joiner's cursor, counts the
-        coalesced polls and closes their ``aida.merge.join`` spans.
+        **Coalescing.**  A poll arriving while a merge is in flight
+        *joins* it: it is handed an event the leader triggers when its
+        merge completes, carrying the same ``(tree, progress)`` — equal
+        to what the joiner's own merge would have produced, because the
+        leader folds the freshest dirty state in the fixed sorted-engine
+        order — or the not-modified form of it, per joiner's *have*.  A
+        snapshot accepted before the poll is therefore in the reply it
+        reads or in the merge it joins.  The leader is a ``Timeout`` of
+        the merge latency whose callback, once the merge has been charged
+        for what landed meanwhile (a further ``Timeout`` of the
+        difference), folds, then advances every joiner's cursor, counts
+        the coalesced polls and closes their ``aida.merge.join`` spans.
         *client_id* (optional) keys the per-client sequence cursor, so
         redundant re-polls are observable via :meth:`poll_cursor` and
         ``aida_polls_redundant_total``.
@@ -668,15 +676,9 @@ class AIDAManagerService:
         observed = self._observed
         if observed:
             self._poll_metric.inc()
-        if self.coalesce:
-            inflight = self._inflight.get(session_id)
-            if inflight is not None:
-                span = NULL_SPAN
-                if observed:
-                    span = self.obs.tracer.child(
-                        "aida.merge.join", session=session_id
-                    )
-                return inflight.join(self.env, client_id, have, span)
+        if not self.coalesce:
+            return self._lead(session_id, client_id, have)
+        if session_id not in self._inflight:
             reply = self._replies.get(session_id)
             if reply is not None:
                 # Nothing changed since the last merge: answer with its reply.
@@ -686,19 +688,37 @@ class AIDAManagerService:
                 return Processed(
                     self.env, (None, progress) if have == generation else reply
                 )
+            # Never merged, or the last fold failed: merge now.
+            self._lead(session_id)
+        span = NULL_SPAN
+        if observed:
+            span = self.obs.tracer.child("aida.merge.join", session=session_id)
+        return self._inflight[session_id].join(self.env, client_id, have, span)
+
+    def _lead(
+        self,
+        session_id: str,
+        client_id: Optional[str] = None,
+        have: Optional[int] = None,
+    ) -> Timeout:
+        """Start the session's merge: a ``Timeout`` of what the tree is
+        about to fold, whose callback folds.  Coalescing, it is defused and
+        polls join it; it never folds more than it was charged for."""
+        observed = self._observed
+        boots = self._boots
         tier = self._live_tier(session_id)
-        latency = tier.poll_latency(self.merge_cost_per_tree)
+        cost = self.merge_cost_per_tree
+        charged = tier.poll_latency(cost)
         span = NULL_SPAN
         if observed:
             span = self.obs.tracer.child("aida.merge", session=session_id)
-            span.set(n_trees=tier.n_engines, n_dirty=len(tier.dirty_engines))
         inflight = None
         if self.coalesce:
             inflight = self._inflight[session_id] = _InflightMerge()
             # Keep the merge joinable for at least the coalesce window,
             # even when nothing is dirty yet.
-            latency = max(latency, self.coalesce_window_s)
-        leader = Timeout(self.env, latency)
+            charged = max(charged, self.coalesce_window_s)
+        leader = Timeout(self.env, charged)
 
         def fold(leader: Timeout) -> None:
             # Submissions may have landed while the latency elapsed: fold whatever is
@@ -708,12 +728,15 @@ class AIDAManagerService:
                 del self._inflight[session_id]
             with self.obs.tracer.activate(span):
                 try:
+                    if self._boots != boots:
+                        raise ServiceUnavailable("AIDA manager restarted mid-merge")
                     tier = self._live_tier(session_id)
                     session = [e.snapshot for e in tier.entries().values()]
                     n_dirty = len(tier.dirty_engines)
                     level_folds = tier.refold()
                     if observed:
-                        self._merge_metric.observe(latency)
+                        span.set(n_trees=len(session), n_dirty=n_dirty)
+                        self._merge_metric.observe(charged)
                         self._cache_hit_metric.inc(max(0, len(session) - n_dirty))
                         self._cache_miss_metric.inc(n_dirty)
                         self._dirty_engines_metric.observe(n_dirty)
@@ -735,7 +758,7 @@ class AIDAManagerService:
                         recovering=self._recovering.get(session_id, False),
                         merge_generation=generation,
                     )
-                    self.merge_log.append((session_id, len(session), latency))
+                    self.merge_log.append((session_id, len(session), charged))
                     # One frozen root per generation; it shares the partial's
                     # frozen objects, which re-folds replace, never edit.
                     served = self._served.get(session_id)
@@ -760,14 +783,26 @@ class AIDAManagerService:
                 span.finish()
             leader._value = (None, progress) if have == generation else full
 
-        # The fold runs first; then the joiners are released, before the
-        # leader's own caller resumes: its reply is scheduled ahead of
-        # theirs, in arrival order.
-        leader.callbacks.append(fold)
-        if inflight is not None:
-            leader.callbacks.append(
-                lambda event: self._release_joiners(session_id, inflight, event)
-            )
+        def settle(event: Timeout) -> None:
+            # Charge first for what landed meanwhile, then fold and serve.
+            nonlocal charged
+            if inflight.changed and self._boots == boots:
+                inflight.changed = False
+                owed = self._live_tier(session_id).poll_latency(cost)
+                if owed > charged:
+                    more = Timeout(self.env, owed - charged)
+                    more.defused()
+                    more.callbacks.append(settle)
+                    charged = owed
+                    return
+            fold(event)
+            self._release_joiners(session_id, inflight, event)
+
+        if inflight is None:
+            leader.callbacks.append(fold)
+        else:
+            leader.defused()
+            leader.callbacks.append(settle)
         return leader
 
     def _release_joiners(

@@ -159,9 +159,11 @@ class RecoverySupervisor:
             cause=type(cause).__name__,
         )
         # Gate `complete` first, then drop the dead engine's epoch from the
-        # merge — zombie submissions are banned from here on.
-        self.aida.set_recovering(session_id, True)
-        self.aida.discard_engine(session_id, engine_id)
+        # merge — zombie submissions are banned from here on.  The merge
+        # this starts hangs under the recovery span.
+        with self.obs.tracer.activate(recovery_span):
+            self.aida.set_recovering(session_id, True)
+            self.aida.discard_engine(session_id, engine_id)
         self.registry.deregister(session_id, engine_id)
         dead_ref = next((r for r in session["references"] if r.engine_id == engine_id), None)
         if dead_ref is not None:

@@ -790,7 +790,8 @@ class SessionService:
             state=state,
         )
         yield from self.supervisor.reship_code(session_id, references)
-        restored = self._restore_merge_state(session_id, state)
+        with self.obs.tracer.activate(span):
+            restored = self._restore_merge_state(session_id, state)
         self._arm_background_loops(session_id)
         # Engines the journal believed alive died during the downtime.
         self.supervisor.quarantine_departed(session_id, sorted(set(state.engines) - set(live)))

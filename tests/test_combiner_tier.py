@@ -178,9 +178,12 @@ def test_single_dirty_engine_costs_one_fold_per_level():
 
 def test_merge_latency_incremental_accounts_for_fan_in():
     """64 engines at fan-in 4 are 3 levels; each charges its busiest
-    combiner's dirty children, and levels run in sequence."""
+    combiner's dirty children, and levels run in sequence.  The
+    per-client reference merges on the poll, so the poll pays it."""
     env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
+    manager = AIDAManagerService(
+        env, merge_cost_per_tree=0.1, fan_in=4, coalesce=False
+    )
     ids = [f"e{i:02d}" for i in range(64)]
     tier = manager.configure_tier("s1", ids)
     for engine_id in ids:
@@ -200,6 +203,47 @@ def test_merge_latency_incremental_accounts_for_fan_in():
     started = env.now
     env.run(until=manager.merged("s1"))
     assert env.now - started == pytest.approx(0.5)
+
+
+def test_coalesced_merge_is_charged_for_what_it_folds():
+    """Coalescing, the first accepted snapshot starts the merge; when its
+    latency ends it is charged for whatever landed meanwhile before it
+    folds, and a poll after it is served its reply with no merge."""
+    env = Environment()
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
+    ids = [f"e{i:02d}" for i in range(64)]
+    manager.configure_tier("s1", ids)
+    for engine_id in ids:
+        manager.submit_snapshot("s1", snap(engine_id, 1, dyadic_tree([1])))
+    env.run()
+    delta = dyadic_tree([2])
+    started = env.now
+    manager.submit_snapshot("s1", snap(ids[0], 2, delta, base=1))
+    assert manager.tier("s1").poll_latency(0.1) == pytest.approx(0.3)
+    # Same instant: the merge folds, and is charged, all three.
+    manager.submit_snapshot("s1", snap(ids[1], 2, delta, base=1))
+    manager.submit_snapshot("s1", snap(ids[4], 2, delta, base=1))
+    env.run()
+    assert env.now - started == pytest.approx(0.5)
+    assert manager.merge_log[-1][2] == pytest.approx(0.5)
+    assert manager.tier("s1").dirty_engines == set()
+    n_merges = len(manager.merge_log)
+    poll = manager.merged("s1")
+    assert poll.processed and len(manager.merge_log) == n_merges
+    tree, _ = poll.value
+    latest = {engine_id: dyadic_tree([1]) for engine_id in ids}
+    latest.update({engine_id: delta for engine_id in (ids[0], ids[1], ids[4])})
+    assert tree.to_dict() == reference_merge(latest)
+    # Mid-merge: a snapshot under another leaf lands 0.2 s into a 0.3 s
+    # merge, which then runs on until 0.4 s (two children at the parent).
+    started = env.now
+    manager.submit_snapshot("s1", snap(ids[0], 3, delta, base=2))
+    env.run(until=started + 0.2)
+    manager.submit_snapshot("s1", snap(ids[8], 2, delta, base=1))
+    env.run()
+    assert env.now - started == pytest.approx(0.4)
+    assert manager.merge_log[-1][2] == pytest.approx(0.4)
+    assert len(manager.merge_log) == n_merges + 1
 
 
 # -- correctness: tiered == flat -------------------------------------------
@@ -377,8 +421,13 @@ def test_drop_session_leaves_no_state_at_any_depth(fan_in):
     # Closed before the first snapshot: only the planned tree to release.
     manager.configure_tier("early", ids)
     manager.set_expected_engines("early", 4)
-    assert manager.session_cache_keys("early") == ["expected", "tiers"]
+    # The planned tree started the session's first merge.
+    assert manager.session_cache_keys("early") == [
+        "expected", "inflight", "tiers"
+    ]
     manager.drop_session("early")
+    assert manager.session_cache_keys("early") == []
+    env.run()
     assert manager.session_cache_keys("early") == []
     # Closed mid-run, with a poll in flight and an engine quarantined.
     manager.configure_tier("s1", ids)

@@ -309,9 +309,11 @@ def test_joiners_are_told_not_modified_one_by_one():
         manager.submit_snapshot("s1", engine.take_snapshot())
     _, progress = env.run(until=manager.merged("s1"))
     current = progress.merge_generation
-    # The root combiner loses its partial: the next merge re-folds it from
-    # its children's intact partials, the same tree under the same
-    # generation, so joiners holding it are told "not modified".
+    # The root combiner loses its partial: the merge the crash starts
+    # re-folds it from its children's intact partials, the same tree under
+    # the same generation, so joiners holding it are told "not modified".
+    coalesced = obs.metrics.counter("aida_polls_coalesced_total", "")
+    merges_before, coalesced_before = len(manager.merge_log), coalesced.total()
     manager.crash_combiner("s1", "s1/combiner-2.0")
     replies = []
 
@@ -319,10 +321,9 @@ def test_joiners_are_told_not_modified_one_by_one():
         reply = yield manager.merged("s1", client_id=client_id, have=have)
         replies.append((client_id, reply[0] is None, env.now))
 
-    # Leader up to date, joiners a mix; one shared merge serves them all,
-    # in arrival order, each according to what it holds.
+    # Joiners a mix; the one merge serves them all, in arrival order, each
+    # according to what it holds.
     haves = [current, current, None, current - 1, current, current]
-    merges_before = len(manager.merge_log)
     for index, have in enumerate(haves):
         env.process(poll(f"c{index}", have))
     env.run()
@@ -333,10 +334,13 @@ def test_joiners_are_told_not_modified_one_by_one():
     assert len({r[2] for r in replies}) == 1
     for index in range(len(haves)):
         assert manager.poll_cursor("s1", f"c{index}") == current
-    coalesced = obs.metrics.counter("aida_polls_coalesced_total", "")
-    assert coalesced.total() == len(haves) - 1
-    joins = obs.tracer.find("aida.merge.join")
-    assert len(joins) == len(haves) - 1 and all(s.finished for s in joins)
+    assert coalesced.total() - coalesced_before == len(haves)
+    joins = obs.tracer.find("aida.merge.join")[-len(haves):]
+    assert all(s.finished and s.start == joins[0].start for s in joins)
+    # A poll after the merge is told "not modified" from its reply.
+    after = manager.merged("s1", client_id="late", have=current)
+    assert after.processed and after.value[0] is None
+    assert len(manager.merge_log) - merges_before == 1
 
 
 def test_plugin_rebind_drops_the_held_tree_and_anonymous_plugins_work():
@@ -536,7 +540,11 @@ def test_every_merge_span_is_finished_with_its_attributes(monkeypatch):
         assert {"n_trees", "n_dirty", "coalesced_waiters"} <= set(span.attrs)
     phase = spans[-merges:]
     assert all(span.attrs["n_dirty"] == 1 for span in phase)
-    assert any(span.attrs["coalesced_waiters"] for span in phase)
+    # Each keyframe starts its merge as it lands, charged the coalesce
+    # window; it is done before the poll that follows arrives, so every
+    # poll reads its reply and none waits on it.
+    assert all(span.duration == pytest.approx(0.05) for span in phase)
+    assert not any(span.attrs["coalesced_waiters"] for span in phase)
 
 
 def test_a_fold_that_raises_fails_the_leader_and_every_joiner_wave(

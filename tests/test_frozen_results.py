@@ -234,7 +234,8 @@ TELEMETRY_CALLERS = {
     ("EngineHost", "_process_loop"): {"inc", "observe"},
     ("WorkerRegistryService", "heartbeat"): {"observe"},
     ("AIDAManagerService", "submit_snapshot"): {"inc"},
-    ("AIDAManagerService", "merged"): {"inc", "child"},
+    ("AIDAManagerService", "merged"): {"inc"},
+    ("AIDAManagerService", "_lead"): {"child"},
 }
 CALLER_METHODS = {method for _owner, method in TELEMETRY_CALLERS}
 

@@ -355,9 +355,10 @@ def test_merge_latency_incremental_charges_per_dirty_engine():
 def test_refolding_without_a_discarded_engine_is_charged_as_a_fold():
     """Four engines all dirty, one then discarded: the leaf re-folds four
     dirty children (three contributions and one removal) — 0.20 s, not the
-    0.15 s a from-scratch fold of the three survivors would cost."""
+    0.15 s a from-scratch fold of the three survivors would cost.  The
+    per-client reference merges on the poll, after all five changes."""
     env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.05)
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.05, coalesce=False)
     for i in range(4):
         manager.submit_snapshot("s1", make_snapshot(f"e{i}", 10))
     manager.discard_engine("s1", "e3")
@@ -370,9 +371,31 @@ def test_refolding_without_a_discarded_engine_is_charged_as_a_fold():
     assert env.now == pytest.approx(0.25)
 
 
-def test_poll_charges_only_dirty_engines():
+def test_a_discard_from_a_clean_tree_starts_its_one_refold():
+    """Coalescing, the discard itself starts the merge, charged the one
+    re-fold; the poll after it is served that merge's reply."""
     env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.5)
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.05)
+    for i in range(4):
+        manager.submit_snapshot("s1", make_snapshot(f"e{i}", 10))
+    env.run()
+    assert merged_entries(env, manager) == 40
+    started, n_merges = env.now, len(manager.merge_log)
+    manager.discard_engine("s1", "e2")
+    env.run()
+    assert env.now == pytest.approx(started + 0.05)
+    assert manager.merge_log[n_merges:] == [("s1", 3, pytest.approx(0.05))]
+    poll = manager.merged("s1")
+    assert poll.processed and poll.value[0].get("/h").entries == 30
+    assert len(manager.merge_log) == n_merges + 1
+
+
+def test_poll_charges_only_dirty_engines():
+    """The per-client reference pays the merge on the poll; coalescing,
+    the snapshot starts it with the same charge and the poll after it
+    costs nothing."""
+    env = Environment()
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.5, coalesce=False)
     for i in range(8):
         manager.submit_snapshot("s1", make_snapshot(f"e{i}", 10))
     env.run(until=manager.merged("s1"))
@@ -387,6 +410,19 @@ def test_poll_charges_only_dirty_engines():
     env.run(until=manager.merged("s1"))
     assert env.now == pytest.approx(first_poll + 0.5)
     assert manager.merge_log[-1] == ("s1", 8, 0.5)
+    # Coalescing: the same advance is charged at its merge, not the poll.
+    coalesced = AIDAManagerService(env, merge_cost_per_tree=0.5)
+    for i in range(8):
+        coalesced.submit_snapshot("s1", make_snapshot(f"e{i}", 10))
+    env.run()
+    started = env.now
+    coalesced.submit_snapshot("s1", delta)
+    env.run()
+    assert env.now == pytest.approx(started + 0.5)
+    assert coalesced.merge_log[-1] == ("s1", 8, 0.5)
+    assert merged_entries(env, coalesced) == 90
+    assert env.now == pytest.approx(started + 0.5)
+    assert len(coalesced.merge_log) == 2
 
 
 def test_cache_metrics_track_hits_and_misses():

@@ -221,12 +221,16 @@ def test_trace_and_events_span_the_recovery_boundary():
     names = {span.name for span in tracer.spans}
     assert "service.recover" in names
     # Spans from both sides of the boundary live in the same trace, and
-    # the post-recovery merge work is still being recorded.
+    # the post-recovery merge work is still being recorded: the merge that
+    # folds the restored state hangs under the session's recovery span.
     assert any(
         span.start < crash.time for span in tracer.find("engine.run")
     )
+    (recover_state,) = tracer.find("session.recover_state")
     assert any(
-        span.start > recovered.time for span in tracer.find("aida.merge")
+        span.parent_id == recover_state.span_id
+        and crash.time < span.start <= recovered.time
+        for span in tracer.find("aida.merge")
     )
     assert [span for span in tracer.spans if not span.finished] == []
 

@@ -413,9 +413,14 @@ def test_manager_complete_flag():
 def test_manager_merge_latency_flat_vs_tree():
     # 64 engines, all dirty: one leaf folds all 64 in sequence; at fan-in
     # 4 the three levels each fold 4 inputs concurrently (log4(64) = 3).
+    # The per-client reference merges on the poll, after every snapshot.
     env = Environment()
-    flat = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=None)
-    tree = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
+    flat = AIDAManagerService(
+        env, merge_cost_per_tree=0.1, fan_in=None, coalesce=False
+    )
+    tree = AIDAManagerService(
+        env, merge_cost_per_tree=0.1, fan_in=4, coalesce=False
+    )
     ids = [f"e{i:02d}" for i in range(64)]
     for manager in (flat, tree):
         manager.configure_tier("s1", ids)
@@ -430,6 +435,17 @@ def test_manager_merge_latency_flat_vs_tree():
     env.run(until=tree.merged("s1"))
     assert env.now == pytest.approx(0.1 * 4 * 3)
     assert tree.merge_log == [("s1", 64, pytest.approx(1.2))]
+    # Coalescing, a restore of the same state starts the all-dirty merge
+    # itself, charged the same; the poll after it runs no merge.
+    restored = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
+    restored.restore_state("s1", tree.checkpoint_state("s1"))
+    started = env.now
+    env.run()
+    assert env.now - started == pytest.approx(1.2)
+    assert restored.merge_log == [("s1", 64, pytest.approx(1.2))]
+    poll = restored.merged("s1")
+    assert poll.processed and poll.value[1].merged_at == env.now
+    assert len(restored.merge_log) == 1
     # A single engine costs one fold.
     lone = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
     lone.submit_snapshot("s1", make_snapshot("e0", 1))
@@ -437,13 +453,26 @@ def test_manager_merge_latency_flat_vs_tree():
 
 
 def test_manager_merge_charges_time():
+    """Coalescing, the snapshots start the merge, which is charged for
+    both trees it folds; the poll after it is answered at once from its
+    reply.  The per-client reference charges its poll the same."""
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=0.5)
     manager.submit_snapshot("s1", make_snapshot("e0", 1))
     manager.submit_snapshot("s1", make_snapshot("e1", 1))
-    env.run(until=manager.merged("s1"))
+    env.run()
     assert env.now == pytest.approx(1.0)
     assert manager.merge_log == [("s1", 2, 1.0)]
+    poll = manager.merged("s1")
+    assert poll.processed and poll.value[1].engines_reporting == 2
+    assert len(manager.merge_log) == 1
+    reference = AIDAManagerService(env, merge_cost_per_tree=0.5, coalesce=False)
+    reference.submit_snapshot("s1", make_snapshot("e0", 1))
+    reference.submit_snapshot("s1", make_snapshot("e1", 1))
+    started = env.now
+    env.run(until=reference.merged("s1"))
+    assert env.now - started == pytest.approx(1.0)
+    assert reference.merge_log == [("s1", 2, 1.0)]
 
 
 def test_manager_empty_session():

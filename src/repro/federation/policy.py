@@ -23,6 +23,7 @@ from repro.federation.errors import FederationError
 from repro.grid.network import LinkDown
 from repro.grid.transfer import TransferError
 from repro.replica.selector import ReplicaSelector, SourceEstimate
+from repro.sim import Event
 
 
 class ReplicationPolicy:
@@ -55,6 +56,9 @@ class ReplicationPolicy:
         self._pins: Dict[str, int] = {}
         #: FIFO of (dataset_id, site) migrations — eviction order.
         self._migration_order: List[Tuple[str, str]] = []
+        #: Migrations in flight, by (dataset_id, site) (volatile): each
+        #: event fires when its migration ends, however it ends.
+        self._migrating: Dict[Tuple[str, str], Event] = {}
 
     # -- pinning ---------------------------------------------------------
     def pin(self, dataset_id: str, copies: int) -> None:
@@ -112,48 +116,61 @@ class ReplicationPolicy:
         Otherwise pulls it via SE→SE third-party transfer from the
         cheapest reachable source, falling through the ranking on
         transfer failure.  Returns ``True`` after a migration; raises
-        :class:`FederationError` when no source can deliver.
+        :class:`FederationError` when no source can deliver.  Migration
+        is single-flight per ``(dataset, target)``: a caller that finds
+        one in flight waits for it and checks again, so it migrates
+        itself only if that one failed.
         """
         fed = self.federation
         site = fed.site(target)
-        if site.partitioned:
-            raise FederationError(f"target site {target!r} is partitioned")
-        location = site.locator.locate(dataset_id)
-        if site.replicas.has_whole(location):
-            return False
+        key = (dataset_id, target)
+        while True:
+            if site.partitioned:
+                raise FederationError(f"target site {target!r} is partitioned")
+            location = site.locator.locate(dataset_id)
+            if site.replicas.has_whole(location):
+                return False
+            running = self._migrating.get(key)
+            if running is None:
+                break
+            yield running
         sources = self.rank_sources(dataset_id, target)
         if not sources:
             raise FederationError(
                 f"no reachable whole copy of {dataset_id!r} for {target!r}"
             )
-        last_error: Optional[BaseException] = None
-        for source_name, _est in sources:
-            src_site = fed.site(source_name)
-            started = fed.env.now
-            try:
-                yield site.ftp.third_party(
-                    src_site.storage,
-                    site.storage,
-                    f"{dataset_id}.whole",
+        self._migrating[key] = fed.env.event()
+        try:
+            last_error: Optional[BaseException] = None
+            for source_name, _est in sources:
+                src_site = fed.site(source_name)
+                started = fed.env.now
+                try:
+                    yield site.ftp.third_party(
+                        src_site.storage,
+                        site.storage,
+                        f"{dataset_id}.whole",
+                        location.size_mb,
+                    )
+                except (TransferError, LinkDown) as exc:
+                    last_error = exc
+                    continue
+                site.replicas.record_whole(location)
+                self._migration_order.append(key)
+                fed.note_migration(
+                    dataset_id,
+                    source_name,
+                    target,
                     location.size_mb,
+                    fed.env.now - started,
                 )
-            except (TransferError, LinkDown) as exc:
-                last_error = exc
-                continue
-            site.replicas.record_whole(location)
-            self._migration_order.append((dataset_id, target))
-            fed.note_migration(
-                dataset_id,
-                source_name,
-                target,
-                location.size_mb,
-                fed.env.now - started,
-            )
-            self._enforce_pressure()
-            return True
-        raise FederationError(
-            f"every ranked source for {dataset_id!r} failed"
-        ) from last_error
+                self._enforce_pressure()
+                return True
+            raise FederationError(
+                f"every ranked source for {dataset_id!r} failed"
+            ) from last_error
+        finally:
+            self._migrating.pop(key).succeed()
 
     def ensure_pinned(self, dataset_id: str, copies: Optional[int] = None):
         """Generator op: migrate until the pinned copy count is met.

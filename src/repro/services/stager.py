@@ -3,15 +3,16 @@
 "Locate and transfer large dataset file ... split ... disperse" (Fig. 1):
 the :class:`Stager` plans where each part of a dataset comes from (a
 fully cold stage is a plan with every part missing), fetches the whole
-file only when a split needs it and the storage element lacks it, runs
-the splitter's production + movement pipeline for what the workers lack,
-records the copies it leaves behind so the next stage is warm, commits
-the stage to the session's journal and hands every engine its part.
+file only when a split needs it and the storage element lacks it (once,
+however many stages need it at the same time), runs the splitter's
+production + movement pipeline for what the workers lack, records the
+copies it leaves behind so the next stage is warm, commits the stage to
+the session's journal and hands every engine its part.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.grid.nodes import ComputeElement, StorageElement
@@ -49,6 +50,8 @@ class Stager:
     calibration: "Calibration"
     obs: Observability
     commit: Callable
+    #: Whole-file fetches in flight, by dataset id (volatile).
+    _fetches: dict = field(default_factory=dict, init=False, repr=False)
 
     def stage(
         self, session_id: str, session: dict, dataset_id: str, strategy: str, streams: Optional[int]
@@ -86,12 +89,12 @@ class Stager:
             started = self.env.now
             yield self.env.timeout(self.calibration.soap_latency_s)
         need_split = bool(plan.missing) and location.kind != "database"
-        fetch_seconds = 0.0
+        fetch_seconds, fetched = 0.0, False
         if need_split and not rm.has_whole(location):
-            fetch_seconds = yield from self._fetch_whole(location)
+            fetch_seconds, fetched = yield from self._fetch_whole(location)
             if started is not None:
                 started += fetch_seconds
-        fetch_skipped = location.origin_host is not None and not fetch_seconds
+        fetch_skipped = location.origin_host is not None and not fetched
 
         def record_split():
             # A split pass leaves every part file of the geometry on the SE.
@@ -165,10 +168,17 @@ class Stager:
 
         "Locate and transfer large dataset file" (Fig. 1).  Records the SE
         copy so later sessions on this dataset do not re-download it
-        across the WAN; returns the fetch wall-clock in seconds.
+        across the WAN.  The fetch is single-flight per dataset: a stage
+        that finds one in flight joins it (no second transfer, and the
+        leader's ``TransferError`` is its own).  Returns the seconds this
+        stage waited and whether it moved the file itself.
         """
-        tracer = self.obs.tracer
         started = self.env.now
+        fetch = self._fetches.get(location.dataset_id)
+        if fetch is not None:
+            yield fetch
+            return self.env.now - started, False
+        tracer = self.obs.tracer
         fetch_span = tracer.child(
             "stage.fetch", phase="move_whole", dataset=location.dataset_id, mb=location.size_mb
         )
@@ -181,10 +191,14 @@ class Stager:
                 read_disk=False,
                 write_disk=False,
             )
-        yield fetch
+        self._fetches[location.dataset_id] = fetch
+        try:
+            yield fetch
+        finally:
+            del self._fetches[location.dataset_id]
         fetch_span.finish()
         self.replicas.record_whole(location)
-        return self.env.now - started
+        return self.env.now - started, True
 
     def _peer_fetch(self, location: DatasetLocation, source, streams):
         """Pull one part from another worker's cache (generator).

@@ -213,6 +213,69 @@ def test_ensure_resident_migrates_once_then_noops():
     assert stats["site2"]["wan_in_mb"] == DATASET["size_mb"]
 
 
+def count_third_party(site):
+    """Wrap *site*'s SE-to-SE transfers; returns the list of file names."""
+    names = []
+    third_party = site.ftp.third_party
+
+    def counted(src_se, dst_se, name, *args, **kwargs):
+        names.append(name)
+        return third_party(src_se, dst_se, name, *args, **kwargs)
+
+    site.ftp.third_party = counted
+    return names
+
+
+def test_concurrent_migrations_to_one_site_share_one_copy():
+    fed = build_federation()
+    ds = DATASET["dataset_id"]
+    copies = count_third_party(fed.site("site2"))
+    clients = [
+        FederatedClient(fed, fed.enroll_user(f"/O=ILC/CN=user{i}"))
+        for i in range(2)
+    ]
+    procs = [
+        fed.env.process(client.connect(
+            n_engines=2, site="site2", migrate=True, dataset_hint=ds
+        ))
+        for client in clients
+    ]
+    fed.run(until=fed.env.all_of(procs))
+    assert [client.site_name for client in clients] == ["site2", "site2"]
+    assert copies == [f"{ds}.whole"]
+    assert fed.stats()["migrations"] == 1
+    stats = {row["site"]: row for row in fed.stats()["sites"]}
+    assert stats["site1"]["wan_out_mb"] == DATASET["size_mb"]
+    assert stats["site2"]["wan_in_mb"] == DATASET["size_mb"]
+    assert fed.policy._migration_order == [(ds, "site2")]
+    assert fed.policy._migrating == {}
+
+
+def test_a_failed_migration_leaves_its_joiner_to_migrate_itself():
+    fed = build_federation()
+    ds = DATASET["dataset_id"]
+    target = fed.site("site2")
+    copies = count_third_party(target)
+    # Every attempt of the first transfer (one try plus two retries) fails.
+    target.ftp.inject_failures(3)
+    outcomes = {}
+
+    def migrate(key):
+        try:
+            outcomes[key] = yield from fed.policy.ensure_resident(ds, "site2")
+        except FederationError:
+            outcomes[key] = "failed"
+
+    procs = [fed.env.process(migrate(key)) for key in ("leader", "joiner")]
+    fed.run(until=fed.env.all_of(procs))
+    assert outcomes == {"leader": "failed", "joiner": True}
+    assert copies == [f"{ds}.whole"] * 2
+    assert fed.stats()["migrations"] == 1
+    assert fed.policy._migration_order == [(ds, "site2")]
+    assert fed.policy._migrating == {}
+    assert target.replicas.has_whole(target.locator.locate(ds))
+
+
 def test_rank_sources_skips_partitioned_sites():
     fed = build_federation(n_sites=3)
     ds = DATASET["dataset_id"]

@@ -11,10 +11,11 @@ staggered poller per session, and gates two properties in CI:
   the 16-session baseline** (no head-of-line collapse: a thousand
   sessions queue for dispatch slots, they do not serialize behind each
   other's merges);
-* **coalesced merged trees are bit-identical to per-client merges**:
-  64 clients hammering one session through the coalescing path receive
-  exactly the dict a lone uncoalesced client would, while the manager
-  runs ~rounds merges instead of ~clients x rounds.
+* **coalesced merged trees are bit-identical to the reference fold**:
+  64 clients hammering one session receive, each round, exactly the dict
+  ``tests.merge_oracle.reference_merge`` folds from that round's
+  keyframe, while the manager runs ~rounds merges instead of
+  ~clients x rounds.
 
 Everything is measured on the *simulated* clock, so the numbers are
 deterministic; wall-clock noise cannot flake the gate.
@@ -31,6 +32,7 @@ from repro.engine.engine import AnalysisEngine
 from repro.services.aida_manager import AIDAManagerService
 from repro.services.envelope import ServiceContainer, ServiceProfile
 from repro.sim import Environment
+from tests.merge_oracle import reference_merge
 
 OUT_JSON = Path(__file__).parent / "out" / "BENCH_concurrency.json"
 
@@ -74,14 +76,7 @@ def _build_plane(n_sessions):
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=MERGE_COST_S)
     container = ServiceContainer(env, soap_latency=0.25, rmi_latency=0.05)
-    container.register(
-        "aida",
-        {
-            "merged": lambda session_id, client_id=None: manager.merged(
-                session_id, client_id=client_id
-            )
-        },
-    )
+    container.register("aida", {"merged": manager.merged})
     container.configure_service(
         "aida",
         ServiceProfile(
@@ -107,7 +102,7 @@ def _poll_case(n_sessions):
             yield container.call(
                 "aida",
                 "merged",
-                {"session_id": f"s{index:05d}", "client_id": f"c{index:05d}"},
+                {"session_id": f"s{index:05d}"},
                 channel="rmi",
                 token="bench",
             )
@@ -145,65 +140,56 @@ def _round_keyframes():
 def _coalescing_case():
     """64 clients on one session: shared merges, bit-identical replies.
 
-    Returns, per mode, the reply tree of each round and the merge count.
+    Returns the reply tree of each round, the reference fold of each
+    round's keyframe, and the merge count.
     """
     keyframes = _round_keyframes()
-    results = {}
-    merge_counts = {}
-    for mode, coalesce in (("coalesced", True), ("per_client", False)):
-        env = Environment()
-        manager = AIDAManagerService(
-            env,
-            merge_cost_per_tree=MERGE_COST_S,
-            coalesce=coalesce,
-            coalesce_window_s=COALESCE_WINDOW_S if coalesce else 0.0,
-        )
-        replies = [[] for _ in range(COALESCE_ROUNDS)]
+    env = Environment()
+    manager = AIDAManagerService(
+        env,
+        merge_cost_per_tree=MERGE_COST_S,
+        coalesce_window_s=COALESCE_WINDOW_S,
+    )
+    replies = [[] for _ in range(COALESCE_ROUNDS)]
 
-        def poll(client_id, round_replies):
-            tree, _progress = yield manager.merged(
-                "shared", client_id=client_id
+    def poll(round_replies):
+        tree, _progress = yield manager.merged("shared")
+        round_replies.append(tree.to_dict())
+
+    def round_driver():
+        for keyframe, round_replies in zip(keyframes, replies):
+            assert manager.submit_snapshot("shared", keyframe) == "accepted"
+            # All clients poll concurrently — the in-flight merge the
+            # keyframe started serves every joiner.
+            yield env.all_of(
+                [env.process(poll(round_replies)) for _ in range(N_CLIENTS)]
             )
-            round_replies.append(tree.to_dict())
+            yield env.timeout(POLL_INTERVAL_S)
 
-        def round_driver():
-            for keyframe, round_replies in zip(keyframes, replies):
-                assert manager.submit_snapshot("shared", keyframe) == "accepted"
-                if coalesce:
-                    # All clients poll concurrently — the leader's
-                    # in-flight merge serves every joiner.
-                    yield env.all_of(
-                        [
-                            env.process(poll(f"c{i}", round_replies))
-                            for i in range(N_CLIENTS)
-                        ]
-                    )
-                else:
-                    # Reference: every client merges for itself,
-                    # sequentially.
-                    for i in range(N_CLIENTS):
-                        yield env.process(poll(f"c{i}", round_replies))
-                yield env.timeout(POLL_INTERVAL_S)
-
-        env.run(until=env.process(round_driver()))
-        # Within one round every reply is identical, so keep one
-        # exemplar per round.
-        for round_replies in replies:
-            assert len(round_replies) == N_CLIENTS
-            assert all(reply == round_replies[0] for reply in round_replies)
-        results[mode] = [round_replies[0] for round_replies in replies]
-        merge_counts[mode] = len(manager.merge_log)
-    return results, merge_counts
+    env.run(until=env.process(round_driver()))
+    # Within one round every reply is identical, so keep one exemplar
+    # per round.
+    for round_replies in replies:
+        assert len(round_replies) == N_CLIENTS
+        assert all(reply == round_replies[0] for reply in round_replies)
+    trees = [round_replies[0] for round_replies in replies]
+    references = [
+        reference_merge({keyframe.engine_id: keyframe.tree})
+        for keyframe in keyframes
+    ]
+    return trees, references, len(manager.merge_log)
 
 
 def sweep():
     p99s = {n: _p99(_poll_case(n)) for n in CASES}
-    coalesce_trees, merge_counts = _coalescing_case()
-    return p99s, coalesce_trees, merge_counts
+    return p99s, *_coalescing_case()
 
 
 def test_concurrent_sessions(benchmark, report):
-    p99s, trees, merges = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    p99s, trees, references, coalesced_merges = benchmark.pedantic(
+        sweep, rounds=1, iterations=1
+    )
+    identical = trees == references
     factor = p99s[GATE] / p99s[BASELINE]
 
     table = ComparisonTable(
@@ -218,15 +204,12 @@ def test_concurrent_sessions(benchmark, report):
             f"{p99s[n] * 1000:.1f} ms",
             f"x{p99s[n] / p99s[BASELINE]:.2f}",
         )
-    coalesced_merges = merges["coalesced"]
-    per_client_merges = merges["per_client"]
     report(
         "concurrent_sessions",
         table.render()
         + f"\ncoalescing: {N_CLIENTS} clients x {COALESCE_ROUNDS} rounds -> "
-        f"{coalesced_merges} merges (per-client reference: "
-        f"{per_client_merges}); trees bit-identical: "
-        f"{trees['coalesced'] == trees['per_client']}",
+        f"{coalesced_merges} merges; trees bit-identical to the reference "
+        f"fold: {identical}",
     )
 
     OUT_JSON.parent.mkdir(exist_ok=True)
@@ -245,10 +228,7 @@ def test_concurrent_sessions(benchmark, report):
                 "coalesce_clients": N_CLIENTS,
                 "coalesce_rounds": COALESCE_ROUNDS,
                 "coalesced_merges": coalesced_merges,
-                "per_client_merges": per_client_merges,
-                "trees_bit_identical": (
-                    trees["coalesced"] == trees["per_client"]
-                ),
+                "trees_bit_identical": identical,
             },
             indent=2,
         )
@@ -262,8 +242,7 @@ def test_concurrent_sessions(benchmark, report):
         f"baseline (budget x{P99_FACTOR})"
     )
     assert p99s[GATE] <= P99_ABS_S
-    # Coalesced replies are exactly the per-client merge, for far fewer
-    # merges than clients x rounds.
-    assert trees["coalesced"] == trees["per_client"]
+    # Coalesced replies are exactly the reference fold of each round's
+    # keyframe, for far fewer merges than clients x rounds.
+    assert identical
     assert coalesced_merges < N_CLIENTS * COALESCE_ROUNDS / 4
-    assert per_client_merges == N_CLIENTS * COALESCE_ROUNDS

@@ -38,13 +38,13 @@ ROUNDS = 3
 OUT_JSON = Path(__file__).parent / "out" / "BENCH_merge.json"
 
 
-def build_engines(n_engines, delta, seed=12):
+def build_engines(n_engines, keyframe_every, seed=12):
+    """Engines publishing a full keyframe every *keyframe_every* snapshots
+    (1 = every snapshot is full)."""
     rng = np.random.default_rng(seed)
     engines = []
     for i in range(n_engines):
-        engine = AnalysisEngine(
-            f"e{i:03d}", delta_snapshots=delta, keyframe_every=8
-        )
+        engine = AnalysisEngine(f"e{i:03d}", keyframe_every=keyframe_every)
         for h in range(HISTS_PER_TREE):
             hist = Histogram1D(f"h{h}", bins=BINS, lower=0.0, upper=1.0)
             hist.fill_array(rng.random(200), rng.random(200))
@@ -91,7 +91,7 @@ def measure_reference(n_engines):
         latest[snapshot.engine_id] = snapshot.tree
 
     return steady_state(
-        build_engines(n_engines, delta=False),
+        build_engines(n_engines, keyframe_every=1),
         submit,
         lambda: reference_merge(latest),
     )
@@ -102,7 +102,7 @@ def measure_manager(n_engines):
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=0.0)
     return steady_state(
-        build_engines(n_engines, delta=True),
+        build_engines(n_engines, keyframe_every=8),
         lambda snapshot: manager.submit_snapshot("s1", snapshot),
         lambda: env.run(until=manager.merged("s1"))[0],
     )

@@ -64,9 +64,9 @@ class IPAClient:
         The user's identity credential (from
         :meth:`~repro.core.site.GridSite.enroll_user`).
     client_id:
-        Name this client presents to the manager's poll-coalescing
-        layer (per-client sequence cursors).  Defaults to the
-        credential's subject, which is unique per enrolled user.
+        Name of this client: it salts the admission back-off's jitter,
+        so clients refused together retry apart.  Defaults to the credential's
+        subject, which is unique per enrolled user.
     """
 
     def __init__(
@@ -77,9 +77,7 @@ class IPAClient:
         self.client_id = client_id or credential.subject
         self.proxy_plugin = GridProxyPlugin(site.env, credential)
         self.catalog_plugin = DatasetCatalogPlugin(site.container)
-        self.data_plugin = RemoteDataPlugin(
-            site.container, client_id=self.client_id
-        )
+        self.data_plugin = RemoteDataPlugin(site.container)
         self.session: Optional[SessionInfo] = None
         self.staged: Optional[StagedDataset] = None
 

@@ -66,14 +66,15 @@ class RemoteDataPlugin:
     and :meth:`poll` returns the tree it already holds.  The tree is the
     manager's frozen one, **shared by every poll of one generation**:
     editing it raises (``tree.copy()`` first to edit it).
+
+    *client_id* is a label only (``self.client_id``): the manager keeps
+    no state per client, so a poll does not send it.
     """
 
     def __init__(
         self, container: ServiceContainer, client_id: Optional[str] = None
     ) -> None:
         self.container = container
-        #: Identifies this poller to the manager's coalescing layer so it
-        #: can keep a per-client sequence cursor; ``None`` = anonymous.
         self.client_id = client_id
         self.token: Optional[str] = None
         self.session_id: Optional[str] = None
@@ -97,8 +98,6 @@ class RemoteDataPlugin:
         if self.session_id is None:
             raise RuntimeError("plugin not bound to a session")
         args = {"session_id": self.session_id}
-        if self.client_id is not None:
-            args["client_id"] = self.client_id
         if self._have is not None:
             args["have"] = self._have
         tree, progress = yield from self.container.request(

@@ -470,9 +470,7 @@ class GridSite:
         self.container.register(
             "aida",
             {
-                "merged": lambda session_id, client_id=None, have=None: (
-                    self.aida.merged(session_id, client_id=client_id, have=have)
-                ),
+                "merged": self.aida.merged,
                 "snapshot_count": self.aida.snapshot_count,
             },
         )

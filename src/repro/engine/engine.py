@@ -91,14 +91,12 @@ class AnalysisEngine:
         control responsiveness and simulated-time accounting).
     snapshot_every_chunks:
         Publish a snapshot every N chunks (1 = after every chunk).
-    delta_snapshots:
-        When True (default), snapshots after the first carry only objects
-        whose version fingerprints changed since the last published
-        snapshot; a full keyframe is still emitted every
-        *keyframe_every* snapshots so a merger can always resynchronize.
     keyframe_every:
-        Cadence of full-snapshot keyframes in delta mode (>= 1; 1 means
-        every snapshot is full).
+        Cadence of full-snapshot keyframes (>= 1; 1 means every snapshot
+        is full).  Snapshots between keyframes are deltas: they carry only
+        objects whose version fingerprints changed since the last
+        published snapshot, and a keyframe lets a merger always
+        resynchronize.
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class AnalysisEngine:
         engine_id: str,
         chunk_events: int = 500,
         snapshot_every_chunks: int = 1,
-        delta_snapshots: bool = True,
         keyframe_every: int = 8,
     ) -> None:
         if chunk_events < 1:
@@ -118,7 +115,6 @@ class AnalysisEngine:
         self.engine_id = engine_id
         self.chunk_events = chunk_events
         self.snapshot_every_chunks = snapshot_every_chunks
-        self.delta_snapshots = delta_snapshots
         self.keyframe_every = keyframe_every
         self.controller = Controller()
         self.tree = ObjectTree()
@@ -333,8 +329,8 @@ class AnalysisEngine:
     def take_snapshot(self, final: bool = False, full: bool = False) -> Snapshot:
         """Publish frozen copies of the current tree as a :class:`Snapshot`.
 
-        In delta mode only objects whose version fingerprint changed since
-        the last published snapshot are copied; a full keyframe is
+        Between keyframes only objects whose version fingerprint changed
+        since the last published snapshot are copied; a full keyframe is
         forced by *full* (e.g. when the merger reports a sequence gap), on
         the first snapshot of a run, and every :attr:`keyframe_every`
         snapshots.
@@ -343,7 +339,6 @@ class AnalysisEngine:
         versions = self.tree.versions()
         emit_full = (
             full
-            or not self.delta_snapshots
             or self._published_versions is None
             or self._snapshots_since_keyframe >= self.keyframe_every - 1
         )

@@ -96,8 +96,7 @@ class MergeProgress:
     #: changed (a merge folded dirty data, a rewind or a re-plan replaced
     #: it) and is never reused within a session, manager restarts
     #: included.  Clients send the one they hold back as ``have=`` to be
-    #: told "not modified"; the per-client cursors compare it to tell a
-    #: fresh tree from a redundant re-poll.
+    #: told "not modified".
     merge_generation: int = 0
 
     @property
@@ -136,22 +135,24 @@ class _InflightMerge:
     the tree or "not modified" — is decided once, when the merge is done.
     """
 
-    __slots__ = ("waves", "n_joiners", "full", "changed")
+    __slots__ = ("waves", "n_joiners", "full", "error", "changed")
 
     def __init__(self) -> None:
         #: The merge state changed since the merge was last charged.
         self.changed = False
-        #: ``(have, event, [(client_id, join span), ...])``, oldest first.
+        #: ``(have, event, [join span, ...])``, oldest first.
         self.waves: List[tuple] = []
         self.n_joiners = 0
-        #: The leader's ``(tree, progress)``, set when it completes.
+        #: The merge's ``(tree, progress)``, set when it folds, or the
+        #: exception its fold raised.
         self.full: Optional[tuple] = None
+        self.error: Optional[Exception] = None
 
-    def join(self, env: Environment, client_id, have, span) -> Event:
+    def join(self, env: Environment, have, span) -> Event:
         if not self.waves or self.waves[-1][0] != have:
             self.waves.append((have, Event(env), []))
-        _have, event, joiners = self.waves[-1]
-        joiners.append((client_id, span))
+        _have, event, spans = self.waves[-1]
+        spans.append(span)
         self.n_joiners += 1
         return event
 
@@ -170,17 +171,6 @@ class AIDAManagerService:
         every engine (a single merging component, §2.5's bottleneck
         case).  The session layer plans each tree over the session's
         engines via :meth:`configure_tier`.
-    coalesce:
-        When True (default), each change to a session's merge state
-        starts its merge (the *leader*); every poll arriving while it is
-        in flight joins it and is served its result, and a poll after it
-        gets its reply.  Because the leader re-reads dirty state after
-        its latency elapses (charged for what it then folds) and the
-        fold order is fixed, the shared tree is bit-identical to what
-        each joiner's own merge would have produced.  Per-client cursors
-        (see ``poll_cursor``) track which merge generation each client
-        last saw.  False is the per-client reference: every poll runs a
-        merge of its own, and nothing merges in the background.
     coalesce_window_s:
         Floor on a leader's in-flight duration: with a window of *w*,
         polls landing within *w* seconds of the leader's start join it.
@@ -193,7 +183,6 @@ class AIDAManagerService:
         merge_cost_per_tree: float = 0.05,
         fan_in: Optional[int] = None,
         obs: Optional[Observability] = None,
-        coalesce: bool = True,
         coalesce_window_s: float = 0.0,
     ) -> None:
         if merge_cost_per_tree < 0:
@@ -237,10 +226,6 @@ class AIDAManagerService:
             "aida_polls_coalesced_total",
             "Polls served by joining another client's in-flight merge",
         )
-        self._redundant_metric = self.obs.metrics.counter(
-            "aida_polls_redundant_total",
-            "Polls that re-served a generation the client had already seen",
-        )
         self._tier_depth_metric = self.obs.metrics.gauge(
             "aida_tier_depth",
             "Merge tree depth per session (levels, 1 = a single leaf)",
@@ -256,7 +241,6 @@ class AIDAManagerService:
         )
         self.merge_cost_per_tree = merge_cost_per_tree
         self.fan_in = fan_in
-        self.coalesce = coalesce
         self.coalesce_window_s = coalesce_window_s
         #: The merge tree per session: the only place engine snapshots,
         #: their trees and the partial merges live.
@@ -287,8 +271,6 @@ class AIDAManagerService:
         #: the one word a restarting service reads from disk and rewrites
         #: (an NFS server's boot verifier), so it survives ``crash()``.
         self._boots = 0
-        #: Per session: client_id -> last merge generation served to it.
-        self._cursors: Dict[str, Dict[str, int]] = {}
         #: Every per-session map, by audit name: close, crash and the
         #: leak audit walk this one list.
         self._session_maps: Dict[str, dict] = {
@@ -301,7 +283,6 @@ class AIDAManagerService:
             "generations": self._generations,
             "served": self._served,
             "replies": self._replies,
-            "cursors": self._cursors,
         }
         #: True between a service crash and its restart+recovery.
         self._down = False
@@ -492,13 +473,13 @@ class AIDAManagerService:
         self._recovering[session_id] = flag
 
     def _changed(self, session_id: str) -> None:
-        """The merge state changed: discard the last reply and, coalescing,
-        start the merge that folds the change unless one is in flight."""
+        """The merge state changed: discard the last reply and start the
+        merge that folds the change unless one is in flight."""
         self._replies.pop(session_id, None)
         inflight = self._inflight.get(session_id)
         if inflight is not None:
             inflight.changed = True
-        elif self.coalesce and not self._down and session_id not in self._dropped:
+        elif not self._down and session_id not in self._dropped:
             self._lead(session_id)
 
     def drop_session(self, session_id: str) -> None:
@@ -616,12 +597,7 @@ class AIDAManagerService:
         reported, or closed) an empty one that is not kept."""
         return self._tiers.get(session_id) or MergeTree(session_id, self.fan_in)
 
-    def merged(
-        self,
-        session_id: str,
-        client_id: Optional[str] = None,
-        have: Optional[int] = None,
-    ) -> Event:
+    def merged(self, session_id: str, have: Optional[int] = None) -> Event:
         """The merged latest snapshots; value is ``(tree, progress)``.
 
         A merge charges what the tree folds on the simulated clock, then
@@ -645,86 +621,68 @@ class AIDAManagerService:
         the RMI round trip) either way; what it saves is the reply
         payload and the client's decode.  ``have=None`` always gets the tree.
 
-        **The reply on hand.**  Coalescing, every change to the session's
-        merge state starts its merge (see :meth:`_changed`), so a poll
-        with no merge in flight reads the reply the last merge left: the
+        **The reply on hand.**  Every change to the session's merge
+        state starts its merge (see :meth:`_changed`), so a poll with no
+        merge in flight reads the reply the last merge left: the
         returned event is already processed and carries that merge's
-        ``(tree, progress)``, or its not-modified form.  It advances the
-        client's cursor and opens no ``aida.merge`` span; ``merge_log``
-        does not grow.  The test is one dict lookup.  A poll finding
-        neither a reply nor a merge (a session never touched, or one
-        whose last fold failed) starts one and joins it.
+        ``(tree, progress)``, or its not-modified form.  It opens no
+        ``aida.merge`` span; ``merge_log`` does not grow.  The test is
+        one dict lookup.  A poll finding neither a reply nor a merge (a
+        session never touched, or one whose last fold failed) starts one
+        and joins it.
 
         **Coalescing.**  A poll arriving while a merge is in flight
-        *joins* it: it is handed an event the leader triggers when its
-        merge completes, carrying the same ``(tree, progress)`` — equal
-        to what the joiner's own merge would have produced, because the
-        leader folds the freshest dirty state in the fixed sorted-engine
-        order — or the not-modified form of it, per joiner's *have*.  A
-        snapshot accepted before the poll is therefore in the reply it
-        reads or in the merge it joins.  The leader is a ``Timeout`` of
-        the merge latency whose callback, once the merge has been charged
-        for what landed meanwhile (a further ``Timeout`` of the
-        difference), folds, then advances every joiner's cursor, counts
-        the coalesced polls and closes their ``aida.merge.join`` spans.
-        *client_id* (optional) keys the per-client sequence cursor, so
-        redundant re-polls are observable via :meth:`poll_cursor` and
-        ``aida_polls_redundant_total``.
+        *joins* it: it is handed an event the merge triggers when it
+        completes, carrying the same ``(tree, progress)`` for every
+        joiner — the merge folds the freshest dirty state in the fixed
+        sorted-engine order — or the not-modified form of it, per
+        joiner's *have*.  A snapshot accepted before the poll is
+        therefore in the reply it reads or in the merge it joins.
         """
         if self._down:
             raise ServiceUnavailable("AIDA manager is down")
         observed = self._observed
         if observed:
             self._poll_metric.inc()
-        if not self.coalesce:
-            return self._lead(session_id, client_id, have)
         if session_id not in self._inflight:
             reply = self._replies.get(session_id)
             if reply is not None:
                 # Nothing changed since the last merge: answer with its reply.
                 progress = reply[1]
-                generation = progress.merge_generation
-                self._note_served(session_id, client_id, generation)
                 return Processed(
-                    self.env, (None, progress) if have == generation else reply
+                    self.env,
+                    (None, progress) if have == progress.merge_generation else reply,
                 )
             # Never merged, or the last fold failed: merge now.
             self._lead(session_id)
         span = NULL_SPAN
         if observed:
             span = self.obs.tracer.child("aida.merge.join", session=session_id)
-        return self._inflight[session_id].join(self.env, client_id, have, span)
+        return self._inflight[session_id].join(self.env, have, span)
 
-    def _lead(
-        self,
-        session_id: str,
-        client_id: Optional[str] = None,
-        have: Optional[int] = None,
-    ) -> Timeout:
+    def _lead(self, session_id: str) -> None:
         """Start the session's merge: a ``Timeout`` of what the tree is
-        about to fold, whose callback folds.  Coalescing, it is defused and
-        polls join it; it never folds more than it was charged for."""
+        about to fold (at least the coalesce window).  When it ends, the
+        merge is first charged for what landed meanwhile (a further
+        ``Timeout`` of the difference), then folds and serves the polls
+        that joined it; it never folds more than it was charged for."""
         observed = self._observed
         boots = self._boots
-        tier = self._live_tier(session_id)
         cost = self.merge_cost_per_tree
-        charged = tier.poll_latency(cost)
+        # Keep the merge joinable for at least the coalesce window, even
+        # when nothing is dirty yet.
+        charged = max(
+            self._live_tier(session_id).poll_latency(cost), self.coalesce_window_s
+        )
         span = NULL_SPAN
         if observed:
             span = self.obs.tracer.child("aida.merge", session=session_id)
-        inflight = None
-        if self.coalesce:
-            inflight = self._inflight[session_id] = _InflightMerge()
-            # Keep the merge joinable for at least the coalesce window,
-            # even when nothing is dirty yet.
-            charged = max(charged, self.coalesce_window_s)
-        leader = Timeout(self.env, charged)
+        inflight = self._inflight[session_id] = _InflightMerge()
 
-        def fold(leader: Timeout) -> None:
-            # Submissions may have landed while the latency elapsed: fold whatever is
-            # dirty *now*, from a re-fetched tree (a drop/rewind during the sleep
-            # must not fold stale state), so the reply has the freshest snapshots.
-            if inflight is not None and self._inflight.get(session_id) is inflight:
+        def fold() -> None:
+            # Fold whatever is dirty *now*, from a re-fetched tree (a drop or
+            # rewind while the latency elapsed must not fold stale state).
+            if self._inflight.get(session_id) is inflight:
                 del self._inflight[session_id]
             with self.obs.tracer.activate(span):
                 try:
@@ -772,78 +730,48 @@ class AIDAManagerService:
                     if session_id in self._tiers:
                         self._replies[session_id] = full
                 except Exception as exc:
-                    # ``fail()`` in place: the event is being processed.
-                    leader._ok, leader._value = False, exc
+                    inflight.error = exc
                     span.finish(error=repr(exc))
                     return
-                self._note_served(session_id, client_id, generation)
-                if inflight is not None:
-                    inflight.full = full
-                    span.set(coalesced_waiters=inflight.n_joiners)
+                inflight.full = full
+                span.set(coalesced_waiters=inflight.n_joiners)
                 span.finish()
-            leader._value = (None, progress) if have == generation else full
 
-        def settle(event: Timeout) -> None:
+        def settle(_event: Timeout) -> None:
             # Charge first for what landed meanwhile, then fold and serve.
             nonlocal charged
             if inflight.changed and self._boots == boots:
                 inflight.changed = False
                 owed = self._live_tier(session_id).poll_latency(cost)
                 if owed > charged:
-                    more = Timeout(self.env, owed - charged)
-                    more.defused()
-                    more.callbacks.append(settle)
+                    Timeout(self.env, owed - charged).callbacks.append(settle)
                     charged = owed
                     return
-            fold(event)
-            self._release_joiners(session_id, inflight, event)
+            fold()
+            self._release_joiners(inflight)
 
-        if inflight is None:
-            leader.callbacks.append(fold)
-        else:
-            leader.defused()
-            leader.callbacks.append(settle)
-        return leader
+        Timeout(self.env, charged).callbacks.append(settle)
 
-    def _release_joiners(
-        self, session_id: str, inflight: "_InflightMerge", leader: Event
-    ) -> None:
-        """The leader's merge completed: serve (or fail) every joiner."""
+    def _release_joiners(self, inflight: _InflightMerge) -> None:
+        """The merge completed: serve (or fail) every poll that joined it."""
         if not inflight.n_joiners:
             return
         if self._observed:
             self._coalesced_metric.inc(inflight.n_joiners)
-        if not leader.ok:
-            for _have, event, joiners in inflight.waves:
-                for _client_id, span in joiners:
-                    span.finish(error=repr(leader.value))
-                event.fail(leader.value)
+        error = inflight.error
+        if error is not None:
+            for _have, event, spans in inflight.waves:
+                for span in spans:
+                    span.finish(error=repr(error))
+                event.fail(error)
             return
         full = inflight.full
         progress = full[1]
         generation = progress.merge_generation
-        for have, event, joiners in inflight.waves:
-            for client_id, span in joiners:
-                self._note_served(session_id, client_id, generation)
+        for have, event, spans in inflight.waves:
+            for span in spans:
                 span.finish()
             event.succeed((None, progress) if have == generation else full)
-
-    def _note_served(
-        self, session_id: str, client_id: Optional[str], generation: int
-    ) -> None:
-        """Advance the client's sequence cursor; count redundant polls."""
-        if client_id is None or session_id in self._dropped:
-            return
-        cursors = self._cursors.setdefault(session_id, {})
-        if cursors.get(client_id) == generation and self._observed:
-            self._redundant_metric.inc()
-        cursors[client_id] = generation
-
-    def poll_cursor(
-        self, session_id: str, client_id: str
-    ) -> Optional[int]:
-        """Last merge generation served to *client_id* (``None`` = never)."""
-        return self._cursors.get(session_id, {}).get(client_id)
 
     def merge_generation(self, session_id: str) -> int:
         """Current merge generation of the session: the validator of its

@@ -74,9 +74,7 @@ class ConditionalViewer:
         self.have = None
 
     def poll(self, env, manager):
-        tree, progress = env.run(
-            until=manager.merged("s1", client_id="viewer", have=self.have)
-        )
+        tree, progress = env.run(until=manager.merged("s1", have=self.have))
         if tree is not None:
             self.tree = tree
             self.have = progress.merge_generation

@@ -39,12 +39,12 @@ def test_a_poll_after_the_merge_reads_a_reply_with_the_snapshot():
     manager.submit_snapshot("s1", snapshot("e0", 3))
     env.run()
     assert env.now == pytest.approx(COST)
-    poll = manager.merged("s1", client_id="c1")
+    poll = manager.merged("s1")
     assert poll.processed
     tree, progress = poll.value
     assert tree.get("/h").entries == 3
     assert progress.merged_at == pytest.approx(COST)
-    assert manager.poll_cursor("s1", "c1") == progress.merge_generation
+    assert progress.merge_generation == manager.merge_generation("s1") == 1
     assert len(manager.merge_log) == 1
 
 
@@ -53,13 +53,13 @@ def test_a_poll_during_the_merge_joins_it():
     manager = AIDAManagerService(env, merge_cost_per_tree=COST)
     manager.submit_snapshot("s1", snapshot("e0", 3))
     env.run(until=0.2)
-    poll = manager.merged("s1", client_id="c1")
+    poll = manager.merged("s1")
     tree, progress = env.run(until=poll)
     # Served when the snapshot's merge ends, not one merge after the poll.
     assert env.now == pytest.approx(COST)
     assert tree.get("/h").entries == 3
     assert manager.merge_log == [("s1", 1, COST)]
-    assert manager.poll_cursor("s1", "c1") == progress.merge_generation
+    assert progress.merge_generation == manager.merge_generation("s1") == 1
 
 
 def test_the_planned_tree_answers_the_first_poll():
@@ -133,17 +133,3 @@ def test_a_merge_from_before_a_restart_folds_nothing_after_it():
     assert manager.merge_log == [("s1", 1, COST)]
     poll = manager.merged("s1")
     assert poll.processed and poll.value[0].get("/h").entries == 3
-
-
-def test_the_per_client_reference_starts_no_background_merge():
-    env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=COST, coalesce=False)
-    manager.configure_tier("s1", ["e0"])
-    manager.submit_snapshot("s1", snapshot("e0", 3))
-    manager.set_recovering("s1", True)
-    assert "inflight" not in manager.session_cache_keys("s1")
-    env.run()
-    assert env.now == 0 and manager.merge_log == []
-    tree, _ = env.run(until=manager.merged("s1"))
-    assert tree.get("/h").entries == 3
-    assert manager.merge_log == [("s1", 1, COST)]

@@ -178,18 +178,18 @@ def test_single_dirty_engine_costs_one_fold_per_level():
 
 def test_merge_latency_incremental_accounts_for_fan_in():
     """64 engines at fan-in 4 are 3 levels; each charges its busiest
-    combiner's dirty children, and levels run in sequence.  The
-    per-client reference merges on the poll, so the poll pays it."""
+    combiner's dirty children, and levels run in sequence.  Each merge
+    is charged for what it folds."""
     env = Environment()
-    manager = AIDAManagerService(
-        env, merge_cost_per_tree=0.1, fan_in=4, coalesce=False
-    )
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
     ids = [f"e{i:02d}" for i in range(64)]
     tier = manager.configure_tier("s1", ids)
     for engine_id in ids:
         manager.submit_snapshot("s1", snap(engine_id, 1, dyadic_tree([1])))
     assert tier.poll_latency(0.1) == pytest.approx(0.1 * 4 * 3)  # all dirty
-    env.run(until=manager.merged("s1"))
+    env.run()
+    assert env.now == pytest.approx(1.2)
+    assert manager.merge_log == [("s1", 64, pytest.approx(1.2))]
     delta = dyadic_tree([2])
     manager.submit_snapshot("s1", snap(ids[0], 2, delta, base=1))
     assert tier.poll_latency(0.1) == pytest.approx(0.3)  # one fold per level
@@ -201,8 +201,10 @@ def test_merge_latency_incremental_accounts_for_fan_in():
     manager.submit_snapshot("s1", snap(ids[4], 2, delta, base=1))
     assert tier.poll_latency(0.1) == pytest.approx(0.2 + 0.2 + 0.1)
     started = env.now
-    env.run(until=manager.merged("s1"))
+    env.run()
     assert env.now - started == pytest.approx(0.5)
+    assert manager.merge_log[-1] == ("s1", 64, pytest.approx(0.5))
+    assert len(manager.merge_log) == 2
 
 
 def test_coalesced_merge_is_charged_for_what_it_folds():
@@ -435,7 +437,7 @@ def test_drop_session_leaves_no_state_at_any_depth(fan_in):
         manager.submit_snapshot("s1", snap(engine_id, 1, dyadic_tree([1])))
     manager.discard_engine("s1", "e3")
     manager.begin_run("s1", 1)
-    poll = manager.merged("s1", client_id="c1")
+    poll = manager.merged("s1")
     manager.drop_session("s1")
     tree, progress = env.run(until=poll)
     assert tree.paths() == []

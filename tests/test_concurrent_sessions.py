@@ -2,7 +2,7 @@
 
 End-to-end and property coverage for the PR-8 concurrency plane: many
 clients polling one session share a single incremental merge (with
-replies bit-identical to per-client merges), and a site running per-VO
+replies bit-identical to the reference fold), and a site running per-VO
 admission control pushes back with ``RetryAfter`` that the client honors
 with backoff.
 """
@@ -63,9 +63,7 @@ def test_interleaved_polls_from_many_clients_share_one_merge():
         yield from alice.run()
         viewers = []
         for index in range(n_viewers):
-            plugin = RemoteDataPlugin(
-                site.container, client_id=f"viewer-{index}"
-            )
+            plugin = RemoteDataPlugin(site.container)
             plugin.bind(info.session_id, info.token)
             viewers.append(plugin)
         before = len(site.aida.merge_log)
@@ -77,12 +75,11 @@ def test_interleaved_polls_from_many_clients_share_one_merge():
             ]
             yield env.all_of(polls)
         merges_during_rounds["n"] = len(site.aida.merge_log) - before
-        # Every viewer ends on the same cursor as every other.
-        cursors = {
-            site.aida.poll_cursor(info.session_id, f"viewer-{index}")
-            for index in range(n_viewers)
+        # Every viewer ends on the same generation as every other.
+        generations = {
+            polled[(n_rounds - 1, index)][1] for index in range(n_viewers)
         }
-        assert len(cursors) == 1
+        assert len(generations) == 1
         yield from alice.wait_for_completion(poll_interval=2.0)
         yield from alice.close()
 
@@ -172,7 +169,7 @@ def test_admission_slots_released_when_session_setup_fails():
     assert site.admission.free == 4
 
 
-# -- unit: cursors + redundant-poll accounting --------------------------
+# -- the generation is a validator of the served tree -------------------------
 
 
 def _engine_with_data(engine_id, fills):
@@ -183,52 +180,21 @@ def _engine_with_data(engine_id, fills):
     return engine
 
 
-def test_poll_cursor_tracks_generation_and_counts_redundant_polls():
-    env = Environment()
-    obs = Observability(env, enabled=True)
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.0, obs=obs)
-    engine = _engine_with_data("e0", [0.1, 0.5])
-    manager.submit_snapshot("s1", engine.take_snapshot())
-
-    assert manager.poll_cursor("s1", "c1") is None
-    env.run(until=manager.merged("s1", client_id="c1"))
-    assert manager.merge_generation("s1") == 1
-    assert manager.poll_cursor("s1", "c1") == 1
-    redundant = obs.metrics.counter(
-        "aida_polls_redundant_total", ""
-    )
-    assert redundant.total() == 0
-    # Nothing new: the same generation is re-served and counted.
-    env.run(until=manager.merged("s1", client_id="c1"))
-    assert manager.poll_cursor("s1", "c1") == 1
-    assert redundant.total() == 1
-    # Fresh data bumps the generation; the re-poll is not redundant.
-    engine.tree.get("/h").fill(0.9)
-    manager.submit_snapshot("s1", engine.take_snapshot())
-    env.run(until=manager.merged("s1", client_id="c1"))
-    assert manager.poll_cursor("s1", "c1") == 2
-    assert redundant.total() == 1
-
-
-# -- the generation is a validator of the served tree -------------------------
-
-
 def test_rewind_moves_the_generation_of_the_emptied_tree():
     env = Environment()
     obs = Observability(env, enabled=True)
     manager = AIDAManagerService(env, merge_cost_per_tree=0.0, obs=obs)
     engine = _engine_with_data("e0", [0.1, 0.5])
     manager.submit_snapshot("s1", engine.take_snapshot())
-    before, progress = env.run(until=manager.merged("s1", client_id="c1"))
+    before, progress = env.run(until=manager.merged("s1"))
     served = progress.merge_generation
     manager.begin_run("s1", 1)
-    after, progress = env.run(until=manager.merged("s1", client_id="c1"))
+    after, progress = env.run(until=manager.merged("s1", have=served))
     # The rewind emptied the root: that is a different tree, so it must
-    # be served under a different (greater) generation, and the poll that
-    # fetched it was not redundant.
-    assert before.paths() and not after.paths()
+    # be served under a different (greater) generation, and a client
+    # holding the old one is sent it.
+    assert before.paths() and after is not None and not after.paths()
     assert progress.merge_generation > served
-    assert obs.metrics.counter("aida_polls_redundant_total", "").total() == 0
 
 
 def test_generation_survives_checkpoint_and_never_repeats_after_a_crash():
@@ -275,16 +241,15 @@ def test_not_modified_reply_costs_the_same_and_skips_the_tree():
     manager = AIDAManagerService(env, merge_cost_per_tree=0.25, obs=obs)
     engine = _engine_with_data("e0", [0.1, 0.5])
     manager.submit_snapshot("s1", engine.take_snapshot())
-    tree, progress = env.run(until=manager.merged("s1", client_id="c1"))
+    tree, progress = env.run(until=manager.merged("s1"))
     assert tree is not None and env.now == 0.25
     have = progress.merge_generation
-    # Same validator: no tree, fresh progress, cursor and counters as ever.
-    tree, progress = env.run(
-        until=manager.merged("s1", client_id="c1", have=have)
-    )
+    # Same validator: no tree, fresh progress, from the last merge's reply.
+    tree, progress = env.run(until=manager.merged("s1", have=have))
     assert tree is None
     assert progress.merge_generation == have and progress.merged_at == 0.25
-    assert obs.metrics.counter("aida_polls_redundant_total", "").total() == 1
+    assert len(manager.merge_log) == 1
+    assert obs.metrics.counter("aida_polls_total", "").total() == 2
     # A stale (or foreign) validator gets the tree.
     tree, _ = env.run(until=manager.merged("s1", have=have - 1))
     assert tree is not None
@@ -317,28 +282,27 @@ def test_joiners_are_told_not_modified_one_by_one():
     manager.crash_combiner("s1", "s1/combiner-2.0")
     replies = []
 
-    def poll(client_id, have):
-        reply = yield manager.merged("s1", client_id=client_id, have=have)
-        replies.append((client_id, reply[0] is None, env.now))
+    def poll(index, have):
+        tree, progress = yield manager.merged("s1", have=have)
+        replies.append((index, tree is None, env.now, progress.merge_generation))
 
     # Joiners a mix; the one merge serves them all, in arrival order, each
     # according to what it holds.
     haves = [current, current, None, current - 1, current, current]
     for index, have in enumerate(haves):
-        env.process(poll(f"c{index}", have))
+        env.process(poll(index, have))
     env.run()
     assert len(manager.merge_log) - merges_before == 1
     assert manager.merge_generation("s1") == current
-    assert [r[0] for r in replies] == [f"c{i}" for i in range(len(haves))]
+    assert [r[0] for r in replies] == list(range(len(haves)))
     assert [r[1] for r in replies] == [have == current for have in haves]
     assert len({r[2] for r in replies}) == 1
-    for index in range(len(haves)):
-        assert manager.poll_cursor("s1", f"c{index}") == current
+    assert all(r[3] == current for r in replies)
     assert coalesced.total() - coalesced_before == len(haves)
     joins = obs.tracer.find("aida.merge.join")[-len(haves):]
     assert all(s.finished and s.start == joins[0].start for s in joins)
     # A poll after the merge is told "not modified" from its reply.
-    after = manager.merged("s1", client_id="late", have=current)
+    after = manager.merged("s1", have=current)
     assert after.processed and after.value[0] is None
     assert len(manager.merge_log) - merges_before == 1
 
@@ -355,7 +319,7 @@ def test_plugin_rebind_drops_the_held_tree_and_anonymous_plugins_work():
         yield from alice.upload_code(counting.SOURCE)
         yield from alice.run()
         final = yield from alice.wait_for_completion(poll_interval=2.0)
-        anonymous = RemoteDataPlugin(site.container)  # client_id=None
+        anonymous = RemoteDataPlugin(site.container)  # no client_id label
         anonymous.bind(info.session_id, info.token)
         first, progress = yield from anonymous.poll()
         again, _ = yield from anonymous.poll()
@@ -428,28 +392,15 @@ def _viewer_events_per_poll() -> float:
     return _viewer_run()
 
 
-def test_viewers_cost_at_most_seven_and_a_half_kernel_events_per_poll():
-    # The Store-backed request loop with a process per coalesced joiner
-    # cost 11.32 on exactly this shape; a process per call, 7.13.
-    assert _viewer_events_per_poll() <= 7.5
-
-
-def test_a_viewer_poll_costs_at_most_five_and_a_quarter_kernel_events():
-    # 5.13: the call runs in the viewer's own process, so the per-call
-    # process's Initialize and completion (2 of the 7.13) are gone.
-    assert _viewer_events_per_poll() <= 5.25
-
-
-def test_a_viewer_poll_costs_at_most_four_and_a_half_kernel_events():
-    # 4.32: a queued call's ticket fires after its dispatch overhead (no
-    # second timeout), and the merge leader is a timer whose callback
-    # folds (no Initialize, no process completion); 5.13 before.
-    assert _viewer_events_per_poll() <= 4.5
-
-
 def test_a_viewer_poll_costs_at_most_four_point_two_kernel_events():
-    # 4.17: a poll with nothing to fold is answered from the last merge's
-    # reply, so it no longer leads a zero-fold merge timer; 4.32 before.
+    # 4.17 on this shape.  History: 11.32 with a Store-backed request loop
+    # and a process per coalesced joiner; 7.13 with a process per call;
+    # 5.13 once the call ran in the viewer's own process (no per-call
+    # Initialize and completion); 4.32 once a queued call's ticket fired
+    # after its dispatch overhead (no second timeout) and the merge leader
+    # became a timer whose callback folds; 4.17 once a poll with nothing
+    # to fold was answered from the last merge's reply, leading no
+    # zero-fold merge timer.
     assert _viewer_events_per_poll() <= 4.2
 
 
@@ -565,7 +516,7 @@ def test_a_fold_that_raises_fails_the_leader_and_every_joiner_wave(
     def poller(index, have):
         yield env.timeout(0.01 * index)
         try:
-            yield manager.merged("s1", client_id=f"c{index}", have=have)
+            yield manager.merged("s1", have=have)
         except RuntimeError as exc:
             caught.append((index, str(exc), env.now))
 
@@ -582,11 +533,10 @@ def test_drop_session_clears_coalescing_state():
     manager = AIDAManagerService(env, merge_cost_per_tree=0.0)
     engine = _engine_with_data("e0", [0.3])
     manager.submit_snapshot("s1", engine.take_snapshot())
-    env.run(until=manager.merged("s1", client_id="c1"))
+    env.run(until=manager.merged("s1"))
     assert manager.session_cache_keys("s1") != []
     manager.drop_session("s1")
     assert manager.session_cache_keys("s1") == []
-    assert manager.poll_cursor("s1", "c1") is None
 
 
 # -- a poll with nothing to fold runs no merge ---------------------------
@@ -603,7 +553,6 @@ def test_a_clean_poll_replies_after_the_round_trip_and_dispatch_only():
     )
     env = site.env
     alice = IPAClient(site, site.enroll_user("/CN=alice"))
-    redundant = site.obs.metrics.counter("aida_polls_redundant_total", "")
     seen = {}
 
     def scenario():
@@ -612,20 +561,16 @@ def test_a_clean_poll_replies_after_the_round_trip_and_dispatch_only():
         yield from alice.upload_code(counting.SOURCE)
         yield from alice.run()
         yield from alice.wait_for_completion(poll_interval=2.0)
-        viewer = RemoteDataPlugin(site.container, client_id="viewer")
+        viewer = RemoteDataPlugin(site.container)
         viewer.bind(info.session_id, info.token)
         held, progress = yield from viewer.poll()
         merges = len(site.aida.merge_log)
         spans = len(site.obs.tracer.find("aida.merge"))
-        redundant_before = redundant.total()
         start = env.now
         tree, again = yield from viewer.poll()
         seen["elapsed"] = env.now - start
+        # The same generation's tree and the very reply of the last merge.
         assert tree is held and again is progress
-        assert site.aida.poll_cursor(info.session_id, "viewer") == (
-            progress.merge_generation
-        )
-        assert redundant.total() == redundant_before + 1
         assert len(site.aida.merge_log) == merges
         assert len(site.obs.tracer.find("aida.merge")) == spans
         yield from alice.close()
@@ -646,9 +591,9 @@ def _warm_manager(planned=True):
     for index, value in enumerate([0.2, 0.4, 0.6]):
         engine = _engine_with_data(f"e{index}", [value])
         manager.submit_snapshot("s1", engine.take_snapshot(final=True))
-    env.run(until=manager.merged("s1", client_id="c1"))
+    env.run(until=manager.merged("s1"))
     merges = len(manager.merge_log)
-    _, progress = env.run(until=manager.merged("s1", client_id="c1"))
+    _, progress = env.run(until=manager.merged("s1"))
     assert len(manager.merge_log) == merges and progress.complete
     return manager, progress
 
@@ -739,9 +684,7 @@ def test_every_mutator_of_merge_state_makes_the_next_poll_merge(mutator):
     mutate(manager)
     merges, start = len(manager.merge_log), env.now
     tree, progress = env.run(
-        until=manager.merged(
-            "s1", client_id="c1", have=before.merge_generation
-        )
+        until=manager.merged("s1", have=before.merge_generation)
     )
     assert len(manager.merge_log) == merges + 1
     assert progress is not before and progress.merged_at == env.now
@@ -773,10 +716,9 @@ def test_a_clean_poll_reads_nothing_of_the_tree(monkeypatch):
     monkeypatch.setattr(MergeTree, "poll_latency", walked)
     monkeypatch.setattr(MergeTree, "entries", walked)
     monkeypatch.setattr(MergeProgress, "__init__", walked)
-    reply = manager.merged("s1", client_id="c2", have=before.merge_generation)
+    reply = manager.merged("s1", have=before.merge_generation)
     assert reply.processed
     assert reply.value == (None, before)
-    assert manager.poll_cursor("s1", "c2") == before.merge_generation
 
 
 # -- property: coalesced replies equal the reference flat merge ---------
@@ -791,7 +733,6 @@ def test_coalesced_polls_bit_identical_to_uncoalesced_reference(seed):
         env,
         merge_cost_per_tree=0.01,
         obs=obs,
-        coalesce=True,
         coalesce_window_s=0.05,
     )
     engines = {
@@ -802,8 +743,8 @@ def test_coalesced_polls_bit_identical_to_uncoalesced_reference(seed):
     n_clients = 5
     previous = None  # the tree the last round was served
 
-    def poll(client_id, results):
-        tree, progress = yield manager.merged("s1", client_id=client_id)
+    def poll(results):
+        tree, progress = yield manager.merged("s1")
         results.append((tree, progress.merge_generation))
 
     for _ in range(8):
@@ -828,7 +769,7 @@ def test_coalesced_polls_bit_identical_to_uncoalesced_reference(seed):
         merges_before = len(manager.merge_log)
         results = []
         polls = [
-            env.process(poll(f"c{i}", results)) for i in range(n_clients)
+            env.process(poll(results)) for _ in range(n_clients)
         ]
         env.run(until=env.all_of(polls))
         # One shared merge served everyone; a round with nothing new ran
@@ -843,11 +784,10 @@ def test_coalesced_polls_bit_identical_to_uncoalesced_reference(seed):
             assert tree is previous
         previous = tree
         assert tree.to_dict() == ref
+        assert len(results) == n_clients
         for reply_tree, reply_generation in results:
             assert reply_tree is tree
             assert reply_generation == generation
-        for index in range(n_clients):
-            assert manager.poll_cursor("s1", f"c{index}") == generation
 
     # The coalesced-poll counter saw every join (leader polls excluded).
     coalesced = obs.metrics.counter("aida_polls_coalesced_total", "")

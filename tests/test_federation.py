@@ -443,14 +443,15 @@ def test_failover_first_poll_at_the_new_site_decodes_a_full_tree():
         yield from client.poll()
         held = yield from client.poll()
         for site in fed.sites.values():
-            real = site.aida.merged
+            real = site.container.request
 
-            def spy(session_id, client_id=None, have=None, _real=real,
-                    _name=site.name):
-                sent.append((_name, have))
-                return _real(session_id, client_id=client_id, have=have)
+            def spy(service, operation, args=None, *rest, _real=real,
+                    _name=site.name, **kwargs):
+                if (service, operation) == ("aida", "merged"):
+                    sent.append((_name, args.get("have")))
+                return _real(service, operation, args, *rest, **kwargs)
 
-            site.aida.merged = spy
+            site.container.request = spy
         fed.partition_site(out["first"])
         moved = yield from client.poll()
         out["second"] = client.site_name

@@ -99,11 +99,13 @@ def test_full_flag_forces_keyframe():
     assert set(snap.tree.paths()) == {"/a", "/b"}
 
 
-def test_delta_snapshots_disabled_always_full():
-    engine = make_engine(delta_snapshots=False)
+def test_keyframe_every_one_always_full():
+    engine = make_engine(keyframe_every=1)
     for _ in range(3):
+        engine.tree.get("/a").fill(5.0)
         snap = engine.take_snapshot()
         assert snap.base_sequence == 0
+        assert set(snap.tree.paths()) == {"/a", "/b"}
 
 
 def test_rewind_resets_delta_state():
@@ -316,7 +318,7 @@ def test_coalesced_joiners_get_the_leaders_tree(tiered):
     manager.merge_cost_per_tree = 0.1
     manager.submit_snapshot("s1", make_snapshot("e0", 10))
     manager.submit_snapshot("s1", make_snapshot("e2", 7))
-    polls = [manager.merged("s1", client_id=f"c{i}") for i in range(4)]
+    polls = [manager.merged("s1") for _ in range(4)]
     env.run(until=polls[-1])
     trees = [poll.value[0] for poll in polls]
     assert all(tree is trees[0] for tree in trees)
@@ -356,19 +358,23 @@ def test_refolding_without_a_discarded_engine_is_charged_as_a_fold():
     """Four engines all dirty, one then discarded: the leaf re-folds four
     dirty children (three contributions and one removal) — 0.20 s, not the
     0.15 s a from-scratch fold of the three survivors would cost.  The
-    per-client reference merges on the poll, after all five changes."""
+    first snapshot starts the merge; when its latency ends it is charged
+    for all five changes before it folds."""
     env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.05, coalesce=False)
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.05)
     for i in range(4):
         manager.submit_snapshot("s1", make_snapshot(f"e{i}", 10))
     manager.discard_engine("s1", "e3")
-    assert merged_entries(env, manager) == 30
+    env.run()
     assert env.now == pytest.approx(0.20)
     assert manager.merge_log == [("s1", 3, pytest.approx(0.20))]
+    assert merged_entries(env, manager) == 30
     # Discarding from a clean tree costs the one re-fold.
     manager.discard_engine("s1", "e2")
-    assert merged_entries(env, manager) == 20
+    env.run()
     assert env.now == pytest.approx(0.25)
+    assert manager.merge_log[-1] == ("s1", 2, pytest.approx(0.05))
+    assert merged_entries(env, manager) == 20
 
 
 def test_a_discard_from_a_clean_tree_starts_its_one_refold():
@@ -391,38 +397,29 @@ def test_a_discard_from_a_clean_tree_starts_its_one_refold():
 
 
 def test_poll_charges_only_dirty_engines():
-    """The per-client reference pays the merge on the poll; coalescing,
-    the snapshot starts it with the same charge and the poll after it
-    costs nothing."""
+    """The snapshots start the merge, charged for the eight dirty
+    engines it folds; one engine advancing later costs one tree's worth,
+    and the polls after each merge cost nothing."""
     env = Environment()
-    manager = AIDAManagerService(env, merge_cost_per_tree=0.5, coalesce=False)
+    manager = AIDAManagerService(env, merge_cost_per_tree=0.5)
     for i in range(8):
         manager.submit_snapshot("s1", make_snapshot(f"e{i}", 10))
-    env.run(until=manager.merged("s1"))
-    first_poll = env.now
-    assert first_poll == pytest.approx(0.5 * 8)
+    env.run()
+    first_merge = env.now
+    assert first_merge == pytest.approx(0.5 * 8)
+    assert manager.merge_log == [("s1", 8, pytest.approx(4.0))]
     # Clean poll: nothing dirty, nothing charged.
-    env.run(until=manager.merged("s1"))
-    assert env.now == pytest.approx(first_poll)
+    assert merged_entries(env, manager) == 80
+    assert env.now == pytest.approx(first_merge)
     # One engine advances: one tree's worth of work.
     delta = make_snapshot("e3", 20, sequence=2, base_sequence=1)
     manager.submit_snapshot("s1", delta)
-    env.run(until=manager.merged("s1"))
-    assert env.now == pytest.approx(first_poll + 0.5)
+    env.run()
+    assert env.now == pytest.approx(first_merge + 0.5)
     assert manager.merge_log[-1] == ("s1", 8, 0.5)
-    # Coalescing: the same advance is charged at its merge, not the poll.
-    coalesced = AIDAManagerService(env, merge_cost_per_tree=0.5)
-    for i in range(8):
-        coalesced.submit_snapshot("s1", make_snapshot(f"e{i}", 10))
-    env.run()
-    started = env.now
-    coalesced.submit_snapshot("s1", delta)
-    env.run()
-    assert env.now == pytest.approx(started + 0.5)
-    assert coalesced.merge_log[-1] == ("s1", 8, 0.5)
-    assert merged_entries(env, coalesced) == 90
-    assert env.now == pytest.approx(started + 0.5)
-    assert len(coalesced.merge_log) == 2
+    assert merged_entries(env, manager) == 90
+    assert env.now == pytest.approx(first_merge + 0.5)
+    assert len(manager.merge_log) == 2
 
 
 def test_cache_metrics_track_hits_and_misses():

@@ -413,14 +413,11 @@ def test_manager_complete_flag():
 def test_manager_merge_latency_flat_vs_tree():
     # 64 engines, all dirty: one leaf folds all 64 in sequence; at fan-in
     # 4 the three levels each fold 4 inputs concurrently (log4(64) = 3).
-    # The per-client reference merges on the poll, after every snapshot.
+    # Planning starts a merge with nothing dirty; when it ends it is
+    # charged for the 64 snapshots that landed meanwhile, then folds.
     env = Environment()
-    flat = AIDAManagerService(
-        env, merge_cost_per_tree=0.1, fan_in=None, coalesce=False
-    )
-    tree = AIDAManagerService(
-        env, merge_cost_per_tree=0.1, fan_in=4, coalesce=False
-    )
+    flat = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=None)
+    tree = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
     ids = [f"e{i:02d}" for i in range(64)]
     for manager in (flat, tree):
         manager.configure_tier("s1", ids)
@@ -431,12 +428,17 @@ def test_manager_merge_latency_flat_vs_tree():
     assert flat.tier("s1").poll_latency(0.1) == pytest.approx(6.4)
     assert tree.tier("s1").depth == 3
     assert tree.tier("s1").poll_latency(0.1) == pytest.approx(0.1 * 4 * 3)
-    # The poll is charged exactly that.
-    env.run(until=tree.merged("s1"))
-    assert env.now == pytest.approx(0.1 * 4 * 3)
+    # Each merge is charged exactly that, and folds when it has been.
+    env.run()
+    assert env.now == pytest.approx(6.4)
+    assert flat.merge_log == [("s1", 64, pytest.approx(6.4))]
     assert tree.merge_log == [("s1", 64, pytest.approx(1.2))]
-    # Coalescing, a restore of the same state starts the all-dirty merge
-    # itself, charged the same; the poll after it runs no merge.
+    for manager, charged in ((flat, 6.4), (tree, 1.2)):
+        poll = manager.merged("s1")
+        assert poll.processed
+        assert poll.value[1].merged_at == pytest.approx(charged)
+    # A restore of the same state starts the all-dirty merge itself,
+    # charged the same; the poll after it runs no merge.
     restored = AIDAManagerService(env, merge_cost_per_tree=0.1, fan_in=4)
     restored.restore_state("s1", tree.checkpoint_state("s1"))
     started = env.now
@@ -453,9 +455,8 @@ def test_manager_merge_latency_flat_vs_tree():
 
 
 def test_manager_merge_charges_time():
-    """Coalescing, the snapshots start the merge, which is charged for
-    both trees it folds; the poll after it is answered at once from its
-    reply.  The per-client reference charges its poll the same."""
+    """The snapshots start the merge, which is charged for both trees it
+    folds; the poll after it is answered at once from its reply."""
     env = Environment()
     manager = AIDAManagerService(env, merge_cost_per_tree=0.5)
     manager.submit_snapshot("s1", make_snapshot("e0", 1))
@@ -466,13 +467,6 @@ def test_manager_merge_charges_time():
     poll = manager.merged("s1")
     assert poll.processed and poll.value[1].engines_reporting == 2
     assert len(manager.merge_log) == 1
-    reference = AIDAManagerService(env, merge_cost_per_tree=0.5, coalesce=False)
-    reference.submit_snapshot("s1", make_snapshot("e0", 1))
-    reference.submit_snapshot("s1", make_snapshot("e1", 1))
-    started = env.now
-    env.run(until=reference.merged("s1"))
-    assert env.now - started == pytest.approx(1.0)
-    assert reference.merge_log == [("s1", 2, 1.0)]
 
 
 def test_manager_empty_session():

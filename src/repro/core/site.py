@@ -73,9 +73,6 @@ class SiteConfig:
         fan-in, engines publish to leaf combiners which fold
         incrementally and push combined deltas up to the root (see
         :mod:`repro.services.combiner`).
-    session_lifetime:
-        WSRF lifetime of session resources in seconds (``None`` =
-        immortal).
     enable_observability:
         Record spans and metrics across every tier (see :mod:`repro.obs`).
         Off by default: instrumentation then routes through shared null
@@ -121,7 +118,6 @@ class SiteConfig:
     n_workers: int = 16
     max_engines_per_session: Optional[int] = None
     merge_fan_in: Optional[int] = None
-    session_lifetime: Optional[float] = None
     enable_observability: bool = False
     worker_cache_mb: Optional[float] = None
     checkpoint_every_s: float = 30.0
@@ -240,21 +236,10 @@ class GridSite:
         )
 
         # -- nodes ---------------------------------------------------------
-        worker_spec = NodeSpec(
-            cpu_mhz=866.0, cores=1, disk_read_mbps=400.0, disk_write_mbps=400.0
-        )
-        se_spec = NodeSpec(
-            cpu_mhz=1000.0,
-            cores=1,
-            disk_read_mbps=cal.se_disk_mbps,
-            disk_write_mbps=cal.se_disk_mbps,
-        )
-        self.desktop = ManagerNode(
-            env, "desktop", NodeSpec(cpu_mhz=1700.0, disk_read_mbps=400, disk_write_mbps=400)
-        )
-        self.manager = ManagerNode(
-            env, mgr_host, NodeSpec(cpu_mhz=2000.0, disk_read_mbps=400, disk_write_mbps=400)
-        )
+        local_disk = NodeSpec(disk_read_mbps=400.0, disk_write_mbps=400.0)
+        se_spec = NodeSpec(disk_read_mbps=cal.se_disk_mbps, disk_write_mbps=cal.se_disk_mbps)
+        self.desktop = ManagerNode(env, "desktop", local_disk)
+        self.manager = ManagerNode(env, mgr_host, local_disk)
         self.storage = StorageElement(env, se_host, se_spec)
         self.workers: List[WorkerNode] = []
         for index in range(config.n_workers):
@@ -274,7 +259,7 @@ class GridSite:
                 bandwidth=cal.worker_link_mbps,
                 latency=cal.lan_latency_s,
             )
-            self.workers.append(WorkerNode(env, worker_host, worker_spec))
+            self.workers.append(WorkerNode(env, worker_host, local_disk))
 
         # -- scheduler + security ----------------------------------------
         self.element = ComputeElement(f"{self.name}-osg", self.workers)
@@ -410,7 +395,6 @@ class GridSite:
             storage=self.storage,
             content_store=self.content_store,
             calibration=cal,
-            session_lifetime=config.session_lifetime,
             obs=self.obs,
             replicas=self.replicas,
             durable_store=self.durable_store,

@@ -4,7 +4,7 @@ The paper's reference implementation ran on a real Open Science Grid site
 (Globus GT4 + GRAM + GridFTP + a 16-node batch queue at SLAC).  This package
 is the closest synthetic equivalent: every component is modelled explicitly
 on the discrete-event kernel in :mod:`repro.sim`, with bandwidths, latencies,
-CPU rates and queue policies calibrated against the paper's measurements
+disk rates and queue policies calibrated against the paper's measurements
 (see ``DESIGN.md`` §2 for the substitution rationale and ``repro.core.config``
 for the calibration constants).
 

@@ -7,9 +7,10 @@ The paper's architecture (Fig. 2) involves four kinds of machines:
 * a **storage element** (SE) holding the large dataset files, with GridFTP;
 * **worker nodes** of the compute element (CE), where analysis engines run.
 
-Each node owns a CPU resource (so compute work serializes per-core), a disk
-with a finite read/write rate, and a host name on the
-:class:`~repro.grid.network.Network`.
+Each node has a disk with a finite read/write rate and a host name on the
+:class:`~repro.grid.network.Network`.  Nodes model no CPU: every compute
+time is a :class:`~repro.core.config.Calibration` rate, charged by the
+engine that runs the analysis.
 """
 
 from __future__ import annotations
@@ -22,67 +23,26 @@ from repro.sim import Environment, Process, Resource
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """Static description of a node's hardware.
+    """Static description of a node's disk: sequential read and write
+    bandwidth in MB/s."""
 
-    Parameters
-    ----------
-    cpu_mhz:
-        Clock rate used to scale compute costs (paper: 1.7 GHz desktop vs
-        866 MHz grid workers).
-    cores:
-        Number of CPU slots (the 2006 testbed machines were single-core).
-    disk_read_mbps / disk_write_mbps:
-        Sequential disk bandwidth in MB/s.
-    """
-
-    cpu_mhz: float = 1000.0
-    cores: int = 1
     disk_read_mbps: float = 50.0
     disk_write_mbps: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.cpu_mhz <= 0:
-            raise ValueError("cpu_mhz must be > 0")
-        if self.cores <= 0:
-            raise ValueError("cores must be > 0")
         if self.disk_read_mbps <= 0 or self.disk_write_mbps <= 0:
             raise ValueError("disk bandwidths must be > 0")
 
 
 class Node:
-    """Base class: a named machine with CPU and disk resources.
-
-    Compute work is expressed in *reference seconds* — the time the work
-    would take on a ``reference_mhz`` machine — and scaled by the node's
-    clock rate, mirroring the paper's 1.7 GHz vs 866 MHz comparison.
-    """
-
-    #: Clock rate that compute costs are quoted against.
-    reference_mhz: float = 1700.0
+    """Base class: a named machine with a local disk."""
 
     def __init__(self, env: Environment, name: str, spec: NodeSpec) -> None:
         self.env = env
         self.name = name
         self.spec = spec
-        self.cpu = Resource(env, capacity=spec.cores)
         #: Files staged on this node's local disk: name -> size MB.
         self.disk_files: Dict[str, float] = {}
-
-    # -- compute ----------------------------------------------------------
-    def compute_time(self, reference_seconds: float) -> float:
-        """Scale *reference_seconds* by this node's CPU clock."""
-        return reference_seconds * (self.reference_mhz / self.spec.cpu_mhz)
-
-    def compute(self, reference_seconds: float) -> Process:
-        """Run CPU work, queueing for a core; returns a process to wait on."""
-        if reference_seconds < 0:
-            raise ValueError("reference_seconds must be >= 0")
-        return self.env.process(self._compute(reference_seconds))
-
-    def _compute(self, reference_seconds: float):
-        with self.cpu.request() as slot:
-            yield slot
-            yield self.env.timeout(self.compute_time(reference_seconds))
 
     # -- disk -------------------------------------------------------------
     def disk_read(self, size_mb: float) -> Process:

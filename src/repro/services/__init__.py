@@ -6,7 +6,7 @@ Mirrors the reference implementation's manager services (§3, Fig. 2):
 Module                 Paper counterpart
 =====================  ======================================================
 ``envelope``           SOAP transport + service container (Globus GT4 host)
-``wsrf``               WS-Resource Framework stateful resources
+``wsrf``               WS-Resource Framework resource refs (session ids)
 ``control``            Control Service (mutual auth, session creation)
 ``session``            IPA Session Manager Service (façade + durability)
 ``session_state``      Its durable state: ``SessionState``, ``apply``, ``fold``
@@ -24,7 +24,7 @@ Module                 Paper counterpart
 """
 
 from repro.services.envelope import Fault, ServiceContainer, ServiceError
-from repro.services.wsrf import ResourceHome, ResourceRef, WsrfError
+from repro.services.wsrf import ResourceHome, ResourceRef
 
 __all__ = [
     "Fault",
@@ -32,5 +32,4 @@ __all__ = [
     "ResourceRef",
     "ServiceContainer",
     "ServiceError",
-    "WsrfError",
 ]

@@ -41,10 +41,9 @@ class RecoverySupervisor:
     """Monitor sweeps, quarantine, re-dispatch and spare engines.
 
     The supervisor reaches a session only through the service's
-    ``_commit`` and the session record in ``service._sessions`` (both are
-    replaced when the service crashes and recovers), plus the service's
-    WSRF resource home and engine-host factory.  Its collaborators are
-    the service's own.
+    ``_commit`` and the session record in ``service._sessions`` (replaced
+    when the service crashes and recovers), plus the service's
+    engine-host factory.  Its collaborators are the service's own.
     """
 
     def __init__(self, service: "SessionService") -> None:
@@ -178,7 +177,7 @@ class RecoverySupervisor:
             "engine_id": engine_id, "cause": cause, "detected_at": self.env.now,
             "parts": len(orphaned), "span": recovery_span,
         })
-        self.service._commit(session_id, "quarantine", engine_id=engine_id)
+        self.service._commit(session, "quarantine", engine_id=engine_id)
         self.obs.events.emit(
             "engine_quarantined",
             message=f"{engine_id} quarantined, {len(orphaned)} parts orphaned",
@@ -230,7 +229,6 @@ class RecoverySupervisor:
                     live = session["references"]
                     if not live:
                         session["unrecoverable"] = True
-                        self.service.resources.set_property(session["ref"], "state", "failed")
                         return
                     target = min(
                         live,
@@ -256,7 +254,7 @@ class RecoverySupervisor:
                 # Record the assignment *before* waiting for the ack: if the
                 # target dies mid-takeover its quarantine re-orphans the part.
                 self.service._commit(
-                    session_id, "dispatch", engine_id=target.engine_id, part_index=part.part_index
+                    session, "dispatch", engine_id=target.engine_id, part_index=part.part_index
                 )
                 key = self.replicas.part_keys(
                     dataset.dataset_id, dataset.strategy, dataset.parts
@@ -366,7 +364,7 @@ class RecoverySupervisor:
         session["references"].append(reference)
         self.aida.set_expected_engines(session_id, len(session["references"]))
         self.service._commit(
-            session_id, "engine_joined", engine_id=engine_id, worker=reference.worker
+            session, "engine_joined", engine_id=engine_id, worker=reference.worker
         )
         session["monitor"].watch(engine_id)
         try:

@@ -29,7 +29,8 @@ as a journal record (write-ahead, to the manager node's durable store)
 and then applies that record to its state.  The merge state is
 checkpointed periodically beside it.  ``crash()`` models the service
 process dying (volatile state lost, tokens revoked, endpoints raising
-:class:`~repro.resilience.faults.ServiceUnavailable`); ``recover()`` is
+:class:`~repro.resilience.faults.ServiceUnavailable`, and so does every
+commit of an operation that was in flight across it); ``recover()`` is
 the cold start that folds each journal back into the same
 state, re-attaches the volatile handles, restores the merge cache from
 the last committed checkpoint, re-binds still-running engines through the
@@ -74,7 +75,7 @@ from repro.services.session_state import (
 )
 from repro.services.splitter import SplitterService
 from repro.services.stager import Stager
-from repro.services.wsrf import ResourceHome
+from repro.services.wsrf import ResourceHome, ResourceRef
 from repro.sim import Environment, Interrupt, NodeFailure
 
 
@@ -105,7 +106,6 @@ class SessionService:
         checkpoint_every_s: float,
         container: ServiceContainer,
         replicas: "ReplicaManager",
-        session_lifetime: Optional[float] = None,
         obs: Optional[Observability] = None,
         admission: Optional[AdmissionController] = None,
     ) -> None:
@@ -130,10 +130,13 @@ class SessionService:
         #: Per-VO fair-share admission control over engine slots
         #: (``None`` = admit everything, the original behaviour).
         self.admission = admission
-        self._session_lifetime = session_lifetime
-        self.resources = ResourceHome(env, "session", session_lifetime)
+        self.resources = ResourceHome("session")
         self._sessions: Dict[str, dict] = {}
         self._down = False
+        #: Times this service crashed: the incarnation that fences
+        #: ``_commit``.  Like ``AIDAManagerService._boots``, the one word a
+        #: restarting service reads from disk, so it survives ``crash()``.
+        self._boots = 0
         self._journals: Dict[str, SessionJournal] = {}
         self._checkpoints: Dict[str, CheckpointStore] = {}
         #: Sessions whose journal said "closed" at the last recovery:
@@ -159,19 +162,21 @@ class SessionService:
             self._journals[session_id] = journal
         return journal
 
-    def _commit(
-        self, session_id: str, record_type: str, /, **data
-    ) -> Optional[SessionState]:
-        """Make one durable transition: journal the record write-ahead (no
-        simulated time), then ``apply`` it to the live session's state.
+    def _commit(self, session: dict, record_type: str, /, **data) -> SessionState:
+        """Make one durable transition of the session *session* records:
+        journal the record write-ahead (no simulated time), then ``apply``
+        it to the record's state.  Returns the new state.
 
-        Returns the new state (``None`` when the session is not live: a
-        late record still reaches the journal, and recovery folds it).
+        Fenced by the service incarnation: an operation that began before
+        a crash holds the dead incarnation's record, and its transition is
+        refused with ``ServiceUnavailable`` before it reaches the journal
+        (the recovered service owns the session now).  A late record of
+        the live incarnation (after the session closed) still reaches the
+        journal, and recovery folds it.
         """
-        record = self._journal(session_id).append(record_type, **data)
-        session = self._sessions.get(session_id)
-        if session is None:
-            return None
+        if session["boot"] != self._boots:
+            raise ServiceUnavailable("session service restarted during the operation")
+        record = self._journal(session["id"]).append(record_type, **data)
         session["state"] = apply(session["state"], record)
         return session["state"]
 
@@ -229,6 +234,7 @@ class SessionService:
                 f"{total_workers} workers"
             )
 
+        boot = self._boots
         admitted: Optional[Tuple[str, int]] = None
         if self.admission is not None:
             # Per-VO fair-share gate: waits within the VO's quota, or
@@ -238,7 +244,7 @@ class SessionService:
             admitted = (vo, count)
         try:
             info = yield from self._start_session(
-                context, credential_chain, count, dataset_hint, admitted
+                context, credential_chain, count, dataset_hint, admitted, boot
             )
         except BaseException:
             # The session never came up; nothing holds the slots.
@@ -254,11 +260,10 @@ class SessionService:
         count: int,
         dataset_hint: Optional[str],
         admitted: Optional[Tuple[str, int]],
+        boot: int,
     ):
         """Start engines and build the session record (post-admission)."""
-        ref = self.resources.create(
-            {"owner": context.identity, "state": "starting", "engines": count}
-        )
+        ref = self.resources.create()
         session_id = ref.resource_id
         hosts: Dict[str, EngineHost] = {}
 
@@ -279,7 +284,9 @@ class SessionService:
         # Wait until every engine has signalled ready (Fig. 2 step:
         # "Ready Signal with Reference").
         references = yield self.registry.wait_for(session_id, count)
-        self._sessions[session_id] = self._session_record(
+        session = self._session_record(
+            id=session_id,
+            boot=boot,
             ref=ref,
             chain=list(credential_chain),
             hosts=hosts,
@@ -293,22 +300,28 @@ class SessionService:
             trace_parent=self.obs.tracer.current_id,
             state=None,
         )
+        try:
+            self._commit(
+                session,
+                "create",
+                session_id=session_id,
+                owner=context.identity,
+                token=secrets.token_hex(16),
+                n_engines=count,
+                engines={ref_.engine_id: ref_.worker for ref_ in references},
+            )
+        except ServiceUnavailable:
+            # Began before a crash: no journal names these engines, so no
+            # recovery will ever close them.
+            self.gram.cancel(submission, "service-restart")
+            raise
+        self._sessions[session_id] = session
         self.aida.set_expected_engines(session_id, count)
         # Plan the session's merge tree now that its engines are known.
         self.aida.configure_tier(
             session_id, [reference.engine_id for reference in references]
         )
-        self._commit(
-            session_id,
-            "create",
-            session_id=session_id,
-            owner=context.identity,
-            token=secrets.token_hex(16),
-            n_engines=count,
-            engines={ref_.engine_id: ref_.worker for ref_ in references},
-        )
         self._arm_background_loops(session_id)
-        self.resources.set_property(ref, "state", "ready")
         self.obs.events.emit(
             "session_created",
             message=f"{session_id} with {count} engines",
@@ -335,9 +348,10 @@ class SessionService:
         """The record of one session: its durable ``"state"`` (a
         :class:`SessionState` only ``_commit`` replaces) beside the
         volatile handles.  Both builders (start and recovery) supply
-        ``ref, chain, hosts, references, engine_jobs, admission,
-        next_engine_index, trace_parent, state``; ``engine_jobs`` is the
-        one table of the session's engine jobs (start, spares, re-bound).
+        ``id, boot, ref, chain, hosts, references, engine_jobs, admission,
+        next_engine_index, trace_parent, state``; ``boot`` is the service
+        incarnation the record belongs to, and ``engine_jobs`` is the one
+        table of the session's engine jobs (start, spares, re-bound).
         """
         session = {
             "pending_acks": [],
@@ -385,9 +399,7 @@ class SessionService:
         :class:`~repro.services.session_state.StagedDataset` bookkeeping.
         """
         session = self._session(session_id)
-        staged = yield from self.stager.stage(session_id, session, dataset_id, strategy, streams)
-        self.resources.set_property(session["ref"], "dataset", dataset_id)
-        return staged
+        return (yield from self.stager.stage(session_id, session, dataset_id, strategy, streams))
 
     # -- code staging ------------------------------------------------------
     def stage_code(self, session_id: str, bundle: CodeBundle):
@@ -408,17 +420,12 @@ class SessionService:
         with tracer.activate(code_span):
             staging = self.codeloader.stage(session_id, bundle, workers)
         yield staging
+        self._commit(session, "code", class_name=bundle.class_name, version=bundle.version)
         # The engines live now: a spare that joined while the code was in
         # flight found no current bundle to load.
         for ref in session["references"]:
             yield ref.mailbox.put(("load_code", bundle))
         code_span.finish()
-        self._commit(
-            session_id,
-            "code",
-            class_name=bundle.class_name,
-            version=bundle.version,
-        )
         return self.env.now - started
 
     def reload_code(
@@ -439,7 +446,7 @@ class SessionService:
         """Fan a control verb out to every engine (generator operation)."""
         session = self._session(session_id)
         # Write-ahead: the verb is durable before any engine acts on it.
-        state = self._commit(session_id, "control", verb=verb)
+        state = self._commit(session, "control", verb=verb)
         if verb == Command.REWIND:
             # Invalidate the previous run's merged results immediately so a
             # poll between rewind and the first new snapshot cannot return
@@ -507,10 +514,10 @@ class SessionService:
 
     # -- shutdown ------------------------------------------------------------
     def close(self, session_id: str):
-        """End the session: shut engines down, cancel jobs, free the
-        resource (generator operation).  Idempotent, and safe when engines
-        are dead or hung — stragglers are force-cancelled after the
-        recovery grace period instead of deadlocking the close.
+        """End the session: shut engines down, cancel jobs, release the
+        admission grant (generator operation).  Idempotent, and safe when
+        engines are dead or hung — stragglers are force-cancelled after
+        the recovery grace period instead of deadlocking the close.
 
         A closed session leaves ``_sessions``; closing it again finds the
         journal tombstone and returns True without re-running the
@@ -527,7 +534,7 @@ class SessionService:
             ):
                 return True
             raise SessionError(f"no active session {session_id!r}")
-        self._commit(session_id, "closing")
+        self._commit(session, "closing")
         for ref in list(session["references"]):
             yield ref.mailbox.put(("shutdown",))
         # Engines drain their mailboxes and exit; wait for the jobs to end,
@@ -543,17 +550,17 @@ class SessionService:
                 if job.state not in JobState.TERMINAL:
                     self.gram.scheduler.cancel(job.id, "session-end")
             yield all_done
+        # Tombstone first (write-ahead), then tear down and drop the
+        # checkpoint file: after a crash the journal alone must prove the
+        # close happened, and a close that began before a crash tears down
+        # nothing of the recovered session.
+        self._commit(session, "closed")
         self.registry.drop_session(session_id)
         self.codeloader.drop_session(session_id)
         self.aida.drop_session(session_id)
         # The session's cached parts stay behind (warm for the next
         # session) but are no longer pinned against eviction.
         self.replicas.unpin_session(session_id)
-        self.resources.set_property(session["ref"], "state", "closed")
-        self.resources.destroy(session["ref"])
-        # Tombstone first (write-ahead), then drop the checkpoint file —
-        # after a crash the journal alone must prove the close happened.
-        self._commit(session_id, "closed")
         # A closed session holds nothing: the record (hosts, jobs,
         # references, credential chain) and its journal
         # reader leave the service.  Background loops still asleep hold
@@ -674,9 +681,8 @@ class SessionService:
         self._sessions = {}
         self._journals = {}
         self._checkpoints = {}
-        self.resources = ResourceHome(
-            self.env, "session", self._session_lifetime
-        )
+        self.resources = ResourceHome("session")
+        self._boots += 1
         self._down = True
         self.aida.crash()
         self.obs.metrics.counter(
@@ -713,6 +719,9 @@ class SessionService:
             state = fold(journal.records())
             if state is None:
                 continue
+            # Every journalled id stays taken, a closed session's too: a
+            # new session must not append to an old journal.
+            ref = self.resources.create(resource_id=session_id)
             if state.closed:
                 # Finished before the crash: only the tombstone matters
                 # (keeps close() idempotent and zombie submissions
@@ -722,7 +731,7 @@ class SessionService:
                 continue
             self._journals[session_id] = journal
             reconciled_engines += yield from self._recover_session(
-                session_id, state
+                session_id, state, ref
             )
             restored_sessions += 1
         yield self.env.timeout(
@@ -755,15 +764,11 @@ class SessionService:
         )
         return restored_sessions
 
-    def _recover_session(self, session_id: str, state: SessionState):
+    def _recover_session(self, session_id: str, state: SessionState, ref: ResourceRef):
         """Re-attach the volatile handles of one folded session (generator);
         returns the engine trees reconciled (restored from the checkpoint or
         republished by a live engine), the recovery cost model's unit."""
         span = self.obs.tracer.start("session.recover_state", session=session_id)
-        ref = self.resources.create(
-            {"owner": state.owner, "state": "recovering", "engines": state.n_engines},
-            resource_id=session_id,
-        )
         self.container.issue_token(state.token)
         # Re-bind engines that are still alive: the registry (and the
         # EngineHost processes out on the workers) survived the crash.
@@ -774,6 +779,8 @@ class SessionService:
         indexes = [int(e.rsplit("-", 1)[1]) for e in [*state.engines, *state.banned]]
         vo = self.gram.authz.vo_of(state.owner) or state.owner
         self._sessions[session_id] = self._session_record(
+            id=session_id,
+            boot=self._boots,
             ref=ref,
             # The credential chain is security material, never journalled:
             # until reconnect() refreshes it, spare-engine GRAM submits fail
@@ -807,9 +814,6 @@ class SessionService:
                 "service_recovery_resyncs_total",
                 "Live engines asked to republish a keyframe on recovery",
             ).inc(sent)
-        self.resources.set_property(ref, "state", "ready")
-        if state.dataset is not None:
-            self.resources.set_property(ref, "dataset", state.dataset.dataset_id)
         self.supervisor.maybe_end_recovery(session_id)
         span.finish(engines=len(references), restored=restored)
         return max(restored, sent)

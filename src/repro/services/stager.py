@@ -153,9 +153,9 @@ class Stager:
                 + (location.size_mb if fetch_skipped else 0.0),
             ),
         )
-        self.commit(session_id, "stage", **record)
-        state = self.commit(session_id, "pins", keys=list(keys))
-        if state is not None and state.orphaned:
+        self.commit(session, "stage", **record)
+        state = self.commit(session, "pins", keys=list(keys))
+        if state.orphaned and not state.closed:
             # The monitor re-dispatches the dead engine's part; hold the
             # merge open until it is taken over.
             self.aida.set_recovering(session_id, True)

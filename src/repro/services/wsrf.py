@@ -2,23 +2,17 @@
 
 "Since Web Services are stateless, creating an instance of a Web Service
 means creation of an instance of Web Service 'resources'" (§3.2).  A
-:class:`ResourceHome` mints :class:`ResourceRef` pointers (id + key), holds
-the resource properties, and enforces lifetimes in simulated time — the
-session service stores its per-session state here exactly like the GT4
-implementation did.
+:class:`ResourceHome` mints the :class:`ResourceRef` pointers (id + key)
+a client holds.  The resource's properties are the session's journalled
+:class:`~repro.services.session_state.SessionState`; a session resource
+has no lifetime: it lives until the session closes.
 """
 
 from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
-
-from repro.sim import Environment
-
-
-class WsrfError(Exception):
-    """Raised on unknown, destroyed, expired, or unauthorized resources."""
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -30,53 +24,15 @@ class ResourceRef:
     resource_type: str
 
 
-class _Resource:
-    __slots__ = ("ref", "properties", "created_at", "terminate_at", "destroyed")
-
-    def __init__(self, ref: ResourceRef, properties: dict, created_at: float,
-                 terminate_at: Optional[float]) -> None:
-        self.ref = ref
-        self.properties = properties
-        self.created_at = created_at
-        self.terminate_at = terminate_at
-        self.destroyed = False
-
-
 class ResourceHome:
-    """Factory and registry for one type of stateful resource.
+    """Mints the refs of one resource type (e.g. ``"session"``)."""
 
-    Parameters
-    ----------
-    env:
-        Simulation environment (supplies the clock for lifetimes).
-    resource_type:
-        Label baked into every ref (e.g. ``"session"``).
-    default_lifetime:
-        Seconds until automatic termination; ``None`` = immortal.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        resource_type: str,
-        default_lifetime: Optional[float] = None,
-    ) -> None:
-        if default_lifetime is not None and default_lifetime <= 0:
-            raise ValueError("default_lifetime must be > 0")
-        self.env = env
+    def __init__(self, resource_type: str) -> None:
         self.resource_type = resource_type
-        self.default_lifetime = default_lifetime
-        self._resources: Dict[str, _Resource] = {}
         self._counter = 0
 
-    # -- lifecycle ----------------------------------------------------------
-    def create(
-        self,
-        properties: Optional[dict] = None,
-        lifetime: Optional[float] = None,
-        resource_id: Optional[str] = None,
-    ) -> ResourceRef:
-        """Create a resource; returns its ref (id + access key).
+    def create(self, resource_id: Optional[str] = None) -> ResourceRef:
+        """Mint a ref (id + access key).
 
         Passing ``resource_id`` adopts an existing identity (service
         recovery re-minting a journaled session id); the counter is
@@ -89,75 +45,8 @@ class ResourceHome:
         else:
             self._counter += 1
             resource_id = f"{self.resource_type}-{self._counter}"
-        ref = ResourceRef(
+        return ResourceRef(
             resource_id=resource_id,
             key=secrets.token_hex(8),
             resource_type=self.resource_type,
-        )
-        life = lifetime if lifetime is not None else self.default_lifetime
-        terminate_at = self.env.now + life if life is not None else None
-        self._resources[resource_id] = _Resource(
-            ref, dict(properties or {}), self.env.now, terminate_at
-        )
-        return ref
-
-    def _fetch(self, ref: ResourceRef) -> _Resource:
-        resource = self._resources.get(ref.resource_id)
-        if resource is None or resource.destroyed:
-            raise WsrfError(f"no such resource {ref.resource_id!r}")
-        if resource.ref.key != ref.key:
-            raise WsrfError(f"bad key for resource {ref.resource_id!r}")
-        if (
-            resource.terminate_at is not None
-            and self.env.now > resource.terminate_at
-        ):
-            raise WsrfError(f"resource {ref.resource_id!r} expired")
-        return resource
-
-    def destroy(self, ref: ResourceRef) -> None:
-        """Explicitly destroy a resource (WS-ResourceLifetime Destroy)."""
-        self._fetch(ref).destroyed = True
-
-    def exists(self, ref: ResourceRef) -> bool:
-        """Whether the resource is alive and the key matches."""
-        try:
-            self._fetch(ref)
-            return True
-        except WsrfError:
-            return False
-
-    def set_termination_time(self, ref: ResourceRef, at: float) -> None:
-        """Adjust a resource's termination time (lease renewal)."""
-        resource = self._fetch(ref)
-        if at <= self.env.now:
-            raise WsrfError("termination time must be in the future")
-        resource.terminate_at = at
-
-    # -- properties ------------------------------------------------------------
-    def get_property(self, ref: ResourceRef, name: str) -> Any:
-        """Read one resource property (WS-ResourceProperties GetRP)."""
-        resource = self._fetch(ref)
-        if name not in resource.properties:
-            raise WsrfError(
-                f"resource {ref.resource_id!r} has no property {name!r}"
-            )
-        return resource.properties[name]
-
-    def set_property(self, ref: ResourceRef, name: str, value: Any) -> None:
-        """Write one resource property (SetRP)."""
-        self._fetch(ref).properties[name] = value
-
-    def properties(self, ref: ResourceRef) -> dict:
-        """All properties of the resource (copy)."""
-        return dict(self._fetch(ref).properties)
-
-    @property
-    def live_count(self) -> int:
-        """Number of non-destroyed, non-expired resources."""
-        now = self.env.now
-        return sum(
-            1
-            for r in self._resources.values()
-            if not r.destroyed
-            and (r.terminate_at is None or now <= r.terminate_at)
         )

@@ -213,7 +213,7 @@ def test_admission_events_and_metrics(env):
 def build_scheduler(n_workers=1):
     env = Environment()
     workers = [
-        WorkerNode(env, f"w{i}", NodeSpec(cpu_mhz=866))
+        WorkerNode(env, f"w{i}", NodeSpec())
         for i in range(n_workers)
     ]
     sched = BatchScheduler(env, ComputeElement("ce", workers))

@@ -19,7 +19,7 @@ from repro.sim import Environment
 @pytest.fixture
 def site():
     env = Environment()
-    workers = [WorkerNode(env, f"w{i}", NodeSpec(cpu_mhz=866)) for i in range(4)]
+    workers = [WorkerNode(env, f"w{i}", NodeSpec()) for i in range(4)]
     ce = ComputeElement("ce", workers)
     sched = BatchScheduler(env, ce)
     sched.add_queue(QueueSpec("interactive", priority=1, dispatch_latency=1.0))

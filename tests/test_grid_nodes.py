@@ -15,53 +15,9 @@ from repro.sim import Environment
 
 def test_nodespec_validation():
     with pytest.raises(ValueError):
-        NodeSpec(cpu_mhz=0)
-    with pytest.raises(ValueError):
-        NodeSpec(cores=0)
-    with pytest.raises(ValueError):
         NodeSpec(disk_read_mbps=0)
     with pytest.raises(ValueError):
         NodeSpec(disk_write_mbps=-1)
-
-
-def test_compute_time_scales_with_clock():
-    env = Environment()
-    fast = Node(env, "fast", NodeSpec(cpu_mhz=1700))
-    slow = Node(env, "slow", NodeSpec(cpu_mhz=866))
-    assert fast.compute_time(10.0) == pytest.approx(10.0)
-    assert slow.compute_time(10.0) == pytest.approx(10.0 * 1700 / 866)
-
-
-def test_compute_advances_clock():
-    env = Environment()
-    node = Node(env, "n", NodeSpec(cpu_mhz=1700))
-    env.run(until=node.compute(5.0))
-    assert env.now == pytest.approx(5.0)
-
-
-def test_compute_negative_rejected():
-    env = Environment()
-    node = Node(env, "n", NodeSpec())
-    with pytest.raises(ValueError):
-        node.compute(-1)
-
-
-def test_compute_serializes_on_single_core():
-    env = Environment()
-    node = Node(env, "n", NodeSpec(cpu_mhz=1700, cores=1))
-    p1 = node.compute(3.0)
-    p2 = node.compute(3.0)
-    env.run()
-    assert env.now == pytest.approx(6.0)
-
-
-def test_compute_parallel_on_two_cores():
-    env = Environment()
-    node = Node(env, "n", NodeSpec(cpu_mhz=1700, cores=2))
-    node.compute(3.0)
-    node.compute(3.0)
-    env.run()
-    assert env.now == pytest.approx(3.0)
 
 
 def test_disk_read_write_rates():

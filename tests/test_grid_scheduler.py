@@ -14,7 +14,7 @@ from repro.sim import Environment, Interrupt
 
 def build(n_workers=4):
     env = Environment()
-    workers = [WorkerNode(env, f"w{i}", NodeSpec(cpu_mhz=866)) for i in range(n_workers)]
+    workers = [WorkerNode(env, f"w{i}", NodeSpec()) for i in range(n_workers)]
     ce = ComputeElement("ce", workers)
     sched = BatchScheduler(env, ce)
     sched.add_queue(QueueSpec("interactive", priority=1, dispatch_latency=1.0))

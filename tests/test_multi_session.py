@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import counting, higgs
 from repro.client.client import IPAClient
 from repro.core.site import GridSite, SiteConfig
-from repro.services.wsrf import WsrfError
 
 
 def build_site(n_workers=8, max_engines=4, **kwargs):
@@ -130,26 +129,6 @@ def test_aida_manager_keeps_sessions_separate():
     assert not np.array_equal(results["alice"], results["bob"])
     assert results["alice"].sum() == 1500
     assert results["bob"].sum() == 1500
-
-
-def test_session_resource_lifetime_expiry():
-    site = GridSite(SiteConfig(n_workers=2, session_lifetime=100.0))
-    site.register_dataset(
-        "ds", "/t/ds", size_mb=10.0, n_events=500,
-        content={"kind": "ilc", "seed": 5},
-    )
-    client = IPAClient(site, site.enroll_user("/CN=alice"))
-
-    def scenario():
-        info = yield from client.obtain_proxy_and_connect()
-        home = site.session_service.resources
-        assert home.exists(info.resource)
-        yield site.env.timeout(150.0)
-        assert not home.exists(info.resource)
-        with pytest.raises(WsrfError, match="expired"):
-            home.properties(info.resource)
-
-    site.env.run(until=site.env.process(scenario()))
 
 
 def test_tokens_are_per_session():

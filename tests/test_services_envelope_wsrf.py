@@ -3,7 +3,7 @@
 import pytest
 
 from repro.services.envelope import Fault, ServiceContainer, ServiceError
-from repro.services.wsrf import ResourceHome, ResourceRef, WsrfError
+from repro.services.wsrf import ResourceHome
 from repro.sim import Environment
 
 
@@ -156,76 +156,25 @@ def test_call_log_records_success(env, container):
 # WSRF
 # ---------------------------------------------------------------------------
 
-def test_resource_create_and_properties(env):
-    home = ResourceHome(env, "session")
-    ref = home.create({"owner": "alice"})
+def test_resource_create_mints_a_typed_ref():
+    home = ResourceHome("session")
+    ref = home.create()
     assert ref.resource_type == "session"
-    assert home.get_property(ref, "owner") == "alice"
-    home.set_property(ref, "engines", 16)
-    assert home.properties(ref) == {"owner": "alice", "engines": 16}
-    assert home.live_count == 1
+    assert ref.resource_id == "session-1"
+    assert ref.key
 
 
-def test_resource_ids_unique(env):
-    home = ResourceHome(env, "session")
+def test_resource_ids_unique():
+    home = ResourceHome("session")
     refs = {home.create().resource_id for _ in range(10)}
     assert len(refs) == 10
 
 
-def test_resource_bad_key_rejected(env):
-    home = ResourceHome(env, "session")
-    ref = home.create()
-    forged = ResourceRef(ref.resource_id, "wrong-key", "session")
-    with pytest.raises(WsrfError, match="bad key"):
-        home.get_property(forged, "x")
-
-
-def test_resource_destroy(env):
-    home = ResourceHome(env, "session")
-    ref = home.create()
-    home.destroy(ref)
-    assert not home.exists(ref)
-    with pytest.raises(WsrfError):
-        home.properties(ref)
-    assert home.live_count == 0
-
-
-def test_resource_unknown_property(env):
-    home = ResourceHome(env, "session")
-    ref = home.create()
-    with pytest.raises(WsrfError, match="no property"):
-        home.get_property(ref, "ghost")
-
-
-def test_resource_lifetime_expiry(env):
-    home = ResourceHome(env, "session", default_lifetime=100.0)
-    ref = home.create()
-
-    def check():
-        assert home.exists(ref)
-        yield env.timeout(101.0)
-        assert not home.exists(ref)
-        with pytest.raises(WsrfError, match="expired"):
-            home.properties(ref)
-
-    env.run(until=env.process(check()))
-
-
-def test_resource_lease_renewal(env):
-    home = ResourceHome(env, "session", default_lifetime=100.0)
-    ref = home.create()
-
-    def check():
-        yield env.timeout(50.0)
-        home.set_termination_time(ref, env.now + 100.0)
-        yield env.timeout(80.0)
-        assert home.exists(ref)  # t=130 < 150
-        with pytest.raises(WsrfError):
-            home.set_termination_time(ref, env.now - 1.0)
-
-    env.run(until=env.process(check()))
-
-
-def test_resource_default_lifetime_validation(env):
-    with pytest.raises(ValueError):
-        ResourceHome(env, "x", default_lifetime=0)
+def test_adopting_a_journalled_id_advances_the_counter():
+    # Service recovery re-mints journalled session ids: a session created
+    # after it must not reuse one.
+    home = ResourceHome("session")
+    assert home.create(resource_id="session-7").resource_id == "session-7"
+    assert home.create().resource_id == "session-8"
+    assert home.create(resource_id="session-3").resource_id == "session-3"
+    assert home.create().resource_id == "session-9"

@@ -15,6 +15,8 @@ from repro.analysis import higgs
 from repro.client.client import IPAClient
 from repro.core.site import GridSite, SiteConfig
 from repro.grid.transfer import TransferError
+from repro.resilience.faults import ServiceUnavailable
+from repro.resilience.journal import SessionJournal
 
 DATASET = "ds-shared"
 SIZE_MB = 120.0
@@ -156,17 +158,23 @@ def test_a_service_crash_during_a_shared_fetch_leaves_no_entry_behind():
     clients = [IPAClient(site, site.enroll_user(f"/CN=user{i}")) for i in range(3)]
     out = {"lost": 0}
 
+    def journal_length(client):
+        return len(SessionJournal(site.durable_store, client.session.session_id).records())
+
     def stage(client):
         yield from client.obtain_proxy_and_connect(n_engines=2)
         try:
             yield from client.select_dataset(DATASET)
-        except Exception:  # the crash took the session's resource with it
+        except ServiceUnavailable:  # began in the crashed incarnation
             out["lost"] += 1
+        # The refused stage journalled nothing after the crash.
+        out.setdefault("late", []).append(journal_length(client) - out["at_crash"][client])
 
     def crash_during_fetch():
         while len(entered) < 2:
             yield site.env.timeout(0.5)
         site.injector.crash_services()
+        out["at_crash"] = {client: journal_length(client) for client in clients[:2]}
         yield site.injector.restart_services()
         # A stage after the restart joins the transfer still in flight.
         out["in_flight"] = sum(whole.is_alive for whole in wholes)
@@ -178,6 +186,7 @@ def test_a_service_crash_during_a_shared_fetch_leaves_no_entry_behind():
     site.env.run(until=site.env.all_of(procs))
     assert out["in_flight"] == 1
     assert out["lost"] == 2
+    assert out["late"] == [0, 0]
     assert out["after_restart"].fetch_skipped
     assert out["after_restart"].fetch_seconds > 0
     # The transfer ran out and took its entry with it.

@@ -11,18 +11,19 @@ from repro.core.site import GridSite, SiteConfig
 from repro.federation import FederatedClient
 from repro.grid.admission import AdmissionController
 from repro.grid.network import Network
+from repro.grid.nodes import NodeSpec
 from repro.grid.scheduler import QueueSpec
 from repro.obs import Observability
 from repro.resilience import DurableStore, RetryPolicy, SessionJournal
 from repro.services.session import SessionService
+from repro.services.wsrf import ResourceHome
 
 
-def test_site_config_fields_are_the_expected_thirteen():
+def test_site_config_fields_are_the_expected_twelve():
     assert [f.name for f in fields(SiteConfig)] == [
         "n_workers",
         "max_engines_per_session",
         "merge_fan_in",
-        "session_lifetime",
         "enable_observability",
         "worker_cache_mb",
         "checkpoint_every_s",
@@ -65,7 +66,6 @@ def test_trimmed_signatures_keep_only_their_parameters():
         "checkpoint_every_s",
         "container",
         "replicas",
-        "session_lifetime",
         "obs",
         "admission",
     ]
@@ -78,6 +78,9 @@ def test_trimmed_signatures_keep_only_their_parameters():
         "env", "capacity", "shares", "queue_depth", "obs",
     ]
     assert [f.name for f in fields(QueueSpec)] == ["name", "priority", "dispatch_latency"]
+    assert [f.name for f in fields(NodeSpec)] == ["disk_read_mbps", "disk_write_mbps"]
+    home = ResourceHome("session")
+    assert [name for name in dir(home) if not name.startswith("_")] == ["create", "resource_type"]
     assert [f.name for f in fields(RetryPolicy)] == [
         "max_attempts", "base_delay", "multiplier", "max_delay", "jitter", "seed",
     ]
